@@ -1,26 +1,23 @@
 (* Crashpoint fault-injection sweep over the chunk store.
 
-   Replays a deterministic TPC-B-style workload, crashes it at every
+   Replays deterministic chunk workloads, crashes them at every
    write/sync boundary under seeded subsets of surviving unsynced writes,
-   reopens and checks recovery invariants, then bit-flips the committed
-   image and checks tamper detection. Exits 1 if any invariant is
+   reopens and checks recovery invariants, then bit-flips committed
+   images and checks tamper detection. Exits 1 if any invariant is
    violated. See DESIGN.md, "Crash model". *)
 
+module C = Tdb_faultsim.Crashfuzz
+
 let () =
-  let txns = ref Tdb_faultsim.Crashfuzz.default_trace.Tdb_faultsim.Crashfuzz.txns in
+  let txns = ref C.default_trace.C.txns in
   let seeds = ref 8 in
   let stride = ref 1 in
   let tamper_stride = ref 7 in
   let mask = ref 0x10 in
   let json = ref false in
   let quiet = ref false in
-  let no_gc = ref false in
-  let no_flush = ref false in
-  let no_demote = ref false in
-  let no_replica = ref false in
-  let no_shard = ref false in
   let shards = ref 0 in
-  let seed = ref Tdb_faultsim.Crashfuzz.default_trace.Tdb_faultsim.Crashfuzz.seed in
+  let seed = ref C.default_trace.C.seed in
   let spec =
     [
       ("--txns", Arg.Set_int txns, "N  transactions in the recorded trace (default 24)");
@@ -29,11 +26,6 @@ let () =
       ("--tamper-stride", Arg.Set_int tamper_stride, "N  bit-flip every N-th image byte (default 7)");
       ("--mask", Arg.Set_int mask, "M  XOR mask for the tamper sweep (default 0x10)");
       ("--seed", Arg.Set_string seed, "S  trace seed (default tdb-crashfuzz)");
-      ("--no-group-commit", Arg.Set no_gc, "  skip the group-commit (staged barrier) sweep");
-      ("--no-commit-flush", Arg.Set no_flush, "  skip the coalesced commit-flush (fragment boundary) sweep");
-      ("--no-demote", Arg.Set no_demote, "  skip the tiered-cleaner demotion sweep");
-      ("--no-replica", Arg.Set no_replica, "  skip the replication-ingest crash and stream-tamper sweeps");
-      ("--no-shard", Arg.Set no_shard, "  skip the cross-shard 2PC crash and tamper sweeps");
       ("--shards", Arg.Set_int shards, "N  shard width for the 2PC sweep (default: max 2 TDB_SHARDS)");
       ("--json", Arg.Set json, "  emit the JSON summary on stdout");
       ("--quiet", Arg.Set quiet, "  no progress output");
@@ -42,169 +34,40 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "tdb_crashfuzz [options]: crashpoint fault-injection sweep";
-  let trace = { Tdb_faultsim.Crashfuzz.default_trace with Tdb_faultsim.Crashfuzz.txns = !txns; seed = !seed } in
+  let trace = { C.default_trace with C.txns = !txns; seed = !seed } in
   let progress k n = if not !quiet then Printf.eprintf "\rcrashpoint %d/%d%!" k n in
-  let crash = Tdb_faultsim.Crashfuzz.sweep_crashpoints ~progress ~trace ~seeds:!seeds ~stride:!stride () in
-  if not !quiet then Printf.eprintf "\rcrash sweep done: %d runs over %d boundaries\n%!" crash.runs crash.boundaries;
-  let gc =
-    if !no_gc then None
-    else begin
-      let r = Tdb_faultsim.Crashfuzz.sweep_group_commit ~progress ~trace ~seeds:!seeds ~stride:!stride () in
-      if not !quiet then
-        Printf.eprintf "\rgroup-commit sweep done: %d runs over %d boundaries\n%!" r.runs r.boundaries;
-      Some r
-    end
+  let shards = if !shards > 0 then Some !shards else None in
+  let label name = String.map (function '_' -> '-' | c -> c) name in
+  let reports =
+    List.map
+      (fun (name, run) ->
+        let r = run () in
+        (if not !quiet then
+           match r with
+           | C.Crash r -> Printf.eprintf "\r%s sweep done: %d runs over %d boundaries\n%!" (label name) r.runs r.boundaries
+           | C.Tamper r ->
+               Printf.eprintf "%s sweep done: %d flips (%d detected, %d harmless)\n%!" (label name) r.flips r.detected
+                 r.harmless);
+        (name, r))
+      (C.sweeps ~progress ?shards ~trace ~seeds:!seeds ~stride:!stride ~tamper_stride:!tamper_stride ~mask:!mask ())
   in
-  let flush =
-    if !no_flush then None
-    else begin
-      let r = Tdb_faultsim.Crashfuzz.sweep_commit_flush ~progress ~trace ~seeds:!seeds ~stride:!stride () in
-      if not !quiet then
-        Printf.eprintf "\rcommit-flush sweep done: %d runs over %d boundaries\n%!" r.runs r.boundaries;
-      Some r
-    end
-  in
-  let demote =
-    if !no_demote then None
-    else begin
-      let r = Tdb_faultsim.Crashfuzz.sweep_demote ~progress ~trace ~seeds:!seeds ~stride:!stride () in
-      if not !quiet then
-        Printf.eprintf "\rdemote sweep done: %d runs over %d boundaries\n%!" r.runs r.boundaries;
-      Some r
-    end
-  in
-  let replica =
-    if !no_replica then None
-    else begin
-      let r = Tdb_faultsim.Crashfuzz.sweep_replica ~progress ~trace ~seeds:!seeds ~stride:!stride () in
-      if not !quiet then
-        Printf.eprintf "\rreplica sweep done: %d runs over %d boundaries\n%!" r.runs r.boundaries;
-      Some r
-    end
-  in
-  let replica_tamper =
-    if !no_replica then None
-    else begin
-      let r = Tdb_faultsim.Crashfuzz.sweep_replica_tamper ~mask:!mask ~trace () in
-      if not !quiet then
-        Printf.eprintf "replica tamper sweep done: %d flips (%d detected, %d harmless)\n%!" r.flips
-          r.detected r.harmless;
-      Some r
-    end
-  in
-  let shard_width = if !shards > 0 then Some !shards else None in
-  let shard_2pc =
-    if !no_shard then None
-    else begin
-      let r =
-        Tdb_faultsim.Crashfuzz.sweep_shard_2pc ~progress ?shards:shard_width ~trace ~seeds:!seeds
-          ~stride:!stride ()
-      in
-      if not !quiet then
-        Printf.eprintf "\rshard-2PC sweep done: %d runs over %d boundaries\n%!" r.runs r.boundaries;
-      Some r
-    end
-  in
-  let shard_tamper =
-    if !no_shard then None
-    else begin
-      let r =
-        Tdb_faultsim.Crashfuzz.sweep_shard_tamper ~stride:!tamper_stride ~mask:!mask ?shards:shard_width
-          ~trace ()
-      in
-      if not !quiet then
-        Printf.eprintf "shard tamper sweep done: %d flips (%d detected, %d harmless)\n%!" r.flips
-          r.detected r.harmless;
-      Some r
-    end
-  in
-  let tamper = Tdb_faultsim.Crashfuzz.sweep_tamper ~stride:!tamper_stride ~mask:!mask ~trace () in
-  if not !quiet then
-    Printf.eprintf "tamper sweep done: %d flips (%d detected, %d harmless)\n%!" tamper.flips tamper.detected
-      tamper.harmless;
-  let gc_violations = match gc with None -> [] | Some r -> r.Tdb_faultsim.Crashfuzz.violations in
-  let flush_violations = match flush with None -> [] | Some r -> r.Tdb_faultsim.Crashfuzz.violations in
-  let demote_violations = match demote with None -> [] | Some r -> r.Tdb_faultsim.Crashfuzz.violations in
-  let replica_violations = match replica with None -> [] | Some r -> r.Tdb_faultsim.Crashfuzz.violations in
-  let shard_violations = match shard_2pc with None -> [] | Some r -> r.Tdb_faultsim.Crashfuzz.violations in
-  if !json then
-    print_endline
-      (Tdb_faultsim.Crashfuzz.json_summary ?group_commit:gc ?commit_flush:flush ?demote ?replica
-         ?replica_tamper ?shard_2pc ?shard_tamper ~trace ~crash ~tamper ())
+  let violations = List.concat_map (function _, C.Crash r -> r.C.violations | _, C.Tamper _ -> []) reports in
+  if !json then print_endline (C.json_summary ~trace reports)
   else begin
-    Printf.printf "boundaries=%d crashpoints=%d seeds=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-      crash.boundaries crash.crashpoints crash.seeds crash.runs crash.crashes crash.recoveries
-      (List.length crash.violations);
-    (match gc with
-    | None -> ()
-    | Some r ->
-        Printf.printf
-          "group-commit: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-          r.Tdb_faultsim.Crashfuzz.boundaries r.Tdb_faultsim.Crashfuzz.crashpoints
-          r.Tdb_faultsim.Crashfuzz.runs r.Tdb_faultsim.Crashfuzz.crashes r.Tdb_faultsim.Crashfuzz.recoveries
-          (List.length r.Tdb_faultsim.Crashfuzz.violations));
-    (match flush with
-    | None -> ()
-    | Some r ->
-        Printf.printf
-          "commit-flush: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-          r.Tdb_faultsim.Crashfuzz.boundaries r.Tdb_faultsim.Crashfuzz.crashpoints
-          r.Tdb_faultsim.Crashfuzz.runs r.Tdb_faultsim.Crashfuzz.crashes r.Tdb_faultsim.Crashfuzz.recoveries
-          (List.length r.Tdb_faultsim.Crashfuzz.violations));
-    (match demote with
-    | None -> ()
-    | Some r ->
-        Printf.printf
-          "demote: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-          r.Tdb_faultsim.Crashfuzz.boundaries r.Tdb_faultsim.Crashfuzz.crashpoints
-          r.Tdb_faultsim.Crashfuzz.runs r.Tdb_faultsim.Crashfuzz.crashes r.Tdb_faultsim.Crashfuzz.recoveries
-          (List.length r.Tdb_faultsim.Crashfuzz.violations));
-    (match replica with
-    | None -> ()
-    | Some r ->
-        Printf.printf
-          "replica: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-          r.Tdb_faultsim.Crashfuzz.boundaries r.Tdb_faultsim.Crashfuzz.crashpoints
-          r.Tdb_faultsim.Crashfuzz.runs r.Tdb_faultsim.Crashfuzz.crashes r.Tdb_faultsim.Crashfuzz.recoveries
-          (List.length r.Tdb_faultsim.Crashfuzz.violations));
-    (match replica_tamper with
-    | None -> ()
-    | Some r ->
-        Printf.printf "replica-tamper: flips=%d detected=%d harmless=%d silent=%d\n"
-          r.Tdb_faultsim.Crashfuzz.flips r.Tdb_faultsim.Crashfuzz.detected
-          r.Tdb_faultsim.Crashfuzz.harmless r.Tdb_faultsim.Crashfuzz.silent);
-    (match shard_2pc with
-    | None -> ()
-    | Some r ->
-        Printf.printf
-          "shard-2pc: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-          r.Tdb_faultsim.Crashfuzz.boundaries r.Tdb_faultsim.Crashfuzz.crashpoints
-          r.Tdb_faultsim.Crashfuzz.runs r.Tdb_faultsim.Crashfuzz.crashes r.Tdb_faultsim.Crashfuzz.recoveries
-          (List.length r.Tdb_faultsim.Crashfuzz.violations));
-    (match shard_tamper with
-    | None -> ()
-    | Some r ->
-        Printf.printf "shard-tamper: flips=%d detected=%d harmless=%d silent=%d\n"
-          r.Tdb_faultsim.Crashfuzz.flips r.Tdb_faultsim.Crashfuzz.detected
-          r.Tdb_faultsim.Crashfuzz.harmless r.Tdb_faultsim.Crashfuzz.silent);
-    Printf.printf "tamper: flips=%d detected=%d harmless=%d silent=%d\n" tamper.flips tamper.detected
-      tamper.harmless tamper.silent;
     List.iter
-      (fun v ->
-        Printf.printf "VIOLATION %s %s: %s\n" v.Tdb_faultsim.Crashfuzz.v_run v.Tdb_faultsim.Crashfuzz.v_kind
-          v.Tdb_faultsim.Crashfuzz.v_detail)
-      (crash.violations @ gc_violations @ flush_violations @ demote_violations @ replica_violations
-     @ shard_violations)
+      (fun (name, r) ->
+        match (name, r) with
+        | "crash", C.Crash r ->
+            Printf.printf "boundaries=%d crashpoints=%d seeds=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
+              r.boundaries r.crashpoints r.seeds r.runs r.crashes r.recoveries (List.length r.violations)
+        | _, C.Crash r ->
+            Printf.printf "%s: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
+              (label name) r.boundaries r.crashpoints r.runs r.crashes r.recoveries (List.length r.violations)
+        | _, C.Tamper r ->
+            Printf.printf "%s: flips=%d detected=%d harmless=%d silent=%d\n" (label name) r.flips r.detected r.harmless
+              r.silent)
+      reports;
+    List.iter (fun v -> Printf.printf "VIOLATION %s %s: %s\n" v.C.v_run v.C.v_kind v.C.v_detail) violations
   end;
-  let bad =
-    (match
-       crash.violations @ gc_violations @ flush_violations @ demote_violations @ replica_violations
-       @ shard_violations
-     with
-    | [] -> false
-    | _ :: _ -> true)
-    || tamper.silent > 0
-    || (match replica_tamper with None -> false | Some r -> r.Tdb_faultsim.Crashfuzz.silent > 0)
-    || (match shard_tamper with None -> false | Some r -> r.Tdb_faultsim.Crashfuzz.silent > 0)
-  in
-  exit (if bad then 1 else 0)
+  let silent = List.exists (function _, C.Tamper r -> r.C.silent > 0 | _, C.Crash _ -> false) reports in
+  exit (if silent || not (List.is_empty violations) then 1 else 0)

@@ -1,9 +1,12 @@
-(** Crashpoint sweep harness: replay a deterministic TPC-B-style chunk
-    workload, crash it at every write/sync boundary (database store and
-    one-way-counter store alike) under seeded subsets of surviving unsynced
-    writes, reopen, and check invariant oracles against a shadow model —
-    plus a bit-flip tamper sweep over the committed image. See DESIGN.md,
-    "Crash model", for the admissibility rule the oracles enforce. *)
+(** Crashpoint sweep harness: replay a deterministic chunk workload
+    through a {!Tdb_chunk.Shard_store} router of width [n] (1 unless a
+    sweep says otherwise), crash it at every write/sync boundary of its
+    database and one-way-counter stores under seeded subsets of surviving
+    unsynced writes, reopen, and check invariant oracles against a shadow
+    model — plus bit-flip tamper sweeps over committed images. Every crash
+    sweep is the same harness with a different workload phase; see
+    DESIGN.md, "Crash model", for the phases and the admissibility rule
+    the oracles enforce. *)
 
 type trace_cfg = {
   accounts : int;
@@ -40,19 +43,22 @@ type tamper_report = {
   silent_offsets : int list;
 }
 
+type report = Crash of crash_report | Tamper of tamper_report
+
 val sweep_crashpoints :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report
-(** Record the trace's boundary count [n], then for every [k < n] (step
-    [stride]) and every seed: crash phase A at boundary [k], recover and
-    check oracles, run the epilogue with a second seeded crashpoint,
-    recover and check again, then probe usability. [progress] is called
-    with [(k, n)] before each crashpoint. *)
+(** Plain phase: bulk load, then TPC-B-style transactions. Record the
+    trace's boundary count [n], then for every [k < n] (step [stride]) and
+    every seed: crash phase A at boundary [k], recover and check oracles,
+    run the epilogue with a second seeded crashpoint, recover and check
+    again, then probe usability. [progress] is called with [(k, n)]
+    before each crashpoint. *)
 
 val sweep_group_commit :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report
 (** Same sweep, but phase A replays the server's group-commit schedule:
     batches of nondurable session commits made durable by a staged
-    barrier ({!Tdb_chunk.Chunk_store.barrier_begin} / [barrier_sync] /
+    barrier ({!Tdb_chunk.Shard_store.barrier_begin} / [barrier_sync] /
     [barrier_finish]) with further commits landing inside the barrier's
     sync window — so every boundary of a coalesced multi-session barrier
     is crashed, including the window commits' interaction with segment
@@ -73,7 +79,7 @@ val sweep_demote :
 (** Same sweep over a {e tiered} store ([Config.tiers] forced to at least
     2, deeper if TDB_TIERS asks for more): phase A churns a Zipf-style
     hot head over a settled population and drives explicit
-    {!Tdb_chunk.Chunk_store.clean} passes, so cold survivors are
+    {!Tdb_chunk.Shard_store.clean} passes, so cold survivors are
     re-appended one tier colder on every pass. With stride 1 this crashes
     at every I/O boundary of a demotion pass — mid-relocation, between a
     survivor's re-append and its location-map update, and inside the
@@ -101,8 +107,7 @@ val sweep_shard_2pc :
   stride:int ->
   unit ->
   crash_report
-(** Cross-shard 2PC sweep: the workload runs through a
-    {!Tdb_chunk.Shard_store} router over [shards] shards (default:
+(** Cross-shard 2PC sweep: the router runs at width [shards] (default:
     [max 2 TDB_SHARDS]) — [shards] database stores and [shards] counter
     stores instrumented by one shared fault plan — and most transactions
     transfer value between two shards with a durable commit, driving the
@@ -141,23 +146,22 @@ val sweep_shard_tamper :
     for a transaction that never returned); steering recovery to any
     other state is silent tampering and must never happen. *)
 
-val json_summary :
-  ?group_commit:crash_report ->
-  ?commit_flush:crash_report ->
-  ?demote:crash_report ->
-  ?replica:crash_report ->
-  ?replica_tamper:tamper_report ->
-  ?shard_2pc:crash_report ->
-  ?shard_tamper:tamper_report ->
+val sweeps :
+  ?progress:(int -> int -> unit) ->
+  ?shards:int ->
   trace:trace_cfg ->
-  crash:crash_report ->
-  tamper:tamper_report ->
+  seeds:int ->
+  stride:int ->
+  tamper_stride:int ->
+  mask:int ->
   unit ->
-  string
-(** Machine-readable summary for the [tdb_crashfuzz] CLI.
-    [group_commit], when present, is the {!sweep_group_commit} report;
-    [commit_flush] the {!sweep_commit_flush} report; [demote] the
-    {!sweep_demote} report; [replica] the
-    {!sweep_replica} report and [replica_tamper] its tamper companion;
-    [shard_2pc] the {!sweep_shard_2pc} report and [shard_tamper] its
-    tamper companion. *)
+  (string * (unit -> report)) list
+(** Every sweep the [tdb_crashfuzz] CLI runs, keyed by its JSON name, in
+    summary order: the six crash sweeps ([stride], [seeds]), then
+    {!sweep_tamper} and {!sweep_shard_tamper} at [tamper_stride] and
+    {!sweep_replica_tamper} at its default stride, all with [mask].
+    [shards] is the 2PC sweeps' width. *)
+
+val json_summary : trace:trace_cfg -> (string * report) list -> string
+(** Machine-readable summary for the [tdb_crashfuzz] CLI: one key per
+    report, in list order, after the trace parameters. *)

@@ -189,76 +189,64 @@ let test_oversized_backup_restore () =
   Chunk_store.commit tgt;
   Alcotest.(check string) "target usable" "clean" (Chunk_store.read tgt c)
 
-(* --- bounded crashfuzz sweep as a regression smoke test --- *)
+(* --- bounded crashfuzz sweeps as regression smoke tests --- *)
 
-let test_crashfuzz_smoke () =
-  let report =
-    Crashfuzz.sweep_crashpoints ~trace:Crashfuzz.smoke_trace ~seeds:2 ~stride:17 ()
-  in
-  Alcotest.(check bool) "swept a real trace" true (report.Crashfuzz.boundaries > 50);
-  Alcotest.(check bool) "crashed and recovered" true (report.Crashfuzz.recoveries > 0);
-  (match report.Crashfuzz.violations with
-  | [] -> ()
-  | v :: _ ->
-      Alcotest.failf "%d violations, first: %s %s: %s"
-        (List.length report.Crashfuzz.violations)
-        v.Crashfuzz.v_run v.Crashfuzz.v_kind v.Crashfuzz.v_detail)
+(* One crashfuzz smoke test, run over every sweep: each crash sweep must
+   cover a real trace, crash and recover, and report no violation; each
+   tamper sweep must report no silent flip. *)
+let test_sweep sweep () =
+  match sweep () with
+  | Crashfuzz.Crash report -> (
+      Alcotest.(check bool) "swept a real trace" true (report.Crashfuzz.boundaries > 50);
+      Alcotest.(check bool) "crashed and recovered" true (report.Crashfuzz.recoveries > 0);
+      match report.Crashfuzz.violations with
+      | [] -> ()
+      | v :: _ ->
+          Alcotest.failf "%d violations, first: %s %s: %s"
+            (List.length report.Crashfuzz.violations)
+            v.Crashfuzz.v_run v.Crashfuzz.v_kind v.Crashfuzz.v_detail)
+  | Crashfuzz.Tamper report -> Alcotest.(check int) "no silent corruption" 0 report.Crashfuzz.silent
 
-(* Same sweep over the server's group-commit schedule: nondurable session
-   commits coalesced by a staged barrier, crashed at every boundary —
-   including inside the barrier's sync window, where further commits land
-   after the barrier record. *)
-let test_crashfuzz_group_commit () =
-  let report = Crashfuzz.sweep_group_commit ~trace:Crashfuzz.smoke_trace ~seeds:2 ~stride:17 () in
-  Alcotest.(check bool) "swept a real trace" true (report.Crashfuzz.boundaries > 50);
-  Alcotest.(check bool) "crashed and recovered" true (report.Crashfuzz.recoveries > 0);
-  (match report.Crashfuzz.violations with
-  | [] -> ()
-  | v :: _ ->
-      Alcotest.failf "%d violations, first: %s %s: %s"
-        (List.length report.Crashfuzz.violations)
-        v.Crashfuzz.v_run v.Crashfuzz.v_kind v.Crashfuzz.v_detail)
+let trace = Crashfuzz.smoke_trace
+let crash report = Crashfuzz.Crash report
 
-(* Same sweep with every commit a large durable multi-chunk commit: each
-   flush is one coalesced vectored write, decomposed by the fault plan
-   into per-fragment crash boundaries — header/payload splits, record
-   seams and chain markers of a single commit flush. *)
-let test_crashfuzz_commit_flush () =
-  let report = Crashfuzz.sweep_commit_flush ~trace:Crashfuzz.smoke_trace ~seeds:2 ~stride:17 () in
-  Alcotest.(check bool) "swept a real trace" true (report.Crashfuzz.boundaries > 50);
-  Alcotest.(check bool) "crashed and recovered" true (report.Crashfuzz.recoveries > 0);
-  (match report.Crashfuzz.violations with
-  | [] -> ()
-  | v :: _ ->
-      Alcotest.failf "%d violations, first: %s %s: %s"
-        (List.length report.Crashfuzz.violations)
-        v.Crashfuzz.v_run v.Crashfuzz.v_kind v.Crashfuzz.v_detail)
+(* The sweeps, one per workload phase:
+   - crashpoint: plain TPC-B;
+   - group-commit: the server's schedule, nondurable session commits
+     coalesced by a staged barrier, crashed at every boundary, including
+     inside the barrier's sync window, where further commits land after
+     the barrier record;
+   - commit-flush: every commit a large durable multi-chunk commit, each
+     flush one coalesced vectored write decomposed by the fault plan into
+     per-fragment crash boundaries;
+   - demote: explicit cleaning passes over a tiered store;
+   - replica-ingest: a follower crashed while applying archive streams,
+     plus its stream-tamper companion;
+   - cross-shard 2PC: transfers spanning two shards commit through the
+     cross-shard 2PC, crashed at every store boundary between prepare and
+     commit; after recovery every shard must agree on each transaction's
+     outcome (no partial application). *)
+let sweeps =
+  [
+    ("bounded crashpoint sweep", fun () -> crash (Crashfuzz.sweep_crashpoints ~trace ~seeds:2 ~stride:17 ()));
+    ("bounded group-commit sweep", fun () -> crash (Crashfuzz.sweep_group_commit ~trace ~seeds:2 ~stride:17 ()));
+    ("bounded commit-flush sweep", fun () -> crash (Crashfuzz.sweep_commit_flush ~trace ~seeds:2 ~stride:17 ()));
+    ("bounded demote sweep", fun () -> crash (Crashfuzz.sweep_demote ~trace ~seeds:2 ~stride:17 ()));
+    ("bounded replica-ingest sweep", fun () -> crash (Crashfuzz.sweep_replica ~trace ~seeds:2 ~stride:17 ()));
+    ( "bounded replica stream-tamper sweep",
+      fun () -> Crashfuzz.Tamper (Crashfuzz.sweep_replica_tamper ~stride:29 ~trace ()) );
+    ( "bounded cross-shard 2PC sweep",
+      fun () -> crash (Crashfuzz.sweep_shard_2pc ~shards:2 ~trace ~seeds:2 ~stride:29 ()) );
+  ]
 
 let test_tamper_smoke () =
-  let report = Crashfuzz.sweep_tamper ~stride:41 ~trace:Crashfuzz.smoke_trace () in
+  let report = Crashfuzz.sweep_tamper ~stride:41 ~trace () in
   Alcotest.(check int) "no silent corruption" 0 report.Crashfuzz.silent;
   Alcotest.(check bool) "flips in live data detected" true (report.Crashfuzz.detected > 0);
   Alcotest.(check bool) "flips in garbage harmless" true (report.Crashfuzz.harmless > 0)
 
-(* Same sweep through a shard router: transfers spanning two shards commit
-   through the cross-shard 2PC, crashed at every store boundary between
-   prepare and commit — after recovery every shard must agree on each
-   transaction's outcome (no partial application). *)
-let test_crashfuzz_shard_2pc () =
-  let report =
-    Crashfuzz.sweep_shard_2pc ~shards:2 ~trace:Crashfuzz.smoke_trace ~seeds:2 ~stride:29 ()
-  in
-  Alcotest.(check bool) "swept a real trace" true (report.Crashfuzz.boundaries > 50);
-  Alcotest.(check bool) "crashed and recovered" true (report.Crashfuzz.recoveries > 0);
-  (match report.Crashfuzz.violations with
-  | [] -> ()
-  | v :: _ ->
-      Alcotest.failf "%d violations, first: %s %s: %s"
-        (List.length report.Crashfuzz.violations)
-        v.Crashfuzz.v_run v.Crashfuzz.v_kind v.Crashfuzz.v_detail)
-
 let test_shard_tamper_smoke () =
-  let report = Crashfuzz.sweep_shard_tamper ~stride:53 ~shards:2 ~trace:Crashfuzz.smoke_trace () in
+  let report = Crashfuzz.sweep_shard_tamper ~stride:53 ~shards:2 ~trace () in
   Alcotest.(check int) "no silent corruption" 0 report.Crashfuzz.silent;
   Alcotest.(check bool) "flips in live data detected" true (report.Crashfuzz.detected > 0)
 
@@ -278,12 +266,9 @@ let () =
           Alcotest.test_case "oversized backup restore" `Quick test_oversized_backup_restore;
         ] );
       ( "crashfuzz",
-        [
-          Alcotest.test_case "bounded crashpoint sweep" `Slow test_crashfuzz_smoke;
-          Alcotest.test_case "bounded group-commit sweep" `Slow test_crashfuzz_group_commit;
-          Alcotest.test_case "bounded commit-flush sweep" `Slow test_crashfuzz_commit_flush;
-          Alcotest.test_case "bounded tamper sweep" `Slow test_tamper_smoke;
-          Alcotest.test_case "bounded cross-shard 2PC sweep" `Slow test_crashfuzz_shard_2pc;
-          Alcotest.test_case "bounded shard tamper sweep" `Slow test_shard_tamper_smoke;
-        ] );
+        List.map (fun (name, sweep) -> Alcotest.test_case name `Slow (test_sweep sweep)) sweeps
+        @ [
+            Alcotest.test_case "bounded tamper sweep" `Slow test_tamper_smoke;
+            Alcotest.test_case "bounded shard tamper sweep" `Slow test_shard_tamper_smoke;
+          ] );
     ]
