@@ -483,7 +483,14 @@ let replica_one ~every ~accounts ~txns : replica_row =
         if lag > !lag_max then lag_max := lag
       done;
       let t_load = Unix.gettimeofday () in
-      if not (Tdb.Replica.wait_converged ~timeout:60. rep) then failwith "replica bench: no convergence";
+      (* converged = the follower applied the primary's newest frame; the
+         last heartbeat's id can trail the final emission, so it is not
+         the target *)
+      let newest = (Tdb.Backup_store.chain_state pdb.Tdb.backups).Tdb.Backup_store.last_id in
+      while (Tdb.Replica.status rep).Tdb.Replica.applied_id < newest do
+        if Unix.gettimeofday () -. t_load > 60. then failwith "replica bench: no convergence";
+        Thread.delay 0.001
+      done;
       let t_conv = Unix.gettimeofday () in
       let archive = pdev.Tdb.Device.archive in
       let stream_bytes =
@@ -493,11 +500,10 @@ let replica_one ~every ~accounts ~txns : replica_row =
           0
           (Tdb.Archival_store.list archive)
       in
-      let backups = (Tdb.Backup_store.chain_state pdb.Tdb.backups).Tdb.Backup_store.last_id in
       {
         rr_interval = every;
         rr_txns = txns;
-        rr_backups = backups;
+        rr_backups = newest;
         rr_stream_bytes = stream_bytes;
         rr_avg_lag = float_of_int !lag_sum /. float_of_int txns;
         rr_max_lag = !lag_max;

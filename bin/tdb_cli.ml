@@ -37,64 +37,15 @@ let init_cmd =
 let status_cmd =
   let run dir =
     let db = open_db dir in
-    let cs = db.Tdb.chunks in
-    let st = Tdb.Shard_store.stats cs in
-    Printf.printf "database:     %s\n" dir;
-    Printf.printf "security:     %s\n" (if Tdb.Shard_store.security_enabled cs then "on (encrypted, tamper-evident)" else "off");
-    Printf.printf "live data:    %s\n" (human_bytes (Tdb.Shard_store.live_bytes cs));
-    Printf.printf "capacity:     %s (utilization %.0f%%)\n"
-      (human_bytes (Tdb.Shard_store.capacity cs))
-      (100. *. Tdb.Shard_store.utilization cs);
-    Printf.printf "store size:   %s\n" (human_bytes (Tdb.Shard_store.store_size cs));
-    let n = Tdb.Shard_store.shards cs in
-    if n > 1 then begin
-      Printf.printf "shards:       %d (%d cross-shard commits of %d)\n" n
-        (Tdb.Shard_store.cross_commits cs) (Tdb.Shard_store.txn_commits cs);
-      let counters = Tdb.Shard_store.shard_counters cs
-      and seqs = Tdb.Shard_store.shard_seqs cs
-      and sizes = Tdb.Shard_store.shard_sizes cs in
-      Array.iteri
-        (fun s c ->
-          Printf.printf "  shard %d:    counter %Ld, log tail seq %d, %s on disk\n" s c seqs.(s)
-            (human_bytes sizes.(s)))
-        counters;
-      Printf.printf "counter:      %Ld (sum of shard counters)\n" (Tdb.Shard_store.counter_value cs)
-    end
-    else Printf.printf "counter:      %Ld\n" (Tdb.One_way_counter.read db.Tdb.device.Tdb.Device.counter);
-    Printf.printf "backups:      %s\n"
+    Printf.printf "database: %s\n" dir;
+    Printf.printf "backups:  %s\n"
       (match Tdb.Archival_store.list db.Tdb.device.Tdb.Device.archive with
       | [] -> "(none)"
       | l -> String.concat ", " l);
-    (let bid = st.Tdb.Chunk_store.backup_last_id in
-     Printf.printf "backup chain: %s\n"
-       (if bid = 0 then "(none)"
-        else
-          Printf.sprintf "#%d, chain %s%s" bid
-            (String.sub (Tdb.Crypto.Hex.of_string st.Tdb.Chunk_store.backup_chain) 0 12)
-            (if st.Tdb.Chunk_store.backup_base_snapshot >= 0 then ""
-             else " (follower: applied, not emitted)")));
-    Printf.printf "session:      %d commits, %d checkpoints, %d cleaning passes\n" st.Tdb.Chunk_store.commits
-      st.Tdb.Chunk_store.checkpoints st.Tdb.Chunk_store.clean_passes;
-    (let tiers = (Tdb.Shard_store.config cs).Tdb.Chunk_config.tiers in
-     Printf.printf "cleaner:      %d tier%s [%s], %d segments cleaned, %d chunks (%s) relocated\n" tiers
-       (if tiers > 1 then "s" else "")
-       (String.concat " " (List.map string_of_int st.Tdb.Chunk_store.tier_segments))
-       st.Tdb.Chunk_store.segments_cleaned st.Tdb.Chunk_store.chunks_relocated
-       (human_bytes st.Tdb.Chunk_store.bytes_relocated));
-    let ch = st.Tdb.Chunk_store.cache_hits and cm = st.Tdb.Chunk_store.cache_misses in
-    let sum f = Array.fold_left (fun acc s -> acc + f (Tdb.Shard_store.shard_store cs s)) 0 (Array.init n Fun.id) in
-    Printf.printf "chunk cache:  %s of %s (%d chunks), %d hits / %d misses%s, %d evictions\n"
-      (human_bytes (sum Tdb.Chunk_store.cache_bytes))
-      (human_bytes (sum Tdb.Chunk_store.cache_budget))
-      (sum Tdb.Chunk_store.cache_resident) ch cm
-      (if ch + cm > 0 then Printf.sprintf " (%.0f%% hit)" (100. *. float_of_int ch /. float_of_int (ch + cm)) else "")
-      st.Tdb.Chunk_store.cache_evictions;
-    Printf.printf "parallelism:  %d domains, %d pool batches (%d tasks), %.1f ms waited\n"
-      (Tdb.Shard_store.domains cs) st.Tdb.Chunk_store.par_batches st.Tdb.Chunk_store.par_tasks
-      (float_of_int st.Tdb.Chunk_store.par_wait_ns /. 1e6);
+    Tdb.Metrics.print (Tdb.Shard_store.metrics db.Tdb.chunks);
     Tdb.close db
   in
-  Cmd.v (Cmd.info "status" ~doc:"Open a database (running recovery + tamper checks) and print its state.")
+  Cmd.v (Cmd.info "status" ~doc:"Open a database (running recovery + tamper checks) and print its metrics.")
     Term.(const run $ dir_arg)
 
 (* --- verify --- *)
@@ -213,56 +164,9 @@ let with_client addr f =
       exit 2
 
 let remote_status_cmd =
-  let run addr =
-    with_client addr (fun c ->
-        let s = Tdb.Client.stats c in
-        Printf.printf "sessions:        %d live, %d total\n" s.Tdb.Proto.s_sessions s.Tdb.Proto.s_sessions_total;
-        Printf.printf "transactions:    %d committed, %d aborted\n" s.Tdb.Proto.s_committed s.Tdb.Proto.s_aborted;
-        Printf.printf "chunk commits:   %d (%d durable)\n" s.Tdb.Proto.s_commits s.Tdb.Proto.s_durable_commits;
-        Printf.printf "one-way counter: %Ld\n" s.Tdb.Proto.s_counter;
-        Printf.printf "group commit:    %d barriers covering %d commits\n" s.Tdb.Proto.s_gc_batches
-          s.Tdb.Proto.s_gc_coalesced;
-        let ch = s.Tdb.Proto.s_cache_hits and cm = s.Tdb.Proto.s_cache_misses in
-        Printf.printf "chunk cache:     %d hits / %d misses%s, %d evictions\n" ch cm
-          (if ch + cm > 0 then Printf.sprintf " (%.0f%% hit)" (100. *. float_of_int ch /. float_of_int (ch + cm)) else "")
-          s.Tdb.Proto.s_cache_evictions;
-        Printf.printf "parallelism:     %d domains, %d pool batches (%d tasks), %.1f ms waited\n"
-          s.Tdb.Proto.s_domains s.Tdb.Proto.s_par_batches s.Tdb.Proto.s_par_tasks
-          (float_of_int s.Tdb.Proto.s_par_wait_us /. 1e3);
-        Printf.printf "cleaner:         %d tier%s [%s], %d passes, %d segments cleaned, %s relocated%s\n"
-          s.Tdb.Proto.s_tiers
-          (if s.Tdb.Proto.s_tiers > 1 then "s" else "")
-          (String.concat " " (List.map string_of_int s.Tdb.Proto.s_tier_segments))
-          s.Tdb.Proto.s_clean_passes s.Tdb.Proto.s_segments_cleaned
-          (human_bytes s.Tdb.Proto.s_bytes_relocated)
-          (if s.Tdb.Proto.s_bytes_data > s.Tdb.Proto.s_bytes_relocated then
-             Printf.sprintf " (write amp %.2f)"
-               (float_of_int s.Tdb.Proto.s_bytes_relocated
-               /. float_of_int (s.Tdb.Proto.s_bytes_data - s.Tdb.Proto.s_bytes_relocated))
-           else "");
-        Printf.printf "backup chain:    %s\n"
-          (if s.Tdb.Proto.s_backup_last_id = 0 then "(none)"
-           else
-             Printf.sprintf "#%d, chain %s" s.Tdb.Proto.s_backup_last_id
-               (String.sub (Tdb.Crypto.Hex.of_string s.Tdb.Proto.s_backup_chain) 0 12));
-        if s.Tdb.Proto.s_shards > 1 then begin
-          Printf.printf "shards:          %d (%d cross-shard commits of %d durable)\n"
-            s.Tdb.Proto.s_shards s.Tdb.Proto.s_cross_commits s.Tdb.Proto.s_durable_commits;
-          let seqs = Array.of_list s.Tdb.Proto.s_shard_seqs
-          and sizes = Array.of_list s.Tdb.Proto.s_shard_sizes
-          and barriers = Array.of_list s.Tdb.Proto.s_shard_barriers in
-          let nth a i = if i < Array.length a then a.(i) else 0 in
-          List.iteri
-            (fun i ctr ->
-              Printf.printf "  shard %d:       counter %Ld, log tail seq %d, %s on disk, %d barriers\n"
-                i ctr (nth seqs i)
-                (human_bytes (nth sizes i))
-                (nth barriers i))
-            s.Tdb.Proto.s_shard_counters
-        end)
-  in
+  let run addr = with_client addr (fun c -> Tdb.Metrics.print (Tdb.Client.metrics c)) in
   Cmd.v
-    (Cmd.info "remote-status" ~doc:"Print a running server's session, commit and group-commit counters.")
+    (Cmd.info "remote-status" ~doc:"Print a running server's metrics: its sessions and group commit, then the store's.")
     Term.(const run $ addr_term)
 
 (* Remote point-in-time restore: pull the archive off a running server

@@ -655,9 +655,6 @@ let txn_commits t = if Int.equal t.n 1 then (Chunk_store.stats t.shards.(0)).Chu
 let cross_commits t = t.cross_commits
 let shard_barriers t = Array.copy t.barriers
 let shard_counters t = Array.map Chunk_store.counter_value t.shards
-let shard_seqs t = Array.map Chunk_store.commit_seq t.shards
-let shard_sizes t = Array.map Chunk_store.store_size t.shards
-let shard_commit_counts t = Array.map (fun sh -> (Chunk_store.stats sh).Chunk_store.commits) t.shards
 let set_prepare_hook t h = t.hook <- h
 
 let stats t : Chunk_store.stats =
@@ -714,6 +711,61 @@ let live_bytes t = Array.fold_left (fun acc sh -> acc + Chunk_store.live_bytes s
 let capacity t = Array.fold_left (fun acc sh -> acc + Chunk_store.capacity sh) 0 t.shards
 let store_size t = Array.fold_left (fun acc sh -> acc + Chunk_store.store_size sh) 0 t.shards
 let utilization t = float_of_int (live_bytes t) /. float_of_int (max 1 (capacity t))
-let security_enabled t = Chunk_store.security_enabled t.shards.(0)
 let config t = t.cfg
-let domains t = Chunk_store.domains t.shards.(0)
+
+let metrics t : Metrics.t =
+  let st = stats t in
+  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards in
+  let ratio a b = Metrics.Float (if b > 0 then float_of_int a /. float_of_int b else 0.) in
+  let lookups = st.Chunk_store.cache_hits + st.Chunk_store.cache_misses in
+  let fresh = st.Chunk_store.bytes_data - st.Chunk_store.bytes_relocated in
+  let shard i sh =
+    let name field = Printf.sprintf "shard.%d.%s" i field in
+    Metrics.
+      [
+        (name "counter", Int (Int64.to_int (Chunk_store.counter_value sh)));
+        (name "seq", Int (Chunk_store.commit_seq sh));
+        (name "size_bytes", Int (Chunk_store.store_size sh));
+        (name "barriers", Int t.barriers.(i));
+      ]
+  in
+  Metrics.
+    [
+      ("store.commits", Int st.Chunk_store.commits);
+      ("store.durable_commits", Int st.Chunk_store.durable_commits);
+      ("store.checkpoints", Int st.Chunk_store.checkpoints);
+      ("store.counter", Int (Int64.to_int (counter_value t)));
+      ("store.live_bytes", Int (live_bytes t));
+      ("store.capacity_bytes", Int (capacity t));
+      ("store.utilization", Float (utilization t));
+      ("store.size_bytes", Int (store_size t));
+      ("store.security", Text (if Chunk_store.security_enabled t.shards.(0) then "on" else "off"));
+      ("chunk_cache.hits", Int st.Chunk_store.cache_hits);
+      ("chunk_cache.misses", Int st.Chunk_store.cache_misses);
+      ("chunk_cache.evictions", Int st.Chunk_store.cache_evictions);
+      ("chunk_cache.hit_rate", ratio st.Chunk_store.cache_hits lookups);
+      ("chunk_cache.bytes", Int (sum Chunk_store.cache_bytes));
+      ("chunk_cache.budget_bytes", Int (sum Chunk_store.cache_budget));
+      ("chunk_cache.resident", Int (sum Chunk_store.cache_resident));
+      ("pool.domains", Int (Chunk_store.domains t.shards.(0)));
+      ("pool.batches", Int st.Chunk_store.par_batches);
+      ("pool.tasks", Int st.Chunk_store.par_tasks);
+      ("pool.wait_us", Int (st.Chunk_store.par_wait_ns / 1000));
+      ("cleaner.tiers", Int t.cfg.Config.tiers);
+      ("cleaner.passes", Int st.Chunk_store.clean_passes);
+      ("cleaner.segments_cleaned", Int st.Chunk_store.segments_cleaned);
+      ("cleaner.chunks_relocated", Int st.Chunk_store.chunks_relocated);
+      ("cleaner.bytes_relocated", Int st.Chunk_store.bytes_relocated);
+      ("cleaner.bytes_data", Int st.Chunk_store.bytes_data);
+      ("cleaner.write_amp", ratio st.Chunk_store.bytes_relocated fresh);
+    ]
+  @ List.mapi (fun k n -> (Printf.sprintf "cleaner.tier.%d.segments" k, Metrics.Int n)) st.Chunk_store.tier_segments
+  @ Metrics.
+      [
+        ("backup.last_id", Int st.Chunk_store.backup_last_id);
+        ("backup.base_snapshot", Int st.Chunk_store.backup_base_snapshot);
+        ("backup.chain", Text (Tdb_crypto.Hex.of_string st.Chunk_store.backup_chain));
+        ("shard.width", Int t.n);
+        ("shard.cross_commits", Int t.cross_commits);
+      ]
+  @ List.concat (List.mapi shard (Array.to_list t.shards))

@@ -164,6 +164,12 @@ val stats : t -> Chunk_store.stats
     from shard 0, where the backup store publishes them). The returned
     record is a fresh aggregate — do not mutate it. *)
 
+val metrics : t -> Metrics.t
+(** The store's metrics, named by owner: [store.*], [chunk_cache.*],
+    [pool.*], [cleaner.*] (with [cleaner.tier.<k>.segments]), [backup.*]
+    and [shard.*] (with [shard.<i>.counter/seq/size_bytes/barriers] at
+    every width). The one place store metrics are named. *)
+
 val shards : t -> int
 val shard_store : t -> int -> Chunk_store.t
 (** Direct access to one shard (read-only introspection; mutating a shard
@@ -180,9 +186,6 @@ val shard_barriers : t -> int array
     commits on other shards skip it. *)
 
 val shard_counters : t -> int64 array
-val shard_seqs : t -> int array
-val shard_sizes : t -> int array
-val shard_commit_counts : t -> int array
 
 val set_prepare_hook : t -> (int -> bool) option -> unit
 (** Test hook: called with each participant shard during 2PC prepare;
@@ -200,6 +203,4 @@ val utilization : t -> float
 val live_bytes : t -> int
 val capacity : t -> int
 val store_size : t -> int
-val security_enabled : t -> bool
 val config : t -> Config.t
-val domains : t -> int

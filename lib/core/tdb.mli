@@ -42,6 +42,7 @@ module Chunk_config = Tdb_chunk.Config
 module Chunk_types = Tdb_chunk.Types
 module Chunk_store = Tdb_chunk.Chunk_store
 module Shard_store = Tdb_chunk.Shard_store
+module Metrics = Tdb_chunk.Metrics
 module Backup_store = Tdb_backup.Backup_store
 module Obj_class = Tdb_objstore.Obj_class
 module Object_store = Tdb_objstore.Object_store

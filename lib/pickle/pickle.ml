@@ -98,7 +98,9 @@ let read_char r = Char.chr (read_byte r)
 let read_bool r =
   match read_byte r with 0 -> false | 1 -> true | n -> error "Pickle: invalid bool %d" n
 
-let read_uint r =
+(* The raw 63-bit varint: a 9-byte encoding can set the sign bit, which
+   zig-zag [int] relies on for large magnitudes. *)
+let read_varint r =
   let rec go shift acc =
     if shift > 62 then error "Pickle: varint too long";
     let b = read_byte r in
@@ -107,8 +109,13 @@ let read_uint r =
   in
   go 0 0
 
+let read_uint r =
+  let u = read_varint r in
+  if u < 0 then error "Pickle: unsigned varint out of range";
+  u
+
 let read_int r =
-  let u = read_uint r in
+  let u = read_varint r in
   (u lsr 1) lxor (-(u land 1))
 
 let read_int64 r =

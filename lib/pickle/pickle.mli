@@ -56,6 +56,10 @@ val read_byte : reader -> int
 val read_char : reader -> char
 val read_bool : reader -> bool
 val read_uint : reader -> int
+(** Never negative: a varint that decodes past [max_int] (untrusted bytes
+    can encode one) raises [Error], so a length or count read with it can
+    size nothing. *)
+
 val read_int : reader -> int
 val read_int64 : reader -> int64
 val read_int32_fixed : reader -> int

@@ -160,8 +160,8 @@ let coll_size (c : t) ~coll : int =
 
 (* --- introspection --- *)
 
-let stats (c : t) : Proto.stats =
-  match rpc c Proto.Stats with Proto.Ok_stats s -> s | _ -> unexpected "Ok_stats"
+let metrics (c : t) : Tdb_chunk.Metrics.t =
+  match rpc c Proto.Metrics with Proto.Ok_metrics m -> m | _ -> unexpected "Ok_metrics"
 
 (* --- archive --- *)
 

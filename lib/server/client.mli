@@ -83,7 +83,9 @@ val coll_size : t -> coll:string -> int
 
 (** {1 Introspection} *)
 
-val stats : t -> Proto.stats
+val metrics : t -> Tdb_chunk.Metrics.t
+(** The server's [server.*] and [group_commit.*] metrics followed by the
+    store's ({!Tdb_chunk.Shard_store.metrics}). *)
 
 (** {1 Archive} — remote access to the server's backup archive. *)
 

@@ -17,7 +17,7 @@ exception Proto_error of string
 (** Malformed frame, unknown opcode, version mismatch, or oversized
     payload. *)
 
-let version = 6
+let version = 7
 let magic = "TDB\001"
 
 let default_max_frame = 4 * 1024 * 1024
@@ -46,7 +46,7 @@ type request =
   | Coll_scan of { coll : string; index : string; min : string option; max : string option; limit : int }
   | Coll_mutate of { coll : string; index : string; key : string; mutation : string; arg : string }
   | Coll_size of { coll : string }
-  | Stats
+  | Metrics  (** the server's and the store's named metrics *)
   | Bye
   | Subscribe of { r_last_id : int; r_chain : string }
       (** switch the connection to publish mode: stream archive frames
@@ -58,40 +58,6 @@ type request =
       (** one archive stream by name — an opaque sealed backup frame the
           client verifies and unseals locally under the device secret *)
 
-type stats = {
-  s_sessions : int;  (** sessions currently connected *)
-  s_sessions_total : int;
-  s_committed : int;  (** transactions committed through the service *)
-  s_aborted : int;  (** transactions aborted (explicit, timeout or disconnect) *)
-  s_commits : int;  (** chunk-store commits (all kinds) *)
-  s_durable_commits : int;  (** chunk-store durable commits (incl. barriers) *)
-  s_counter : int64;  (** one-way counter value *)
-  s_gc_batches : int;  (** group-commit barriers run *)
-  s_gc_coalesced : int;  (** durable commits absorbed into those barriers *)
-  s_cache_hits : int;  (** verified-chunk cache hits (reads served decrypted) *)
-  s_cache_misses : int;  (** cache misses (full fetch + decrypt + verify) *)
-  s_cache_evictions : int;  (** entries evicted under budget pressure *)
-  s_domains : int;  (** seal/unseal pipeline width the store runs at *)
-  s_par_batches : int;  (** batches fanned out over the domain pool *)
-  s_par_tasks : int;  (** items executed through the pool *)
-  s_par_wait_us : int;  (** coordinator µs parked waiting on pool workers *)
-  s_backup_last_id : int;  (** backup/replication chain position (0 = none) *)
-  s_backup_base_snapshot : int;  (** snapshot the next incremental diffs against; -1 = none *)
-  s_backup_chain : string;  (** current backup hash-chain value ("" = never attached) *)
-  s_shards : int;  (** shard width of the chunk store (1 = unsharded) *)
-  s_cross_commits : int;  (** commits that took the cross-shard 2PC path *)
-  s_shard_counters : int64 list;  (** per-shard one-way counter values *)
-  s_shard_seqs : int list;  (** per-shard commit sequence numbers *)
-  s_shard_sizes : int list;  (** per-shard store sizes in bytes (log tail) *)
-  s_shard_barriers : int list;  (** per-shard staged group-commit barriers run *)
-  s_clean_passes : int;  (** cleaning passes run (all shards) *)
-  s_segments_cleaned : int;  (** segments reclaimed by the cleaner *)
-  s_bytes_relocated : int;  (** chunk ciphertext bytes the cleaner recopied *)
-  s_bytes_data : int;  (** chunk payload bytes appended (write-amp denominator) *)
-  s_tiers : int;  (** configured cleaning generations (1 = single population) *)
-  s_tier_segments : int list;  (** live-segment count per cleaning tier, summed over shards *)
-}
-
 type response =
   | Hello_ok of { a_version : int }
   | Ok_unit
@@ -101,7 +67,7 @@ type response =
   | Ok_list of (int * string) list
   | Ok_root of int option
   | Ok_int of int
-  | Ok_stats of stats
+  | Ok_metrics of Tdb_chunk.Metrics.t
   | Error_ of { tag : string; msg : string }
   | Rep_frame of { f_name : string; f_stream : string }
       (** one archive stream (a sealed, MAC'd backup frame, opaque here) *)
@@ -173,7 +139,7 @@ let encode_request (req : request) : string =
   | Coll_size { coll } ->
       P.byte w 14;
       P.string w coll
-  | Stats -> P.byte w 15
+  | Metrics -> P.byte w 15
   | Bye -> P.byte w 16
   | Subscribe { r_last_id; r_chain } ->
       P.byte w 17;
@@ -235,7 +201,7 @@ let decode_request (payload : string) : request =
         let arg = P.read_string r in
         Coll_mutate { coll; index; key; mutation; arg }
     | 14 -> Coll_size { coll = P.read_string r }
-    | 15 -> Stats
+    | 15 -> Metrics
     | 16 -> Bye
     | 17 ->
         let r_last_id = P.read_uint r in
@@ -247,6 +213,27 @@ let decode_request (payload : string) : request =
   in
   P.expect_end r;
   req
+
+(* A metric value travels as a tag byte and its payload, so a new metric
+   name needs no new opcode or version. *)
+let write_value w (v : Tdb_chunk.Metrics.value) =
+  match v with
+  | Int n ->
+      P.byte w 0;
+      P.int w n
+  | Float f ->
+      P.byte w 1;
+      P.float w f
+  | Text s ->
+      P.byte w 2;
+      P.string w s
+
+let read_value r : Tdb_chunk.Metrics.value =
+  match P.read_byte r with
+  | 0 -> Int (P.read_int r)
+  | 1 -> Float (P.read_float r)
+  | 2 -> Text (P.read_string r)
+  | tag -> raise (Proto_error (Printf.sprintf "unknown metric value tag %d" tag))
 
 let encode_response (resp : response) : string =
   let w = P.writer () in
@@ -273,39 +260,9 @@ let encode_response (resp : response) : string =
   | Ok_int n ->
       P.byte w 7;
       P.int w n
-  | Ok_stats s ->
+  | Ok_metrics m ->
       P.byte w 8;
-      P.uint w s.s_sessions;
-      P.uint w s.s_sessions_total;
-      P.uint w s.s_committed;
-      P.uint w s.s_aborted;
-      P.uint w s.s_commits;
-      P.uint w s.s_durable_commits;
-      P.int64 w s.s_counter;
-      P.uint w s.s_gc_batches;
-      P.uint w s.s_gc_coalesced;
-      P.uint w s.s_cache_hits;
-      P.uint w s.s_cache_misses;
-      P.uint w s.s_cache_evictions;
-      P.uint w s.s_domains;
-      P.uint w s.s_par_batches;
-      P.uint w s.s_par_tasks;
-      P.uint w s.s_par_wait_us;
-      P.uint w s.s_backup_last_id;
-      P.int w s.s_backup_base_snapshot;
-      P.string w s.s_backup_chain;
-      P.uint w s.s_shards;
-      P.uint w s.s_cross_commits;
-      P.list w P.int64 s.s_shard_counters;
-      P.list w P.uint s.s_shard_seqs;
-      P.list w P.uint s.s_shard_sizes;
-      P.list w P.uint s.s_shard_barriers;
-      P.uint w s.s_clean_passes;
-      P.uint w s.s_segments_cleaned;
-      P.uint w s.s_bytes_relocated;
-      P.uint w s.s_bytes_data;
-      P.uint w s.s_tiers;
-      P.list w P.uint s.s_tier_segments
+      P.list w (fun w p -> P.pair w P.string write_value p) m
   | Error_ { tag; msg } ->
       P.byte w 9;
       P.string w tag;
@@ -333,72 +290,7 @@ let decode_response (payload : string) : response =
     | 5 -> Ok_list (P.read_list r (fun r -> P.read_pair r P.read_int P.read_string))
     | 6 -> Ok_root (P.read_option r P.read_int)
     | 7 -> Ok_int (P.read_int r)
-    | 8 ->
-        let s_sessions = P.read_uint r in
-        let s_sessions_total = P.read_uint r in
-        let s_committed = P.read_uint r in
-        let s_aborted = P.read_uint r in
-        let s_commits = P.read_uint r in
-        let s_durable_commits = P.read_uint r in
-        let s_counter = P.read_int64 r in
-        let s_gc_batches = P.read_uint r in
-        let s_gc_coalesced = P.read_uint r in
-        let s_cache_hits = P.read_uint r in
-        let s_cache_misses = P.read_uint r in
-        let s_cache_evictions = P.read_uint r in
-        let s_domains = P.read_uint r in
-        let s_par_batches = P.read_uint r in
-        let s_par_tasks = P.read_uint r in
-        let s_par_wait_us = P.read_uint r in
-        let s_backup_last_id = P.read_uint r in
-        let s_backup_base_snapshot = P.read_int r in
-        let s_backup_chain = P.read_string r in
-        let s_shards = P.read_uint r in
-        let s_cross_commits = P.read_uint r in
-        let s_shard_counters = P.read_list r P.read_int64 in
-        let s_shard_seqs = P.read_list r P.read_uint in
-        let s_shard_sizes = P.read_list r P.read_uint in
-        let s_shard_barriers = P.read_list r P.read_uint in
-        let s_clean_passes = P.read_uint r in
-        let s_segments_cleaned = P.read_uint r in
-        let s_bytes_relocated = P.read_uint r in
-        let s_bytes_data = P.read_uint r in
-        let s_tiers = P.read_uint r in
-        let s_tier_segments = P.read_list r P.read_uint in
-        Ok_stats
-          {
-            s_sessions;
-            s_sessions_total;
-            s_committed;
-            s_aborted;
-            s_commits;
-            s_durable_commits;
-            s_counter;
-            s_gc_batches;
-            s_gc_coalesced;
-            s_cache_hits;
-            s_cache_misses;
-            s_cache_evictions;
-            s_domains;
-            s_par_batches;
-            s_par_tasks;
-            s_par_wait_us;
-            s_backup_last_id;
-            s_backup_base_snapshot;
-            s_backup_chain;
-            s_shards;
-            s_cross_commits;
-            s_shard_counters;
-            s_shard_seqs;
-            s_shard_sizes;
-            s_shard_barriers;
-            s_clean_passes;
-            s_segments_cleaned;
-            s_bytes_relocated;
-            s_bytes_data;
-            s_tiers;
-            s_tier_segments;
-          }
+    | 8 -> Ok_metrics (P.read_list r (fun r -> P.read_pair r P.read_string read_value))
     | 9 ->
         let tag = P.read_string r in
         let msg = P.read_string r in

@@ -36,7 +36,7 @@ type request =
   | Coll_scan of { coll : string; index : string; min : string option; max : string option; limit : int }
   | Coll_mutate of { coll : string; index : string; key : string; mutation : string; arg : string }
   | Coll_size of { coll : string }
-  | Stats
+  | Metrics  (** the server's and the store's named metrics *)
   | Bye
   | Subscribe of { r_last_id : int; r_chain : string }
       (** switch the connection to publish mode: stream archive frames
@@ -47,40 +47,6 @@ type request =
       (** one archive stream by name — an opaque sealed backup frame the
           client verifies and unseals locally under the device secret *)
 
-type stats = {
-  s_sessions : int;  (** sessions currently connected *)
-  s_sessions_total : int;
-  s_committed : int;  (** transactions committed through the service *)
-  s_aborted : int;  (** transactions aborted (explicit, timeout or disconnect) *)
-  s_commits : int;  (** chunk-store commits (all kinds) *)
-  s_durable_commits : int;  (** chunk-store durable commits (incl. barriers) *)
-  s_counter : int64;  (** one-way counter value *)
-  s_gc_batches : int;  (** group-commit barriers run *)
-  s_gc_coalesced : int;  (** durable commits absorbed into those barriers *)
-  s_cache_hits : int;  (** verified-chunk cache hits (reads served decrypted) *)
-  s_cache_misses : int;  (** cache misses (full fetch + decrypt + verify) *)
-  s_cache_evictions : int;  (** entries evicted under budget pressure *)
-  s_domains : int;  (** seal/unseal pipeline width the store runs at *)
-  s_par_batches : int;  (** batches fanned out over the domain pool *)
-  s_par_tasks : int;  (** items executed through the pool *)
-  s_par_wait_us : int;  (** coordinator µs parked waiting on pool workers *)
-  s_backup_last_id : int;  (** backup/replication chain position (0 = none) *)
-  s_backup_base_snapshot : int;  (** snapshot the next incremental diffs against; -1 = none *)
-  s_backup_chain : string;  (** current backup hash-chain value ("" = never attached) *)
-  s_shards : int;  (** shard width of the chunk store (1 = unsharded) *)
-  s_cross_commits : int;  (** commits that took the cross-shard 2PC path *)
-  s_shard_counters : int64 list;  (** per-shard one-way counter values *)
-  s_shard_seqs : int list;  (** per-shard commit sequence numbers *)
-  s_shard_sizes : int list;  (** per-shard store sizes in bytes (log tail) *)
-  s_shard_barriers : int list;  (** per-shard staged group-commit barriers run *)
-  s_clean_passes : int;  (** cleaning passes run (all shards) *)
-  s_segments_cleaned : int;  (** segments reclaimed by the cleaner *)
-  s_bytes_relocated : int;  (** chunk ciphertext bytes the cleaner recopied *)
-  s_bytes_data : int;  (** chunk payload bytes appended (write-amp denominator) *)
-  s_tiers : int;  (** configured cleaning generations (1 = single population) *)
-  s_tier_segments : int list;  (** live-segment count per cleaning tier, summed over shards *)
-}
-
 type response =
   | Hello_ok of { a_version : int }
   | Ok_unit
@@ -90,7 +56,7 @@ type response =
   | Ok_list of (int * string) list
   | Ok_root of int option
   | Ok_int of int
-  | Ok_stats of stats
+  | Ok_metrics of Tdb_chunk.Metrics.t
   | Error_ of { tag : string; msg : string }
   | Rep_frame of { f_name : string; f_stream : string }
       (** one archive stream (sealed, MAC'd backup frame — opaque here) *)

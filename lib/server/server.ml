@@ -482,10 +482,9 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
           match ex.e_handle with
           | None -> reject "server" "collection %S failed to open" coll
           | Some c -> Proto.Ok_int (Cstore.size ct c)))
-  | Proto.Stats ->
-      let cs = Object_store.chunk_store t.os in
-      let st = Tdb_chunk.Shard_store.stats cs in
-      let gb, gco =
+  | Proto.Metrics ->
+      let store = Object_store.with_store t.os Tdb_chunk.Shard_store.metrics in
+      let barriers, coalesced =
         match t.gc with
         | None -> (0, 0)
         | Some gc ->
@@ -493,45 +492,19 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
             (g.Group_commit.gc_batches, g.Group_commit.gc_coalesced)
       in
       Mutex.lock t.mu;
-      let s_sessions = Hashtbl.length t.live in
-      let s_sessions_total = t.sessions_total in
-      let s_committed = t.committed in
-      let s_aborted = t.aborted in
+      let server =
+        Tdb_chunk.Metrics.
+          [
+            ("server.sessions", Int (Hashtbl.length t.live));
+            ("server.sessions_total", Int t.sessions_total);
+            ("server.committed", Int t.committed);
+            ("server.aborted", Int t.aborted);
+            ("group_commit.barriers", Int barriers);
+            ("group_commit.coalesced", Int coalesced);
+          ]
+      in
       Mutex.unlock t.mu;
-      Proto.Ok_stats
-        {
-          Proto.s_sessions;
-          s_sessions_total;
-          s_committed;
-          s_aborted;
-          s_commits = st.Tdb_chunk.Chunk_store.commits;
-          s_durable_commits = st.Tdb_chunk.Chunk_store.durable_commits;
-          s_counter = Tdb_chunk.Shard_store.counter_value cs;
-          s_gc_batches = gb;
-          s_gc_coalesced = gco;
-          s_cache_hits = st.Tdb_chunk.Chunk_store.cache_hits;
-          s_cache_misses = st.Tdb_chunk.Chunk_store.cache_misses;
-          s_cache_evictions = st.Tdb_chunk.Chunk_store.cache_evictions;
-          s_domains = Tdb_chunk.Shard_store.domains cs;
-          s_par_batches = st.Tdb_chunk.Chunk_store.par_batches;
-          s_par_tasks = st.Tdb_chunk.Chunk_store.par_tasks;
-          s_par_wait_us = st.Tdb_chunk.Chunk_store.par_wait_ns / 1000;
-          s_backup_last_id = st.Tdb_chunk.Chunk_store.backup_last_id;
-          s_backup_base_snapshot = st.Tdb_chunk.Chunk_store.backup_base_snapshot;
-          s_backup_chain = st.Tdb_chunk.Chunk_store.backup_chain;
-          s_shards = Tdb_chunk.Shard_store.shards cs;
-          s_cross_commits = Tdb_chunk.Shard_store.cross_commits cs;
-          s_shard_counters = Array.to_list (Tdb_chunk.Shard_store.shard_counters cs);
-          s_shard_seqs = Array.to_list (Tdb_chunk.Shard_store.shard_seqs cs);
-          s_shard_sizes = Array.to_list (Tdb_chunk.Shard_store.shard_sizes cs);
-          s_shard_barriers = Array.to_list (Tdb_chunk.Shard_store.shard_barriers cs);
-          s_clean_passes = st.Tdb_chunk.Chunk_store.clean_passes;
-          s_segments_cleaned = st.Tdb_chunk.Chunk_store.segments_cleaned;
-          s_bytes_relocated = st.Tdb_chunk.Chunk_store.bytes_relocated;
-          s_bytes_data = st.Tdb_chunk.Chunk_store.bytes_data;
-          s_tiers = (Tdb_chunk.Shard_store.config cs).Tdb_chunk.Config.tiers;
-          s_tier_segments = st.Tdb_chunk.Chunk_store.tier_segments;
-        }
+      Proto.Ok_metrics (server @ store)
   | Proto.List_backups -> (
       match t.backups with
       | None -> reject "no_archive" "this server has no archive attached"

@@ -217,7 +217,11 @@ let run ?(security = true) ?(sync_ms = 2.0) ?(counter_ms = 1.0) ?(scale = net_sc
           0
           (Client.coll_scan check ~coll:"branch" ~index:"id" Gkey.int Workload.branch_cls))
   in
-  let wire_stats = Client.stats check in
+  let counter =
+    match Tdb_chunk.Metrics.find (Client.metrics check) "store.counter" with
+    | Some (Tdb_chunk.Metrics.Int n) -> Int64.of_int n
+    | _ -> failwith "net driver: no store.counter metric"
+  in
   Client.close check;
   Server.stop s.srv;
   let stats1 = Chunk_store.stats s.cs in
@@ -231,6 +235,6 @@ let run ?(security = true) ?(sync_ms = 2.0) ?(counter_ms = 1.0) ?(scale = net_sc
     tps = (if elapsed > 0. then float_of_int committed /. elapsed else 0.);
     durable_requests = committed;
     barriers = stats1.Chunk_store.durable_commits - durable0;
-    counter = wire_stats.Proto.s_counter;
+    counter;
     balance_ok = Int.equal balance_sum (Array.fold_left ( + ) 0 deltas);
   }

@@ -33,6 +33,20 @@ let test_uint_negative_rejected () =
   let w = Pickle.writer () in
   Alcotest.check_raises "negative" (Pickle.Error "Pickle.uint: negative") (fun () -> Pickle.uint w (-1))
 
+(* A 9-byte varint with bit 62 set decodes past max_int; as a length or
+   count it must be a pickle error, not a negative size handed to
+   String.sub or List.init. *)
+let test_uint_overflow_rejected () =
+  let bad = String.make 8 '\x80' ^ "\x40" in
+  let rejects name read =
+    match read (Pickle.reader bad) with
+    | _ -> Alcotest.failf "%s accepted an out-of-range varint" name
+    | exception Pickle.Error _ -> ()
+  in
+  rejects "read_uint" (fun r -> ignore (Pickle.read_uint r));
+  rejects "read_string" (fun r -> ignore (Pickle.read_string r));
+  rejects "read_list" (fun r -> ignore (Pickle.read_list r Pickle.read_byte))
+
 let test_int64_float () =
   List.iter
     (fun v -> Alcotest.(check int64) "i64" v (roundtrip Pickle.int64 Pickle.read_int64 v))
@@ -116,6 +130,7 @@ let () =
           Alcotest.test_case "int edges" `Quick test_int_edges;
           Alcotest.test_case "int compact" `Quick test_int_compact;
           Alcotest.test_case "uint negative" `Quick test_uint_negative_rejected;
+          Alcotest.test_case "uint overflow" `Quick test_uint_overflow_rejected;
           Alcotest.test_case "int64/float" `Quick test_int64_float;
           Alcotest.test_case "string/bytes" `Quick test_string_bytes;
         ] );

@@ -158,9 +158,11 @@ let test_from_empty_and_read_only () =
                   | exception Tdb.Client.Server_error { tag; _ } ->
                       Alcotest.(check string) "commit tag" "read_only" tag);
                   Tdb.Client.abort cf;
-                  (* the chain position shows up in the follower's stats *)
-                  let s = Tdb.Client.stats cf in
-                  Alcotest.(check bool) "stats chain advanced" true (s.Tdb.Proto.s_backup_last_id > 0)))))
+                  (* the chain position shows up in the follower's metrics *)
+                  Alcotest.(check bool) "metrics chain advanced" true
+                    (match Tdb.Metrics.find (Tdb.Client.metrics cf) "backup.last_id" with
+                    | Some (Tdb.Metrics.Int n) -> n > 0
+                    | _ -> false)))))
 
 (* --- stale chain: follower restarts after the primary moved on --- *)
 

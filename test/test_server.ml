@@ -35,15 +35,15 @@ let item_ix () : (item, int) Indexer.t =
 
 type env = { os : Object_store.t; srv : Server.t; addr : Server.addr }
 
-let with_server ?(config = Server.default_config) ?(lock_timeout = 1.0) f =
-  let _, store = Untrusted_store.open_mem () in
-  let _, ctr = One_way_counter.open_mem () in
+let with_server ?(config = Server.default_config) ?(lock_timeout = 1.0) ?(shards = 1) f =
+  let stores = Array.init shards (fun _ -> snd (Untrusted_store.open_mem ())) in
+  let counters = Array.init shards (fun _ -> snd (One_way_counter.open_mem ())) in
   let cs =
-    Chunk_store.create ~config:chunk_cfg ~secret:(Secret_store.of_seed "server-test") ~counter:ctr
-      store
+    Shard_store.create ~config:{ chunk_cfg with Config.shards } ~secret:(Secret_store.of_seed "server-test")
+      ~counters stores
   in
   let os =
-    Object_store.of_chunk_store
+    Object_store.of_shard_store
       ~config:{ Object_store.default_config with Object_store.lock_timeout }
       cs
   in
@@ -205,24 +205,79 @@ let test_e2e_no_group_commit () =
   Alcotest.(check int) "one barrier per durable commit" r.Tdb_tpcb.Net_driver.durable_requests
     r.Tdb_tpcb.Net_driver.barriers
 
+(* The server's metrics are its own [server.*] / [group_commit.*] entries
+   followed by the store's list, so every name the local store reports
+   (what [tdb_cli status] prints) also arrives over the wire. *)
 let test_stats_counters () =
-  with_server (fun env ->
-      let clients = List.init 4 (fun _ -> Client.connect env.addr) in
-      List.iteri
-        (fun i c ->
-          Client.with_txn c (fun () ->
-              ignore (Client.coll_insert c ~coll:"item" item_cls { id = i; qty = i; label = "s" })))
-        clients;
-      let s =
-        match clients with c :: _ -> Client.stats c | [] -> Alcotest.fail "no clients"
-      in
-      Alcotest.(check bool) "live sessions" true (s.Proto.s_sessions >= 4);
-      Alcotest.(check bool) "sessions counted" true (s.Proto.s_sessions_total >= 4);
-      Alcotest.(check bool) "commits counted" true (s.Proto.s_committed >= 4);
-      Alcotest.(check int) "unsharded store reports width 1" 1 s.Proto.s_shards;
-      Alcotest.(check int) "one per-shard counter" 1 (List.length s.Proto.s_shard_counters);
-      List.iter Client.close clients;
-      ignore (Sys.opaque_identity env.srv))
+  List.iter
+    (fun shards ->
+      with_server ~shards (fun env ->
+          let clients = List.init 4 (fun _ -> Client.connect env.addr) in
+          List.iteri
+            (fun i c ->
+              Client.with_txn c (fun () ->
+                  ignore (Client.coll_insert c ~coll:"item" item_cls { id = i; qty = i; label = "s" })))
+            clients;
+          let remote =
+            match clients with c :: _ -> Client.metrics c | [] -> Alcotest.fail "no clients"
+          in
+          let local = Object_store.with_store env.os Shard_store.metrics in
+          let int name =
+            match Metrics.find remote name with
+            | Some (Metrics.Int n) -> n
+            | _ -> Alcotest.failf "no int metric %s at width %d" name shards
+          in
+          List.iter
+            (fun (name, _) ->
+              if Option.is_none (Metrics.find remote name) then
+                Alcotest.failf "local metric %s missing remotely at width %d" name shards)
+            local;
+          Alcotest.(check bool) "live sessions" true (int "server.sessions" >= 4);
+          Alcotest.(check bool) "sessions counted" true (int "server.sessions_total" >= 4);
+          Alcotest.(check bool) "commits counted" true (int "server.committed" >= 4);
+          Alcotest.(check int) "width" shards (int "shard.width");
+          ignore (int (Printf.sprintf "shard.%d.counter" (shards - 1)));
+          List.iter Client.close clients))
+    [ 1; 4 ]
+
+(* --- the Metrics wire op --- *)
+
+let sample_metrics =
+  Metrics.
+    [
+      ("a.int", Int (-42)); ("a.max", Int max_int); ("b.float", Float 0.125); ("b.big", Float (-1.5e300));
+      ("c.text", Text "on"); ("c.empty", Text "");
+    ]
+
+let test_metrics_roundtrip () =
+  (match Proto.decode_request (Proto.encode_request Proto.Metrics) with
+  | Proto.Metrics -> ()
+  | _ -> Alcotest.fail "Metrics request did not round-trip");
+  match Proto.decode_response (Proto.encode_response (Proto.Ok_metrics sample_metrics)) with
+  | Proto.Ok_metrics m -> Alcotest.(check bool) "all three value tags round-trip" true (m = sample_metrics)
+  | _ -> Alcotest.fail "Ok_metrics did not round-trip"
+
+(* A metrics frame comes off an untrusted wire: every truncation and every
+   single-byte substitution must decode to a value or a typed error. *)
+let test_metrics_frame_fuzz () =
+  let frame = Proto.encode_response (Proto.Ok_metrics sample_metrics) in
+  let decodes label bytes =
+    match Proto.decode_response bytes with
+    | _ -> ()
+    | exception (Proto.Proto_error _ | Tdb_pickle.Pickle.Error _) -> ()
+    | exception e -> Alcotest.failf "%s: %s" label (Printexc.to_string e)
+  in
+  for len = 0 to String.length frame - 1 do
+    decodes (Printf.sprintf "prefix of %d bytes" len) (String.sub frame 0 len)
+  done;
+  String.iteri
+    (fun i c ->
+      for x = 1 to 255 do
+        let b = Bytes.of_string frame in
+        Bytes.set b i (Char.chr (Char.code c lxor x));
+        decodes (Printf.sprintf "byte %d xor %d" i x) (Bytes.to_string b)
+      done)
+    frame
 
 (* --- remote restore: pull the archive over the wire, rebuild locally --- *)
 
@@ -367,6 +422,11 @@ let () =
           Alcotest.test_case "disconnect releases locks" `Quick test_disconnect_releases_locks;
           Alcotest.test_case "idle timeout reaps session" `Slow test_idle_timeout;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "metrics round trip" `Quick test_metrics_roundtrip;
+          Alcotest.test_case "metrics frame prefixes and flips" `Quick test_metrics_frame_fuzz;
         ] );
       ( "e2e",
         [
