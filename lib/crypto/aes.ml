@@ -6,6 +6,13 @@
     in the field. The FIPS-197 appendix vector pins correctness in the test
     suite.
 
+    Rounds run on 32-bit column words through T-tables (SubBytes, ShiftRows
+    and MixColumns fused into four lookups per column), themselves derived
+    from the computed S-boxes and [gmul]. Every lookup is indexed by a
+    secret-dependent byte, as in any table-driven AES, so the kernel is not
+    constant-time against a cache observer sharing the processor — outside
+    TDB's trusted-processor threat model (DESIGN.md, "Substitutions").
+
     TDB's paper used 3DES; we substitute AES (and {!Triple} over it for a
     3DES-like three-pass cost profile) — see DESIGN.md, "Substitutions". *)
 
@@ -51,32 +58,50 @@ let inv_sbox =
   Array.iteri (fun i s -> t.(s) <- i) sbox;
   t
 
-(* Precomputed GF(2^8) multiplication tables for the hot paths. *)
-let mul2 = Array.init 256 (fun x -> gmul x 2)
-let mul3 = Array.init 256 (fun x -> gmul x 3)
-let mul9 = Array.init 256 (fun x -> gmul x 9)
-let mul11 = Array.init 256 (fun x -> gmul x 11)
-let mul13 = Array.init 256 (fun x -> gmul x 13)
-let mul14 = Array.init 256 (fun x -> gmul x 14)
+(* --- T-tables ---
 
-type key = { enc : int array (* 44 32-bit words *) }
+   One round of SubBytes + ShiftRows + MixColumns on a column is four
+   lookups: [te0.(x)] is the MixColumns column (2,1,1,3)·S(x) packed big-
+   endian into a 32-bit word, and [te1..te3] are its byte rotations, one per
+   row. [td0..td3] do the same for InvSubBytes + InvMixColumns with the
+   column (14,9,13,11)·S⁻¹(x). All eight are derived from the computed
+   S-boxes and [gmul], so no constant here is memorized. *)
+
+let word b0 b1 b2 b3 = (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
+let b0 w = w lsr 24
+let b1 w = (w lsr 16) land 0xff
+let b2 w = (w lsr 8) land 0xff
+let b3 w = w land 0xff
+let ror8 w = ((w lsr 8) lor (w lsl 24)) land 0xFFFFFFFF
+
+let rotations t0 =
+  let t1 = Array.map ror8 t0 in
+  let t2 = Array.map ror8 t1 in
+  (t0, t1, t2, Array.map ror8 t2)
+
+let te0, te1, te2, te3 =
+  rotations (Array.map (fun s -> word (gmul s 2) s s (gmul s 3)) sbox)
+
+let td0, td1, td2, td3 =
+  rotations (Array.map (fun s -> word (gmul s 14) (gmul s 9) (gmul s 13) (gmul s 11)) inv_sbox)
+
+(* [enc]: the FIPS-197 key schedule, 44 words, round r at [4r..4r+3].
+   [dec]: the equivalent inverse cipher's schedule (FIPS-197 §5.3.5), in
+   the order decryption consumes it — round 10's words first, round 0's
+   last, and rounds 1–9 passed through InvMixColumns. *)
+type key = { enc : int array; dec : int array }
+
+let inv_mix_column w =
+  (* td tables apply S⁻¹ first; feed them S(byte) so only InvMixColumns remains *)
+  td0.(sbox.(b0 w)) lxor td1.(sbox.(b1 w)) lxor td2.(sbox.(b2 w)) lxor td3.(sbox.(b3 w))
 
 let of_secret secret =
   if String.length secret <> key_size then invalid_arg "Aes.of_secret: need 16 bytes";
   let w = Array.make 44 0 in
   for i = 0 to 3 do
-    w.(i) <-
-      (Char.code secret.[4 * i] lsl 24)
-      lor (Char.code secret.[(4 * i) + 1] lsl 16)
-      lor (Char.code secret.[(4 * i) + 2] lsl 8)
-      lor Char.code secret.[(4 * i) + 3]
+    w.(i) <- Int32.to_int (String.get_int32_be secret (4 * i)) land 0xFFFFFFFF
   done;
-  let sub_word x =
-    (sbox.((x lsr 24) land 0xff) lsl 24)
-    lor (sbox.((x lsr 16) land 0xff) lsl 16)
-    lor (sbox.((x lsr 8) land 0xff) lsl 8)
-    lor sbox.(x land 0xff)
-  in
+  let sub_word x = word sbox.(b0 x) sbox.(b1 x) sbox.(b2 x) sbox.(b3 x) in
   let rot_word x = ((x lsl 8) lor (x lsr 24)) land 0xFFFFFFFF in
   let rcon = ref 1 in
   for i = 4 to 43 do
@@ -85,96 +110,63 @@ let of_secret secret =
     if i mod 4 = 0 then rcon := xtime !rcon;
     w.(i) <- w.(i - 4) lxor t
   done;
-  { enc = w }
+  let dec =
+    Array.init 44 (fun i ->
+        let round = 10 - (i / 4) and c = i mod 4 in
+        let k = w.((4 * round) + c) in
+        if round = 0 || round = 10 then k else inv_mix_column k)
+  in
+  { enc = w; dec }
 
-(* State as 16-element int array, state.(r + 4*c) = byte at row r column c. *)
+(* The state is four 32-bit column words, big-endian: byte (row r, column c)
+   sits at bits 24-8r of [s_c]. The whole source block is loaded before
+   anything is stored, so [src] and [dst] may alias (see {!Cbc}). *)
 
-let add_round_key st (w : int array) round =
-  for c = 0 to 3 do
-    let word = w.((4 * round) + c) in
-    st.(4 * c) <- st.(4 * c) lxor ((word lsr 24) land 0xff);
-    st.((4 * c) + 1) <- st.((4 * c) + 1) lxor ((word lsr 16) land 0xff);
-    st.((4 * c) + 2) <- st.((4 * c) + 2) lxor ((word lsr 8) land 0xff);
-    st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (word land 0xff)
-  done
+let load b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
+let store b off w = Bytes.set_int32_be b off (Int32.of_int w)
 
-let shift_rows st =
-  (* row r of column c lives at st.(4*c + r) *)
-  let tmp = Array.copy st in
-  for c = 0 to 3 do
-    for r = 1 to 3 do
-      st.((4 * c) + r) <- tmp.((4 * ((c + r) mod 4)) + r)
-    done
-  done
-
-let inv_shift_rows st =
-  let tmp = Array.copy st in
-  for c = 0 to 3 do
-    for r = 1 to 3 do
-      st.((4 * ((c + r) mod 4)) + r) <- tmp.((4 * c) + r)
-    done
-  done
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c)
-    and a1 = st.((4 * c) + 1)
-    and a2 = st.((4 * c) + 2)
-    and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- mul2.(a0) lxor mul3.(a1) lxor a2 lxor a3;
-    st.((4 * c) + 1) <- a0 lxor mul2.(a1) lxor mul3.(a2) lxor a3;
-    st.((4 * c) + 2) <- a0 lxor a1 lxor mul2.(a2) lxor mul3.(a3);
-    st.((4 * c) + 3) <- mul3.(a0) lxor a1 lxor a2 lxor mul2.(a3)
-  done
-
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c)
-    and a1 = st.((4 * c) + 1)
-    and a2 = st.((4 * c) + 2)
-    and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- mul14.(a0) lxor mul11.(a1) lxor mul13.(a2) lxor mul9.(a3);
-    st.((4 * c) + 1) <- mul9.(a0) lxor mul14.(a1) lxor mul11.(a2) lxor mul13.(a3);
-    st.((4 * c) + 2) <- mul13.(a0) lxor mul9.(a1) lxor mul14.(a2) lxor mul11.(a3);
-    st.((4 * c) + 3) <- mul11.(a0) lxor mul13.(a1) lxor mul9.(a2) lxor mul14.(a3)
-  done
-
-let encrypt_block { enc = w } ~src ~src_off ~dst ~dst_off =
-  let st = Array.init 16 (fun i -> Char.code (Bytes.get src (src_off + i))) in
-  add_round_key st w 0;
+let encrypt_block { enc = k; _ } ~src ~src_off ~dst ~dst_off =
+  Block.check_block ~fn:"Aes.encrypt_block" ~block_size src src_off;
+  Block.check_block ~fn:"Aes.encrypt_block" ~block_size dst dst_off;
+  let s0 = ref (load src src_off lxor k.(0))
+  and s1 = ref (load src (src_off + 4) lxor k.(1))
+  and s2 = ref (load src (src_off + 8) lxor k.(2))
+  and s3 = ref (load src (src_off + 12) lxor k.(3)) in
+  (* rounds 1-9: row r of output column c comes from input column c+r *)
   for round = 1 to 9 do
-    for i = 0 to 15 do
-      st.(i) <- sbox.(st.(i))
-    done;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st w round
+    let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := te0.(b0 a0) lxor te1.(b1 a1) lxor te2.(b2 a2) lxor te3.(b3 a3) lxor k.(r);
+    s1 := te0.(b0 a1) lxor te1.(b1 a2) lxor te2.(b2 a3) lxor te3.(b3 a0) lxor k.(r + 1);
+    s2 := te0.(b0 a2) lxor te1.(b1 a3) lxor te2.(b2 a0) lxor te3.(b3 a1) lxor k.(r + 2);
+    s3 := te0.(b0 a3) lxor te1.(b1 a0) lxor te2.(b2 a1) lxor te3.(b3 a2) lxor k.(r + 3)
   done;
-  for i = 0 to 15 do
-    st.(i) <- sbox.(st.(i))
-  done;
-  shift_rows st;
-  add_round_key st w 10;
-  for i = 0 to 15 do
-    Bytes.set dst (dst_off + i) (Char.chr st.(i))
-  done
+  (* round 10: SubBytes + ShiftRows, no MixColumns *)
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  let last x0 x1 x2 x3 kw = word sbox.(b0 x0) sbox.(b1 x1) sbox.(b2 x2) sbox.(b3 x3) lxor kw in
+  store dst dst_off (last a0 a1 a2 a3 k.(40));
+  store dst (dst_off + 4) (last a1 a2 a3 a0 k.(41));
+  store dst (dst_off + 8) (last a2 a3 a0 a1 k.(42));
+  store dst (dst_off + 12) (last a3 a0 a1 a2 k.(43))
 
-let decrypt_block { enc = w } ~src ~src_off ~dst ~dst_off =
-  let st = Array.init 16 (fun i -> Char.code (Bytes.get src (src_off + i))) in
-  add_round_key st w 10;
-  for round = 9 downto 1 do
-    inv_shift_rows st;
-    for i = 0 to 15 do
-      st.(i) <- inv_sbox.(st.(i))
-    done;
-    add_round_key st w round;
-    inv_mix_columns st
+let decrypt_block { dec = k; _ } ~src ~src_off ~dst ~dst_off =
+  Block.check_block ~fn:"Aes.decrypt_block" ~block_size src src_off;
+  Block.check_block ~fn:"Aes.decrypt_block" ~block_size dst dst_off;
+  let s0 = ref (load src src_off lxor k.(0))
+  and s1 = ref (load src (src_off + 4) lxor k.(1))
+  and s2 = ref (load src (src_off + 8) lxor k.(2))
+  and s3 = ref (load src (src_off + 12) lxor k.(3)) in
+  (* rounds 9-1: row r of output column c comes from input column c-r *)
+  for round = 1 to 9 do
+    let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := td0.(b0 a0) lxor td1.(b1 a3) lxor td2.(b2 a2) lxor td3.(b3 a1) lxor k.(r);
+    s1 := td0.(b0 a1) lxor td1.(b1 a0) lxor td2.(b2 a3) lxor td3.(b3 a2) lxor k.(r + 1);
+    s2 := td0.(b0 a2) lxor td1.(b1 a1) lxor td2.(b2 a0) lxor td3.(b3 a3) lxor k.(r + 2);
+    s3 := td0.(b0 a3) lxor td1.(b1 a2) lxor td2.(b2 a1) lxor td3.(b3 a0) lxor k.(r + 3)
   done;
-  inv_shift_rows st;
-  for i = 0 to 15 do
-    st.(i) <- inv_sbox.(st.(i))
-  done;
-  add_round_key st w 0;
-  for i = 0 to 15 do
-    Bytes.set dst (dst_off + i) (Char.chr st.(i))
-  done
+  (* round 0: InvSubBytes + InvShiftRows, no InvMixColumns *)
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  let last x0 x1 x2 x3 kw = word inv_sbox.(b0 x0) inv_sbox.(b1 x1) inv_sbox.(b2 x2) inv_sbox.(b3 x3) lxor kw in
+  store dst dst_off (last a0 a3 a2 a1 k.(40));
+  store dst (dst_off + 4) (last a1 a0 a3 a2 k.(41));
+  store dst (dst_off + 8) (last a2 a1 a0 a3 k.(42));
+  store dst (dst_off + 12) (last a3 a2 a1 a0 k.(43))

@@ -16,4 +16,10 @@ module type CIPHER = sig
 
   val encrypt_block : key -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
   val decrypt_block : key -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
+  (** Both load the whole source block before storing into [dst], so [src]
+      and [dst] may alias at the same offset ({!Cbc} and {!Triple} rely on
+      it). *)
 end
+
+let check_block ~fn ~block_size b off =
+  if off < 0 || off > Bytes.length b - block_size then invalid_arg (fn ^ ": block out of range")

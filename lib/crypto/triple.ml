@@ -21,17 +21,18 @@ module Make (C : Block.CIPHER) : Block.CIPHER = struct
       k3 = C.of_secret (String.sub secret (2 * C.key_size) C.key_size);
     }
 
+  (* The first pass lands in [dst]; the other two run in place there, which
+     the {!Block.CIPHER} aliasing contract (src and dst may alias at the same
+     offset) allows. No per-block temporary. *)
   let encrypt_block { k1; k2; k3 } ~src ~src_off ~dst ~dst_off =
-    let tmp = Bytes.create block_size in
-    C.encrypt_block k1 ~src ~src_off ~dst:tmp ~dst_off:0;
-    C.decrypt_block k2 ~src:tmp ~src_off:0 ~dst:tmp ~dst_off:0;
-    C.encrypt_block k3 ~src:tmp ~src_off:0 ~dst ~dst_off
+    C.encrypt_block k1 ~src ~src_off ~dst ~dst_off;
+    C.decrypt_block k2 ~src:dst ~src_off:dst_off ~dst ~dst_off;
+    C.encrypt_block k3 ~src:dst ~src_off:dst_off ~dst ~dst_off
 
   let decrypt_block { k1; k2; k3 } ~src ~src_off ~dst ~dst_off =
-    let tmp = Bytes.create block_size in
-    C.decrypt_block k3 ~src ~src_off ~dst:tmp ~dst_off:0;
-    C.encrypt_block k2 ~src:tmp ~src_off:0 ~dst:tmp ~dst_off:0;
-    C.decrypt_block k1 ~src:tmp ~src_off:0 ~dst ~dst_off
+    C.decrypt_block k3 ~src ~src_off ~dst ~dst_off;
+    C.encrypt_block k2 ~src:dst ~src_off:dst_off ~dst ~dst_off;
+    C.decrypt_block k1 ~src:dst ~src_off:dst_off ~dst ~dst_off
 end
 
 module Aes3 = Make (Aes)

@@ -35,6 +35,8 @@ let put32 b off v =
   Bytes.set b (off + 3) (Char.chr (v land 0xff))
 
 let encrypt_block (k : key) ~src ~src_off ~dst ~dst_off =
+  Block.check_block ~fn:"Xtea.encrypt_block" ~block_size src src_off;
+  Block.check_block ~fn:"Xtea.encrypt_block" ~block_size dst dst_off;
   let v0 = ref (get32 src src_off) and v1 = ref (get32 src (src_off + 4)) in
   let sum = ref 0 in
   for _ = 1 to rounds do
@@ -46,6 +48,8 @@ let encrypt_block (k : key) ~src ~src_off ~dst ~dst_off =
   put32 dst (dst_off + 4) !v1
 
 let decrypt_block (k : key) ~src ~src_off ~dst ~dst_off =
+  Block.check_block ~fn:"Xtea.decrypt_block" ~block_size src src_off;
+  Block.check_block ~fn:"Xtea.decrypt_block" ~block_size dst dst_off;
   let v0 = ref (get32 src src_off) and v1 = ref (get32 src (src_off + 4)) in
   let sum = ref (delta * rounds land mask) in
   for _ = 1 to rounds do

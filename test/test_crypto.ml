@@ -204,15 +204,76 @@ let test_cbc_bad_input () =
       ignore (Cbc.decrypt c (String.make 33 'z')))
 
 let test_cbc_nist_vector () =
-  (* NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), first block *)
-  let key = Tdb_crypto.Aes.of_secret (Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c") in
-  let iv = Hex.to_bytes "000102030405060708090a0b0c0d0e0f" in
-  let p1 = Hex.to_bytes "6bc1bee22e409f96e93d7e117393172a" in
-  (* one manual CBC block: E(K, P1 xor IV) *)
-  let x = Bytes.init 16 (fun i -> Char.chr (Char.code (Bytes.get p1 i) lxor Char.code (Bytes.get iv i))) in
-  let c1 = Bytes.create 16 in
-  Tdb_crypto.Aes.encrypt_block key ~src:x ~src_off:0 ~dst:c1 ~dst_off:0;
-  Alcotest.(check string) "nist cbc block" "7649abac8119b246cee98e9b12e9197d" (Hex.of_bytes c1)
+  (* NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), all four blocks. [Cbc]
+     prepends the IV and appends a PKCS#7 block; compare what lies between. *)
+  let c = Cbc.make (module Aes) ~secret:(Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c") in
+  let plain =
+    Hex.to_string
+      ("6bc1bee22e409f96e93d7e117393172a" ^ "ae2d8a571e03ac9c9eb76fac45af8e51"
+     ^ "30c81c46a35ce411e5fbc1191a0a52ef" ^ "f69f2445df4f9b17ad2b417be66c3710")
+  in
+  let ct = Cbc.encrypt c ~iv:(Hex.to_string "000102030405060708090a0b0c0d0e0f") plain in
+  Alcotest.(check string) "nist cbc blocks"
+    ("7649abac8119b246cee98e9b12e9197d" ^ "5086cb9b507219ee95db113a917678b2"
+   ^ "73bed6b8e3c1743b7116e69e22229516" ^ "3ff1caa1681fac09120eca307586e1a7")
+    (hex (String.sub ct 16 64));
+  Alcotest.(check string) "decrypts" (hex plain) (hex (Cbc.decrypt c ct))
+
+let test_cbc_pinned_digests () =
+  (* SHA-256 of the sealed bytes of one fixed 4 KiB buffer under each
+     chunk cipher. The constants were computed with the byte-at-a-time AES
+     kernel; any kernel rewrite must reproduce them, so ciphertext, store
+     images and the on-disk format stay byte-identical. *)
+  let plain = String.init 4096 (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  let digest (module C : Block.CIPHER) =
+    let secret = String.init C.key_size (fun i -> Char.chr (((i * 7) + 1) land 0xff)) in
+    let iv = String.init C.block_size (fun i -> Char.chr (0xa0 + i)) in
+    hex (Sha256.digest (Cbc.encrypt (Cbc.make (module C) ~secret) ~iv plain))
+  in
+  Alcotest.(check string) "aes" "c4e515e83dbe894d739b3d2327aa6d86c6a1ba887165b6f359b5a1950d8b8d21" (digest (module Aes));
+  Alcotest.(check string) "3aes" "546e29c62fc976511698be56472cd6ab8ce8c1c1b49edac07d764c3aef3c911b"
+    (digest (module Triple.Aes3));
+  Alcotest.(check string) "3xtea" "41a0f40594d29e1fa0bafb9e88f355393b8ebe6b9295892cbc0227da6909dbf0"
+    (digest (module Triple.Xtea3))
+
+(* --- block-cipher contract --- *)
+
+let block_roundtrip_qcheck (module C : Block.CIPHER) =
+  QCheck.Test.make
+    ~name:(C.name ^ " decrypt . encrypt = id")
+    ~count:300
+    QCheck.(pair (string_of_size (Gen.return C.key_size)) (string_of_size (Gen.return C.block_size)))
+    (fun (secret, block) ->
+      let key = C.of_secret secret in
+      let c = Bytes.create C.block_size and d = Bytes.create C.block_size in
+      C.encrypt_block key ~src:(Bytes.of_string block) ~src_off:0 ~dst:c ~dst_off:0;
+      C.decrypt_block key ~src:c ~src_off:0 ~dst:d ~dst_off:0;
+      Bytes.to_string d = block)
+
+let test_block_out_of_range () =
+  (* A block that does not fit raises before anything is stored: [dst]
+     keeps its bytes, not a partially written block. *)
+  let check (module C : Block.CIPHER) =
+    let bs = C.block_size in
+    let key = C.of_secret (String.make C.key_size 'k') in
+    let src = Bytes.make (bs + 4) 's' in
+    List.iter
+      (fun (dir, f) ->
+        List.iter
+          (fun (what, src_off, dst_off) ->
+            let dst = Bytes.make (bs + 4) 'd' in
+            let name = Printf.sprintf "%s %s %s" C.name dir what in
+            (match f key ~src ~src_off ~dst ~dst_off with
+            | () -> Alcotest.failf "%s: no exception" name
+            | exception Invalid_argument _ -> ());
+            Alcotest.(check string) (name ^ ": dst untouched") (String.make (bs + 4) 'd') (Bytes.to_string dst))
+          [ ("src_off past end", 5, 0); ("src_off negative", -1, 0); ("dst_off past end", 0, 5); ("dst_off negative", 0, -1) ])
+      [ ("encrypt", C.encrypt_block); ("decrypt", C.decrypt_block) ]
+  in
+  check (module Aes);
+  check (module Triple.Aes3);
+  check (module Xtea);
+  check (module Triple.Xtea3)
 
 (* --- DRBG --- *)
 
@@ -254,7 +315,15 @@ let test_hex_reject () =
   Alcotest.check_raises "bad digit" (Invalid_argument "Hex.nibble: not a hex digit") (fun () ->
       ignore (Hex.to_string "zz"))
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ test_cbc_roundtrip_qcheck; test_drbg_int_bounds; test_hex_roundtrip ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      test_cbc_roundtrip_qcheck;
+      test_drbg_int_bounds;
+      test_hex_roundtrip;
+      block_roundtrip_qcheck (module Aes);
+      block_roundtrip_qcheck (module Triple.Aes3);
+    ]
 
 let () =
   Alcotest.run "tdb_crypto"
@@ -289,7 +358,9 @@ let () =
           Alcotest.test_case "sizes" `Quick test_cbc_empty_and_block_aligned;
           Alcotest.test_case "bad input" `Quick test_cbc_bad_input;
           Alcotest.test_case "nist sp800-38a vector" `Quick test_cbc_nist_vector;
+          Alcotest.test_case "pinned ciphertext digests" `Quick test_cbc_pinned_digests;
         ] );
+      ("block", [ Alcotest.test_case "out-of-range offsets" `Quick test_block_out_of_range ]);
       ( "drbg",
         [
           Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
