@@ -547,7 +547,7 @@ let replica_bench ?(json = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Meter: cleaner write amplification vs Zipf skew and Config.tiers    *)
+(* Meter: cleaner write amplification vs Zipf skew                     *)
 (* ------------------------------------------------------------------ *)
 
 let pick_meter_scale = function
@@ -557,51 +557,41 @@ let pick_meter_scale = function
 
 let json_of_meter_row (r : Meter.result) : string =
   Printf.sprintf
-    "    { \"alpha\": %.1f, \"tiers\": %d, \"write_amp\": %.4f,\n\
+    "    { \"alpha\": %.1f, \"write_amp\": %.4f,\n\
     \      \"bytes_relocated\": %d, \"bytes_committed\": %d,\n\
     \      \"clean_passes\": %d, \"segments_cleaned\": %d, \"chunks_relocated\": %d,\n\
-    \      \"tier_segments\": [%s],\n\
+    \      \"live_segments\": %d,\n\
     \      \"db_size\": %d, \"live_bytes\": %d, \"cache_hit_rate\": %.4f,\n\
     \      \"cpu_s\": %.3f, \"io_s\": %.3f }"
-    r.Meter.m_alpha r.Meter.m_tiers r.Meter.m_write_amp r.Meter.m_bytes_relocated
+    r.Meter.m_alpha r.Meter.m_write_amp r.Meter.m_bytes_relocated
     r.Meter.m_bytes_committed r.Meter.m_clean_passes r.Meter.m_segments_cleaned
-    r.Meter.m_chunks_relocated
-    (String.concat ", " (List.map string_of_int r.Meter.m_tier_segments))
+    r.Meter.m_chunks_relocated r.Meter.m_live_segments
     r.Meter.m_db_size r.Meter.m_live_bytes r.Meter.m_cache_hit_rate r.Meter.m_cpu_s r.Meter.m_io_s
 
 let meter_bench ?(json = false) ~(scale_name : string) () =
   let s = pick_meter_scale scale_name in
-  Printf.printf "== Meter: cleaner write amplification vs Zipf skew and Config.tiers ==\n\n";
+  Printf.printf "== Meter: cleaner write amplification vs Zipf skew ==\n\n";
   Printf.printf
     "(%d tiny meters, %d Zipf(alpha) updates, chunk cache %d KB — DB many times the\n\
     \ cache; write amp = cleaner bytes relocated / meter bytes committed)\n\n"
     s.Meter.meters s.Meter.updates (s.Meter.cache_bytes / 1024);
   let rows =
-    List.concat_map
+    List.map
       (fun alpha ->
-        List.map
-          (fun tiers ->
-            let r = Meter.run ~tiers ~alpha s in
-            Printf.printf "  [done] %s\n%!" (Format.asprintf "%a" Meter.pp_result r);
-            r)
-          [ 1; 2; 3 ])
+        let r = Meter.run ~alpha s in
+        Printf.printf "  [done] %s\n%!" (Format.asprintf "%a" Meter.pp_result r);
+        r)
       [ 0.0; 0.8; 1.2 ]
   in
-  Printf.printf "\n%-8s %8s %12s %14s %14s %10s\n" "alpha" "tiers" "write amp" "relocated MB" "committed MB" "passes";
+  Printf.printf "\n%-8s %12s %14s %14s %10s\n" "alpha" "write amp" "relocated MB" "committed MB" "passes";
   List.iter
     (fun (r : Meter.result) ->
-      Printf.printf "%-8.1f %8d %12.2f %14.2f %14.2f %10d\n" r.Meter.m_alpha r.Meter.m_tiers
-        r.Meter.m_write_amp
+      Printf.printf "%-8.1f %12.2f %14.2f %14.2f %10d\n" r.Meter.m_alpha r.Meter.m_write_amp
         (float_of_int r.Meter.m_bytes_relocated /. 1048576.)
         (float_of_int r.Meter.m_bytes_committed /. 1048576.)
         r.Meter.m_clean_passes)
     rows;
-  Printf.printf
-    "\n(generational cleaning pays off with skew: at alpha = 1.2 the tiers >= 2 rows\n\
-    \ relocate fewer bytes than tiers = 1 — cold meters settle into cold segments\n\
-    \ the per-tier threshold stops recopying. At low skew there is no hot/cold\n\
-    \ split to exploit; there the tiered cleaner trades write amplification for a\n\
-    \ denser store — compare the db sizes in BENCH_METER.json)\n\n";
+  Printf.printf "\n";
   if json then begin
     let body = String.concat ",\n" (List.map json_of_meter_row rows) in
     write_file "BENCH_METER.json"
@@ -610,7 +600,6 @@ let meter_bench ?(json = false) ~(scale_name : string) () =
          \  \"bench\": \"meter\",\n\
          \  \"scale\": { \"name\": %S, \"meters\": %d, \"updates\": %d, \"batch\": %d, \"cache_bytes\": %d },\n\
          \  \"alphas\": [0.0, 0.8, 1.2],\n\
-         \  \"tiers\": [1, 2, 3],\n\
          \  \"rows\": [\n%s\n  ]\n}\n"
          scale_name s.Meter.meters s.Meter.updates s.Meter.batch s.Meter.cache_bytes body)
   end

@@ -24,15 +24,11 @@
 # of tdbs/d1 in the SAME fresh run, so widening the pool may never cost
 # more than the tolerance even on a single-core host.
 #
-# Meter files ("bench": "meter", rows keyed by alpha x tiers) gate the
-# cleaner's write amplification. Rows are compared against the baseline
-# only when both files ran the SAME scale — quick-scale meter runs clean
-# almost nothing, so cross-scale write-amp ratios are meaningless, unlike
-# the disk-model-dominated TPC-B numbers. At any scale the skew axis is
-# checked within the fresh run itself: at the highest alpha the tiered
-# (max tiers) row's write_amp may not exceed the tiers=1 row by more
-# than TOLERANCE — the generational cleaner must keep paying for itself
-# exactly where it claims to.
+# Meter files ("bench": "meter", rows keyed by alpha) gate the cleaner's
+# write amplification. Rows are compared against the baseline only when
+# both files ran the SAME scale — quick-scale meter runs clean almost
+# nothing, so cross-scale write-amp ratios are meaningless, unlike the
+# disk-model-dominated TPC-B numbers.
 #
 # Shard-sweep files ("bench": "shards", labels tdbs / tdbs/s2 / tdbs/s4)
 # gate only the shards=1 axis: the fresh "tdbs" row (shards = 1) is held
@@ -87,61 +83,41 @@ fi
 if grep -q '"bench": "meter"' "$fresh"; then
     tol=${3:-0.15}
     status=0
-    # One meter row per line, keyed by the "alpha": A, "tiers": T prefix.
+    # One meter row per line, keyed by its "alpha": A prefix.
     meter_row() {
         tr '\n' ' ' < "$1" | sed 's/{ *"alpha"/\
-{ "alpha"/g' | grep -F "\"alpha\": $2, \"tiers\": $3" | head -n 1
+{ "alpha"/g' | grep -F "\"alpha\": $2," | head -n 1
     }
     scale_of() {
         sed -n 's/.*"scale": { "name": "\([^"]*\)".*/\1/p' "$1" | head -n 1
     }
-    pairs=$(tr '\n' ' ' < "$fresh" | sed 's/{ *"alpha"/\
-{ "alpha"/g' | sed -n 's/.*"alpha": \([0-9.]*\), "tiers": \([0-9]*\).*/\1:\2/p')
+    alphas=$(tr '\n' ' ' < "$fresh" | sed 's/{ *"alpha"/\
+{ "alpha"/g' | sed -n 's/.*"alpha": \([0-9.]*\),.*/\1/p')
     b_scale=$(scale_of "$baseline"); f_scale=$(scale_of "$fresh")
-    if [ "$b_scale" = "$f_scale" ]; then
-        for pair in $pairs; do
-            alpha=${pair%:*}; tiers=${pair#*:}
-            base_line=$(meter_row "$baseline" "$alpha" "$tiers") || true
-            if [ -z "$base_line" ]; then
-                echo "perf_guard: meter alpha=$alpha tiers=$tiers: not in baseline, skipping"
-                continue
-            fi
-            fresh_line=$(meter_row "$fresh" "$alpha" "$tiers")
-            b_wa=$(field "$base_line" write_amp)
-            f_wa=$(field "$fresh_line" write_amp)
-            [ -n "$b_wa" ] && [ -n "$f_wa" ] || continue
-            # +0.02 absolute slack: rows that barely clean have write_amp
-            # near 0, where a pure ratio gate would trip on noise
-            if awk -v f="$f_wa" -v b="$b_wa" -v t="$tol" \
-                   'BEGIN { exit !(f > (1 + t) * b + 0.02) }'; then
-                echo "perf_guard: FAIL meter alpha=$alpha tiers=$tiers: write_amp $f_wa > $(awk -v b="$b_wa" -v t="$tol" 'BEGIN { printf "%.4f", (1+t)*b+0.02 }') (baseline $b_wa, tolerance $tol)"
-                status=1
-            else
-                echo "perf_guard: ok   meter alpha=$alpha tiers=$tiers: write_amp $f_wa (baseline $b_wa)"
-            fi
-        done
-    else
-        echo "perf_guard: meter scales differ (baseline $b_scale, fresh $f_scale): row checks skipped, gating the skew axis only"
+    if [ "$b_scale" != "$f_scale" ]; then
+        echo "perf_guard: FAIL meter scales differ (baseline $b_scale, fresh $f_scale): rows are not comparable"
+        exit 1
     fi
-    # Skew axis, within the fresh run: at the highest alpha, tiering must
-    # not cost write amplification relative to the classic cleaner.
-    hi_alpha=$(printf '%s\n' $pairs | sed 's/:.*//' | sort -g | tail -n 1)
-    hi_tiers=$(printf '%s\n' $pairs | grep "^$hi_alpha:" | sed 's/.*://' | sort -n | tail -n 1)
-    t1_line=$(meter_row "$fresh" "$hi_alpha" 1) || true
-    tn_line=$(meter_row "$fresh" "$hi_alpha" "$hi_tiers") || true
-    if [ -n "$t1_line" ] && [ -n "$tn_line" ] && [ "$hi_tiers" -gt 1 ]; then
-        t1_wa=$(field "$t1_line" write_amp)
-        tn_wa=$(field "$tn_line" write_amp)
-        if [ -n "$t1_wa" ] && [ -n "$tn_wa" ]; then
-            if awk -v f="$tn_wa" -v b="$t1_wa" -v t="$tol" \
-                   'BEGIN { exit !(f > (1 + t) * b + 0.02) }'; then
-                echo "perf_guard: FAIL meter skew axis: alpha=$hi_alpha tiers=$hi_tiers write_amp $tn_wa > $(awk -v b="$t1_wa" -v t="$tol" 'BEGIN { printf "%.4f", (1+t)*b+0.02 }') (tiers=1 $t1_wa, tolerance $tol)"
-                status=1
-            else
-                echo "perf_guard: ok   meter skew axis: alpha=$hi_alpha write_amp tiers=$hi_tiers $tn_wa vs tiers=1 $t1_wa"
-            fi
+    for alpha in $alphas; do
+        base_line=$(meter_row "$baseline" "$alpha") || true
+        if [ -z "$base_line" ]; then
+            echo "perf_guard: meter alpha=$alpha: not in baseline, skipping"
+            continue
         fi
-    fi
+        fresh_line=$(meter_row "$fresh" "$alpha")
+        b_wa=$(field "$base_line" write_amp)
+        f_wa=$(field "$fresh_line" write_amp)
+        [ -n "$b_wa" ] && [ -n "$f_wa" ] || continue
+        # +0.02 absolute slack: rows that barely clean have write_amp
+        # near 0, where a pure ratio gate would trip on noise
+        if awk -v f="$f_wa" -v b="$b_wa" -v t="$tol" \
+               'BEGIN { exit !(f > (1 + t) * b + 0.02) }'; then
+            echo "perf_guard: FAIL meter alpha=$alpha: write_amp $f_wa > $(awk -v b="$b_wa" -v t="$tol" 'BEGIN { printf "%.4f", (1+t)*b+0.02 }') (baseline $b_wa, tolerance $tol)"
+            status=1
+        else
+            echo "perf_guard: ok   meter alpha=$alpha: write_amp $f_wa (baseline $b_wa)"
+        fi
+    done
     exit $status
 fi
 

@@ -23,10 +23,6 @@ type payload = {
   next_id : int;
   chain : string; (* commit-chain MAC value at checkpoint *)
   snapshots : (int * entry option * int) list; (* id, root (None = empty db), seq *)
-  tiers : (int * int) list;
-      (* (segment, cleaning tier) for tier > 0 segments; encoded only when
-         nonempty, so single-tier anchors stay byte-identical to the seed
-         format and old anchors decode with an empty table *)
 }
 
 let magic = "TDBA"
@@ -51,12 +47,6 @@ let encode (p : payload) : string =
       P.option w (fun w e -> Location_map.write_entry w e) e;
       P.uint w seq)
     p.snapshots;
-  if p.tiers <> [] then
-    P.list w
-      (fun w (seg, tier) ->
-        P.uint w seg;
-        P.uint w tier)
-      p.tiers;
   P.contents w
 
 let decode (s : string) : payload =
@@ -80,17 +70,17 @@ let decode (s : string) : payload =
         let seq = P.read_uint r in
         (id, e, seq))
   in
-  let tiers =
-    if P.at_end r then []
-    else
-      P.read_list r (fun r ->
-          let seg = P.read_uint r in
-          let tier = P.read_uint r in
-          (seg, tier))
-  in
+  (* Stores written while the log had a generational cleaner may carry a
+     trailing (segment, tier) table. The tags are only cleaning hints, so
+     the table is parsed (a truncated one is still malformed) and dropped. *)
+  if not (P.at_end r) then
+    ignore
+      (P.read_list r (fun r ->
+           let seg = P.read_uint r in
+           let tier = P.read_uint r in
+           (seg, tier)));
   P.expect_end r;
-  { epoch; segment_size; map_fanout; map_depth; seq; root; tail_seg; tail_off; counter; next_id; chain; snapshots;
-    tiers }
+  { epoch; segment_size; map_fanout; map_depth; seq; root; tail_seg; tail_off; counter; next_id; chain; snapshots }
 
 (** Write the anchor into the slot selected by its epoch, then sync. *)
 let write (sec : Security.t) (store : Tdb_platform.Untrusted_store.t) ~(slot_size : int) (p : payload) : unit =

@@ -17,14 +17,14 @@ type payload = {
   next_id : int;
   chain : string;  (** commit-chain MAC value at checkpoint *)
   snapshots : (int * Types.entry option * int) list;  (** id, root, seq *)
-  tiers : (int * int) list;
-      (** [(segment, cleaning tier)] for tier > 0 segments; encoded only
-          when nonempty, so single-tier anchors stay byte-identical to the
-          pre-tier format (and old anchors decode to an empty table) *)
 }
 
 val encode : payload -> string
+
 val decode : string -> payload
+(** Inverse of {!encode}. Also accepts the trailing [(segment, tier)]
+    table that stores written with generational cleaning appended, and
+    discards it. @raise Tdb_pickle.Pickle.Error on malformed input. *)
 
 val write : Security.t -> Tdb_platform.Untrusted_store.t -> slot_size:int -> payload -> unit
 (** Write into the slot selected by the epoch, then sync. *)

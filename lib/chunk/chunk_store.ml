@@ -32,7 +32,7 @@ type stats = {
   mutable segments_cleaned : int;
   mutable chunks_relocated : int;
   mutable bytes_relocated : int; (* chunk ciphertext bytes the cleaner recopied *)
-  mutable tier_segments : int list; (* live-segment count per cleaning tier, gauge *)
+  mutable live_segments : int; (* segments holding live bytes, gauge *)
   mutable tampers : int;
   mutable bytes_data : int; (* chunk-record payload bytes appended *)
   mutable bytes_map : int; (* map-node payload bytes appended *)
@@ -83,7 +83,7 @@ type t = {
 
 let fresh_stats () =
   { commits = 0; durable_commits = 0; checkpoints = 0; clean_passes = 0; segments_cleaned = 0;
-    chunks_relocated = 0; bytes_relocated = 0; tier_segments = []; tampers = 0;
+    chunks_relocated = 0; bytes_relocated = 0; live_segments = 0; tampers = 0;
     bytes_data = 0; bytes_map = 0; bytes_commit = 0; grow_policy = 0; grow_fallback = 0; grow_backstop = 0;
     cache_hits = 0; cache_misses = 0; cache_evictions = 0; par_batches = 0; par_tasks = 0; par_wait_ns = 0;
     backup_last_id = 0; backup_base_snapshot = -1; backup_chain = "" }
@@ -128,13 +128,9 @@ let grow_step _t = 2
 
 (** Append, growing the store if the free list runs dry. The clean-vs-grow
     *policy* runs before commits; this is the backstop that keeps appends
-    total. [tier > 0] routes the record through the cold-tier cursor
-    ({!Log.append_tier}) — the generational cleaner's demotion path. *)
-let rec append_rec ?(live = true) ?(tier = 0) t kind sealed : int * int =
-  match
-    if tier <= 0 then Log.append ~live t.log kind sealed
-    else Log.append_tier ~live t.log ~tier kind sealed
-  with
+    total. *)
+let rec append_rec ?(live = true) t kind sealed : int * int =
+  match Log.append ~live t.log kind sealed with
   | pos ->
       (match kind with
       | Data_chunk -> t.stats.bytes_data <- t.stats.bytes_data + String.length sealed
@@ -145,7 +141,7 @@ let rec append_rec ?(live = true) ?(tier = 0) t kind sealed : int * int =
   | exception Log.Need_segment ->
       t.stats.grow_backstop <- t.stats.grow_backstop + grow_step t;
       Log.grow t.log ~segments:(grow_step t);
-      append_rec ~live ~tier t kind sealed
+      append_rec ~live t kind sealed
 
 (** Seal and append a payload, returning its location entry. *)
 let append_payload t (kind : record_kind) ~(version : int) (plain : string) : entry =
@@ -253,7 +249,6 @@ let write_anchor t ~(root : entry option) : unit =
       next_id = t.next_id;
       chain = t.chain;
       snapshots = List.map (fun (id, s) -> (id, s.snap_root, s.snap_seq)) t.snapshots;
-      tiers = Log.tier_table t.log;
     }
 
 (** Checkpoint: flush dirty map nodes bottom-up, then re-anchor. Runs
@@ -318,15 +313,8 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
       let batch = List.filteri (fun i _ -> i < max_segments) candidates in
       if batch <> [] then begin
         let relocated = ref [] in
-        let tiers = t.cfg.Config.tiers in
         List.iter
           (fun seg ->
-            (* Demotion rule: survivors of a cleaning pass move one tier
-               colder (capped at the coldest), so data that keeps proving
-               itself long-lived migrates out of the hot tier's way. With
-               [tiers = 1] the destination is tier 0 — the classic
-               copy-to-the-tail cleaner, byte path unchanged. *)
-            let dest_tier = if tiers > 1 then min (Log.tier_of_seg t.log seg + 1) (tiers - 1) else 0 in
             let records = Log.scan_segment t.log seg in
             List.iter
               (fun (kind, poff, sealed) ->
@@ -344,7 +332,7 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
                             (* live: relocate ciphertext verbatim (the entry
                                keeps its version and hash, so cache entries
                                and Merkle labels survive the move) *)
-                            let nseg, noff = append_rec ~tier:dest_tier t Data_chunk sealed in
+                            let nseg, noff = append_rec t Data_chunk sealed in
                             let e' = { e with seg = nseg; off = noff } in
                             let old, obsolete_nodes = Location_map.set t.map (fetch t) cid e' in
                             (match old with Some o -> Log.obsolete_entry t.log o | None -> ());
@@ -985,12 +973,6 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
     Log.of_recovery store config ~tail_seg:anchor.Anchor.tail_seg ~tail_off:anchor.Anchor.tail_off ~usage
   in
   let t = { t with log } in
-  (* Restore segment tier tags, clamped to this configuration's tier count
-     (a store written with more tiers degrades gracefully; at [tiers = 1]
-     every tag clears and cleaning is single-population again). *)
-  List.iter
-    (fun (seg, tier) -> Log.set_tier log seg (min tier (config.Config.tiers - 1)))
-    anchor.Anchor.tiers;
   (* Load the map root. *)
   (match anchor.Anchor.root with
   | None -> ()
@@ -1154,7 +1136,7 @@ let stats t =
   t.stats.cache_hits <- hits;
   t.stats.cache_misses <- misses;
   t.stats.cache_evictions <- evictions;
-  t.stats.tier_segments <- Log.tier_segment_counts t.log ~tiers:t.cfg.Config.tiers;
+  t.stats.live_segments <- Log.live_segments t.log;
   t.stats
 
 let cache_resident t = Chunk_cache.resident t.cache

@@ -198,9 +198,8 @@ type stats = {
   mutable bytes_relocated : int;
       (** chunk ciphertext bytes the cleaner recopied — the numerator of
           cleaner write amplification (relative to [bytes_data] committed) *)
-  mutable tier_segments : int list;
-      (** live-segment count per cleaning tier (gauge, refreshed by
-          {!stats}); a singleton list when [Config.tiers = 1] *)
+  mutable live_segments : int;
+      (** segments holding live bytes (gauge, refreshed by {!stats}) *)
   mutable tampers : int;
   mutable bytes_data : int;  (** chunk-record payload bytes appended *)
   mutable bytes_map : int;  (** map-node payload bytes appended *)

@@ -58,24 +58,8 @@ type t = {
           the unsharded store format. [TDB_SHARDS] overrides the
           default. *)
   tiers : int;
-      (** Number of cleaning generations the log is composed of. Fresh
-          commit writes land in tier 0 (hot); chunks that survive a
-          cleaning pass are demoted one tier colder, and candidate
-          segments are picked per tier by a cost-benefit score instead of
-          pure utilization — so under skewed traffic cold data settles
-          into rarely-cleaned segments and write amplification stays
-          flat. 1 = the classic single-population cleaner, byte-identical
-          to the untiered store format. [TDB_TIERS] overrides the
-          default. *)
+      (** Always 1: the log has one cleaning population (see the mli). *)
 }
-
-let default_tiers () =
-  match Sys.getenv_opt "TDB_TIERS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 && n <= 8 -> n
-      | _ -> invalid_arg "TDB_TIERS must be an integer in [1, 8]" )
-  | None -> 1
 
 let default_shards () =
   match Sys.getenv_opt "TDB_SHARDS" with
@@ -111,7 +95,7 @@ let default =
     domains = Tdb_parallel.Pool.default_domains ();
     replica_interval_commits = default_replica_interval ();
     shards = default_shards ();
-    tiers = default_tiers ();
+    tiers = 1;
   }
 
 (** Largest chunk payload storable with this configuration (one record must
@@ -132,4 +116,4 @@ let validate (c : t) =
   if c.domains < 1 || c.domains > 128 then invalid_arg "Config: domains out of [1, 128]";
   if c.replica_interval_commits < 0 then invalid_arg "Config: replica_interval_commits negative";
   if c.shards < 1 || c.shards > 64 then invalid_arg "Config: shards out of [1, 64]";
-  if c.tiers < 1 || c.tiers > 8 then invalid_arg "Config: tiers out of [1, 8]"
+  if c.tiers <> 1 then invalid_arg "Config: tiers must be 1 (the log has a single cleaner)"

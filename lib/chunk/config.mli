@@ -59,12 +59,12 @@ type t = {
           one-way counter). 1 = single spine, byte-compatible with the
           unsharded store format; [TDB_SHARDS] overrides the default. *)
   tiers : int;
-      (** Number of cleaning generations (hot → cold) the log is composed
-          of: fresh commit writes land in tier 0, cleaning survivors are
-          demoted one tier colder, and candidates are scored per tier by
-          cost-benefit instead of pure utilization. 1 = the classic
-          single-population cleaner, byte-identical to the untiered store
-          format; [TDB_TIERS] overrides the default. *)
+      (** Number of cleaning generations; {!validate} accepts only 1. The
+          log has a single least-utilized-first cleaner: a generational
+          (hot/cold) cleaner was measured on the Zipf meter workload and
+          removed, since it tripled write amplification at low skew and
+          gained little at high skew (DESIGN.md, "Cleaner"). The field
+          stays so that code reporting the configuration keeps building. *)
 }
 
 val default : t
@@ -73,10 +73,6 @@ val default : t
 
 val default_shards : unit -> int
 (** The default shard count: [TDB_SHARDS] when set (validated to [1, 64]),
-    else 1. *)
-
-val default_tiers : unit -> int
-(** The default tier count: [TDB_TIERS] when set (validated to [1, 8]),
     else 1. *)
 
 val max_chunk_size : t -> int

@@ -44,12 +44,6 @@ type t = {
   mutable tail_off : int; (* offset within tail segment *)
   mutable tail_buf : run list; (* buffered appends, newest run first *)
   mutable grown : int; (* segments added since open (stats) *)
-  (* Generational cleaning state (all in-memory hints; Config.tiers = 1
-     leaves every table empty and every byte path identical): *)
-  tier_of : (int, int) Hashtbl.t; (* seg -> tier; absent = 0 (hot) *)
-  age_of : (int, int) Hashtbl.t; (* seg -> clock stamp when it became an append target *)
-  cold_tails : (int, int * int) Hashtbl.t; (* tier (>= 1) -> open (seg, off) cursor *)
-  mutable clock : int; (* segment-allocation clock driving age scores *)
 }
 
 let seg_start t seg = t.log_base + (seg * t.cfg.Config.segment_size)
@@ -57,72 +51,12 @@ let segment_size t = t.cfg.Config.segment_size
 let usage_of t seg = Option.value ~default:0 (Hashtbl.find_opt t.usage seg)
 let capacity t = t.nsegments * segment_size t
 let live_bytes t = Hashtbl.fold (fun _ v acc -> acc + v) t.usage 0
+let live_segments t = Hashtbl.length t.usage (* entries are dropped at zero *)
 let utilization t = float_of_int (live_bytes t) /. float_of_int (max 1 (capacity t))
 let is_pinned t seg = match Hashtbl.find_opt t.pinned seg with Some n -> n > 0 | None -> false
 let free_count t = t.nfree
 let tail_pos t = (t.tail_seg, t.tail_off)
 let nsegments t = t.nsegments
-
-(* ------------------------------------------------------------------ *)
-(* Tier accounting                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let tier_of_seg t seg = Option.value ~default:0 (Hashtbl.find_opt t.tier_of seg)
-
-(** Stamp [seg] as becoming an append target now (its age baseline). *)
-let stamp t seg =
-  Hashtbl.replace t.age_of seg t.clock;
-  t.clock <- t.clock + 1
-
-let age_of_seg t seg = t.clock - Option.value ~default:t.clock (Hashtbl.find_opt t.age_of seg)
-
-(** Tag [seg] with [tier]; tier 0 clears the tag, keeping the table empty
-    on untiered stores. Recovery seeds ages through here too: a recovered
-    tier-[k] segment is backdated by [k] ticks so colder reads as older
-    until real appends re-stamp things. *)
-let set_tier t seg tier =
-  if tier <= 0 then Hashtbl.remove t.tier_of seg else Hashtbl.replace t.tier_of seg tier;
-  if not (Hashtbl.mem t.age_of seg) then Hashtbl.replace t.age_of seg (-tier)
-
-let is_cold_tail t seg = Hashtbl.fold (fun _ (s, _) acc -> acc || Int.equal s seg) t.cold_tails false
-
-(** (seg, tier) pairs worth persisting: cold-tagged segments still holding
-    live bytes (or serving as a cold cursor). Empty at [tiers = 1], so the
-    anchor payload is byte-identical to the untiered format. *)
-let tier_table t : (int * int) list =
-  Hashtbl.fold
-    (fun seg tier acc ->
-      if tier > 0 && (usage_of t seg > 0 || is_cold_tail t seg) then (seg, tier) :: acc else acc)
-    t.tier_of []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(** Segments holding live bytes, bucketed by tier (index 0 = hot). *)
-let tier_segment_counts t ~(tiers : int) : int list =
-  let counts = Array.make (max 1 tiers) 0 in
-  Hashtbl.iter
-    (fun seg u ->
-      if u > 0 then begin
-        let k = min (tier_of_seg t seg) (Array.length counts - 1) in
-        counts.(k) <- counts.(k) + 1
-      end)
-    t.usage;
-  Array.to_list counts
-
-(** Cleaning threshold for a tier's segments, as a live fraction: hot
-    segments are always worth scoring (threshold 1), while colder tiers
-    demand progressively more garbage — down to [max_utilization * 1/tiers]
-    at the coldest. Cold data is exactly what the generational cleaner is
-    trying to stop recopying, so a settled cold segment is only reclaimed
-    once it is mostly dead. *)
-let tier_threshold (cfg : Config.t) tier =
-  let tiers = cfg.Config.tiers in
-  if tiers <= 1 then cfg.Config.max_utilization
-  else begin
-    let mu = cfg.Config.max_utilization in
-    let k = min tier (tiers - 1) in
-    if k = 0 then 1.0
-    else mu *. 0.5 *. (float_of_int (tiers - k) /. float_of_int tiers)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Tail write buffer                                                   *)
@@ -200,13 +134,8 @@ let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
       tail_off = 0;
       tail_buf = [];
       grown = 0;
-      tier_of = Hashtbl.create 16;
-      age_of = Hashtbl.create 16;
-      cold_tails = Hashtbl.create 4;
-      clock = 0;
     }
   in
-  stamp t t.tail_seg;
   ensure_store_size t;
   t
 
@@ -234,13 +163,8 @@ let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail
       tail_off;
       tail_buf = [];
       grown = 0;
-      tier_of = Hashtbl.create 16;
-      age_of = Hashtbl.create 16;
-      cold_tails = Hashtbl.create 4;
-      clock = 0;
     }
   in
-  stamp t t.tail_seg;
   ensure_store_size t;
   t
 
@@ -268,11 +192,9 @@ let barrier ?eligible t =
       (not (Int.equal seg t.tail_seg))
       && usage_of t seg = 0 && candidate seg
       && (not (is_pinned t seg))
-      && (not (Hashtbl.mem t.residual seg))
-      && not (is_cold_tail t seg)
+      && not (Hashtbl.mem t.residual seg)
     then begin
       free := seg :: !free;
-      Hashtbl.remove t.tier_of seg;
       incr nfree
     end
   done;
@@ -370,10 +292,7 @@ let append ?(live = true) t (kind : record_kind) (sealed : string) : int * int =
           ((* freshly built, uniquely owned *) Bytes.unsafe_to_string m);
         Hashtbl.replace t.residual t.tail_seg ();
         t.tail_seg <- next;
-        t.tail_off <- 0;
-        (* the fresh tail is a hot (tier 0) segment, whatever it once was *)
-        Hashtbl.remove t.tier_of next;
-        stamp t next
+        t.tail_off <- 0
   end;
   let payload_off_abs = seg_start t t.tail_seg + t.tail_off + header_size in
   buf_push t ~off:(seg_start t t.tail_seg + t.tail_off) (header_string kind len);
@@ -384,44 +303,6 @@ let append ?(live = true) t (kind : record_kind) (sealed : string) : int * int =
   Hashtbl.replace t.residual t.tail_seg ();
   t.residual_bytes <- t.residual_bytes + record_space len;
   pos
-
-(** Append into a cold tier's open segment (the generational cleaner's
-    demotion path); [tier <= 0] is the ordinary hot-tail {!append}. Each
-    cold tier keeps its own cursor: segments fill from offset 0 and carry
-    no [Next_segment] chaining — cold records are covered by the Clean
-    commit records (and the checkpoint) the cleaning pass emits at the hot
-    tail, never replayed positionally, so the cursors need no persistence
-    (recovery simply opens fresh cold segments on the next demotion).
-    Accounting (usage, residual, residual_bytes) matches {!append}.
-    @raise Need_segment when a fresh cold segment is needed and the free
-    list is dry (the caller grows, exactly as for the hot tail). *)
-let append_tier ?(live = true) t ~(tier : int) (kind : record_kind) (sealed : string) : int * int =
-  if tier <= 0 then append ~live t kind sealed
-  else begin
-    let len = String.length sealed in
-    if record_space len + marker_size > segment_size t then
-      invalid_arg (Printf.sprintf "Log.append_tier: record of %d bytes exceeds segment size" len);
-    let seg, off =
-      match Hashtbl.find_opt t.cold_tails tier with
-      | Some (seg, off) when off + record_space len <= segment_size t -> (seg, off)
-      | _ -> (
-          match t.free with
-          | [] -> raise Need_segment
-          | next :: rest ->
-              t.free <- rest;
-              t.nfree <- t.nfree - 1;
-              set_tier t next tier;
-              stamp t next;
-              (next, 0))
-    in
-    buf_push t ~off:(seg_start t seg + off) (header_string kind len);
-    buf_push t ~off:(seg_start t seg + off + header_size) sealed;
-    Hashtbl.replace t.cold_tails tier (seg, off + record_space len);
-    if live then Hashtbl.replace t.usage seg (usage_of t seg + record_space len);
-    Hashtbl.replace t.residual seg ();
-    t.residual_bytes <- t.residual_bytes + record_space len;
-    (seg, off + header_size)
-  end
 
 (** Read the payload bytes an entry points at (no validation here). *)
 let read_payload t (e : entry) : string =
@@ -524,78 +405,18 @@ let scan_chain t ~(seg : int) ~(off : int) ~(f : record_kind -> int * int -> str
         off := poff + String.length payload
   done
 
-(** Segments eligible for cleaning. With [Config.tiers <= 1] this is the
-    classic single-population order: least-utilized first, so each pass
-    frees the most space for the fewest relocations. With [tiers > 1]
-    candidates are ranked by an LFS-style cost-benefit score —
-    [(1-u) * (1 + age_boost) / (1+u)], where [age_boost] is 0 in the hot
-    tier (pure minimum-utilization there: age reordering would harvest
-    segments before their churn has died) and the saturating
-    [age/(age+256)] in colder tiers — and gated per tier by
-    {!tier_threshold}: tier 0 cleans at any utilization while colder
-    tiers demand progressively more garbage, so settled cold data is
-    rarely recopied. The age term is deliberately bounded (at most 2x):
-    an unbounded age would let an old, half-live cold segment outscore a
-    nearly-empty hot one, which is precisely the recopying the tiers
-    exist to avoid. Only the hottest tier with gated work is returned,
-    so a cheap hot batch is never padded with expensive cold segments;
-    when nothing is gated the list is empty and the store grows instead,
-    exactly as the untiered cleaner does. Tail segments (the hot tail
-    and every cold-tier cursor), pinned segments and residual segments
-    are never candidates. *)
+(** Segments eligible for cleaning, least-utilized first: each pass frees
+    the most space for the fewest relocations. The tail, pinned segments
+    and residual segments are never candidates. *)
 let clean_candidates t : int list =
-  let eligible seg =
+  let all = ref [] in
+  for seg = 0 to t.nsegments - 1 do
     let u = usage_of t seg in
-    (not (Int.equal seg t.tail_seg))
-    && u > 0
-    && (not (is_pinned t seg))
-    && (not (Hashtbl.mem t.residual seg))
-    && not (is_cold_tail t seg)
-  in
-  let tiers = t.cfg.Config.tiers in
-  if tiers <= 1 then begin
-    let all = ref [] in
-    for seg = 0 to t.nsegments - 1 do
-      if eligible seg then all := (usage_of t seg, seg) :: !all
-    done;
-    List.map snd
-      (List.sort
-         (fun (u1, s1) (u2, s2) ->
-           match Int.compare u1 u2 with 0 -> Int.compare s1 s2 | c -> c)
-         !all)
-  end
-  else begin
-    let seg_bytes = float_of_int (segment_size t) in
-    let gated = ref [] in
-    for seg = 0 to t.nsegments - 1 do
-      if eligible seg then begin
-        let u_frac = float_of_int (usage_of t seg) /. seg_bytes in
-        let tier = tier_of_seg t seg in
-        let age = float_of_int (max 0 (age_of_seg t seg)) in
-        let age_boost = if Int.equal tier 0 then 0. else age /. (age +. 256.) in
-        let score = (1. -. u_frac) *. (1. +. age_boost) /. (1. +. u_frac) in
-        if u_frac <= tier_threshold t.cfg tier then gated := (tier, score, seg) :: !gated
-      end
-    done;
-    (* Hottest tier with work first: cleaning a churned hot segment is
-       almost free and feeds the demotion pipeline; a cold segment — even
-       a gated one — is only worth touching when no hotter tier has any
-       candidate, so each pass is restricted to one tier rather than
-       padding a cheap hot batch with expensive cold segments. Within the
-       tier, cost-benefit order. Segments over their tier's threshold are
-       not candidates at all — when nothing is gated the store grows
-       instead, exactly as the untiered cleaner does on an empty list;
-       cleaning a mostly-live cold segment is never cheaper than buying
-       the same free space with a fresh segment. *)
-    let order (t1, sc1, s1) (t2, sc2, s2) =
-      match Int.compare t1 t2 with
-      | 0 -> ( match Float.compare sc2 sc1 with 0 -> Int.compare s1 s2 | c -> c)
-      | c -> c
-    in
-    match List.sort order !gated with
-    | [] -> []
-    | (top_tier, _, _) :: _ as sorted ->
-        List.filter_map
-          (fun (tier, _, s) -> if Int.equal tier top_tier then Some s else None)
-          sorted
-  end
+    if (not (Int.equal seg t.tail_seg)) && u > 0 && (not (is_pinned t seg)) && not (Hashtbl.mem t.residual seg) then
+      all := (u, seg) :: !all
+  done;
+  List.map snd
+    (List.sort
+       (fun (u1, s1) (u2, s2) ->
+         match Int.compare u1 u2 with 0 -> Int.compare s1 s2 | c -> c)
+       !all)

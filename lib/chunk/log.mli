@@ -40,14 +40,6 @@ type t = {
   mutable tail_off : int;
   mutable tail_buf : run list;  (** buffered appends, newest run first *)
   mutable grown : int;
-  tier_of : (int, int) Hashtbl.t;  (** seg -> cleaning tier; absent = 0 (hot) *)
-  age_of : (int, int) Hashtbl.t;
-      (** seg -> allocation-clock stamp when it last became an append
-          target; drives the cost-benefit age term *)
-  cold_tails : (int, int * int) Hashtbl.t;
-      (** tier (>= 1) -> open [(seg, off)] append cursor for demotions;
-          in-memory only, reset at recovery *)
-  mutable clock : int;  (** segment-allocation clock *)
 }
 
 val create : Tdb_platform.Untrusted_store.t -> Config.t -> t
@@ -64,6 +56,10 @@ val segment_size : t -> int
 val usage_of : t -> int -> int
 val capacity : t -> int
 val live_bytes : t -> int
+
+val live_segments : t -> int
+(** Segments holding live bytes. *)
+
 val utilization : t -> float
 val free_count : t -> int
 val nsegments : t -> int
@@ -72,34 +68,6 @@ val record_space : int -> int
 val residual_bytes : t -> int
 val obsolete_bytes : t -> seg:int -> payload_len:int -> unit
 val obsolete_entry : t -> entry -> unit
-
-(** {1 Tier accounting (generational cleaning)} *)
-
-val tier_of_seg : t -> int -> int
-(** The cleaning tier a segment currently belongs to (0 = hot). *)
-
-val set_tier : t -> int -> int -> unit
-(** [set_tier t seg tier] tags a segment's tier (recovery path: restores
-    tier tags read from the anchor). Tier [<= 0] clears the tag. *)
-
-val age_of_seg : t -> int -> int
-(** Allocation-clock distance since the segment last became an append
-    target (0 for the current tail). *)
-
-val tier_threshold : Config.t -> int -> float
-(** Per-tier cleaning threshold: tier 0 cleans at any utilization (1.0);
-    tier [k > 0] demands utilization at or below
-    [max_utilization * (tiers - k) / (2 * tiers)], descending toward the
-    coldest tier — settled cold data is only reclaimed once mostly dead.
-    With [tiers <= 1] this is just [max_utilization]. *)
-
-val tier_table : t -> (int * int) list
-(** [(seg, tier)] for every live or cursor-open segment tagged with a
-    nonzero tier, sorted by segment — the anchor's persisted tier table. *)
-
-val tier_segment_counts : t -> tiers:int -> int list
-(** Live-segment count per tier, a [tiers]-length list (tiers beyond the
-    configured count are clamped into the last bucket). *)
 
 (** {1 Barriers, growth, pinning} *)
 
@@ -134,15 +102,6 @@ val append : ?live:bool -> t -> record_kind -> string -> int * int
     transient (commit) records are not.
     @raise Need_segment when the free list is empty (caller grows). *)
 
-val append_tier : ?live:bool -> t -> tier:int -> record_kind -> string -> int * int
-(** Append into a cold tier's open segment — the generational cleaner's
-    demotion path. [tier <= 0] is the ordinary hot-tail {!append}. Cold
-    segments fill from offset 0 with no [Next_segment] chaining: cold
-    records are covered by the Clean commit records and checkpoint the
-    cleaning pass emits at the hot tail, never replayed positionally.
-    @raise Need_segment when a fresh cold segment is needed and the free
-    list is dry. *)
-
 type flush_token
 (** Detached pending tail ranges (see {!flush_prepare}). *)
 
@@ -170,8 +129,5 @@ val scan_segment : t -> int -> (record_kind * int * string) list
 val scan_chain : t -> seg:int -> off:int -> f:(record_kind -> int * int -> string -> unit) -> unit
 
 val clean_candidates : t -> int list
-(** Cleanable segments (never tail / cold cursor / pinned / residual /
-    empty). With [Config.tiers <= 1], least-utilized first; with more
-    tiers, only the hottest tier with work under its {!tier_threshold} is
-    returned, ranked by cost-benefit score — when no tier is gated the
-    list is empty and the store grows instead of recopying settled data. *)
+(** Cleanable segments (never tail / pinned / residual / empty),
+    least-utilized first. *)

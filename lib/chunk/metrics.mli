@@ -6,7 +6,7 @@
     [tdb_cli status] / [remote-status] print it through {!print}. Adding
     a metric adds one list entry; the wire codec and the printers do not
     change. Names are dotted by owner
-    ([store.commits], [cleaner.tier.0.segments], [shard.3.counter]). *)
+    ([store.commits], [cleaner.live_segments], [shard.3.counter]). *)
 
 type value = Int of int | Float of float | Text of string
 type t = (string * value) list

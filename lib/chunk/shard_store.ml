@@ -662,7 +662,7 @@ let stats t : Chunk_store.stats =
   let agg =
     {
       commits = 0; durable_commits = 0; checkpoints = 0; clean_passes = 0; segments_cleaned = 0;
-      chunks_relocated = 0; bytes_relocated = 0; tier_segments = [];
+      chunks_relocated = 0; bytes_relocated = 0; live_segments = 0;
       tampers = 0; bytes_data = 0; bytes_map = 0; bytes_commit = 0;
       grow_policy = 0; grow_fallback = 0; grow_backstop = 0; cache_hits = 0; cache_misses = 0;
       cache_evictions = 0; par_batches = 0; par_tasks = 0; par_wait_ns = 0;
@@ -681,14 +681,7 @@ let stats t : Chunk_store.stats =
       agg.segments_cleaned <- agg.segments_cleaned + s.segments_cleaned;
       agg.chunks_relocated <- agg.chunks_relocated + s.chunks_relocated;
       agg.bytes_relocated <- agg.bytes_relocated + s.bytes_relocated;
-      (agg.tier_segments <-
-        (* element-wise sum; every shard shares [t.cfg.tiers], so the lists
-           line up (pad defensively if one differs) *)
-        (let a = agg.tier_segments and b = s.tier_segments in
-         let n = max (List.length a) (List.length b) in
-         List.init n (fun i ->
-             (match List.nth_opt a i with Some v -> v | None -> 0)
-             + match List.nth_opt b i with Some v -> v | None -> 0)));
+      agg.live_segments <- agg.live_segments + s.live_segments;
       agg.tampers <- agg.tampers + s.tampers;
       agg.bytes_data <- agg.bytes_data + s.bytes_data;
       agg.bytes_map <- agg.bytes_map + s.bytes_map;
@@ -751,21 +744,17 @@ let metrics t : Metrics.t =
       ("pool.batches", Int st.Chunk_store.par_batches);
       ("pool.tasks", Int st.Chunk_store.par_tasks);
       ("pool.wait_us", Int (st.Chunk_store.par_wait_ns / 1000));
-      ("cleaner.tiers", Int t.cfg.Config.tiers);
       ("cleaner.passes", Int st.Chunk_store.clean_passes);
       ("cleaner.segments_cleaned", Int st.Chunk_store.segments_cleaned);
       ("cleaner.chunks_relocated", Int st.Chunk_store.chunks_relocated);
       ("cleaner.bytes_relocated", Int st.Chunk_store.bytes_relocated);
       ("cleaner.bytes_data", Int st.Chunk_store.bytes_data);
       ("cleaner.write_amp", ratio st.Chunk_store.bytes_relocated fresh);
+      ("cleaner.live_segments", Int st.Chunk_store.live_segments);
+      ("backup.last_id", Int st.Chunk_store.backup_last_id);
+      ("backup.base_snapshot", Int st.Chunk_store.backup_base_snapshot);
+      ("backup.chain", Text (Tdb_crypto.Hex.of_string st.Chunk_store.backup_chain));
+      ("shard.width", Int t.n);
+      ("shard.cross_commits", Int t.cross_commits);
     ]
-  @ List.mapi (fun k n -> (Printf.sprintf "cleaner.tier.%d.segments" k, Metrics.Int n)) st.Chunk_store.tier_segments
-  @ Metrics.
-      [
-        ("backup.last_id", Int st.Chunk_store.backup_last_id);
-        ("backup.base_snapshot", Int st.Chunk_store.backup_base_snapshot);
-        ("backup.chain", Text (Tdb_crypto.Hex.of_string st.Chunk_store.backup_chain));
-        ("shard.width", Int t.n);
-        ("shard.cross_commits", Int t.cross_commits);
-      ]
   @ List.concat (List.mapi shard (Array.to_list t.shards))

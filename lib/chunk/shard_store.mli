@@ -166,7 +166,7 @@ val stats : t -> Chunk_store.stats
 
 val metrics : t -> Metrics.t
 (** The store's metrics, named by owner: [store.*], [chunk_cache.*],
-    [pool.*], [cleaner.*] (with [cleaner.tier.<k>.segments]), [backup.*]
+    [pool.*], [cleaner.*] (with the [cleaner.live_segments] gauge), [backup.*]
     and [shard.*] (with [shard.<i>.counter/seq/size_bytes/barriers] at
     every width). The one place store metrics are named. *)
 

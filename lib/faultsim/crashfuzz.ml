@@ -412,26 +412,25 @@ let run_phase_flush ~trace d =
     commit_shadow ~durable:true d
   done
 
-(* Demotion phase A: drive explicit cleaning passes over a tiered store
-   (the demote phase forces [tiers >= 2]) so the sweep crashes at every
-   I/O boundary of a demotion pass — mid-relocation, between a survivor's
+(* Cleaning phase A: drive explicit cleaning passes so the sweep crashes
+   at every I/O boundary of a pass — mid-relocation, between a survivor's
    re-append and the map update, and inside the checkpoint that seals the
-   pass. A skewed churn keeps hot-tier segments garbage-heavy while the
-   cold tail survives each pass, so every {!Shard_store.clean} call
-   re-appends survivors one tier colder. [clean] is logical-state-neutral
-   (chunk versions are preserved across relocation), so the shadow
-   oracles apply unchanged; it ends in a checkpoint, which promotes every
-   issued commit to durable and bumps the one-way counter. *)
-let run_phase_demote ~trace d =
+   pass. A skewed churn keeps segments garbage-heavy while the cold tail
+   survives each pass, so every {!Shard_store.clean} call re-appends
+   survivors at the tail. [clean] is logical-state-neutral (chunk
+   versions are preserved across relocation), so the shadow oracles apply
+   unchanged; it ends in a checkpoint, which promotes every issued commit
+   to durable and bumps the one-way counter. *)
+let run_phase_clean ~trace d =
   let base = load_base ~trace d in
   (* the hot head: overwrites concentrate here, so the segments holding
      the cold tail accumulate garbage around live survivors — the exact
-     shape a demotion pass relocates *)
+     shape a cleaning pass relocates *)
   let hot = max 1 (Array.length base / 3) in
   for i = 1 to trace.txns do
     for j = 1 to 2 + Drbg.int d.rng 3 do
       let cid = base.(Drbg.int d.rng hot) in
-      update d cid (pad (Printf.sprintf "dem:%03d:txn:%04d:%d:%d" cid i j (Drbg.int d.rng 10_000)))
+      update d cid (pad (Printf.sprintf "cln:%03d:txn:%04d:%d:%d" cid i j (Drbg.int d.rng 10_000)))
     done;
     commit_shadow ~durable:(Int.equal (i mod trace.durable_every) 0) d;
     if Int.equal (i mod 3) 0 then begin
@@ -512,11 +511,7 @@ let plain = { workload = run_phase_a; seed_tag = ""; data_tag = ""; config = wit
 let group_commit = { plain with workload = run_phase_gc }
 let commit_flush = { plain with workload = run_phase_flush }
 
-(* The demote sweep must see a tiered cleaner even when the ambient
-   [Config.tiers] (TDB_TIERS) is 1; with more tiers configured it sweeps
-   the deeper lattice as-is. *)
-let demote =
-  { plain with workload = run_phase_demote; config = { plain.config with Config.tiers = max 2 store_config.Config.tiers } }
+let clean = { plain with workload = run_phase_clean }
 
 let transfer ~who shards =
   let n = match shards with Some n -> n | None -> max 2 (Config.default_shards ()) in
@@ -744,7 +739,7 @@ let sweep ph ?progress ~trace ~seeds ~stride () =
 let sweep_crashpoints = sweep plain
 let sweep_group_commit = sweep group_commit
 let sweep_commit_flush = sweep commit_flush
-let sweep_demote = sweep demote
+let sweep_clean = sweep clean
 
 let sweep_shard_2pc ?progress ?shards ~trace ~seeds ~stride () =
   sweep (transfer ~who:"sweep_shard_2pc" shards) ?progress ~trace ~seeds ~stride ()
@@ -1099,7 +1094,7 @@ let sweeps ?progress ?shards ~trace ~seeds ~stride ~tamper_stride ~mask () =
     ("crash", crash sweep_crashpoints);
     ("group_commit", crash sweep_group_commit);
     ("commit_flush", crash sweep_commit_flush);
-    ("demote", crash sweep_demote);
+    ("clean", crash sweep_clean);
     ("replica", crash sweep_replica);
     ("shard_2pc", crash (sweep_shard_2pc ?shards));
     ("tamper", fun () -> Tamper (sweep_tamper ~stride:tamper_stride ~mask ~trace ()));

@@ -74,18 +74,17 @@ val sweep_commit_flush :
     commit flush — any fragment-suffix loss must recover as an ordinary
     torn tail. *)
 
-val sweep_demote :
+val sweep_clean :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report
-(** Same sweep over a {e tiered} store ([Config.tiers] forced to at least
-    2, deeper if TDB_TIERS asks for more): phase A churns a Zipf-style
-    hot head over a settled population and drives explicit
-    {!Tdb_chunk.Shard_store.clean} passes, so cold survivors are
-    re-appended one tier colder on every pass. With stride 1 this crashes
-    at every I/O boundary of a demotion pass — mid-relocation, between a
-    survivor's re-append and its location-map update, and inside the
-    checkpoint sealing the pass. Relocation is logical-state-neutral
-    (chunk versions are preserved), so the unchanged durability oracle
-    doubles as the demotion-correctness oracle. *)
+(** Same sweep, but phase A churns a Zipf-style hot head over a settled
+    population and drives an explicit {!Tdb_chunk.Shard_store.clean} pass
+    every third transaction, so live survivors are re-appended at the
+    tail on every pass. With stride 1 this crashes at every I/O boundary
+    of a cleaning pass — mid-relocation, between a survivor's re-append
+    and its location-map update, and inside the checkpoint sealing the
+    pass. Relocation is logical-state-neutral (chunk versions are
+    preserved), so the unchanged durability oracle doubles as the
+    relocation-correctness oracle. *)
 
 val sweep_replica :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report

@@ -4,7 +4,7 @@
     than the chunk-cache budget. Unlike TPC-B (uniform over four mid-size
     tables), this is the workload where single-population log cleaning
     recopies cold data over and over; it exists to measure cleaner write
-    amplification as a function of skew (alpha) and [Config.tiers].
+    amplification as a function of skew (alpha).
 
     The driver talks straight to the chunk store (one meter = one tiny
     chunk): no collection/index layer, so bytes relocated by the cleaner
@@ -66,7 +66,6 @@ let meter_payload ~(id : int) ~(count : int) : string =
 
 type result = {
   m_alpha : float;
-  m_tiers : int;
   m_meters : int;
   m_updates : int;
   m_write_amp : float;
@@ -77,7 +76,7 @@ type result = {
   m_clean_passes : int;
   m_segments_cleaned : int;
   m_chunks_relocated : int;
-  m_tier_segments : int list;
+  m_live_segments : int;
   m_db_size : int;
   m_live_bytes : int;
   m_cache_hit_rate : float;
@@ -85,17 +84,17 @@ type result = {
   m_io_s : float;  (** simulated device I/O time for the update phase *)
 }
 
-(** Run the metering workload. [tiers] overrides [Config.tiers] for this
-    store; the cipher class matches the TPC-B bench (paper Section 7.3:
-    Triple-XTEA + SHA-1) at 75% max utilization — space pressure high
-    enough that cleaner policy, not raw growth, sets the write bill. *)
-let run ?(security = true) ?(tiers = Config.default.Config.tiers) ~(alpha : float) (s : scale) : result =
+(** Run the metering workload. The cipher class matches the TPC-B bench
+    (paper Section 7.3: Triple-XTEA + SHA-1) at 75% max utilization —
+    space pressure high enough that cleaner policy, not raw growth, sets
+    the write bill. *)
+let run ?(security = true) ~(alpha : float) (s : scale) : result =
   let clock = Sim_disk.clock () in
   let store = Sim_disk.wrap_store Sim_disk.paper_platform clock (snd (Untrusted_store.open_mem ())) in
   let counter = Sim_disk.wrap_counter Sim_disk.paper_platform clock (snd (One_way_counter.open_mem ())) in
   let secret = Secret_store.of_seed "meter-device" in
   let config =
-    { Config.default with Config.security; tiers; max_utilization = 0.75;
+    { Config.default with Config.security; max_utilization = 0.75;
       checkpoint_every = 100_000; checkpoint_residual_bytes = max (384 * 1024) (4 * s.cache_bytes);
       chunk_cache_bytes = s.cache_bytes; cipher = Config.Triple_xtea; hash = Config.Sha1;
       domains = 1; shards = 1 }
@@ -119,8 +118,6 @@ let run ?(security = true) ?(tiers = Config.default.Config.tiers) ~(alpha : floa
   (* Hot ranks must not map to adjacent meter ids: a deterministic shuffle
      scatters the Zipf head across the load-order segments, the realistic
      hard case for the cleaner. *)
-  (* Seeded by alpha only: every tiers value must face the identical
-     shuffle and update stream, or the rows aren't comparable. *)
   let rng = Tdb_crypto.Drbg.create ~seed:(Printf.sprintf "meter-%f" alpha) in
   let rank_to_id = Array.init s.meters Fun.id in
   for i = s.meters - 1 downto 1 do
@@ -163,7 +160,6 @@ let run ?(security = true) ?(tiers = Config.default.Config.tiers) ~(alpha : floa
   let hits = st.Chunk_store.cache_hits and misses = st.Chunk_store.cache_misses in
   {
     m_alpha = alpha;
-    m_tiers = tiers;
     m_meters = s.meters;
     m_updates = s.updates;
     m_write_amp = float_of_int relocated /. float_of_int committed;
@@ -172,7 +168,7 @@ let run ?(security = true) ?(tiers = Config.default.Config.tiers) ~(alpha : floa
     m_clean_passes = st.Chunk_store.clean_passes;
     m_segments_cleaned = st.Chunk_store.segments_cleaned;
     m_chunks_relocated = st.Chunk_store.chunks_relocated;
-    m_tier_segments = st.Chunk_store.tier_segments;
+    m_live_segments = st.Chunk_store.live_segments;
     m_db_size = Shard_store.store_size cs;
     m_live_bytes = Shard_store.live_bytes cs;
     m_cache_hit_rate =
@@ -183,11 +179,11 @@ let run ?(security = true) ?(tiers = Config.default.Config.tiers) ~(alpha : floa
 
 let pp_result ppf (r : result) =
   Format.fprintf ppf
-    "alpha %.1f  tiers %d  write-amp %5.2f  (%7.2f MB relocated / %6.2f MB committed)  %3d passes  db %6.2f MB  cache %.0f%%  [%s]"
-    r.m_alpha r.m_tiers r.m_write_amp
+    "alpha %.1f  write-amp %5.2f  (%7.2f MB relocated / %6.2f MB committed)  %3d passes  db %6.2f MB  cache %.0f%%  %d live segments"
+    r.m_alpha r.m_write_amp
     (float_of_int r.m_bytes_relocated /. 1048576.)
     (float_of_int r.m_bytes_committed /. 1048576.)
     r.m_clean_passes
     (float_of_int r.m_db_size /. 1048576.)
     (100. *. r.m_cache_hit_rate)
-    (String.concat " " (List.map string_of_int r.m_tier_segments))
+    r.m_live_segments

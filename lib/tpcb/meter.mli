@@ -1,7 +1,7 @@
 (** Metering workload (DRM usage meters): a large population of tiny
     chunks updated with Zipf-skewed traffic on a database far larger than
     the chunk-cache budget — the workload that measures cleaner write
-    amplification as a function of skew and [Config.tiers]. *)
+    amplification as a function of skew. *)
 
 type scale = {
   meters : int;  (** population of tiny meter objects *)
@@ -23,7 +23,6 @@ val sample : zipf -> Tdb_crypto.Drbg.t -> int
 
 type result = {
   m_alpha : float;
-  m_tiers : int;
   m_meters : int;
   m_updates : int;
   m_write_amp : float;
@@ -34,7 +33,7 @@ type result = {
   m_clean_passes : int;
   m_segments_cleaned : int;
   m_chunks_relocated : int;
-  m_tier_segments : int list;
+  m_live_segments : int;
   m_db_size : int;
   m_live_bytes : int;
   m_cache_hit_rate : float;
@@ -42,7 +41,7 @@ type result = {
   m_io_s : float;  (** simulated device I/O time for the update phase *)
 }
 
-val run : ?security:bool -> ?tiers:int -> alpha:float -> scale -> result
+val run : ?security:bool -> alpha:float -> scale -> result
 (** Build the meter store (Sim_disk-wrapped, TPC-B bench configuration),
     bulk-load the population, run the Zipf update phase and report. *)
 

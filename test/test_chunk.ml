@@ -586,10 +586,7 @@ let test_clean_lowest_utilization_first () =
      never decrease — the observable signature of lowest-utilization-first
      candidate order. *)
   let env = fresh_env () in
-  let config =
-    { (cfg ~segment_size:8192 ~initial_segments:12 ~max_utilization:0.95 ~checkpoint_every:1000 ()) with
-      Config.tiers = 1 }
-  in
+  let config = cfg ~segment_size:8192 ~initial_segments:12 ~max_utilization:0.95 ~checkpoint_every:1000 () in
   let cs = create ~config env in
   let ids = Array.init 16 (fun _ -> Chunk_store.allocate cs) in
   for k = 0 to 3 do
@@ -633,95 +630,6 @@ let test_clean_lowest_utilization_first () =
         (Chunk_store.read cs ids.(i))
     done
   done
-
-(* --- tiered cleaning --- *)
-
-let test_tiered_demotion_preserves_cache () =
-  let env = fresh_env () in
-  let config =
-    { (cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.9 ~checkpoint_every:1000 ()) with
-      Config.tiers = 3 }
-  in
-  let cs = create ~config env in
-  let cids = List.init 8 (fun _ -> Chunk_store.allocate cs) in
-  List.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "meter-%03d" i)) cids;
-  Chunk_store.commit cs;
-  (* churn the even chunks so segments holding the odd survivors carry
-     garbage — the demotion case *)
-  for round = 1 to 12 do
-    List.iteri
-      (fun i cid -> if i mod 2 = 0 then Chunk_store.write cs cid (Printf.sprintf "meter-%03d-r%d" i round))
-      cids;
-    Chunk_store.commit cs
-  done;
-  List.iter (fun cid -> ignore (Chunk_store.read cs cid)) cids;
-  (* [stats] returns the live record: capture scalars before cleaning *)
-  let passes0 = (Chunk_store.stats cs).Chunk_store.clean_passes in
-  let misses0 = (Chunk_store.stats cs).Chunk_store.cache_misses in
-  Chunk_store.clean cs;
-  Chunk_store.clean cs;
-  let st = Chunk_store.stats cs in
-  Alcotest.(check bool) "cleaner ran" true (st.Chunk_store.clean_passes > passes0);
-  Alcotest.(check bool) "survivors were demoted out of the hot tier" true
-    (match st.Chunk_store.tier_segments with _ :: colder -> List.exists (fun n -> n > 0) colder | [] -> false);
-  (* demotion relocates ciphertext verbatim, preserving versions: every
-     cached entry stays valid, so re-reading costs no new misses *)
-  List.iteri
-    (fun i cid ->
-      let expect = if i mod 2 = 0 then Printf.sprintf "meter-%03d-r12" i else Printf.sprintf "meter-%03d" i in
-      Alcotest.(check string) "post-demotion read" expect (Chunk_store.read cs cid))
-    cids;
-  Alcotest.(check int) "no new misses across demotion" misses0
-    (Chunk_store.stats cs).Chunk_store.cache_misses
-
-let test_tiers1_image_opens_under_tiered_config () =
-  (* A store written at [tiers = 1] is byte-wise the seed format (no tier
-     table in the anchor); it must open under a tiered config with every
-     segment in the hot tier — and carry on cleaning from there. *)
-  let env = fresh_env () in
-  let config = { (cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.8 ~checkpoint_every:8 ()) with Config.tiers = 1 } in
-  let cs = create ~config env in
-  let ids = churn cs ~rounds:40 ~chunks:30 ~size:120 in
-  Alcotest.(check bool) "single-tier store cleaned" true
-    ((Chunk_store.stats cs).Chunk_store.clean_passes > 0);
-  Alcotest.(check (list int)) "single-tier stats stay single-tier"
-    [ List.hd (Chunk_store.stats cs).Chunk_store.tier_segments ]
-    (Chunk_store.stats cs).Chunk_store.tier_segments;
-  Chunk_store.close cs;
-  let cs2 = reopen ~config:{ config with Config.tiers = 3 } env in
-  (match (Chunk_store.stats cs2).Chunk_store.tier_segments with
-  | _ :: colder -> Alcotest.(check (list int)) "opens all-hot" [ 0; 0 ] colder
-  | [] -> Alcotest.fail "no tier stats");
-  Array.iter
-    (fun cid -> Alcotest.(check int) "intact under tiered open" 120 (String.length (Chunk_store.read cs2 cid)))
-    ids;
-  Chunk_store.clean cs2;
-  Chunk_store.clean cs2;
-  Alcotest.(check bool) "demotion proceeds from a seed image" true
-    (match (Chunk_store.stats cs2).Chunk_store.tier_segments with
-    | _ :: colder -> List.exists (fun n -> n > 0) colder
-    | [] -> false)
-
-let test_tiered_store_survives_reopen () =
-  let env = fresh_env () in
-  let config =
-    { (cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.8 ~checkpoint_every:8 ()) with
-      Config.tiers = 3 }
-  in
-  let cs = create ~config env in
-  let ids = churn cs ~rounds:40 ~chunks:30 ~size:120 in
-  Chunk_store.clean cs;
-  Chunk_store.clean cs;
-  let tiers_before = (Chunk_store.stats cs).Chunk_store.tier_segments in
-  Alcotest.(check bool) "demoted before close" true
-    (match tiers_before with _ :: colder -> List.exists (fun n -> n > 0) colder | [] -> false);
-  Chunk_store.close cs;
-  let cs2 = reopen ~config env in
-  Alcotest.(check (list int)) "tier table survives reopen" tiers_before
-    (Chunk_store.stats cs2).Chunk_store.tier_segments;
-  Array.iter
-    (fun cid -> Alcotest.(check int) "intact" 120 (String.length (Chunk_store.read cs2 cid)))
-    ids
 
 (* --- snapshots and diffs --- *)
 
@@ -1045,9 +953,6 @@ let () =
           Alcotest.test_case "grow vs clean policy" `Quick test_low_utilization_grows_instead;
           Alcotest.test_case "explicit idle clean" `Quick test_explicit_idle_clean;
           Alcotest.test_case "lowest utilization first" `Quick test_clean_lowest_utilization_first;
-          Alcotest.test_case "demotion preserves cache" `Quick test_tiered_demotion_preserves_cache;
-          Alcotest.test_case "tiers=1 image opens tiered" `Quick test_tiers1_image_opens_under_tiered_config;
-          Alcotest.test_case "tiered survives reopen" `Quick test_tiered_store_survives_reopen;
         ] );
       ( "snapshots",
         [

@@ -219,7 +219,7 @@ let crash report = Crashfuzz.Crash report
    - commit-flush: every commit a large durable multi-chunk commit, each
      flush one coalesced vectored write decomposed by the fault plan into
      per-fragment crash boundaries;
-   - demote: explicit cleaning passes over a tiered store;
+   - clean: skewed churn with explicit cleaning passes;
    - replica-ingest: a follower crashed while applying archive streams,
      plus its stream-tamper companion;
    - cross-shard 2PC: transfers spanning two shards commit through the
@@ -231,7 +231,7 @@ let sweeps =
     ("bounded crashpoint sweep", fun () -> crash (Crashfuzz.sweep_crashpoints ~trace ~seeds:2 ~stride:17 ()));
     ("bounded group-commit sweep", fun () -> crash (Crashfuzz.sweep_group_commit ~trace ~seeds:2 ~stride:17 ()));
     ("bounded commit-flush sweep", fun () -> crash (Crashfuzz.sweep_commit_flush ~trace ~seeds:2 ~stride:17 ()));
-    ("bounded demote sweep", fun () -> crash (Crashfuzz.sweep_demote ~trace ~seeds:2 ~stride:17 ()));
+    ("bounded clean sweep", fun () -> crash (Crashfuzz.sweep_clean ~trace ~seeds:2 ~stride:17 ()));
     ("bounded replica-ingest sweep", fun () -> crash (Crashfuzz.sweep_replica ~trace ~seeds:2 ~stride:17 ()));
     ( "bounded replica stream-tamper sweep",
       fun () -> Crashfuzz.Tamper (Crashfuzz.sweep_replica_tamper ~stride:29 ~trace ()) );

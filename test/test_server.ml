@@ -236,6 +236,7 @@ let test_stats_counters () =
           Alcotest.(check bool) "sessions counted" true (int "server.sessions_total" >= 4);
           Alcotest.(check bool) "commits counted" true (int "server.committed" >= 4);
           Alcotest.(check int) "width" shards (int "shard.width");
+          Alcotest.(check bool) "live segments gauged" true (int "cleaner.live_segments" > 0);
           ignore (int (Printf.sprintf "shard.%d.counter" (shards - 1)));
           List.iter Client.close clients))
     [ 1; 4 ]

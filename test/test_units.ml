@@ -202,7 +202,7 @@ let test_log_usage_and_barrier () =
 
 let test_log_clean_candidate_order () =
   let _, store = Untrusted_store.open_mem () in
-  let log = Log.create store { test_cfg with Config.tiers = 1 } in
+  let log = Log.create store test_cfg in
   let payload = String.make 500 'x' in
   let entries =
     List.init 28 (fun _ ->
@@ -213,7 +213,7 @@ let test_log_clean_candidate_order () =
   Alcotest.(check bool) "several full segments" true (tail >= 3);
   let segs = List.init tail Fun.id in
   (* leave MORE live data in LOWER segments, so utilization order is the
-     reverse of segment order: the single-tier cleaner must pick the
+     reverse of segment order: the cleaner must pick the
      emptiest segment first, not the lowest-numbered *)
   List.iter
     (fun s ->
@@ -255,7 +255,6 @@ let anchor_payload epoch =
     next_id = 8;
     chain = "chainvalue";
     snapshots = [ (1, Some { Types.seg = 9; off = 10; len = 11; hash = "s"; version = 12 }, 13) ];
-    tiers = [ (3, 1); (4, 2) ];
   }
 
 let test_anchor_roundtrip_and_epoch () =
@@ -277,10 +276,11 @@ let test_anchor_roundtrip_and_epoch () =
   | None -> Alcotest.fail "anchor lost after single-slot corruption")
 
 let test_anchor_seed_format_identity () =
-  (* A single-tier anchor (empty tier table) must encode byte-identically
-     to the pre-tier seed format — here rebuilt by hand, field by field —
-     and seed-format bytes must decode to an empty tier table. *)
-  let p = { (anchor_payload 1) with Anchor.tiers = [] } in
+  (* An anchor must encode byte-identically to the seed format — here
+     rebuilt by hand, field by field. Stores written with generational
+     cleaning appended a (segment, tier) table; decode must accept and
+     drop it, and must reject one cut short. *)
+  let p = anchor_payload 1 in
   let seed_bytes =
     let module P = Tdb_pickle.Pickle in
     let w = P.writer () in
@@ -303,10 +303,24 @@ let test_anchor_seed_format_identity () =
       p.Anchor.snapshots;
     P.contents w
   in
-  Alcotest.(check string) "single-tier anchor = seed bytes" seed_bytes (Anchor.encode p);
+  Alcotest.(check string) "anchor = seed bytes" seed_bytes (Anchor.encode p);
   let d = Anchor.decode seed_bytes in
-  Alcotest.(check bool) "seed bytes decode to an empty tier table" true (d.Anchor.tiers = []);
-  Alcotest.(check int) "seed bytes decode intact" p.Anchor.seq d.Anchor.seq
+  Alcotest.(check int) "seed bytes decode intact" p.Anchor.seq d.Anchor.seq;
+  let tier_table =
+    let module P = Tdb_pickle.Pickle in
+    let w = P.writer () in
+    P.list w
+      (fun w (seg, tier) ->
+        P.uint w seg;
+        P.uint w tier)
+      [ (3, 1); (4, 2); (300, 2) ];
+    P.contents w
+  in
+  let tiered = seed_bytes ^ tier_table in
+  Alcotest.(check bool) "tier table decodes to the seed payload" true (Anchor.decode tiered = d);
+  let cut = String.sub tiered 0 (String.length tiered - 1) in
+  Alcotest.(check bool) "truncated tier table rejected" true
+    (match Anchor.decode cut with exception Tdb_pickle.Pickle.Error _ -> true | _ -> false)
 
 let test_anchor_wrong_key_rejected () =
   let sec = sec_on () in
