@@ -214,6 +214,13 @@ let micro () : (string * float) list =
   in
   let batch_read cs ids () = Tdb_chunk.Chunk_store.read_many cs (Array.to_list ids) in
   let mac_key = Tdb_crypto.Hmac.precompute (module Tdb_crypto.Sha256) ~key:"k" in
+  (* the per-seal IV draw alone, under the default cipher *)
+  let iv_sec =
+    let secret = Tdb_platform.Secret_store.of_seed "bench" in
+    let sec = Tdb_chunk.Security.create Tdb_chunk.Config.default secret in
+    Tdb_chunk.Security.start_session sec secret ~shard:0 ~counter:0L ~epoch:1;
+    sec
+  in
   let tests =
     [
       Test.make ~name:"sha1/1KiB" (Staged.stage (fun () -> Tdb_crypto.Sha1.digest data_1k));
@@ -232,6 +239,7 @@ let micro () : (string * float) list =
       Test.make ~name:"cbc-aes-encrypt/1KiB"
         (Staged.stage (fun () -> Tdb_crypto.Cbc.encrypt cbc ~iv:(String.make 16 'i') data_1k));
       Test.make ~name:"cbc-aes-decrypt/1KiB" (Staged.stage (fun () -> Tdb_crypto.Cbc.decrypt cbc sealed));
+      Test.make ~name:"iv-draw" (Staged.stage (fun () -> Tdb_chunk.Security.draw_iv iv_sec));
       Test.make ~name:"chunk-read/1KiB" (Staged.stage (fun () -> Tdb_chunk.Chunk_store.read cs cid));
       Test.make ~name:"chunk-read-nocache/1KiB" (Staged.stage (fun () -> Tdb_chunk.Chunk_store.read cs0 cid0));
       Test.make ~name:"chunk-write+commit/1KiB"

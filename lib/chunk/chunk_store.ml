@@ -493,7 +493,7 @@ let read t (cid : chunk_id) : string =
           match Chunk_cache.find t.cache cid ~version:e.version with
           | Some data -> data
           | None ->
-              let plain = fetch t ~what:(Printf.sprintf "chunk %d" cid) e in
+              let plain = fetch t ~what:(fun () -> Printf.sprintf "chunk %d" cid) e in
               let cid', version, data = try parse_data_payload plain with Tdb_pickle.Pickle.Error _ -> tamper "malformed chunk %d" cid in
               if (not (Int.equal cid' cid)) || not (Int.equal version e.version) then tamper "chunk %d identity mismatch" cid;
               Chunk_cache.put t.cache cid ~version:e.version data;
@@ -534,7 +534,7 @@ let read_many t (cids : chunk_id list) : string list =
          staged)
   in
   let unseal_one (cid, (e : entry), stored) =
-    Security.check_label t.sec ~expected:e.hash stored ~what:(Printf.sprintf "chunk %d" cid);
+    Security.check_label t.sec ~expected:e.hash stored ~what:(fun () -> Printf.sprintf "chunk %d" cid);
     let plain = Security.unseal t.sec stored in
     let cid', version, data =
       try parse_data_payload plain with Tdb_pickle.Pickle.Error _ -> tamper "malformed chunk %d" cid
@@ -854,7 +854,7 @@ let next_snapshot_id t = t.next_snap_id
 let align_snapshot_id t id = if id > t.next_snap_id then t.next_snap_id <- id
 
 let read_in_snapshot t (e : entry) : chunk_id * string =
-  let plain = fetch t ~what:"snapshot chunk" e in
+  let plain = fetch t ~what:(fun () -> "snapshot chunk") e in
   let cid, version, data = try parse_data_payload plain with Tdb_pickle.Pickle.Error _ -> tamper "malformed snapshot chunk" in
   if not (Int.equal version e.version) then tamper "snapshot chunk version mismatch";
   (cid, data)
@@ -919,7 +919,7 @@ let make_empty (cfg : Config.t) (sec : Security.t) counter store : t =
   }
 
 (** Create a fresh database, overwriting whatever the store held. *)
-let create ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
+let create ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
   Config.validate config;
   let sec = Security.create config secret in
@@ -929,6 +929,7 @@ let create ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
   (* Invalidate both anchor slots, then write the initial one. *)
   Tdb_platform.Untrusted_store.write store ~off:0 (String.make (2 * config.Config.anchor_slot_size) '\000');
   write_anchor t ~root:None;
+  Security.start_session sec secret ~shard ~counter:t.last_counter ~epoch:t.epoch;
   t
 
 exception Recovery_failed of string
@@ -937,7 +938,7 @@ exception Recovery_failed of string
     @raise Recovery_failed if no valid anchor is found (wiped or never
     created store);
     @raise Types.Tamper_detected on MAC/hash/counter violations. *)
-let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
+let open_existing ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
   Config.validate config;
   let sec = Security.create config secret in
@@ -977,7 +978,7 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
   (match anchor.Anchor.root with
   | None -> ()
   | Some root_e ->
-      let payload = fetch t ~what:"map root" root_e in
+      let payload = fetch t ~what:(fun () -> "map root") root_e in
       let root = Location_map.node_of_payload ~fanout:config.Config.map_fanout payload in
       root.Location_map.disk <- Some root_e;
       t.map.Location_map.root <- root);
@@ -1116,6 +1117,10 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
         (id, { snap_root = root; snap_seq = sseq; snap_segs = segs }))
       anchor.Anchor.snapshots;
   Log.barrier t.log;
+  (* The session starts before the first seal: the map nodes of the
+     checkpoint below, whose anchor lands at epoch [t.epoch + 1] before the
+     application can seal anything. *)
+  Security.start_session sec secret ~shard ~counter:t.last_counter ~epoch:(t.epoch + 1);
   (* Settle into a clean checkpointed state. *)
   checkpoint t;
   t

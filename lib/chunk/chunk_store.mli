@@ -26,7 +26,7 @@
     Internally it fans the {e pure} halves of its work — sealing a
     commit's writes, unsealing a batched read's misses, verifying Merkle
     labels during recovery — out over a process-wide domain pool,
-    {!Config.t.domains} wide. All mutable state (log, map, cache, DRBG)
+    {!Config.t.domains} wide. All mutable state (log, map, cache, IV session)
     stays on the calling domain; store images are byte-identical at every
     width (see DESIGN.md, "Parallelism model"). *)
 
@@ -37,17 +37,21 @@ type t
 
 val create :
   ?config:Config.t ->
+  ?shard:int ->
   secret:Tdb_platform.Secret_store.t ->
   counter:Tdb_platform.One_way_counter.t ->
   Tdb_platform.Untrusted_store.t ->
   t
-(** Create a fresh database, overwriting whatever the store held. *)
+(** Create a fresh database, overwriting whatever the store held. [shard]
+    (default 0) is this store's index in its {!Shard_store}; it keys the IV
+    session, so shards sharing a secret never share IVs. *)
 
 exception Recovery_failed of string
 (** No valid anchor: the store is empty, wiped, or its anchors destroyed. *)
 
 val open_existing :
   ?config:Config.t ->
+  ?shard:int ->
   secret:Tdb_platform.Secret_store.t ->
   counter:Tdb_platform.One_way_counter.t ->
   Tdb_platform.Untrusted_store.t ->
@@ -55,6 +59,7 @@ val open_existing :
 (** Open an existing database: verifies the anchor, replays the residual
     log (verifying the commit-chain MAC and every referenced payload),
     discards trailing nondurable commits, and checks the one-way counter.
+    [shard] as for {!create}.
     @raise Recovery_failed when no valid anchor exists.
     @raise Types.Tamper_detected on MAC/hash/counter violations (including
     replayed images). *)

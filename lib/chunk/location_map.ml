@@ -31,8 +31,9 @@ and node = {
 
 type t = { fanout : int; depth : int; mutable root : node }
 
-type fetch = what:string -> entry -> string
+type fetch = what:(unit -> string) -> entry -> string
 (** [fetch ~what e] returns the validated, decrypted payload stored at [e].
+    [what ()] names the record in a tamper message; it runs only on failure.
     @raise Tamper_detected on validation failure. *)
 
 let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout None; disk = None }
@@ -128,7 +129,7 @@ let load_child t (fetch : fetch) (parent : node) (i : int) : node option =
   | None -> None
   | Some (Node n) -> Some n
   | Some (Unloaded e) ->
-      let payload = fetch ~what:(Printf.sprintf "map node (level %d)" (parent.level - 1)) e in
+      let payload = fetch ~what:(fun () -> Printf.sprintf "map node (level %d)" (parent.level - 1)) e in
       let n = node_of_payload ~fanout:t.fanout payload in
       if n.level <> parent.level - 1 then tamper "map node level mismatch";
       n.disk <- Some e;
@@ -315,7 +316,7 @@ let walk_tree ~fanout (fetch : fetch) ~(root : entry) ~(data : chunk_id -> entry
     ~(node : entry -> unit) : unit =
   let rec go (e : entry) =
     node e;
-    let n = node_of_payload ~fanout (fetch ~what:"snapshot map node" e) in
+    let n = node_of_payload ~fanout (fetch ~what:(fun () -> "snapshot map node") e) in
     Array.iteri
       (fun i kid ->
         match kid with
@@ -333,7 +334,7 @@ let walk_tree ~fanout (fetch : fetch) ~(root : entry) ~(data : chunk_id -> entry
     ids present under [old_root] only. *)
 let diff_trees ~fanout (fetch : fetch) ~(old_root : entry option) ~(new_root : entry option)
     ~(changed : chunk_id -> entry -> unit) ~(removed : chunk_id -> unit) : unit =
-  let load e = node_of_payload ~fanout (fetch ~what:"diff map node" e) in
+  let load e = node_of_payload ~fanout (fetch ~what:(fun () -> "diff map node") e) in
   let entries_equal (a : entry) (b : entry) = entry_equal a b in
   let rec subtree_all f = function
     | None -> ()

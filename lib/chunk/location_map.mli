@@ -23,8 +23,9 @@ and node = {
 
 type t = { fanout : int; depth : int; mutable root : node }
 
-type fetch = what:string -> entry -> string
-(** Validated, decrypted payload at an entry.
+type fetch = what:(unit -> string) -> entry -> string
+(** Validated, decrypted payload at an entry. [what ()] names the record in
+    a tamper message and is called only on failure.
     @raise Tamper_detected on validation failure. *)
 
 val create : fanout:int -> depth:int -> t

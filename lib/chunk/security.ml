@@ -2,7 +2,8 @@
     or a no-op version when security is disabled (plain "TDB").
 
     - every stored payload is encrypted (CBC, fresh IV) with a key derived
-      from the platform secret store;
+      from the platform secret store; the IV of the [n]th seal of a session
+      is [AES_ks(n)] under a per-session key [ks] (DESIGN.md, "IVs");
     - payloads are labelled by a one-way hash of the stored bytes
       (encrypt-then-hash), forming the Merkle tree when combined with the
       location map;
@@ -18,8 +19,10 @@ type t = {
   hash_len : int;
   mac_key : string; (* anchor + commit chain MAC *)
   mac_pre : Hmac.key; (* same key, ipad/opad precompressed (hot path) *)
-  iv_gen : Drbg.t;
+  mutable session : session option; (* IV source; None until {!start_session} *)
 }
+
+and session = { iv_key : Aes.key; seals : int Atomic.t (* seals drawn this session *) }
 
 let create (config : Config.t) (secret : Tdb_platform.Secret_store.t) : t =
   let module H = (val match config.Config.hash with Config.Sha1 -> (module Sha1 : Hash.S) | Config.Sha256 -> (module Sha256)) in
@@ -47,15 +50,42 @@ let create (config : Config.t) (secret : Tdb_platform.Secret_store.t) : t =
     hash_len = (if config.Config.security then H.digest_size else 0);
     mac_key;
     mac_pre = Hmac.precompute (module Sha256) ~key:mac_key;
-    iv_gen = Drbg.create ~seed:(Tdb_platform.Secret_store.derive secret "iv-seed");
+    session = None;
   }
 
-(** Draw the IV for one {!seal_iv}. Advances the DRBG: this is the {e only}
-    effectful step of sealing, so the coordinator pre-draws IVs in
-    deterministic operation order and hands the pure remainder to pool
-    workers. [None] when security is off. *)
+(** Begin an IV session: one HMAC and one AES key schedule. The session
+    key binds the shard index, the one-way-counter value at open and the
+    anchor epoch the open's own closing checkpoint writes, so no two
+    sessions recovery can reach share a key (DESIGN.md, "IVs"). No-op when
+    security is off. *)
+let start_session (t : t) (secret : Tdb_platform.Secret_store.t) ~(shard : int) ~(counter : int64) ~(epoch : int) :
+    unit =
+  if Option.is_some t.cipher then
+    t.session <-
+      Some
+        {
+          iv_key =
+            Aes.of_secret
+              (Tdb_platform.Secret_store.derive_len secret
+                 (Printf.sprintf "iv-session/%d/%Ld/%d" shard counter epoch)
+                 Aes.key_size);
+          seals = Atomic.make 0;
+        }
+
+(** Draw the IV for one {!seal_iv}: [AES_ks(n)] for the session's [n]th
+    seal, truncated to the cipher's block size. Advancing the seal count is
+    the {e only} effectful step of sealing, so the coordinator pre-draws
+    IVs in deterministic operation order and hands the pure remainder to
+    pool workers. [None] when security is off. *)
 let draw_iv (t : t) : string option =
-  match t.cipher with None -> None | Some c -> Some (Drbg.generate t.iv_gen (Cbc.block_size c))
+  match (t.cipher, t.session) with
+  | None, _ -> None
+  | Some _, None -> invalid_arg "Security.draw_iv: no session started"
+  | Some c, Some s ->
+      let b = Bytes.make Aes.block_size '\000' in
+      Bytes.set_int64_be b 8 (Int64.of_int (Atomic.fetch_and_add s.seals 1));
+      Aes.encrypt_block s.iv_key ~src:b ~src_off:0 ~dst:b ~dst_off:0;
+      Some (Bytes.sub_string b 0 (Cbc.block_size c))
 
 (** Pure seal under a pre-drawn IV: no mutable state is touched, so this
     is safe to fan out across domains. [iv] must come from {!draw_iv} on
@@ -86,9 +116,9 @@ let label (t : t) (stored : string) : string =
     let module H = (val t.hash) in
     H.digest stored
 
-let check_label (t : t) ~(expected : string) (stored : string) ~(what : string) : unit =
+let check_label (t : t) ~(expected : string) (stored : string) ~(what : unit -> string) : unit =
   if t.enabled && not (Ct.equal_string expected (label t stored)) then
-    Types.tamper "hash mismatch on %s" what
+    Types.tamper "hash mismatch on %s" (what ())
 
 (** MAC used for the anchor and commit chain. With security off this
     degrades to a plain digest: it still detects *accidental* corruption

@@ -232,7 +232,9 @@ let create ?(config = Config.default) ~secret ~counters stores : t =
   if not (Int.equal (Array.length stores) n && Int.equal (Array.length counters) n) then
     invalid_arg "Shard_store.create: config.shards disagrees with the stores/counters supplied";
   let scfg = shard_config config n in
-  let shards = Array.init n (fun i -> Chunk_store.create ~config:scfg ~secret ~counter:counters.(i) stores.(i)) in
+  let shards =
+    Array.init n (fun i -> Chunk_store.create ~config:scfg ~shard:i ~secret ~counter:counters.(i) stores.(i))
+  in
   let sec = if n > 1 then Some (Security.create config secret) else None in
   let t = make ~cfg:config ~sec shards in
   if n > 1 then
@@ -338,7 +340,7 @@ let open_existing ?(config = Config.default) ~secret ~counters stores : t =
          (Printf.sprintf "configured for %d shards but %d shard stores supplied" config.Config.shards n));
   let scfg = shard_config config n in
   let shards =
-    Array.init n (fun i -> Chunk_store.open_existing ~config:scfg ~secret ~counter:counters.(i) stores.(i))
+    Array.init n (fun i -> Chunk_store.open_existing ~config:scfg ~shard:i ~secret ~counter:counters.(i) stores.(i))
   in
   let sec = if n > 1 then Some (Security.create config secret) else None in
   let t = make ~cfg:config ~sec shards in

@@ -149,18 +149,19 @@ let lock_report_dirs = [ "lib/server"; "lib/objstore"; "lib/chunk"; "lib/paralle
 
 (** Effectful calls that must stay on the coordinator domain: anything
     that draws from or advances shared randomness / sealing state. Safe
-    under a mutex (Drbg locks internally) but {e order-destroying} when it
-    runs inside a [Domain.spawn] body or a pool worker: commit
-    determinism depends on IVs being drawn sequentially in operation
-    order, so the R7 walker flags these (and anything that transitively
-    calls them) inside spawned code. *)
+    under a mutex (Drbg locks internally; the IV seal count is atomic) but
+    {e order-destroying} when it runs inside a [Domain.spawn] body or a
+    pool worker: commit determinism depends on IVs being drawn
+    sequentially in operation order, so the R7 walker flags these (and
+    anything that transitively calls them) inside spawned code. *)
 let coordinator_only =
   [
     key "Drbg" "generate" "DRBG draw (IV order must be deterministic)";
     key "Drbg" "int" "DRBG draw (IV order must be deterministic)";
     key "Drbg" "split" "DRBG reseed (stream order must be deterministic)";
-    key "Security" "seal" "draws an IV from the store DRBG";
-    key "Security" "draw_iv" "draws an IV from the store DRBG";
+    key "Security" "seal" "advances the IV session's seal count";
+    key "Security" "draw_iv" "advances the IV session's seal count";
+    key "Security" "start_session" "restarts the IV session";
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -66,12 +66,12 @@ let open_store (store : Untrusted_store.t) : t =
       (decode (Bytes.sub_string buf 0 slot_len), decode (Bytes.sub_string buf slot_len slot_len))
     end
   in
-  let current () =
-    match slot_values () with
+  let max_of = function
     | None, None -> 0L
     | Some v, None | None, Some v -> v
     | Some a, Some b -> if Int64.compare a b >= 0 then a else b
   in
+  let current () = max_of (slot_values ()) in
   let write_slot i v =
     Untrusted_store.write store ~off:(i * slot_len) (encode v);
     Untrusted_store.sync store
@@ -90,11 +90,12 @@ let open_store (store : Untrusted_store.t) : t =
            write tears, the surviving slot still holds the pre-increment
            value and the counter stays monotone. (Alternating slots blindly
            would, after a reopen, overwrite the max-holding slot and let a
-           torn write roll the counter back.) *)
-        let v0, v1 = slot_values () in
-        let v = Int64.add (current ()) 1L in
+           torn write roll the counter back.) One slot read serves both
+           the current value and the choice of slot. *)
+        let slots = slot_values () in
+        let v = Int64.add (max_of slots) 1L in
         let target =
-          match (v0, v1) with
+          match slots with
           | None, _ -> 0
           | _, None -> 1
           | Some a, Some b -> if Int64.compare a b >= 0 then 1 else 0

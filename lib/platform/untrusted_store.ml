@@ -357,8 +357,12 @@ let open_file (path : string) : t =
     size = (fun () -> !size);
     set_size =
       (fun n ->
-        Unix.ftruncate fd n;
-        size := n);
+        (* the log re-asserts its size at every durable barrier; a
+           same-size truncate is a wasted syscall *)
+        if not (Int.equal n !size) then begin
+          Unix.ftruncate fd n;
+          size := n
+        end);
     sync =
       (fun () ->
         stats.syncs <- stats.syncs + 1;

@@ -294,6 +294,48 @@ let test_crash_recovery_randomized () =
     cs := c2
   done
 
+(* --- IVs: a record's IV is never reused for a different record --- *)
+
+let watched_env () =
+  let env = fresh_env () in
+  let probe = Iv_probe.create () in
+  ({ env with store = Iv_probe.watch probe env.store }, probe)
+
+let check_no_repeated_ivs probe =
+  Alcotest.(check bool) (Printf.sprintf "sealed records seen (%d)" (Iv_probe.records probe)) true
+    (Iv_probe.records probe >= 4);
+  Alcotest.(check int) "repeated IVs" 0 (Iv_probe.repeats probe)
+
+let test_iv_unique_across_reopen () =
+  let env, probe = watched_env () in
+  let cs = create env in
+  let a = Chunk_store.allocate cs in
+  Chunk_store.write cs a "first session";
+  Chunk_store.commit cs;
+  Chunk_store.close cs;
+  let cs = reopen env in
+  Chunk_store.write cs a "second session";
+  Chunk_store.commit cs;
+  check_no_repeated_ivs probe
+
+let test_iv_unique_across_crash () =
+  let env, probe = watched_env () in
+  let cs = create env in
+  let ids = List.init 3 (fun _ -> Chunk_store.allocate cs) in
+  List.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "durable-%d" i)) ids;
+  Chunk_store.commit cs;
+  List.iteri
+    (fun i cid ->
+      Chunk_store.write cs cid (Printf.sprintf "nondurable-%d" i);
+      Chunk_store.commit ~durable:false cs)
+    ids;
+  let rng = Tdb_crypto.Drbg.create ~seed:"iv-crash" in
+  Untrusted_store.Mem.crash ~rng:(fun n -> Tdb_crypto.Drbg.int rng n) env.mem;
+  let cs = reopen env in
+  List.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "after-crash-%d" i)) ids;
+  Chunk_store.commit cs;
+  check_no_repeated_ivs probe
+
 let test_layout_mismatch_rejected () =
   let env = fresh_env () in
   let cs = create env in
@@ -933,6 +975,8 @@ let () =
           Alcotest.test_case "randomized crash storm" `Slow test_crash_recovery_randomized;
           Alcotest.test_case "missing anchor" `Quick test_open_missing_anchor_fails;
           Alcotest.test_case "layout mismatch" `Quick test_layout_mismatch_rejected;
+          Alcotest.test_case "IVs unique across reopen" `Quick test_iv_unique_across_reopen;
+          Alcotest.test_case "IVs unique across crash" `Quick test_iv_unique_across_crash;
         ] );
       ( "tamper",
         [

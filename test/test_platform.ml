@@ -190,6 +190,22 @@ let test_file_store () =
         (Bytes.to_string (Untrusted_store.read s2 ~off:0 ~len:8));
       Untrusted_store.close s2)
 
+let test_file_set_size () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "db" in
+      let s = Untrusted_store.open_file path in
+      Untrusted_store.write s ~off:0 "0123456789";
+      Untrusted_store.set_size s 10;
+      Alcotest.(check int) "same size kept" 10 (Untrusted_store.size s);
+      Alcotest.(check string) "same size keeps contents" "0123456789"
+        (Bytes.to_string (Untrusted_store.read s ~off:0 ~len:10));
+      Untrusted_store.set_size s 4;
+      Untrusted_store.close s;
+      let s2 = Untrusted_store.open_file path in
+      Alcotest.(check int) "smaller size truncates the file" 4 (Untrusted_store.size s2);
+      Alcotest.(check string) "prefix kept" "0123" (Bytes.to_string (Untrusted_store.read s2 ~off:0 ~len:4));
+      Untrusted_store.close s2)
+
 (* --- one-way counter --- *)
 
 let test_counter_mem () =
@@ -208,6 +224,18 @@ let test_counter_file_persistence () =
       done;
       let c2 = One_way_counter.open_file path in
       Alcotest.(check int64) "survives reopen" 5L (One_way_counter.read c2))
+
+(* A bump reads the two slots once: that read gives both the current
+   value and the slot to overwrite. *)
+let test_counter_increment_reads_once () =
+  let _, store = Untrusted_store.open_mem () in
+  let c = One_way_counter.open_store store in
+  ignore (One_way_counter.increment c);
+  let st = Untrusted_store.stats store in
+  let r0 = st.Untrusted_store.reads in
+  Alcotest.(check int64) "value" 2L (One_way_counter.increment c);
+  Alcotest.(check int) "one store read per increment" 1 (st.Untrusted_store.reads - r0);
+  Alcotest.(check int64) "read back" 2L (One_way_counter.read c)
 
 let test_counter_file_torn_write () =
   with_tmpdir (fun dir ->
@@ -305,11 +333,13 @@ let () =
         [
           Alcotest.test_case "file roundtrip" `Quick test_file_store;
           Alcotest.test_case "file writev" `Quick test_file_writev;
+          Alcotest.test_case "file set_size" `Quick test_file_set_size;
         ] );
       ( "one-way-counter",
         [
           Alcotest.test_case "mem" `Quick test_counter_mem;
           Alcotest.test_case "file persistence" `Quick test_counter_file_persistence;
+          Alcotest.test_case "increment reads once" `Quick test_counter_increment_reads_once;
           Alcotest.test_case "torn write" `Quick test_counter_file_torn_write;
           QCheck_alcotest.to_alcotest test_counter_monotonic_qcheck;
         ] );

@@ -299,6 +299,25 @@ let test_concurrent_transfers_with_veto () =
   Alcotest.(check int) "conserved after reopen" (naccts * initial) (sum os);
   Object_store.close os
 
+(* --- IVs: shards share the secret but never an IV --- *)
+
+let test_iv_unique_across_shards () =
+  let n = 4 in
+  let env = make_env n in
+  let probe = Iv_probe.create () in
+  let stores = Array.map (Iv_probe.watch probe) env.stores in
+  let sec = secret () in
+  let ss = Shard_store.create ~config:(cfg n) ~secret:sec ~counters:env.ctrs stores in
+  for i = 0 to 15 do
+    let cid = Shard_store.allocate ~shard:(i mod n) ss in
+    Shard_store.write ss cid (Printf.sprintf "shard %d record %d" (i mod n) i)
+  done;
+  Shard_store.commit ~durable:true ss;
+  Shard_store.close ss;
+  Alcotest.(check bool) (Printf.sprintf "sealed records seen (%d)" (Iv_probe.records probe)) true
+    (Iv_probe.records probe >= 2 * n);
+  Alcotest.(check int) "repeated IVs" 0 (Iv_probe.repeats probe)
+
 let () =
   Alcotest.run "tdb_shard"
     [
@@ -306,6 +325,7 @@ let () =
         [
           Alcotest.test_case "1-shard byte compatibility" `Quick test_single_shard_byte_compat;
           Alcotest.test_case "striping + width check" `Quick test_routing;
+          Alcotest.test_case "IVs unique across shards" `Quick test_iv_unique_across_shards;
         ] );
       ( "2pc",
         [

@@ -9,7 +9,11 @@ let test_cfg =
   { Config.default with Config.segment_size = 4096; initial_segments = 8; anchor_slot_size = 2048;
     checkpoint_every = 1000; checkpoint_residual_bytes = 4 * 4096; clean_batch = 2 }
 
-let sec_on () = Security.create test_cfg (Secret_store.of_seed "units")
+let sec_on () =
+  let secret = Secret_store.of_seed "units" in
+  let sec = Security.create test_cfg secret in
+  Security.start_session sec secret ~shard:0 ~counter:0L ~epoch:1;
+  sec
 let sec_off () = Security.create { test_cfg with Config.security = false } (Secret_store.of_seed "units")
 
 (* ------------------------------------------------------------------ *)
@@ -29,9 +33,9 @@ let test_security_label_and_mac () =
   let sec = sec_on () in
   let l = Security.label sec "data" in
   Alcotest.(check int) "sha1 label" 20 (String.length l);
-  Security.check_label sec ~expected:l "data" ~what:"x";
+  Security.check_label sec ~expected:l "data" ~what:(fun () -> "x");
   Alcotest.(check bool) "bad label raises" true
-    (match Security.check_label sec ~expected:l "datb" ~what:"x" with
+    (match Security.check_label sec ~expected:l "datb" ~what:(fun () -> "x") with
     | exception Types.Tamper_detected _ -> true
     | () -> false);
   Alcotest.(check bool) "mac verifies" true (Security.check_mac sec ~expected:(Security.mac sec "m") "m" ~what:"x");
@@ -41,7 +45,7 @@ let test_security_disabled_is_transparent () =
   let sec = sec_off () in
   Alcotest.(check string) "no encryption" "abc" (Security.seal sec "abc");
   Alcotest.(check string) "no label" "" (Security.label sec "abc");
-  Security.check_label sec ~expected:"" "anything" ~what:"x";
+  Security.check_label sec ~expected:"" "anything" ~what:(fun () -> "x");
   Alcotest.(check int) "no seal overhead" 0 (Security.seal_overhead sec 100)
 
 (* ------------------------------------------------------------------ *)
@@ -94,7 +98,7 @@ let test_map_checkpoint_and_reload () =
   (* reload the tree fresh from the fake store *)
   let m2 = Location_map.create ~fanout:4 ~depth:3 in
   let root_e = Option.get root in
-  let root_node = Location_map.node_of_payload ~fanout:4 (fetch ~what:"r" root_e) in
+  let root_node = Location_map.node_of_payload ~fanout:4 (fetch ~what:(fun () -> "r") root_e) in
   root_node.Location_map.disk <- Some root_e;
   m2.Location_map.root <- root_node;
   for i = 0 to 20 do
