@@ -24,57 +24,32 @@ let pick_scale = function
 (* Machine-readable output (--json): the perf trajectory artifacts      *)
 (* ------------------------------------------------------------------ *)
 
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc;
+module J = Tdb_bench.Bench_json
+
+(* BENCH_<BENCH>.json, its rows built from the bench's own records *)
+let write_json bench members =
+  let path = "BENCH_" ^ String.uppercase_ascii bench ^ ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (J.document (J.Obj (("bench", J.Str bench) :: members))));
   Printf.printf "wrote %s\n%!" path
 
-let json_of_result (r : Runner.result) : string =
-  Printf.sprintf
-    "    { \"label\": %S, \"txns\": %d, \"avg_ms\": %.4f, \"p95_ms\": %.4f,\n\
-    \      \"cpu_avg_ms\": %.4f, \"io_avg_ms\": %.4f, \"ops_per_s\": %.1f,\n\
-    \      \"bytes_per_txn\": %.1f, \"store_writes_per_txn\": %.2f, \"store_bytes_per_txn\": %.1f,\n\
-    \      \"db_size\": %d, \"live_bytes\": %d,\n\
-    \      \"alloc_words_per_txn\": %.0f,\n\
-    \      \"cache_hits\": %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f }"
-    r.Runner.label r.Runner.txns r.Runner.avg_ms r.Runner.p95_ms r.Runner.cpu_avg_ms r.Runner.io_avg_ms
-    (if r.Runner.avg_ms > 0. then 1000. /. r.Runner.avg_ms else 0.)
-    r.Runner.bytes_per_txn r.Runner.store_writes_per_txn r.Runner.store_bytes_per_txn
-    r.Runner.db_size r.Runner.live_bytes r.Runner.alloc_words_per_txn
-    r.Runner.cache_hits r.Runner.cache_misses (Runner.hit_rate r)
+let num digits x = J.Num (x, digits)
+let ints l = J.Arr (List.map (fun i -> J.Int i) l)
+let ops_per_s (r : Runner.result) = if r.avg_ms > 0. then 1000. /. r.avg_ms else 0.
 
-let json_of_shard_result (r : Runner.result) : string =
-  Printf.sprintf
-    "    { \"label\": %S, \"shards\": %d, \"txns\": %d, \"avg_ms\": %.4f, \"p95_ms\": %.4f,\n\
-    \      \"cpu_avg_ms\": %.4f, \"io_avg_ms\": %.4f, \"ops_per_s\": %.1f,\n\
-    \      \"cross_txn_fraction\": %.4f,\n\
-    \      \"bytes_per_txn\": %.1f, \"store_writes_per_txn\": %.2f, \"db_size\": %d }"
-    r.Runner.label r.Runner.shards r.Runner.txns r.Runner.avg_ms r.Runner.p95_ms r.Runner.cpu_avg_ms
-    r.Runner.io_avg_ms
-    (if r.Runner.avg_ms > 0. then 1000. /. r.Runner.avg_ms else 0.)
-    r.Runner.cross_txn_fraction r.Runner.bytes_per_txn r.Runner.store_writes_per_txn r.Runner.db_size
+(* Every field a TPC-B run reports, in file order, less those [drop] names. *)
+let result_row ~drop (r : Runner.result) =
+  J.Obj
+    (List.filter (fun (k, _) -> not (List.exists (String.equal k) drop))
+       [ ("label", J.Str r.label); ("shards", J.Int r.shards); ("txns", J.Int r.txns); ("avg_ms", num 4 r.avg_ms);
+         ("p95_ms", num 4 r.p95_ms); ("cpu_avg_ms", num 4 r.cpu_avg_ms); ("io_avg_ms", num 4 r.io_avg_ms);
+         ("ops_per_s", num 1 (ops_per_s r)); ("cross_txn_fraction", num 4 r.cross_txn_fraction);
+         ("bytes_per_txn", num 1 r.bytes_per_txn); ("store_writes_per_txn", num 2 r.store_writes_per_txn);
+         ("store_bytes_per_txn", num 1 r.store_bytes_per_txn); ("db_size", J.Int r.db_size);
+         ("live_bytes", J.Int r.live_bytes); ("alloc_words_per_txn", num 0 r.alloc_words_per_txn);
+         ("cache_hits", J.Int r.cache_hits); ("cache_misses", J.Int r.cache_misses);
+         ("cache_hit_rate", num 4 (Runner.hit_rate r)) ])
 
-let write_tpcb_json ~(scale_name : string) ~(idle : bool) (scale : Workload.scale)
-    (results : Runner.result list) : unit =
-  let body = String.concat ",\n" (List.map json_of_result results) in
-  write_file "BENCH_TPCB.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"bench\": \"tpcb\",\n\
-       \  \"scale\": { \"name\": %S, \"accounts\": %d, \"tellers\": %d, \"branches\": %d,\n\
-       \             \"transactions\": %d, \"measured\": %d, \"cache_bytes\": %d },\n\
-       \  \"idle_maintenance\": %b,\n\
-       \  \"systems\": [\n%s\n  ]\n}\n"
-       scale_name scale.Workload.accounts scale.Workload.tellers scale.Workload.branches
-       scale.Workload.transactions scale.Workload.measured scale.Workload.cache_bytes idle body)
-
-let write_micro_json (results : (string * float) list) : unit =
-  let body =
-    String.concat ",\n"
-      (List.map (fun (name, ns) -> Printf.sprintf "    { \"name\": %S, \"ns_per_op\": %.0f }" name ns) results)
-  in
-  write_file "BENCH_MICRO.json" (Printf.sprintf "{\n  \"bench\": \"micro\",\n  \"results\": [\n%s\n  ]\n}\n" body)
+let tpcb_row = result_row ~drop:[ "shards"; "cross_txn_fraction" ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9 + Figure 10                                                *)
@@ -296,7 +271,7 @@ let domains_sweep ?(json = false) (scale : Workload.scale) =
       List.iter
         (fun (w, r) ->
           Printf.printf "%-8d %10.3f %12.4f %12.1f %9.2fx\n" w r.Runner.avg_ms r.Runner.cpu_avg_ms
-            (if r.Runner.avg_ms > 0. then 1000. /. r.Runner.avg_ms else 0.)
+            (ops_per_s r)
             (if r.Runner.cpu_avg_ms > 0. then r1.Runner.cpu_avg_ms /. r.Runner.cpu_avg_ms else 0.))
         results
   | [] -> ());
@@ -304,10 +279,8 @@ let domains_sweep ?(json = false) (scale : Workload.scale) =
     "\n(the pool only overlaps seals across cores that exist: on a single-core\n\
     \ host expect ~1.0x with a small coordination tax at d>1; see EXPERIMENTS.md)\n\n";
   if json then
-    let body = String.concat ",\n" (List.map (fun (_, r) -> json_of_result r) results) in
-    write_file "BENCH_DOMAINS.json"
-      (Printf.sprintf "{\n  \"bench\": \"domains\",\n  \"widths\": [1, 2, 4, 8],\n  \"systems\": [\n%s\n  ]\n}\n"
-         body)
+    write_json "domains"
+      [ ("widths", ints (List.map fst results)); ("systems", J.Arr (List.map (fun (_, r) -> tpcb_row r) results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Shard sweep: TDB-S vs chunk-store shard width (Config.shards)       *)
@@ -338,24 +311,20 @@ let shards_sweep ?(json = false) ?(widths = [ 1; 2; 4 ]) ~(scale_name : string)
       List.iter
         (fun (w, r) ->
           Printf.printf "%-8d %10.3f %12.1f %11.1f%% %9.2fx\n" w r.Runner.avg_ms
-            (if r.Runner.avg_ms > 0. then 1000. /. r.Runner.avg_ms else 0.)
+            (ops_per_s r)
             (100. *. r.Runner.cross_txn_fraction)
             (if r.Runner.avg_ms > 0. then r1.Runner.avg_ms /. r.Runner.avg_ms else 0.))
         results
   | [] -> ());
   Printf.printf "\n";
   if json then
-    let body = String.concat ",\n" (List.map (fun (_, r) -> json_of_shard_result r) results) in
-    write_file "BENCH_SHARDS.json"
-      (Printf.sprintf
-         "{\n\
-         \  \"bench\": \"shards\",\n\
-         \  \"scale\": %S,\n\
-         \  \"widths\": [%s],\n\
-         \  \"systems\": [\n%s\n  ]\n}\n"
-         scale_name
-         (String.concat ", " (List.map string_of_int (List.map fst results)))
-         body)
+    let row =
+      result_row
+        ~drop:[ "store_bytes_per_txn"; "live_bytes"; "alloc_words_per_txn"; "cache_hits"; "cache_misses"; "cache_hit_rate" ]
+    in
+    write_json "shards"
+      [ ("scale", J.Str scale_name); ("widths", ints (List.map fst results));
+        ("systems", J.Arr (List.map (fun (_, r) -> row r) results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -537,22 +506,15 @@ let replica_bench ?(json = false) () =
   Printf.printf
     "\n(lag is commits-behind sampled after every primary commit; small intervals\n\
     \ emit more, smaller frames — lower lag, more stream bytes per txn)\n\n";
-  if json then begin
-    let body =
-      String.concat ",\n"
-        (List.map
-           (fun r ->
-             Printf.sprintf
-               "    { \"interval\": %d, \"txns\": %d, \"backups\": %d, \"stream_bytes\": %d,\n\
-               \      \"avg_lag_commits\": %.3f, \"max_lag_commits\": %d, \"tail_converge_ms\": %.2f,\n\
-               \      \"ingest_mb_per_s\": %.3f }"
-               r.rr_interval r.rr_txns r.rr_backups r.rr_stream_bytes r.rr_avg_lag r.rr_max_lag
-               r.rr_tail_ms r.rr_ingest_mb_s)
-           rows)
+  if json then
+    let row r =
+      J.Obj
+        [ ("interval", J.Int r.rr_interval); ("txns", J.Int r.rr_txns); ("backups", J.Int r.rr_backups);
+          ("stream_bytes", J.Int r.rr_stream_bytes); ("avg_lag_commits", num 3 r.rr_avg_lag);
+          ("max_lag_commits", J.Int r.rr_max_lag); ("tail_converge_ms", num 2 r.rr_tail_ms);
+          ("ingest_mb_per_s", num 3 r.rr_ingest_mb_s) ]
     in
-    write_file "BENCH_REPLICA.json"
-      (Printf.sprintf "{\n  \"bench\": \"replica\",\n  \"intervals\": [1, 8, 32],\n  \"rows\": [\n%s\n  ]\n}\n" body)
-  end
+    write_json "replica" [ ("intervals", ints (List.map (fun r -> r.rr_interval) rows)); ("rows", J.Arr (List.map row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Meter: cleaner write amplification vs Zipf skew                     *)
@@ -563,18 +525,13 @@ let pick_meter_scale = function
   | "default" | "paper" -> Meter.default_scale
   | s -> invalid_arg (Printf.sprintf "unknown scale %S (quick|default|paper)" s)
 
-let json_of_meter_row (r : Meter.result) : string =
-  Printf.sprintf
-    "    { \"alpha\": %.1f, \"write_amp\": %.4f,\n\
-    \      \"bytes_relocated\": %d, \"bytes_committed\": %d,\n\
-    \      \"clean_passes\": %d, \"segments_cleaned\": %d, \"chunks_relocated\": %d,\n\
-    \      \"live_segments\": %d,\n\
-    \      \"db_size\": %d, \"live_bytes\": %d, \"cache_hit_rate\": %.4f,\n\
-    \      \"cpu_s\": %.3f, \"io_s\": %.3f }"
-    r.Meter.m_alpha r.Meter.m_write_amp r.Meter.m_bytes_relocated
-    r.Meter.m_bytes_committed r.Meter.m_clean_passes r.Meter.m_segments_cleaned
-    r.Meter.m_chunks_relocated r.Meter.m_live_segments
-    r.Meter.m_db_size r.Meter.m_live_bytes r.Meter.m_cache_hit_rate r.Meter.m_cpu_s r.Meter.m_io_s
+let meter_row (r : Meter.result) =
+  J.Obj
+    [ ("alpha", num 1 r.m_alpha); ("write_amp", num 4 r.m_write_amp); ("bytes_relocated", J.Int r.m_bytes_relocated);
+      ("bytes_committed", J.Int r.m_bytes_committed); ("clean_passes", J.Int r.m_clean_passes);
+      ("segments_cleaned", J.Int r.m_segments_cleaned); ("chunks_relocated", J.Int r.m_chunks_relocated);
+      ("live_segments", J.Int r.m_live_segments); ("db_size", J.Int r.m_db_size); ("live_bytes", J.Int r.m_live_bytes);
+      ("cache_hit_rate", num 4 r.m_cache_hit_rate); ("cpu_s", num 3 r.m_cpu_s); ("io_s", num 3 r.m_io_s) ]
 
 let meter_bench ?(json = false) ~(scale_name : string) () =
   let s = pick_meter_scale scale_name in
@@ -600,17 +557,14 @@ let meter_bench ?(json = false) ~(scale_name : string) () =
         r.Meter.m_clean_passes)
     rows;
   Printf.printf "\n";
-  if json then begin
-    let body = String.concat ",\n" (List.map json_of_meter_row rows) in
-    write_file "BENCH_METER.json"
-      (Printf.sprintf
-         "{\n\
-         \  \"bench\": \"meter\",\n\
-         \  \"scale\": { \"name\": %S, \"meters\": %d, \"updates\": %d, \"batch\": %d, \"cache_bytes\": %d },\n\
-         \  \"alphas\": [0.0, 0.8, 1.2],\n\
-         \  \"rows\": [\n%s\n  ]\n}\n"
-         scale_name s.Meter.meters s.Meter.updates s.Meter.batch s.Meter.cache_bytes body)
-  end
+  if json then
+    write_json "meter"
+      [ ( "scale",
+          J.Obj
+            [ ("name", J.Str scale_name); ("meters", J.Int s.meters); ("updates", J.Int s.updates);
+              ("batch", J.Int s.batch); ("cache_bytes", J.Int s.cache_bytes) ] );
+        ("alphas", J.Arr (List.map (fun (r : Meter.result) -> num 1 r.m_alpha) rows));
+        ("rows", J.Arr (List.map meter_row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -619,11 +573,28 @@ let meter_bench ?(json = false) ~(scale_name : string) () =
 let usage () =
   print_endline
     "usage: bench/main.exe [all|footprint|tpcb|utilization|micro|ablation|server|domains|shards|replica|meter] \
-     [--scale quick|default|paper] [--no-idle] [--json] [--shards 1,2,4]";
+     [--scale quick|default|paper] [--no-idle] [--json] [--shards 1,2,4]\n\
+     \       bench/main.exe guard BASELINE.json FRESH.json [TOLERANCE]";
   exit 1
+
+(* Exit 1 on a regression, 2 on a file that does not parse. *)
+let guard base fresh tol =
+  match Tdb_bench.Guard.run ?tol ~base:(J.read_file base) (J.read_file fresh) with
+  | verdicts ->
+      Tdb_bench.Guard.print verdicts;
+      exit (if Tdb_bench.Guard.passed verdicts then 0 else 1)
+  | exception (J.Error msg | Sys_error msg) ->
+      prerr_endline ("guard: " ^ msg);
+      exit 2
 
 let () =
   let args = match Array.to_list Sys.argv with _exe :: rest -> rest | [] -> [] in
+  (match args with
+  | [ "guard"; base; fresh ] -> guard base fresh None
+  | [ "guard"; base; fresh; tol ] when Option.is_some (float_of_string_opt tol) ->
+      guard base fresh (float_of_string_opt tol)
+  | "guard" :: _ -> usage ()
+  | _ -> ());
   let scale = ref "default" and idle = ref true and json = ref false and cmds = ref [] in
   let shard_widths = ref None in
   let rec parse = function
@@ -656,11 +627,20 @@ let () =
     | Some widths -> shards_sweep ~json:!json ~widths ~scale_name scale
     | None ->
         let rs = figure10 ~idle:!idle scale in
-        if !json then write_tpcb_json ~scale_name ~idle:!idle scale rs
+        if !json then
+          write_json "tpcb"
+            [ ( "scale",
+                J.Obj
+                  [ ("name", J.Str scale_name); ("accounts", J.Int scale.accounts); ("tellers", J.Int scale.tellers);
+                    ("branches", J.Int scale.branches); ("transactions", J.Int scale.transactions);
+                    ("measured", J.Int scale.measured); ("cache_bytes", J.Int scale.cache_bytes) ] );
+              ("idle_maintenance", J.Bool !idle); ("systems", J.Arr (List.map tpcb_row rs)) ]
   in
   let micro_bench () =
     let rs = micro () in
-    if !json then write_micro_json rs
+    if !json then
+      write_json "micro"
+        [ ("results", J.Arr (List.map (fun (name, ns) -> J.Obj [ ("name", J.Str name); ("ns_per_op", num 0 ns) ]) rs)) ]
   in
   List.iter
     (fun cmd ->

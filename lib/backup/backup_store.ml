@@ -37,7 +37,7 @@ type t = {
   archive : Tdb_platform.Archival_store.t;
   cipher : Tdb_crypto.Cbc.cipher;
   mac_key : string;
-  iv_gen : Tdb_crypto.Drbg.t;
+  iv_key : string;
 }
 
 (* --- chain state persistence --- *)
@@ -92,7 +92,7 @@ let create ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Arch
           (module Tdb_crypto.Aes)
           ~secret:(Tdb_platform.Secret_store.derive_len secret "backup-cipher" Tdb_crypto.Aes.key_size);
       mac_key = Tdb_platform.Secret_store.derive secret "backup-mac";
-      iv_gen = Tdb_crypto.Drbg.create ~seed:(Tdb_platform.Secret_store.derive secret "backup-iv");
+      iv_key = Tdb_platform.Secret_store.derive secret "backup-iv";
     }
   in
   publish_stats t (load_state t);
@@ -153,9 +153,12 @@ let decode_body (s : string) : (int * string) list * int list =
 let frame t (h : header) (body : string) ~(chain : string) : string * string =
   (* returns (stream, new_chain) *)
   let header = encode_header h in
-  let iv = Tdb_crypto.Drbg.generate t.iv_gen (Tdb_crypto.Cbc.block_size t.cipher) in
+  let chained = chain ^ header ^ body in
+  (* synthetic IV: a MAC of the bytes the chain covers, under its own key,
+     so it repeats only for an identical frame (DESIGN.md, "IVs") *)
+  let iv = String.sub (Tdb_crypto.Hmac.sha256 ~key:t.iv_key chained) 0 (Tdb_crypto.Cbc.block_size t.cipher) in
   let sealed = Tdb_crypto.Cbc.encrypt t.cipher ~iv body in
-  let new_chain = Tdb_crypto.Hmac.sha256 ~key:t.mac_key (chain ^ header ^ body) in
+  let new_chain = Tdb_crypto.Hmac.sha256 ~key:t.mac_key chained in
   let module P = Tdb_pickle.Pickle in
   let w = P.writer () in
   Buffer.add_string w.P.buf magic;

@@ -251,6 +251,15 @@ let write_anchor t ~(root : entry option) : unit =
       snapshots = List.map (fun (id, s) -> (id, s.snap_root, s.snap_seq)) t.snapshots;
     }
 
+(* Advance the hardware counter after a durable write; it must land on the
+   value the durable record claims, or another writer advanced it. *)
+let bump_counter t ~(expected : int64) : unit =
+  if t.sec.Security.enabled then begin
+    let hw = Tdb_platform.One_way_counter.increment t.counter in
+    if not (Int64.equal hw expected) then
+      tamper "one-way counter advanced externally (%Ld, expected %Ld)" hw expected
+  end
+
 (** Checkpoint: flush dirty map nodes bottom-up, then re-anchor. Runs
     "opportunistically" — every [checkpoint_every] commits, after cleaning
     passes, at snapshots and at close (the paper defers this work to idle
@@ -280,11 +289,7 @@ let do_checkpoint t : unit =
   Log.flush t.log;
   Tdb_platform.Untrusted_store.sync t.store;
   write_anchor t ~root;
-  if promote then begin
-    let hw = Tdb_platform.One_way_counter.increment t.counter in
-    if not (Int64.equal hw t.last_counter) then
-      tamper "one-way counter advanced externally (%Ld, expected %Ld)" hw t.last_counter
-  end;
+  if promote then bump_counter t ~expected:t.last_counter;
   t.promotable <- false;
   Log.end_checkpoint t.log;
   t.commits_since_cp <- 0;
@@ -582,6 +587,25 @@ let abort_batch t : unit = Hashtbl.reset t.pending
    preserved. *)
 let max_commit_record_bytes t = t.cfg.Config.segment_size / 4
 
+(* Count a commit or barrier toward the next checkpoint, and take it once
+   [checkpoint_every] of them or [checkpoint_residual_bytes] of residual
+   log have built up (never inside a staged barrier). *)
+let note_commit t : unit =
+  t.commits_since_cp <- t.commits_since_cp + 1;
+  if
+    (not t.barrier_inflight)
+    && (t.commits_since_cp >= t.cfg.Config.checkpoint_every
+       || Log.residual_bytes t.log >= t.cfg.Config.checkpoint_residual_bytes)
+  then begin
+    (* reserve space for the map nodes the checkpoint will write, so
+       checkpoints never have to grow the store outside the policy *)
+    let est_bytes =
+      Location_map.count_dirty t.map * t.cfg.Config.map_fanout * (16 + t.sec.Security.hash_len)
+    in
+    ensure_free t ~segs:(min 16 (2 + (est_bytes / t.cfg.Config.segment_size)));
+    checkpoint t
+  end
+
 let commit ?(durable = true) t : unit =
   if Hashtbl.length t.pending = 0 then ()
   else begin
@@ -700,28 +724,11 @@ let commit ?(durable = true) t : unit =
     t.stats.commits <- t.stats.commits + 1;
     if durable then begin
       Tdb_platform.Untrusted_store.sync t.store;
-      if t.sec.Security.enabled then begin
-        let hw = Tdb_platform.One_way_counter.increment t.counter in
-        if not (Int64.equal hw t.last_counter) then
-          tamper "one-way counter advanced externally (%Ld, expected %Ld)" hw t.last_counter
-      end;
+      bump_counter t ~expected:t.last_counter;
       Log.barrier t.log;
       t.stats.durable_commits <- t.stats.durable_commits + 1
     end;
-    t.commits_since_cp <- t.commits_since_cp + 1;
-    if
-      (not t.barrier_inflight)
-      && (t.commits_since_cp >= t.cfg.Config.checkpoint_every
-         || Log.residual_bytes t.log >= t.cfg.Config.checkpoint_residual_bytes)
-    then begin
-      (* reserve space for the map nodes the checkpoint will write, so
-         checkpoints never have to grow the store outside the policy *)
-      let est_bytes =
-        Location_map.count_dirty t.map * t.cfg.Config.map_fanout * (16 + t.sec.Security.hash_len)
-      in
-      ensure_free t ~segs:(min 16 (2 + (est_bytes / t.cfg.Config.segment_size)));
-      checkpoint t
-    end
+    note_commit t
   end
 
 (** Durable barrier without a batch: an empty durable commit record that
@@ -744,7 +751,7 @@ type barrier_token = {
     reclaimed by it. *)
 let barrier_begin t : barrier_token =
   if Hashtbl.length t.pending > 0 then
-    invalid_arg "Chunk_store.durable_barrier: commit or abort the batch first";
+    invalid_arg "Chunk_store.barrier_begin: commit or abort the batch first";
   if t.barrier_inflight then invalid_arg "Chunk_store.barrier_begin: barrier already in flight";
   ensure_free t ~segs:2;
   t.seq <- t.seq + 1;
@@ -774,11 +781,7 @@ let barrier_begin t : barrier_token =
 let barrier_sync t (tok : barrier_token) : unit =
   Log.flush_write t.log tok.bt_flush;
   Tdb_platform.Untrusted_store.sync t.store;
-  if t.sec.Security.enabled then begin
-    let hw = Tdb_platform.One_way_counter.increment t.counter in
-    if not (Int64.equal hw tok.bt_counter) then
-      tamper "one-way counter advanced externally (%Ld, expected %Ld)" hw tok.bt_counter
-  end
+  bump_counter t ~expected:tok.bt_counter
 
 (** Third stage: reclaim space and account. Back under the state lock.
     Reclamation is restricted to the begin-time snapshot: a segment
@@ -789,22 +792,7 @@ let barrier_finish t (tok : barrier_token) : unit =
   t.barrier_inflight <- false;
   Log.barrier ~eligible:tok.bt_eligible t.log;
   t.stats.durable_commits <- t.stats.durable_commits + 1;
-  t.commits_since_cp <- t.commits_since_cp + 1;
-  if
-    t.commits_since_cp >= t.cfg.Config.checkpoint_every
-    || Log.residual_bytes t.log >= t.cfg.Config.checkpoint_residual_bytes
-  then begin
-    let est_bytes =
-      Location_map.count_dirty t.map * t.cfg.Config.map_fanout * (16 + t.sec.Security.hash_len)
-    in
-    ensure_free t ~segs:(min 16 (2 + (est_bytes / t.cfg.Config.segment_size)));
-    checkpoint t
-  end
-
-let durable_barrier t : unit =
-  let tok = barrier_begin t in
-  barrier_sync t tok;
-  barrier_finish t tok
+  note_commit t
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

@@ -112,20 +112,16 @@ val commit : ?durable:bool -> t -> unit
 val abort_batch : t -> unit
 (** Discard the buffered batch. *)
 
-val durable_barrier : t -> unit
-(** A durable commit with an empty batch: forces the log and advances the
-    one-way counter, promoting every earlier nondurable commit to durable.
-    The group-commit hook — many transactions commit nondurably, then one
-    barrier buys durability for all of them with a single sync + counter
-    bump.
-    @raise Invalid_argument while a batch is buffered. *)
+(** {2 Durable barrier}
 
-(** {2 Staged barrier}
-
-    {!durable_barrier} split into its three stages so a server can release
-    its state lock during the physical wait (the sync and the counter
-    bump), letting other sessions land nondurable commits that the {e
-    next} barrier will cover. Contract: [begin] and [finish] run under the
+    A durable commit with an empty batch: it forces the log and advances
+    the one-way counter, promoting every earlier nondurable commit to
+    durable. The group-commit hook — many transactions commit nondurably,
+    then one barrier buys durability for all of them with a single sync +
+    counter bump. It runs in three stages so a server can release its
+    state lock during the physical wait (the sync and the counter bump),
+    letting other sessions land nondurable commits that the {e next}
+    barrier will cover. Contract: [begin] and [finish] run under the
     caller's state lock; [sync] may run outside it, but at most one staged
     barrier may be in flight and no other durable commit may run
     concurrently (the group-commit coordinator's single-leader rule). *)
@@ -256,7 +252,7 @@ val set_cache_budget : t -> int -> unit
 
 val counter_value : t -> int64
 (** The database's view of the one-way counter (advanced by durable
-    commits and {!durable_barrier}s while security is on). *)
+    commits and durable barriers while security is on). *)
 
 val commit_seq : t -> int
 (** Sequence number of the last commit (durable or not); snapshots carry

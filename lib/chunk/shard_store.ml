@@ -589,12 +589,9 @@ let barrier_finish t (toks : barrier_token) : unit =
   List.iter (fun (s, tok) -> Chunk_store.barrier_finish t.shards.(s) tok) toks
 
 let durable_barrier t : unit =
-  List.iter
-    (fun s ->
-      Chunk_store.durable_barrier t.shards.(s);
-      t.dirty.(s) <- false;
-      t.barriers.(s) <- t.barriers.(s) + 1)
-    (barrier_shards t)
+  let toks = barrier_begin t in
+  barrier_sync t toks;
+  barrier_finish t toks
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance, snapshots                                              *)

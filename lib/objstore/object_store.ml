@@ -379,7 +379,7 @@ let abort (x : txn) : unit =
 
 (** Durable barrier without a transaction: promote every committed
     nondurable transaction to durable with one sync + one counter bump
-    (see {!Chunk_store.durable_barrier}). The group-commit coordinator's
+    (see {!Shard_store.durable_barrier}). The group-commit coordinator's
     hook into the commit path: sessions commit nondurably under the state
     mutex, then one coordinator thread runs the barrier for all of them.
 

@@ -156,5 +156,5 @@ val with_txn : ?durable:bool -> t -> (txn -> 'a) -> 'a
 val durable_barrier : t -> unit
 (** Promote every committed nondurable transaction to durable with one
     log force and one one-way-counter bump — the group-commit hook (see
-    {!Tdb_chunk.Chunk_store.durable_barrier}). Serialized under the
+    {!Tdb_chunk.Shard_store.durable_barrier}). Serialized under the
     store's state mutex like every other chunk-store access. *)

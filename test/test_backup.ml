@@ -141,6 +141,31 @@ let test_tampered_backup_rejected () =
     | exception Backup_store.Invalid_backup _ -> true
     | _ -> false)
 
+(* Frame IVs must not repeat across attaches: each attach used to reseed
+   the IV generator from the secret, so a second attach replayed the first
+   attach's IV stream under the same CBC key. *)
+let test_frame_ivs_distinct_across_attaches () =
+  let env = fresh_env () in
+  let cs = fresh_cs env in
+  let attach () = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let a = Chunk_store.allocate cs in
+  Chunk_store.write cs a "a1";
+  Chunk_store.commit cs;
+  ignore (Backup_store.backup_full (attach ()));
+  Chunk_store.write cs a "a2";
+  Chunk_store.commit cs;
+  ignore (Backup_store.backup_incremental (attach ()));
+  (* frame := magic ^ string header ^ string (IV ^ ciphertext) ^ ... *)
+  let iv_of name =
+    let stream = Option.get (Archival_store.get env.archive ~name) in
+    let r = Tdb_pickle.Pickle.reader ~off:4 stream in
+    ignore (Tdb_pickle.Pickle.read_string r);
+    String.sub (Tdb_pickle.Pickle.read_string r) 0 16
+  in
+  let ivs = List.map iv_of (Archival_store.list env.archive) in
+  Alcotest.(check int) "two frames" 2 (List.length ivs);
+  Alcotest.(check int) "no IV repeats" 2 (List.length (List.sort_uniq String.compare ivs))
+
 let test_backup_encrypted () =
   let env = fresh_env () in
   let cs = fresh_cs env in
@@ -243,6 +268,7 @@ let () =
           Alcotest.test_case "missing incremental" `Quick test_missing_incremental_detected;
           Alcotest.test_case "tampered stream" `Quick test_tampered_backup_rejected;
           Alcotest.test_case "encrypted at rest" `Quick test_backup_encrypted;
+          Alcotest.test_case "frame IVs distinct across attaches" `Quick test_frame_ivs_distinct_across_attaches;
           Alcotest.test_case "device binding" `Quick test_wrong_device_cannot_restore;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest test_many_incrementals_qcheck ]);
