@@ -58,10 +58,6 @@ let run ?tol ~base fresh =
   let tol default = Option.value tol ~default in
   match member "bench" fresh with
   | Some (Str "tpcb") -> same_rows ~tol:(tol 0.15) "label" [ ops; writes ] ~base fresh
-  | Some (Str "domains") ->
-      same_rows ~tol:(tol 0.15) "label" [ ops; writes ] ~base fresh
-      @ axis ~tol:(tol 0.15) ~what:"domains axis: tdbs/d4 vs tdbs/d1" [ ops ] (find "label" fresh "tdbs/d4")
-          (find "label" fresh "tdbs/d1")
   | Some (Str "shards") ->
       axis ~tol:(tol 0.15) ~what:"shards axis: tdbs (shards=1) vs baseline TDB-S" [ ops; writes ]
         (find "label" fresh "tdbs") (find "label" base "TDB-S")

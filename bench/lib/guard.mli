@@ -2,10 +2,9 @@
 
     Dispatches on the fresh file's ["bench"] field; each bench has a small
     table of rules:
-    - [tpcb], [domains]: per label, [ops_per_s] may drop at most TOL
-      (default 0.15) below the baseline and [store_writes_per_txn] may rise
-      at most TOL above it; [domains] also holds [tdbs/d4] within TOL of
-      [tdbs/d1] in the fresh file;
+    - [tpcb]: per label, [ops_per_s] may drop at most TOL (default 0.15)
+      below the baseline and [store_writes_per_txn] may rise at most TOL
+      above it;
     - [shards]: only the fresh [tdbs] row (shards = 1), against the
       baseline's [TDB-S] row with the [tpcb] rules; wider rows pay the 2PC
       tax by design and are reported, not gated;

@@ -164,30 +164,22 @@ let micro () : (string * float) list =
   let cid0 = Tdb_chunk.Chunk_store.allocate cs0 in
   Tdb_chunk.Chunk_store.write cs0 cid0 data_1k;
   Tdb_chunk.Chunk_store.commit cs0;
-  (* seal/unseal pipeline axis: the same batched commit and batched read
-     at widths 1 and 4, cache disabled so every read unseals. On one
-     core the d4 rows bound pool coordination overhead; with cores to
-     spare they fall toward the d1 cost over the width. *)
-  let par_store domains =
+  (* one nondurable commit of 32 rewritten 1 KiB chunks, on a store of
+     its own with the cache disabled *)
+  let batch_commit =
     let _, st = Tdb_platform.Untrusted_store.open_mem () in
     let _, ct = Tdb_platform.One_way_counter.open_mem () in
     let cs =
       Tdb_chunk.Chunk_store.create
-        ~config:{ Tdb_chunk.Config.default with Tdb_chunk.Config.chunk_cache_bytes = 0; domains }
+        ~config:{ Tdb_chunk.Config.default with Tdb_chunk.Config.chunk_cache_bytes = 0 }
         ~secret:(Tdb_platform.Secret_store.of_seed "bench") ~counter:ct st
     in
     let ids = Array.init 32 (fun _ -> Tdb_chunk.Chunk_store.allocate cs) in
-    Array.iter (fun id -> Tdb_chunk.Chunk_store.write cs id data_1k) ids;
-    Tdb_chunk.Chunk_store.commit ~durable:false cs;
-    (cs, ids)
+    fun () ->
+      Array.iter (fun id -> Tdb_chunk.Chunk_store.write cs id data_1k) ids;
+      Tdb_chunk.Chunk_store.commit ~durable:false cs
   in
-  let cs_d1, ids_d1 = par_store 1 in
-  let cs_d4, ids_d4 = par_store 4 in
-  let batch_commit cs ids () =
-    Array.iter (fun id -> Tdb_chunk.Chunk_store.write cs id data_1k) ids;
-    Tdb_chunk.Chunk_store.commit ~durable:false cs
-  in
-  let batch_read cs ids () = Tdb_chunk.Chunk_store.read_many cs (Array.to_list ids) in
+  batch_commit ();
   let mac_key = Tdb_crypto.Hmac.precompute (module Tdb_crypto.Sha256) ~key:"k" in
   (* the per-seal IV draw alone, under the default cipher *)
   let iv_sec =
@@ -221,10 +213,7 @@ let micro () : (string * float) list =
         (Staged.stage (fun () ->
              Tdb_chunk.Chunk_store.write cs cid data_1k;
              Tdb_chunk.Chunk_store.commit ~durable:false cs));
-      Test.make ~name:"commit-batch32x1KiB/d1" (Staged.stage (batch_commit cs_d1 ids_d1));
-      Test.make ~name:"commit-batch32x1KiB/d4" (Staged.stage (batch_commit cs_d4 ids_d4));
-      Test.make ~name:"read_many-batch32x1KiB/d1" (Staged.stage (batch_read cs_d1 ids_d1));
-      Test.make ~name:"read_many-batch32x1KiB/d4" (Staged.stage (batch_read cs_d4 ids_d4));
+      Test.make ~name:"commit-batch32x1KiB/d1" (Staged.stage batch_commit);
     ]
   in
   let run test =
@@ -249,38 +238,6 @@ let micro () : (string * float) list =
      dominates a transaction: crypto CPU is a small fraction, matching the\n\
      paper's < 10%% claim)\n\n";
   results
-
-(* ------------------------------------------------------------------ *)
-(* Domain sweep: TDB-S vs seal/unseal pipeline width                   *)
-(* ------------------------------------------------------------------ *)
-
-let domains_sweep ?(json = false) (scale : Workload.scale) =
-  Printf.printf "== TDB-S vs seal/unseal pipeline width (Config.domains) ==\n\n";
-  let results =
-    List.map
-      (fun w ->
-        let r = Runner.run_tdb ~security:true ~idle_every:500 ~domains:w scale in
-        let r = { r with Runner.label = Printf.sprintf "tdbs/d%d" w } in
-        Printf.printf "  [done] %s\n%!" (Format.asprintf "%a" Runner.pp_result r);
-        (w, r))
-      [ 1; 2; 4; 8 ]
-  in
-  Printf.printf "\n%-8s %10s %12s %12s %10s\n" "domains" "avg ms" "cpu avg ms" "ops/s" "cpu vs d1";
-  (match results with
-  | (_, r1) :: _ ->
-      List.iter
-        (fun (w, r) ->
-          Printf.printf "%-8d %10.3f %12.4f %12.1f %9.2fx\n" w r.Runner.avg_ms r.Runner.cpu_avg_ms
-            (ops_per_s r)
-            (if r.Runner.cpu_avg_ms > 0. then r1.Runner.cpu_avg_ms /. r.Runner.cpu_avg_ms else 0.))
-        results
-  | [] -> ());
-  Printf.printf
-    "\n(the pool only overlaps seals across cores that exist: on a single-core\n\
-    \ host expect ~1.0x with a small coordination tax at d>1; see EXPERIMENTS.md)\n\n";
-  if json then
-    write_json "domains"
-      [ ("widths", ints (List.map fst results)); ("systems", J.Arr (List.map (fun (_, r) -> tpcb_row r) results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Shard sweep: TDB-S vs chunk-store shard width (Config.shards)       *)
@@ -572,7 +529,7 @@ let meter_bench ?(json = false) ~(scale_name : string) () =
 
 let usage () =
   print_endline
-    "usage: bench/main.exe [all|footprint|tpcb|utilization|micro|ablation|server|domains|shards|replica|meter] \
+    "usage: bench/main.exe [all|footprint|tpcb|utilization|micro|ablation|server|shards|replica|meter] \
      [--scale quick|default|paper] [--no-idle] [--json] [--shards 1,2,4]\n\
      \       bench/main.exe guard BASELINE.json FRESH.json [TOLERANCE]";
   exit 1
@@ -657,7 +614,6 @@ let () =
       | "micro" -> micro_bench ()
       | "ablation" -> ablation scale
       | "server" -> server_bench ()
-      | "domains" -> domains_sweep ~json:!json scale
       | "shards" ->
           shards_sweep ~json:!json ?widths:!shard_widths ~scale_name scale
       | "replica" -> replica_bench ~json:!json ()

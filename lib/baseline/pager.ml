@@ -23,8 +23,6 @@ type t = {
   mutable page_misses : int;
 }
 
-let meta_page_id = 0
-
 let encode_meta (t : t) : string =
   let module P = Tdb_pickle.Pickle in
   let w = P.writer () in
@@ -122,7 +120,6 @@ let alloc t (node : Page.node) : frame =
   f
 
 let mark_dirty (f : frame) = f.dirty <- true
-let dirty_count t = Hashtbl.fold (fun _ f acc -> if f.dirty then acc + 1 else acc) t.frames 0
 
 (** Flush every dirty page and the meta page, then sync — the data-file
     half of a checkpoint. *)

@@ -21,12 +21,10 @@ type t = {
   mutable page_misses : int;
 }
 
-val meta_page_id : int
 val create : Tdb_platform.Untrusted_store.t -> cache_pages:int -> t
 val get : t -> int -> frame
 val alloc : t -> Page.node -> frame
 val mark_dirty : frame -> unit
-val dirty_count : t -> int
 
 val flush_all : t -> unit
 (** Flush every dirty page + the meta page, then sync (checkpoint half). *)

@@ -17,11 +17,10 @@
     Ownership: the cache is {e single-writer by design} — hit/miss
     counters and the LRU links mutate on every [find], with no internal
     synchronization. All access belongs to the domain that created the
-    cache (the chunk store's coordinator, under the object store's state
-    mutex); pool workers return payloads and the coordinator inserts
-    them. [owner_check] pins that discipline: every mutating entry point
-    asserts it runs on the creating domain, so a worker that reaches in
-    dies loudly instead of corrupting the links. *)
+    cache (the chunk store's, under the object store's state mutex).
+    [owner_check] pins that discipline: every mutating entry point
+    asserts it runs on the creating domain, so a foreign domain that
+    reaches in dies loudly instead of corrupting the links. *)
 
 type entry = {
   cid : int;

@@ -10,9 +10,8 @@
     relocation (which preserves versions) invalidates nothing.
 
     The cache is single-writer: it belongs to the domain that created it,
-    and every mutating operation asserts it runs there. Pool workers must
-    hand payloads back to the coordinator for insertion — see DESIGN.md,
-    "Parallelism model". *)
+    and every mutating operation asserts it runs there — see DESIGN.md,
+    "Sealing runs on the calling domain". *)
 
 type t
 

@@ -18,7 +18,6 @@
     store serializes access with its state mutex (paper Section 4.2.3). *)
 
 open Types
-module Pool = Tdb_parallel.Pool
 
 type op = Op_write of string | Op_dealloc
 
@@ -43,9 +42,6 @@ type stats = {
   mutable cache_hits : int; (* verified-chunk cache counters, mirrored *)
   mutable cache_misses : int;
   mutable cache_evictions : int;
-  mutable par_batches : int; (* pool batches this store fanned out *)
-  mutable par_tasks : int; (* items executed through the pool *)
-  mutable par_wait_ns : int; (* coordinator time parked on pool workers *)
   mutable backup_last_id : int; (* backup/replication position, published *)
   mutable backup_base_snapshot : int; (* by Backup_store; -1 = no base *)
   mutable backup_chain : string; (* current backup hash-chain value *)
@@ -54,7 +50,6 @@ type stats = {
 type t = {
   cfg : Config.t;
   sec : Security.t;
-  domains : int; (* seal/unseal pipeline width; 1 = never touch the pool *)
   counter : Tdb_platform.One_way_counter.t;
   store : Tdb_platform.Untrusted_store.t;
   log : Log.t;
@@ -85,7 +80,7 @@ let fresh_stats () =
   { commits = 0; durable_commits = 0; checkpoints = 0; clean_passes = 0; segments_cleaned = 0;
     chunks_relocated = 0; bytes_relocated = 0; live_segments = 0; tampers = 0;
     bytes_data = 0; bytes_map = 0; bytes_commit = 0; grow_policy = 0; grow_fallback = 0; grow_backstop = 0;
-    cache_hits = 0; cache_misses = 0; cache_evictions = 0; par_batches = 0; par_tasks = 0; par_wait_ns = 0;
+    cache_hits = 0; cache_misses = 0; cache_evictions = 0;
     backup_last_id = 0; backup_base_snapshot = -1; backup_chain = "" }
 
 (* ------------------------------------------------------------------ *)
@@ -102,24 +97,6 @@ let fetch t : Location_map.fetch =
       t.stats.tampers <- t.stats.tampers + 1;
       raise exn);
   Security.unseal t.sec stored
-
-(** Fan a batch of pure jobs out over the process-wide domain pool,
-    honoring the store's configured width and mirroring the pool's
-    counters into this store's [stats]. [domains = 1] (or a batch of one)
-    computes inline and never touches the pool — the exact sequential
-    behavior the {!Config.t.domains} contract promises. *)
-let par_map (t : t) (jobs : 'a array) (f : 'a -> 'b) : 'b array =
-  if t.domains <= 1 || Array.length jobs <= 1 then Array.map f jobs
-  else begin
-    let s0 = Pool.stats () in
-    Fun.protect
-      ~finally:(fun () ->
-        let s1 = Pool.stats () in
-        t.stats.par_tasks <- t.stats.par_tasks + (s1.Pool.p_tasks - s0.Pool.p_tasks);
-        t.stats.par_batches <- t.stats.par_batches + (s1.Pool.p_batches - s0.Pool.p_batches);
-        t.stats.par_wait_ns <- t.stats.par_wait_ns + (s1.Pool.p_wait_ns - s0.Pool.p_wait_ns))
-      (fun () -> Pool.map ~domains:t.domains jobs f)
-  end
 
 (* Grow conservatively: the utilization policy (ensure_space) is the only
    place that deliberately trades space for cleaning effort; this backstop
@@ -504,70 +481,6 @@ let read t (cid : chunk_id) : string =
               Chunk_cache.put t.cache cid ~version:e.version data;
               data ) )
 
-(** Batched read with parallel unseal. The sequential stages — map
-    lookups, cache probes, raw log reads, cache inserts — run on the
-    coordinator; the label verification, decryption and payload parsing
-    of every cache miss fan out over the domain pool. Results come back
-    in input order, and failures raise the same exception {!read} would
-    have raised at the lowest failing index. Counter note: all cache
-    probes happen before any insert, so a batch listing the same missing
-    chunk twice counts two misses where sequential {!read}s would count a
-    miss then a hit. *)
-let read_many t (cids : chunk_id list) : string list =
-  (* phase 1 (sequential): resolve each id to buffered data, a cache hit,
-     or the stored bytes that need unsealing *)
-  let staged =
-    List.map
-      (fun cid ->
-        match Hashtbl.find_opt t.pending cid with
-        | Some (Op_write data) -> (cid, `Ready data)
-        | Some Op_dealloc -> raise (Not_written cid)
-        | None -> (
-            match Location_map.find t.map (fetch t) cid with
-            | None -> raise (Not_written cid)
-            | Some e -> (
-                match Chunk_cache.find t.cache cid ~version:e.version with
-                | Some data -> (cid, `Ready data)
-                | None -> (cid, `Unseal (e, Log.read_payload t.log e)))))
-      cids
-  in
-  (* phase 2 (parallel, pure): verify + decrypt + parse the misses *)
-  let jobs =
-    Array.of_list
-      (List.filter_map
-         (function cid, `Unseal ((e : entry), stored) -> Some (cid, e, stored) | _, `Ready _ -> None)
-         staged)
-  in
-  let unseal_one (cid, (e : entry), stored) =
-    Security.check_label t.sec ~expected:e.hash stored ~what:(fun () -> Printf.sprintf "chunk %d" cid);
-    let plain = Security.unseal t.sec stored in
-    let cid', version, data =
-      try parse_data_payload plain with Tdb_pickle.Pickle.Error _ -> tamper "malformed chunk %d" cid
-    in
-    if (not (Int.equal cid' cid)) || not (Int.equal version e.version) then
-      tamper "chunk %d identity mismatch" cid;
-    data
-  in
-  let plains =
-    try par_map t jobs unseal_one
-    with Tamper_detected _ as exn ->
-      t.stats.tampers <- t.stats.tampers + 1;
-      raise exn
-  in
-  (* phase 3 (sequential): the coordinator owns the cache — insert the
-     fresh payloads and assemble results in input order *)
-  let next_plain = ref 0 in
-  List.map
-    (fun (cid, stage) ->
-      match stage with
-      | `Ready data -> data
-      | `Unseal ((e : entry), _) ->
-          let data = plains.(!next_plain) in
-          incr next_plain;
-          Chunk_cache.put t.cache cid ~version:e.version data;
-          data)
-    staged
-
 let deallocate t (cid : chunk_id) : unit =
   if not (is_allocated t cid) then raise (Not_allocated cid);
   if Hashtbl.mem t.allocated cid && Location_map.find t.map (fetch t) cid = None then begin
@@ -627,13 +540,11 @@ let commit ?(durable = true) t : unit =
        hw > c_last and is detected. *)
     if durable && t.sec.Security.enabled then t.last_counter <- Int64.add t.last_counter 1L;
     let budget = max_commit_record_bytes t in
-    (* Plan the batch: freeze it in table order and precompute the commit
-       sequence number every op will land under, replicating the
-       sub-commit split arithmetic of [note_cost] below. The plan is what
-       makes parallel sealing deterministic: IVs are pre-drawn
-       sequentially in op order and every byte of every sealed record is
-       fixed before any pool worker runs, so the store image is identical
-       at every [domains] setting. *)
+    (* Plan the batch: freeze it in table order, precompute the commit
+       sequence number every op will land under (replicating the
+       sub-commit split arithmetic of [note_cost] below), and seal every
+       write at that version. Every data record's IV is thus drawn, in op
+       order, before the batch's first commit record draws its own. *)
     let planned =
       let cur = ref t.seq and body = ref 0 in
       List.map
@@ -645,26 +556,13 @@ let commit ?(durable = true) t : unit =
             incr cur;
             body := 0
           end;
-          (cid, op, v))
+          match op with
+          | Op_write data ->
+              let sealed = Security.seal t.sec (data_payload ~cid ~version:v data) in
+              (cid, `Write (data, sealed, Security.label t.sec sealed), v)
+          | Op_dealloc -> (cid, `Dealloc, v))
         (List.rev (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending []))
     in
-    (* Seal the writes: the IV draw is the only effectful step, done here
-       on the coordinator; the encrypt + Merkle label fan out over the
-       domain pool (inline when [domains = 1] or security is off). *)
-    let seal_jobs =
-      Array.of_list
-        (List.filter_map
-           (function
-             | cid, Op_write data, v -> Some (cid, data, v, Security.draw_iv t.sec)
-             | _, Op_dealloc, _ -> None)
-           planned)
-    in
-    let sealed_writes =
-      par_map t seal_jobs (fun (cid, data, v, iv) ->
-          let sealed = Security.seal_iv t.sec ~iv (data_payload ~cid ~version:v data) in
-          (sealed, Security.label t.sec sealed))
-    in
-    let next_sealed = ref 0 in
     let writes = ref [] and deallocs = ref [] and body_bytes = ref 0 in
     let flush_group ~last =
       append_commit_record t
@@ -686,12 +584,10 @@ let commit ?(durable = true) t : unit =
     in
     List.iter
       (fun (cid, op, v) ->
+        (* the plan must agree with the live sub-commit sequence *)
+        assert (Int.equal v t.seq);
         match op with
-        | Op_write data ->
-            (* the plan must agree with the live sub-commit sequence *)
-            assert (Int.equal v t.seq);
-            let sealed, hash = sealed_writes.(!next_sealed) in
-            incr next_sealed;
+        | `Write (data, sealed, hash) ->
             let seg, off = append_rec t Data_chunk sealed in
             let e = { seg; off; len = String.length sealed; hash; version = v } in
             let old, obsolete_nodes = Location_map.set t.map (fetch t) cid e in
@@ -703,8 +599,7 @@ let commit ?(durable = true) t : unit =
             Chunk_cache.put t.cache cid ~version:e.version data;
             writes := (cid, e) :: !writes;
             note_cost (48 + String.length e.hash)
-        | Op_dealloc ->
-            assert (Int.equal v t.seq);
+        | `Dealloc ->
             let old, obsolete_nodes = Location_map.remove t.map (fetch t) cid in
             (match old with Some o -> Log.obsolete_entry t.log o | None -> ());
             List.iter (Log.obsolete_entry t.log) obsolete_nodes;
@@ -884,7 +779,6 @@ let make_empty (cfg : Config.t) (sec : Security.t) counter store : t =
   {
     cfg;
     sec;
-    domains = cfg.Config.domains;
     counter;
     store;
     log = Log.create store cfg;
@@ -1012,46 +906,16 @@ let open_existing ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platfor
      Truncation cannot silently roll back a genuinely durable commit: its
      counter increment would leave the hardware counter ahead of the
      recovered state, which the replay check below rejects. *)
-  let validated =
-    (* The raw payload reads stay on the coordinator (the log is mutable
-       state); the Merkle-label digests — recovery's CPU — fan out over
-       the domain pool. An unreadable payload fails its commit exactly as
-       the sequential path did. *)
-    let check_jobs =
-      Array.of_list
-        (List.concat_map
-           (fun (body, _, _) ->
-             List.map
-               (fun (_cid, (e : entry)) ->
-                 match Log.read_payload t.log e with
-                 | stored -> Some (e.hash, stored)
-                 | exception _ -> None)
-               body.c_writes)
-           commits)
-    in
-    let ok_flags =
-      par_map t check_jobs (fun job ->
-          match job with
-          | None -> false
-          | Some (hash, stored) ->
-              (not t.sec.Security.enabled) || Tdb_crypto.Ct.equal_string hash (Security.label t.sec stored))
-    in
-    let next_flag = ref 0 in
-    let rec keep = function
-      | [] -> []
-      | ((body, _, _) as c) :: rest ->
-          let ok =
-            List.for_all
-              (fun (_cid, (_e : entry)) ->
-                let v = ok_flags.(!next_flag) in
-                incr next_flag;
-                v)
-              body.c_writes
-          in
-          if ok then c :: keep rest else []
-    in
-    keep commits
+  let write_ok (_cid, (e : entry)) =
+    match Log.read_payload t.log e with
+    | stored -> (not t.sec.Security.enabled) || Tdb_crypto.Ct.equal_string e.hash (Security.label t.sec stored)
+    | exception _ -> false
   in
+  let rec keep = function
+    | ((body, _, _) as c) :: rest when List.for_all write_ok body.c_writes -> c :: keep rest
+    | _ -> []
+  in
+  let validated = keep commits in
   (* Keep the prefix up to the last durable commit. *)
   let last_durable =
     List.fold_left
@@ -1157,7 +1021,6 @@ let capacity t = Log.capacity t.log
 let store_size t = Tdb_platform.Untrusted_store.size t.store
 let security_enabled t = t.sec.Security.enabled
 let config t = t.cfg
-let domains t = t.domains
 
 (** Explicit idle-time cleaning (paper: "some of the database
     reorganization can be deferred until idle time"). Checkpoints first so

@@ -23,12 +23,8 @@
 
     Concurrency: the chunk store itself is single-threaded; the object
     store serializes access with its state mutex (paper Section 4.2.3).
-    Internally it fans the {e pure} halves of its work — sealing a
-    commit's writes, unsealing a batched read's misses, verifying Merkle
-    labels during recovery — out over a process-wide domain pool,
-    {!Config.t.domains} wide. All mutable state (log, map, cache, IV session)
-    stays on the calling domain; store images are byte-identical at every
-    width (see DESIGN.md, "Parallelism model"). *)
+    Sealing, unsealing and recovery's label checks all run on the calling
+    domain (see DESIGN.md, "Sealing runs on the calling domain"). *)
 
 type t
 (** An open chunk store. *)
@@ -85,13 +81,6 @@ val read : t -> Types.chunk_id -> string
     Merkle path and decrypted.
     @raise Types.Not_written if the chunk has no state.
     @raise Types.Tamper_detected if validation fails. *)
-
-val read_many : t -> Types.chunk_id list -> string list
-(** Batched {!read}: cache misses are label-verified, decrypted and
-    parsed in parallel on the domain pool ({!Config.t.domains} wide).
-    Results are in input order; a failure raises the exception {!read}
-    would have raised at the lowest failing index. With [domains = 1]
-    this is sequential and allocates nothing on the pool. *)
 
 val deallocate : t -> Types.chunk_id -> unit
 (** Buffer removal of the chunk and release of its id.
@@ -212,10 +201,6 @@ type stats = {
                                  without fetch/verify/decrypt) *)
   mutable cache_misses : int;  (** verified-chunk cache misses *)
   mutable cache_evictions : int;  (** LRU evictions under budget pressure *)
-  mutable par_batches : int;  (** batches fanned out over the domain pool *)
-  mutable par_tasks : int;  (** items executed through the pool *)
-  mutable par_wait_ns : int;  (** coordinator time parked waiting on pool
-                                  workers (contention signal) *)
   mutable backup_last_id : int;
       (** id of the last backup emitted or applied (0 = none); published
           by {!Tdb_backup.Backup_store} so operators can read the
@@ -270,6 +255,3 @@ val capacity : t -> int
 val store_size : t -> int
 val security_enabled : t -> bool
 val config : t -> Config.t
-
-val domains : t -> int
-(** Effective seal/unseal pipeline width ({!Config.t.domains} at open). *)

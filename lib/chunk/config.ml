@@ -37,13 +37,7 @@ type t = {
       (** budget for the verified-chunk read cache (decrypted plaintext
           held inside the trusted boundary); 0 disables it *)
   domains : int;
-      (** width of the seal/unseal pipeline: how many OCaml domains
-          (including the caller) may work on one commit's seals or one
-          batched read's unseals. 1 = exact sequential behavior, never
-          touching the domain pool. Defaults to the available cores
-          ([TDB_DOMAINS] overrides; see {!Tdb_parallel.Pool}). Any width
-          produces byte-identical store images — parallelism never
-          reorders appends or IV draws. *)
+      (** Always 1: commits seal on the calling domain (see the mli). *)
   replica_interval_commits : int;
       (** When a server has a backup store attached, auto-emit an
           incremental backup every this many durable commits, feeding the
@@ -92,7 +86,7 @@ let default =
     map_depth = 4;
     clean_batch = 8;
     chunk_cache_bytes = 1024 * 1024;
-    domains = Tdb_parallel.Pool.default_domains ();
+    domains = 1;
     replica_interval_commits = default_replica_interval ();
     shards = default_shards ();
     tiers = 1;
@@ -113,7 +107,7 @@ let validate (c : t) =
   if c.checkpoint_residual_bytes < 4 * c.segment_size then
     invalid_arg "Config: checkpoint_residual_bytes must cover a few segments";
   if c.chunk_cache_bytes < 0 then invalid_arg "Config: chunk_cache_bytes negative";
-  if c.domains < 1 || c.domains > 128 then invalid_arg "Config: domains out of [1, 128]";
+  if c.domains <> 1 then invalid_arg "Config: domains must be 1 (commits seal on the calling domain)";
   if c.replica_interval_commits < 0 then invalid_arg "Config: replica_interval_commits negative";
   if c.shards < 1 || c.shards > 64 then invalid_arg "Config: shards out of [1, 64]";
   if c.tiers <> 1 then invalid_arg "Config: tiers must be 1 (the log has a single cleaner)"

@@ -42,12 +42,12 @@ type t = {
           boundary so repeated reads skip the fetch/verify/decrypt path;
           0 disables it *)
   domains : int;
-      (** width of the seal/unseal pipeline: how many OCaml domains
-          (including the caller) may work on one commit's seals or one
-          batched read's unseals. 1 = exact sequential behavior (the
-          domain pool is never touched). Defaults to the available cores,
-          overridable via [TDB_DOMAINS]. Store images are byte-identical
-          at every width. *)
+      (** Seal/unseal width; {!validate} accepts only 1. Commits seal and
+          reads unseal on the calling domain: a pool of worker domains
+          was measured on TPC-B and removed, since TDB-S ran at the same
+          ops/s at widths 1 to 8 (DESIGN.md, "Sealing runs on the calling
+          domain"). The field stays so that code reporting the
+          configuration keeps building. *)
   replica_interval_commits : int;
       (** When a server has a backup store attached, auto-emit an
           incremental backup every this many durable commits (feeding the

@@ -310,31 +310,37 @@ let read_payload t (e : entry) : string =
   prepare_read t ~lo:off ~hi:(off + e.len);
   string_of_read t ~off ~len:e.len
 
-(** Parse one record at [(seg, off)] (header offset). Returns
-    [(kind, payload_off, payload)] or [None] if no valid record starts
-    there. *)
+(* Decode the record header at [off] of [img], whose first [limit] bytes
+   are readable log: [Some (kind, len)] when a header with a known magic
+   byte and kind is there and its [len]-byte payload ends by [limit],
+   [None] otherwise. Runs on untrusted bytes, before any MAC check. *)
+let decode_header (img : string) ~(off : int) ~(limit : int) : (record_kind * int) option =
+  if off + header_size > limit || not (Char.equal img.[off] magic_byte) then None
+  else
+    match kind_of_byte (Char.code img.[off + 1]) with
+    | exception Invalid_argument _ -> None
+    | kind ->
+        let len =
+          (Char.code img.[off + 2] lsl 24) lor (Char.code img.[off + 3] lsl 16)
+          lor (Char.code img.[off + 4] lsl 8) lor Char.code img.[off + 5]
+        in
+        if len < 0 || off + header_size + len > limit then None else Some (kind, len)
+
+(* Parse one record at [(seg, off)] (header offset): [(kind, payload_off,
+   payload)], or [None] if no valid record starts there. The record must
+   end within both the segment and the store. *)
 let parse_record t ~(seg : int) ~(off : int) : (record_kind * int * string) option =
   if off + header_size > segment_size t then None
   else begin
     let abs = seg_start t seg + off in
     (* guard the whole rest of the segment: header + payload in one check *)
     prepare_read t ~lo:abs ~hi:(seg_start t seg + segment_size t);
-    if abs + header_size > Tdb_platform.Untrusted_store.size t.store then None
-    else begin
-      let h = string_of_read t ~off:abs ~len:header_size in
-      if not (Char.equal h.[0] magic_byte) then None
-      else
-        match kind_of_byte (Char.code h.[1]) with
-        | exception Invalid_argument _ -> None
-        | kind ->
-            let len =
-              (Char.code h.[2] lsl 24) lor (Char.code h.[3] lsl 16) lor (Char.code h.[4] lsl 8) lor Char.code h.[5]
-            in
-            if len < 0 || off + header_size + len > segment_size t then None
-            else if abs + header_size + len > Tdb_platform.Untrusted_store.size t.store then None
-            else
-              Some (kind, off + header_size, string_of_read t ~off:(abs + header_size) ~len)
-    end
+    let limit = min (segment_size t - off) (Tdb_platform.Untrusted_store.size t.store - abs) in
+    if header_size > limit then None
+    else
+      match decode_header (string_of_read t ~off:abs ~len:header_size) ~off:0 ~limit with
+      | None -> None
+      | Some (kind, len) -> Some (kind, off + header_size, string_of_read t ~off:(abs + header_size) ~len)
   end
 
 (** Scan all parseable records of one segment from its start: used by the
@@ -349,25 +355,13 @@ let scan_segment t (seg : int) : (record_kind * int * string) list =
   if avail < header_size then []
   else begin
     let img = string_of_read t ~off:base ~len:avail in
-    let acc = ref [] and off = ref 0 and stop = ref false in
-    while not !stop do
-      if !off + header_size > avail then stop := true
-      else if not (Char.equal img.[!off] magic_byte) then stop := true
-      else
-        match kind_of_byte (Char.code img.[!off + 1]) with
-        | exception Invalid_argument _ -> stop := true
-        | kind ->
-            let len =
-              (Char.code img.[!off + 2] lsl 24) lor (Char.code img.[!off + 3] lsl 16)
-              lor (Char.code img.[!off + 4] lsl 8) lor Char.code img.[!off + 5]
-            in
-            if len < 0 || !off + header_size + len > avail then stop := true
-            else begin
-              acc := (kind, !off + header_size, String.sub img (!off + header_size) len) :: !acc;
-              off := !off + header_size + len
-            end
-    done;
-    List.rev !acc
+    let rec go off acc =
+      match decode_header img ~off ~limit:avail with
+      | None -> List.rev acc
+      | Some (kind, len) ->
+          go (off + header_size + len) ((kind, off + header_size, String.sub img (off + header_size) len) :: acc)
+    in
+    go 0 []
   end
 
 (** Fold records following the tail chain from [(seg, off)]: recovery's

@@ -124,7 +124,6 @@ val flush_write : t -> flush_token -> unit
 (** Write a detached token's runs to the store. *)
 
 val read_payload : t -> entry -> string
-val parse_record : t -> seg:int -> off:int -> (record_kind * int * string) option
 val scan_segment : t -> int -> (record_kind * int * string) list
 val scan_chain : t -> seg:int -> off:int -> f:(record_kind -> int * int -> string -> unit) -> unit
 

@@ -72,11 +72,9 @@ let start_session (t : t) (secret : Tdb_platform.Secret_store.t) ~(shard : int) 
           seals = Atomic.make 0;
         }
 
-(** Draw the IV for one {!seal_iv}: [AES_ks(n)] for the session's [n]th
-    seal, truncated to the cipher's block size. Advancing the seal count is
-    the {e only} effectful step of sealing, so the coordinator pre-draws
-    IVs in deterministic operation order and hands the pure remainder to
-    pool workers. [None] when security is off. *)
+(** Draw the IV for one {!seal}: [AES_ks(n)] for the session's [n]th
+    seal, truncated to the cipher's block size. [None] when security is
+    off. *)
 let draw_iv (t : t) : string option =
   match (t.cipher, t.session) with
   | None, _ -> None
@@ -87,19 +85,12 @@ let draw_iv (t : t) : string option =
       Aes.encrypt_block s.iv_key ~src:b ~src_off:0 ~dst:b ~dst_off:0;
       Some (Bytes.sub_string b 0 (Cbc.block_size c))
 
-(** Pure seal under a pre-drawn IV: no mutable state is touched, so this
-    is safe to fan out across domains. [iv] must come from {!draw_iv} on
-    the same context (in particular it must be [None] iff security is
-    off). *)
-let seal_iv (t : t) ~(iv : string option) (plain : string) : string =
-  match (t.cipher, iv) with
-  | None, None -> plain
-  | Some c, Some iv -> Cbc.encrypt c ~iv plain
-  | None, Some _ -> invalid_arg "Security.seal_iv: IV with security off"
-  | Some _, None -> invalid_arg "Security.seal_iv: missing IV"
-
 (** Encrypt a payload for storage (identity when security is off). *)
-let seal (t : t) (plain : string) : string = seal_iv t ~iv:(draw_iv t) plain
+let seal (t : t) (plain : string) : string =
+  match (t.cipher, draw_iv t) with
+  | None, _ -> plain
+  | Some c, Some iv -> Cbc.encrypt c ~iv plain
+  | Some _, None -> invalid_arg "Security.seal: missing IV"
 
 (** Decrypt a stored payload.
     @raise Types.Tamper_detected when padding is malformed. *)

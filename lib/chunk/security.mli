@@ -33,20 +33,15 @@ val start_session : t -> Tdb_platform.Secret_store.t -> shard:int -> counter:int
     before the session's first seal. No-op when security is off. *)
 
 val seal : t -> string -> string
-(** Encrypt for storage (identity when security is off). Equivalent to
-    [seal_iv ~iv:(draw_iv t)]. *)
+(** Encrypt for storage under the next {!draw_iv} (identity when security
+    is off). *)
 
 val draw_iv : t -> string option
-(** Draw the IV for one {!seal_iv}: [AES_ks(n)] for the session's [n]th
+(** Draw the IV for one {!seal}: [AES_ks(n)] for the session's [n]th
     seal, truncated to the cipher's block size. Advancing the count is the
     only effectful step of sealing. Coordinator-only: IV draws must happen
     in deterministic operation order. [None] iff security is off.
     @raise Invalid_argument if security is on and no session started. *)
-
-val seal_iv : t -> iv:string option -> string -> string
-(** Pure seal under a pre-drawn IV; safe to run on any domain.
-    @raise Invalid_argument if the IV's presence contradicts the
-    security mode. *)
 
 val unseal : t -> string -> string
 (** Pure (reads only the cipher); safe to run on any domain.

@@ -416,25 +416,6 @@ let read t g : string =
   let s = shard_of t g and l = local_of t g in
   reglobal t g (fun () -> Chunk_store.read t.shards.(s) l)
 
-let read_many t (gids : chunk_id list) : string list =
-  if Int.equal t.n 1 then Chunk_store.read_many t.shards.(0) gids
-  else begin
-    (* group by shard preserving order, batch per shard, then stitch *)
-    let per = Array.make t.n [] in
-    List.iter (fun g -> per.(shard_of t g) <- local_of t g :: per.(shard_of t g)) gids;
-    let res = Array.map (fun _ -> ref []) t.shards in
-    Array.iteri (fun s l -> res.(s) := Chunk_store.read_many t.shards.(s) (List.rev l)) per;
-    List.map
-      (fun g ->
-        let s = shard_of t g in
-        match !(res.(s)) with
-        | d :: rest ->
-            res.(s) := rest;
-            d
-        | [] -> tamper "read_many stitch underflow")
-      gids
-  end
-
 let deallocate t g : unit =
   let s = shard_of t g and l = local_of t g in
   reglobal t g (fun () -> Chunk_store.deallocate t.shards.(s) l);
@@ -664,7 +645,7 @@ let stats t : Chunk_store.stats =
       chunks_relocated = 0; bytes_relocated = 0; live_segments = 0;
       tampers = 0; bytes_data = 0; bytes_map = 0; bytes_commit = 0;
       grow_policy = 0; grow_fallback = 0; grow_backstop = 0; cache_hits = 0; cache_misses = 0;
-      cache_evictions = 0; par_batches = 0; par_tasks = 0; par_wait_ns = 0;
+      cache_evictions = 0;
       backup_last_id = (Chunk_store.stats t.shards.(0)).backup_last_id;
       backup_base_snapshot = (Chunk_store.stats t.shards.(0)).backup_base_snapshot;
       backup_chain = (Chunk_store.stats t.shards.(0)).backup_chain;
@@ -690,10 +671,7 @@ let stats t : Chunk_store.stats =
       agg.grow_backstop <- agg.grow_backstop + s.grow_backstop;
       agg.cache_hits <- agg.cache_hits + s.cache_hits;
       agg.cache_misses <- agg.cache_misses + s.cache_misses;
-      agg.cache_evictions <- agg.cache_evictions + s.cache_evictions;
-      agg.par_batches <- agg.par_batches + s.par_batches;
-      agg.par_tasks <- agg.par_tasks + s.par_tasks;
-      agg.par_wait_ns <- agg.par_wait_ns + s.par_wait_ns)
+      agg.cache_evictions <- agg.cache_evictions + s.cache_evictions)
     t.shards;
   agg
 
@@ -739,10 +717,6 @@ let metrics t : Metrics.t =
       ("chunk_cache.bytes", Int (sum Chunk_store.cache_bytes));
       ("chunk_cache.budget_bytes", Int (sum Chunk_store.cache_budget));
       ("chunk_cache.resident", Int (sum Chunk_store.cache_resident));
-      ("pool.domains", Int (Chunk_store.domains t.shards.(0)));
-      ("pool.batches", Int st.Chunk_store.par_batches);
-      ("pool.tasks", Int st.Chunk_store.par_tasks);
-      ("pool.wait_us", Int (st.Chunk_store.par_wait_ns / 1000));
       ("cleaner.passes", Int st.Chunk_store.clean_passes);
       ("cleaner.segments_cleaned", Int st.Chunk_store.segments_cleaned);
       ("cleaner.chunks_relocated", Int st.Chunk_store.chunks_relocated);

@@ -109,7 +109,6 @@ val allocate : ?shard:int -> t -> Types.chunk_id
 
 val write : t -> Types.chunk_id -> string -> unit
 val read : t -> Types.chunk_id -> string
-val read_many : t -> Types.chunk_id list -> string list
 val deallocate : t -> Types.chunk_id -> unit
 val restore_chunk : t -> Types.chunk_id -> string -> unit
 
@@ -166,8 +165,8 @@ val stats : t -> Chunk_store.stats
 
 val metrics : t -> Metrics.t
 (** The store's metrics, named by owner: [store.*], [chunk_cache.*],
-    [pool.*], [cleaner.*] (with the [cleaner.live_segments] gauge), [backup.*]
-    and [shard.*] (with [shard.<i>.counter/seq/size_bytes/barriers] at
+    [cleaner.*] (with the [cleaner.live_segments] gauge), [backup.*] and
+    [shard.*] (with [shard.<i>.counter/seq/size_bytes/barriers] at
     every width). The one place store metrics are named. *)
 
 val shards : t -> int

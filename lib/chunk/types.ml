@@ -5,16 +5,11 @@ type chunk_id = int
     ids are never recycled by this implementation (the 24-bit-years supply
     of a fanout-64 depth-4 map makes reuse pointless complexity). *)
 
-let pp_chunk_id = Format.pp_print_int
-
 (** Location of a stored record: [off] is the byte offset of the payload
     within the untrusted store, [len] its (possibly encrypted) length,
     [hash] the digest of the payload bytes as stored (the Merkle label),
     [version] the sequence number of the commit that wrote it. *)
 type entry = { seg : int; off : int; len : int; hash : string; version : int }
-
-let pp_entry ppf e =
-  Format.fprintf ppf "{seg=%d; off=%d; len=%d; ver=%d}" e.seg e.off e.len e.version
 
 let entry_equal a b =
   Int.equal a.seg b.seg && Int.equal a.off b.off && Int.equal a.len b.len

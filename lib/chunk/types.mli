@@ -4,8 +4,6 @@ type chunk_id = int
 (** Chunk names handed out by {!Chunk_store.allocate}. Non-negative; never
     recycled by this implementation. *)
 
-val pp_chunk_id : Format.formatter -> chunk_id -> unit
-
 val reserved_ids : int
 (** Ids [0, reserved_ids) are never handed out by [allocate]; upper layers
     claim them as well-known roots (0: backup-store state, 1: object-store
@@ -20,7 +18,6 @@ type entry = {
 }
 (** Location of a stored record in the log. *)
 
-val pp_entry : Format.formatter -> entry -> unit
 val entry_equal : entry -> entry -> bool
 
 exception Tamper_detected of string

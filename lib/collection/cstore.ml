@@ -128,8 +128,6 @@ let shard_of ?shard (ct : t) ~(name : string) : int option =
            on the shard its existing rows live on *)
         Some (Gkey.hash_bytes name mod ct.nshards)
 
-let collection_shard (c : 'a collection) : int option = c.coll_shard
-
 (* Route allocations inside [f] to the collection's shard. An affinity the
    caller already pinned on the transaction (via
    {!Object_store.set_alloc_shard}) takes precedence — it expresses a

@@ -81,10 +81,6 @@ val open_collection :
     overrides the allocation affinity as in {!create_collection}.
     @raise Tdb_objstore.Obj_class.Type_mismatch if [schema] differs from the stored one. *)
 
-val collection_shard : 'a collection -> int option
-(** The shard new allocations for this collection are routed to; [None]
-    on an unsharded store. *)
-
 val collection_exists : t -> name:string -> bool
 
 val remove_collection :

@@ -37,8 +37,5 @@ let key_bytes (ix : ('a, 'k) t) (v : 'a) : string = Gkey.to_bytes ix.key (ix.ext
 type 'a generic = Generic : ('a, 'k) t -> 'a generic
 
 let generic_name (Generic ix) = ix.name
-let generic_impl (Generic ix) = ix.impl
-let generic_unique (Generic ix) = ix.unique
 let generic_key_bytes (Generic ix) (v : 'a) = key_bytes ix v
-let generic_cmp (Generic ix) = Gkey.bytes_compare ix.key
 let generic_immutable (Generic ix) = ix.immutable

@@ -45,8 +45,5 @@ val key_bytes : ('a, 'k) t -> 'a -> string
 type 'a generic = Generic : ('a, 'k) t -> 'a generic
 
 val generic_name : 'a generic -> string
-val generic_impl : 'a generic -> impl
-val generic_unique : 'a generic -> bool
 val generic_key_bytes : 'a generic -> 'a -> string
-val generic_cmp : 'a generic -> string -> string -> int
 val generic_immutable : 'a generic -> bool

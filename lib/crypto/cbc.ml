@@ -21,7 +21,6 @@ type cipher = Cipher : (module Block.CIPHER with type key = 'k) * 'k -> cipher
 let make (module C : Block.CIPHER) ~(secret : string) : cipher =
   Cipher ((module C), C.of_secret secret)
 
-let cipher_name (Cipher ((module C), _)) = C.name
 let block_size (Cipher ((module C), _)) = C.block_size
 
 (** [padded_len c n] is the ciphertext length (excluding IV) for an [n]-byte

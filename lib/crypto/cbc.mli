@@ -9,7 +9,6 @@ type cipher
 (** A cipher packaged with its expanded key (run-time selectable). *)
 
 val make : (module Block.CIPHER) -> secret:string -> cipher
-val cipher_name : cipher -> string
 val block_size : cipher -> int
 
 val padded_len : cipher -> int -> int

@@ -6,10 +6,6 @@
 
 let lt_mask (a : int) (b : int) : int = (a - b) asr (Sys.int_size - 1)
 
-let eq_mask (a : int) (b : int) : int =
-  let x = a lxor b in
-  lnot ((x lor -x) asr (Sys.int_size - 1))
-
 let equal_string (a : string) (b : string) : bool =
   if String.length a <> String.length b then false
   else begin

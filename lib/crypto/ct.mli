@@ -13,6 +13,3 @@ val equal_bytes : bytes -> bytes -> bool
 
 val lt_mask : int -> int -> int
 (** [lt_mask a b] is [-1] iff [a < b]. *)
-
-val eq_mask : int -> int -> int
-(** [eq_mask a b] is [-1] iff [a = b]. *)

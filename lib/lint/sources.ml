@@ -120,7 +120,6 @@ let blocking_calls =
     key "Thread" "delay" "sleep";
     key "Thread" "join" "thread join";
     key "Domain" "join" "domain join";
-    key "Pool" "map" "parks the coordinator until every pool worker drains";
     key "Untrusted_store" "read" "store read (disk I/O)";
     key "Untrusted_store" "write" "store write (disk I/O)";
     key "Untrusted_store" "writev" "store write (disk I/O)";
@@ -145,13 +144,13 @@ let io_locks = [ "Object_store.mu"; "Client.mu" ]
 
 (** Where R7 violations are reported: the threaded layers grown by the
     service/group-commit work. *)
-let lock_report_dirs = [ "lib/server"; "lib/objstore"; "lib/chunk"; "lib/parallel" ]
+let lock_report_dirs = [ "lib/server"; "lib/objstore"; "lib/chunk" ]
 
 (** Effectful calls that must stay on the coordinator domain: anything
     that draws from or advances shared randomness / sealing state. Safe
     under a mutex (Drbg locks internally; the IV seal count is atomic) but
-    {e order-destroying} when it runs inside a [Domain.spawn] body or a
-    pool worker: commit determinism depends on IVs being drawn
+    {e order-destroying} when it runs inside a [Domain.spawn] body:
+    commit determinism depends on IVs being drawn
     sequentially in operation order, so the R7 walker flags these (and
     anything that transitively calls them) inside spawned code. *)
 let coordinator_only =

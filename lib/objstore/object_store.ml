@@ -21,8 +21,6 @@ open Tdb_chunk
 
 type oid = int
 
-let pp_oid = Format.pp_print_int
-
 exception Unknown_object of oid
 exception Stale_ref
 exception Removed_in_transaction of oid
@@ -217,25 +215,6 @@ let load t (oid : oid) : Cache.entry =
       match Shard_store.read t.cs oid with
       | bytes -> Cache.put t.cache oid (Obj_class.unpickle_value bytes) ~size:(String.length bytes)
       | exception Types.Not_written _ -> raise (Unknown_object oid) )
-
-(** Warm the two-level cache for a batch of objects: the chunk reads for
-    every object not already cached run through
-    {!Chunk_store.read_many}, whose verify/decrypt/parse work fans out
-    over the domain pool — the batched-read entry point for scans and
-    restart warm-up. Takes no locks and pins nothing; returns how many
-    objects were actually fetched.
-    @raise Unknown_object if any requested object does not exist. *)
-let preload (t : t) (oids : oid list) : int =
-  with_mu t (fun () ->
-      let missing = List.filter (fun oid -> Cache.find t.cache oid = None) oids in
-      match Shard_store.read_many t.cs missing with
-      | chunks ->
-          List.iter2
-            (fun oid bytes ->
-              ignore (Cache.put t.cache oid (Obj_class.unpickle_value bytes) ~size:(String.length bytes)))
-            missing chunks;
-          List.length missing
-      | exception Types.Not_written oid -> raise (Unknown_object oid))
 
 (** Insert a new object; it is immediately locked exclusively, pinned and
     dirty (no-steal: it stays in cache until commit writes it). Returns its

@@ -14,8 +14,6 @@
 type oid = int
 (** Persistent object id (= the chunk id the object is stored in). *)
 
-val pp_oid : Format.formatter -> oid -> unit
-
 exception Unknown_object of oid
 exception Stale_ref
 (** A ref was dereferenced after its transaction ended (paper Section 4.1:
@@ -58,14 +56,6 @@ val chunk_cache_stats : t -> int * int * int
 val set_chunk_cache_budget : t -> int -> unit
 (** Resize the underlying chunk store's verified-chunk cache at runtime
     (0 disables it); evicts immediately if over the new budget. *)
-
-val preload : t -> oid list -> int
-(** Warm the cache for a batch of objects in one parallel sweep: chunk
-    reads for the objects not already cached go through
-    {!Tdb_chunk.Chunk_store.read_many}, which verifies and decrypts
-    misses on the domain pool. Takes no transactional locks; returns the
-    number of objects actually fetched.
-    @raise Unknown_object if any requested object does not exist. *)
 
 val held_count : t -> int
 (** Objects currently holding at least one transactional lock — 0 when no

@@ -93,8 +93,6 @@ let read_byte r =
   r.pos <- r.pos + 1;
   c
 
-let read_char r = Char.chr (read_byte r)
-
 let read_bool r =
   match read_byte r with 0 -> false | 1 -> true | n -> error "Pickle: invalid bool %d" n
 
@@ -141,7 +139,6 @@ let read_string r =
   r.pos <- r.pos + n;
   s
 
-let read_bytes r = Bytes.of_string (read_string r)
 let read_option r f = if read_bool r then Some (f r) else None
 
 let read_list r f =

@@ -53,7 +53,6 @@ val reader : ?off:int -> ?len:int -> string -> reader
 val remaining : reader -> int
 val at_end : reader -> bool
 val read_byte : reader -> int
-val read_char : reader -> char
 val read_bool : reader -> bool
 val read_uint : reader -> int
 (** Never negative: a varint that decodes past [max_int] (untrusted bytes
@@ -65,7 +64,6 @@ val read_int64 : reader -> int64
 val read_int32_fixed : reader -> int
 val read_float : reader -> float
 val read_string : reader -> string
-val read_bytes : reader -> bytes
 val read_option : reader -> (reader -> 'a) -> 'a option
 val read_list : reader -> (reader -> 'a) -> 'a list
 val read_pair : reader -> (reader -> 'a) -> (reader -> 'b) -> 'a * 'b

@@ -97,7 +97,7 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
     { Config.default with Config.security; max_utilization = 0.75;
       checkpoint_every = 100_000; checkpoint_residual_bytes = max (384 * 1024) (4 * s.cache_bytes);
       chunk_cache_bytes = s.cache_bytes; cipher = Config.Triple_xtea; hash = Config.Sha1;
-      domains = 1; shards = 1 }
+      shards = 1 }
   in
   let cs = Shard_store.create ~config ~secret ~counters:[| counter |] [| store |] in
   (* Bulk-load the meter population (nondurable batches, like the TPC-B

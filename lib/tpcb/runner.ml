@@ -86,10 +86,9 @@ let drive ?idle_every ?(idle : (unit -> unit) option) ?(gen = Workload.gen_txn)
   let alloc_per_txn = !alloc /. float_of_int (Sys.word_size / 8) /. float_of_int measured in
   (total, cpu, io, bytes_per_txn, writes_per_txn, alloc_per_txn)
 
-let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every ?domains
-    ?(shards = 1) ?(affine = false) (scale : Workload.scale) :
-    result =
-  let t = Tdb_driver.setup ~security ~max_utilization ?model ?domains ~shards scale in
+let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every ?(shards = 1)
+    ?(affine = false) (scale : Workload.scale) : result =
+  let t = Tdb_driver.setup ~security ~max_utilization ?model ~shards scale in
   let gen = if affine then Workload.gen_txn_affine else Workload.gen_txn in
   let total, cpu, io, bytes_per_txn, writes_per_txn, alloc_words_per_txn =
     drive ?idle_every ~idle:(fun () -> Tdb_driver.idle_clean t) ~gen scale ~seed:"tpcb-run"

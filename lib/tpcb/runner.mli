@@ -32,13 +32,11 @@ val mean : float array -> float
 
 val run_tdb :
   ?security:bool -> ?max_utilization:float -> ?model:Sim_disk.model -> ?idle_every:int ->
-  ?domains:int -> ?shards:int -> ?affine:bool -> Workload.scale -> result
+  ?shards:int -> ?affine:bool -> Workload.scale -> result
 (** [idle_every] injects idle-period maintenance (uncharged cleaning) every
-    N transactions — the paper's DRM workload shape. [domains] sets the
-    seal/unseal pipeline width (default:
-    {!Tdb_parallel.Pool.default_domains}). [shards] (default 1) runs the
-    benchmark over a branch-partitioned sharded store; [affine] switches
-    the input generator to {!Workload.gen_txn_affine} (use it for shard
+    N transactions — the paper's DRM workload shape. [shards] (default 1)
+    runs the benchmark over a branch-partitioned sharded store; [affine]
+    switches the input generator to {!Workload.gen_txn_affine} (use it for shard
     sweeps at {e every} width so cross-shard fractions are comparable). *)
 
 val run_bdb : ?model:Sim_disk.model -> Workload.scale -> result

@@ -48,7 +48,7 @@ let history_name n s = if n <= 1 then "history" else Printf.sprintf "history.%d"
 (** Build and populate a TPC-B database in an in-memory untrusted store
     whose I/O is charged to [clock] (see {!Sim_disk}). *)
 let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_platform)
-    ?(domains = Tdb_parallel.Pool.default_domains ()) ?(shards = 1) (scale : Workload.scale) : t =
+    ?(shards = 1) (scale : Workload.scale) : t =
   let clock = Sim_disk.clock () in
   let raw_stores = Array.init shards (fun _ -> snd (Untrusted_store.open_mem ())) in
   let stores = Array.map (Sim_disk.wrap_store model clock) raw_stores in
@@ -75,7 +75,7 @@ let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_p
          second level under LRU inclusion would duplicate the first and
          capture nothing; total memory stays at BDB parity. *)
       chunk_cache_bytes = scale.Workload.cache_bytes * 3 / 4;
-      cipher = Config.Triple_xtea; hash = Config.Sha1; domains; shards }
+      cipher = Config.Triple_xtea; hash = Config.Sha1; shards }
   in
   let cs = Shard_store.create ~config ~secret ~counters stores in
   let os =

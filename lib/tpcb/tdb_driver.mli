@@ -26,12 +26,9 @@ type t = {
 }
 
 val setup :
-  ?security:bool -> ?max_utilization:float -> ?model:Sim_disk.model -> ?domains:int ->
-  ?shards:int -> Workload.scale -> t
+  ?security:bool -> ?max_utilization:float -> ?model:Sim_disk.model -> ?shards:int -> Workload.scale -> t
 (** Build and bulk-load a TPC-B database on [shards] in-memory stores
-    (default 1) whose I/O charges the simulated clock. [domains] sets the
-    seal/unseal pipeline width (default:
-    {!Tdb_parallel.Pool.default_domains}). *)
+    (default 1) whose I/O charges the simulated clock. *)
 
 val txn : t -> Workload.txn_input -> int
 (** One TPC-B transaction (durable commit); returns the account balance. *)

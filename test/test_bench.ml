@@ -18,8 +18,6 @@ let rules =
   [
     ("tpcb", "label", J.Str "TDB-S", "ops_per_s", 100., 85., false);
     ("tpcb", "label", J.Str "TDB-S", "store_writes_per_txn", 1.0, 1.15, true);
-    ("domains", "label", J.Str "tdbs/d2", "ops_per_s", 160., 136., false);
-    ("domains", "label", J.Str "tdbs/d2", "store_writes_per_txn", 2.0, 2.3, true);
     ("meter", "alpha", J.Num (0.8, 1), "write_amp", 0.1, 0.135, true);
     ("micro", "name", J.Str "tdb/sha1/1KiB", "ns_per_op", 1000., 1500., true);
   ]
@@ -39,12 +37,6 @@ let test_explicit_tolerance () =
   Alcotest.(check bool) "1.11x beyond 0.10" false (passes ~tol:0.10 (mk 1000.) (mk 1110.))
 
 let label l ops = row "label" (J.Str l) [ ("ops_per_s", ops); ("store_writes_per_txn", 1.0) ]
-
-let test_domains_axis () =
-  (* d4 holds its own baseline row but falls behind d1 in the fresh run *)
-  let mk d4 = file "domains" [ label "tdbs/d1" 100.; label "tdbs/d4" d4 ] in
-  Alcotest.(check bool) "d4 just inside d1" true (passes (mk 85.01) (mk 85.01));
-  Alcotest.(check bool) "d4 just outside d1" false (passes (mk 84.99) (mk 84.99))
 
 let test_shards_axis () =
   let base = file "tpcb" [ label "TDB-S" 100. ] in
@@ -67,7 +59,7 @@ let test_missing_label_skipped () =
   Alcotest.(check bool) "noted" true
     (List.exists (fun (v, msg) -> (match v with Guard.Note -> true | _ -> false) && String.equal msg "new: not in baseline, skipping") verdicts)
 
-let committed = [ "BENCH_TPCB.json"; "BENCH_DOMAINS.json"; "BENCH_SHARDS.json"; "BENCH_METER.json"; "BENCH_MICRO.json"; "BENCH_REPLICA.json" ]
+let committed = [ "BENCH_TPCB.json"; "BENCH_SHARDS.json"; "BENCH_METER.json"; "BENCH_MICRO.json"; "BENCH_REPLICA.json" ]
 
 (* tests run from test/ under _build; dune exec runs from the repo root *)
 let path f = if Sys.file_exists f then f else Filename.concat ".." f
@@ -96,7 +88,6 @@ let () =
         [
           Alcotest.test_case "inside passes, outside fails" `Quick test_rules;
           Alcotest.test_case "explicit tolerance" `Quick test_explicit_tolerance;
-          Alcotest.test_case "domains d4 vs d1" `Quick test_domains_axis;
           Alcotest.test_case "shards=1 vs TDB-S" `Quick test_shards_axis;
           Alcotest.test_case "meter scale mismatch" `Quick test_meter_scale_mismatch;
           Alcotest.test_case "missing label skipped" `Quick test_missing_label_skipped;

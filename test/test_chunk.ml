@@ -68,21 +68,23 @@ let test_commit_single_flush () =
    durable-prefix rule truncates there) rather than loop forever — found
    by the crashfuzz commit-flush sweep at a fragment boundary whose
    surviving-writes subset kept an old marker intact. *)
+(* A record header built by hand: magic, kind byte, 4-byte length. *)
+let raw_header ?(magic = Log.magic_byte) kind_byte len =
+  let h = Bytes.create Log.header_size in
+  Bytes.set h 0 magic;
+  Bytes.set h 1 (Char.chr kind_byte);
+  Bytes.set h 2 (Char.chr ((len lsr 24) land 0xff));
+  Bytes.set h 3 (Char.chr ((len lsr 16) land 0xff));
+  Bytes.set h 4 (Char.chr ((len lsr 8) land 0xff));
+  Bytes.set h 5 (Char.chr (len land 0xff));
+  Bytes.to_string h
+
 let test_scan_chain_cycle () =
   let _, store = Untrusted_store.open_mem () in
   let log = Log.create store (cfg ()) in
   let seg_size = Log.segment_size log in
   let seg_start s = log.Log.log_base + (s * seg_size) in
-  let header kind len =
-    let h = Bytes.create Log.header_size in
-    Bytes.set h 0 Log.magic_byte;
-    Bytes.set h 1 (Char.chr (Types.kind_to_byte kind));
-    Bytes.set h 2 (Char.chr ((len lsr 24) land 0xff));
-    Bytes.set h 3 (Char.chr ((len lsr 16) land 0xff));
-    Bytes.set h 4 (Char.chr ((len lsr 8) land 0xff));
-    Bytes.set h 5 (Char.chr (len land 0xff));
-    Bytes.to_string h
-  in
+  let header kind len = raw_header (Types.kind_to_byte kind) len in
   let marker next =
     header Types.Next_segment 4
     ^ String.init 4 (fun i -> Char.chr ((next lsr (8 * (3 - i))) land 0xff))
@@ -95,6 +97,34 @@ let test_scan_chain_cycle () =
   Log.scan_chain log ~seg:0 ~off:0 ~f:(fun _ _ payload -> seen := payload :: !seen);
   Alcotest.(check (list string)) "each segment's records visited once" [ "aaaa"; "bbbb" ]
     (List.rev !seen)
+
+(* Recovery's chain scan and the cleaner's segment scan decode record
+   headers from untrusted bytes before any MAC check. Both must stop, not
+   skip ahead, at the first header with a bad magic byte, an unknown kind
+   or a length running past the segment end. *)
+let test_scans_stop_at_bad_header () =
+  let data_byte = Types.kind_to_byte Types.Data_chunk in
+  let cases =
+    [
+      ("well-formed", raw_header data_byte 4, [ "aaaa"; "bbbb"; "cccc"; "dddd" ]);
+      ("bad magic", raw_header ~magic:'\x00' data_byte 4, [ "aaaa"; "bbbb" ]);
+      ("unknown kind", raw_header 0xEE 4, [ "aaaa"; "bbbb" ]);
+      ("length past segment end", raw_header data_byte 4096, [ "aaaa"; "bbbb" ]);
+    ]
+  in
+  List.iter
+    (fun (what, third, expect) ->
+      let _, store = Untrusted_store.open_mem () in
+      let log = Log.create store (cfg ()) in
+      let data s = raw_header data_byte (String.length s) ^ s in
+      let seg0 = log.Log.log_base in
+      Untrusted_store.write store ~off:seg0 (data "aaaa" ^ data "bbbb" ^ third ^ "cccc" ^ data "dddd");
+      let chain = ref [] in
+      Log.scan_chain log ~seg:0 ~off:0 ~f:(fun _ _ payload -> chain := payload :: !chain);
+      Alcotest.(check (list string)) (what ^ ": chain scan") expect (List.rev !chain);
+      Alcotest.(check (list string)) (what ^ ": segment scan") expect
+        (List.map (fun (_, _, payload) -> payload) (Log.scan_segment log 0)))
+    cases
 
 let test_read_uncommitted_batch () =
   let env = fresh_env () in
@@ -948,14 +978,69 @@ let qcheck_commit_batches =
         batches;
       Hashtbl.fold (fun k v ok -> ok && Chunk_store.read cs (Hashtbl.find key_to_cid k) = v) model true)
 
+(* --- store image pin --- *)
+
+(* One deterministic workload: enough writes per batch to split into
+   sub-commits (the commit-record budget is segment_size/4), deallocations
+   mid-batch, nondurable commits and a reopen mid-trace. The image digest
+   is pinned: sealing order, IV draws and record layout must not drift. *)
+let trace_image () =
+  let config = cfg ~checkpoint_every:8 () in
+  let env = { (fresh_env ()) with secret = Secret_store.of_seed "par-test-device" } in
+  let lcg = ref 42 in
+  let next_int bound =
+    lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
+    !lcg mod bound
+  in
+  let cs = ref (create ~config env) in
+  let live = ref [] and expect = Hashtbl.create 128 in
+  for round = 0 to 4 do
+    let ids = List.init 25 (fun _ -> Chunk_store.allocate !cs) in
+    List.iteri
+      (fun i cid ->
+        let data = Printf.sprintf "r%d-i%d-%s" round i (String.make (16 + next_int 200) 'x') in
+        Chunk_store.write !cs cid data;
+        Hashtbl.replace expect cid data)
+      ids;
+    live := !live @ ids;
+    if round mod 3 = 2 then begin
+      match !live with
+      | a :: b :: rest ->
+          Chunk_store.deallocate !cs a;
+          Chunk_store.deallocate !cs b;
+          live := rest
+      | _ -> ()
+    end;
+    Chunk_store.commit ~durable:(round mod 2 = 0) !cs;
+    if round = 3 then begin
+      Chunk_store.close !cs;
+      cs := reopen ~config env
+    end
+  done;
+  Chunk_store.commit ~durable:true !cs;
+  List.iter
+    (fun cid -> Alcotest.(check string) "read back" (Hashtbl.find expect cid) (Chunk_store.read !cs cid))
+    !live;
+  Chunk_store.close !cs;
+  Untrusted_store.Mem.contents env.mem
+
+let test_deterministic_images () =
+  let img = trace_image () in
+  Alcotest.(check bool) "same image on a second run" true (String.equal img (trace_image ()));
+  Alcotest.(check string) "pinned image digest"
+    "a95c03df623c512cddc0685914a30f1cd6492a1d23eaafc3d8878de92ea26751"
+    (Tdb_crypto.Hex.of_string (Tdb_crypto.Sha256.digest img))
+
 let () =
   Alcotest.run "tdb_chunk"
     [
+      ("store", [ Alcotest.test_case "deterministic images" `Quick test_deterministic_images ]);
       ( "api",
         [
           Alcotest.test_case "write/read" `Quick test_write_read;
           Alcotest.test_case "commit is one coalesced flush" `Quick test_commit_single_flush;
           Alcotest.test_case "scan_chain terminates on a marker cycle" `Quick test_scan_chain_cycle;
+          Alcotest.test_case "scans stop at a bad record header" `Quick test_scans_stop_at_bad_header;
           Alcotest.test_case "pending batch visible" `Quick test_read_uncommitted_batch;
           Alcotest.test_case "unallocated signals" `Quick test_unallocated_signals;
           Alcotest.test_case "overwrite/resize" `Quick test_overwrite_and_resize;

@@ -1,172 +1,10 @@
-(* Parallel seal/unseal tests: pool semantics, cross-domain safety of the
-   crypto paths, the determinism contract (same trace at domains=1 and
-   domains=4 => byte-identical store images), and the thread-safety
-   regression tests for the chunk cache, HMAC precomputed keys and the
-   DRBG. *)
+(* Cross-domain safety regressions: the chunk cache refuses a foreign
+   domain, precomputed HMAC keys and the DRBG stay correct when shared
+   across domains. The server runs threads, so these invariants still
+   matter with sealing on the calling domain. *)
 
-open Tdb_platform
 open Tdb_crypto
 open Tdb_chunk
-module Pool = Tdb_parallel.Pool
-
-(* --- pool semantics --- *)
-
-let test_pool_map () =
-  let input = Array.init 100 (fun i -> i) in
-  let expect = Array.map (fun i -> i * i) input in
-  Alcotest.(check (array int)) "domains=1 inline" expect (Pool.map ~domains:1 input (fun i -> i * i));
-  Alcotest.(check (array int)) "domains=4 pooled" expect (Pool.map ~domains:4 input (fun i -> i * i));
-  Alcotest.(check (array int)) "domains=8 pooled" expect (Pool.map ~domains:8 input (fun i -> i * i));
-  Alcotest.(check (array int)) "empty" [||] (Pool.map ~domains:4 [||] (fun i -> i * i));
-  Alcotest.(check (array int)) "singleton" [| 49 |] (Pool.map ~domains:4 [| 7 |] (fun i -> i * i))
-
-exception Boom of int
-
-let test_pool_exception () =
-  (* The lowest-index failure is re-raised, like a sequential map. *)
-  let input = Array.init 50 (fun i -> i) in
-  let run domains =
-    match Pool.map ~domains input (fun i -> if i mod 20 = 13 then raise (Boom i) else i) with
-    | _ -> Alcotest.fail "expected Boom"
-    | exception Boom i -> i
-  in
-  Alcotest.(check int) "sequential lowest index" 13 (run 1);
-  Alcotest.(check int) "pooled lowest index" 13 (run 4);
-  (* The pool survives a failed batch and keeps serving. *)
-  Alcotest.(check (array int)) "pool still works" [| 0; 2; 4 |]
-    (Pool.map ~domains:4 [| 0; 1; 2 |] (fun i -> 2 * i))
-
-let test_pool_stats () =
-  let s0 = Pool.stats () in
-  ignore (Pool.map ~domains:4 (Array.init 32 (fun i -> i)) (fun i -> i + 1));
-  let s1 = Pool.stats () in
-  Alcotest.(check bool) "tasks counted" true (s1.Pool.p_tasks - s0.Pool.p_tasks >= 32);
-  Alcotest.(check bool) "batch counted" true (s1.Pool.p_batches - s0.Pool.p_batches >= 1);
-  Alcotest.(check bool) "workers capped" true (s1.Pool.p_workers >= 1 && s1.Pool.p_workers <= 7)
-
-let test_default_domains () =
-  Unix.putenv "TDB_DOMAINS" "3";
-  Alcotest.(check int) "TDB_DOMAINS honored" 3 (Pool.default_domains ());
-  Unix.putenv "TDB_DOMAINS" "64";
-  Alcotest.(check bool) "clamped to pool cap" true (Pool.default_domains () <= 8);
-  Unix.putenv "TDB_DOMAINS" "zero";
-  (match Pool.default_domains () with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  Unix.putenv "TDB_DOMAINS" "1"
-
-(* --- chunk-store fixtures (mirrors test_chunk.ml) --- *)
-
-let cfg ?(domains = 1) () =
-  {
-    Config.default with
-    Config.security = true;
-    segment_size = 4096;
-    initial_segments = 8;
-    max_utilization = 0.6;
-    checkpoint_every = 8;
-    anchor_slot_size = 2048;
-    clean_batch = 2;
-    checkpoint_residual_bytes = 4 * 4096;
-    domains;
-  }
-
-type env = {
-  mem : Untrusted_store.Mem.handle;
-  store : Untrusted_store.t;
-  secret : Secret_store.t;
-  ctr : One_way_counter.t;
-}
-
-let fresh_env () =
-  let mem, store = Untrusted_store.open_mem () in
-  let _ctr_h, ctr = One_way_counter.open_mem () in
-  { mem; store; secret = Secret_store.of_seed "par-test-device"; ctr }
-
-(* Tiny deterministic generator for trace data (not Random: traces must be
-   identical across runs and domain counts). *)
-let lcg = ref 42
-
-let next_int bound =
-  lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
-  !lcg mod bound
-
-(* One deterministic workload: enough writes per batch to force sub-commit
-   splitting (commit-record budget is segment_size/4), interleaved
-   deallocations, nondurable commits, a reopen (recovery) and reads. *)
-let run_trace (cs0 : Chunk_store.t) (env : env) ~(config : Config.t) : Chunk_store.t * string list =
-  lcg := 42;
-  let cs = ref cs0 in
-  let live = ref [] in
-  for round = 0 to 4 do
-    let ids = List.init 25 (fun _ -> Chunk_store.allocate !cs) in
-    List.iteri
-      (fun i cid ->
-        let n = 16 + next_int 200 in
-        Chunk_store.write !cs cid (Printf.sprintf "r%d-i%d-%s" round i (String.make n 'x')))
-      ids;
-    live := !live @ ids;
-    (* every third round, drop a few of the oldest survivors mid-batch *)
-    if round mod 3 = 2 then begin
-      match !live with
-      | a :: b :: rest ->
-          Chunk_store.deallocate !cs a;
-          Chunk_store.deallocate !cs b;
-          live := rest
-      | _ -> ()
-    end;
-    Chunk_store.commit ~durable:(round mod 2 = 0) !cs;
-    if round = 3 then begin
-      (* recovery mid-trace: parallel label validation runs here *)
-      Chunk_store.close !cs;
-      cs := Chunk_store.open_existing ~config ~secret:env.secret ~counter:env.ctr env.store
-    end
-  done;
-  Chunk_store.commit ~durable:true !cs;
-  let data = Chunk_store.read_many !cs !live in
-  (!cs, data)
-
-let test_deterministic_images () =
-  (* The same trace at domains=1 and domains=4 must produce byte-identical
-     store images — the determinism contract of the parallel pipeline. *)
-  let run domains =
-    let config = cfg ~domains () in
-    let env = fresh_env () in
-    let cs = Chunk_store.create ~config ~secret:env.secret ~counter:env.ctr env.store in
-    let cs, data = run_trace cs env ~config in
-    Chunk_store.close cs;
-    (Untrusted_store.Mem.contents env.mem, data)
-  in
-  let img1, data1 = run 1 in
-  let img4, data4 = run 4 in
-  Alcotest.(check int) "image sizes equal" (String.length img1) (String.length img4);
-  Alcotest.(check bool) "images byte-identical" true (String.equal img1 img4);
-  Alcotest.(check (list string)) "reads identical" data1 data4
-
-let test_read_many () =
-  let config = cfg ~domains:4 () in
-  let env = fresh_env () in
-  let cs = Chunk_store.create ~config ~secret:env.secret ~counter:env.ctr env.store in
-  let ids = List.init 40 (fun _ -> Chunk_store.allocate cs) in
-  List.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "item-%d-%s" i (String.make (i * 7) 'y'))) ids;
-  Chunk_store.commit cs;
-  (* batched = sequential, including buffered (uncommitted) writes *)
-  let fresh = Chunk_store.allocate cs in
-  Chunk_store.write cs fresh "buffered";
-  let all = ids @ [ fresh ] in
-  Alcotest.(check (list string)) "read_many = map read" (List.map (Chunk_store.read cs) all)
-    (Chunk_store.read_many cs all);
-  (* misses decrypt in parallel after a cache wipe *)
-  Chunk_store.set_cache_budget cs 0;
-  Chunk_store.set_cache_budget cs (1 lsl 20);
-  Alcotest.(check (list string)) "read_many after cache wipe" (List.map (Chunk_store.read cs) all)
-    (Chunk_store.read_many cs all);
-  let st = Chunk_store.stats cs in
-  Alcotest.(check bool) "pool was used" true (st.Chunk_store.par_tasks > 0);
-  (match Chunk_store.read_many cs [ 999999 ] with
-  | _ -> Alcotest.fail "expected Not_written"
-  | exception Tdb_chunk.Types.Not_written _ -> ());
-  Chunk_store.close cs
 
 (* --- regression: chunk cache is single-writer (owner assertion) --- *)
 
@@ -246,34 +84,9 @@ let test_drbg_parallel () =
   Alcotest.(check string) "deterministic split" (Drbg.generate ca 16) (Drbg.generate cb 16);
   Alcotest.(check string) "parent advanced identically" (Drbg.generate a 16) (Drbg.generate b 16)
 
-(* --- crashfuzz with the pool enabled --- *)
-
-let test_crashfuzz_with_domains () =
-  (* Config.default picks up TDB_DOMAINS (set to 4 here): the bounded
-     sweep exercises parallel sealing and recovery validation under
-     injected crashes. *)
-  Unix.putenv "TDB_DOMAINS" "4";
-  let report = Tdb_faultsim.Crashfuzz.sweep_crashpoints ~trace:Tdb_faultsim.Crashfuzz.smoke_trace ~seeds:1 ~stride:29 () in
-  Unix.putenv "TDB_DOMAINS" "1";
-  Alcotest.(check int) "no violations" 0 (List.length report.Tdb_faultsim.Crashfuzz.violations);
-  Alcotest.(check bool) "ran crashpoints" true (report.Tdb_faultsim.Crashfuzz.crashpoints > 0)
-
 let () =
   Alcotest.run "parallel"
     [
-      ( "pool",
-        [
-          Alcotest.test_case "map" `Quick test_pool_map;
-          Alcotest.test_case "exceptions" `Quick test_pool_exception;
-          Alcotest.test_case "stats" `Quick test_pool_stats;
-          Alcotest.test_case "default_domains" `Quick test_default_domains;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "deterministic images" `Quick test_deterministic_images;
-          Alcotest.test_case "read_many" `Quick test_read_many;
-          Alcotest.test_case "crashfuzz with domains" `Slow test_crashfuzz_with_domains;
-        ] );
       ( "regressions",
         [
           Alcotest.test_case "cache ownership" `Quick test_cache_ownership;

@@ -684,9 +684,47 @@ let qcheck_btree_model = index_model_test Tdb_collection.Indexer.Btree "btree ma
 let qcheck_hash_model = index_model_test Tdb_collection.Indexer.Hash "hash matches model"
 let qcheck_list_model = index_model_test Tdb_collection.Indexer.List "list matches model"
 
+(* ------------------------------------------------------------------ *)
+(* Config pins                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Child mode for the pin test: report what [Config.default] resolved to
+   in this process's environment. *)
+let print_default_domains = "--print-default-domains"
+
+let () =
+  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) print_default_domains then begin
+    print_int Config.default.Config.domains;
+    exit 0
+  end
+
+let test_config_pins () =
+  let rejects what c =
+    Alcotest.(check bool) (what ^ " rejected") true
+      (match Config.validate c with () -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "tiers = 2" { Config.default with Config.tiers = 2 };
+  rejects "domains = 4" { Config.default with Config.domains = 4 };
+  Config.validate Config.default;
+  (* the environment no longer widens the default *)
+  let env =
+    Array.append [| "TDB_DOMAINS=4" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"TDB_DOMAINS=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let out, inp, err =
+    Unix.open_process_args_full Sys.executable_name [| Sys.executable_name; print_default_domains |] env
+  in
+  let printed = In_channel.input_all out in
+  ignore (Unix.close_process_full (out, inp, err));
+  Alcotest.(check string) "default domains under TDB_DOMAINS=4" "1" printed
+
 let () =
   Alcotest.run "tdb_units"
     [
+      ( "config", [ Alcotest.test_case "pinned fields" `Quick test_config_pins ] );
       ( "security",
         [
           Alcotest.test_case "seal roundtrip" `Quick test_security_seal_roundtrip;
