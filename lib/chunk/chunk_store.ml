@@ -256,10 +256,11 @@ let do_checkpoint t : unit =
     invalid_arg "Chunk_store.checkpoint: staged barrier in flight";
   let promote = t.promotable && t.sec.Security.enabled in
   if promote then t.last_counter <- Int64.add t.last_counter 1L;
+  let retired = ref [] in
   let root =
     Location_map.checkpoint t.map
       ~write_node:(fun payload -> append_payload t Map_node ~version:t.seq payload)
-      ~obsolete:(fun e -> Log.obsolete_entry t.log e)
+      ~retire:(fun e -> retired := e :: !retired)
   in
   (* all dirty map nodes (and any cleaner relocations that triggered this
      checkpoint) coalesce into one vectored flush before the sync *)
@@ -268,6 +269,9 @@ let do_checkpoint t : unit =
   write_anchor t ~root;
   if promote then bump_counter t ~expected:t.last_counter;
   t.promotable <- false;
+  (* The only place a map node's superseded copy dies: the old anchor
+     reached it until [write_anchor] above. *)
+  List.iter (Log.obsolete_entry t.log) !retired;
   Log.end_checkpoint t.log;
   t.commits_since_cp <- 0;
   t.stats.checkpoints <- t.stats.checkpoints + 1
@@ -316,9 +320,7 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
                                and Merkle labels survive the move) *)
                             let nseg, noff = append_rec t Data_chunk sealed in
                             let e' = { e with seg = nseg; off = noff } in
-                            let old, obsolete_nodes = Location_map.set t.map (fetch t) cid e' in
-                            (match old with Some o -> Log.obsolete_entry t.log o | None -> ());
-                            List.iter (Log.obsolete_entry t.log) obsolete_nodes;
+                            Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e');
                             relocated := (cid, e') :: !relocated;
                             t.stats.chunks_relocated <- t.stats.chunks_relocated + 1;
                             t.stats.bytes_relocated <- t.stats.bytes_relocated + String.length sealed
@@ -333,14 +335,11 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
                         (* live iff the current map's node at (level, base)
                            still points here; dirty it so the checkpoint
                            relocates it *)
-                        match Location_map.find_node t.map (fetch t) ~level:parsed.Location_map.level ~base:parsed.Location_map.base with
-                        | Some live_node -> (
-                            match live_node.Location_map.disk with
-                            | Some e when Int.equal e.seg seg && Int.equal e.off poff ->
-                                live_node.Location_map.disk <- None;
-                                Log.obsolete_entry t.log e
-                            | _ -> () )
-                        | None -> () )))
+                        let { Location_map.level; base; _ } = parsed in
+                        match Location_map.find_node t.map (fetch t) ~level ~base with
+                        | Some { Location_map.disk = Some e; _ } when Int.equal e.seg seg && Int.equal e.off poff ->
+                            Location_map.dirty_path t.map (fetch t) ~level base
+                        | _ -> () )))
               records;
             t.stats.segments_cleaned <- t.stats.segments_cleaned + 1)
           batch;
@@ -590,9 +589,7 @@ let commit ?(durable = true) t : unit =
         | `Write (data, sealed, hash) ->
             let seg, off = append_rec t Data_chunk sealed in
             let e = { seg; off; len = String.length sealed; hash; version = v } in
-            let old, obsolete_nodes = Location_map.set t.map (fetch t) cid e in
-            (match old with Some o -> Log.obsolete_entry t.log o | None -> ());
-            List.iter (Log.obsolete_entry t.log) obsolete_nodes;
+            Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e);
             Hashtbl.remove t.allocated cid;
             (* write-through: refresh the verified cache at the new
                committed version so read-after-write stays a hit *)
@@ -600,9 +597,7 @@ let commit ?(durable = true) t : unit =
             writes := (cid, e) :: !writes;
             note_cost (48 + String.length e.hash)
         | `Dealloc ->
-            let old, obsolete_nodes = Location_map.remove t.map (fetch t) cid in
-            (match old with Some o -> Log.obsolete_entry t.log o | None -> ());
-            List.iter (Log.obsolete_entry t.log) obsolete_nodes;
+            Option.iter (Log.obsolete_entry t.log) (Location_map.remove t.map (fetch t) cid);
             Chunk_cache.remove t.cache cid;
             deallocs := cid :: !deallocs;
             note_cost 10)
@@ -929,9 +924,7 @@ let open_existing ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platfor
     (fun (body, link, end_pos) ->
       List.iter
         (fun (cid, e) ->
-          let old, obsolete_nodes = Location_map.set t.map (fetch t) cid e in
-          ignore old;
-          ignore obsolete_nodes;
+          ignore (Location_map.set t.map (fetch t) cid e);
           t.next_id <- max t.next_id (cid + 1))
         body.c_writes;
       List.iter (fun cid -> ignore (Location_map.remove t.map (fetch t) cid)) body.c_deallocs;
@@ -955,8 +948,9 @@ let open_existing ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platfor
       tamper "one-way counter mismatch (counter=%Ld, database=%Ld): %s" hw t.last_counter
         (if hw > t.last_counter then "replay of stale state detected" else "counter rollback detected")
   end;
-  (* Rebuild usage from the recovered map (data entries + clean nodes);
-     dirty nodes from replay have no on-disk copy yet. *)
+  (* Rebuild usage from the recovered map: every data entry and every map
+     node copy the anchor reaches, including nodes replay dirtied (open's
+     checkpoint below retires those once the new anchor lands). *)
   Location_map.iter t.map (fetch t)
     ~data:(fun _cid e -> Hashtbl.replace usage e.seg (Option.value ~default:0 (Hashtbl.find_opt usage e.seg) + Log.record_space e.len))
     ~node:(fun e -> Hashtbl.replace usage e.seg (Option.value ~default:0 (Hashtbl.find_opt usage e.seg) + Log.record_space e.len));

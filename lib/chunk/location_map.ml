@@ -26,7 +26,8 @@ and node = {
   level : int; (* 0 = leaf *)
   base : int; (* first chunk id covered by this node *)
   kids : kid option array;
-  mutable disk : entry option; (* location of the on-disk copy, iff clean *)
+  mutable disk : entry option; (* the on-disk copy the current anchor reaches *)
+  mutable dirty : bool; (* changed since [disk]; a dirty node's ancestors are dirty *)
 }
 
 type t = { fanout : int; depth : int; mutable root : node }
@@ -36,7 +37,7 @@ type fetch = what:(unit -> string) -> entry -> string
     [what ()] names the record in a tamper message; it runs only on failure.
     @raise Tamper_detected on validation failure. *)
 
-let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout None; disk = None }
+let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout None; disk = None; dirty = true }
 
 let create ~fanout ~depth =
   { fanout; depth; root = fresh_node ~fanout ~level:(depth - 1) ~base:0 }
@@ -98,7 +99,7 @@ let node_of_payload ~fanout (payload : string) : node =
   let r = Tdb_pickle.Pickle.reader payload in
   let level = Tdb_pickle.Pickle.read_uint r in
   let base = Tdb_pickle.Pickle.read_uint r in
-  let n = fresh_node ~fanout ~level ~base in
+  let n = { (fresh_node ~fanout ~level ~base) with dirty = false } in
   let slots =
     Tdb_pickle.Pickle.read_list r (fun r ->
         let i = Tdb_pickle.Pickle.read_uint r in
@@ -169,7 +170,7 @@ let find_node t (fetch : fetch) ~(level : int) ~(base : int) : node option =
   if level >= t.depth then None else go t.root
 
 (** The root's on-disk entry; [None] if the tree is dirty or empty. *)
-let root_entry t : entry option = t.root.disk
+let root_entry t : entry option = if t.root.dirty then None else t.root.disk
 
 let find t (fetch : fetch) (cid : chunk_id) : entry option =
   check_cid t cid;
@@ -181,47 +182,42 @@ let find t (fetch : fetch) (cid : chunk_id) : entry option =
       | None -> None
       | Some _ -> tamper "node entry at leaf map level" )
 
-(** Mark every node on the path to [cid] dirty, returning their obsoleted
-    on-disk entries (for usage accounting). *)
-let dirty_path t fetch (cid : chunk_id) : entry list =
-  let obsoleted = ref [] in
+(** Mark every node on the path from the root down to the node at [level]
+    covering [cid] dirty, so the next checkpoint rewrites it and its
+    ancestors. Their on-disk copies stay put until then. *)
+let dirty_path t fetch ~(level : int) (cid : chunk_id) : unit =
   let rec go n =
-    (match n.disk with
-    | Some e ->
-        obsoleted := e :: !obsoleted;
-        n.disk <- None
-    | None -> ());
-    if n.level > 0 then
+    n.dirty <- true;
+    if n.level > level then
       match load_child t fetch n (slot_of t cid n.level) with Some child -> go child | None -> ()
   in
-  go t.root;
-  !obsoleted
+  go t.root
 
-(** [set t fetch cid e] installs [e] and returns [(old_data_entry,
-    obsoleted_node_entries)]. *)
-let set t (fetch : fetch) (cid : chunk_id) (e : entry) : entry option * entry list =
+(** [set t fetch cid e] installs [e] and returns the data entry it
+    replaced. *)
+let set t (fetch : fetch) (cid : chunk_id) (e : entry) : entry option =
   check_cid t cid;
-  let obsoleted_nodes = dirty_path t fetch cid in
+  dirty_path t fetch ~level:0 cid;
   match descend t fetch t.root ~create_path:true cid with
   | None -> assert false
   | Some leaf ->
       let i = slot_of t cid 0 in
       let old = match leaf.kids.(i) with Some (Entry o) -> Some o | None -> None | Some _ -> tamper "bad leaf" in
       leaf.kids.(i) <- Some (Entry e);
-      (old, obsoleted_nodes)
+      old
 
-let remove t (fetch : fetch) (cid : chunk_id) : entry option * entry list =
+let remove t (fetch : fetch) (cid : chunk_id) : entry option =
   check_cid t cid;
   match descend t fetch t.root ~create_path:false cid with
-  | None -> (None, [])
+  | None -> None
   | Some leaf -> (
       let i = slot_of t cid 0 in
       match leaf.kids.(i) with
       | Some (Entry o) ->
-          let obsoleted_nodes = dirty_path t fetch cid in
+          dirty_path t fetch ~level:0 cid;
           leaf.kids.(i) <- None;
-          (Some o, obsoleted_nodes)
-      | None -> (None, [])
+          Some o
+      | None -> None
       | Some _ -> tamper "bad leaf" )
 
 (* ------------------------------------------------------------------ *)
@@ -229,64 +225,35 @@ let remove t (fetch : fetch) (cid : chunk_id) : entry option * entry list =
 (* ------------------------------------------------------------------ *)
 
 (** Write out every dirty node bottom-up. [write_node] appends a map-node
-    record to the log and returns its new location entry. Superseded on-disk
-    node copies are reported to [obsolete]: most were already cleared when
-    {!set}/{!remove} dirtied the path, but a clean ancestor of a node the
-    cleaner dirtied directly is obsoleted here, when it is rewritten.
-    Returns the root's entry (None if the tree is completely empty). *)
-let checkpoint t ~(write_node : string -> entry) ~(obsolete : entry -> unit) : entry option =
+    record to the log and returns its new location entry. Each on-disk copy
+    a rewritten or emptied node supersedes goes to [retire]; the caller may
+    free it only once the new root is anchored. Returns the root's entry
+    (None if the tree is completely empty). *)
+let checkpoint t ~(write_node : string -> entry) ~(retire : entry -> unit) : entry option =
   let rec flush (n : node) : entry option =
-    (* Flush loaded children first so our serialized slots are fresh. *)
-    let child_changed = ref false in
-    if n.level > 0 then
+    if n.dirty then begin
+      (* flush dirty children first so our serialized slots are fresh *)
       Array.iteri
         (fun i kid ->
           match kid with
-          | Some (Node child) when child.disk = None || has_dirty child ->
-              let before = child.disk in
-              (match flush child with
-              | Some _ -> ()
-              | None ->
-                  n.kids.(i) <- None;
-                  child_changed := true);
-              let moved =
-                match (child.disk, before) with
-                | None, None -> false
-                | Some a, Some b -> not (entry_equal a b)
-                | None, Some _ | Some _, None -> true
-              in
-              if moved then child_changed := true
+          | Some (Node c) when c.dirty -> if Option.is_none (flush c) then n.kids.(i) <- None
           | _ -> ())
         n.kids;
-    let is_empty = Array.for_all (fun k -> k = None) n.kids in
-    if is_empty then begin
-      n.disk <- None;
-      None
-    end
-    else if n.disk <> None && not !child_changed then n.disk
-    else begin
-      (match n.disk with Some e -> obsolete e | None -> ());
-      let e = write_node (node_payload n) in
-      n.disk <- Some e;
-      Some e
-    end
-  and has_dirty (n : node) : bool =
-    n.disk = None
-    || (n.level > 0
-       && Array.exists (function Some (Node c) -> has_dirty c | _ -> false) n.kids)
+      Option.iter retire n.disk;
+      n.dirty <- false;
+      n.disk <- (if Array.for_all Option.is_none n.kids then None else Some (write_node (node_payload n)))
+    end;
+    n.disk
   in
   flush t.root
 
-(** Number of dirty (in-memory-only) nodes — used to pre-reserve log space
-    before a checkpoint. *)
+(** Number of dirty nodes, walking only those — used to pre-reserve log
+    space before a checkpoint. *)
 let count_dirty t : int =
   let rec go (n : node) =
-    (if n.disk = None then 1 else 0)
-    + (if n.level = 0 then 0
-       else
-         Array.fold_left
-           (fun acc kid -> match kid with Some (Node c) -> acc + go c | _ -> acc)
-           0 n.kids)
+    if not n.dirty then 0
+    else
+      Array.fold_left (fun acc kid -> match kid with Some (Node c) -> acc + go c | _ -> acc) 1 n.kids
   in
   go t.root
 
@@ -295,7 +262,8 @@ let count_dirty t : int =
 (* ------------------------------------------------------------------ *)
 
 (** Iterate over the *current* in-memory tree: [data] for every data chunk
-    entry, [node] for every clean node's on-disk entry. Loads everything. *)
+    entry, [node] for every node's on-disk copy (dirty nodes included: the
+    anchor still reaches it). Loads everything. *)
 let iter t (fetch : fetch) ~(data : chunk_id -> entry -> unit) ~(node : entry -> unit) : unit =
   let rec go (n : node) =
     (match n.disk with Some e -> node e | None -> ());

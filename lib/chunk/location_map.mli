@@ -8,7 +8,12 @@
 
     Nodes load lazily through a [fetch] callback (which reads the
     untrusted store, checks the recorded hash and decrypts); dirty nodes
-    live in memory until {!checkpoint} writes them bottom-up. *)
+    live in memory until {!checkpoint} writes them bottom-up.
+
+    Recovery starts from the anchored tree, so a node's [disk] copy stays
+    live until a checkpoint rewrites or empties the node, even while the
+    node is dirty: {!checkpoint} is the only place a superseded copy is
+    handed back. *)
 
 open Types
 
@@ -18,7 +23,8 @@ and node = {
   level : int;  (** 0 = leaf *)
   base : int;  (** first chunk id covered *)
   kids : kid option array;
-  mutable disk : entry option;  (** on-disk copy, iff clean *)
+  mutable disk : entry option;  (** the on-disk copy the current anchor reaches *)
+  mutable dirty : bool;  (** changed since [disk]; a dirty node's ancestors are dirty *)
 }
 
 type t = { fanout : int; depth : int; mutable root : node }
@@ -42,11 +48,17 @@ val node_of_payload : fanout:int -> string -> node
 
 val find : t -> fetch -> chunk_id -> entry option
 
-val set : t -> fetch -> chunk_id -> entry -> entry option * entry list
-(** Install an entry; returns the replaced data entry and the on-disk node
-    copies obsoleted by dirtying the path (for usage accounting). *)
+val set : t -> fetch -> chunk_id -> entry -> entry option
+(** Install an entry and dirty its path; returns the replaced data entry.
+    The path's on-disk node copies stay live until the next {!checkpoint}. *)
 
-val remove : t -> fetch -> chunk_id -> entry option * entry list
+val remove : t -> fetch -> chunk_id -> entry option
+(** Clear an entry (dirtying its path, as {!set}); returns it. *)
+
+val dirty_path : t -> fetch -> level:int -> chunk_id -> unit
+(** Dirty the node at [level] covering the id, and its ancestors, so the
+    next {!checkpoint} rewrites them — the cleaner's way to relocate a live
+    map node. *)
 
 val find_node : t -> fetch -> level:int -> base:int -> node option
 (** Used by the cleaner to test map-node liveness. *)
@@ -55,15 +67,19 @@ val root_entry : t -> entry option
 (** The root's on-disk entry; [None] while dirty or empty. *)
 
 val count_dirty : t -> int
+(** Dirty nodes (walks only those). *)
 
 (** {1 Checkpoint and whole-tree walks} *)
 
-val checkpoint : t -> write_node:(string -> entry) -> obsolete:(entry -> unit) -> entry option
-(** Write dirty nodes bottom-up; returns the new root entry. *)
+val checkpoint : t -> write_node:(string -> entry) -> retire:(entry -> unit) -> entry option
+(** Write dirty nodes bottom-up; returns the new root entry. Each on-disk
+    copy a rewritten or emptied node supersedes is passed to [retire], once;
+    the caller frees it only after anchoring the new root. *)
 
 val iter : t -> fetch -> data:(chunk_id -> entry -> unit) -> node:(entry -> unit) -> unit
 (** Walk the current tree (loads everything): every data entry and every
-    clean node's on-disk entry — recovery's usage rebuild. *)
+    node's on-disk copy, dirty nodes included — recovery's usage rebuild,
+    which thereby charges every copy the anchor reaches. *)
 
 val walk_tree :
   fanout:int -> fetch -> root:entry -> data:(chunk_id -> entry -> unit) -> node:(entry -> unit) -> unit

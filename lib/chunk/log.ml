@@ -366,7 +366,9 @@ let scan_segment t (seg : int) : (record_kind * int * string) list =
 
 (** Fold records following the tail chain from [(seg, off)]: recovery's
     residual-log scan. [f] receives the record kind, its payload position
-    and payload; folding stops at the first invalid record. *)
+    and payload; folding stops at the first invalid record. Every segment
+    visited joins the residual set: a crash before the next checkpoint
+    replays the same chain. *)
 let scan_chain t ~(seg : int) ~(off : int) ~(f : record_kind -> int * int -> string -> unit) : unit =
   (* A segment joins the tail chain at most once between checkpoints, so a
      marker leading to an already-visited segment is stale debris from a
@@ -375,8 +377,12 @@ let scan_chain t ~(seg : int) ~(off : int) ~(f : record_kind -> int * int -> str
      any other invalid record: the chain ends there and recovery's
      durable-prefix rule truncates accordingly. *)
   let visited = Array.make t.nsegments false in
+  let visit s =
+    visited.(s) <- true;
+    Hashtbl.replace t.residual s ()
+  in
   let seg = ref seg and off = ref off and stop = ref false in
-  if !seg >= 0 && !seg < t.nsegments then visited.(!seg) <- true;
+  if !seg >= 0 && !seg < t.nsegments then visit !seg;
   while not !stop do
     match parse_record t ~seg:!seg ~off:!off with
     | None -> stop := true
@@ -389,7 +395,7 @@ let scan_chain t ~(seg : int) ~(off : int) ~(f : record_kind -> int * int -> str
           in
           if next < 0 || next >= t.nsegments || visited.(next) then stop := true
           else begin
-            visited.(next) <- true;
+            visit next;
             seg := next;
             off := 0
           end

@@ -7,10 +7,18 @@
     Segments whose live usage drops to zero become reusable only at
     {e barriers} (durable commit / checkpoint / recovery): before that
     their garbage may still be needed — versions obsoleted by nondurable
-    commits must survive until durability (paper Section 3.2.2), and
-    records since the last checkpoint form the residual log. Barriers also
-    return trailing free segments to the untrusted store (the paper's
-    "increase or decrease the space allocated"). *)
+    commits must survive until durability (paper Section 3.2.2). Barriers
+    also return trailing free segments to the untrusted store (the paper's
+    "increase or decrease the space allocated").
+
+    No barrier frees anything recovery can reach before the next anchor
+    replaces it:
+    - the anchored map tree: its node copies stay charged to [usage] until
+      the checkpoint that supersedes them has written its anchor;
+    - the residual chain: segments appended to since the last checkpoint,
+      or replayed by recovery ({!scan_chain}), stay in [residual] until
+      {!end_checkpoint};
+    - snapshot trees: their segments are pinned. *)
 
 open Types
 
@@ -48,7 +56,8 @@ val of_recovery :
   Tdb_platform.Untrusted_store.t -> Config.t -> tail_seg:int -> tail_off:int ->
   usage:(int, int) Hashtbl.t -> t
 (** Recovery-mode construction: tail from the anchor; the caller rebuilds
-    [usage] by walking the recovered map, then calls {!barrier}. *)
+    [usage] by walking the recovered map and scans the residual chain
+    ({!scan_chain} marks its segments residual), then calls {!barrier}. *)
 
 (** {1 Accounting} *)
 
@@ -126,6 +135,10 @@ val flush_write : t -> flush_token -> unit
 val read_payload : t -> entry -> string
 val scan_segment : t -> int -> (record_kind * int * string) list
 val scan_chain : t -> seg:int -> off:int -> f:(record_kind -> int * int -> string -> unit) -> unit
+(** Recovery's residual-log scan: fold the records of the tail chain from
+    [(seg, off)], stopping at the first invalid record. Marks every
+    segment visited residual, so a crash before the next checkpoint finds
+    the same chain. *)
 
 val clean_candidates : t -> int list
 (** Cleanable segments (never tail / pinned / residual / empty),

@@ -289,6 +289,17 @@ module Mem = struct
 
   (** Raw view, for scanning the image (attacker "analysis"). *)
   let contents (m : handle) : string = Bytes.sub_string m.cur 0 m.cur_size
+
+  (** Fault-injector primitive: an independent copy, unsynced writes still
+      unsynced, so crashing the copy leaves the original untouched. *)
+  let clone (m : handle) : handle * t =
+    let c, store = mem_handle () in
+    c.cur <- Bytes.copy m.cur;
+    c.cur_size <- m.cur_size;
+    c.stable <- Bytes.copy m.stable;
+    c.stable_size <- m.stable_size;
+    c.pending <- m.pending;
+    (c, store)
 end
 
 let open_mem () : Mem.handle * t = mem_handle ()

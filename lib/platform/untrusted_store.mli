@@ -98,6 +98,11 @@ module Mem : sig
 
   val contents : handle -> string
   (** Attacker: raw view for offline analysis. *)
+
+  val clone : handle -> handle * t
+  (** Fault injector: an independent copy of the store, unsynced writes
+      still unsynced — crash the copy to get a crash image of the original
+      without disturbing it. *)
 end
 
 val open_mem : unit -> Mem.handle * t

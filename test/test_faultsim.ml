@@ -189,6 +189,119 @@ let test_oversized_backup_restore () =
   Chunk_store.commit tgt;
   Alcotest.(check string) "target usable" "clean" (Chunk_store.read tgt c)
 
+(* --- honest crashes reopen: the anchored map survives until re-anchored --- *)
+
+(* Recovery starts from the anchored location map and replays the residual
+   log, so every record either one reaches must outlive the next anchor.
+   The workload: [width] shards of 60 chunks each, and [txns] durable
+   transactions, each rewriting 1-4 chunks per shard (on average) with
+   fresh payloads, at crashfuzz's small-segment config with the chunk cache
+   off. After every commit [check] gets the database and counter stores. *)
+let reopen_secret = Secret_store.of_seed "honest-reopen"
+
+let reopen_cfg ~width ~every =
+  { cfg with Config.shards = width; checkpoint_every = every; chunk_cache_bytes = 0 }
+
+let drive_durable ~width ~every ~txns ~seed check =
+  let config = reopen_cfg ~width ~every in
+  let db = Array.init width (fun _ -> Untrusted_store.open_mem ()) in
+  let ctr = Array.init width (fun _ -> Untrusted_store.open_mem ()) in
+  let counters = Array.map (fun (_, s) -> One_way_counter.open_store s) ctr in
+  let ss = Shard_store.create ~config ~secret:reopen_secret ~counters (Array.map snd db) in
+  let rng = Random.State.make [| seed; width; every |] in
+  let ids = Array.init (60 * width) (fun i -> Shard_store.allocate ~shard:(i mod width) ss) in
+  Array.iter (fun cid -> Shard_store.write ss cid "initial") ids;
+  Shard_store.commit ~durable:true ss;
+  for txn = 1 to txns do
+    for _ = 1 to width * (1 + Random.State.int rng 4) do
+      let cid = ids.(Random.State.int rng (Array.length ids)) in
+      Shard_store.write ss cid (String.make (40 + Random.State.int rng 160) (Char.chr (97 + (txn mod 26))))
+    done;
+    Shard_store.commit ~durable:true ss;
+    check ~config txn (Array.map fst db) (Array.map fst ctr)
+  done
+
+(* Crash images of the given stores: each store is cloned and the clone
+   crashed hard, keeping only synced state. *)
+let crash_images db ctr =
+  let image h =
+    let c, s = Untrusted_store.Mem.clone h in
+    Untrusted_store.Mem.crash_hard c;
+    (c, s)
+  in
+  (Array.map image db, Array.map image ctr)
+
+(* Open an image; [instrument] wraps its stores (for a fault plan). *)
+let open_image ?(instrument = Fun.id) ~config (db, ctr) =
+  let counters = Array.map (fun (_, s) -> One_way_counter.open_store (instrument s)) ctr in
+  Shard_store.open_existing ~config ~secret:reopen_secret ~counters (Array.map (fun (_, s) -> instrument s) db)
+
+(* An honest crash must never read as tampering or a lost anchor. *)
+let honest f = match f () with _ -> true | exception (Types.Tamper_detected _ | Chunk_store.Recovery_failed _) -> false
+
+let reopen_grid = [ (1, 8); (1, 64); (4, 8); (4, 64) ]
+
+(* Commit path: after every durable commit, the synced image opens. *)
+let test_every_commit_reopens () =
+  let failures = ref [] in
+  List.iter
+    (fun (width, every) ->
+      drive_durable ~width ~every ~txns:200 ~seed:1 (fun ~config txn db ctr ->
+          if not (honest (fun () -> open_image ~config (crash_images db ctr))) then
+            failures := (width, every, txn) :: !failures))
+    reopen_grid;
+  match List.rev !failures with
+  | [] -> ()
+  | (w, e, txn) :: _ ->
+      Alcotest.failf "%d honest crash images refused to open; first: width %d, checkpoint_every %d, txn %d"
+        (List.length !failures) w e txn
+
+(* Crash a fresh image's [open_existing] at boundary [k] (the operation
+   there lost), then reopen it uninstrumented. *)
+let reopens_after_crash_in_open ~config plan db ctr k =
+  let ((cdb, cctr) as images) = crash_images db ctr in
+  Fault_plan.arm plan ~at:k ~tear:Fault_plan.Skip;
+  (match open_image ~instrument:(Fault_plan.instrument plan) ~config images with
+  | _ -> Alcotest.failf "open did not reach boundary %d" k
+  | exception Fault_plan.Crash_point -> ());
+  Fault_plan.reset plan;
+  Array.iter (fun (c, _) -> Untrusted_store.Mem.crash_hard c) cdb;
+  Array.iter (fun (c, _) -> Untrusted_store.Mem.crash_hard c) cctr;
+  honest (fun () -> open_image ~config images)
+
+(* Open path: after every durable commit, crash the image's
+   [open_existing] at each of its write/sync boundaries and reopen. Width
+   4 has about four times the boundaries at three times the cost each, so
+   it crashes at every 16th boundary, the offset rotating with the txn so
+   consecutive txns cover every boundary position. *)
+let test_crash_inside_open_reopens () =
+  let failures = ref [] and opens = ref 0 in
+  List.iter
+    (fun (width, every) ->
+      let stride = if Int.equal width 1 then 1 else 16 in
+      drive_durable ~width ~every ~txns:100 ~seed:2 (fun ~config txn db ctr ->
+          let plan = Fault_plan.create () in
+          Fault_plan.arm plan ~at:max_int ~tear:Fault_plan.Skip;
+          if not (honest (fun () -> open_image ~instrument:(Fault_plan.instrument plan) ~config (crash_images db ctr)))
+          then failures := (width, every, txn, -1) :: !failures
+          else
+            for k = 0 to Fault_plan.ops plan - 1 do
+              if Int.equal ((k + txn) mod stride) 0 then begin
+                incr opens;
+                if not (reopens_after_crash_in_open ~config plan db ctr k) then
+                  failures := (width, every, txn, k) :: !failures
+              end
+            done))
+    reopen_grid;
+  Alcotest.(check bool) "crashed inside open" true (!opens > 0);
+  match List.rev !failures with
+  | [] -> ()
+  | (w, e, txn, k) :: _ ->
+      Alcotest.failf
+        "%d of %d reopens after a crash inside open failed; first: width %d, checkpoint_every %d, txn %d, boundary %d \
+         (-1: the image itself)"
+        (List.length !failures) !opens w e txn k
+
 (* --- bounded crashfuzz sweeps as regression smoke tests --- *)
 
 (* One crashfuzz smoke test, run over every sweep: each crash sweep must
@@ -259,6 +372,11 @@ let () =
         [
           Alcotest.test_case "torn slot write stays monotone" `Quick test_torn_counter_slot;
           Alcotest.test_case "crash sweep over counter protocol" `Quick test_counter_crash_sweep;
+        ] );
+      ( "honest reopen",
+        [
+          Alcotest.test_case "every durable commit reopens" `Quick test_every_commit_reopens;
+          Alcotest.test_case "crash inside open reopens" `Quick test_crash_inside_open_reopens;
         ] );
       ( "restore",
         [

@@ -65,6 +65,12 @@ let fake_writer (tbl : (int, string) Hashtbl.t) =
 
 let entry_for i = { Types.seg = 1; off = 1000 + i; len = 10; hash = ""; version = i }
 
+(* the fake-store offsets of every on-disk node copy the map reaches *)
+let node_offs m fetch =
+  let acc = ref [] in
+  Location_map.iter m fetch ~data:(fun _ _ -> ()) ~node:(fun e -> acc := e.Types.off :: !acc);
+  List.sort compare !acc
+
 let test_map_set_find_remove () =
   let tbl = Hashtbl.create 16 in
   let fetch = fake_fetch tbl in
@@ -78,7 +84,7 @@ let test_map_set_find_remove () =
     | Some e -> Alcotest.(check int) "found" i e.Types.version
     | None -> Alcotest.failf "missing %d" i
   done;
-  let old, _ = Location_map.remove m fetch 7 in
+  let old = Location_map.remove m fetch 7 in
   Alcotest.(check bool) "removed returns old" true (old <> None);
   Alcotest.(check bool) "gone" true (Location_map.find m fetch 7 = None);
   Alcotest.(check bool) "id out of range" true
@@ -92,7 +98,7 @@ let test_map_checkpoint_and_reload () =
   for i = 0 to 20 do
     ignore (Location_map.set m fetch i (entry_for i))
   done;
-  let root = Location_map.checkpoint m ~write_node ~obsolete:(fun _ -> ()) in
+  let root = Location_map.checkpoint m ~write_node ~retire:ignore in
   Alcotest.(check bool) "root written" true (root <> None);
   Alcotest.(check bool) "clean root exposed" true (Location_map.root_entry m <> None);
   (* reload the tree fresh from the fake store *)
@@ -112,19 +118,49 @@ let test_map_checkpoint_and_reload () =
     incr writes;
     write_node payload
   in
+  (* a set leaves the anchored copies in place until the next checkpoint *)
+  let before = node_offs m fetch in
   ignore (Location_map.set m fetch 3 (entry_for 99));
-  ignore (Location_map.checkpoint m ~write_node:counting_writer ~obsolete:(fun _ -> ()));
-  Alcotest.(check bool) "only the dirty path rewritten" true (!writes <= 3)
+  Alcotest.(check bool) "root dirty" true m.Location_map.root.Location_map.dirty;
+  Alcotest.(check bool) "disk copies kept while dirty" true (node_offs m fetch = before);
+  (* the checkpoint hands each superseded copy to [retire] exactly once *)
+  let retired = ref [] in
+  ignore
+    (Location_map.checkpoint m ~write_node:counting_writer ~retire:(fun e -> retired := e.Types.off :: !retired));
+  Alcotest.(check int) "only the dirty path rewritten" 3 !writes;
+  let after = node_offs m fetch in
+  Alcotest.(check (list int)) "superseded copies retired once"
+    (List.filter (fun o -> not (List.mem o after)) before)
+    (List.sort compare !retired)
 
 let test_map_count_dirty () =
   let tbl = Hashtbl.create 16 in
   let fetch = fake_fetch tbl in
+  let write_node = fake_writer tbl in
   let m = Location_map.create ~fanout:4 ~depth:3 in
   Alcotest.(check int) "fresh root is dirty" 1 (Location_map.count_dirty m);
   ignore (Location_map.set m fetch 0 (entry_for 0));
   Alcotest.(check bool) "dirty path counted" true (Location_map.count_dirty m >= 2);
-  ignore (Location_map.checkpoint m ~write_node:(fake_writer tbl) ~obsolete:(fun _ -> ()));
-  Alcotest.(check int) "clean after checkpoint" 0 (Location_map.count_dirty m)
+  ignore (Location_map.checkpoint m ~write_node ~retire:ignore);
+  Alcotest.(check int) "clean after checkpoint" 0 (Location_map.count_dirty m);
+  (* a set dirties exactly its root-to-leaf path, and nothing else *)
+  ignore (Location_map.set m fetch 63 (entry_for 63));
+  Alcotest.(check int) "one path dirty" 3 (Location_map.count_dirty m);
+  ignore (Location_map.checkpoint m ~write_node ~retire:ignore);
+  Alcotest.(check int) "clean after second checkpoint" 0 (Location_map.count_dirty m);
+  (* the cleaner's relocation: dirtying a clean interior node makes the next
+     checkpoint rewrite it and its ancestors, and retire their old copies *)
+  let written = ref 0 and retired = ref 0 in
+  Location_map.dirty_path m fetch ~level:1 48;
+  Alcotest.(check int) "interior node and root dirty" 2 (Location_map.count_dirty m);
+  ignore
+    (Location_map.checkpoint m
+       ~write_node:(fun p ->
+         incr written;
+         write_node p)
+       ~retire:(fun _ -> incr retired));
+  Alcotest.(check (pair int int)) "node and root rewritten, old copies retired" (2, 2) (!written, !retired);
+  Alcotest.(check int) "clean after relocation" 0 (Location_map.count_dirty m)
 
 let test_map_diff_trees () =
   let tbl = Hashtbl.create 16 in
@@ -134,11 +170,11 @@ let test_map_diff_trees () =
   for i = 0 to 10 do
     ignore (Location_map.set m fetch i (entry_for i))
   done;
-  let r1 = Location_map.checkpoint m ~write_node ~obsolete:(fun _ -> ()) in
+  let r1 = Location_map.checkpoint m ~write_node ~retire:ignore in
   ignore (Location_map.set m fetch 3 (entry_for 333));
   ignore (Location_map.remove m fetch 9);
   ignore (Location_map.set m fetch 40 (entry_for 40));
-  let r2 = Location_map.checkpoint m ~write_node ~obsolete:(fun _ -> ()) in
+  let r2 = Location_map.checkpoint m ~write_node ~retire:ignore in
   let changed = ref [] and removed = ref [] in
   Location_map.diff_trees ~fanout:4 fetch ~old_root:r1 ~new_root:r2
     ~changed:(fun cid e -> changed := (cid, e.Types.version) :: !changed)
@@ -227,6 +263,28 @@ let test_log_clean_candidate_order () =
     segs;
   Log.end_checkpoint log;
   Alcotest.(check (list int)) "emptiest segment first" (List.rev segs) (Log.clean_candidates log)
+
+(* Recovery replays the residual chain from the anchor; until the checkpoint
+   that ends recovery lands, a crash replays it again, so no barrier may
+   free its segments, even ones holding only (uncharged) commit records. *)
+let test_log_recovery_residual () =
+  let _, store = Untrusted_store.open_mem () in
+  let log = Log.create store test_cfg in
+  for _ = 1 to 10 do
+    ignore (Log.append ~live:false log Types.Commit (String.make 1000 'c'))
+  done;
+  Log.flush log;
+  let last, _ = Log.tail_pos log in
+  Alcotest.(check bool) "chain spans segments" true (last >= 2);
+  let rlog = Log.of_recovery store test_cfg ~tail_seg:0 ~tail_off:0 ~usage:(Hashtbl.create 8) in
+  Log.scan_chain rlog ~seg:0 ~off:0 ~f:(fun _ _ _ -> ());
+  rlog.Log.tail_seg <- last;
+  let chain = List.init last Fun.id in
+  let freed () = List.filter (fun s -> List.mem s rlog.Log.free) chain in
+  Log.barrier rlog;
+  Alcotest.(check (list int)) "chain kept at the recovery barrier" [] (freed ());
+  Log.end_checkpoint rlog;
+  Alcotest.(check (list int)) "chain freed by the checkpoint" chain (freed ())
 
 let test_log_pinning () =
   let _, store = Untrusted_store.open_mem () in
@@ -745,6 +803,7 @@ let () =
           Alcotest.test_case "usage + barrier" `Quick test_log_usage_and_barrier;
           Alcotest.test_case "clean candidate order" `Quick test_log_clean_candidate_order;
           Alcotest.test_case "pinning" `Quick test_log_pinning;
+          Alcotest.test_case "recovery chain stays residual" `Quick test_log_recovery_residual;
         ] );
       ( "anchor",
         [
