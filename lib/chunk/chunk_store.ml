@@ -492,6 +492,11 @@ let deallocate t (cid : chunk_id) : unit =
 (** Discard the current (uncommitted) batch. *)
 let abort_batch t : unit = Hashtbl.reset t.pending
 
+let batch t : (chunk_id * op) list =
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending [])
+
+let batch_size t = Hashtbl.length t.pending
+
 (* Commit records must fit in one segment. Very large batches (bulk loads)
    are split into chained sub-commits: every sub-commit but the last is
    nondurable, so recovery applies the whole chain iff the final record —
@@ -1000,6 +1005,9 @@ let set_cache_budget t b =
 
 let counter_value t = t.last_counter
 let commit_seq t = t.seq
+let promotable t = t.promotable
+let mac t data = Security.mac t.sec data
+let check_mac t ~expected data = Security.check_mac t.sec ~expected data ~what:"mac"
 
 (** Chunk ids present in the last committed location map (pending batch
     writes excluded), in ascending id order — the committed footprint a

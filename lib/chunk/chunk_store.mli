@@ -101,6 +101,17 @@ val commit : ?durable:bool -> t -> unit
 val abort_batch : t -> unit
 (** Discard the buffered batch. *)
 
+(** A batch entry: the chunk's buffered next state. *)
+type op = Op_write of string | Op_dealloc
+
+val batch : t -> (Types.chunk_id * op) list
+(** The buffered batch, ascending by chunk id: one net operation per
+    chunk. An id allocated and deallocated unwritten in the same batch
+    cancels out and is absent. *)
+
+val batch_size : t -> int
+(** Number of chunks the buffered batch touches. *)
+
 (** {2 Durable barrier}
 
     A durable commit with an empty batch: it forces the log and advances
@@ -242,6 +253,17 @@ val counter_value : t -> int64
 val commit_seq : t -> int
 (** Sequence number of the last commit (durable or not); snapshots carry
     the sequence current when they were taken. *)
+
+val promotable : t -> bool
+(** Nondurable commits sit above the last durable point: a durable barrier
+    (or a checkpoint, which promotes them) has work to do. *)
+
+val mac : t -> string -> string
+(** MAC [data] under the store's anchor key (a plain digest when security
+    is off, as for the anchor itself). *)
+
+val check_mac : t -> expected:string -> string -> bool
+(** Constant-time check of [expected] against {!mac}. *)
 
 val live_ids : t -> Types.chunk_id list
 (** Chunk ids present in the last committed location map, ascending.

@@ -12,11 +12,9 @@ module P = Tdb_pickle.Pickle
 let dtab_cid = 2 (* decision table: transactions this shard coordinated *)
 let ptab_cid = 3 (* participant status: staged prepare + high-water marks *)
 
-type op = Rwrite of string | Rdealloc
-
 (* A decision-table entry: transaction [gtid] (coordinator-local,
-   monotone) over [parts], MAC'd under the device secret and chained to
-   the previous decision via [prev]. *)
+   monotone) over [parts], MAC'd by the coordinator shard's store and
+   chained to the previous decision via [prev]. *)
 type dentry = { e_gtid : int; e_parts : int list; e_prev : string; e_mac : string }
 
 type dtab = {
@@ -34,9 +32,6 @@ type t = {
   n : int;
   cfg : Config.t; (* the caller's config (undivided cache budget) *)
   shards : Chunk_store.t array;
-  sec : Security.t option; (* decision-entry MAC context; None at n = 1 *)
-  mirror : (chunk_id, op) Hashtbl.t array; (* per-shard copy of the open batch (n > 1) *)
-  dirty : bool array; (* shard has nondurable commits since its last durable point *)
   dtabs : dtab array;
   ptabs : ptab array;
   barriers : int array; (* durable barriers run, per shard *)
@@ -52,13 +47,11 @@ exception Vetoed of int
 (* Global chunk-id routing                                             *)
 (* ------------------------------------------------------------------ *)
 
-let shard_of t g = if Int.equal t.n 1 || g < reserved_ids then 0 else (g - reserved_ids) mod t.n
-let local_of t g = if Int.equal t.n 1 || g < reserved_ids then g else ((g - reserved_ids) / t.n) + reserved_ids
+let shard_of t g = if g < reserved_ids then 0 else (g - reserved_ids) mod t.n
+let local_of t g = if g < reserved_ids then g else ((g - reserved_ids) / t.n) + reserved_ids
 
-let global_of t s l =
-  if Int.equal t.n 1 then l
-  else if l < reserved_ids then l (* only reachable for shard 0 *)
-  else ((l - reserved_ids) * t.n) + s + reserved_ids
+(* [l < reserved_ids] is only reachable for shard 0 *)
+let global_of t s l = if l < reserved_ids then l else ((l - reserved_ids) * t.n) + s + reserved_ids
 
 (* ------------------------------------------------------------------ *)
 (* Persistent 2PC record encodings                                     *)
@@ -133,79 +126,58 @@ let decode_ptab (s : string) : ptab =
   P.expect_end r;
   { p_staged = staged; p_hw = hw }
 
-(* Redo payload: the batch's net per-chunk operations, sorted by local id
-   for a deterministic image. *)
-let encode_redo (ops : (chunk_id, op) Hashtbl.t) : string =
+(* Redo payload: the shard's {!Chunk_store.batch}, in its ascending id
+   order for a deterministic image. *)
+let encode_redo (ops : (chunk_id * Chunk_store.op) list) : string =
   let w = P.writer () in
   P.byte w 1;
-  let l = Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) ops [] in
-  let l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
   P.list w
     (fun w (cid, op) ->
       P.uint w cid;
       match op with
-      | Rwrite d ->
+      | Chunk_store.Op_write d ->
           P.byte w 0;
           P.string w d
-      | Rdealloc -> P.byte w 1)
-    l;
+      | Chunk_store.Op_dealloc -> P.byte w 1)
+    ops;
   P.contents w
 
-let decode_redo (s : string) : (chunk_id * op) list =
+let decode_redo (s : string) : (chunk_id * Chunk_store.op) list =
   let r = P.reader s in
   (match P.read_byte r with 1 -> () | v -> tamper "redo payload version %d" v);
   let l =
     P.read_list r (fun r ->
         let cid = P.read_uint r in
         match P.read_byte r with
-        | 0 -> (cid, Rwrite (P.read_string r))
-        | 1 -> (cid, Rdealloc)
+        | 0 -> (cid, Chunk_store.Op_write (P.read_string r))
+        | 1 -> (cid, Chunk_store.Op_dealloc)
         | b -> tamper "redo op tag %d" b)
   in
   P.expect_end r;
   l
 
-let entry_mac t ~coord ~gtid ~parts ~prev : string =
-  match t.sec with
-  | None -> ""
-  | Some sec ->
-      let w = P.writer () in
-      P.string w "tdb-2pc";
-      P.uint w coord;
-      P.uint w gtid;
-      P.list w P.uint parts;
-      P.string w prev;
-      Security.mac sec (P.contents w)
-
-let check_entry_mac t ~coord (e : dentry) : unit =
-  match t.sec with
-  | None -> ()
-  | Some sec ->
-      let w = P.writer () in
-      P.string w "tdb-2pc";
-      P.uint w coord;
-      P.uint w e.e_gtid;
-      P.list w P.uint e.e_parts;
-      P.string w e.e_prev;
-      if not (Security.check_mac sec ~expected:e.e_mac (P.contents w) ~what:"2pc decision entry") then
-        tamper "cross-shard decision entry failed its MAC (coordinator %d, gtid %d)" coord e.e_gtid
+(* The bytes a decision entry's MAC covers. *)
+let entry_bytes ~coord ~gtid ~parts ~prev : string =
+  let w = P.writer () in
+  P.string w "tdb-2pc";
+  P.uint w coord;
+  P.uint w gtid;
+  P.list w P.uint parts;
+  P.string w prev;
+  P.contents w
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let shard_config (cfg : Config.t) n =
-  if Int.equal n 1 then cfg else { cfg with Config.chunk_cache_bytes = cfg.Config.chunk_cache_bytes / n }
+let shard_config (cfg : Config.t) n = { cfg with Config.chunk_cache_bytes = cfg.Config.chunk_cache_bytes / n }
 
-let make ~cfg ~sec shards =
+let make ~cfg shards =
   let n = Array.length shards in
   {
     n;
     cfg;
     shards;
-    sec;
-    mirror = Array.init n (fun _ -> Hashtbl.create 16);
-    dirty = Array.make n false;
     dtabs = Array.init n (fun _ -> { d_chain = ""; d_next = 1; d_entries = [] });
     ptabs = Array.init n (fun _ -> { p_staged = None; p_hw = Hashtbl.create 4 });
     barriers = Array.make n 0;
@@ -222,10 +194,9 @@ let read_reserved sh cid =
 
 let persist_dtab t s ~durable =
   Chunk_store.write t.shards.(s) dtab_cid (encode_dtab ~n:t.n t.dtabs.(s));
-  Chunk_store.commit ~durable t.shards.(s);
-  if not durable then t.dirty.(s) <- true
+  Chunk_store.commit ~durable t.shards.(s)
 
-let wrap (cs : Chunk_store.t) : t = make ~cfg:(Chunk_store.config cs) ~sec:None [| cs |]
+let wrap (cs : Chunk_store.t) : t = make ~cfg:(Chunk_store.config cs) [| cs |]
 
 let create ?(config = Config.default) ~secret ~counters stores : t =
   let n = config.Config.shards in
@@ -235,8 +206,7 @@ let create ?(config = Config.default) ~secret ~counters stores : t =
   let shards =
     Array.init n (fun i -> Chunk_store.create ~config:scfg ~shard:i ~secret ~counter:counters.(i) stores.(i))
   in
-  let sec = if n > 1 then Some (Security.create config secret) else None in
-  let t = make ~cfg:config ~sec shards in
+  let t = make ~cfg:config shards in
   if n > 1 then
     (* every shard self-identifies its width, so opening a shard file
        standalone (or at the wrong width) is rejected up front *)
@@ -245,12 +215,12 @@ let create ?(config = Config.default) ~secret ~counters stores : t =
 
 (* --- recovery-time resolution of in-doubt cross-shard transactions --- *)
 
-let replay_redo sh (ops : (chunk_id * op) list) : unit =
+let replay_redo sh (ops : (chunk_id * Chunk_store.op) list) : unit =
   List.iter
     (fun (cid, op) ->
       match op with
-      | Rwrite d -> Chunk_store.restore_chunk sh cid d
-      | Rdealloc -> (
+      | Chunk_store.Op_write d -> Chunk_store.restore_chunk sh cid d
+      | Chunk_store.Op_dealloc -> (
           (* replay is idempotent: a dealloc target may already be gone *)
           match Chunk_store.deallocate sh cid with
           | () -> ()
@@ -261,11 +231,10 @@ let persist_ptab_shard t p ~also_dealloc =
   let sh = t.shards.(p) in
   List.iter (fun cid -> Chunk_store.deallocate sh cid) also_dealloc;
   Chunk_store.write sh ptab_cid (encode_ptab t.ptabs.(p));
-  Chunk_store.commit ~durable:true sh;
-  t.dirty.(p) <- false
+  Chunk_store.commit ~durable:true sh
 
 (* Roll a decided transaction forward on participant [p] from its durable
-   staging (recovery path: the in-memory mirror is gone). *)
+   staging (recovery path: the batch the prepare encoded is gone). *)
 let roll_forward t ~coord ~(e : dentry) p =
   let pt = t.ptabs.(p) in
   match pt.p_staged with
@@ -287,7 +256,13 @@ let resolve_in_doubt t =
   (* 1. verify every surviving decision entry's MAC, and catch a
      coordinator rolled back below a participant's high-water mark *)
   Array.iteri
-    (fun c dt -> List.iter (fun e -> check_entry_mac t ~coord:c e) dt.d_entries)
+    (fun c dt ->
+      List.iter
+        (fun e ->
+          let bytes = entry_bytes ~coord:c ~gtid:e.e_gtid ~parts:e.e_parts ~prev:e.e_prev in
+          if not (Chunk_store.check_mac t.shards.(c) ~expected:e.e_mac bytes) then
+            tamper "cross-shard decision entry failed its MAC (coordinator %d, gtid %d)" c e.e_gtid)
+        dt.d_entries)
     t.dtabs;
   Array.iteri
     (fun p pt ->
@@ -342,37 +317,27 @@ let open_existing ?(config = Config.default) ~secret ~counters stores : t =
   let shards =
     Array.init n (fun i -> Chunk_store.open_existing ~config:scfg ~shard:i ~secret ~counter:counters.(i) stores.(i))
   in
-  let sec = if n > 1 then Some (Security.create config secret) else None in
-  let t = make ~cfg:config ~sec shards in
-  (* width check: shard 0's decision-table record carries the shard count;
-     a legacy (unsharded) store has none and opens only at n = 1 *)
-  (match read_reserved shards.(0) dtab_cid with
-  | None ->
-      if n > 1 then
-        raise (Chunk_store.Recovery_failed "store is unsharded (or shard 0 of a different layout); open it with shards = 1")
-  | Some s ->
-      let stored_n, _ = decode_dtab s in
-      if not (Int.equal stored_n n) then
-        raise
-          (Chunk_store.Recovery_failed
-             (Printf.sprintf "store was created with %d shards but %d were supplied" stored_n n)));
-  if n > 1 then begin
-    Array.iteri
-      (fun i sh ->
-        (match read_reserved sh dtab_cid with
-        | None -> ()
-        | Some s ->
-            let stored_n, dt = decode_dtab s in
-            if not (Int.equal stored_n n) then
-              raise (Chunk_store.Recovery_failed (Printf.sprintf "shard %d was created at width %d, not %d" i stored_n n));
-            t.dtabs.(i) <- dt);
-        match read_reserved sh ptab_cid with
-        | None -> ()
-        | Some s -> t.ptabs.(i) <- decode_ptab s)
-      shards;
-    reconcile_snapshots t;
-    resolve_in_doubt t
-  end;
+  let t = make ~cfg:config shards in
+  (* width check: every shard's decision-table record carries the shard
+     count; an unsharded store has none and opens only at n = 1 *)
+  Array.iteri
+    (fun i sh ->
+      (match read_reserved sh dtab_cid with
+      | None ->
+          if Int.equal i 0 && n > 1 then
+            raise
+              (Chunk_store.Recovery_failed "store is unsharded (or shard 0 of a different layout); open it with shards = 1")
+      | Some s ->
+          let stored_n, dt = decode_dtab s in
+          if not (Int.equal stored_n n) then
+            raise (Chunk_store.Recovery_failed (Printf.sprintf "shard %d was created at width %d, not %d" i stored_n n));
+          t.dtabs.(i) <- dt);
+      match read_reserved sh ptab_cid with
+      | None -> ()
+      | Some s -> t.ptabs.(i) <- decode_ptab s)
+    shards;
+  reconcile_snapshots t;
+  resolve_in_doubt t;
   t
 
 let close t = Array.iter Chunk_store.close t.shards
@@ -382,56 +347,38 @@ let close t = Array.iter Chunk_store.close t.shards
 (* ------------------------------------------------------------------ *)
 
 let allocate ?shard t : chunk_id =
-  if Int.equal t.n 1 then Chunk_store.allocate t.shards.(0)
-  else begin
-    let s =
-      match shard with
-      | Some s ->
-          if s < 0 || s >= t.n then invalid_arg "Shard_store.allocate: shard out of range";
-          s
-      | None ->
-          let s = t.rr in
-          t.rr <- (t.rr + 1) mod t.n;
-          s
-    in
-    global_of t s (Chunk_store.allocate t.shards.(s))
-  end
+  let s =
+    match shard with
+    | Some s ->
+        if s < 0 || s >= t.n then invalid_arg "Shard_store.allocate: shard out of range";
+        s
+    | None ->
+        let s = t.rr in
+        t.rr <- (t.rr + 1) mod t.n;
+        s
+  in
+  global_of t s (Chunk_store.allocate t.shards.(s))
 
 (* Re-raise per-chunk errors with the global id the caller used. *)
-let reglobal t g (f : unit -> 'a) : 'a =
-  if Int.equal t.n 1 then f ()
-  else
-    match f () with
-    | v -> v
-    | exception Not_allocated _ -> raise (Not_allocated g)
-    | exception Not_written _ -> raise (Not_written g)
-    | exception Chunk_too_large c -> raise (Chunk_too_large { c with cid = g })
+let reglobal g (f : unit -> 'a) : 'a =
+  match f () with
+  | v -> v
+  | exception Not_allocated _ -> raise (Not_allocated g)
+  | exception Not_written _ -> raise (Not_written g)
+  | exception Chunk_too_large c -> raise (Chunk_too_large { c with cid = g })
 
-let write t g data : unit =
-  let s = shard_of t g and l = local_of t g in
-  reglobal t g (fun () -> Chunk_store.write t.shards.(s) l data);
-  if t.n > 1 then Hashtbl.replace t.mirror.(s) l (Rwrite data)
+let write t g data : unit = reglobal g (fun () -> Chunk_store.write t.shards.(shard_of t g) (local_of t g) data)
 
-let read t g : string =
-  let s = shard_of t g and l = local_of t g in
-  reglobal t g (fun () -> Chunk_store.read t.shards.(s) l)
-
-let deallocate t g : unit =
-  let s = shard_of t g and l = local_of t g in
-  reglobal t g (fun () -> Chunk_store.deallocate t.shards.(s) l);
-  if t.n > 1 then Hashtbl.replace t.mirror.(s) l Rdealloc
+let read t g : string = reglobal g (fun () -> Chunk_store.read t.shards.(shard_of t g) (local_of t g))
+let deallocate t g : unit = reglobal g (fun () -> Chunk_store.deallocate t.shards.(shard_of t g) (local_of t g))
 
 let restore_chunk t g data : unit =
-  let s = shard_of t g and l = local_of t g in
-  reglobal t g (fun () -> Chunk_store.restore_chunk t.shards.(s) l data);
-  if t.n > 1 then Hashtbl.replace t.mirror.(s) l (Rwrite data)
+  reglobal g (fun () -> Chunk_store.restore_chunk t.shards.(shard_of t g) (local_of t g) data)
 
-let abort_batch t : unit =
-  Array.iter Chunk_store.abort_batch t.shards;
-  Array.iter Hashtbl.reset t.mirror
+let abort_batch t : unit = Array.iter Chunk_store.abort_batch t.shards
 
 (* ------------------------------------------------------------------ *)
-(* Commit: single-shard passthrough, or cross-shard 2PC                *)
+(* Commit: one participant commits alone, several run the 2PC         *)
 (* ------------------------------------------------------------------ *)
 
 (* Redo payloads are split into chunk-sized pieces; leave headroom for
@@ -451,92 +398,77 @@ let split_pieces t (payload : string) : string list =
   end
 
 (* Roll back a partially-prepared transaction: discard every already
-   durable prepare, abort every still-buffered batch, clear mirrors. *)
+   durable prepare, abort every still-buffered batch. *)
 let abort_prepared t ~prepared ~parts =
   List.iter
-    (fun (p, cids) ->
+    (fun (p, cids, _) ->
       t.ptabs.(p).p_staged <- None;
       persist_ptab_shard t p ~also_dealloc:cids)
     prepared;
-  List.iter
-    (fun p ->
-      Chunk_store.abort_batch t.shards.(p);
-      Hashtbl.reset t.mirror.(p))
-    parts
+  List.iter (fun p -> Chunk_store.abort_batch t.shards.(p)) parts
 
 let two_phase t ~coord:c (parts : int list) : unit =
   let gtid = t.dtabs.(c).d_next in
-  (* phase 1: prepare each participant — one durable commit apiece *)
+  (* phase 1: prepare each participant — one durable commit apiece. The
+     prepare takes the shard's batch out of the store and stages it as
+     redo; phase 2 replays the same list. *)
   let prepared = ref [] in
   List.iter
     (fun p ->
       let sh = t.shards.(p) in
       (match t.hook with
       | Some f when not (f p) ->
-          Chunk_store.abort_batch sh;
           abort_prepared t ~prepared:(List.rev !prepared) ~parts;
           raise (Vetoed p)
       | _ -> ());
+      let ops = Chunk_store.batch sh in
       Chunk_store.abort_batch sh;
-      let pieces = split_pieces t (encode_redo t.mirror.(p)) in
+      let pieces = split_pieces t (encode_redo ops) in
       let cids = List.map (fun _ -> Chunk_store.allocate sh) pieces in
       List.iter2 (fun cid piece -> Chunk_store.write sh cid piece) cids pieces;
       t.ptabs.(p).p_staged <- Some (c, gtid, cids);
       Chunk_store.write sh ptab_cid (encode_ptab t.ptabs.(p));
       Chunk_store.commit ~durable:true sh;
-      t.dirty.(p) <- false;
-      prepared := (p, cids) :: !prepared)
+      prepared := (p, cids, ops) :: !prepared)
     parts;
   let prepared = List.rev !prepared in
   (* commit point: the coordinator's MAC'd, chained decision record *)
   let dt = t.dtabs.(c) in
   let prev = dt.d_chain in
-  let mac = entry_mac t ~coord:c ~gtid ~parts ~prev in
+  let mac = Chunk_store.mac t.shards.(c) (entry_bytes ~coord:c ~gtid ~parts ~prev) in
   dt.d_entries <- dt.d_entries @ [ { e_gtid = gtid; e_parts = parts; e_prev = prev; e_mac = mac } ];
   dt.d_chain <- mac;
   dt.d_next <- gtid + 1;
   persist_dtab t c ~durable:true;
-  t.dirty.(c) <- false;
-  (* phase 2: apply each participant from its (mirrored) batch *)
+  (* phase 2: apply each participant from the batch its prepare staged *)
   List.iter
-    (fun (p, cids) ->
-      let sh = t.shards.(p) in
-      let ops = Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.mirror.(p) [] in
-      replay_redo sh (List.sort (fun (a, _) (b, _) -> Int.compare a b) ops);
+    (fun (p, cids, ops) ->
+      replay_redo t.shards.(p) ops;
       t.ptabs.(p).p_staged <- None;
       Hashtbl.replace t.ptabs.(p).p_hw c gtid;
-      persist_ptab_shard t p ~also_dealloc:cids;
-      Hashtbl.reset t.mirror.(p))
+      persist_ptab_shard t p ~also_dealloc:cids)
     prepared;
   (* cleanup: drop the decision entry; nondurable is fine — recovery
      re-drops a resurrected entry once every high-water mark covers it *)
   dt.d_entries <- List.filter (fun e -> not (Int.equal e.e_gtid gtid)) dt.d_entries;
   persist_dtab t c ~durable:false
 
+(* The shards, ascending, for which [pick] holds. *)
+let shards_where t (pick : Chunk_store.t -> bool) : int list =
+  List.filter (fun s -> pick t.shards.(s)) (List.init t.n Fun.id)
+
 let commit ?(durable = true) t : unit =
-  if Int.equal t.n 1 then begin
-    Chunk_store.commit ~durable t.shards.(0);
-    t.txn_commits <- t.txn_commits + 1
-  end
-  else begin
-    let parts = ref [] in
-    for s = t.n - 1 downto 0 do
-      if Hashtbl.length t.mirror.(s) > 0 then parts := s :: !parts
-    done;
-    match !parts with
-    | [] -> ()
-    | [ s ] ->
-        Chunk_store.commit ~durable t.shards.(s);
-        Hashtbl.reset t.mirror.(s);
-        t.dirty.(s) <- not durable;
-        t.txn_commits <- t.txn_commits + 1
-    | c :: _ :: _ as parts ->
-        (* spanning shards: always durable — atomicity across
-           independently-recovering shards needs durable prepare/decision *)
-        two_phase t ~coord:c parts;
-        t.txn_commits <- t.txn_commits + 1;
-        t.cross_commits <- t.cross_commits + 1
-  end
+  match shards_where t (fun sh -> Chunk_store.batch_size sh > 0) with
+  | [] -> ()
+  | [ s ] ->
+      Chunk_store.commit ~durable t.shards.(s);
+      t.txn_commits <- t.txn_commits + 1
+  | c :: _ :: _ as parts ->
+      (* spanning shards: always durable — atomicity across
+         independently-recovering shards needs durable prepare/decision *)
+      two_phase t ~coord:c parts;
+      t.txn_commits <- t.txn_commits + 1;
+      t.cross_commits <- t.cross_commits + 1
 
 (* ------------------------------------------------------------------ *)
 (* Barriers                                                            *)
@@ -544,24 +476,15 @@ let commit ?(durable = true) t : unit =
 
 type barrier_token = (int * Chunk_store.barrier_token) list
 
-let barrier_shards t : int list =
-  if Int.equal t.n 1 then [ 0 ]
-  else begin
-    let l = ref [] in
-    for s = t.n - 1 downto 0 do
-      if t.dirty.(s) then l := s :: !l
-    done;
-    !l
-  end
-
+(* Only shards with nondurable commits above their last durable point
+   have anything for a barrier to promote. *)
 let barrier_begin t : barrier_token =
   List.map
     (fun s ->
       let tok = Chunk_store.barrier_begin t.shards.(s) in
-      t.dirty.(s) <- false;
       t.barriers.(s) <- t.barriers.(s) + 1;
       (s, tok))
-    (barrier_shards t)
+    (shards_where t Chunk_store.promotable)
 
 let barrier_sync t (toks : barrier_token) : unit =
   List.iter (fun (s, tok) -> Chunk_store.barrier_sync t.shards.(s) tok) toks
@@ -615,15 +538,12 @@ let diff_snapshots t ~old_id ~new_id ~changed ~removed =
     t.shards
 
 let live_ids t : chunk_id list =
-  if Int.equal t.n 1 then Chunk_store.live_ids t.shards.(0)
-  else begin
-    let all = ref [] in
-    Array.iteri
-      (fun s sh ->
-        List.iter (fun l -> if not (router_local t l) then all := global_of t s l :: !all) (Chunk_store.live_ids sh))
-      t.shards;
-    List.sort Int.compare !all
-  end
+  let all = ref [] in
+  Array.iteri
+    (fun s sh ->
+      List.iter (fun l -> if not (router_local t l) then all := global_of t s l :: !all) (Chunk_store.live_ids sh))
+    t.shards;
+  List.sort Int.compare !all
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
@@ -631,7 +551,7 @@ let live_ids t : chunk_id list =
 
 let shards t = t.n
 let shard_store t s = t.shards.(s)
-let txn_commits t = if Int.equal t.n 1 then (Chunk_store.stats t.shards.(0)).Chunk_store.commits else t.txn_commits
+let txn_commits t = t.txn_commits
 let cross_commits t = t.cross_commits
 let shard_barriers t = Array.copy t.barriers
 let shard_counters t = Array.map Chunk_store.counter_value t.shards

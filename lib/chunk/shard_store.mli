@@ -9,16 +9,21 @@
     one counter bump and one log tail. Sharding gives each partition its
     own spine, so single-shard commits — the common case under a
     branch-affine workload — never contend on another shard's tail:
-    {!durable_barrier} and the staged barrier touch only the shards that
-    actually committed since the last barrier (per-shard barrier counts
-    are exported in {!shard_barriers}).
+    {!durable_barrier} and the staged barrier touch only the shards with
+    nondurable commits still to promote (per-shard barrier counts are
+    exported in {!shard_barriers}).
+
+    The router keeps no copy of a shard's state: the open batch and
+    whether a barrier has work to do are read from each {!Chunk_store}
+    ({!Chunk_store.batch}, {!Chunk_store.promotable}), and every width,
+    1 included, runs the same code.
 
     {1 Chunk-id routing}
 
     Global chunk ids are striped over shards: reserved ids ([0, 8)) live
     on shard 0, and an allocation on shard [s] with local id [l ≥ 8] is
     published as global id [(l - 8) * n + s + 8]. With [n = 1] the
-    encoding is the identity and every operation is a passthrough, so a
+    encoding is the identity and the router writes no 2PC records, so a
     1-shard router is byte-compatible with the unsharded store format.
 
     Each shard additionally owns two {e local} reserved ids the router
@@ -42,8 +47,9 @@
       participant's status chunk records [(coordinator, gtid, redo ids)] —
       one durable commit per participant.
     + {b Decision} (the coordinator = lowest participant): the decision
-      table gains an entry [(gtid, participants)] MAC'd under the device
-      secret and chained to the previous decision — one durable commit.
+      table gains an entry [(gtid, participants)] MAC'd by the
+      coordinator's store ({!Chunk_store.mac}, the anchor key) and
+      chained to the previous decision — one durable commit.
       This is the commit point.
     + {b Apply} (each participant): replay the redo payload, advance the
       per-coordinator high-water mark, release the staging chunks — one
@@ -97,7 +103,8 @@ val open_existing :
     rolled-back coordinator, or a vanished prepare. *)
 
 val wrap : Chunk_store.t -> t
-(** A 1-shard router over an already-open store: pure passthrough. *)
+(** A 1-shard router over an already-open store (it writes nothing the
+    unsharded format lacks). *)
 
 val close : t -> unit
 
@@ -113,7 +120,9 @@ val deallocate : t -> Types.chunk_id -> unit
 val restore_chunk : t -> Types.chunk_id -> string -> unit
 
 val commit : ?durable:bool -> t -> unit
-(** Apply the buffered batch atomically. A batch confined to one shard
+(** Apply the buffered batch atomically. The participants are the shards
+    whose {!Chunk_store.batch_size} is non-zero (a chunk allocated and
+    deallocated unwritten touches no shard). A batch confined to one shard
     commits exactly as an unsharded store would; a batch spanning shards
     runs the cross-shard 2PC above and is {e always durable} (atomicity
     across independently-recovering shards requires durable prepare and
@@ -122,11 +131,12 @@ val commit : ?durable:bool -> t -> unit
 
 val abort_batch : t -> unit
 val durable_barrier : t -> unit
-(** Barrier only the shards that committed since their last durable
-    point (all shards when [n = 1], preserving unsharded semantics). *)
+(** Barrier only the shards whose {!Chunk_store.promotable} is set, at
+    every width: a shard whose last commit was durable, or whose
+    nondurable commits a checkpoint already promoted, is skipped. *)
 
 (** {2 Staged barrier} — the three-stage split of {!durable_barrier},
-    applied per dirty shard (see {!Chunk_store.barrier_begin}). *)
+    applied per promotable shard (see {!Chunk_store.barrier_begin}). *)
 
 type barrier_token
 
@@ -170,12 +180,17 @@ val metrics : t -> Metrics.t
     every width). The one place store metrics are named. *)
 
 val shards : t -> int
+
+val shard_of : t -> Types.chunk_id -> int
+(** The shard a global chunk id lives on. *)
+
 val shard_store : t -> int -> Chunk_store.t
 (** Direct access to one shard (read-only introspection; mutating a shard
     behind the router's back voids the 2PC bookkeeping). *)
 
 val txn_commits : t -> int
-(** Router-level commits (a cross-shard 2PC counts once). *)
+(** Router-level commits of a non-empty batch (a cross-shard 2PC counts
+    once; barriers and the 2PC's own records do not count). *)
 
 val cross_commits : t -> int
 (** Commits that spanned more than one shard. *)

@@ -5,9 +5,10 @@
     at {e every} write/sync boundary of all [n] database stores and all [n]
     one-way-counter stores, under several seeded choices of which unsynced
     writes survive ({!Tdb_platform.Untrusted_store.Mem.crash}). A 1-shard
-    router is a pure passthrough to one chunk store, so width 1 sweeps the
-    unsharded store with byte-identical I/O. After each crash it reopens
-    the database and checks invariant oracles against a shadow model:
+    router writes no records beyond its one chunk store's, so width 1
+    sweeps the unsharded store with byte-identical I/O. After each crash
+    it reopens the database and checks invariant oracles against a shadow
+    model:
 
     - {b durability}: the recovered chunk state equals the shadow state at
       some admissible commit boundary — no earlier than the last commit
@@ -440,8 +441,6 @@ let run_phase_clean ~trace d =
     end
   done
 
-let shard_of_gid n g = if g < 8 then 0 else (g - 8) mod n
-
 (* Transfer phase A (width >= 2): per-shard balance chunks loaded in one
    all-shard durable commit (itself a 2PC), then transfers — 3/4 pick a
    distinct source and destination shard, rewrite one balance chunk on
@@ -471,7 +470,7 @@ let run_phase_transfer ~trace d =
       end
     in
     let touched = ref [] in
-    let touch cid = touched := shard_of_gid n cid :: !touched in
+    let touch cid = touched := Shard_store.shard_of d.ss cid :: !touched in
     let a = base.(src).(Drbg.int d.rng per) in
     let b = base.(dst).(Drbg.int d.rng per) in
     let delta = Drbg.int d.rng 10_000 in

@@ -39,8 +39,9 @@ val of_shard_store : ?config:config -> Tdb_chunk.Shard_store.t -> t
     on shard 0. *)
 
 val of_chunk_store : ?config:config -> Tdb_chunk.Chunk_store.t -> t
-(** Convenience: wrap a single chunk store in a 1-shard router (pure
-    passthrough, byte-compatible with the unsharded format). *)
+(** Convenience: wrap a single chunk store in a 1-shard router
+    ({!Tdb_chunk.Shard_store.wrap}: byte-compatible with the unsharded
+    format). *)
 
 val chunk_store : t -> Tdb_chunk.Shard_store.t
 val close : t -> unit

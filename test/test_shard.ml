@@ -2,7 +2,7 @@
    the unsharded store format, cross-shard 2PC (commit, veto/abort,
    crash recovery, per-shard counter enforcement), the object-level
    abort path under concurrent transfers, and the barrier-skip guarantee
-   for single-shard commits. *)
+   (a barrier touches only shards with nondurable commits to promote). *)
 
 open Tdb_platform
 open Tdb_chunk
@@ -97,13 +97,19 @@ let test_routing () =
     cids;
   Shard_store.close ss;
   (* opening at the wrong width is refused, not served partially *)
-  match
-    Shard_store.open_existing ~config:(cfg 2) ~secret:sec
-      ~counters:(Array.sub env.ctrs 0 2)
-      (Array.sub env.stores 0 2)
-  with
-  | _ -> Alcotest.fail "opened 4-shard store at width 2"
-  | exception Chunk_store.Recovery_failed _ -> ()
+  let refused what ~counters stores =
+    match Shard_store.open_existing ~config:(cfg (Array.length stores)) ~secret:sec ~counters stores with
+    | _ -> Alcotest.fail ("opened " ^ what)
+    | exception Chunk_store.Recovery_failed _ -> ()
+  in
+  refused "4-shard store at width 2" ~counters:(Array.sub env.ctrs 0 2) (Array.sub env.stores 0 2);
+  refused "4-shard store at width 1" ~counters:(Array.sub env.ctrs 0 1) (Array.sub env.stores 0 1);
+  (* an unsharded image standing in for shard 0 of a 2-shard store *)
+  let env2 = make_env 2 and plain = make_env 1 in
+  Shard_store.close (Shard_store.create ~config:(cfg 2) ~secret:sec ~counters:env2.ctrs env2.stores);
+  Chunk_store.close (Chunk_store.create ~config:(cfg 1) ~secret:sec ~counter:plain.ctrs.(0) plain.stores.(0));
+  refused "unsharded store as shard 0 of width 2" ~counters:[| plain.ctrs.(0); env2.ctrs.(1) |]
+    [| plain.stores.(0); env2.stores.(1) |]
 
 (* --- cross-shard 2PC --- *)
 
@@ -164,6 +170,28 @@ let test_veto_rolls_back () =
   Alcotest.(check string) "retry persisted on shard 1" "b1" (Shard_store.read ss b);
   Shard_store.close ss
 
+(* A shard whose operations cancel out (a chunk allocated and deallocated
+   unwritten) has no batch, so it is not a participant: the commit stays
+   a nondurable single-shard commit instead of a forced-durable 2PC. *)
+let test_cancelled_ops_not_a_participant () =
+  let n = 2 in
+  let env = make_env n in
+  let sec = secret () in
+  let ss = Shard_store.create ~config:(cfg n) ~secret:sec ~counters:env.ctrs env.stores in
+  let a = Shard_store.allocate ~shard:0 ss in
+  Shard_store.write ss a "a0";
+  Shard_store.commit ~durable:true ss;
+  let cross_before = Shard_store.cross_commits ss in
+  let counters_before = Shard_store.shard_counters ss in
+  let b = Shard_store.allocate ~shard:1 ss in
+  Shard_store.deallocate ss b;
+  Shard_store.write ss a "a1";
+  Shard_store.commit ~durable:false ss;
+  Alcotest.(check int) "not a 2PC" cross_before (Shard_store.cross_commits ss);
+  Alcotest.(check (array int64)) "no counter moved" counters_before (Shard_store.shard_counters ss);
+  Alcotest.(check string) "committed" "a1" (Shard_store.read ss a);
+  Shard_store.close ss
+
 (* Each shard's one-way counter is enforced independently: rolling back a
    single shard's counter is flagged as tampering at open. *)
 let test_counter_rollback_detected () =
@@ -184,9 +212,11 @@ let test_counter_rollback_detected () =
 (* --- barrier skip --- *)
 
 (* The point of sharding: a commit confined to one shard must not drag
-   the other shards' barriers (or counters) along. *)
-let test_barrier_skips_clean_shards () =
-  let n = 4 in
+   the other shards' barriers (or counters) along. A barrier runs only on
+   shards with nondurable commits still to promote, at every width: an
+   idle barrier after a durable commit, or one after a checkpoint already
+   promoted the nondurable commit, touches no shard. *)
+let check_barrier_skips n =
   let env = make_env n in
   let sec = secret () in
   let ss = Shard_store.create ~config:(cfg n) ~secret:sec ~counters:env.ctrs env.stores in
@@ -197,31 +227,48 @@ let test_barrier_skips_clean_shards () =
     Shard_store.commit ~durable:true ss
   done;
   let cross_before = Shard_store.cross_commits ss in
-  let barriers_before = Array.copy (Shard_store.shard_barriers ss) in
-  let counters_before = Array.copy (Shard_store.shard_counters ss) in
-  let cid = Shard_store.allocate ~shard:2 ss in
-  Shard_store.write ss cid "only-shard-2";
+  (* barrier with [active] the only shard with nondurable commits *)
+  let barrier what ~active =
+    let barriers_before = Shard_store.shard_barriers ss in
+    let counters_before = Shard_store.shard_counters ss in
+    Shard_store.durable_barrier ss;
+    let barriers_after = Shard_store.shard_barriers ss in
+    let counters_after = Shard_store.shard_counters ss in
+    Array.iteri
+      (fun s before ->
+        let name fmt = Printf.sprintf ("width %d, %s: shard %d " ^^ fmt) n what s in
+        if Some s = active then begin
+          Alcotest.(check bool) (name "ran its barrier") true (barriers_after.(s) > before);
+          Alcotest.(check bool) (name "counter advanced") true
+            (Int64.compare counters_after.(s) counters_before.(s) > 0)
+        end
+        else begin
+          Alcotest.(check int) (name "skipped the barrier") before barriers_after.(s);
+          Alcotest.(check int64) (name "counter untouched") counters_before.(s) counters_after.(s)
+        end)
+      barriers_before
+  in
+  let s = min 2 (n - 1) in
+  let cid = Shard_store.allocate ~shard:s ss in
+  Shard_store.write ss cid "only-one-shard";
   Shard_store.commit ~durable:false ss;
-  Shard_store.durable_barrier ss;
+  barrier "nondurable commit" ~active:(Some s);
   Alcotest.(check int) "single-shard commit is not a 2PC" cross_before (Shard_store.cross_commits ss);
-  let barriers_after = Shard_store.shard_barriers ss in
-  let counters_after = Shard_store.shard_counters ss in
-  Array.iteri
-    (fun s before ->
-      if Int.equal s 2 then begin
-        Alcotest.(check bool) "dirty shard ran its barrier" true (barriers_after.(2) > before);
-        Alcotest.(check bool) "dirty shard's counter advanced" true
-          (Int64.compare counters_after.(2) counters_before.(2) > 0)
-      end
-      else begin
-        Alcotest.(check int) (Printf.sprintf "clean shard %d skipped the barrier" s) before
-          barriers_after.(s);
-        Alcotest.(check int64)
-          (Printf.sprintf "clean shard %d's counter untouched" s)
-          counters_before.(s) counters_after.(s)
-      end)
-    barriers_before;
+  Shard_store.write ss cid "durable";
+  Shard_store.commit ~durable:true ss;
+  barrier "idle after a durable commit" ~active:None;
+  Shard_store.write ss cid "promoted";
+  Shard_store.commit ~durable:false ss;
+  Shard_store.checkpoint ss;
+  barrier "after a promoting checkpoint" ~active:None;
+  (* the skipped barrier lost nothing: the checkpoint made it durable *)
+  Array.iter Untrusted_store.Mem.crash_hard env.store_mems;
+  let ss = Shard_store.open_existing ~config:(cfg n) ~secret:sec ~counters:env.ctrs env.stores in
+  Alcotest.(check string) (Printf.sprintf "width %d: promoted commit survives" n) "promoted"
+    (Shard_store.read ss cid);
   Shard_store.close ss
+
+let test_barrier_skips_clean_shards () = List.iter check_barrier_skips [ 1; 4 ]
 
 (* --- object-level abort path under concurrent transfers --- *)
 
@@ -332,6 +379,7 @@ let () =
           Alcotest.test_case "crash recovery all-or-nothing" `Quick test_cross_shard_recovery;
           Alcotest.test_case "veto rolls back every participant" `Quick test_veto_rolls_back;
           Alcotest.test_case "per-shard counter rollback detected" `Quick test_counter_rollback_detected;
+          Alcotest.test_case "cancelled ops make no participant" `Quick test_cancelled_ops_not_a_participant;
         ] );
       ( "scaling",
         [
