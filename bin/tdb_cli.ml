@@ -42,7 +42,7 @@ let status_cmd =
       (match Tdb.Archival_store.list db.Tdb.device.Tdb.Device.archive with
       | [] -> "(none)"
       | l -> String.concat ", " l);
-    Tdb.Metrics.print (Tdb.Shard_store.metrics db.Tdb.chunks);
+    Tdb.Metrics.print (Tdb.Shard_store.metrics db.Tdb.chunks @ Tdb.Backup_store.metrics db.Tdb.backups);
     Tdb.close db
   in
   Cmd.v (Cmd.info "status" ~doc:"Open a database (running recovery + tamper checks) and print its metrics.")

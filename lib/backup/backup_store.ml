@@ -64,39 +64,33 @@ let load_state t : chain_state =
   | data -> decode_state data
   | exception Types.Not_written _ -> { last_id = 0; chain = "genesis"; base_snapshot = None }
 
-(* Mirror the chain position into the chunk store's stats record, so
-   operators (tdb_cli status / remote-status) see the backup/replication
-   position without opening the archive. *)
-let publish_stats t (s : chain_state) : unit =
-  (* shard 0's record: Shard_store.stats copies backup_* fields from it *)
-  let st = Chunk_store.stats (Shard_store.shard_store t.cs 0) in
-  st.Chunk_store.backup_last_id <- s.last_id;
-  st.Chunk_store.backup_chain <- s.chain;
-  st.Chunk_store.backup_base_snapshot <- (match s.base_snapshot with Some v -> v | None -> -1)
-
 let save_state t (s : chain_state) : unit =
   Shard_store.write t.cs state_cid (encode_state s);
-  Shard_store.commit ~durable:true t.cs;
-  publish_stats t s
+  Shard_store.commit ~durable:true t.cs
 
 let chain_state t : chain_state = load_state t
 
+let metrics t : Metrics.t =
+  let s = chain_state t in
+  Metrics.
+    [
+      ("backup.last_id", Int s.last_id);
+      ("backup.base_snapshot", Int (match s.base_snapshot with Some v -> v | None -> -1));
+      ("backup.chain", Text (Tdb_crypto.Hex.of_string s.chain));
+    ]
+
 let create ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Archival_store.t)
     (cs : Shard_store.t) : t =
-  let t =
-    {
-      cs;
-      archive;
-      cipher =
-        Tdb_crypto.Cbc.make
-          (module Tdb_crypto.Aes)
-          ~secret:(Tdb_platform.Secret_store.derive_len secret "backup-cipher" Tdb_crypto.Aes.key_size);
-      mac_key = Tdb_platform.Secret_store.derive secret "backup-mac";
-      iv_key = Tdb_platform.Secret_store.derive secret "backup-iv";
-    }
-  in
-  publish_stats t (load_state t);
-  t
+  {
+    cs;
+    archive;
+    cipher =
+      Tdb_crypto.Cbc.make
+        (module Tdb_crypto.Aes)
+        ~secret:(Tdb_platform.Secret_store.derive_len secret "backup-cipher" Tdb_crypto.Aes.key_size);
+    mac_key = Tdb_platform.Secret_store.derive secret "backup-mac";
+    iv_key = Tdb_platform.Secret_store.derive secret "backup-iv";
+  }
 
 let archive t = t.archive
 
@@ -401,5 +395,4 @@ let apply_stream t (stream : string) : header =
   let st' = { last_id = h.id; chain = p.p_chain; base_snapshot = None } in
   Shard_store.restore_chunk t.cs state_cid (encode_state st');
   Shard_store.commit ~durable:true t.cs;
-  publish_stats t st';
   h

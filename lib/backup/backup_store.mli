@@ -39,12 +39,15 @@ val create :
   archive:Tdb_platform.Archival_store.t ->
   Tdb_chunk.Shard_store.t ->
   t
-(** Also mirrors the persisted chain position into
-    {!Tdb_chunk.Chunk_store.stats} ([backup_last_id] / [backup_chain] /
-    [backup_base_snapshot]), as do all operations below that advance it. *)
 
 val chain_state : t -> chain_state
 (** The persisted chain position (reserved chunk id inside the store). *)
+
+val metrics : t -> Tdb_chunk.Metrics.t
+(** The chain position as [backup.last_id], [backup.base_snapshot] (-1
+    when there is none: no backups yet, or a replication follower) and
+    [backup.chain] (hex). Reads the store, so a caller that shares it with
+    transactions runs this under the object store's state mutex. *)
 
 val archive : t -> Tdb_platform.Archival_store.t
 

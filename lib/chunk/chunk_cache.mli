@@ -3,24 +3,27 @@
 
     Sits inside the chunk store, below the object cache: a hit skips the
     log read, the Merkle-label check and the decryption that
-    {!Chunk_store.read} otherwise pays on every access. Entries are keyed
-    by chunk id and guarded by the committed version number — a lookup
-    only hits when the cached version matches the one the location map
-    currently holds, so stale data can never be served and cleaning
-    relocation (which preserves versions) invalidates nothing.
-
-    The cache is single-writer: it belongs to the domain that created it,
-    and every mutating operation asserts it runs there — see DESIGN.md,
-    "Sealing runs on the calling domain". *)
+    {!Chunk_store.read} otherwise pays on every access. The LRU is
+    {!Lru}, the same structure the object cache runs on; this module adds
+    only the chunk tier's policy:
+    - the version guard: entries are keyed by chunk id and a lookup only
+      hits when the cached version matches the one the location map
+      currently holds, so stale data can never be served and cleaning
+      relocation (which preserves versions) invalidates nothing;
+    - a flat 64-byte charge per entry on top of the payload;
+    - a budget of 0 disables caching;
+    - single-writer ownership: the cache belongs to the domain that
+      created it, and every mutating operation asserts it runs there —
+      see DESIGN.md, "Sealing runs on the calling domain". *)
 
 type t
 
 val create : budget:int -> t
-(** An empty cache holding at most [budget] bytes of plaintext (plus a
-    small per-entry overhead). A budget of 0 disables caching: [put]
-    becomes a no-op and every [find] misses. The calling domain becomes
-    the cache's owner; [find]/[put]/[remove]/[clear]/[set_budget] from
-    any other domain fail the ownership assertion. *)
+(** An empty cache holding at most [budget] bytes of plaintext (plus the
+    per-entry charge). A budget of 0 disables caching: [put] becomes a
+    no-op and every [find] misses. The calling domain becomes the cache's
+    owner; [find]/[put]/[remove]/[set_budget] from any other domain fail
+    the ownership assertion. *)
 
 val find : t -> int -> version:int -> string option
 (** [find t cid ~version] returns the cached payload iff an entry for
@@ -33,9 +36,6 @@ val put : t -> int -> version:int -> string -> unit
 
 val remove : t -> int -> unit
 (** Forget [cid] (deallocation). *)
-
-val clear : t -> unit
-(** Drop every entry (recovery/restore). Counters are preserved. *)
 
 val stats : t -> int * int * int
 (** [(hits, misses, evictions)] since creation. *)

@@ -42,9 +42,6 @@ type stats = {
   mutable cache_hits : int; (* verified-chunk cache counters, mirrored *)
   mutable cache_misses : int;
   mutable cache_evictions : int;
-  mutable backup_last_id : int; (* backup/replication position, published *)
-  mutable backup_base_snapshot : int; (* by Backup_store; -1 = no base *)
-  mutable backup_chain : string; (* current backup hash-chain value *)
 }
 
 type t = {
@@ -80,8 +77,7 @@ let fresh_stats () =
   { commits = 0; durable_commits = 0; checkpoints = 0; clean_passes = 0; segments_cleaned = 0;
     chunks_relocated = 0; bytes_relocated = 0; live_segments = 0; tampers = 0;
     bytes_data = 0; bytes_map = 0; bytes_commit = 0; grow_policy = 0; grow_fallback = 0; grow_backstop = 0;
-    cache_hits = 0; cache_misses = 0; cache_evictions = 0;
-    backup_last_id = 0; backup_base_snapshot = -1; backup_chain = "" }
+    cache_hits = 0; cache_misses = 0; cache_evictions = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Low-level record I/O                                                *)
@@ -101,7 +97,7 @@ let fetch t : Location_map.fetch =
 (* Grow conservatively: the utilization policy (ensure_space) is the only
    place that deliberately trades space for cleaning effort; this backstop
    merely keeps appends total without inflating the store. *)
-let grow_step _t = 2
+let grow_step = 2
 
 (** Append, growing the store if the free list runs dry. The clean-vs-grow
     *policy* runs before commits; this is the backstop that keeps appends
@@ -116,8 +112,8 @@ let rec append_rec ?(live = true) t kind sealed : int * int =
       | Next_segment -> ());
       pos
   | exception Log.Need_segment ->
-      t.stats.grow_backstop <- t.stats.grow_backstop + grow_step t;
-      Log.grow t.log ~segments:(grow_step t);
+      t.stats.grow_backstop <- t.stats.grow_backstop + grow_step;
+      Log.grow t.log ~segments:grow_step;
       append_rec ~live t kind sealed
 
 (** Seal and append a payload, returning its location entry. *)
@@ -386,7 +382,7 @@ let ensure_free t ~(segs : int) : unit =
     while Log.free_count t.log < segs && !rounds < 8 do
       incr rounds;
       if Log.utilization t.log >= t.cfg.Config.max_utilization then begin
-        let n = max (grow_step t) (segs - Log.free_count t.log) in
+        let n = max grow_step (segs - Log.free_count t.log) in
         t.stats.grow_policy <- t.stats.grow_policy + n;
         Log.grow t.log ~segments:n
       end
@@ -394,7 +390,7 @@ let ensure_free t ~(segs : int) : unit =
         (* checkpoints (and hence cleaning passes, which end in one) are
            deferred while a staged barrier's counter increment is pending;
            just grow, the window is short *)
-        let n = max (grow_step t) (segs - Log.free_count t.log) in
+        let n = max grow_step (segs - Log.free_count t.log) in
         t.stats.grow_fallback <- t.stats.grow_fallback + n;
         Log.grow t.log ~segments:n
       end
@@ -405,7 +401,7 @@ let ensure_free t ~(segs : int) : unit =
         if Log.clean_candidates t.log = [] && t.commits_since_cp > 0 then do_checkpoint t;
         match Log.clean_candidates t.log with
         | [] ->
-            let n = max (grow_step t) (segs - Log.free_count t.log) in
+            let n = max grow_step (segs - Log.free_count t.log) in
             t.stats.grow_fallback <- t.stats.grow_fallback + n;
             Log.grow t.log ~segments:n
         | _ -> clean_pass ~max_segments:t.cfg.Config.clean_batch t
@@ -544,71 +540,70 @@ let commit ?(durable = true) t : unit =
        hw > c_last and is detected. *)
     if durable && t.sec.Security.enabled then t.last_counter <- Int64.add t.last_counter 1L;
     let budget = max_commit_record_bytes t in
-    (* Plan the batch: freeze it in table order, precompute the commit
-       sequence number every op will land under (replicating the
-       sub-commit split arithmetic of [note_cost] below), and seal every
-       write at that version. Every data record's IV is thus drawn, in op
-       order, before the batch's first commit record draws its own. *)
-    let planned =
-      let cur = ref t.seq and body = ref 0 in
-      List.map
-        (fun (cid, op) ->
-          let v = !cur in
-          let cost = match op with Op_write _ -> 48 + t.sec.Security.hash_len | Op_dealloc -> 10 in
-          body := !body + cost;
-          if !body >= budget then begin
-            incr cur;
-            body := 0
-          end;
-          match op with
-          | Op_write data ->
-              let sealed = Security.seal t.sec (data_payload ~cid ~version:v data) in
-              (cid, `Write (data, sealed, Security.label t.sec sealed), v)
-          | Op_dealloc -> (cid, `Dealloc, v))
-        (List.rev (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending []))
+    (* Group the batch once, in table order: each group becomes one
+       sub-commit, closed as soon as its commit-record body reaches the
+       budget (the closing group may be empty). *)
+    let groups =
+      let closed, open_, _ =
+        List.fold_left
+          (fun (closed, cur, body) (cid, op) ->
+            let body = body + (match op with Op_write _ -> 48 + t.sec.Security.hash_len | Op_dealloc -> 10) in
+            if body >= budget then (List.rev ((cid, op) :: cur) :: closed, [], 0)
+            else (closed, (cid, op) :: cur, body))
+          ([], [], 0)
+          (List.rev (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending []))
+      in
+      List.rev (List.rev open_ :: closed)
     in
-    let writes = ref [] and deallocs = ref [] and body_bytes = ref 0 in
-    let flush_group ~last =
-      append_commit_record t
-        {
-          c_seq = t.seq;
-          c_kind = App { durable = durable && last };
-          c_counter = t.last_counter;
-          c_writes = List.rev !writes;
-          c_deallocs = List.rev !deallocs;
-        };
-      writes := [];
-      deallocs := [];
-      body_bytes := 0;
-      if not last then t.seq <- t.seq + 1
+    (* Seal every write at its group's sequence number first, so every
+       data record's IV is drawn, in op order, before the batch's first
+       commit record draws its own. *)
+    let sealed_groups =
+      List.mapi
+        (fun i group ->
+          List.map
+            (fun (cid, op) ->
+              match op with
+              | Op_write data ->
+                  let sealed = Security.seal t.sec (data_payload ~cid ~version:(t.seq + i) data) in
+                  (cid, `Write (data, sealed, Security.label t.sec sealed))
+              | Op_dealloc -> (cid, `Dealloc))
+            group)
+        groups
     in
-    let note_cost n =
-      body_bytes := !body_bytes + n;
-      if !body_bytes >= budget then flush_group ~last:false
-    in
-    List.iter
-      (fun (cid, op, v) ->
-        (* the plan must agree with the live sub-commit sequence *)
-        assert (Int.equal v t.seq);
-        match op with
-        | `Write (data, sealed, hash) ->
-            let seg, off = append_rec t Data_chunk sealed in
-            let e = { seg; off; len = String.length sealed; hash; version = v } in
-            Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e);
-            Hashtbl.remove t.allocated cid;
-            (* write-through: refresh the verified cache at the new
-               committed version so read-after-write stays a hit *)
-            Chunk_cache.put t.cache cid ~version:e.version data;
-            writes := (cid, e) :: !writes;
-            note_cost (48 + String.length e.hash)
-        | `Dealloc ->
-            Option.iter (Log.obsolete_entry t.log) (Location_map.remove t.map (fetch t) cid);
-            Chunk_cache.remove t.cache cid;
-            deallocs := cid :: !deallocs;
-            note_cost 10)
-      planned;
+    let last = List.length sealed_groups - 1 in
+    List.iteri
+      (fun i group ->
+        let writes, deallocs =
+          List.fold_left
+            (fun (writes, deallocs) (cid, op) ->
+              match op with
+              | `Write (data, sealed, hash) ->
+                  let seg, off = append_rec t Data_chunk sealed in
+                  let e = { seg; off; len = String.length sealed; hash; version = t.seq } in
+                  Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e);
+                  Hashtbl.remove t.allocated cid;
+                  (* write-through: refresh the verified cache at the new
+                     committed version so read-after-write stays a hit *)
+                  Chunk_cache.put t.cache cid ~version:e.version data;
+                  ((cid, e) :: writes, deallocs)
+              | `Dealloc ->
+                  Option.iter (Log.obsolete_entry t.log) (Location_map.remove t.map (fetch t) cid);
+                  Chunk_cache.remove t.cache cid;
+                  (writes, cid :: deallocs))
+            ([], []) group
+        in
+        append_commit_record t
+          {
+            c_seq = t.seq;
+            c_kind = App { durable = durable && Int.equal i last };
+            c_counter = t.last_counter;
+            c_writes = List.rev writes;
+            c_deallocs = List.rev deallocs;
+          };
+        if i < last then t.seq <- t.seq + 1)
+      sealed_groups;
     Hashtbl.reset t.pending;
-    flush_group ~last:true;
     (* One store write pass per commit: everything the batch appended —
        chunk records, sub-commit chain, the final commit record — lands as
        a single vectored flush, before the durability point below. *)

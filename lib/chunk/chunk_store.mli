@@ -212,14 +212,6 @@ type stats = {
                                  without fetch/verify/decrypt) *)
   mutable cache_misses : int;  (** verified-chunk cache misses *)
   mutable cache_evictions : int;  (** LRU evictions under budget pressure *)
-  mutable backup_last_id : int;
-      (** id of the last backup emitted or applied (0 = none); published
-          by {!Tdb_backup.Backup_store} so operators can read the
-          backup/replication position off plain store stats *)
-  mutable backup_base_snapshot : int;
-      (** snapshot id the next incremental backup will diff against; -1
-          when there is none (no backups yet, or a replication follower) *)
-  mutable backup_chain : string;  (** current backup hash-chain value *)
 }
 
 val stats : t -> stats

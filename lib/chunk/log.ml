@@ -43,7 +43,6 @@ type t = {
   mutable tail_seg : int;
   mutable tail_off : int; (* offset within tail segment *)
   mutable tail_buf : run list; (* buffered appends, newest run first *)
-  mutable grown : int; (* segments added since open (stats) *)
 }
 
 let seg_start t seg = t.log_base + (seg * t.cfg.Config.segment_size)
@@ -133,7 +132,6 @@ let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
       tail_seg = 0;
       tail_off = 0;
       tail_buf = [];
-      grown = 0;
     }
   in
   ensure_store_size t;
@@ -162,7 +160,6 @@ let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail
       tail_seg;
       tail_off;
       tail_buf = [];
-      grown = 0;
     }
   in
   ensure_store_size t;
@@ -228,7 +225,6 @@ let residual_bytes t = t.residual_bytes
 let grow t ~(segments : int) =
   let first = t.nsegments in
   t.nsegments <- t.nsegments + segments;
-  t.grown <- t.grown + segments;
   ensure_store_size t;
   t.free <- t.free @ List.init segments (fun i -> first + i);
   t.nfree <- t.nfree + segments

@@ -47,7 +47,6 @@ type t = {
   mutable tail_seg : int;
   mutable tail_off : int;
   mutable tail_buf : run list;  (** buffered appends, newest run first *)
-  mutable grown : int;
 }
 
 val create : Tdb_platform.Untrusted_store.t -> Config.t -> t

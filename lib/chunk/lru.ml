@@ -1,0 +1,128 @@
+(** A byte-budgeted LRU map from int keys to values, with pin counts: the
+    one structure under both cache tiers (see lru.mli). Entries sit on a
+    doubly linked list, most recently used first. *)
+
+type 'v entry = {
+  key : int;
+  mutable value : 'v;
+  mutable size : int;
+  mutable pins : int;
+  mutable prev : 'v entry option; (* towards MRU *)
+  mutable next : 'v entry option; (* towards LRU *)
+}
+
+type 'v t = {
+  table : (int, 'v entry) Hashtbl.t;
+  mutable mru : 'v entry option;
+  mutable lru : 'v entry option;
+  mutable total_size : int;
+  mutable budget : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+}
+
+let create ~(budget : int) : 'v t =
+  { table = Hashtbl.create 256; mru = None; lru = None; total_size = 0; budget; hits = 0; misses = 0; evictions = 0 }
+
+let value e = e.value
+let set_value e v = e.value <- v
+
+let unlink t e =
+  (match e.prev with Some p -> p.next <- e.next | None -> t.mru <- e.next);
+  (match e.next with Some n -> n.prev <- e.prev | None -> t.lru <- e.prev);
+  e.prev <- None;
+  e.next <- None
+
+let push_mru t e =
+  e.next <- t.mru;
+  e.prev <- None;
+  (match t.mru with Some m -> m.prev <- Some e | None -> t.lru <- Some e);
+  t.mru <- Some e
+
+let touch t e =
+  unlink t e;
+  push_mru t e
+
+let drop t e =
+  unlink t e;
+  Hashtbl.remove t.table e.key;
+  t.total_size <- t.total_size - e.size
+
+let evict_until_within t =
+  let rec go cursor =
+    if t.total_size > t.budget then
+      match cursor with
+      | None -> ()
+      | Some e ->
+          let prev = e.prev in
+          if e.pins = 0 then begin
+            drop t e;
+            t.evictions <- t.evictions + 1
+          end;
+          go prev
+  in
+  go t.lru
+
+let find ?valid t (key : int) : 'v entry option =
+  match Hashtbl.find_opt t.table key with
+  | Some e when (match valid with None -> true | Some ok -> ok e.value) ->
+      t.hits <- t.hits + 1;
+      touch t e;
+      Some e
+  | Some e ->
+      t.misses <- t.misses + 1;
+      drop t e;
+      None
+  | None ->
+      t.misses <- t.misses + 1;
+      None
+
+let put t (key : int) (value : 'v) ~(size : int) : 'v entry =
+  let e =
+    match Hashtbl.find_opt t.table key with
+    | Some e ->
+        t.total_size <- t.total_size - e.size + size;
+        e.value <- value;
+        e.size <- size;
+        touch t e;
+        e
+    | None ->
+        let e = { key; value; size; pins = 0; prev = None; next = None } in
+        Hashtbl.replace t.table key e;
+        push_mru t e;
+        t.total_size <- t.total_size + size;
+        e
+  in
+  evict_until_within t;
+  e
+
+let pin e = e.pins <- e.pins + 1
+
+let unpin t e =
+  if e.pins <= 0 then invalid_arg "Lru.unpin: not pinned";
+  e.pins <- e.pins - 1;
+  if t.total_size > t.budget then evict_until_within t
+
+let remove t (key : int) : unit = match Hashtbl.find_opt t.table key with None -> () | Some e -> drop t e
+
+let update_size t e ~(size : int) =
+  t.total_size <- t.total_size - e.size + size;
+  e.size <- size;
+  evict_until_within t
+
+let drop_all t : unit =
+  Hashtbl.iter (fun _ e -> if e.pins > 0 then invalid_arg "Lru.drop_all: pinned entry") t.table;
+  Hashtbl.reset t.table;
+  t.mru <- None;
+  t.lru <- None;
+  t.total_size <- 0
+
+let stats t = (t.hits, t.misses, t.evictions)
+let resident t = Hashtbl.length t.table
+let total_size t = t.total_size
+let budget t = t.budget
+
+let set_budget t b =
+  t.budget <- b;
+  evict_until_within t

@@ -566,9 +566,6 @@ let stats t : Chunk_store.stats =
       tampers = 0; bytes_data = 0; bytes_map = 0; bytes_commit = 0;
       grow_policy = 0; grow_fallback = 0; grow_backstop = 0; cache_hits = 0; cache_misses = 0;
       cache_evictions = 0;
-      backup_last_id = (Chunk_store.stats t.shards.(0)).backup_last_id;
-      backup_base_snapshot = (Chunk_store.stats t.shards.(0)).backup_base_snapshot;
-      backup_chain = (Chunk_store.stats t.shards.(0)).backup_chain;
     }
   in
   Array.iter
@@ -644,9 +641,6 @@ let metrics t : Metrics.t =
       ("cleaner.bytes_data", Int st.Chunk_store.bytes_data);
       ("cleaner.write_amp", ratio st.Chunk_store.bytes_relocated fresh);
       ("cleaner.live_segments", Int st.Chunk_store.live_segments);
-      ("backup.last_id", Int st.Chunk_store.backup_last_id);
-      ("backup.base_snapshot", Int st.Chunk_store.backup_base_snapshot);
-      ("backup.chain", Text (Tdb_crypto.Hex.of_string st.Chunk_store.backup_chain));
       ("shard.width", Int t.n);
       ("shard.cross_commits", Int t.cross_commits);
     ]

@@ -5,7 +5,10 @@
     - single-object chunks: an object's id *is* its chunk id (Section
       4.2.1);
     - an LRU cache of unpickled objects, pinned while referenced, with
-      no-steal buffering of dirty objects (Section 4.2.2);
+      no-steal buffering of dirty objects (Section 4.2.2). It is a
+      {!Tdb_chunk.Lru} keyed by oid and charged each object's last
+      pickled size; the verified-chunk cache below runs on the same
+      structure;
     - strict two-phase locking with shared/exclusive object locks, lock
       omissions caught by construction (objects are only reachable through
       refs tied to a transaction), deadlocks broken by timeout, and the
@@ -40,7 +43,7 @@ type t = {
   cfg : config;
   mu : Mutex.t;
   locks : Lock_manager.t;
-  cache : Cache.t;
+  cache : Obj_class.packed_value Lru.t;
   mutable roots : (string * oid) list;
   mutable next_txn_id : int;
 }
@@ -53,8 +56,8 @@ type txn = {
   store : t;
   txn_id : int;
   mutable state : txn_state;
-  pins : (oid, Cache.entry) Hashtbl.t; (* every object referenced by this txn *)
-  writes : (oid, Cache.entry) Hashtbl.t; (* inserted or opened writable *)
+  pins : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t; (* every object referenced by this txn *)
+  writes : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t; (* inserted or opened writable *)
   mutable inserted : oid list;
   mutable removed : oid list;
   mutable root_updates : (string * oid option) list;
@@ -111,7 +114,7 @@ let of_shard_store ?(config = default_config) (cs : Shard_store.t) : t =
     cfg = config;
     mu = Mutex.create ();
     locks = Lock_manager.create ();
-    cache = Cache.create ~budget:config.cache_budget;
+    cache = Lru.create ~budget:config.cache_budget;
     roots;
     next_txn_id = 1;
   }
@@ -139,7 +142,7 @@ let ingest t (f : Shard_store.t -> 'a) : 'a option =
       if Lock_manager.held_count t.locks > 0 then None
       else begin
         let r = f t.cs in
-        Cache.drop_all t.cache;
+        Lru.drop_all t.cache;
         t.roots <-
           (match Shard_store.read t.cs catalog_cid with
           | s -> decode_roots s
@@ -148,7 +151,7 @@ let ingest t (f : Shard_store.t -> 'a) : 'a option =
       end)
 let close t = with_mu t (fun () -> Shard_store.close t.cs)
 let checkpoint t = with_mu t (fun () -> Shard_store.checkpoint t.cs)
-let cache_stats t = Cache.stats t.cache
+let cache_stats t = Lru.stats t.cache
 
 let chunk_cache_stats t =
   let st = Shard_store.stats t.cs in
@@ -202,18 +205,18 @@ let lock x ~oid ~mode =
     Lock_manager.acquire x.store.locks ~mu:x.store.mu ~txn:x.txn_id ~oid ~mode
       ~timeout:x.store.cfg.lock_timeout
 
-let pin_entry x (e : Cache.entry) =
-  if not (Hashtbl.mem x.pins e.Cache.oid) then begin
-    Cache.pin e;
-    Hashtbl.replace x.pins e.Cache.oid e
+let pin_entry x oid e =
+  if not (Hashtbl.mem x.pins oid) then begin
+    Lru.pin e;
+    Hashtbl.replace x.pins oid e
   end
 
-let load t (oid : oid) : Cache.entry =
-  match Cache.find t.cache oid with
+let load t (oid : oid) : Obj_class.packed_value Lru.entry =
+  match Lru.find t.cache oid with
   | Some e -> e
   | None -> (
       match Shard_store.read t.cs oid with
-      | bytes -> Cache.put t.cache oid (Obj_class.unpickle_value bytes) ~size:(String.length bytes)
+      | bytes -> Lru.put t.cache oid (Obj_class.unpickle_value bytes) ~size:(String.length bytes)
       | exception Types.Not_written _ -> raise (Unknown_object oid) )
 
 (** Insert a new object; it is immediately locked exclusively, pinned and
@@ -224,8 +227,8 @@ let insert (x : txn) (cls : 'a Obj_class.t) (v : 'a) : oid =
       check_active x;
       let oid = Shard_store.allocate ?shard:x.alloc_shard x.store.cs in
       lock x ~oid ~mode:Lock_manager.Exclusive;
-      let e = Cache.put x.store.cache oid (Obj_class.Value (cls, v)) ~size:0 in
-      pin_entry x e;
+      let e = Lru.put x.store.cache oid (Obj_class.Value (cls, v)) ~size:0 in
+      pin_entry x oid e;
       Hashtbl.replace x.writes oid e;
       x.inserted <- oid :: x.inserted;
       oid)
@@ -236,9 +239,9 @@ let open_gen (x : txn) (cls : 'a Obj_class.t) (oid : oid) ~(mode : Lock_manager.
       if List.mem oid x.removed then raise (Removed_in_transaction oid);
       lock x ~oid ~mode;
       let e = load x.store oid in
-      pin_entry x e;
+      pin_entry x oid e;
       (match mode with Lock_manager.Exclusive -> Hashtbl.replace x.writes oid e | Lock_manager.Shared -> ());
-      Obj_class.cast cls e.Cache.value)
+      Obj_class.cast cls (Lru.value e))
 
 (** Open for reading: shared lock, const view. *)
 let open_readonly (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, readonly) ref_ =
@@ -263,9 +266,9 @@ let update (x : txn) (cls : 'a Obj_class.t) (oid : oid) (v : 'a) : unit =
       let e = load x.store oid in
       (* class check: updating at the wrong class is the same error as
          opening at the wrong class *)
-      ignore (Obj_class.cast cls e.Cache.value);
-      pin_entry x e;
-      e.Cache.value <- Obj_class.Value (cls, v);
+      ignore (Obj_class.cast cls (Lru.value e));
+      pin_entry x oid e;
+      Lru.set_value e (Obj_class.Value (cls, v));
       Hashtbl.replace x.writes oid e)
 
 (** Remove an object from the store; its id is freed at commit. *)
@@ -298,7 +301,7 @@ let root (x : txn) (name : string) : oid option =
       | None -> List.assoc_opt name x.store.roots)
 
 let finish (x : txn) (st : txn_state) =
-  Hashtbl.iter (fun _ e -> Cache.unpin x.store.cache e) x.pins;
+  Hashtbl.iter (fun _ e -> Lru.unpin x.store.cache e) x.pins;
   Hashtbl.reset x.pins;
   Lock_manager.release_all x.store.locks ~txn:x.txn_id;
   x.state <- st
@@ -312,16 +315,16 @@ let commit ?(durable = true) (x : txn) : unit =
       let t = x.store in
       (try
          Hashtbl.iter
-           (fun oid (e : Cache.entry) ->
-             let (Obj_class.Value (cls, v)) = e.Cache.value in
+           (fun oid e ->
+             let (Obj_class.Value (cls, v)) = Lru.value e in
              let bytes = Obj_class.pickle_value cls v in
              Shard_store.write t.cs oid bytes;
-             Cache.update_size t.cache e ~size:(String.length bytes))
+             Lru.update_size t.cache e ~size:(String.length bytes))
            x.writes;
          List.iter
            (fun oid ->
              Shard_store.deallocate t.cs oid;
-             Cache.remove t.cache oid)
+             Lru.remove t.cache oid)
            x.removed;
          if x.root_updates <> [] then begin
            let roots =
@@ -339,7 +342,7 @@ let commit ?(durable = true) (x : txn) : unit =
          Shard_store.abort_batch t.cs;
          finish x Aborted;
          (* failed commit behaves like abort: evict dirty objects *)
-         Hashtbl.iter (fun oid _ -> Cache.remove t.cache oid) x.writes;
+         Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
          List.iter (fun oid -> try Shard_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
          raise exn);
       finish x Committed)
@@ -352,7 +355,7 @@ let abort (x : txn) : unit =
       check_active x;
       let t = x.store in
       finish x Aborted;
-      Hashtbl.iter (fun oid _ -> Cache.remove t.cache oid) x.writes;
+      Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
       List.iter (fun oid -> try Shard_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
       Shard_store.abort_batch t.cs)
 

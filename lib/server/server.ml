@@ -483,7 +483,11 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
           | None -> reject "server" "collection %S failed to open" coll
           | Some c -> Proto.Ok_int (Cstore.size ct c)))
   | Proto.Metrics ->
-      let store = Object_store.with_store t.os Tdb_chunk.Shard_store.metrics in
+      let store =
+        Object_store.with_store t.os (fun cs ->
+            Tdb_chunk.Shard_store.metrics cs
+            @ match t.backups with Some bs -> Tdb_backup.Backup_store.metrics bs | None -> [])
+      in
       let barriers, coalesced =
         match t.gc with
         | None -> (0, 0)

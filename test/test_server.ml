@@ -236,6 +236,9 @@ let test_stats_counters () =
           Alcotest.(check bool) "sessions counted" true (int "server.sessions_total" >= 4);
           Alcotest.(check bool) "commits counted" true (int "server.committed" >= 4);
           Alcotest.(check int) "width" shards (int "shard.width");
+          (* the chain position comes from the archive, and this server has none *)
+          Alcotest.(check bool) "no archive, no backup rows" true
+            (Option.is_none (Metrics.find remote "backup.last_id"));
           Alcotest.(check bool) "live segments gauged" true (int "cleaner.live_segments" > 0);
           ignore (int (Printf.sprintf "shard.%d.counter" (shards - 1)));
           List.iter Client.close clients))

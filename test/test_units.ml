@@ -404,45 +404,107 @@ let blob_cls : blob Tdb_objstore.Obj_class.t =
     ~unpickle:(fun ~version:_ r -> { v = Tdb_pickle.Pickle.read_int r })
     ()
 
-let dummy_value i = Tdb_objstore.Obj_class.Value (blob_cls, { v = i })
+(* [(hits, misses, evictions)], [resident] and [total_size] in one check *)
+let check_lru name c ~stats ~resident ~total =
+  let open Tdb_chunk in
+  Alcotest.(check (triple int int int)) (name ^ ": stats") stats (Lru.stats c);
+  Alcotest.(check int) (name ^ ": resident") resident (Lru.resident c);
+  Alcotest.(check int) (name ^ ": total_size") total (Lru.total_size c)
 
-let test_cache_lru_eviction () =
-  let open Tdb_objstore in
-  let c = Cache.create ~budget:1000 in
+let test_lru_eviction () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:1000 in
   for i = 0 to 9 do
-    ignore (Cache.put c i (dummy_value i) ~size:200)
+    ignore (Lru.put c i i ~size:200)
   done;
-  (* only ~5 fit; the oldest were evicted *)
-  Alcotest.(check bool) "bounded" true (Cache.resident c <= 5);
-  Alcotest.(check bool) "newest present" true (Cache.find c 9 <> None);
-  Alcotest.(check bool) "oldest evicted" true (Cache.find c 0 = None)
+  (* only 5 fit; the oldest were evicted *)
+  check_lru "after puts" c ~stats:(0, 0, 5) ~resident:5 ~total:1000;
+  Alcotest.(check bool) "newest present" true (Lru.find c 9 <> None);
+  Alcotest.(check bool) "oldest evicted" true (Lru.find c 0 = None);
+  check_lru "after finds" c ~stats:(1, 1, 5) ~resident:5 ~total:1000
 
-let test_cache_pin_blocks_eviction () =
-  let open Tdb_objstore in
-  let c = Cache.create ~budget:400 in
-  let e0 = Cache.put c 0 (dummy_value 0) ~size:200 in
-  Cache.pin e0;
+let test_lru_pin_blocks_eviction () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:400 in
+  let e0 = Lru.put c 0 0 ~size:200 in
+  Lru.pin e0;
   for i = 1 to 9 do
-    ignore (Cache.put c i (dummy_value i) ~size:200)
+    ignore (Lru.put c i i ~size:200)
   done;
-  Alcotest.(check bool) "pinned survives" true (Cache.find c 0 <> None);
-  Cache.unpin c e0;
+  Alcotest.(check bool) "pinned survives" true (Lru.find c 0 <> None);
+  Lru.unpin c e0;
   for i = 10 to 14 do
-    ignore (Cache.put c i (dummy_value i) ~size:200)
+    ignore (Lru.put c i i ~size:200)
   done;
-  Alcotest.(check bool) "evictable once unpinned" true (Cache.find c 0 = None)
+  Alcotest.(check bool) "evictable once unpinned" true (Lru.find c 0 = None);
+  Alcotest.check_raises "unpin an unpinned entry" (Invalid_argument "Lru.unpin: not pinned") (fun () ->
+      Lru.unpin c e0)
 
-let test_cache_touch_refreshes () =
-  let open Tdb_objstore in
-  let c = Cache.create ~budget:600 in
+let test_lru_touch_refreshes () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:600 in
   for i = 0 to 2 do
-    ignore (Cache.put c i (dummy_value i) ~size:200)
+    ignore (Lru.put c i i ~size:200)
   done;
-  ignore (Cache.find c 0);
+  ignore (Lru.find c 0);
   (* 0 is now MRU *)
-  ignore (Cache.put c 3 (dummy_value 3) ~size:200);
-  Alcotest.(check bool) "refreshed entry kept" true (Cache.find c 0 <> None);
-  Alcotest.(check bool) "true LRU evicted" true (Cache.find c 1 = None)
+  ignore (Lru.put c 3 3 ~size:200);
+  Alcotest.(check bool) "refreshed entry kept" true (Lru.find c 0 <> None);
+  Alcotest.(check bool) "true LRU evicted" true (Lru.find c 1 = None)
+
+(* A value failing [valid] is dropped and counted as a miss, not an
+   eviction; a passing one is a hit. *)
+let test_lru_valid_rejects () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:1000 in
+  ignore (Lru.put c 1 10 ~size:100);
+  ignore (Lru.put c 2 20 ~size:150);
+  Alcotest.(check bool) "rejected" true (Lru.find c 1 ~valid:(fun v -> Int.equal v 11) = None);
+  check_lru "after rejection" c ~stats:(0, 1, 0) ~resident:1 ~total:150;
+  Alcotest.(check bool) "rejected entry is gone" true (Lru.find c 1 = None);
+  Alcotest.(check (option int)) "accepted" (Some 20)
+    (Option.map Lru.value (Lru.find c 2 ~valid:(fun v -> Int.equal v 20)));
+  check_lru "after acceptance" c ~stats:(1, 2, 0) ~resident:1 ~total:150
+
+let test_lru_remove () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:1000 in
+  ignore (Lru.put c 1 1 ~size:100);
+  ignore (Lru.put c 2 2 ~size:150);
+  Lru.remove c 1;
+  Lru.remove c 7;
+  check_lru "after remove" c ~stats:(0, 0, 0) ~resident:1 ~total:150;
+  Alcotest.(check bool) "removed entry is gone" true (Lru.find c 1 = None)
+
+(* [drop_all] refuses while an entry is pinned, dropping nothing; the
+   counters survive a successful drop. *)
+let test_lru_drop_all_pinned () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:1000 in
+  let e1 = Lru.put c 1 1 ~size:100 in
+  ignore (Lru.put c 2 2 ~size:150);
+  Lru.pin e1;
+  ignore (Lru.find c 2);
+  Alcotest.check_raises "pinned entry" (Invalid_argument "Lru.drop_all: pinned entry") (fun () -> Lru.drop_all c);
+  check_lru "after refused drop" c ~stats:(1, 0, 0) ~resident:2 ~total:250;
+  Lru.unpin c e1;
+  Lru.drop_all c;
+  check_lru "after drop" c ~stats:(1, 0, 0) ~resident:0 ~total:0
+
+(* Shrinking the budget below a pinned entry evicts everything else and
+   leaves the total over budget until the pin goes. *)
+let test_lru_shrink_below_pinned () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:1000 in
+  let e1 = Lru.put c 1 1 ~size:300 in
+  Lru.pin e1;
+  ignore (Lru.put c 2 2 ~size:300);
+  ignore (Lru.put c 3 3 ~size:300);
+  Lru.set_budget c 200;
+  check_lru "after shrink" c ~stats:(0, 0, 2) ~resident:1 ~total:300;
+  Alcotest.(check int) "budget" 200 (Lru.budget c);
+  Lru.unpin c e1;
+  check_lru "after unpin" c ~stats:(0, 0, 3) ~resident:0 ~total:0
 
 (* ------------------------------------------------------------------ *)
 (* Lock manager                                                        *)
@@ -813,9 +875,13 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "pinning" `Quick test_cache_pin_blocks_eviction;
-          Alcotest.test_case "touch refreshes" `Quick test_cache_touch_refreshes;
+          Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "pinning" `Quick test_lru_pin_blocks_eviction;
+          Alcotest.test_case "touch refreshes" `Quick test_lru_touch_refreshes;
+          Alcotest.test_case "valid rejects" `Quick test_lru_valid_rejects;
+          Alcotest.test_case "remove" `Quick test_lru_remove;
+          Alcotest.test_case "drop_all with a pin" `Quick test_lru_drop_all_pinned;
+          Alcotest.test_case "shrink below a pin" `Quick test_lru_shrink_below_pinned;
         ] );
       ( "locks",
         [
