@@ -67,9 +67,9 @@ type t = {
       (* nondurable commits sit above the last durable point; the next
          checkpoint will promote them and must bump the one-way counter *)
   mutable barrier_inflight : bool;
-      (* a staged barrier is between [barrier_begin] and [barrier_finish]:
-         its counter increment is pending, so checkpoints (whose promote
-         protocol needs the hardware counter in step) are deferred *)
+      (* a durable point's counter increment is pending until
+         [barrier_finish]: a second one raises, and checkpoints (whose
+         promote protocol needs the hardware counter in step) wait *)
   stats : stats;
 }
 
@@ -386,20 +386,13 @@ let ensure_free t ~(segs : int) : unit =
         t.stats.grow_policy <- t.stats.grow_policy + n;
         Log.grow t.log ~segments:n
       end
-      else if t.barrier_inflight then begin
-        (* checkpoints (and hence cleaning passes, which end in one) are
-           deferred while a staged barrier's counter increment is pending;
-           just grow, the window is short *)
-        let n = max grow_step (segs - Log.free_count t.log) in
-        t.stats.grow_fallback <- t.stats.grow_fallback + n;
-        Log.grow t.log ~segments:n
-      end
       else begin
         (* if everything cleanable is still in the residual window,
            checkpoint first: that frees empty segments and unlocks the
-           fragmented ones *)
-        if Log.clean_candidates t.log = [] && t.commits_since_cp > 0 then do_checkpoint t;
-        match Log.clean_candidates t.log with
+           fragmented ones. While a barrier is in flight, checkpoints (and
+           so cleaning passes, which end in one) wait: grow instead. *)
+        if (not t.barrier_inflight) && Log.clean_candidates t.log = [] && t.commits_since_cp > 0 then do_checkpoint t;
+        match if t.barrier_inflight then [] else Log.clean_candidates t.log with
         | [] ->
             let n = max grow_step (segs - Log.free_count t.log) in
             t.stats.grow_fallback <- t.stats.grow_fallback + n;
@@ -519,170 +512,148 @@ let note_commit t : unit =
     checkpoint t
   end
 
-let commit ?(durable = true) t : unit =
-  if Hashtbl.length t.pending = 0 then ()
-  else begin
-    (* reserve space for the batch, its commit records and checkpoint
-       map writes that may piggyback on it *)
-    let batch_bytes =
-      Hashtbl.fold
-        (fun _ op acc -> match op with Op_write d -> acc + String.length d + 128 | Op_dealloc -> acc + 16)
-        t.pending 0
-    in
-    ensure_free t ~segs:(2 + (batch_bytes * 3 / 2 / t.cfg.Config.segment_size));
-    t.seq <- t.seq + 1;
-    (* Replay-protection protocol: the commit record carries the counter
-       value this commit *will* advance the one-way counter to; the
-       increment itself happens only after the record is durable. Recovery
-       then accepts exactly hw = c_last (normal) or hw = c_last - 1 (crash
-       between sync and increment — repaired by incrementing), so replaying
-       any saved image on which a later durable commit happened makes
-       hw > c_last and is detected. *)
-    if durable && t.sec.Security.enabled then t.last_counter <- Int64.add t.last_counter 1L;
-    let budget = max_commit_record_bytes t in
-    (* Group the batch once, in table order: each group becomes one
-       sub-commit, closed as soon as its commit-record body reaches the
-       budget (the closing group may be empty). *)
-    let groups =
-      let closed, open_, _ =
-        List.fold_left
-          (fun (closed, cur, body) (cid, op) ->
-            let body = body + (match op with Op_write _ -> 48 + t.sec.Security.hash_len | Op_dealloc -> 10) in
-            if body >= budget then (List.rev ((cid, op) :: cur) :: closed, [], 0)
-            else (closed, (cid, op) :: cur, body))
-          ([], [], 0)
-          (List.rev (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending []))
-      in
-      List.rev (List.rev open_ :: closed)
-    in
-    (* Seal every write at its group's sequence number first, so every
-       data record's IV is drawn, in op order, before the batch's first
-       commit record draws its own. *)
-    let sealed_groups =
-      List.mapi
-        (fun i group ->
-          List.map
-            (fun (cid, op) ->
-              match op with
-              | Op_write data ->
-                  let sealed = Security.seal t.sec (data_payload ~cid ~version:(t.seq + i) data) in
-                  (cid, `Write (data, sealed, Security.label t.sec sealed))
-              | Op_dealloc -> (cid, `Dealloc))
-            group)
-        groups
-    in
-    let last = List.length sealed_groups - 1 in
-    List.iteri
-      (fun i group ->
-        let writes, deallocs =
-          List.fold_left
-            (fun (writes, deallocs) (cid, op) ->
-              match op with
-              | `Write (data, sealed, hash) ->
-                  let seg, off = append_rec t Data_chunk sealed in
-                  let e = { seg; off; len = String.length sealed; hash; version = t.seq } in
-                  Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e);
-                  Hashtbl.remove t.allocated cid;
-                  (* write-through: refresh the verified cache at the new
-                     committed version so read-after-write stays a hit *)
-                  Chunk_cache.put t.cache cid ~version:e.version data;
-                  ((cid, e) :: writes, deallocs)
-              | `Dealloc ->
-                  Option.iter (Log.obsolete_entry t.log) (Location_map.remove t.map (fetch t) cid);
-                  Chunk_cache.remove t.cache cid;
-                  (writes, cid :: deallocs))
-            ([], []) group
-        in
-        append_commit_record t
-          {
-            c_seq = t.seq;
-            c_kind = App { durable = durable && Int.equal i last };
-            c_counter = t.last_counter;
-            c_writes = List.rev writes;
-            c_deallocs = List.rev deallocs;
-          };
-        if i < last then t.seq <- t.seq + 1)
-      sealed_groups;
-    Hashtbl.reset t.pending;
-    (* One store write pass per commit: everything the batch appended —
-       chunk records, sub-commit chain, the final commit record — lands as
-       a single vectored flush, before the durability point below. *)
-    Log.flush t.log;
-    (* a durable commit covers every nondurable one before it; a
-       nondurable commit leaves state the next checkpoint would promote *)
-    t.promotable <- not durable;
-    t.stats.commits <- t.stats.commits + 1;
-    if durable then begin
-      Tdb_platform.Untrusted_store.sync t.store;
-      bump_counter t ~expected:t.last_counter;
-      Log.barrier t.log;
-      t.stats.durable_commits <- t.stats.durable_commits + 1
-    end;
-    note_commit t
-  end
-
-(** Durable barrier without a batch: an empty durable commit record that
-    forces the log and advances the one-way counter, promoting every
-    nondurable commit before it to durable (recovery keeps the prefix up
-    to the last durable commit). This is the group-commit hook: many
-    transactions commit nondurably, then one barrier makes them all
-    durable at the cost of a single sync + counter bump. *)
-type barrier_token = {
-  bt_counter : int64;  (** counter value the barrier's commit record claims *)
-  bt_eligible : (int, unit) Hashtbl.t;  (** segments reclaimable once the barrier is durable *)
-  bt_flush : Log.flush_token;  (** the barrier record's buffered bytes, written during the sync stage *)
-}
-
-(** First stage: append the empty durable commit record and pre-advance
-    the counter expectation. Must run under the store's state lock. The
-    eligible-segment snapshot is taken here: commits that land while the
-    sync stage runs (outside the lock) sit {e after} this record in the
-    log, are not covered by this barrier, and may not have their garbage
-    reclaimed by it. *)
-let barrier_begin t : barrier_token =
-  if Hashtbl.length t.pending > 0 then
-    invalid_arg "Chunk_store.barrier_begin: commit or abort the batch first";
-  if t.barrier_inflight then invalid_arg "Chunk_store.barrier_begin: barrier already in flight";
-  ensure_free t ~segs:2;
+(* Append the batch (possibly empty) and its closing commit record, and
+   flush them. A durable stage's record claims the next counter value:
+   the caller must run a barrier's sync and finish to land it. *)
+let stage t ~(durable : bool) : unit =
+  (* reserve space for the batch, its commit records and checkpoint
+     map writes that may piggyback on it *)
+  let batch_bytes =
+    Hashtbl.fold
+      (fun _ op acc -> match op with Op_write d -> acc + String.length d + 128 | Op_dealloc -> acc + 16)
+      t.pending 0
+  in
+  ensure_free t ~segs:(2 + (batch_bytes * 3 / 2 / t.cfg.Config.segment_size));
   t.seq <- t.seq + 1;
-  if t.sec.Security.enabled then t.last_counter <- Int64.add t.last_counter 1L;
-  append_commit_record t
-    { c_seq = t.seq; c_kind = App { durable = true }; c_counter = t.last_counter; c_writes = []; c_deallocs = [] };
-  (* the barrier record covers everything before it; commits landing
-     during the sync window set the flag again *)
-  t.promotable <- false;
-  t.barrier_inflight <- true;
-  t.stats.commits <- t.stats.commits + 1;
-  (* Detach the barrier record's buffered bytes: the store I/O moves to the
-     sync stage, outside the state lock. Window commits flush their own
-     appends (at disjoint, later offsets) under the lock. *)
-  {
-    bt_counter = t.last_counter;
-    bt_eligible = Log.zero_usage_segments t.log;
-    bt_flush = Log.flush_prepare t.log;
-  }
+  (* Replay-protection protocol: the commit record carries the counter
+     value this commit *will* advance the one-way counter to; the
+     increment itself happens only after the record is durable. Recovery
+     then accepts exactly hw = c_last (normal) or hw = c_last - 1 (crash
+     between sync and increment — repaired by incrementing), so replaying
+     any saved image on which a later durable commit happened makes
+     hw > c_last and is detected. *)
+  if durable && t.sec.Security.enabled then t.last_counter <- Int64.add t.last_counter 1L;
+  let budget = max_commit_record_bytes t in
+  (* Group the batch once, in table order: each group becomes one
+     sub-commit, closed as soon as its commit-record body reaches the
+     budget (the closing group may be empty). *)
+  let groups =
+    let closed, open_, _ =
+      List.fold_left
+        (fun (closed, cur, body) (cid, op) ->
+          let body = body + (match op with Op_write _ -> 48 + t.sec.Security.hash_len | Op_dealloc -> 10) in
+          if body >= budget then (List.rev ((cid, op) :: cur) :: closed, [], 0)
+          else (closed, (cid, op) :: cur, body))
+        ([], [], 0)
+        (List.rev (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending []))
+    in
+    List.rev (List.rev open_ :: closed)
+  in
+  (* Seal every write at its group's sequence number first, so every
+     data record's IV is drawn, in op order, before the batch's first
+     commit record draws its own. *)
+  let sealed_groups =
+    List.mapi
+      (fun i group ->
+        List.map
+          (fun (cid, op) ->
+            match op with
+            | Op_write data ->
+                let sealed = Security.seal t.sec (data_payload ~cid ~version:(t.seq + i) data) in
+                (cid, `Write (data, sealed, Security.label t.sec sealed))
+            | Op_dealloc -> (cid, `Dealloc))
+          group)
+      groups
+  in
+  let last = List.length sealed_groups - 1 in
+  List.iteri
+    (fun i group ->
+      let writes, deallocs =
+        List.fold_left
+          (fun (writes, deallocs) (cid, op) ->
+            match op with
+            | `Write (data, sealed, hash) ->
+                let seg, off = append_rec t Data_chunk sealed in
+                let e = { seg; off; len = String.length sealed; hash; version = t.seq } in
+                Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e);
+                Hashtbl.remove t.allocated cid;
+                (* write-through: refresh the verified cache at the new
+                   committed version so read-after-write stays a hit *)
+                Chunk_cache.put t.cache cid ~version:e.version data;
+                ((cid, e) :: writes, deallocs)
+            | `Dealloc ->
+                Option.iter (Log.obsolete_entry t.log) (Location_map.remove t.map (fetch t) cid);
+                Chunk_cache.remove t.cache cid;
+                (writes, cid :: deallocs))
+          ([], []) group
+      in
+      append_commit_record t
+        {
+          c_seq = t.seq;
+          c_kind = App { durable = durable && Int.equal i last };
+          c_counter = t.last_counter;
+          c_writes = List.rev writes;
+          c_deallocs = List.rev deallocs;
+        };
+      if i < last then t.seq <- t.seq + 1)
+    sealed_groups;
+  Hashtbl.reset t.pending;
+  (* One store write pass per commit: everything the batch appended —
+     chunk records, sub-commit chain, the final commit record — lands as
+     a single vectored flush, ahead of the barrier's sync. *)
+  Log.flush t.log;
+  (* a durable commit covers every nondurable one before it; a
+     nondurable commit leaves state the next checkpoint would promote *)
+  t.promotable <- not durable;
+  t.stats.commits <- t.stats.commits + 1
 
-(** Second stage: the physical wait — force the store and bump the
-    hardware counter. Safe to run {e without} the state lock provided no
-    other durable commit or barrier is in flight (the group-commit
-    coordinator's single-leader rule): nondurable commits may append
-    concurrently, and the records they add land after the barrier record,
-    so durability of the prefix is unaffected. *)
+(** Durable points. A durable commit stages its batch under a durable
+    closing record, then runs the barrier's sync and finish back to back;
+    a barrier stages an empty batch the same way but lets its caller
+    release the state lock between the stages, so group commit can
+    coalesce. One durable point is in flight at a time: each claims the
+    next counter value, and a second would bump the hardware counter out
+    of the order the records claim. *)
+type barrier_token = { bt_counter : int64 (* counter value the closing record claims *) }
+
+let open_barrier t : barrier_token =
+  if t.barrier_inflight then invalid_arg "Chunk_store: a durable point is already in flight";
+  stage t ~durable:true;
+  t.barrier_inflight <- true;
+  (* commits landing before [barrier_finish] sit after this record *)
+  Log.hold t.log;
+  { bt_counter = t.last_counter }
+
+(** Force the store and bump the hardware counter. Safe outside the state
+    lock while only nondurable commits run: they append after the
+    barrier's record, so the prefix it makes durable is unaffected. *)
 let barrier_sync t (tok : barrier_token) : unit =
-  Log.flush_write t.log tok.bt_flush;
   Tdb_platform.Untrusted_store.sync t.store;
   bump_counter t ~expected:tok.bt_counter
 
-(** Third stage: reclaim space and account. Back under the state lock.
-    Reclamation is restricted to the begin-time snapshot: a segment
-    emptied by a commit that ran during the sync window must survive
-    until the next barrier, because a crash now recovers to a state
-    (prefix through this barrier's record) that still reads it. *)
-let barrier_finish t (tok : barrier_token) : unit =
+(** Reclaim space and account, back under the state lock. *)
+let barrier_finish t (_ : barrier_token) : unit =
   t.barrier_inflight <- false;
-  Log.barrier ~eligible:tok.bt_eligible t.log;
+  Log.barrier t.log;
   t.stats.durable_commits <- t.stats.durable_commits + 1;
   note_commit t
+
+let barrier_begin t : barrier_token =
+  if Hashtbl.length t.pending > 0 then
+    invalid_arg "Chunk_store.barrier_begin: commit or abort the batch first";
+  open_barrier t
+
+let commit ?(durable = true) t : unit =
+  if Hashtbl.length t.pending > 0 then
+    if durable then begin
+      let tok = open_barrier t in
+      barrier_sync t tok;
+      barrier_finish t tok
+    end
+    else begin
+      stage t ~durable:false;
+      note_commit t
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

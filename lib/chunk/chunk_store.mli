@@ -94,9 +94,10 @@ val restore_chunk : t -> Types.chunk_id -> string -> unit
     before they can derail a commit. *)
 
 val commit : ?durable:bool -> t -> unit
-(** Apply the buffered batch atomically. [durable] (default [true]) forces
-    the log and advances the one-way counter; a nondurable commit is
-    guaranteed to be atomic with the next durable barrier. *)
+(** Apply the buffered batch atomically. [durable] (default [true]) runs
+    the staged barrier below; a nondurable commit is atomic with the next
+    durable barrier.
+    @raise Invalid_argument if durable while a barrier is in flight. *)
 
 val abort_batch : t -> unit
 (** Discard the buffered batch. *)
@@ -114,31 +115,32 @@ val batch_size : t -> int
 
 (** {2 Durable barrier}
 
-    A durable commit with an empty batch: it forces the log and advances
-    the one-way counter, promoting every earlier nondurable commit to
-    durable. The group-commit hook — many transactions commit nondurably,
-    then one barrier buys durability for all of them with a single sync +
-    counter bump. It runs in three stages so a server can release its
-    state lock during the physical wait (the sync and the counter bump),
-    letting other sessions land nondurable commits that the {e next}
-    barrier will cover. Contract: [begin] and [finish] run under the
-    caller's state lock; [sync] may run outside it, but at most one staged
-    barrier may be in flight and no other durable commit may run
-    concurrently (the group-commit coordinator's single-leader rule). *)
+    The one durable path, in three stages: [begin] appends the batch
+    (empty for a barrier) under a durable closing record that claims the
+    next counter value, and flushes it; [sync] forces the store and bumps
+    the one-way counter; [finish] reclaims garbage. A durable {!commit}
+    runs them back to back. A barrier promotes every earlier nondurable
+    commit: the group-commit hook, one sync + counter bump for many
+    transactions. [begin] and [finish] run under the caller's state lock;
+    [sync] may run outside it while other sessions land nondurable
+    commits, which the {e next} barrier covers. One durable point is in
+    flight at a time: in the window a durable {!commit} or a second
+    [begin] raises [Invalid_argument] and checkpoints are deferred (the
+    object store makes its callers wait instead). *)
 
 type barrier_token
 
 val barrier_begin : t -> barrier_token
-(** Append the empty durable commit record; snapshot reclaimable segments.
-    @raise Invalid_argument while a batch is buffered. *)
+(** Append and flush the empty durable commit record.
+    @raise Invalid_argument while a batch is buffered or in flight. *)
 
 val barrier_sync : t -> barrier_token -> unit
 (** Force the store and advance the one-way counter.
     @raise Types.Tamper_detected on a counter mismatch. *)
 
 val barrier_finish : t -> barrier_token -> unit
-(** Reclaim begin-time garbage, account the durable commit, and trigger a
-    checkpoint if due. *)
+(** Reclaim garbage (segments emptied since [begin] wait for the next
+    barrier), account the durable commit, and checkpoint if due. *)
 
 (** {1 Maintenance} *)
 

@@ -43,6 +43,7 @@ type t = {
   mutable tail_seg : int;
   mutable tail_off : int; (* offset within tail segment *)
   mutable tail_buf : run list; (* buffered appends, newest run first *)
+  mutable held : (int, unit) Hashtbl.t option; (* segments emptied since [hold] *)
 }
 
 let seg_start t seg = t.log_base + (seg * t.cfg.Config.segment_size)
@@ -72,23 +73,11 @@ let buf_push t ~off frag =
       r.run_len <- r.run_len + String.length frag
   | _ -> t.tail_buf <- { run_off = off; run_frags = [ frag ]; run_len = String.length frag } :: t.tail_buf
 
-type flush_token = { fr_runs : (int * string list) list (* (abs off, in-order fragments) *) }
-
-(** Detach the buffered tail: the token owns the pending ranges and the
-    buffer is empty afterwards. Splitting prepare from write lets the
-    staged group-commit barrier perform the store I/O outside the store
-    mutex (the token only touches [t.store], never [t]'s mutable state). *)
-let flush_prepare t : flush_token =
-  let runs = List.rev_map (fun r -> (r.run_off, List.rev r.run_frags)) t.tail_buf in
+(** Write the buffered tail to the store, one vectored write per run. *)
+let flush t =
+  let runs = List.rev t.tail_buf in
   t.tail_buf <- [];
-  { fr_runs = runs }
-
-(** Write a detached token's runs: one vectored store write per run. *)
-let flush_write t (tok : flush_token) : unit =
-  List.iter (fun (off, frags) -> Tdb_platform.Untrusted_store.writev t.store ~off frags) tok.fr_runs
-
-(** Flush the buffered tail to the store. *)
-let flush t = flush_write t (flush_prepare t)
+  List.iter (fun r -> Tdb_platform.Untrusted_store.writev t.store ~off:r.run_off (List.rev r.run_frags)) runs
 
 let buf_overlaps t ~lo ~hi =
   List.exists (fun r -> r.run_off < hi && lo < r.run_off + r.run_len) t.tail_buf
@@ -132,6 +121,7 @@ let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
       tail_seg = 0;
       tail_off = 0;
       tail_buf = [];
+      held = None;
     }
   in
   ensure_store_size t;
@@ -160,10 +150,17 @@ let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail
       tail_seg;
       tail_off;
       tail_buf = [];
+      held = None;
     }
   in
   ensure_store_size t;
   t
+
+(** Keep segments emptied from now on out of the next barrier's free
+    list: a staged barrier's record is already in the log, and the
+    commits landing after it may obsolete versions that recovery to the
+    barrier's prefix still reads. They free at the barrier after. *)
+let hold t = t.held <- Some (Hashtbl.create 8)
 
 (** Promote empty segments to the free list — callable only at barriers
     (durable commit, checkpoint, recovery); see the module comment.
@@ -171,23 +168,19 @@ let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail
     paper notes the chunk store "can increase or decrease the space
     allocated for storage" (Section 3.2.1), and shrinking is what lets the
     database settle at the configured utilization. *)
-let zero_usage_segments t =
-  let h = Hashtbl.create 64 in
-  for seg = 0 to t.nsegments - 1 do
-    if usage_of t seg = 0 then Hashtbl.replace h seg ()
-  done;
-  h
-
-let barrier ?eligible t =
+let barrier t =
   (* Barriers follow the durability point; anything still buffered belongs
      to the log and must land before segment accounting is recomputed. *)
   flush t;
-  let candidate seg = match eligible with None -> true | Some h -> Hashtbl.mem h seg in
+  let held = t.held in
+  t.held <- None;
+  let held seg = match held with Some h -> Hashtbl.mem h seg | None -> false in
   let free = ref [] and nfree = ref 0 in
   for seg = 0 to t.nsegments - 1 do
     if
       (not (Int.equal seg t.tail_seg))
-      && usage_of t seg = 0 && candidate seg
+      && usage_of t seg = 0
+      && (not (held seg))
       && (not (is_pinned t seg))
       && not (Hashtbl.mem t.residual seg)
     then begin
@@ -233,7 +226,11 @@ let grow t ~(segments : int) =
 let obsolete_bytes t ~(seg : int) ~(payload_len : int) =
   let v = usage_of t seg - (header_size + payload_len) in
   if v < 0 then failwith (Printf.sprintf "Log: usage underflow on segment %d" seg);
-  if v = 0 then Hashtbl.remove t.usage seg else Hashtbl.replace t.usage seg v
+  if v = 0 then begin
+    Hashtbl.remove t.usage seg;
+    Option.iter (fun h -> Hashtbl.replace h seg ()) t.held
+  end
+  else Hashtbl.replace t.usage seg v
 
 let obsolete_entry t (e : entry) = obsolete_bytes t ~seg:e.seg ~payload_len:e.len
 

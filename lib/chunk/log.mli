@@ -47,6 +47,7 @@ type t = {
   mutable tail_seg : int;
   mutable tail_off : int;
   mutable tail_buf : run list;  (** buffered appends, newest run first *)
+  mutable held : (int, unit) Hashtbl.t option;  (** segments emptied since {!hold} *)
 }
 
 val create : Tdb_platform.Untrusted_store.t -> Config.t -> t
@@ -79,18 +80,15 @@ val obsolete_entry : t -> entry -> unit
 
 (** {1 Barriers, growth, pinning} *)
 
-val barrier : ?eligible:(int, unit) Hashtbl.t -> t -> unit
-(** Recompute the free list and shrink trailing free segments. With
-    [eligible], only segments in the set are considered for promotion —
-    used by a staged (group-commit) barrier whose commit record was
-    appended before other commits ran: segments whose last live bytes
-    were obsoleted by those later, not-yet-durable commits must survive
-    until the {e next} barrier, or a crash could recover to a state that
-    still needs them. *)
+val barrier : t -> unit
+(** Recompute the free list and shrink trailing free segments. Segments
+    emptied since {!hold} stay out of it; the barrier ends the hold. *)
 
-val zero_usage_segments : t -> (int, unit) Hashtbl.t
-(** Snapshot of segments currently holding no live bytes — the candidate
-    set to pass as [eligible] to a later {!barrier}. *)
+val hold : t -> unit
+(** Called once a staged barrier's record is in the log: segments emptied
+    from now on (by commits behind that record) survive the next
+    {!barrier}, since recovery to its prefix may read them, and free at
+    the one after. Segments grown meanwhile are free as usual. *)
 
 val end_checkpoint : t -> unit
 val grow : t -> segments:int -> unit
@@ -110,26 +108,11 @@ val append : ?live:bool -> t -> record_kind -> string -> int * int
     transient (commit) records are not.
     @raise Need_segment when the free list is empty (caller grows). *)
 
-type flush_token
-(** Detached pending tail ranges (see {!flush_prepare}). *)
-
 val flush : t -> unit
 (** Write all buffered appends to the store, one {!Tdb_platform.Untrusted_store.writev}
     per contiguous run. Callers must flush before any durability point
     ([sync]); {!barrier} and the record-read paths flush on their own as a
     backstop. *)
-
-val flush_prepare : t -> flush_token
-(** Detach the buffered tail into a token, leaving the buffer empty. The
-    token only references [t.store] — {!flush_write} on it is safe outside
-    the lock protecting [t]'s mutable state, which is how the staged
-    group-commit barrier moves commit I/O out of the store mutex. Records
-    held by a detached token are unreadable until {!flush_write}; the only
-    records a staged barrier detaches are its own commit record and chain
-    markers, which nothing reads back before recovery. *)
-
-val flush_write : t -> flush_token -> unit
-(** Write a detached token's runs to the store. *)
 
 val read_payload : t -> entry -> string
 val scan_segment : t -> int -> (record_kind * int * string) list

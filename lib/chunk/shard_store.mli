@@ -136,7 +136,9 @@ val durable_barrier : t -> unit
     nondurable commits a checkpoint already promoted, is skipped. *)
 
 (** {2 Staged barrier} — the three-stage split of {!durable_barrier},
-    applied per promotable shard (see {!Chunk_store.barrier_begin}). *)
+    applied per promotable shard (see {!Chunk_store.barrier_begin}). Only
+    nondurable single-shard commits may run between [barrier_begin] and
+    [barrier_finish]; a commit spanning shards is durable. *)
 
 type barrier_token
 

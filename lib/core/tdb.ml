@@ -191,8 +191,9 @@ let open_existing ?(config = Chunk_config.default) ?object_config (device : Devi
 let close (db : t) : unit = Object_store.close db.objects
 let checkpoint (db : t) : unit = Object_store.checkpoint db.objects
 
-(** Idle-time maintenance: log cleaning (paper Section 3.2.1). *)
-let idle_maintenance (db : t) : unit = Shard_store.clean db.chunks
+(** Idle-time maintenance: log cleaning (paper Section 3.2.1), under the
+    state mutex like every other store access. *)
+let idle_maintenance (db : t) : unit = Object_store.with_store db.objects (fun cs -> Shard_store.clean cs)
 
 (* --- transactions --- *)
 
@@ -203,8 +204,12 @@ let begin_ctxn (db : t) = Cstore.begin_ db.objects
 
 (* --- backups --- *)
 
-let backup_full (db : t) : int = Backup_store.backup_full db.backups
-let backup_incremental (db : t) : int = Backup_store.backup_incremental db.backups
+(* Under the state mutex: a backup snapshots (checkpoints) and commits
+   its chain state durably. *)
+let backup_full (db : t) : int = Object_store.with_store db.objects (fun _ -> Backup_store.backup_full db.backups)
+
+let backup_incremental (db : t) : int =
+  Object_store.with_store db.objects (fun _ -> Backup_store.backup_incremental db.backups)
 
 (** Restore the newest (or [upto]) backup found in [from]'s archive into a
     fresh database on [device] (which must share the secret store that made

@@ -119,7 +119,8 @@ val close : t -> unit
 val checkpoint : t -> unit
 
 val idle_maintenance : t -> unit
-(** Idle-time maintenance: log cleaning (paper Section 3.2.1). *)
+(** Idle-time maintenance: log cleaning (paper Section 3.2.1). Runs under
+    the object store's state mutex ({!Object_store.with_store}). *)
 
 (** {1 Transactions} *)
 

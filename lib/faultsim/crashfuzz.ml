@@ -331,7 +331,7 @@ let run_phase_a ~trace d =
    coalesced multi-session barrier. Window commits land after the
    barrier's commit record, so they are not covered by it: [durable_lo]
    advances only to the commits issued before [barrier_begin]. This also
-   exercises the barrier's restricted segment reclamation — a window
+   exercises the barrier's segment hold ({!Tdb_chunk.Log.hold}) — a window
    commit may obsolete a chunk version that recovery (to the barrier
    point) still needs. Width 1 only: see DESIGN.md, "Sharding". *)
 let run_phase_gc ~trace d =
@@ -339,7 +339,7 @@ let run_phase_gc ~trace d =
   let n_base = Array.length base in
   (* Two segment-sized chunks: rewriting one obsoletes (almost) a whole
      segment at once, so window commits regularly empty segments — the
-     reclamation case the barrier's eligible set must exclude. *)
+     reclamation case the barrier's hold must keep from the free list. *)
   let fat_len = store_config.Config.segment_size * 3 / 4 in
   let fat = Array.init 2 (fun _ -> Shard_store.allocate d.ss) in
   let fat_data i v =

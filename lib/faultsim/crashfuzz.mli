@@ -62,7 +62,7 @@ val sweep_group_commit :
     [barrier_finish]) with further commits landing inside the barrier's
     sync window — so every boundary of a coalesced multi-session barrier
     is crashed, including the window commits' interaction with segment
-    reclamation. *)
+    reclamation: segments they empty are held until the next barrier. *)
 
 val sweep_commit_flush :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report

@@ -42,6 +42,8 @@ type t = {
   cs : Shard_store.t;
   cfg : config;
   mu : Mutex.t;
+  quiet : Condition.t; (* signalled when a staged barrier stops syncing *)
+  mutable syncing : bool; (* a staged barrier syncs outside [mu] *)
   locks : Lock_manager.t;
   cache : Obj_class.packed_value Lru.t;
   mutable roots : (string * oid) list;
@@ -81,6 +83,16 @@ let with_mu t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* The gate keeping one durable point in flight: while {!durable_barrier}
+   syncs outside [mu], whatever may make a durable point waits here,
+   releasing [mu]. Caller holds [mu]. *)
+let await_quiet t =
+  while t.syncing do
+    Condition.wait t.quiet t.mu
+  done
+
+let with_quiet t f = with_mu t (fun () -> await_quiet t; f ())
+
 (* --- named roots catalog --- *)
 
 let encode_roots (roots : (string * oid) list) : string =
@@ -113,6 +125,8 @@ let of_shard_store ?(config = default_config) (cs : Shard_store.t) : t =
     cs;
     cfg = config;
     mu = Mutex.create ();
+    quiet = Condition.create ();
+    syncing = false;
     locks = Lock_manager.create ();
     cache = Lru.create ~budget:config.cache_budget;
     roots;
@@ -128,7 +142,7 @@ let held_count t = with_mu t (fun () -> Lock_manager.held_count t.locks)
     this: snapshot creation, archive emission and chain-state commits must
     not interleave with a transaction's own commit. [f] must not call back
     into this object store (the mutex is not reentrant). *)
-let with_store t (f : Shard_store.t -> 'a) : 'a = with_mu t (fun () -> f t.cs)
+let with_store t (f : Shard_store.t -> 'a) : 'a = with_quiet t (fun () -> f t.cs)
 
 (** Replication ingest hook: run [f] (which may rewrite the store
     arbitrarily, e.g. {!Tdb_backup.Backup_store.apply_stream}) only when
@@ -138,7 +152,7 @@ let with_store t (f : Shard_store.t -> 'a) : 'a = with_mu t (fun () -> f t.cs)
     retries on its next tick); 2PL plus this quiesce check is what keeps
     follower reads serializable across ingested snapshots. *)
 let ingest t (f : Shard_store.t -> 'a) : 'a option =
-  with_mu t (fun () ->
+  with_quiet t (fun () ->
       if Lock_manager.held_count t.locks > 0 then None
       else begin
         let r = f t.cs in
@@ -149,8 +163,8 @@ let ingest t (f : Shard_store.t -> 'a) : 'a option =
           | exception Types.Not_written _ -> []);
         Some r
       end)
-let close t = with_mu t (fun () -> Shard_store.close t.cs)
-let checkpoint t = with_mu t (fun () -> Shard_store.checkpoint t.cs)
+let close t = with_quiet t (fun () -> Shard_store.close t.cs)
+let checkpoint t = with_quiet t (fun () -> Shard_store.checkpoint t.cs)
 let cache_stats t = Lru.stats t.cache
 
 let chunk_cache_stats t =
@@ -306,13 +320,21 @@ let finish (x : txn) (st : txn_state) =
   Lock_manager.release_all x.store.locks ~txn:x.txn_id;
   x.state <- st
 
+(* The commit touches several shards: a two-phase commit, always durable. *)
+let spans_shards (x : txn) : bool =
+  let oids = if x.root_updates <> [] then catalog_cid :: x.removed else x.removed in
+  let oids = Hashtbl.fold (fun oid _ acc -> oid :: acc) x.writes oids in
+  match List.sort_uniq Int.compare (List.map (Shard_store.shard_of x.store.cs) oids) with _ :: _ :: _ -> true | _ -> false
+
 (** Commit: pickle the write set, push everything into one atomic chunk
     batch (objects, removals, catalog), and commit it — durably by default
-    (paper Figure 3: commit(bool durable)). *)
+    (paper Figure 3: commit(bool durable)). A durable point passes the gate
+    before its writes enter the shared chunk batch: waiting releases [mu]. *)
 let commit ?(durable = true) (x : txn) : unit =
   with_mu x.store (fun () ->
-      check_active x;
       let t = x.store in
+      if durable || spans_shards x then await_quiet t;
+      check_active x;
       (try
          Hashtbl.iter
            (fun oid e ->
@@ -369,12 +391,20 @@ let abort (x : txn) : unit =
     {!Chunk_store.barrier_sync}): that window is exactly where concurrent
     sessions land the nondurable commits the next barrier coalesces —
     holding the mutex through the sync would serialize every commit
-    behind the barrier and defeat group commit entirely. The caller (the
-    coordinator) guarantees at most one barrier in flight. *)
+    behind the barrier and defeat group commit entirely. The gate
+    ({!await_quiet}) keeps every other durable point out of the window. *)
 let durable_barrier (t : t) : unit =
-  let tok = with_mu t (fun () -> Shard_store.barrier_begin t.cs) in
-  Shard_store.barrier_sync t.cs tok;
-  with_mu t (fun () -> Shard_store.barrier_finish t.cs tok)
+  let tok =
+    with_quiet t (fun () ->
+        let tok = Shard_store.barrier_begin t.cs in
+        t.syncing <- true;
+        tok)
+  in
+  let failed = match Shard_store.barrier_sync t.cs tok with () -> None | exception exn -> Some exn in
+  with_mu t (fun () ->
+      t.syncing <- false;
+      Condition.broadcast t.quiet;
+      match failed with None -> Shard_store.barrier_finish t.cs tok | Some exn -> raise exn)
 
 (** Run [f] in a transaction, committing on success and aborting on
     exception. *)

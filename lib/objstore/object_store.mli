@@ -135,7 +135,9 @@ val root : txn -> string -> oid option
 
 val commit : ?durable:bool -> txn -> unit
 (** Pickle the write set and commit everything as one atomic chunk batch;
-    durable by default. Releases locks and invalidates the txn's refs. *)
+    durable by default. Releases locks and invalidates the txn's refs. A
+    durable commit, or one spanning shards, first waits out a syncing
+    {!durable_barrier}. *)
 
 val abort : txn -> unit
 (** Discard the write set; objects opened for writing are evicted from the
@@ -147,5 +149,7 @@ val with_txn : ?durable:bool -> t -> (txn -> 'a) -> 'a
 val durable_barrier : t -> unit
 (** Promote every committed nondurable transaction to durable with one
     log force and one one-way-counter bump — the group-commit hook (see
-    {!Tdb_chunk.Shard_store.durable_barrier}). Serialized under the
-    store's state mutex like every other chunk-store access. *)
+    {!Tdb_chunk.Shard_store.durable_barrier}). The sync and the bump run
+    outside the state mutex; meanwhile nondurable single-shard commits and
+    reads proceed, while durable or cross-shard commits, a second barrier,
+    {!checkpoint}, {!close}, {!with_store} and {!ingest} wait. *)

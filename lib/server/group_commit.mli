@@ -12,8 +12,10 @@ type t
 
 val create : barrier:(unit -> unit) -> t
 (** [barrier] must promote every committed nondurable transaction to
-    durable (e.g. {!Tdb_objstore.Object_store.durable_barrier}). It is
-    called from one caller's thread at a time, never concurrently. *)
+    durable (e.g. {!Tdb_objstore.Object_store.durable_barrier}, which
+    itself keeps one durable point in flight). It is called from one
+    caller's thread at a time, never concurrently: one leader per round
+    is what makes the claim cover every earlier ticket. *)
 
 val run : t -> unit
 (** Block until the caller's (already landed) nondurable commit is covered

@@ -413,6 +413,149 @@ let test_locking_disabled () =
   Object_store.commit t1;
   Object_store.abort t2
 
+(* --- one durable point in flight --- *)
+
+(* A sync hook that parks the first sync after [armed] is set until
+   [released]: it holds a staged barrier inside its sync window, outside
+   the state mutex, for as long as the test needs. *)
+type park = { pm : Mutex.t; pc : Condition.t; mutable armed : bool; mutable parked : bool; mutable released : bool }
+
+let park_hook p = function
+  | Untrusted_store.Op_sync ->
+      Mutex.lock p.pm;
+      if p.armed then begin
+        p.armed <- false;
+        p.parked <- true;
+        while not p.released do
+          Condition.wait p.pc p.pm
+        done
+      end;
+      Mutex.unlock p.pm
+  | Untrusted_store.Op_write _ | Untrusted_store.Op_set_size _ -> ()
+
+let with_park p f =
+  Mutex.lock p.pm;
+  let v = f () in
+  Mutex.unlock p.pm;
+  v
+
+(* Run [f] on its own thread. *)
+let spawn f =
+  let res = Atomic.make None in
+  let th = Thread.create (fun () -> Atomic.set res (Some (try Ok (f ()) with e -> Error e))) () in
+  (th, res)
+
+let finished (_, res) = Option.is_some (Atomic.get res)
+
+let join (th, res) =
+  Thread.join th;
+  match Atomic.get res with Some r -> r | None -> Alcotest.fail "joined thread left no result"
+
+(* Poll [cond] for up to [secs]; its final value. *)
+let wait_for ?(secs = 5.0) cond =
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  cond ()
+
+(* While one thread's barrier is parked in its sync, outside the state
+   mutex: a durable commit, a checkpoint and (at width 2) a nondurable
+   commit spanning both shards wait for it, and a nondurable single-shard
+   commit lands. Once released, every waiter finishes cleanly, each
+   shard's hardware counter equals what the shard claims, and the
+   database reopens with every commit. *)
+let check_barrier_window n =
+  let park = { pm = Mutex.create (); pc = Condition.create (); armed = false; parked = false; released = false } in
+  let raw = Array.init n (fun _ -> snd (Untrusted_store.open_mem ())) in
+  let ctrs = Array.init n (fun _ -> snd (One_way_counter.open_mem ())) in
+  let secret = Secret_store.of_seed "objstore-window" and config = { cfg with Config.shards = n } in
+  let cs =
+    Shard_store.create ~config ~secret ~counters:ctrs
+      (Array.map (Untrusted_store.interpose ~before:(park_hook park)) raw)
+  in
+  let os = Object_store.of_shard_store ~config:{ Object_store.default_config with lock_timeout = 10.0 } cs in
+  (* a, b, c on shard 0; d on the last shard *)
+  let x = Object_store.begin_ os in
+  let insert shard =
+    Object_store.set_alloc_shard x (Some shard);
+    Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "w" }
+  in
+  let a = insert 0 and b = insert 0 and c = insert 0 and d = insert (n - 1) in
+  Object_store.commit x;
+  let bump ?durable oids () =
+    Object_store.with_txn ?durable os (fun x ->
+        List.iter
+          (fun oid ->
+            let m = Object_store.deref (Object_store.open_writable x meter_cls oid) in
+            m.view_count <- m.view_count + 1)
+          oids)
+  in
+  (* something for the barrier to promote *)
+  bump ~durable:false [ a ] ();
+  with_park park (fun () -> park.armed <- true);
+  let barrier = spawn (fun () -> Object_store.durable_barrier os) in
+  Alcotest.(check bool) "barrier parked in its sync" true (wait_for (fun () -> with_park park (fun () -> park.parked)));
+  let durable = spawn (bump [ b ]) in
+  let checkpoint = spawn (fun () -> Object_store.checkpoint os) in
+  let cross = if n > 1 then [ spawn (bump ~durable:false [ c; d ]) ] else [] in
+  let single = spawn (bump ~durable:false [ a ]) in
+  Alcotest.(check bool) "nondurable single-shard commit lands in the window" true (wait_for (fun () -> finished single));
+  Thread.delay 0.05;
+  Alcotest.(check bool) "durable commit waits" false (finished durable);
+  Alcotest.(check bool) "checkpoint waits" false (finished checkpoint);
+  List.iter (fun j -> Alcotest.(check bool) "cross-shard commit waits" false (finished j)) cross;
+  Alcotest.(check bool) "barrier still parked" false (finished barrier);
+  with_park park (fun () ->
+      park.released <- true;
+      Condition.broadcast park.pc);
+  List.iter
+    (fun (what, j) -> match join j with Ok () -> () | Error e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    ([ ("barrier", barrier); ("durable commit", durable); ("checkpoint", checkpoint); ("single-shard commit", single) ]
+    @ List.map (fun j -> ("cross-shard commit", j)) cross);
+  Array.iteri
+    (fun s ctr ->
+      Alcotest.(check int64)
+        (Printf.sprintf "shard %d counter matches its claim" s)
+        (Chunk_store.counter_value (Shard_store.shard_store cs s))
+        (One_way_counter.read ctr))
+    ctrs;
+  Object_store.close os;
+  let os2 = Object_store.of_shard_store (Shard_store.open_existing ~config ~secret ~counters:ctrs raw) in
+  let x2 = Object_store.begin_ os2 in
+  let count oid = (Object_store.deref (Object_store.open_readonly x2 meter_cls oid)).view_count in
+  Alcotest.(check (list int)) "every commit survives reopen"
+    (if n > 1 then [ 2; 1; 1; 1 ] else [ 2; 1; 0; 0 ])
+    (List.map count [ a; b; c; d ]);
+  Object_store.abort x2
+
+let test_barrier_window_w1 () = check_barrier_window 1
+let test_barrier_window_w2 () = check_barrier_window 2
+
+(* The chunk layer refuses a second durable point: a durable commit
+   between [barrier_begin] and [barrier_finish] would queue a second
+   counter increment behind the barrier's. *)
+let test_durable_commit_in_barrier_refused () =
+  let env = fresh_env () in
+  let ss = Shard_store.create ~config:{ cfg with Config.shards = 1 } ~secret:env.secret ~counters:[| env.ctr |] [| env.store |] in
+  let cid = Shard_store.allocate ss in
+  Shard_store.write ss cid "v1";
+  Shard_store.commit ~durable:false ss;
+  let tok = Shard_store.barrier_begin ss in
+  Shard_store.write ss cid "v2";
+  Alcotest.(check bool) "durable commit refused" true
+    (match Shard_store.commit ~durable:true ss with exception Invalid_argument _ -> true | () -> false);
+  Alcotest.(check string) "batch untouched" "v2" (Shard_store.read ss cid);
+  Shard_store.abort_batch ss;
+  Shard_store.barrier_sync ss tok;
+  Shard_store.barrier_finish ss tok;
+  Shard_store.write ss cid "v3";
+  Shard_store.commit ~durable:true ss;
+  Alcotest.(check int64) "counter matches its claim" (Shard_store.counter_value ss) (One_way_counter.read env.ctr);
+  Shard_store.close ss;
+  let ss2 = Shard_store.open_existing ~config:{ cfg with Config.shards = 1 } ~secret:env.secret ~counters:[| env.ctr |] [| env.store |] in
+  Alcotest.(check string) "reopens" "v3" (Shard_store.read ss2 cid)
+
 (* --- cache --- *)
 
 let test_cache_eviction_and_reload () =
@@ -624,6 +767,9 @@ let () =
           Alcotest.test_case "shared reads" `Quick test_shared_locks_concurrent_reads;
           Alcotest.test_case "writer blocks reader" `Quick test_writer_blocks_reader;
           Alcotest.test_case "locking disabled" `Quick test_locking_disabled;
+          Alcotest.test_case "barrier window, width 1" `Quick test_barrier_window_w1;
+          Alcotest.test_case "barrier window, width 2" `Quick test_barrier_window_w2;
+          Alcotest.test_case "durable commit in a barrier refused" `Quick test_durable_commit_in_barrier_refused;
         ] );
       ( "cache",
         [

@@ -183,19 +183,22 @@ let test_idle_timeout () =
 
 (* --- the acceptance run: concurrent sessions + group commit --- *)
 
-(* Four client sessions commit interleaved TPC-B transactions durably over
-   the wire. The balances must add up (serializable interleaving), and
-   with group commit on, the coalesced barriers must cost fewer one-way
-   counter bumps than there were durable commits. *)
+(* Eight client sessions commit interleaved TPC-B transactions durably
+   over the wire. The balances must add up (serializable interleaving),
+   and with group commit on, one barrier must cover at least two durable
+   commits on average. That holds only while the barrier's sync runs
+   outside the state mutex, so commits land in its window: a barrier that
+   holds the mutex through the sync pays about 0.7 barriers per commit at
+   this width. *)
 let test_e2e_group_commit () =
-  let r = Tdb_tpcb.Net_driver.run ~clients:4 ~txns_per_client:12 ~group_commit:true () in
-  Alcotest.(check int) "all transactions committed" 48 r.Tdb_tpcb.Net_driver.committed;
+  let r = Tdb_tpcb.Net_driver.run ~clients:8 ~txns_per_client:12 ~group_commit:true () in
+  Alcotest.(check int) "all transactions committed" 96 r.Tdb_tpcb.Net_driver.committed;
   Alcotest.(check bool) "balances consistent" true r.Tdb_tpcb.Net_driver.balance_ok;
   Alcotest.(check bool)
     (Printf.sprintf "coalesced: %d barriers for %d durable commits" r.Tdb_tpcb.Net_driver.barriers
        r.Tdb_tpcb.Net_driver.durable_requests)
     true
-    (r.Tdb_tpcb.Net_driver.barriers < r.Tdb_tpcb.Net_driver.durable_requests)
+    (2 * r.Tdb_tpcb.Net_driver.barriers <= r.Tdb_tpcb.Net_driver.durable_requests)
 
 (* Control: with group commit off every durable commit pays its own
    barrier. *)
@@ -434,7 +437,7 @@ let () =
         ] );
       ( "e2e",
         [
-          Alcotest.test_case "4 concurrent clients, group commit" `Slow test_e2e_group_commit;
+          Alcotest.test_case "8 concurrent clients, group commit" `Slow test_e2e_group_commit;
           Alcotest.test_case "group commit off control" `Slow test_e2e_no_group_commit;
         ] );
       ( "archive",

@@ -286,6 +286,37 @@ let test_log_recovery_residual () =
   Log.end_checkpoint rlog;
   Alcotest.(check (list int)) "chain freed by the checkpoint" chain (freed ())
 
+(* A staged barrier holds the log once its record is appended: a segment
+   emptied after [hold] (by a commit landing behind the barrier's record)
+   survives that barrier and frees at the next one, while segments grown
+   meanwhile are free at once. *)
+let test_log_hold () =
+  let _, store = Untrusted_store.open_mem () in
+  let log = Log.create store test_cfg in
+  let payload = String.make 500 'x' in
+  let entries =
+    List.init 28 (fun _ ->
+        let seg, off = Log.append log Types.Data_chunk payload in
+        { Types.seg; off; len = 500; hash = ""; version = 0 })
+  in
+  let tail, _ = Log.tail_pos log in
+  Alcotest.(check bool) "two segments behind the tail" true (tail >= 2);
+  let empty s = List.iter (Log.obsolete_entry log) (List.filter (fun e -> e.Types.seg = s) entries) in
+  let is_free s = List.mem s log.Log.free in
+  (* a checkpoint ends the residual window, so barriers may free *)
+  Log.end_checkpoint log;
+  empty 0;
+  Log.hold log;
+  empty 1;
+  let first = Log.nsegments log in
+  Log.grow log ~segments:2;
+  Log.barrier log;
+  Alcotest.(check bool) "emptied before the hold: freed" true (is_free 0);
+  Alcotest.(check bool) "emptied after the hold: kept" false (is_free 1);
+  Alcotest.(check (list bool)) "grown after the hold: free" [ true; true ] [ is_free first; is_free (first + 1) ];
+  Log.barrier log;
+  Alcotest.(check bool) "freed by the next barrier" true (is_free 1)
+
 let test_log_pinning () =
   let _, store = Untrusted_store.open_mem () in
   let log = Log.create store test_cfg in
@@ -866,6 +897,7 @@ let () =
           Alcotest.test_case "clean candidate order" `Quick test_log_clean_candidate_order;
           Alcotest.test_case "pinning" `Quick test_log_pinning;
           Alcotest.test_case "recovery chain stays residual" `Quick test_log_recovery_residual;
+          Alcotest.test_case "hold keeps late-emptied segments" `Quick test_log_hold;
         ] );
       ( "anchor",
         [
