@@ -21,9 +21,6 @@ let host_arg =
 
 let fresh_arg = Arg.(value & flag & info [ "fresh" ] ~doc:"Create a fresh database (overwrites any existing one).")
 
-let no_gc_arg =
-  Arg.(value & flag & info [ "no-group-commit" ] ~doc:"Commit each session's durable commits individually.")
-
 let idle_arg =
   Arg.(value & opt float 0. & info [ "idle-timeout" ] ~docv:"SECONDS" ~doc:"Drop sessions idle longer than $(docv) (0 = never).")
 
@@ -57,7 +54,7 @@ let expose_demo_schema (srv : Tdb.Server.t) : unit =
     ~indexers:(history_indexers ()) ()
 
 let serve_cmd =
-  let run dir socket port host fresh no_gc idle_timeout =
+  let run dir socket port host fresh idle_timeout =
     let addr =
       match (socket, port) with
       | Some path, None -> Tdb.Server.Unix_path path
@@ -69,23 +66,20 @@ let serve_cmd =
     in
     let device = Tdb.Device.at_dir dir in
     let db = if fresh then Tdb.create device else Tdb.open_existing device in
-    let config =
-      { Tdb.Server.default_config with Tdb.Server.group_commit = not no_gc; idle_timeout }
-    in
+    let config = { Tdb.Server.default_config with Tdb.Server.idle_timeout } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
     expose_demo_schema srv;
     (match addr with
     | Tdb.Server.Unix_path p -> Printf.printf "tdb_server: listening on %s" p
     | Tdb.Server.Tcp (h, _) -> Printf.printf "tdb_server: listening on %s:%d" h (Tdb.Server.port srv));
-    Printf.printf " (group commit %s, idle timeout %s)\n%!"
-      (if no_gc then "off" else "on")
+    Printf.printf " (idle timeout %s)\n%!"
       (if idle_timeout > 0. then Printf.sprintf "%.0fs" idle_timeout else "off");
     Tdb.Server.serve srv;
     Tdb.close db
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve a database over a Unix-domain or TCP socket.")
-    Term.(const run $ dir_arg $ socket_arg $ port_arg $ host_arg $ fresh_arg $ no_gc_arg $ idle_arg)
+    Term.(const run $ dir_arg $ socket_arg $ port_arg $ host_arg $ fresh_arg $ idle_arg)
 
 (* Follower mode: tail a primary's archive feed into a local database
    directory and serve it read-only over a socket of its own. The

@@ -607,16 +607,16 @@ let stage t ~(durable : bool) : unit =
   t.promotable <- not durable;
   t.stats.commits <- t.stats.commits + 1
 
-(** Durable points. A durable commit stages its batch under a durable
-    closing record, then runs the barrier's sync and finish back to back;
-    a barrier stages an empty batch the same way but lets its caller
-    release the state lock between the stages, so group commit can
-    coalesce. One durable point is in flight at a time: each claims the
-    next counter value, and a second would bump the hardware counter out
-    of the order the records claim. *)
+(** Durable points. [barrier_begin] stages the pending batch (possibly
+    empty) under a durable closing record; its caller may release the
+    state lock before [barrier_sync], so group commit can coalesce, and a
+    durable commit runs the three stages back to back. One durable point
+    is in flight at a time: each claims the next counter value, and a
+    second would bump the hardware counter out of the order the records
+    claim. *)
 type barrier_token = { bt_counter : int64 (* counter value the closing record claims *) }
 
-let open_barrier t : barrier_token =
+let barrier_begin t : barrier_token =
   if t.barrier_inflight then invalid_arg "Chunk_store: a durable point is already in flight";
   stage t ~durable:true;
   t.barrier_inflight <- true;
@@ -638,15 +638,10 @@ let barrier_finish t (_ : barrier_token) : unit =
   t.stats.durable_commits <- t.stats.durable_commits + 1;
   note_commit t
 
-let barrier_begin t : barrier_token =
-  if Hashtbl.length t.pending > 0 then
-    invalid_arg "Chunk_store.barrier_begin: commit or abort the batch first";
-  open_barrier t
-
 let commit ?(durable = true) t : unit =
   if Hashtbl.length t.pending > 0 then
     if durable then begin
-      let tok = open_barrier t in
+      let tok = barrier_begin t in
       barrier_sync t tok;
       barrier_finish t tok
     end

@@ -115,8 +115,8 @@ val batch_size : t -> int
 
 (** {2 Durable barrier}
 
-    The one durable path, in three stages: [begin] appends the batch
-    (empty for a barrier) under a durable closing record that claims the
+    The one durable path, in three stages: [begin] appends the buffered
+    batch (possibly empty) under a durable closing record that claims the
     next counter value, and flushes it; [sync] forces the store and bumps
     the one-way counter; [finish] reclaims garbage. A durable {!commit}
     runs them back to back. A barrier promotes every earlier nondurable
@@ -131,8 +131,8 @@ val batch_size : t -> int
 type barrier_token
 
 val barrier_begin : t -> barrier_token
-(** Append and flush the empty durable commit record.
-    @raise Invalid_argument while a batch is buffered or in flight. *)
+(** Append and flush the buffered batch and its durable commit record.
+    @raise Invalid_argument while a durable point is in flight. *)
 
 val barrier_sync : t -> barrier_token -> unit
 (** Force the store and advance the one-way counter.

@@ -376,6 +376,7 @@ let restore_chunk t g data : unit =
   reglobal g (fun () -> Chunk_store.restore_chunk t.shards.(shard_of t g) (local_of t g) data)
 
 let abort_batch t : unit = Array.iter Chunk_store.abort_batch t.shards
+let batch_size t = Array.fold_left (fun acc sh -> acc + Chunk_store.batch_size sh) 0 t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Commit: one participant commits alone, several run the 2PC         *)
@@ -476,15 +477,23 @@ let commit ?(durable = true) t : unit =
 
 type barrier_token = (int * Chunk_store.barrier_token) list
 
-(* Only shards with nondurable commits above their last durable point
-   have anything for a barrier to promote. *)
+(* A shard carrying the pending batch stages it as a durable commit; of
+   the others, only shards with nondurable commits above their last
+   durable point have anything for a barrier to promote. *)
 let barrier_begin t : barrier_token =
-  List.map
-    (fun s ->
-      let tok = Chunk_store.barrier_begin t.shards.(s) in
-      t.barriers.(s) <- t.barriers.(s) + 1;
-      (s, tok))
-    (shards_where t Chunk_store.promotable)
+  let carries sh = Chunk_store.batch_size sh > 0 in
+  let batch = shards_where t carries in
+  if List.length batch > 1 then invalid_arg "Shard_store.barrier_begin: the batch spans shards";
+  let toks =
+    List.map
+      (fun s -> (s, Chunk_store.barrier_begin t.shards.(s)))
+      (shards_where t (fun sh -> carries sh || Chunk_store.promotable sh))
+  in
+  List.iter
+    (fun (s, _) ->
+      if List.mem s batch then t.txn_commits <- t.txn_commits + 1 else t.barriers.(s) <- t.barriers.(s) + 1)
+    toks;
+  toks
 
 let barrier_sync t (toks : barrier_token) : unit =
   List.iter (fun (s, tok) -> Chunk_store.barrier_sync t.shards.(s) tok) toks

@@ -130,6 +130,10 @@ val commit : ?durable:bool -> t -> unit
     @raise Vetoed if a prepare hook refused; the batch is rolled back. *)
 
 val abort_batch : t -> unit
+
+val batch_size : t -> int
+(** Chunks the buffered batch touches, over every shard. *)
+
 val durable_barrier : t -> unit
 (** Barrier only the shards whose {!Chunk_store.promotable} is set, at
     every width: a shard whose last commit was durable, or whose
@@ -143,6 +147,12 @@ val durable_barrier : t -> unit
 type barrier_token
 
 val barrier_begin : t -> barrier_token
+(** Stage a pending single-shard batch as a durable commit (counted in
+    {!txn_commits}) and open a barrier on every other promotable shard.
+    With no batch pending this is {!durable_barrier}'s first stage.
+    @raise Invalid_argument if the batch spans shards or a durable point
+    is in flight. *)
+
 val barrier_sync : t -> barrier_token -> unit
 val barrier_finish : t -> barrier_token -> unit
 

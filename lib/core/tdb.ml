@@ -64,7 +64,6 @@ module Cstore = Tdb_collection.Cstore
 module Proto = Tdb_server.Proto
 module Server = Tdb_server.Server
 module Client = Tdb_server.Client
-module Group_commit = Tdb_server.Group_commit
 module Replica = Tdb_replica.Replica
 
 exception Tamper_detected = Tdb_chunk.Types.Tamper_detected

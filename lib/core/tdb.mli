@@ -15,9 +15,9 @@
       transactions, strict 2PL and an object cache.
     - {!Cstore} / {!Indexer} / {!Gkey}: collections with automatically
       maintained functional indexes and insensitive iterators.
-    - {!Server} / {!Client} / {!Proto} / {!Group_commit}: the networked
-      service layer — sessions over Unix-domain/TCP sockets with group
-      commit. *)
+    - {!Server} / {!Client} / {!Proto}: the networked service layer —
+      sessions over Unix-domain/TCP sockets; concurrent durable commits
+      coalesce in {!Object_store} (group commit). *)
 
 (** {1 Re-exported layers} *)
 
@@ -53,7 +53,6 @@ module Cstore = Tdb_collection.Cstore
 module Proto = Tdb_server.Proto
 module Server = Tdb_server.Server
 module Client = Tdb_server.Client
-module Group_commit = Tdb_server.Group_commit
 module Replica = Tdb_replica.Replica
 
 exception Tamper_detected of string

@@ -326,14 +326,16 @@ let run_phase_a ~trace d =
    durable by a *staged* barrier ({!Shard_store.barrier_begin} /
    [barrier_sync] / [barrier_finish]), with further commits landing
    inside the sync window and between sync and finish — the exact
-   interleaving the server's group-commit coordinator produces, replayed
+   interleaving the object store's group commit produces, replayed
    deterministically so the sweep can crash at every boundary of a
-   coalesced multi-session barrier. Window commits land after the
-   barrier's commit record, so they are not covered by it: [durable_lo]
-   advances only to the commits issued before [barrier_begin]. This also
-   exercises the barrier's segment hold ({!Tdb_chunk.Log.hold}) — a window
-   commit may obsolete a chunk version that recovery (to the barrier
-   point) still needs. Width 1 only: see DESIGN.md, "Sharding". *)
+   coalesced multi-session barrier. In a seeded half of the rounds the
+   leader carries its own batch, which [barrier_begin] stages under the
+   barrier's durable record. Window commits land after that record, so
+   they are not covered by it: [durable_lo] advances only to the commits
+   issued before [barrier_begin]. This also exercises the barrier's
+   segment hold ({!Tdb_chunk.Log.hold}) — a window commit may obsolete a
+   chunk version that recovery (to the barrier point) still needs. Width
+   1 only: see DESIGN.md, "Sharding". *)
 let run_phase_gc ~trace d =
   let base = load_base ~trace d in
   let n_base = Array.length base in
@@ -349,7 +351,7 @@ let run_phase_gc ~trace d =
   Array.iteri (fun i cid -> put d cid (fat_data i 0)) fat;
   commit_shadow ~durable:true d;
   let txn = ref 0 in
-  let session_commit tag =
+  let session_write tag =
     incr txn;
     if Int.equal (Drbg.int d.rng 3) 0 then begin
       let i = Drbg.int d.rng (Array.length fat) in
@@ -358,7 +360,10 @@ let run_phase_gc ~trace d =
     else begin
       let cid = base.(Drbg.int d.rng n_base) in
       update d cid (pad (Printf.sprintf "%s:%03d:txn:%04d:%d" tag cid !txn (Drbg.int d.rng 10_000)))
-    end;
+    end
+  in
+  let session_commit tag =
+    session_write tag;
     commit_shadow ~durable:false d
   in
   while !txn < trace.txns do
@@ -366,6 +371,12 @@ let run_phase_gc ~trace d =
     for _ = 0 to Drbg.int d.rng 3 do
       session_commit "gc"
     done;
+    if Int.equal (Drbg.int d.rng 2) 0 then begin
+      (* the leader's own batch: its commit boundary is the barrier's *)
+      session_write "lead";
+      d.sh.issued <- d.sh.issued + 1;
+      Hashtbl.replace d.sh.states d.sh.issued (Hashtbl.copy d.sh.model)
+    end;
     let covered = d.sh.issued in
     let tok = Shard_store.barrier_begin d.ss in
     (* sessions landing while the leader syncs: after the barrier record *)

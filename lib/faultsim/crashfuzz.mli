@@ -56,13 +56,15 @@ val sweep_crashpoints :
 
 val sweep_group_commit :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report
-(** Same sweep, but phase A replays the server's group-commit schedule:
-    batches of nondurable session commits made durable by a staged
-    barrier ({!Tdb_chunk.Shard_store.barrier_begin} / [barrier_sync] /
-    [barrier_finish]) with further commits landing inside the barrier's
-    sync window — so every boundary of a coalesced multi-session barrier
-    is crashed, including the window commits' interaction with segment
-    reclamation: segments they empty are held until the next barrier. *)
+(** Same sweep, but phase A replays the object store's group-commit
+    schedule: batches of nondurable session commits made durable by a
+    staged barrier ({!Tdb_chunk.Shard_store.barrier_begin} /
+    [barrier_sync] / [barrier_finish]), led in a seeded half of the
+    rounds by a commit whose own batch the barrier carries, with further
+    commits landing inside the barrier's sync window — so every boundary
+    of a coalesced multi-session barrier is crashed, including the window
+    commits' interaction with segment reclamation: segments they empty
+    are held until the next barrier. *)
 
 val sweep_commit_flush :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report

@@ -42,8 +42,13 @@ type t = {
   cs : Shard_store.t;
   cfg : config;
   mu : Mutex.t;
-  quiet : Condition.t; (* signalled when a staged barrier stops syncing *)
-  mutable syncing : bool; (* a staged barrier syncs outside [mu] *)
+  quiet : Condition.t; (* signalled when a barrier stops syncing *)
+  mutable syncing : bool; (* a barrier syncs outside [mu] *)
+  mutable next_ticket : int; (* tickets issued: durable points waiting for a barrier *)
+  mutable covered : int; (* every ticket below this is durable *)
+  mutable poisoned : exn option; (* a barrier's sync raised *)
+  mutable barriers : int; (* barriers that landed *)
+  mutable coalesced : int; (* durable commits those barriers covered *)
   locks : Lock_manager.t;
   cache : Obj_class.packed_value Lru.t;
   mutable roots : (string * oid) list;
@@ -83,8 +88,8 @@ let with_mu t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* The gate keeping one durable point in flight: while {!durable_barrier}
-   syncs outside [mu], whatever may make a durable point waits here,
+(* The gate keeping one durable point in flight: while a barrier syncs
+   outside [mu], whatever else may make a durable point waits here,
    releasing [mu]. Caller holds [mu]. *)
 let await_quiet t =
   while t.syncing do
@@ -127,6 +132,11 @@ let of_shard_store ?(config = default_config) (cs : Shard_store.t) : t =
     mu = Mutex.create ();
     quiet = Condition.create ();
     syncing = false;
+    next_ticket = 0;
+    covered = 0;
+    poisoned = None;
+    barriers = 0;
+    coalesced = 0;
     locks = Lock_manager.create ();
     cache = Lru.create ~budget:config.cache_budget;
     roots;
@@ -166,6 +176,7 @@ let ingest t (f : Shard_store.t -> 'a) : 'a option =
 let close t = with_quiet t (fun () -> Shard_store.close t.cs)
 let checkpoint t = with_quiet t (fun () -> Shard_store.checkpoint t.cs)
 let cache_stats t = Lru.stats t.cache
+let group_commit_stats t = with_mu t (fun () -> (t.barriers, t.coalesced))
 
 let chunk_cache_stats t =
   let st = Shard_store.stats t.cs in
@@ -326,48 +337,119 @@ let spans_shards (x : txn) : bool =
   let oids = Hashtbl.fold (fun oid _ acc -> oid :: acc) x.writes oids in
   match List.sort_uniq Int.compare (List.map (Shard_store.shard_of x.store.cs) oids) with _ :: _ :: _ -> true | _ -> false
 
+(* --- group commit ---
+
+   A durable point costs a log force plus a one-way-counter bump (paper
+   Section 3.1.2), so concurrent durable commits share them. One barrier
+   at a time syncs outside [mu]; a durable commit arriving meanwhile
+   lands nondurably, takes a ticket and waits until a barrier covers it.
+   Tickets are taken under [mu] after the commit landed, so a barrier
+   that claims [next_ticket] as it begins covers every ticket below.
+   Callers hold [mu]. *)
+
+let check_poison t = match t.poisoned with Some exn -> raise exn | None -> ()
+
+(* Land the barrier [tok] begun under [mu]: sync and bump outside [mu],
+   then finish back under it. A failed sync poisons the store: every
+   later durable point raises the same exception instead of claiming
+   durability. *)
+let run_barrier t tok =
+  let claim = t.next_ticket in
+  t.syncing <- true;
+  Mutex.unlock t.mu;
+  let failed = match Shard_store.barrier_sync t.cs tok with () -> None | exception exn -> Some exn in
+  Mutex.lock t.mu;
+  t.syncing <- false;
+  Condition.broadcast t.quiet;
+  match failed with
+  | None ->
+      Shard_store.barrier_finish t.cs tok;
+      t.covered <- claim;
+      t.barriers <- t.barriers + 1
+  | Some exn ->
+      t.poisoned <- Some exn;
+      raise exn
+
+(* Wait until every ticket below [upto] is durable, leading a barrier
+   whenever none is syncing. *)
+let rec await_covered t upto =
+  if t.covered < upto then begin
+    check_poison t;
+    if t.syncing then Condition.wait t.quiet t.mu else run_barrier t (Shard_store.barrier_begin t.cs);
+    await_covered t upto
+  end
+
+(* What a commit does once it has landed: nothing more, wait for a
+   barrier to cover the tickets issued so far, or lead the barrier that
+   carries its batch. *)
+type landing = Done | Wait | Lead of Shard_store.barrier_token
+
 (** Commit: pickle the write set, push everything into one atomic chunk
     batch (objects, removals, catalog), and commit it — durably by default
-    (paper Figure 3: commit(bool durable)). A durable point passes the gate
-    before its writes enter the shared chunk batch: waiting releases [mu]. *)
+    (paper Figure 3: commit(bool durable)). A single-shard durable commit
+    leads a barrier that carries its batch, or, while one syncs, lands
+    nondurably and waits for the next; either way its locks are released
+    once it has landed. A commit spanning shards waits for the gate before
+    its writes enter the shared chunk batch: waiting releases [mu]. *)
 let commit ?(durable = true) (x : txn) : unit =
   with_mu x.store (fun () ->
       let t = x.store in
-      if durable || spans_shards x then await_quiet t;
+      let cross = spans_shards x in
+      if cross then await_quiet t;
       check_active x;
-      (try
-         Hashtbl.iter
-           (fun oid e ->
-             let (Obj_class.Value (cls, v)) = Lru.value e in
-             let bytes = Obj_class.pickle_value cls v in
-             Shard_store.write t.cs oid bytes;
-             Lru.update_size t.cache e ~size:(String.length bytes))
-           x.writes;
-         List.iter
-           (fun oid ->
-             Shard_store.deallocate t.cs oid;
-             Lru.remove t.cache oid)
-           x.removed;
-         if x.root_updates <> [] then begin
-           let roots =
-             List.fold_left
-               (fun acc (name, v) ->
-                 let acc = List.remove_assoc name acc in
-                 match v with Some oid -> (name, oid) :: acc | None -> acc)
-               t.roots (List.rev x.root_updates)
-           in
-           Shard_store.write t.cs catalog_cid (encode_roots roots);
-           t.roots <- roots
-         end;
-         Shard_store.commit ~durable t.cs
-       with exn ->
-         Shard_store.abort_batch t.cs;
-         finish x Aborted;
-         (* failed commit behaves like abort: evict dirty objects *)
-         Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
-         List.iter (fun oid -> try Shard_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
-         raise exn);
-      finish x Committed)
+      let landing =
+        try
+          if durable || cross then check_poison t;
+          Hashtbl.iter
+            (fun oid e ->
+              let (Obj_class.Value (cls, v)) = Lru.value e in
+              let bytes = Obj_class.pickle_value cls v in
+              Shard_store.write t.cs oid bytes;
+              Lru.update_size t.cache e ~size:(String.length bytes))
+            x.writes;
+          List.iter
+            (fun oid ->
+              Shard_store.deallocate t.cs oid;
+              Lru.remove t.cache oid)
+            x.removed;
+          if x.root_updates <> [] then begin
+            let roots =
+              List.fold_left
+                (fun acc (name, v) ->
+                  let acc = List.remove_assoc name acc in
+                  match v with Some oid -> (name, oid) :: acc | None -> acc)
+                t.roots (List.rev x.root_updates)
+            in
+            Shard_store.write t.cs catalog_cid (encode_roots roots);
+            t.roots <- roots
+          end;
+          if cross || not durable then begin
+            Shard_store.commit ~durable t.cs;
+            Done
+          end
+          else if Int.equal (Shard_store.batch_size t.cs) 0 then Wait (* for earlier tickets only *)
+          else if t.syncing then begin
+            Shard_store.commit ~durable:false t.cs;
+            t.next_ticket <- t.next_ticket + 1;
+            t.coalesced <- t.coalesced + 1;
+            Wait
+          end
+          else Lead (Shard_store.barrier_begin t.cs)
+        with exn ->
+          Shard_store.abort_batch t.cs;
+          finish x Aborted;
+          (* failed commit behaves like abort: evict dirty objects *)
+          Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
+          List.iter (fun oid -> try Shard_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
+          raise exn
+      in
+      finish x Committed;
+      match landing with
+      | Done -> ()
+      | Wait -> await_covered t t.next_ticket
+      | Lead tok ->
+          t.coalesced <- t.coalesced + 1;
+          run_barrier t tok)
 
 (** Abort: discard the write set. Objects opened for writing are evicted
     from the cache (paper Section 4.2.3) so later reads refetch committed
@@ -383,28 +465,13 @@ let abort (x : txn) : unit =
 
 (** Durable barrier without a transaction: promote every committed
     nondurable transaction to durable with one sync + one counter bump
-    (see {!Shard_store.durable_barrier}). The group-commit coordinator's
-    hook into the commit path: sessions commit nondurably under the state
-    mutex, then one coordinator thread runs the barrier for all of them.
-
-    The state mutex is {e released} during the physical wait (the staged
-    {!Chunk_store.barrier_sync}): that window is exactly where concurrent
-    sessions land the nondurable commits the next barrier coalesces —
-    holding the mutex through the sync would serialize every commit
-    behind the barrier and defeat group commit entirely. The gate
-    ({!await_quiet}) keeps every other durable point out of the window. *)
+    (see {!Shard_store.durable_barrier}), or wait for a barrier that
+    begins after this call — the same routine as a durable commit with
+    an empty batch that takes a ticket. *)
 let durable_barrier (t : t) : unit =
-  let tok =
-    with_quiet t (fun () ->
-        let tok = Shard_store.barrier_begin t.cs in
-        t.syncing <- true;
-        tok)
-  in
-  let failed = match Shard_store.barrier_sync t.cs tok with () -> None | exception exn -> Some exn in
   with_mu t (fun () ->
-      t.syncing <- false;
-      Condition.broadcast t.quiet;
-      match failed with None -> Shard_store.barrier_finish t.cs tok | Some exn -> raise exn)
+      t.next_ticket <- t.next_ticket + 1;
+      await_covered t t.next_ticket)
 
 (** Run [f] in a transaction, committing on success and aborting on
     exception. *)

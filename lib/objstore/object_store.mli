@@ -50,6 +50,10 @@ val checkpoint : t -> unit
 val cache_stats : t -> int * int * int
 (** Object-cache (hits, misses, evictions). *)
 
+val group_commit_stats : t -> int * int
+(** Group commit's (barriers, coalesced): barriers that landed, and the
+    single-shard durable commits with writes that they covered. *)
+
 val chunk_cache_stats : t -> int * int * int
 (** Same counters for the verified-chunk cache one level down — the
     second tier of the two-level cache (see DESIGN.md, "Caching"). *)
@@ -135,9 +139,23 @@ val root : txn -> string -> oid option
 
 val commit : ?durable:bool -> txn -> unit
 (** Pickle the write set and commit everything as one atomic chunk batch;
-    durable by default. Releases locks and invalidates the txn's refs. A
-    durable commit, or one spanning shards, first waits out a syncing
-    {!durable_barrier}. *)
+    durable by default. Releases locks and invalidates the txn's refs.
+
+    Durable single-shard commits coalesce (group commit). With no barrier
+    syncing, the commit leads one that carries its batch under the
+    durable record and promotes every other promotable shard; the log
+    force and counter bump run outside the state mutex. While a barrier
+    syncs, the commit lands nondurably and waits until a barrier covers
+    it, leading the next one itself if none has begun. Either way the
+    locks are released once the commit has landed. A durable commit with
+    an empty batch waits only for durable commits already waiting, and
+    runs no barrier when none is. A commit spanning shards (always
+    durable) first waits out a syncing barrier.
+
+    Once a barrier's sync has raised, the store is poisoned: that
+    exception reaches the barrier's leader and waiters, and every later
+    durable commit, commit spanning shards or {!durable_barrier} raises
+    it too (the commits it covered stay landed, nondurably). *)
 
 val abort : txn -> unit
 (** Discard the write set; objects opened for writing are evicted from the
@@ -148,8 +166,11 @@ val with_txn : ?durable:bool -> t -> (txn -> 'a) -> 'a
 
 val durable_barrier : t -> unit
 (** Promote every committed nondurable transaction to durable with one
-    log force and one one-way-counter bump — the group-commit hook (see
-    {!Tdb_chunk.Shard_store.durable_barrier}). The sync and the bump run
-    outside the state mutex; meanwhile nondurable single-shard commits and
-    reads proceed, while durable or cross-shard commits, a second barrier,
-    {!checkpoint}, {!close}, {!with_store} and {!ingest} wait. *)
+    log force and one one-way-counter bump (see
+    {!Tdb_chunk.Shard_store.durable_barrier}): the same routine as a
+    durable commit, with an empty batch. The sync and the bump run outside
+    the state mutex; meanwhile nondurable single-shard commits and reads
+    proceed, durable single-shard commits land and wait for the next
+    barrier, while cross-shard commits, {!checkpoint}, {!close},
+    {!with_store} and {!ingest} wait. Once a barrier's sync has raised,
+    every call raises that exception. *)

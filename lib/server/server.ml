@@ -15,8 +15,8 @@
       aborts the session's transaction before the error is reported, so
       the deadlock the timeout broke is actually resolved (the client
       simply retries a fresh transaction);
-    - {b group commit}: when enabled, durable commits land nondurably and
-      are promoted by a shared {!Group_commit} barrier — one log force and
+    - {b group commit}: the object store coalesces concurrent durable
+      commits ({!Tdb_objstore.Object_store.commit}) — one log force and
       one counter bump cover every session that commits in the window.
 
     Only {e exposed} classes and collections are reachable over the wire:
@@ -35,7 +35,6 @@ module P = Tdb_pickle.Pickle
 type addr = Unix_path of string | Tcp of string * int
 
 type config = {
-  group_commit : bool;  (** coalesce durable commits into shared barriers *)
   idle_timeout : float;  (** seconds of silence before a session is dropped; 0 = never *)
   max_frame : int;
   read_only : bool;
@@ -47,7 +46,6 @@ type config = {
 
 let default_config =
   {
-    group_commit = true;
     idle_timeout = 0.;
     max_frame = Proto.default_max_frame;
     read_only = false;
@@ -77,7 +75,6 @@ type exposure =
 type t = {
   os : Object_store.t;
   cfg : config;
-  gc : Group_commit.t option;
   backups : Tdb_backup.Backup_store.t option;
       (** archive this server publishes (and, when
           [Config.replica_interval_commits > 0], auto-extends) *)
@@ -126,15 +123,9 @@ let ignore_sigpipe () =
 let create ?(config = default_config) ?backups (os : Object_store.t) (addr : addr) : t =
   ignore_sigpipe ();
   let listen_fd, sock_path = listen_on addr in
-  let gc =
-    if config.group_commit then
-      Some (Group_commit.create ~barrier:(fun () -> Object_store.durable_barrier os))
-    else None
-  in
   {
     os;
     cfg = config;
-    gc;
     backups;
     classes = Hashtbl.create 16;
     colls = Hashtbl.create 16;
@@ -351,13 +342,7 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
   | Proto.Commit { durable } ->
       let ct = require_txn s in
       s.s_ct <- None;
-      (match t.gc with
-      | Some gc when durable ->
-          (* group commit: land nondurably (atomicity settled), then let a
-             shared barrier buy durability for the whole window *)
-          Cstore.commit ~durable:false ct;
-          Group_commit.run gc
-      | _ -> Cstore.commit ~durable ct);
+      Cstore.commit ~durable ct;
       Mutex.lock t.mu;
       t.committed <- t.committed + 1;
       Mutex.unlock t.mu;
@@ -488,13 +473,7 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
             Tdb_chunk.Shard_store.metrics cs
             @ match t.backups with Some bs -> Tdb_backup.Backup_store.metrics bs | None -> [])
       in
-      let barriers, coalesced =
-        match t.gc with
-        | None -> (0, 0)
-        | Some gc ->
-            let g = Group_commit.stats gc in
-            (g.Group_commit.gc_batches, g.Group_commit.gc_coalesced)
-      in
+      let barriers, coalesced = Object_store.group_commit_stats t.os in
       Mutex.lock t.mu;
       let server =
         Tdb_chunk.Metrics.

@@ -6,9 +6,9 @@
     idle timeout, so a dead client never strands 2PL locks; a lock
     timeout aborts the session's transaction before the error reaches the
     client (the timeout is a deadlock breaker — keeping the deadlocked
-    transaction's locks would break nothing). With [group_commit] on,
-    durable commits land nondurably and are promoted by a shared
-    {!Group_commit} barrier.
+    transaction's locks would break nothing). Concurrent sessions'
+    durable commits share log forces and counter bumps: the object
+    store's group commit ({!Tdb_objstore.Object_store.commit}).
 
     Only explicitly exposed classes and collections are reachable over
     the wire; collection mutations run server-side as registered named
@@ -20,7 +20,6 @@ type addr =
   | Tcp of string * int  (** numeric host, port; port 0 picks one — see {!port} *)
 
 type config = {
-  group_commit : bool;  (** coalesce durable commits into shared barriers *)
   idle_timeout : float;  (** seconds of silence before a session is dropped; 0 = never *)
   max_frame : int;
   read_only : bool;
@@ -32,7 +31,7 @@ type config = {
 }
 
 val default_config : config
-(** group commit on, no idle timeout, {!Proto.default_max_frame},
+(** No idle timeout, {!Proto.default_max_frame},
     writable, 50 ms publish poll. *)
 
 type t

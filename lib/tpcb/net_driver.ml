@@ -1,16 +1,15 @@
 (** Multi-client TPC-B over the network service: N client threads drive a
     {!Tdb_server.Server} through the RPC client, so throughput-vs-clients
-    can be measured with group commit on or off.
+    can be measured under group commit.
 
     The database lives in an in-memory untrusted store whose [sync] — and
     the one-way counter's [increment] — are given real wall-clock latency
     ([sync_ms]/[counter_ms]), emulating the paper's platform (a log force
     plus a counter bump per durable commit, Section 7.2) in a way that
     works across threads ({!Sim_disk}'s virtual clock is single-threaded
-    by design). Without group commit every durable commit pays that
-    latency under the store's state mutex, so adding clients cannot help;
-    with group commit one barrier covers every session that committed in
-    the window, and throughput scales until the barrier saturates.
+    by design). The object store's group commit lets one barrier cover
+    every session that committed in its window, so throughput scales with
+    clients until the barrier saturates.
 
     Each TPC-B read-modify-write travels as a server-side ["add"] mutation
     (one round trip, no lock-upgrade window); lock timeouts — the paper's
@@ -25,7 +24,6 @@ open Tdb_server
 
 type result = {
   clients : int;
-  group_commit : bool;
   committed : int;  (** transactions committed across all clients *)
   retries : int;  (** lock-timeout retries *)
   elapsed : float;  (** wall-clock seconds of the drive phase *)
@@ -38,10 +36,8 @@ type result = {
 
 let pp_result ppf (r : result) =
   Format.fprintf ppf
-    "%d client%s, group commit %s: %d txns in %.2fs = %.0f tps (%d retries, %d durable requests, %d barriers)"
-    r.clients
+    "%d client%s: %d txns in %.2fs = %.0f tps (%d retries, %d durable requests, %d barriers)" r.clients
     (if r.clients > 1 then "s" else "")
-    (if r.group_commit then "on" else "off")
     r.committed r.elapsed r.tps r.retries r.durable_requests r.barriers
 
 let net_scale : Workload.scale =
@@ -91,7 +87,7 @@ type setup = {
   server_addr : Server.addr;
 }
 
-let setup_server ~security ~sync_ms ~counter_ms ~group_commit ~lock_timeout (scale : Workload.scale) :
+let setup_server ~security ~sync_ms ~counter_ms ~lock_timeout (scale : Workload.scale) :
     setup =
   let store, counter = delayed_platform ~sync_ms ~counter_ms in
   let secret = Secret_store.of_seed "tpcb-net" in
@@ -123,11 +119,7 @@ let setup_server ~security ~sync_ms ~counter_ms ~group_commit ~lock_timeout (sca
   load tellers scale.Workload.tellers;
   load branches scale.Workload.branches;
   Chunk_store.checkpoint cs;
-  let srv =
-    Server.create
-      ~config:{ Server.default_config with Server.group_commit }
-      os (Server.Tcp ("127.0.0.1", 0))
-  in
+  let srv = Server.create os (Server.Tcp ("127.0.0.1", 0)) in
   let add (r : Workload.record) rd = r.Workload.balance <- r.Workload.balance + Tdb_pickle.Pickle.read_int rd in
   List.iter
     (fun (name, schema) ->
@@ -172,8 +164,8 @@ let drive_txn (c : Client.t) (input : Workload.txn_input) ~(h_id : int) : int =
     [txns_per_client] TPC-B transactions durably, and report wall-clock
     throughput plus how many durable barriers the store actually paid. *)
 let run ?(security = true) ?(sync_ms = 2.0) ?(counter_ms = 1.0) ?(scale = net_scale)
-    ?(lock_timeout = 0.25) ~clients ~txns_per_client ~group_commit () : result =
-  let s = setup_server ~security ~sync_ms ~counter_ms ~group_commit ~lock_timeout scale in
+    ?(lock_timeout = 0.25) ~clients ~txns_per_client () : result =
+  let s = setup_server ~security ~sync_ms ~counter_ms ~lock_timeout scale in
   let stats0 = Chunk_store.stats s.cs in
   let durable0 = stats0.Chunk_store.durable_commits in
   let retries = Array.make clients 0 in
@@ -228,7 +220,6 @@ let run ?(security = true) ?(sync_ms = 2.0) ?(counter_ms = 1.0) ?(scale = net_sc
   let committed = clients * txns_per_client in
   {
     clients;
-    group_commit;
     committed;
     retries = Array.fold_left ( + ) 0 retries;
     elapsed;

@@ -1,12 +1,11 @@
 (** Multi-client TPC-B over the network service: N client threads drive a
     {!Tdb_server.Server} through the RPC client, measuring throughput
-    scaling vs client count with group commit on or off. Durable-commit
-    latency (log force + one-way counter bump) is emulated with real
-    wall-clock delays so coalescing is measurable across threads. *)
+    scaling vs client count under group commit. Durable-commit latency
+    (log force + one-way counter bump) is emulated with real wall-clock
+    delays so coalescing is measurable across threads. *)
 
 type result = {
   clients : int;
-  group_commit : bool;
   committed : int;  (** transactions committed across all clients *)
   retries : int;  (** lock-timeout retries *)
   elapsed : float;  (** wall-clock seconds of the drive phase *)
@@ -30,7 +29,6 @@ val run :
   ?lock_timeout:float ->
   clients:int ->
   txns_per_client:int ->
-  group_commit:bool ->
   unit ->
   result
 (** Build a fresh TPC-B database, serve it on a loopback TCP socket, and

@@ -258,14 +258,32 @@ let test_concurrent_increments () =
 
 (* Multi-object transfers under contention: N threads move amounts
    between random pairs of accounts (two exclusive locks per txn, random
-   order — plenty of deadlock opportunities for the timeout breaker),
-   while another thread runs durable barriers through the staged path a
-   group-commit coordinator uses. Money is conserved iff 2PL serialized
-   every transfer and no lock was ever double-granted. *)
-let test_concurrent_transfer_stress () =
-  let config = { Object_store.default_config with Object_store.lock_timeout = 0.1 } in
-  let env = fresh_env () in
-  let os = fresh ~config env in
+   order — plenty of deadlock opportunities for the timeout breaker).
+   Money is conserved iff 2PL serialized every transfer and no lock was
+   ever double-granted. Two modes:
+   - [Barrier_thread]: nondurable transfers, while another thread runs
+     durable barriers through the staged path;
+   - [Durable n]: durable transfers at width [n] with no barrier thread,
+     every sync delayed 1 ms, and another thread checkpointing and
+     cleaning every few ms. The durable commits coalesce — at width 1 a
+     barrier covers at least two of them on average, which fails if the
+     sync holds the state mutex — and a crash that loses every unsynced
+     write loses no transfer. *)
+type stress_mode = Barrier_thread | Durable of int
+
+let transfer_stress mode =
+  let n, durable = match mode with Barrier_thread -> (1, false) | Durable n -> (n, true) in
+  let config = { cfg with Config.shards = n } and secret = Secret_store.of_seed "objstore-stress" in
+  let mems, raw = Array.split (Array.init n (fun _ -> Untrusted_store.open_mem ())) in
+  let ctrs = Array.init n (fun _ -> snd (One_way_counter.open_mem ())) in
+  let delay_sync = function
+    | Untrusted_store.Op_sync -> if durable then Thread.delay 0.001
+    | Untrusted_store.Op_write _ | Untrusted_store.Op_set_size _ -> ()
+  in
+  let cs =
+    Shard_store.create ~config ~secret ~counters:ctrs (Array.map (Untrusted_store.interpose ~before:delay_sync) raw)
+  in
+  let os = Object_store.of_shard_store ~config:{ Object_store.default_config with lock_timeout = 0.1 } cs in
   let n_accounts = 8 and nthreads = 4 and per_thread = 40 and initial = 1000 in
   let oids =
     let x = Object_store.begin_ os in
@@ -276,13 +294,18 @@ let test_concurrent_transfer_stress () =
     Object_store.commit x;
     oids
   in
-  let retries = Array.make nthreads 0 in
+  let durable0 = (Shard_store.stats cs).Chunk_store.durable_commits in
+  let deltas = Array.init nthreads (fun _ -> Array.make n_accounts 0) in
   let stop = ref false in
-  let barrier_thread =
+  let background =
     Thread.create
       (fun () ->
         while not !stop do
-          Object_store.durable_barrier os;
+          if durable then begin
+            Object_store.checkpoint os;
+            Object_store.with_store os (fun cs -> Shard_store.clean cs)
+          end
+          else Object_store.durable_barrier os;
           Thread.delay 0.002
         done)
       ()
@@ -303,12 +326,16 @@ let test_concurrent_transfer_stress () =
                   let dst = Object_store.deref (Object_store.open_writable t meter_cls oids.(b)) in
                   src.view_count <- src.view_count - amount;
                   dst.view_count <- dst.view_count + amount;
-                  Object_store.commit ~durable:false t
+                  Object_store.commit ~durable t
                 with
-                | () -> ()
+                | () ->
+                    deltas.(ti).(a) <- deltas.(ti).(a) - amount;
+                    deltas.(ti).(b) <- deltas.(ti).(b) + amount
                 | exception Lock_manager.Lock_timeout _ ->
                     Object_store.abort t;
-                    retries.(ti) <- retries.(ti) + 1;
+                    (* a jittered backoff keeps two deadlocked
+                       transfers from colliding again on retry *)
+                    Thread.delay (0.001 *. float_of_int (Tdb_crypto.Drbg.int rng 10));
                     attempt ()
               in
               attempt ()
@@ -317,26 +344,47 @@ let test_concurrent_transfer_stress () =
   in
   List.iter Thread.join threads;
   stop := true;
-  Thread.join barrier_thread;
+  Thread.join background;
+  let barriers = (Shard_store.stats cs).Chunk_store.durable_commits - durable0 in
   Alcotest.(check int) "all locks released" 0 (Object_store.held_count os);
-  let x = Object_store.begin_ os in
-  let total =
-    Array.fold_left
-      (fun acc oid -> acc + (Object_store.deref (Object_store.open_readonly x meter_cls oid)).view_count)
-      0 oids
+  let expected =
+    List.init n_accounts (fun i -> Array.fold_left (fun acc d -> acc + d.(i)) initial deltas)
   in
-  Object_store.abort x;
-  Alcotest.(check int) "money conserved" (n_accounts * initial) total;
-  (* the barriers promoted the nondurable transfers: they survive reopen *)
-  let os2 = reopen env in
-  let x2 = Object_store.begin_ os2 in
-  let total2 =
-    Array.fold_left
-      (fun acc oid -> acc + (Object_store.deref (Object_store.open_readonly x2 meter_cls oid)).view_count)
-      0 oids
+  let balances os =
+    let x = Object_store.begin_ os in
+    let bs =
+      List.map (fun oid -> (Object_store.deref (Object_store.open_readonly x meter_cls oid)).view_count) (Array.to_list oids)
+    in
+    Object_store.abort x;
+    bs
   in
-  Object_store.abort x2;
-  Alcotest.(check int) "conserved after reopen" (n_accounts * initial) total2
+  let live = balances os in
+  Alcotest.(check int) "money conserved" (n_accounts * initial) (List.fold_left ( + ) 0 live);
+  Alcotest.(check (list int)) "every transfer applied" expected live;
+  if durable then begin
+    Array.iteri
+      (fun s ctr ->
+        Alcotest.(check int64)
+          (Printf.sprintf "shard %d counter matches its claim" s)
+          (Chunk_store.counter_value (Shard_store.shard_store cs s))
+          (One_way_counter.read ctr))
+      ctrs;
+    if Int.equal n 1 then
+      Alcotest.(check bool)
+        (Printf.sprintf "coalesced: %d barriers for %d durable commits" barriers (nthreads * per_thread))
+        true
+        (2 * barriers <= nthreads * per_thread);
+    (* every transfer was durable: a crash losing every unsynced write
+       keeps them all *)
+    Array.iter Untrusted_store.Mem.crash_hard mems
+  end;
+  (* in the barrier mode, the barriers promoted the nondurable transfers
+     (those after the last barrier roll back, atomically) *)
+  let reopened = balances (Object_store.of_shard_store (Shard_store.open_existing ~config ~secret ~counters:ctrs raw)) in
+  Alcotest.(check int) "conserved after reopen" (n_accounts * initial) (List.fold_left ( + ) 0 reopened);
+  if durable then Alcotest.(check (list int)) "every transfer survives the crash" expected reopened
+
+let test_concurrent_transfer_stress () = List.iter transfer_stress [ Barrier_thread; Durable 1; Durable 4 ]
 
 let test_deadlock_broken_by_timeout () =
   let config = { Object_store.default_config with Object_store.lock_timeout = 0.1 } in
@@ -531,6 +579,73 @@ let check_barrier_window n =
 
 let test_barrier_window_w1 () = check_barrier_window 1
 let test_barrier_window_w2 () = check_barrier_window 2
+
+exception Sync_failed
+
+(* A sync that raises inside a leader's barrier poisons group commit. The
+   leader gets the exception, and so do a durable commit that landed in
+   the window and every later durable point; the leader's insert landed
+   before the sync and stays readable, even after a later commit (a sync
+   failure never reaches the commit's abort path, which would release
+   the insert's id). *)
+let test_failed_sync_poisons () =
+  let park = { pm = Mutex.create (); pc = Condition.create (); armed = false; parked = false; released = false } in
+  let hook = function
+    | Untrusted_store.Op_sync as op ->
+        let failing = with_park park (fun () -> park.armed) in
+        park_hook park op;
+        if failing then raise Sync_failed
+    | op -> park_hook park op
+  in
+  let config = { cfg with Config.shards = 1 } and env = fresh_env () in
+  let cs =
+    Shard_store.create ~config ~secret:env.secret ~counters:[| env.ctr |]
+      [| Untrusted_store.interpose ~before:hook env.store |]
+  in
+  let os = Object_store.of_shard_store ~config:{ Object_store.default_config with lock_timeout = 10.0 } cs in
+  let b = Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "b" }) in
+  let bump ?durable () =
+    Object_store.with_txn ?durable os (fun x ->
+        let m = Object_store.deref (Object_store.open_writable x meter_cls b) in
+        m.view_count <- m.view_count + 1)
+  in
+  let count oid =
+    Object_store.with_txn ~durable:false os (fun x ->
+        (Object_store.deref (Object_store.open_readonly x meter_cls oid)).view_count)
+  in
+  let is_sync_failed = function Error Sync_failed -> true | Ok () | Error _ -> false in
+  let raises_sync_failed f = match f () with () -> false | exception Sync_failed -> true in
+  with_park park (fun () -> park.armed <- true);
+  let inserted = Atomic.make None in
+  let leader =
+    spawn (fun () ->
+        Object_store.with_txn os (fun x ->
+            Atomic.set inserted (Some (Object_store.insert x meter_cls { view_count = 7; print_count = 0; good = "a" }))))
+  in
+  let release () =
+    with_park park (fun () ->
+        park.released <- true;
+        Condition.broadcast park.pc)
+  in
+  Fun.protect ~finally:release (fun () ->
+      Alcotest.(check bool) "leader parked in its sync" true (wait_for (fun () -> with_park park (fun () -> park.parked)));
+      let waiter = spawn (fun () -> bump ()) in
+      (* reads run while the leader is parked: poll until the waiter's
+         write shows *)
+      let reader = spawn (fun () -> wait_for (fun () -> Int.equal (count b) 1)) in
+      Alcotest.(check bool) "waiter's commit lands in the window" true
+        (wait_for (fun () -> finished reader) && match join reader with Ok landed -> landed | Error _ -> false);
+      Alcotest.(check bool) "waiter waits for a barrier" false (finished waiter);
+      release ();
+      Alcotest.(check bool) "leader gets the exception" true (is_sync_failed (join leader));
+      Alcotest.(check bool) "waiter gets the same exception" true (is_sync_failed (join waiter)));
+  Alcotest.(check bool) "a later durable commit raises it" true (raises_sync_failed (fun () -> bump ()));
+  Alcotest.(check bool) "a later barrier raises it" true (raises_sync_failed (fun () -> Object_store.durable_barrier os));
+  bump ~durable:false ();
+  Alcotest.(check int) "nondurable commits still land" 2 (count b);
+  match Atomic.get inserted with
+  | None -> Alcotest.fail "leader inserted nothing"
+  | Some a -> Alcotest.(check int) "leader's insert still readable" 7 (count a)
 
 (* The chunk layer refuses a second durable point: a durable commit
    between [barrier_begin] and [barrier_finish] would queue a second
@@ -770,6 +885,7 @@ let () =
           Alcotest.test_case "barrier window, width 1" `Quick test_barrier_window_w1;
           Alcotest.test_case "barrier window, width 2" `Quick test_barrier_window_w2;
           Alcotest.test_case "durable commit in a barrier refused" `Quick test_durable_commit_in_barrier_refused;
+          Alcotest.test_case "failed sync poisons group commit" `Quick test_failed_sync_poisons;
         ] );
       ( "cache",
         [

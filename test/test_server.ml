@@ -191,7 +191,7 @@ let test_idle_timeout () =
    holds the mutex through the sync pays about 0.7 barriers per commit at
    this width. *)
 let test_e2e_group_commit () =
-  let r = Tdb_tpcb.Net_driver.run ~clients:8 ~txns_per_client:12 ~group_commit:true () in
+  let r = Tdb_tpcb.Net_driver.run ~clients:8 ~txns_per_client:12 () in
   Alcotest.(check int) "all transactions committed" 96 r.Tdb_tpcb.Net_driver.committed;
   Alcotest.(check bool) "balances consistent" true r.Tdb_tpcb.Net_driver.balance_ok;
   Alcotest.(check bool)
@@ -199,14 +199,6 @@ let test_e2e_group_commit () =
        r.Tdb_tpcb.Net_driver.durable_requests)
     true
     (2 * r.Tdb_tpcb.Net_driver.barriers <= r.Tdb_tpcb.Net_driver.durable_requests)
-
-(* Control: with group commit off every durable commit pays its own
-   barrier. *)
-let test_e2e_no_group_commit () =
-  let r = Tdb_tpcb.Net_driver.run ~clients:4 ~txns_per_client:4 ~group_commit:false () in
-  Alcotest.(check bool) "balances consistent" true r.Tdb_tpcb.Net_driver.balance_ok;
-  Alcotest.(check int) "one barrier per durable commit" r.Tdb_tpcb.Net_driver.durable_requests
-    r.Tdb_tpcb.Net_driver.barriers
 
 (* The server's metrics are its own [server.*] / [group_commit.*] entries
    followed by the store's list, so every name the local store reports
@@ -438,7 +430,6 @@ let () =
       ( "e2e",
         [
           Alcotest.test_case "8 concurrent clients, group commit" `Slow test_e2e_group_commit;
-          Alcotest.test_case "group commit off control" `Slow test_e2e_no_group_commit;
         ] );
       ( "archive",
         [
