@@ -479,15 +479,16 @@ type barrier_token = (int * Chunk_store.barrier_token) list
 
 (* A shard carrying the pending batch stages it as a durable commit; of
    the others, only shards with nondurable commits above their last
-   durable point have anything for a barrier to promote. *)
-let barrier_begin t : barrier_token =
+   durable point have anything for a barrier to promote, and only when
+   [promote] is set. *)
+let barrier_begin ?(promote = true) t : barrier_token =
   let carries sh = Chunk_store.batch_size sh > 0 in
   let batch = shards_where t carries in
   if List.length batch > 1 then invalid_arg "Shard_store.barrier_begin: the batch spans shards";
   let toks =
     List.map
       (fun s -> (s, Chunk_store.barrier_begin t.shards.(s)))
-      (shards_where t (fun sh -> carries sh || Chunk_store.promotable sh))
+      (shards_where t (fun sh -> carries sh || (promote && Chunk_store.promotable sh)))
   in
   List.iter
     (fun (s, _) ->

@@ -146,10 +146,11 @@ val durable_barrier : t -> unit
 
 type barrier_token
 
-val barrier_begin : t -> barrier_token
+val barrier_begin : ?promote:bool -> t -> barrier_token
 (** Stage a pending single-shard batch as a durable commit (counted in
-    {!txn_commits}) and open a barrier on every other promotable shard.
-    With no batch pending this is {!durable_barrier}'s first stage.
+    {!txn_commits}) and, unless [promote] is [false], open a barrier on
+    every other promotable shard. With no batch pending and [promote]
+    left at [true] this is {!durable_barrier}'s first stage.
     @raise Invalid_argument if the batch spans shards or a durable point
     is in flight. *)
 

@@ -344,8 +344,10 @@ let spans_shards (x : txn) : bool =
    at a time syncs outside [mu]; a durable commit arriving meanwhile
    lands nondurably, takes a ticket and waits until a barrier covers it.
    Tickets are taken under [mu] after the commit landed, so a barrier
-   that claims [next_ticket] as it begins covers every ticket below.
-   Callers hold [mu]. *)
+   that claims [next_ticket] as it begins covers every ticket below. A
+   leader takes a ticket for its own batch too: its locks are released
+   before its sync, and a durable commit that read its writes waits for
+   that ticket. Callers hold [mu]. *)
 
 let check_poison t = match t.poisoned with Some exn -> raise exn | None -> ()
 
@@ -434,7 +436,12 @@ let commit ?(durable = true) (x : txn) : unit =
             t.coalesced <- t.coalesced + 1;
             Wait
           end
-          else Lead (Shard_store.barrier_begin t.cs)
+          else begin
+            (* other shards need promoting only for outstanding tickets *)
+            let tok = Shard_store.barrier_begin ~promote:(t.covered < t.next_ticket) t.cs in
+            t.next_ticket <- t.next_ticket + 1;
+            Lead tok
+          end
         with exn ->
           Shard_store.abort_batch t.cs;
           finish x Aborted;

@@ -143,14 +143,15 @@ val commit : ?durable:bool -> txn -> unit
 
     Durable single-shard commits coalesce (group commit). With no barrier
     syncing, the commit leads one that carries its batch under the
-    durable record and promotes every other promotable shard; the log
-    force and counter bump run outside the state mutex. While a barrier
-    syncs, the commit lands nondurably and waits until a barrier covers
-    it, leading the next one itself if none has begun. Either way the
-    locks are released once the commit has landed. A durable commit with
-    an empty batch waits only for durable commits already waiting, and
-    runs no barrier when none is. A commit spanning shards (always
-    durable) first waits out a syncing barrier.
+    durable record and, while other durable commits wait, promotes every
+    other promotable shard; the log force and counter bump run outside
+    the state mutex. While a barrier syncs, the commit lands nondurably
+    and waits until a barrier covers it, leading the next one itself if
+    none has begun. Either way the locks are released once the commit
+    has landed. A durable commit with an empty batch waits only for
+    durable commits already landed, the syncing leader's included, and
+    runs no barrier when none is waiting. A commit spanning shards
+    (always durable) first waits out a syncing barrier.
 
     Once a barrier's sync has raised, the store is poisoned: that
     exception reaches the barrier's leader and waiters, and every later

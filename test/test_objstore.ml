@@ -333,9 +333,10 @@ let transfer_stress mode =
                     deltas.(ti).(b) <- deltas.(ti).(b) + amount
                 | exception Lock_manager.Lock_timeout _ ->
                     Object_store.abort t;
-                    (* a jittered backoff keeps two deadlocked
-                       transfers from colliding again on retry *)
-                    Thread.delay (0.001 *. float_of_int (Tdb_crypto.Drbg.int rng 10));
+                    (* in the durable modes a jittered backoff keeps two
+                       deadlocked transfers from colliding again on
+                       retry; the barrier mode retries at once *)
+                    if durable then Thread.delay (0.001 *. float_of_int (Tdb_crypto.Drbg.int rng 10));
                     attempt ()
               in
               attempt ()
@@ -512,8 +513,10 @@ let wait_for ?(secs = 5.0) cond =
    commit spanning both shards wait for it, and a nondurable single-shard
    commit lands. Once released, every waiter finishes cleanly, each
    shard's hardware counter equals what the shard claims, and the
-   database reopens with every commit. *)
-let check_barrier_window n =
+   database reopens with every commit. With [~leader:true] the parked
+   barrier is a durable commit carrying its own bump of [a], and a
+   durable read-only transaction that read that bump waits for it too. *)
+let check_barrier_window ?(leader = false) n =
   let park = { pm = Mutex.create (); pc = Condition.create (); armed = false; parked = false; released = false } in
   let raw = Array.init n (fun _ -> snd (Untrusted_store.open_mem ())) in
   let ctrs = Array.init n (fun _ -> snd (One_way_counter.open_mem ())) in
@@ -539,11 +542,16 @@ let check_barrier_window n =
             m.view_count <- m.view_count + 1)
           oids)
   in
-  (* something for the barrier to promote *)
-  bump ~durable:false [ a ] ();
+  (* something for the barrier to promote, or for the leader to carry *)
+  if not leader then bump ~durable:false [ a ] ();
   with_park park (fun () -> park.armed <- true);
-  let barrier = spawn (fun () -> Object_store.durable_barrier os) in
+  let barrier = spawn (if leader then bump [ a ] else fun () -> Object_store.durable_barrier os) in
   Alcotest.(check bool) "barrier parked in its sync" true (wait_for (fun () -> with_park park (fun () -> park.parked)));
+  let reader =
+    if leader then
+      [ spawn (fun () -> Object_store.with_txn os (fun x -> ignore (Object_store.open_readonly x meter_cls a))) ]
+    else []
+  in
   let durable = spawn (bump [ b ]) in
   let checkpoint = spawn (fun () -> Object_store.checkpoint os) in
   let cross = if n > 1 then [ spawn (bump ~durable:false [ c; d ]) ] else [] in
@@ -553,6 +561,7 @@ let check_barrier_window n =
   Alcotest.(check bool) "durable commit waits" false (finished durable);
   Alcotest.(check bool) "checkpoint waits" false (finished checkpoint);
   List.iter (fun j -> Alcotest.(check bool) "cross-shard commit waits" false (finished j)) cross;
+  List.iter (fun j -> Alcotest.(check bool) "read-only durable commit waits" false (finished j)) reader;
   Alcotest.(check bool) "barrier still parked" false (finished barrier);
   with_park park (fun () ->
       park.released <- true;
@@ -560,7 +569,8 @@ let check_barrier_window n =
   List.iter
     (fun (what, j) -> match join j with Ok () -> () | Error e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
     ([ ("barrier", barrier); ("durable commit", durable); ("checkpoint", checkpoint); ("single-shard commit", single) ]
-    @ List.map (fun j -> ("cross-shard commit", j)) cross);
+    @ List.map (fun j -> ("cross-shard commit", j)) cross
+    @ List.map (fun j -> ("read-only durable commit", j)) reader);
   Array.iteri
     (fun s ctr ->
       Alcotest.(check int64)
@@ -579,6 +589,7 @@ let check_barrier_window n =
 
 let test_barrier_window_w1 () = check_barrier_window 1
 let test_barrier_window_w2 () = check_barrier_window 2
+let test_barrier_window_leader () = List.iter (check_barrier_window ~leader:true) [ 1; 2 ]
 
 exception Sync_failed
 
@@ -884,6 +895,7 @@ let () =
           Alcotest.test_case "locking disabled" `Quick test_locking_disabled;
           Alcotest.test_case "barrier window, width 1" `Quick test_barrier_window_w1;
           Alcotest.test_case "barrier window, width 2" `Quick test_barrier_window_w2;
+          Alcotest.test_case "barrier window, leader's batch" `Quick test_barrier_window_leader;
           Alcotest.test_case "durable commit in a barrier refused" `Quick test_durable_commit_in_barrier_refused;
           Alcotest.test_case "failed sync poisons group commit" `Quick test_failed_sync_poisons;
         ] );
