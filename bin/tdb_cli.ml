@@ -293,33 +293,9 @@ let remote_tpcb_cmd =
               load "branch" Tdb_tpcb.Workload.branch_cls scale.Tdb_tpcb.Workload.branches);
         let rng = Tdb.Crypto.Drbg.create ~seed in
         let retries = ref 0 in
-        for j = 0 to txns - 1 do
+        for h_id = 0 to txns - 1 do
           let input = Tdb_tpcb.Workload.gen_txn rng scale in
-          let rec attempt () =
-            match
-              Tdb.Client.begin_ c;
-              let add coll cls id delta =
-                ignore
-                  (Tdb.Client.coll_mutate c ~coll ~index:"id" ~mutation:"add" Tdb.Gkey.int id cls
-                     ~arg:(fun w -> Tdb.Pickle.int w delta))
-              in
-              add "account" Tdb_tpcb.Workload.account_cls input.Tdb_tpcb.Workload.account
-                input.Tdb_tpcb.Workload.delta;
-              add "teller" Tdb_tpcb.Workload.teller_cls input.Tdb_tpcb.Workload.teller
-                input.Tdb_tpcb.Workload.delta;
-              add "branch" Tdb_tpcb.Workload.branch_cls input.Tdb_tpcb.Workload.branch
-                input.Tdb_tpcb.Workload.delta;
-              ignore
-                (Tdb.Client.coll_insert c ~coll:"history" Tdb_tpcb.Workload.history_cls
-                   (Tdb_tpcb.Workload.make_history ~h_id:j ~input));
-              Tdb.Client.commit ~durable:true c
-            with
-            | () -> ()
-            | exception Tdb.Client.Server_error { tag; msg = _ } when String.equal tag "lock_timeout" ->
-                incr retries;
-                attempt ()
-          in
-          attempt ()
+          retries := !retries + Tdb_tpcb.Net_driver.drive_txn c rng input ~h_id
         done;
         Printf.printf "committed %d TPC-B transactions (%d lock-timeout retries)\n" txns !retries)
   in

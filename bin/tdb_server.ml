@@ -24,35 +24,6 @@ let fresh_arg = Arg.(value & flag & info [ "fresh" ] ~doc:"Create a fresh databa
 let idle_arg =
   Arg.(value & opt float 0. & info [ "idle-timeout" ] ~docv:"SECONDS" ~doc:"Drop sessions idle longer than $(docv) (0 = never).")
 
-let record_indexers () : Tdb_tpcb.Workload.record Tdb.Indexer.generic list =
-  [ Tdb.Indexer.Generic
-      (Tdb.Indexer.make ~name:"id" ~key:Tdb.Gkey.int
-         ~extract:(fun (r : Tdb_tpcb.Workload.record) -> r.Tdb_tpcb.Workload.id)
-         ~unique:true ~impl:Tdb.Indexer.Hash ()) ]
-
-let history_indexers () : Tdb_tpcb.Workload.history Tdb.Indexer.generic list =
-  [ Tdb.Indexer.Generic
-      (Tdb.Indexer.make ~name:"id" ~key:Tdb.Gkey.int
-         ~extract:(fun (h : Tdb_tpcb.Workload.history) -> h.Tdb_tpcb.Workload.h_id)
-         ~unique:false ~impl:Tdb.Indexer.List ()) ]
-
-let add_mutation (r : Tdb_tpcb.Workload.record) (rd : Tdb.Pickle.reader) : unit =
-  r.Tdb_tpcb.Workload.balance <- r.Tdb_tpcb.Workload.balance + Tdb.Pickle.read_int rd
-
-(** Expose the demo schema on [srv]. *)
-let expose_demo_schema (srv : Tdb.Server.t) : unit =
-  List.iter
-    (fun (name, schema) ->
-      Tdb.Server.expose_collection srv ~name ~schema ~indexers:(record_indexers ())
-        ~mutations:[ ("add", add_mutation) ] ())
-    [
-      ("account", Tdb_tpcb.Workload.account_cls);
-      ("teller", Tdb_tpcb.Workload.teller_cls);
-      ("branch", Tdb_tpcb.Workload.branch_cls);
-    ];
-  Tdb.Server.expose_collection srv ~name:"history" ~schema:Tdb_tpcb.Workload.history_cls
-    ~indexers:(history_indexers ()) ()
-
 let serve_cmd =
   let run dir socket port host fresh idle_timeout =
     let addr =
@@ -68,7 +39,7 @@ let serve_cmd =
     let db = if fresh then Tdb.create device else Tdb.open_existing device in
     let config = { Tdb.Server.default_config with Tdb.Server.idle_timeout } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
-    expose_demo_schema srv;
+    Tdb_tpcb.Net_driver.expose_schema srv;
     (match addr with
     | Tdb.Server.Unix_path p -> Printf.printf "tdb_server: listening on %s" p
     | Tdb.Server.Tcp (h, _) -> Printf.printf "tdb_server: listening on %s:%d" h (Tdb.Server.port srv));
@@ -131,7 +102,7 @@ let replicate_cmd =
     in
     let config = { Tdb.Server.default_config with Tdb.Server.read_only = true; idle_timeout } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
-    expose_demo_schema srv;
+    Tdb_tpcb.Net_driver.expose_schema srv;
     (match addr with
     | Tdb.Server.Unix_path p -> Printf.printf "tdb_server: follower listening on %s (read-only)\n%!" p
     | Tdb.Server.Tcp (h, _) ->

@@ -12,18 +12,15 @@
       relocation (which preserves versions) invalidates nothing;
     - a flat 64-byte charge per entry on top of the payload;
     - a budget of 0 disables caching;
-    - single-writer ownership: the cache belongs to the domain that
-      created it, and every mutating operation asserts it runs there —
-      see DESIGN.md, "Sealing runs on the calling domain". *)
+    - no locking of its own: the cache is reached only under
+      [Object_store.mu], so one thread at a time touches it. *)
 
 type t
 
 val create : budget:int -> t
 (** An empty cache holding at most [budget] bytes of plaintext (plus the
     per-entry charge). A budget of 0 disables caching: [put] becomes a
-    no-op and every [find] misses. The calling domain becomes the cache's
-    owner; [find]/[put]/[remove]/[set_budget] from any other domain fail
-    the ownership assertion. *)
+    no-op and every [find] misses. *)
 
 val find : t -> int -> version:int -> string option
 (** [find t cid ~version] returns the cached payload iff an entry for

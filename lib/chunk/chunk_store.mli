@@ -24,7 +24,7 @@
     Concurrency: the chunk store itself is single-threaded; the object
     store serializes access with its state mutex (paper Section 4.2.3).
     Sealing, unsealing and recovery's label checks all run on the calling
-    domain (see DESIGN.md, "Sealing runs on the calling domain"). *)
+    thread (see DESIGN.md, "Sealing runs on the calling domain"). *)
 
 type t
 (** An open chunk store. *)

@@ -39,12 +39,12 @@ val seal : t -> string -> string
 val draw_iv : t -> string option
 (** Draw the IV for one {!seal}: [AES_ks(n)] for the session's [n]th
     seal, truncated to the cipher's block size. Advancing the count is the
-    only effectful step of sealing. Coordinator-only: IV draws must happen
-    in deterministic operation order. [None] iff security is off.
+    only effectful step of sealing. IV draws must happen in deterministic
+    operation order, so sealing runs under the object store's state mutex. [None] iff security is off.
     @raise Invalid_argument if security is on and no session started. *)
 
 val unseal : t -> string -> string
-(** Pure (reads only the cipher); safe to run on any domain.
+(** Pure (reads only the cipher); safe to run on any thread.
     @raise Types.Tamper_detected on malformed padding. *)
 
 val label : t -> string -> string

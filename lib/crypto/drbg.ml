@@ -7,10 +7,10 @@
     secret store plus device entropy.
 
     Thread safety: the mutable [(state, reqs)] pair is guarded by a
-    per-instance mutex. Without it, two domains can read the same state
-    and emit {e identical} output — fatal for IV generation (the old code
-    was safe only because [threads.posix] serialized everything under the
-    runtime lock). The critical section covers just the state advance;
+    per-instance mutex. Without it, two threads can read the same state
+    and emit {e identical} output — fatal for IV generation: the runtime
+    may switch threads at the digest's allocation, between the read and
+    the advance. The critical section covers just the state advance;
     output blocks are computed from the reserved snapshot outside the
     lock, so concurrent callers each derive from a distinct request
     number and single-threaded output is byte-for-byte unchanged. *)

@@ -6,8 +6,9 @@
     internal mutex (block expansion happens outside it), so concurrent
     callers each get a distinct, never-overlapping slice of the stream.
     The {e sequence} of values then depends on scheduling — order-
-    sensitive users (IV assignment in the seal pipeline) must draw from a
-    single coordinator domain, which lint rule R7 checks statically. *)
+    sensitive users (IV assignment in the seal pipeline) must draw one
+    at a time, in operation order: the object store seals under its state
+    mutex. *)
 
 type t
 

@@ -17,7 +17,7 @@ module type S = sig
 
   type midstate
   (** Frozen running state: an immutable value, safe to share across
-      domains (a [ctx] is mutable and single-owner). *)
+      threads (a [ctx] is mutable and single-owner). *)
 
   val save : ctx -> midstate
   (** Freeze the current state; the context stays usable. *)

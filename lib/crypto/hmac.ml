@@ -21,10 +21,9 @@ let pads (module H : Hash.S) ~(key : string) : string * string =
 (** A prepared key: frozen {e midstates} of the inner context primed with
     [key xor ipad] and the outer context primed with [key xor opad].
     Midstates are immutable, so one prepared key can serve any number of
-    domains concurrently; each {!mac} resumes them into fresh private
-    contexts. (The previous representation held live mutable contexts
-    cloned via [Hash.S.copy] — a data race the moment two domains shared
-    the key, safe only under the runtime lock.) *)
+    threads concurrently; each {!mac} resumes them into fresh private
+    contexts. (Live mutable contexts shared by the key would be corrupted
+    the moment a thread was preempted mid-MAC while another used it.) *)
 type key = Key : (module Hash.S with type midstate = 'm) * 'm * 'm -> key
 
 let precompute (module H : Hash.S) ~(key : string) : key =

@@ -13,7 +13,7 @@ val sha256 : key:string -> string -> string
     each {!mac} resumes the primed state instead of recompressing the key
     pads — two block compressions saved per MAC. A [key] holds only
     immutable {!Hash.S.midstate}s, so one precomputed key may be used
-    from any number of domains concurrently; each {!mac} works on fresh
+    from any number of threads concurrently; each {!mac} works on fresh
     private contexts. *)
 
 type key

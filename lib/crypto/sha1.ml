@@ -151,7 +151,7 @@ let digest s =
 let digest_bytes b = digest (Bytes.unsafe_to_string b)
 
 (* Frozen running state: chaining words + length + pending partial block,
-   all immutable — safe to share across domains, unlike a [ctx]. *)
+   all immutable — safe to share across threads, unlike a [ctx]. *)
 type midstate = { ms_h : string; ms_total : int; ms_buf : string }
 
 let save (c : ctx) : midstate =

@@ -16,8 +16,11 @@
     - R2: in the cryptographic layers, equality on values whose
       identifiers look like MAC/tag/digest/hmac/label material must go
       through {!Tdb_crypto.Ct}, never [String.equal] or [=].
-    - R3: [Obj], [Marshal] and [Random] are banned in trusted layers;
-      randomness must come from [Drbg], serialization from [Pickle].
+    - R3: [Obj], [Marshal], [Random] and [Domain] are banned in trusted
+      layers; randomness must come from [Drbg], serialization from
+      [Pickle], and concurrency from threads: trusted layers do not
+      create domains, so the single-owner state they share under one
+      mutex (the chunk cache, the IV seal order) never runs in parallel.
     - R4: partial functions ([List.hd]/[tl]/[nth], [Option.get],
       [Bytes.unsafe_*], [String.unsafe_*], [Array.unsafe_*]) and
       catch-all [try ... with _ ->] handlers.
@@ -71,7 +74,7 @@ let rule_equal a b =
 let rule_doc = function
   | R1 -> "polymorphic comparison/hash (timing-unsafe, version-unstable)"
   | R2 -> "MAC/digest comparison must be constant-time (Ct.equal_string/Ct.equal_bytes)"
-  | R3 -> "Obj/Marshal/Random are banned in trusted layers (randomness comes from Drbg)"
+  | R3 -> "Obj/Marshal/Random/Domain are banned in trusted layers (Drbg, Pickle, threads)"
   | R4 -> "partial or unsafe function / catch-all exception handler"
   | R5 -> "module lacks an .mli interface"
   | R6 -> "secret-tainted value reaches an untrusted sink unsanitized (seal/MAC/digest first)"
@@ -137,7 +140,7 @@ let is_equality_path p =
   | [ ("String" | "Bytes"); ("equal" | "compare") ] -> true
   | _ -> false
 
-let banned_trusted_head = function "Obj" | "Marshal" | "Random" -> true | _ -> false
+let banned_trusted_head = function "Obj" | "Marshal" | "Random" | "Domain" -> true | _ -> false
 
 let partial_name p =
   match strip_stdlib p with
@@ -235,10 +238,13 @@ let check_source ~path source =
     if not (Hashtbl.mem consumed (pos_of loc)) then begin
       let p = flatten lid in
       let name = String.concat "." p in
-      (match p with
+      (match strip_stdlib p with
       | head :: _ :: _ when trusted && banned_trusted_head head ->
           add loc R3
-            (Printf.sprintf "%s is banned in trusted layers (randomness: Drbg; serialization: Pickle)" name)
+            (Printf.sprintf
+               "%s is banned in trusted layers (randomness: Drbg; serialization: Pickle; \
+                concurrency: threads)"
+               name)
       | _ -> ());
       (match partial_name p with
       | Some f -> add loc R4 (Printf.sprintf "partial/unsafe function %s; use a total alternative" f)
@@ -294,17 +300,19 @@ let check_source ~path source =
                 cases
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
-      open_declaration =
-        (fun it od ->
+      (* a module path names a banned module wherever it appears: [open],
+         local opens, aliases ([module D = Domain]) and [include] *)
+      module_expr =
+        (fun it me ->
           (if trusted then
-             match od.popen_expr.pmod_desc with
+             match me.pmod_desc with
              | Pmod_ident { txt; loc } -> (
-                 match flatten txt with
+                 match strip_stdlib (flatten txt) with
                  | head :: _ when banned_trusted_head head ->
-                     add loc R3 ("open " ^ head ^ " is banned in trusted layers")
+                     add loc R3 (head ^ " is banned in trusted layers")
                  | _ -> ())
              | _ -> ());
-          Ast_iterator.default_iterator.open_declaration it od);
+          Ast_iterator.default_iterator.module_expr it me);
     }
   in
   iter.structure iter str;

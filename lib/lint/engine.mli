@@ -10,9 +10,9 @@
       values whose
       identifiers look like [mac]/[tag]/[digest]/[hmac]/[label] material
       must use [Ct.equal_string]/[Ct.equal_bytes].
-    - R3 — [Obj], [Marshal], [Random] banned in the trusted layers
-      ([lib/chunk], [lib/crypto], [lib/objstore], [lib/backup],
-      [lib/platform]).
+    - R3 — [Obj], [Marshal], [Random], [Domain] banned in the trusted
+      layers ([lib/chunk], [lib/crypto], [lib/objstore], [lib/backup],
+      [lib/platform], [lib/server], [bin]).
     - R4 — partial/unsafe functions ([List.hd]/[tl]/[nth], [Option.get],
       [Bytes.unsafe_*], [String.unsafe_*], [Array.unsafe_*]) and
       catch-all [try ... with _ ->].

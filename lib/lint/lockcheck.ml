@@ -1,6 +1,6 @@
 (** R7 — lock-discipline analysis for the threaded layers.
 
-    Three rules over a static lock-order graph:
+    Four rules over a static lock-order graph:
 
     - {b ordering}: an edge [a -> b] is recorded whenever [b] is acquired
       while [a] is held — directly, through a callee (summaries carry the
@@ -19,6 +19,9 @@
       block) while holding a mutex stall every contending thread. Locks in
       {!Sources.io_locks} are exempt from this rule only — holding them
       across store I/O is the documented design.
+    - {b atomic spinning}: a [while] loop whose condition reads
+      [Atomic.get] while a (non-I/O) mutex is held burns the lock's
+      whole hold time busy-waiting; use [Condition.wait].
 
     Lock identity is syntactic: [t.mu] in [server.ml] is canonicalized to
     ["Server.mu"], a bare or qualified identifier to
@@ -26,26 +29,11 @@
     one graph node) — the right coarsening for discipline checking, since
     the discipline is per-class, not per-instance.
 
-    Domains (OCaml 5): [Domain.spawn] bodies are analyzed like
-    [Thread.create] bodies — empty held set, summaries muted — plus two
-    domain-specific rules:
-
-    - {b coordinator-only effects}: calls in
-      {!Sources.coordinator_only} (DRBG draws, [Security.seal]) are
-      order-destroying off the coordinator domain — commit determinism
-      depends on IVs being drawn sequentially in operation order — so a
-      direct or transitive call to one inside a spawned body is flagged
-      (summaries carry an [l_draws] witness).
-    - {b atomic spinning}: a [while] loop whose condition reads
-      [Atomic.get] while a (non-I/O) mutex is held burns the lock's
-      whole hold time busy-waiting; use [Condition.wait].
-
     Control flow is approximated: sequences and let-bindings thread the
     held set, branches are each analyzed under the incoming set and the
     join discards branch-local imbalance, loop bodies are analyzed once,
     and a lambda passed to an unknown function is analyzed under the
-    caller's current held set ([Thread.create] and [Domain.spawn] bodies
-    start empty). *)
+    caller's current held set ([Thread.create] bodies start empty). *)
 
 open Parsetree
 module SSet = Set.Make (String)
@@ -53,9 +41,6 @@ module SSet = Set.Make (String)
 type summary = {
   mutable l_acquires : SSet.t;  (** locks (transitively) acquired inside *)
   mutable l_blocks : string option;  (** witness if the def may block *)
-  mutable l_draws : string option;
-      (** witness if the def (transitively) performs a coordinator-only
-          effect ({!Sources.coordinator_only}) *)
   mutable l_wrappers : (int * SSet.t) list;
       (** parameters applied as thunks while holding locks *)
 }
@@ -74,14 +59,13 @@ type ctx = {
   csum : summary;
   params : string list;
   mute : bool;  (** inside a spawned body: don't charge the spawner *)
-  in_domain : bool;  (** inside a [Domain.spawn] body *)
 }
 
 let summary_of st (d : Dataflow.def) : summary =
   match Hashtbl.find_opt st.summaries d.d_id with
   | Some s -> s
   | None ->
-      let s = { l_acquires = SSet.empty; l_blocks = None; l_draws = None; l_wrappers = [] } in
+      let s = { l_acquires = SSet.empty; l_blocks = None; l_wrappers = [] } in
       Hashtbl.replace st.summaries d.d_id s;
       s
 
@@ -114,15 +98,6 @@ let note_blocks st ctx w =
     | Some _ -> ()
     | None ->
       ctx.csum.l_blocks <- Some w;
-      st.changed <- true
-
-let note_draws st ctx w =
-  if ctx.mute then ()
-  else
-    match ctx.csum.l_draws with
-    | Some _ -> ()
-    | None ->
-      ctx.csum.l_draws <- Some w;
       st.changed <- true
 
 let note_wrapper st ctx i locks =
@@ -352,13 +327,6 @@ and apply st ctx held app f args =
           as_thunk st { ctx with mute = true } SSet.empty fn;
           List.iter (fun (_, a) -> ignore (walk st ctx held a)) rest;
           held
-      | [ "Domain"; "spawn" ], (_, fn) :: rest ->
-          (* Like Thread.create, plus [in_domain]: the body runs off the
-             coordinator, where order-destroying effects (DRBG draws,
-             Security.seal) are flagged. *)
-          as_thunk st { ctx with mute = true; in_domain = true } SSet.empty fn;
-          List.iter (fun (_, a) -> ignore (walk st ctx held a)) rest;
-          held
       | [ "Fun"; "protect" ], _ ->
           (* main thunk runs first, then ~finally (which typically
              releases): thread the finally body's effect outward *)
@@ -391,16 +359,6 @@ and apply st ctx held app f args =
                      k.Sources.k_why
                      (String.concat ", " (SSet.elements bad)))
           | None -> ());
-          (match Sources.coordinator_only_of path with
-          | Some k ->
-              note_draws st ctx (Printf.sprintf "%s (%s)" (path_str path) k.Sources.k_why);
-              if ctx.in_domain then
-                add_violation st ctx loc
-                  (Printf.sprintf
-                     "%s inside a Domain.spawn body (%s) — coordinator-only effect off the \
-                      coordinator domain"
-                     (path_str path) k.Sources.k_why)
-          | None -> ());
           (match Dataflow.resolve st.prog ~current_module:ctx.cur.d_module path with
           | Some d ->
               let s = summary_of st d in
@@ -418,16 +376,6 @@ and apply st ctx held app f args =
                       (Printf.sprintf "call to %s.%s may block (%s) under mutex %s" d.d_module
                          d.d_name w
                          (String.concat ", " (SSet.elements bad)))
-              | None -> ());
-              (match s.l_draws with
-              | Some w ->
-                  note_draws st ctx (Printf.sprintf "%s.%s: %s" d.d_module d.d_name w);
-                  if ctx.in_domain then
-                    add_violation st ctx loc
-                      (Printf.sprintf
-                         "call to %s.%s inside a Domain.spawn body (%s) — coordinator-only \
-                          effect off the coordinator domain"
-                         d.d_module d.d_name w)
               | None -> ());
               let pairs = Dataflow.match_args d args in
               List.iter
@@ -463,7 +411,7 @@ let analyze_def st (d : Dataflow.def) =
   let params =
     List.concat_map (fun (p : Dataflow.param) -> Dataflow.pattern_vars p.p_pat) d.d_params
   in
-  let ctx = { cur = d; csum = s; params; mute = false; in_domain = false } in
+  let ctx = { cur = d; csum = s; params; mute = false } in
   ignore (walk st ctx SSet.empty d.d_body)
 
 (** One violation per lock-order cycle, reported at the witness site of

@@ -119,7 +119,6 @@ let blocking_calls =
     key "Unix" "sleep" "sleep";
     key "Thread" "delay" "sleep";
     key "Thread" "join" "thread join";
-    key "Domain" "join" "domain join";
     key "Untrusted_store" "read" "store read (disk I/O)";
     key "Untrusted_store" "write" "store write (disk I/O)";
     key "Untrusted_store" "writev" "store write (disk I/O)";
@@ -145,23 +144,6 @@ let io_locks = [ "Object_store.mu"; "Client.mu" ]
 (** Where R7 violations are reported: the threaded layers grown by the
     service/group-commit work. *)
 let lock_report_dirs = [ "lib/server"; "lib/objstore"; "lib/chunk" ]
-
-(** Effectful calls that must stay on the coordinator domain: anything
-    that draws from or advances shared randomness / sealing state. Safe
-    under a mutex (Drbg locks internally; the IV seal count is atomic) but
-    {e order-destroying} when it runs inside a [Domain.spawn] body:
-    commit determinism depends on IVs being drawn
-    sequentially in operation order, so the R7 walker flags these (and
-    anything that transitively calls them) inside spawned code. *)
-let coordinator_only =
-  [
-    key "Drbg" "generate" "DRBG draw (IV order must be deterministic)";
-    key "Drbg" "int" "DRBG draw (IV order must be deterministic)";
-    key "Drbg" "split" "DRBG reseed (stream order must be deterministic)";
-    key "Security" "seal" "advances the IV session's seal count";
-    key "Security" "draw_iv" "advances the IV session's seal count";
-    key "Security" "start_session" "restarts the IV session";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Matching                                                            *)
@@ -196,7 +178,6 @@ let is_sanitizer p =
 
 let sink_of p = find_in taint_sinks p
 let blocking_of p = find_in blocking_calls p
-let coordinator_only_of p = find_in coordinator_only p
 let is_sensitive_field name = List.exists (String.equal name) sensitive_fields
 let is_io_lock name = List.exists (String.equal name) io_locks
 

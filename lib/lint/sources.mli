@@ -20,11 +20,6 @@ val blocking_calls : fn_key list
 val io_locks : string list
 val lock_report_dirs : string list
 
-val coordinator_only : fn_key list
-(** Effectful calls that must stay on the coordinator domain (shared
-    randomness / sealing state whose {e order} is part of the store-image
-    determinism contract); flagged inside [Domain.spawn] bodies. *)
-
 val matches : fn_key -> string list -> bool
 (** [matches k path] — [path] is a flattened dotted path; the name must
     be its tail and a nonempty [k_module] the preceding component. *)
@@ -33,7 +28,6 @@ val is_source : string list -> bool
 val is_sanitizer : string list -> bool
 val sink_of : string list -> fn_key option
 val blocking_of : string list -> fn_key option
-val coordinator_only_of : string list -> fn_key option
 val is_sensitive_field : string -> bool
 val is_io_lock : string -> bool
 val taint_reported : string -> bool

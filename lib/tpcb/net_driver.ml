@@ -14,7 +14,7 @@
     Each TPC-B read-modify-write travels as a server-side ["add"] mutation
     (one round trip, no lock-upgrade window); lock timeouts — the paper's
     deadlock breaker, surfaced as aborted transactions over the wire — are
-    retried client-side. *)
+    retried client-side after a jittered backoff. *)
 
 open Tdb_platform
 open Tdb_chunk
@@ -80,6 +80,18 @@ let delayed_platform ~sync_ms ~counter_ms =
   in
   (store, counter)
 
+let expose_schema (srv : Server.t) : unit =
+  let add (r : Workload.record) rd = r.Workload.balance <- r.Workload.balance + Tdb_pickle.Pickle.read_int rd in
+  List.iter
+    (fun (name, schema) ->
+      Server.expose_collection srv ~name ~schema
+        ~indexers:[ Indexer.Generic (id_ix ()) ]
+        ~mutations:[ ("add", add) ] ())
+    [ ("account", Workload.account_cls); ("teller", Workload.teller_cls); ("branch", Workload.branch_cls) ];
+  Server.expose_collection srv ~name:"history" ~schema:Workload.history_cls
+    ~indexers:[ Indexer.Generic (hid_ix ()) ]
+    ()
+
 type setup = {
   os : Object_store.t;
   cs : Chunk_store.t;
@@ -120,23 +132,11 @@ let setup_server ~security ~sync_ms ~counter_ms ~lock_timeout (scale : Workload.
   load branches scale.Workload.branches;
   Chunk_store.checkpoint cs;
   let srv = Server.create os (Server.Tcp ("127.0.0.1", 0)) in
-  let add (r : Workload.record) rd = r.Workload.balance <- r.Workload.balance + Tdb_pickle.Pickle.read_int rd in
-  List.iter
-    (fun (name, schema) ->
-      Server.expose_collection srv ~name ~schema
-        ~indexers:[ Indexer.Generic (id_ix ()) ]
-        ~mutations:[ ("add", add) ] ())
-    [ ("account", Workload.account_cls); ("teller", Workload.teller_cls); ("branch", Workload.branch_cls) ];
-  Server.expose_collection srv ~name:"history" ~schema:Workload.history_cls
-    ~indexers:[ Indexer.Generic (hid_ix ()) ]
-    ();
+  expose_schema srv;
   Server.start srv;
   { os; cs; srv; server_addr = Server.Tcp ("127.0.0.1", Server.port srv) }
 
-(* One TPC-B transaction through the wire; retried on lock timeout (the
-   server aborts the transaction before reporting, so a retry is a fresh
-   transaction). Returns the number of retries it took. *)
-let drive_txn (c : Client.t) (input : Workload.txn_input) ~(h_id : int) : int =
+let drive_txn (c : Client.t) (rng : Tdb_crypto.Drbg.t) (input : Workload.txn_input) ~(h_id : int) : int =
   let retries = ref 0 in
   let rec attempt () =
     match
@@ -156,6 +156,9 @@ let drive_txn (c : Client.t) (input : Workload.txn_input) ~(h_id : int) : int =
     | () -> !retries
     | exception Client.Server_error { tag; msg = _ } when String.equal tag "lock_timeout" ->
         incr retries;
+        (* both sides of a deadlock time out at about the same moment:
+           retried at once, in the same lock order, they deadlock again *)
+        Thread.delay (0.001 *. float_of_int (Tdb_crypto.Drbg.int rng 10));
         attempt ()
   in
   attempt ()
@@ -186,7 +189,7 @@ let run ?(security = true) ?(sync_ms = 2.0) ?(counter_ms = 1.0) ?(scale = net_sc
                   for j = 0 to txns_per_client - 1 do
                     let input = Workload.gen_txn rng scale in
                     let h_id = i + (j * clients) in
-                    retries.(i) <- retries.(i) + drive_txn c input ~h_id;
+                    retries.(i) <- retries.(i) + drive_txn c rng input ~h_id;
                     deltas.(i) <- deltas.(i) + input.Workload.delta
                   done)
             with

@@ -21,6 +21,20 @@ val pp_result : Format.formatter -> result -> unit
 val net_scale : Workload.scale
 (** Default table sizes for network runs (1 000 / 100 / 10). *)
 
+val expose_schema : Tdb_server.Server.t -> unit
+(** Expose the TPC-B demo tables on a server: account, teller and branch
+    balance records under a unique hash index ["id"] with an ["add"]
+    mutation (one round trip per read-modify-write), and the append-only
+    history collection under a list index ["id"]. *)
+
+val drive_txn :
+  Tdb_server.Client.t -> Tdb_crypto.Drbg.t -> Workload.txn_input -> h_id:int -> int
+(** [drive_txn c rng input ~h_id] commits one TPC-B transaction durably
+    through [c], its history row numbered [h_id]. A lock timeout aborts the
+    transaction server-side; it is retried after a 0–9 ms backoff drawn
+    from [rng], so two colliding clients do not collide again at once.
+    Returns the number of retries it took. *)
+
 val run :
   ?security:bool ->
   ?sync_ms:float ->

@@ -297,6 +297,57 @@ let test_drbg_int_bounds =
       let v = Drbg.int d bound in
       v >= 0 && v < bound)
 
+(* --- thread-safety regressions: shared keys and generators --- *)
+
+(* Run [f i] on [n] threads at once; the results, in thread order. *)
+let on_threads n f =
+  let out = Array.make n None in
+  Array.init n (fun i -> Thread.create (fun () -> out.(i) <- Some (f i)) ())
+  |> Array.iter Thread.join;
+  Array.map (function Some r -> r | None -> Alcotest.fail "thread died") out
+
+let test_hmac_precompute_parallel () =
+  let key = String.init 37 (fun i -> Char.chr ((i * 11) land 0xff)) in
+  let pre = Hmac.precompute (module Sha256) ~key in
+  let messages = Array.init 64 (fun i -> Printf.sprintf "msg-%d-%s" i (String.make (i * 3) 'm')) in
+  let expect = Array.map (fun m -> Hmac.sha256 ~key m) messages in
+  (* A key holding mutable contexts that every [mac] resets and advances
+     fails here: a thread preempted mid-MAC corrupts its neighbour's. The
+     rounds are enough for the runtime's tick to preempt threads inside
+     [mac]. *)
+  let consistent =
+    on_threads 4 (fun d ->
+        let ok = ref true in
+        for round = 0 to 20000 do
+          let i = (round + d) mod Array.length messages in
+          if not (String.equal (Hmac.mac pre messages.(i)) expect.(i)) then ok := false
+        done;
+        !ok)
+  in
+  Array.iteri (fun d ok -> Alcotest.(check bool) (Printf.sprintf "thread %d consistent" d) true ok) consistent
+
+let test_drbg_parallel () =
+  let g = Drbg.create ~seed:"parallel-drbg-test" in
+  let draws_per_thread = 20000 in
+  let outputs = on_threads 4 (fun _ -> Array.init draws_per_thread (fun _ -> Drbg.generate g 8)) in
+  let seen = Hashtbl.create (4 * draws_per_thread) in
+  let dups = ref 0 in
+  Array.iter
+    (Array.iter (fun s ->
+         if Hashtbl.mem seen s then incr dups else Hashtbl.replace seen s ()))
+    outputs;
+  (* Without the mutex, two threads can snapshot the same state and emit
+     identical "random" bytes — fatal for IV uniqueness. *)
+  Alcotest.(check int) "no duplicate draws" 0 !dups;
+  Alcotest.(check int) "all draws accounted" (4 * draws_per_thread) (Hashtbl.length seen);
+  (* sequential stream is unchanged: same seed => same bytes, and split
+     still derives an independent child deterministically *)
+  let a = Drbg.create ~seed:"s" and b = Drbg.create ~seed:"s" in
+  Alcotest.(check string) "deterministic stream" (Drbg.generate a 32) (Drbg.generate b 32);
+  let ca = Drbg.split a "child" and cb = Drbg.split b "child" in
+  Alcotest.(check string) "deterministic split" (Drbg.generate ca 16) (Drbg.generate cb 16);
+  Alcotest.(check string) "parent advanced identically" (Drbg.generate a 16) (Drbg.generate b 16)
+
 (* --- constant-time compare & hex --- *)
 
 let test_ct_equal () =
@@ -365,6 +416,11 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
           Alcotest.test_case "split" `Quick test_drbg_split_independent;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "hmac precompute" `Quick test_hmac_precompute_parallel;
+          Alcotest.test_case "drbg" `Quick test_drbg_parallel;
         ] );
       ("misc", [ Alcotest.test_case "ct equal" `Quick test_ct_equal; Alcotest.test_case "hex reject" `Quick test_hex_reject ]);
       ("qcheck", qsuite);

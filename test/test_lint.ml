@@ -70,7 +70,15 @@ let test_r3 () =
     "let f x = Marshal.to_string x []";
   check_fires "open Random" "R3" ~path:chunk "open Random\nlet x () = int 5";
   check_silent "Random outside trusted" "R3" ~path:"lib/tpcb/fixture.ml" "let x () = Random.int 5";
-  check_silent "Drbg is fine" "R3" ~path:chunk "let x d = Drbg.generate d 16"
+  check_silent "Drbg is fine" "R3" ~path:chunk "let x d = Drbg.generate d 16";
+  (* Trusted layers run threads, never domains. *)
+  let spawn = "let f g = Domain.spawn g" in
+  check_fires "Domain.spawn in trusted" "R3" ~path:chunk spawn;
+  check_fires "open Domain" "R3" ~path:chunk "open Domain\nlet f g = spawn g";
+  check_fires "Domain.join in trusted" "R3" ~path:"lib/objstore/fixture.ml" "let f d = Domain.join d";
+  check_fires "Stdlib.Domain.spawn" "R3" ~path:chunk "let f g = Stdlib.Domain.spawn g";
+  check_fires "alias of Domain" "R3" ~path:chunk "module D = Domain\nlet f g = D.spawn g";
+  check_silent "Domain outside trusted" "R3" ~path:"lib/tpcb/fixture.ml" spawn
 
 (* ------------------------------------------------------------------ *)
 (* R4: partial/unsafe functions and catch-all handlers                 *)
@@ -318,32 +326,9 @@ let test_r7 () =
   prog_silent "consistent order" "R7"
     [ ("lib/server/alpha.ml", alpha); ("lib/server/beta.ml", beta_ok) ]
 
-(* R7, domain rules: spawned bodies, coordinator-only effects, spinning. *)
-let test_r7_domains () =
+(* R7, atomic spinning: a busy-wait is only a fault under a mutex. *)
+let test_r7_atomic_spin () =
   let prelude = "let mu = Mutex.create ()\n" in
-  (* Pure work on a spawned domain: fine. *)
-  prog_silent "pure domain body" "R7"
-    [ (chunk_fix, "let ok buf = Domain.spawn (fun () -> Sha256.digest buf)") ];
-  (* A DRBG draw inside a spawned body destroys IV-draw ordering. *)
-  prog_fires "drbg draw in domain body" "R7"
-    [ (chunk_fix, "let bad g = Domain.spawn (fun () -> Drbg.generate g 16)") ];
-  (* Same misuse, hidden behind a helper: the l_draws summary carries it. *)
-  prog_fires "transitive seal in domain body" "R7"
-    [
-      ( chunk_fix,
-        "let seal_one sec x = Security.seal sec x\n\
-         let bad sec x = Domain.spawn (fun () -> seal_one sec x)" );
-    ];
-  (* The coordinator itself may draw freely. *)
-  prog_silent "draw on the coordinator" "R7"
-    [ (chunk_fix, "let ok g = Drbg.generate g 16") ];
-  (* Domain.join is a blocking call: not allowed under a choreography
-     mutex. *)
-  prog_fires "domain join under mutex" "R7"
-    [
-      ( chunk_fix,
-        prelude ^ "let bad d = Mutex.lock mu; let r = Domain.join d in Mutex.unlock mu; r" );
-    ];
   (* Spinning on an Atomic while holding a mutex burns the hold time. *)
   prog_fires "atomic spin under mutex" "R7"
     [
@@ -415,7 +400,7 @@ let check_keys_resolve ~root dirs =
   let prog = Dataflow.build (List.concat_map (tree_units ~root) dirs) in
   let in_tree m = List.exists (fun u -> String.equal u.Dataflow.u_module m) prog.Dataflow.units in
   let unresolved =
-    Sources.(taint_sources @ taint_sanitizers @ taint_sinks @ blocking_calls @ coordinator_only)
+    Sources.(taint_sources @ taint_sanitizers @ taint_sinks @ blocking_calls)
     |> List.filter (fun (k : Sources.fn_key) ->
            in_tree k.k_module && not (Hashtbl.mem prog.Dataflow.by_key (k.k_module, k.k_name)))
     |> List.map (fun (k : Sources.fn_key) -> k.k_module ^ "." ^ k.k_name)
@@ -450,7 +435,7 @@ let () =
           Alcotest.test_case "R4 partial functions" `Quick test_r4;
           Alcotest.test_case "R6 secret taint" `Quick test_r6;
           Alcotest.test_case "R7 lock discipline" `Quick test_r7;
-          Alcotest.test_case "R7 domain rules" `Quick test_r7_domains;
+          Alcotest.test_case "R7 atomic spin" `Quick test_r7_atomic_spin;
         ] );
       ( "driver",
         [
