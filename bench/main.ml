@@ -188,6 +188,15 @@ let micro () : (string * float) list =
     Tdb_chunk.Security.start_session sec secret ~shard:0 ~counter:0L ~epoch:1;
     sec
   in
+  (* an LRU at its budget whose LRU end holds 2 000 pinned entries: a put
+     over budget walks from that end *)
+  let pinned_lru =
+    let c = Tdb_chunk.Lru.create ~budget:2000 in
+    for k = 1 to 2000 do
+      Tdb_chunk.Lru.pin (Tdb_chunk.Lru.put c k () ~size:1)
+    done;
+    c
+  in
   let tests =
     [
       Test.make ~name:"sha1/1KiB" (Staged.stage (fun () -> Tdb_crypto.Sha1.digest data_1k));
@@ -214,6 +223,10 @@ let micro () : (string * float) list =
              Tdb_chunk.Chunk_store.write cs cid data_1k;
              Tdb_chunk.Chunk_store.commit ~durable:false cs));
       Test.make ~name:"commit-batch32x1KiB/d1" (Staged.stage batch_commit);
+      Test.make ~name:"lru/put-behind-2000-pins"
+        (Staged.stage (fun () ->
+             ignore (Tdb_chunk.Lru.put pinned_lru 0 () ~size:1);
+             Tdb_chunk.Lru.remove pinned_lru 0));
     ]
   in
   let run test =

@@ -27,9 +27,12 @@ let find t (cid : int) ~(version : int) : string option =
   | Some e -> Some (snd (Lru.value e))
   | None -> None
 
+(* A payload charged more than the whole budget is not cached (the LRU
+   would keep it over budget until the next put); an older version of
+   it goes. This also makes a budget of 0 cache nothing. *)
 let put t (cid : int) ~(version : int) (data : string) : unit =
-  if Lru.budget t > 0 then
-    ignore (Lru.put t cid (version, data) ~size:(String.length data + entry_overhead))
+  let size = String.length data + entry_overhead in
+  if size > Lru.budget t then Lru.remove t cid else ignore (Lru.put t cid (version, data) ~size)
 
 let remove t (cid : int) : unit = Lru.remove t cid
 let stats = Lru.stats

@@ -11,7 +11,8 @@
       currently holds, so stale data can never be served and cleaning
       relocation (which preserves versions) invalidates nothing;
     - a flat 64-byte charge per entry on top of the payload;
-    - a budget of 0 disables caching;
+    - a payload charged more than the whole budget is not cached, and a
+      budget of 0 disables caching;
     - no locking of its own: the cache is reached only under
       [Object_store.mu], so one thread at a time touches it. *)
 
@@ -29,7 +30,9 @@ val find : t -> int -> version:int -> string option
 
 val put : t -> int -> version:int -> string -> unit
 (** Insert or refresh the payload for [cid] at [version], evicting
-    least-recently-used entries until within budget. *)
+    least-recently-used entries until within budget. A payload charged
+    more than the whole budget is not cached, and any older version of
+    [cid] is dropped, so the cache never holds more than its budget. *)
 
 val remove : t -> int -> unit
 (** Forget [cid] (deallocation). *)

@@ -1,12 +1,15 @@
 (** A byte-budgeted LRU map from int keys to values, with pin counts: the
     one structure under both cache tiers (see lru.mli). Entries sit on a
-    doubly linked list, most recently used first. *)
+    doubly linked list, most recently used first; a pinned entry that an
+    eviction walk reached is parked: off the list until its last unpin,
+    so no later walk passes it again. *)
 
 type 'v entry = {
   key : int;
   mutable value : 'v;
   mutable size : int;
   mutable pins : int;
+  mutable parked : bool; (* pinned and off the list *)
   mutable prev : 'v entry option; (* towards MRU *)
   mutable next : 'v entry option; (* towards LRU *)
 }
@@ -40,35 +43,37 @@ let push_mru t e =
   (match t.mru with Some m -> m.prev <- Some e | None -> t.lru <- Some e);
   t.mru <- Some e
 
-let touch t e =
-  unlink t e;
-  push_mru t e
-
 let drop t e =
-  unlink t e;
+  if e.parked then e.parked <- false else unlink t e;
   Hashtbl.remove t.table e.key;
   t.total_size <- t.total_size - e.size
 
-let evict_until_within t =
-  let rec go cursor =
-    if t.total_size > t.budget then
-      match cursor with
-      | None -> ()
-      | Some e ->
-          let prev = e.prev in
-          if e.pins = 0 then begin
-            drop t e;
-            t.evictions <- t.evictions + 1
-          end;
-          go prev
-  in
-  go t.lru
+(* Drop unpinned entries from the LRU end until within budget, parking
+   each pinned one met on the way: a walk costs the entries it evicts or
+   parks, never the pinned entries an earlier walk passed. *)
+let rec evict_until_within t =
+  if t.total_size > t.budget then
+    match t.lru with
+    | None -> ()
+    | Some e ->
+        if e.pins = 0 then begin
+          drop t e;
+          t.evictions <- t.evictions + 1
+        end
+        else begin
+          unlink t e;
+          e.parked <- true
+        end;
+        evict_until_within t
 
 let find ?valid t (key : int) : 'v entry option =
   match Hashtbl.find_opt t.table key with
   | Some e when (match valid with None -> true | Some ok -> ok e.value) ->
       t.hits <- t.hits + 1;
-      touch t e;
+      if not e.parked then begin
+        unlink t e;
+        push_mru t e
+      end;
       Some e
   | Some e ->
       t.misses <- t.misses + 1;
@@ -78,23 +83,26 @@ let find ?valid t (key : int) : 'v entry option =
       t.misses <- t.misses + 1;
       None
 
+(* The entry is off the list while eviction runs, so a put never evicts
+   its own entry: an entry larger than the budget stays until the next
+   walk. A parked entry stays parked. *)
 let put t (key : int) (value : 'v) ~(size : int) : 'v entry =
   let e =
     match Hashtbl.find_opt t.table key with
     | Some e ->
+        if not e.parked then unlink t e;
         t.total_size <- t.total_size - e.size + size;
         e.value <- value;
         e.size <- size;
-        touch t e;
         e
     | None ->
-        let e = { key; value; size; pins = 0; prev = None; next = None } in
+        let e = { key; value; size; pins = 0; parked = false; prev = None; next = None } in
         Hashtbl.replace t.table key e;
-        push_mru t e;
         t.total_size <- t.total_size + size;
         e
   in
   evict_until_within t;
+  if not e.parked then push_mru t e;
   e
 
 let pin e = e.pins <- e.pins + 1
@@ -102,6 +110,10 @@ let pin e = e.pins <- e.pins + 1
 let unpin t e =
   if e.pins <= 0 then invalid_arg "Lru.unpin: not pinned";
   e.pins <- e.pins - 1;
+  if e.pins = 0 && e.parked then begin
+    e.parked <- false;
+    push_mru t e
+  end;
   if t.total_size > t.budget then evict_until_within t
 
 let remove t (key : int) : unit = match Hashtbl.find_opt t.table key with None -> () | Some e -> drop t e

@@ -7,8 +7,14 @@
 
     Every entry is charged the [size] its caller gives it. Whenever the
     total exceeds the budget, eviction walks from the least recently used
-    end and drops unpinned entries until the total fits or only pinned
-    entries are left. The structure is unsynchronized: callers serialize
+    end and drops unpinned entries until the total fits or no entry is
+    left to walk. A pinned entry the walk meets is parked: taken off the
+    list (it stays in the map and is still found) until its last
+    {!unpin}, so a walk costs the entries it evicts or parks and passes a
+    pinned entry at most once per pin period. [pin], and [unpin] of an
+    entry that is not parked, make no list operation of their own. The
+    total may exceed the budget only by pinned entries plus the entry
+    just put. The structure is unsynchronized: callers serialize
     access. *)
 
 type 'v entry
@@ -20,17 +26,22 @@ val value : 'v entry -> 'v
 val set_value : 'v entry -> 'v -> unit
 
 val find : ?valid:('v -> bool) -> 'v t -> int -> 'v entry option
-(** A hit moves the entry to the MRU end. An entry whose value fails
-    [valid] is dropped and counted as a miss, not as an eviction. *)
+(** A hit moves the entry to the MRU end, or leaves a parked entry
+    parked. An entry whose value fails [valid] is dropped and counted as
+    a miss, not as an eviction. *)
 
 val put : 'v t -> int -> 'v -> size:int -> 'v entry
 (** Insert, or replace the value and size of the entry already there (its
-    pins are kept); the entry moves to the MRU end and eviction runs. *)
+    pins are kept). Eviction runs before the entry joins the MRU end (a
+    parked entry stays parked), so a put never evicts its own entry: one
+    larger than the budget stays until the next walk. *)
 
 val pin : 'v entry -> unit
 
 val unpin : 'v t -> 'v entry -> unit
-(** @raise Invalid_argument if the entry is not pinned. *)
+(** Drop one pin. At the last one a parked entry re-enters at the MRU
+    end; then eviction runs if over budget.
+    @raise Invalid_argument if the entry is not pinned. *)
 
 val remove : 'v t -> int -> unit
 (** Drop the entry for a key, pinned or not. Not counted as an eviction. *)

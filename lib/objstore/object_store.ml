@@ -176,7 +176,20 @@ let ingest t (f : Shard_store.t -> 'a) : 'a option =
 let close t = with_quiet t (fun () -> Shard_store.close t.cs)
 let checkpoint t = with_quiet t (fun () -> Shard_store.checkpoint t.cs)
 let cache_stats t = Lru.stats t.cache
-let group_commit_stats t = with_mu t (fun () -> (t.barriers, t.coalesced))
+
+let metrics t : Metrics.t =
+  with_mu t (fun () ->
+      let hits, misses, evictions = Lru.stats t.cache in
+      Metrics.
+        [
+          ("object_cache.hits", Int hits);
+          ("object_cache.misses", Int misses);
+          ("object_cache.evictions", Int evictions);
+          ("object_cache.resident", Int (Lru.resident t.cache));
+          ("object_cache.bytes", Int (Lru.total_size t.cache));
+          ("group_commit.barriers", Int t.barriers);
+          ("group_commit.coalesced", Int t.coalesced);
+        ])
 
 let chunk_cache_stats t =
   let st = Shard_store.stats t.cs in

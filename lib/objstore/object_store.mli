@@ -50,9 +50,13 @@ val checkpoint : t -> unit
 val cache_stats : t -> int * int * int
 (** Object-cache (hits, misses, evictions). *)
 
-val group_commit_stats : t -> int * int
-(** Group commit's (barriers, coalesced): barriers that landed, and the
-    single-shard durable commits with writes that they covered. *)
+val metrics : t -> Tdb_chunk.Metrics.t
+(** The object store's own metrics: the object cache's
+    [object_cache.{hits,misses,evictions,resident,bytes}], and group
+    commit's [group_commit.barriers] (barriers that landed) and
+    [group_commit.coalesced] (the single-shard durable commits with
+    writes that they covered). The store's metrics are
+    {!Tdb_chunk.Shard_store.metrics}. *)
 
 val chunk_cache_stats : t -> int * int * int
 (** Same counters for the verified-chunk cache one level down — the

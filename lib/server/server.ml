@@ -473,7 +473,7 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
             Tdb_chunk.Shard_store.metrics cs
             @ match t.backups with Some bs -> Tdb_backup.Backup_store.metrics bs | None -> [])
       in
-      let barriers, coalesced = Object_store.group_commit_stats t.os in
+      let objects = Object_store.metrics t.os in
       Mutex.lock t.mu;
       let server =
         Tdb_chunk.Metrics.
@@ -482,12 +482,10 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
             ("server.sessions_total", Int t.sessions_total);
             ("server.committed", Int t.committed);
             ("server.aborted", Int t.aborted);
-            ("group_commit.barriers", Int barriers);
-            ("group_commit.coalesced", Int coalesced);
           ]
       in
       Mutex.unlock t.mu;
-      Proto.Ok_metrics (server @ store)
+      Proto.Ok_metrics (server @ objects @ store)
   | Proto.List_backups -> (
       match t.backups with
       | None -> reject "no_archive" "this server has no archive attached"

@@ -856,6 +856,29 @@ let test_cache_eviction_under_budget () =
   Alcotest.(check bool) "evictions happened" true (evictions > 0);
   Alcotest.(check bool) "within budget" true (Chunk_store.cache_bytes cs <= Chunk_store.cache_budget cs)
 
+(* A chunk charged more than the whole budget is read correctly but not
+   cached, and its older cached version goes: the bound on cached
+   plaintext holds after every put. *)
+let test_cache_oversize_skipped () =
+  let env = fresh_env () in
+  let config = { (cfg ()) with Config.chunk_cache_bytes = 400 } in
+  let cs = create ~config env in
+  let a = Chunk_store.allocate cs in
+  let b = Chunk_store.allocate cs in
+  Chunk_store.write cs a "small";
+  Chunk_store.write cs b "old";
+  Chunk_store.commit cs;
+  Alcotest.(check int) "both cached" 2 (Chunk_store.cache_resident cs);
+  let big = String.make 600 'b' in
+  Chunk_store.write cs b big;
+  Chunk_store.commit cs;
+  Alcotest.(check string) "oversize read" big (Chunk_store.read cs b);
+  Alcotest.(check string) "oversize reread" big (Chunk_store.read cs b);
+  Alcotest.(check string) "small read" "small" (Chunk_store.read cs a);
+  Alcotest.(check (triple int int int)) "counters" (1, 2, 0) (cache_counters cs);
+  Alcotest.(check int) "only the small chunk resident" 1 (Chunk_store.cache_resident cs);
+  Alcotest.(check bool) "within budget" true (Chunk_store.cache_bytes cs <= Chunk_store.cache_budget cs)
+
 let test_cache_zero_budget_disables () =
   let env = fresh_env () in
   let config = { (cfg ()) with Config.chunk_cache_bytes = 0 } in
@@ -1098,6 +1121,7 @@ let () =
           Alcotest.test_case "read-after-write coherence" `Quick test_cache_read_after_write_coherence;
           Alcotest.test_case "dealloc coherence" `Quick test_cache_dealloc_coherence;
           Alcotest.test_case "eviction under budget" `Quick test_cache_eviction_under_budget;
+          Alcotest.test_case "oversize chunk skipped" `Quick test_cache_oversize_skipped;
           Alcotest.test_case "zero budget disables" `Quick test_cache_zero_budget_disables;
           Alcotest.test_case "survives cleaning" `Quick test_cache_survives_cleaning;
           Alcotest.test_case "cold after reopen" `Quick test_cache_cold_after_reopen;

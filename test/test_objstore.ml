@@ -706,6 +706,31 @@ let test_cache_eviction_and_reload () =
   Alcotest.(check bool) "evictions happened" true (evictions > 0);
   Alcotest.(check bool) "misses happened" true (misses > 0)
 
+(* An object alone over the cache budget: the put that loads it must not
+   evict it, or the transaction pins an entry the cache no longer holds,
+   a re-open unpickles a stale copy and a second open_writable replaces
+   the write-set entry, losing the first mutation. *)
+let test_reopen_under_pressure () =
+  let config = { Object_store.default_config with Object_store.cache_budget = 100 } in
+  let os = fresh ~config (fresh_env ()) in
+  let oid =
+    Object_store.with_txn os (fun x ->
+        Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = String.make 200 'g' })
+  in
+  let x = Object_store.begin_ os in
+  let w1 = Object_store.deref (Object_store.open_writable x meter_cls oid) in
+  w1.view_count <- 1;
+  let r = Object_store.deref (Object_store.open_readonly x meter_cls oid) in
+  Alcotest.(check int) "re-open sees the mutation" 1 r.view_count;
+  let w2 = Object_store.deref (Object_store.open_writable x meter_cls oid) in
+  w2.print_count <- 1;
+  Alcotest.(check bool) "one physical value" true (w1 == r && w1 == w2);
+  Object_store.commit x;
+  let m =
+    Object_store.with_txn os (fun x -> Object_store.deref (Object_store.open_readonly x meter_cls oid))
+  in
+  Alcotest.(check (pair int int)) "both mutations committed" (1, 1) (m.view_count, m.print_count)
+
 let test_cache_hit_no_io () =
   let env = fresh_env () in
   let os = fresh env in
@@ -904,6 +929,7 @@ let () =
           Alcotest.test_case "eviction + reload" `Quick test_cache_eviction_and_reload;
           Alcotest.test_case "hits avoid I/O" `Quick test_cache_hit_no_io;
           Alcotest.test_case "two-level fall-through" `Quick test_two_level_cache;
+          Alcotest.test_case "re-open under cache pressure" `Quick test_reopen_under_pressure;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_random_objects ]);
     ]

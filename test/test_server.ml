@@ -200,9 +200,10 @@ let test_e2e_group_commit () =
     true
     (2 * r.Tdb_tpcb.Net_driver.barriers <= r.Tdb_tpcb.Net_driver.durable_requests)
 
-(* The server's metrics are its own [server.*] / [group_commit.*] entries
-   followed by the store's list, so every name the local store reports
-   (what [tdb_cli status] prints) also arrives over the wire. *)
+(* The server's metrics are its own [server.*] entries, the object
+   store's [object_cache.*] / [group_commit.*] ones, then the store's
+   list, so every name the local store reports (what [tdb_cli status]
+   prints) also arrives over the wire. *)
 let test_stats_counters () =
   List.iter
     (fun shards ->
@@ -235,6 +236,7 @@ let test_stats_counters () =
           Alcotest.(check bool) "no archive, no backup rows" true
             (Option.is_none (Metrics.find remote "backup.last_id"));
           Alcotest.(check bool) "live segments gauged" true (int "cleaner.live_segments" > 0);
+          Alcotest.(check bool) "object cache gauged" true (int "object_cache.resident" > 0);
           ignore (int (Printf.sprintf "shard.%d.counter" (shards - 1)));
           List.iter Client.close clients))
     [ 1; 4 ]

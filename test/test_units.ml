@@ -537,6 +537,46 @@ let test_lru_shrink_below_pinned () =
   Lru.unpin c e1;
   check_lru "after unpin" c ~stats:(0, 0, 3) ~resident:0 ~total:0
 
+(* A walk parks the pinned entries at the LRU end and evicts only
+   unpinned ones; the next walk does not meet them again. A find on a
+   parked entry is a hit that leaves it parked; at its last unpin it
+   re-enters at the MRU end, so an older unpinned entry goes first. *)
+let test_lru_park_pinned () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:600 in
+  let e1 = Lru.put c 1 1 ~size:200 in
+  Lru.pin e1;
+  let e2 = Lru.put c 2 2 ~size:200 in
+  Lru.pin e2;
+  ignore (Lru.put c 3 3 ~size:200);
+  ignore (Lru.put c 4 4 ~size:200);
+  check_lru "after put 4" c ~stats:(0, 0, 1) ~resident:3 ~total:600;
+  ignore (Lru.put c 5 5 ~size:200);
+  check_lru "after put 5" c ~stats:(0, 0, 2) ~resident:3 ~total:600;
+  Alcotest.(check bool) "parked entry hits" true (Lru.find c 2 <> None);
+  check_lru "after find" c ~stats:(1, 0, 2) ~resident:3 ~total:600;
+  Lru.unpin c e1;
+  ignore (Lru.put c 6 6 ~size:200);
+  check_lru "after put 6" c ~stats:(1, 0, 3) ~resident:3 ~total:600;
+  Alcotest.(check bool) "unpinned entry at MRU kept" true (Lru.find c 1 <> None);
+  Alcotest.(check bool) "older entry evicted" true (Lru.find c 5 = None);
+  check_lru "after finds" c ~stats:(2, 1, 3) ~resident:3 ~total:600;
+  Lru.unpin c e2;
+  ignore (Lru.put c 7 7 ~size:200);
+  Alcotest.(check bool) "re-entered entry kept" true (Lru.find c 2 <> None);
+  check_lru "after unpin 2" c ~stats:(3, 1, 4) ~resident:3 ~total:600
+
+(* A put never evicts its own entry: one larger than the budget stays,
+   over budget, until the next put's walk. *)
+let test_lru_oversize_put () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:100 in
+  ignore (Lru.put c 1 1 ~size:300);
+  check_lru "oversize kept" c ~stats:(0, 0, 0) ~resident:1 ~total:300;
+  ignore (Lru.put c 2 2 ~size:50);
+  check_lru "next put evicts it" c ~stats:(0, 0, 1) ~resident:1 ~total:50;
+  Alcotest.(check bool) "oversize entry gone" true (Lru.find c 1 = None)
+
 (* ------------------------------------------------------------------ *)
 (* Lock manager                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -914,6 +954,8 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "drop_all with a pin" `Quick test_lru_drop_all_pinned;
           Alcotest.test_case "shrink below a pin" `Quick test_lru_shrink_below_pinned;
+          Alcotest.test_case "walk parks pinned entries" `Quick test_lru_park_pinned;
+          Alcotest.test_case "oversize put kept" `Quick test_lru_oversize_put;
         ] );
       ( "locks",
         [
