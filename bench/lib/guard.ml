@@ -58,10 +58,6 @@ let run ?tol ~base fresh =
   let tol default = Option.value tol ~default in
   match member "bench" fresh with
   | Some (Str "tpcb") -> same_rows ~tol:(tol 0.15) "label" [ ops; writes ] ~base fresh
-  | Some (Str "shards") ->
-      axis ~tol:(tol 0.15) ~what:"shards axis: tdbs (shards=1) vs baseline TDB-S" [ ops; writes ]
-        (find "label" fresh "tdbs") (find "label" base "TDB-S")
-      @ [ (Note, "shards axis: multi-shard rows measured, not gated (2PC tax is by design)") ]
   | Some (Str "meter") when not (String.equal (scale_name base) (scale_name fresh)) ->
       let b, f = (scale_name base, scale_name fresh) in
       [ (Fail, Printf.sprintf "meter scales differ (baseline %s, fresh %s): rows are not comparable" b f) ]

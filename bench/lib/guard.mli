@@ -5,9 +5,6 @@
     - [tpcb]: per label, [ops_per_s] may drop at most TOL (default 0.15)
       below the baseline and [store_writes_per_txn] may rise at most TOL
       above it;
-    - [shards]: only the fresh [tdbs] row (shards = 1), against the
-      baseline's [TDB-S] row with the [tpcb] rules; wider rows pay the 2PC
-      tax by design and are reported, not gated;
     - [meter]: the scales must match; [write_amp] <= (1+TOL)·base + 0.02;
     - [micro]: [ns_per_op] <= (1+TOL)·base, TOL defaulting to 0.50.
 

@@ -36,20 +36,16 @@ let num digits x = J.Num (x, digits)
 let ints l = J.Arr (List.map (fun i -> J.Int i) l)
 let ops_per_s (r : Runner.result) = if r.avg_ms > 0. then 1000. /. r.avg_ms else 0.
 
-(* Every field a TPC-B run reports, in file order, less those [drop] names. *)
-let result_row ~drop (r : Runner.result) =
+(* Every field a TPC-B run reports, in file order. *)
+let tpcb_row (r : Runner.result) =
   J.Obj
-    (List.filter (fun (k, _) -> not (List.exists (String.equal k) drop))
-       [ ("label", J.Str r.label); ("shards", J.Int r.shards); ("txns", J.Int r.txns); ("avg_ms", num 4 r.avg_ms);
-         ("p95_ms", num 4 r.p95_ms); ("cpu_avg_ms", num 4 r.cpu_avg_ms); ("io_avg_ms", num 4 r.io_avg_ms);
-         ("ops_per_s", num 1 (ops_per_s r)); ("cross_txn_fraction", num 4 r.cross_txn_fraction);
-         ("bytes_per_txn", num 1 r.bytes_per_txn); ("store_writes_per_txn", num 2 r.store_writes_per_txn);
-         ("store_bytes_per_txn", num 1 r.store_bytes_per_txn); ("db_size", J.Int r.db_size);
-         ("live_bytes", J.Int r.live_bytes); ("alloc_words_per_txn", num 0 r.alloc_words_per_txn);
-         ("cache_hits", J.Int r.cache_hits); ("cache_misses", J.Int r.cache_misses);
-         ("cache_hit_rate", num 4 (Runner.hit_rate r)) ])
-
-let tpcb_row = result_row ~drop:[ "shards"; "cross_txn_fraction" ]
+    [ ("label", J.Str r.label); ("txns", J.Int r.txns); ("avg_ms", num 4 r.avg_ms); ("p95_ms", num 4 r.p95_ms);
+      ("cpu_avg_ms", num 4 r.cpu_avg_ms); ("io_avg_ms", num 4 r.io_avg_ms); ("ops_per_s", num 1 (ops_per_s r));
+      ("bytes_per_txn", num 1 r.bytes_per_txn); ("store_writes_per_txn", num 2 r.store_writes_per_txn);
+      ("store_bytes_per_txn", num 1 r.store_bytes_per_txn); ("db_size", J.Int r.db_size);
+      ("live_bytes", J.Int r.live_bytes); ("alloc_words_per_txn", num 0 r.alloc_words_per_txn);
+      ("cache_hits", J.Int r.cache_hits); ("cache_misses", J.Int r.cache_misses);
+      ("cache_hit_rate", num 4 (Runner.hit_rate r)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9 + Figure 10                                                *)
@@ -185,7 +181,7 @@ let micro () : (string * float) list =
   let iv_sec =
     let secret = Tdb_platform.Secret_store.of_seed "bench" in
     let sec = Tdb_chunk.Security.create Tdb_chunk.Config.default secret in
-    Tdb_chunk.Security.start_session sec secret ~shard:0 ~counter:0L ~epoch:1;
+    Tdb_chunk.Security.start_session sec secret ~counter:0L ~epoch:1;
     sec
   in
   (* an LRU at its budget whose LRU end holds 2 000 pinned entries: a put
@@ -251,50 +247,6 @@ let micro () : (string * float) list =
      dominates a transaction: crypto CPU is a small fraction, matching the\n\
      paper's < 10%% claim)\n\n";
   results
-
-(* ------------------------------------------------------------------ *)
-(* Shard sweep: TDB-S vs chunk-store shard width (Config.shards)       *)
-(* ------------------------------------------------------------------ *)
-
-let shards_sweep ?(json = false) ?(widths = [ 1; 2; 4 ]) ~(scale_name : string)
-    (scale : Workload.scale) =
-  Printf.printf "== TDB-S vs chunk-store shard width (Config.shards) ==\n\n";
-  Printf.printf
-    "(branch-partitioned TPC-B with branch-affine inputs at every width, so the\n\
-    \ ~15%% remote-account rate — the cross-shard 2PC fraction — is comparable;\n\
-    \ on one simulated disk sharding adds 2PC log forces without adding\n\
-    \ bandwidth, so expect a slowdown here: see EXPERIMENTS.md)\n\n";
-  let results =
-    List.map
-      (fun w ->
-        let r = Runner.run_tdb ~security:true ~idle_every:500 ~shards:w ~affine:true scale in
-        let r = { r with Runner.label = (if w = 1 then "tdbs" else Printf.sprintf "tdbs/s%d" w) } in
-        Printf.printf "  [done] %s  cross %.1f%%\n%!"
-          (Format.asprintf "%a" Runner.pp_result r)
-          (100. *. r.Runner.cross_txn_fraction);
-        (w, r))
-      widths
-  in
-  Printf.printf "\n%-8s %10s %12s %12s %12s\n" "shards" "avg ms" "ops/s" "cross txn" "vs s1";
-  (match results with
-  | (_, r1) :: _ ->
-      List.iter
-        (fun (w, r) ->
-          Printf.printf "%-8d %10.3f %12.1f %11.1f%% %9.2fx\n" w r.Runner.avg_ms
-            (ops_per_s r)
-            (100. *. r.Runner.cross_txn_fraction)
-            (if r.Runner.avg_ms > 0. then r1.Runner.avg_ms /. r.Runner.avg_ms else 0.))
-        results
-  | [] -> ());
-  Printf.printf "\n";
-  if json then
-    let row =
-      result_row
-        ~drop:[ "store_bytes_per_txn"; "live_bytes"; "alloc_words_per_txn"; "cache_hits"; "cache_misses"; "cache_hit_rate" ]
-    in
-    write_json "shards"
-      [ ("scale", J.Str scale_name); ("widths", ints (List.map fst results));
-        ("systems", J.Arr (List.map (fun (_, r) -> row r) results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -394,7 +346,7 @@ let replica_one ~every ~accounts ~txns : replica_row =
   let fdb = Tdb.create fdev in
   let rep =
     Tdb.Replica.start
-      ~config:{ Tdb.Replica.default_config with Tdb.Replica.poll = 0.01 }
+      ~config:{ Tdb.Replica.poll = 0.01 }
       ~os:fdb.Tdb.objects ~backups:fdb.Tdb.backups ~from:paddr ()
   in
   let c = Tdb.Client.connect paddr in
@@ -420,7 +372,7 @@ let replica_one ~every ~accounts ~txns : replica_row =
              ~arg:(fun w -> Tdb.Pickle.int w 7));
         Tdb.Client.commit ~durable:true c;
         let lag =
-          max 0 (Tdb.Shard_store.commit_seq pdb.Tdb.chunks - (Tdb.Replica.status rep).Tdb.Replica.applied_seq)
+          max 0 (Tdb.Chunk_store.commit_seq pdb.Tdb.chunks - (Tdb.Replica.status rep).Tdb.Replica.applied_seq)
         in
         lag_sum := !lag_sum + lag;
         if lag > !lag_max then lag_max := lag
@@ -538,8 +490,8 @@ let meter_bench ?(json = false) ~(scale_name : string) () =
 
 let usage () =
   print_endline
-    "usage: bench/main.exe [all|footprint|tpcb|utilization|micro|ablation|server|shards|replica|meter] \
-     [--scale quick|default|paper] [--no-idle] [--json] [--shards 1,2,4]\n\
+    "usage: bench/main.exe [all|footprint|tpcb|utilization|micro|ablation|server|replica|meter] \
+     [--scale quick|default|paper] [--no-idle] [--json]\n\
      \       bench/main.exe guard BASELINE.json FRESH.json [TOLERANCE]";
   exit 1
 
@@ -562,7 +514,6 @@ let () =
   | "guard" :: _ -> usage ()
   | _ -> ());
   let scale = ref "default" and idle = ref true and json = ref false and cmds = ref [] in
-  let shard_widths = ref None in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
@@ -574,9 +525,6 @@ let () =
     | "--json" :: rest ->
         json := true;
         parse rest
-    | "--shards" :: v :: rest ->
-        shard_widths := Some (List.map int_of_string (String.split_on_char ',' v));
-        parse rest
     | ("--help" | "-h") :: _ -> usage ()
     | c :: rest ->
         cmds := c :: !cmds;
@@ -587,20 +535,15 @@ let () =
   let scale_name = !scale in
   let scale = pick_scale scale_name in
   let tpcb () =
-    (* `tpcb --shards 1,2,4` runs the shard-width sweep instead of the
-       three-system Figure 10 comparison *)
-    match !shard_widths with
-    | Some widths -> shards_sweep ~json:!json ~widths ~scale_name scale
-    | None ->
-        let rs = figure10 ~idle:!idle scale in
-        if !json then
-          write_json "tpcb"
-            [ ( "scale",
-                J.Obj
-                  [ ("name", J.Str scale_name); ("accounts", J.Int scale.accounts); ("tellers", J.Int scale.tellers);
-                    ("branches", J.Int scale.branches); ("transactions", J.Int scale.transactions);
-                    ("measured", J.Int scale.measured); ("cache_bytes", J.Int scale.cache_bytes) ] );
-              ("idle_maintenance", J.Bool !idle); ("systems", J.Arr (List.map tpcb_row rs)) ]
+    let rs = figure10 ~idle:!idle scale in
+    if !json then
+      write_json "tpcb"
+        [ ( "scale",
+            J.Obj
+              [ ("name", J.Str scale_name); ("accounts", J.Int scale.accounts); ("tellers", J.Int scale.tellers);
+                ("branches", J.Int scale.branches); ("transactions", J.Int scale.transactions);
+                ("measured", J.Int scale.measured); ("cache_bytes", J.Int scale.cache_bytes) ] );
+          ("idle_maintenance", J.Bool !idle); ("systems", J.Arr (List.map tpcb_row rs)) ]
   in
   let micro_bench () =
     let rs = micro () in
@@ -623,8 +566,6 @@ let () =
       | "micro" -> micro_bench ()
       | "ablation" -> ablation scale
       | "server" -> server_bench ()
-      | "shards" ->
-          shards_sweep ~json:!json ?widths:!shard_widths ~scale_name scale
       | "replica" -> replica_bench ~json:!json ()
       | "meter" -> meter_bench ~json:!json ~scale_name ()
       | _ -> usage ())

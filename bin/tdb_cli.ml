@@ -18,19 +18,11 @@ let human_bytes n =
 (* --- init --- *)
 
 let init_cmd =
-  let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Partition the store into $(docv) shards, each with its own log, anchor and counter (default: \\$TDB_SHARDS or 1).")
+  let run dir =
+    Tdb.close (Tdb.create (Tdb.Device.at_dir dir));
+    Printf.printf "initialized TDB database in %s\n" dir
   in
-  let run dir shards =
-    let device = Tdb.Device.at_dir ?shards dir in
-    let db = Tdb.create device in
-    let n = Tdb.Shard_store.shards db.Tdb.chunks in
-    Tdb.close db;
-    Printf.printf "initialized TDB database in %s (%d shard%s)\n" dir n (if n = 1 then "" else "s")
-  in
-  Cmd.v (Cmd.info "init" ~doc:"Create a fresh database (overwrites any existing one).")
-    Term.(const run $ dir_arg $ shards)
+  Cmd.v (Cmd.info "init" ~doc:"Create a fresh database (overwrites any existing one).") Term.(const run $ dir_arg)
 
 (* --- status --- *)
 
@@ -42,7 +34,7 @@ let status_cmd =
       (match Tdb.Archival_store.list db.Tdb.device.Tdb.Device.archive with
       | [] -> "(none)"
       | l -> String.concat ", " l);
-    Tdb.Metrics.print (Tdb.Shard_store.metrics db.Tdb.chunks @ Tdb.Backup_store.metrics db.Tdb.backups);
+    Tdb.Metrics.print (Tdb.Chunk_store.metrics db.Tdb.chunks @ Tdb.Backup_store.metrics db.Tdb.backups);
     Tdb.close db
   in
   Cmd.v (Cmd.info "status" ~doc:"Open a database (running recovery + tamper checks) and print its metrics.")
@@ -55,11 +47,11 @@ let verify_cmd =
     match
       let db = open_db dir in
       (* walk every chunk through the Merkle tree *)
-      let snap = Tdb.Shard_store.snapshot db.Tdb.chunks in
+      let snap = Tdb.Chunk_store.snapshot db.Tdb.chunks in
       let n =
-        Tdb.Shard_store.fold_snapshot db.Tdb.chunks snap ~init:0 ~f:(fun acc _cid _data -> acc + 1)
+        Tdb.Chunk_store.fold_snapshot db.Tdb.chunks snap ~init:0 ~f:(fun acc _cid _data -> acc + 1)
       in
-      Tdb.Shard_store.release_snapshot db.Tdb.chunks snap;
+      Tdb.Chunk_store.release_snapshot db.Tdb.chunks snap;
       Tdb.close db;
       n
     with
@@ -80,9 +72,9 @@ let verify_cmd =
 let clean_cmd =
   let run dir =
     let db = open_db dir in
-    let before = Tdb.Shard_store.capacity db.Tdb.chunks in
+    let before = Tdb.Chunk_store.capacity db.Tdb.chunks in
     Tdb.idle_maintenance db;
-    let after = Tdb.Shard_store.capacity db.Tdb.chunks in
+    let after = Tdb.Chunk_store.capacity db.Tdb.chunks in
     Printf.printf "cleaned: capacity %s -> %s\n" (human_bytes before) (human_bytes after);
     Tdb.close db
   in
@@ -180,11 +172,7 @@ let remote_restore_cmd =
     Arg.(value & opt (some string) None & info [ "secret" ] ~docv:"PATH"
            ~doc:"Device secret file matching the server's (copied to TO/secret). The fetched streams are sealed under it; without the matching key the restore fails verification.")
   in
-  let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard width for the restored database (default: \\$TDB_SHARDS or 1; need not match the server's).")
-  in
-  let run addr dst upto secret shards =
+  let run addr dst upto secret =
     if not (Sys.file_exists dst) then Unix.mkdir dst 0o700;
     (match secret with
     | None -> ()
@@ -229,7 +217,7 @@ let remote_restore_cmd =
         output_string oc stream;
         close_out oc)
       fetched;
-    let device = Tdb.Device.at_dir ?shards dst in
+    let device = Tdb.Device.at_dir dst in
     match Tdb.restore ?upto ~from:device device with
     | db ->
         Printf.printf "fetched %d stream%s; restored into %s\n" (List.length fetched)
@@ -243,7 +231,7 @@ let remote_restore_cmd =
   Cmd.v
     (Cmd.info "remote-restore"
        ~doc:"Fetch a running server's backup archive and restore it locally (newest, or --upto N).")
-    Term.(const run $ addr_term $ dst $ upto $ secret $ shards)
+    Term.(const run $ addr_term $ dst $ upto $ secret)
 
 let remote_balance_cmd =
   let account = Arg.(required & pos 0 (some int) None & info [] ~docv:"ACCOUNT" ~doc:"Account id.") in

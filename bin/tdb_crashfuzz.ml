@@ -16,7 +16,6 @@ let () =
   let mask = ref 0x10 in
   let json = ref false in
   let quiet = ref false in
-  let shards = ref 0 in
   let seed = ref C.default_trace.C.seed in
   let spec =
     [
@@ -26,7 +25,6 @@ let () =
       ("--tamper-stride", Arg.Set_int tamper_stride, "N  bit-flip every N-th image byte (default 7)");
       ("--mask", Arg.Set_int mask, "M  XOR mask for the tamper sweep (default 0x10)");
       ("--seed", Arg.Set_string seed, "S  trace seed (default tdb-crashfuzz)");
-      ("--shards", Arg.Set_int shards, "N  shard width for the 2PC sweep (default: max 2 TDB_SHARDS)");
       ("--json", Arg.Set json, "  emit the JSON summary on stdout");
       ("--quiet", Arg.Set quiet, "  no progress output");
     ]
@@ -36,7 +34,6 @@ let () =
     "tdb_crashfuzz [options]: crashpoint fault-injection sweep";
   let trace = { C.default_trace with C.txns = !txns; seed = !seed } in
   let progress k n = if not !quiet then Printf.eprintf "\rcrashpoint %d/%d%!" k n in
-  let shards = if !shards > 0 then Some !shards else None in
   let label name = String.map (function '_' -> '-' | c -> c) name in
   let reports =
     List.map
@@ -49,7 +46,7 @@ let () =
                Printf.eprintf "%s sweep done: %d flips (%d detected, %d harmless)\n%!" (label name) r.flips r.detected
                  r.harmless);
         (name, r))
-      (C.sweeps ~progress ?shards ~trace ~seeds:!seeds ~stride:!stride ~tamper_stride:!tamper_stride ~mask:!mask ())
+      (C.sweeps ~progress ~trace ~seeds:!seeds ~stride:!stride ~tamper_stride:!tamper_stride ~mask:!mask ())
   in
   let violations = List.concat_map (function _, C.Crash r -> r.C.violations | _, C.Tamper _ -> []) reports in
   if !json then print_endline (C.json_summary ~trace reports)

@@ -97,10 +97,10 @@ let replicate_cmd =
     let db = if fresh || not existing then Tdb.create device else Tdb.open_existing device in
     let rep =
       Tdb.Replica.start
-        ~config:{ Tdb.Replica.default_config with Tdb.Replica.poll }
+        ~config:{ Tdb.Replica.poll }
         ~os:db.Tdb.objects ~backups:db.Tdb.backups ~from ()
     in
-    let config = { Tdb.Server.default_config with Tdb.Server.read_only = true; idle_timeout } in
+    let config = { Tdb.Server.read_only = true; idle_timeout } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
     Tdb_tpcb.Net_driver.expose_schema srv;
     (match addr with

@@ -33,7 +33,7 @@ type header = { id : int; kind : kind; seq : int (* snapshot seq, informational 
 type chain_state = { last_id : int; chain : string; base_snapshot : int option }
 
 type t = {
-  cs : Shard_store.t;
+  cs : Chunk_store.t;
   archive : Tdb_platform.Archival_store.t;
   cipher : Tdb_crypto.Cbc.cipher;
   mac_key : string;
@@ -60,13 +60,13 @@ let decode_state (data : string) : chain_state =
   { last_id; chain; base_snapshot }
 
 let load_state t : chain_state =
-  match Shard_store.read t.cs state_cid with
+  match Chunk_store.read t.cs state_cid with
   | data -> decode_state data
   | exception Types.Not_written _ -> { last_id = 0; chain = "genesis"; base_snapshot = None }
 
 let save_state t (s : chain_state) : unit =
-  Shard_store.write t.cs state_cid (encode_state s);
-  Shard_store.commit ~durable:true t.cs
+  Chunk_store.write t.cs state_cid (encode_state s);
+  Chunk_store.commit ~durable:true t.cs
 
 let chain_state t : chain_state = load_state t
 
@@ -80,7 +80,7 @@ let metrics t : Metrics.t =
     ]
 
 let create ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Archival_store.t)
-    (cs : Shard_store.t) : t =
+    (cs : Chunk_store.t) : t =
   {
     cs;
     archive;
@@ -165,14 +165,16 @@ let frame t (h : header) (body : string) ~(chain : string) : string * string =
 
 type parsed = { p_header : header; p_changed : (int * string) list; p_removed : int list; p_chain : string }
 
-let unframe_with ~(cipher : Tdb_crypto.Cbc.cipher) ~(mac_key : string) (stream : string) : parsed =
+(* Check the stream's MAC and decode it. The chain value it carries is
+   checked against the target store's chain state when it is applied. *)
+let unframe t (stream : string) : parsed =
   let n = String.length stream in
   let mac_len = Tdb_crypto.Sha256.digest_size in
   if n < 4 + mac_len then invalid "backup stream truncated";
   if not (String.equal (String.sub stream 0 4) magic) then invalid "bad backup magic";
   let body_part = String.sub stream 0 (n - mac_len) in
   let mac = String.sub stream (n - mac_len) mac_len in
-  if not (Tdb_crypto.Ct.equal_string mac (Tdb_crypto.Hmac.sha256 ~key:mac_key body_part)) then
+  if not (Tdb_crypto.Ct.equal_string mac (Tdb_crypto.Hmac.sha256 ~key:t.mac_key body_part)) then
     invalid "backup MAC verification failed";
   let module P = Tdb_pickle.Pickle in
   let r = P.reader ~off:4 ~len:(String.length body_part - 4) body_part in
@@ -181,7 +183,7 @@ let unframe_with ~(cipher : Tdb_crypto.Cbc.cipher) ~(mac_key : string) (stream :
   let p_chain = P.read_string r in
   P.expect_end r;
   let p_header = decode_header header_s in
-  let body = try Tdb_crypto.Cbc.decrypt cipher sealed with Tdb_crypto.Cbc.Bad_padding -> invalid "backup body corrupt" in
+  let body = try Tdb_crypto.Cbc.decrypt t.cipher sealed with Tdb_crypto.Cbc.Bad_padding -> invalid "backup body corrupt" in
   let p_changed, p_removed = decode_body body in
   { p_header; p_changed; p_removed; p_chain }
 
@@ -209,17 +211,17 @@ let parse_name (name : string) : (int * [ `Full | `Incremental ]) option =
     id. *)
 let backup_full t : int =
   let st = load_state t in
-  let snap = Shard_store.snapshot t.cs in
+  let snap = Chunk_store.snapshot t.cs in
   let changed =
-    Shard_store.fold_snapshot t.cs snap ~init:[] ~f:(fun acc cid data ->
+    Chunk_store.fold_snapshot t.cs snap ~init:[] ~f:(fun acc cid data ->
         if Int.equal cid state_cid then acc else (cid, data) :: acc)
   in
   let id = st.last_id + 1 in
-  let header = { id; kind = Full; seq = Shard_store.snapshot_seq t.cs snap } in
+  let header = { id; kind = Full; seq = Chunk_store.snapshot_seq t.cs snap } in
   let body = encode_body ~changed:(List.rev changed) ~removed:[] in
   let stream, new_chain = frame t header body ~chain:"genesis" in
   Tdb_platform.Archival_store.put t.archive ~name:(name_of header) stream;
-  (match st.base_snapshot with Some old -> Shard_store.release_snapshot t.cs old | None -> ());
+  (match st.base_snapshot with Some old -> Chunk_store.release_snapshot t.cs old | None -> ());
   save_state t { last_id = id; chain = new_chain; base_snapshot = Some snap };
   id
 
@@ -230,114 +232,29 @@ let backup_incremental t : int =
   match st.base_snapshot with
   | None -> backup_full t
   | Some base ->
-      let snap = Shard_store.snapshot t.cs in
+      let snap = Chunk_store.snapshot t.cs in
       let changed = ref [] and removed = ref [] in
-      Shard_store.diff_snapshots t.cs ~old_id:base ~new_id:snap
+      Chunk_store.diff_snapshots t.cs ~old_id:base ~new_id:snap
         ~changed:(fun cid data -> if not (Int.equal cid state_cid) then changed := (cid, data) :: !changed)
         ~removed:(fun cid -> if not (Int.equal cid state_cid) then removed := cid :: !removed);
       let id = st.last_id + 1 in
-      let header = { id; kind = Incremental st.last_id; seq = Shard_store.snapshot_seq t.cs snap } in
+      let header = { id; kind = Incremental st.last_id; seq = Chunk_store.snapshot_seq t.cs snap } in
       let body = encode_body ~changed:(List.rev !changed) ~removed:(List.rev !removed) in
       let stream, new_chain = frame t header body ~chain:st.chain in
       Tdb_platform.Archival_store.put t.archive ~name:(name_of header) stream;
-      Shard_store.release_snapshot t.cs base;
+      Chunk_store.release_snapshot t.cs base;
       save_state t { last_id = id; chain = new_chain; base_snapshot = Some snap };
       id
 
-(* --- restore --- *)
-
-(** List the backups present in an archive, sorted by id. Streams that do
-    not parse and validate are skipped (the archival store is untrusted). *)
-let scan_archive ~(secret : Tdb_platform.Secret_store.t) (archive : Tdb_platform.Archival_store.t) :
-    (header * parsed) list =
-  let cipher =
-    Tdb_crypto.Cbc.make
-      (module Tdb_crypto.Aes)
-      ~secret:(Tdb_platform.Secret_store.derive_len secret "backup-cipher" Tdb_crypto.Aes.key_size)
-  in
-  let mac_key = Tdb_platform.Secret_store.derive secret "backup-mac" in
-  Tdb_platform.Archival_store.list archive
-  |> List.filter_map (fun name ->
-         match Tdb_platform.Archival_store.get archive ~name with
-         | None -> None
-         | Some stream -> (
-             match unframe_with ~cipher ~mac_key stream with
-             | parsed -> Some (parsed.p_header, parsed)
-             | exception Invalid_backup _ -> None ))
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a.id b.id)
-
-(** Validated restore into a *fresh* chunk store: applies the newest full
-    backup with id <= [upto] (default: newest overall) followed by its
-    incrementals in sequence, re-verifying the hash chain across streams.
-
-    @raise Invalid_backup if no valid full backup exists, the sequence has
-    gaps, or any chain value does not match. *)
-let restore ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Archival_store.t)
-    ?(upto : int option) ~(into : Shard_store.t) () : int =
-  let backups = scan_archive ~secret archive in
-  let limit = match upto with Some u -> u | None -> List.fold_left (fun m (h, _) -> max m h.id) 0 backups in
-  let full =
-    List.fold_left
-      (fun best (h, p) -> match h.kind with Full when h.id <= limit -> Some (h, p) | _ -> best)
-      None backups
-  in
-  let full_h, full_p = match full with Some f -> f | None -> invalid "no valid full backup available" in
-  let mac_key = Tdb_platform.Secret_store.derive secret "backup-mac" in
-  (* verify the full backup's chain start *)
-  let expected = Tdb_crypto.Hmac.sha256 ~key:mac_key ("genesis" ^ encode_header full_h ^ encode_body ~changed:full_p.p_changed ~removed:full_p.p_removed) in
-  if not (Tdb_crypto.Ct.equal_string expected full_p.p_chain) then invalid "full backup chain mismatch";
-  let apply (p : parsed) =
-    (match
-       List.iter (fun (cid, data) -> Shard_store.restore_chunk into cid data) p.p_changed
-     with
-    | () -> ()
-    | exception Types.Chunk_too_large { cid; size; max } ->
-        (* a decoded-but-impossible record: leave the target store clean *)
-        Shard_store.abort_batch into;
-        invalid "backup record for chunk %d is %d bytes (limit %d)" cid size max);
-    List.iter
-      (fun cid -> match Shard_store.deallocate into cid with () -> () | exception Types.Not_allocated _ -> ())
-      p.p_removed;
-    Shard_store.commit ~durable:true into
-  in
-  apply full_p;
-  let rec chain_through last_id chain applied =
-    if last_id >= limit then applied
-    else
-      match
-        List.find_opt
-          (fun (h, _) ->
-            h.id = last_id + 1
-            && match h.kind with Incremental base -> Int.equal base last_id | Full -> false)
-          backups
-      with
-      | None ->
-          if List.exists (fun (h, _) -> h.id > last_id && h.id <= limit) backups then
-            invalid "incremental sequence broken after backup %d" last_id
-          else applied
-      | Some (h, p) ->
-          let expected =
-            Tdb_crypto.Hmac.sha256 ~key:mac_key
-              (chain ^ encode_header h ^ encode_body ~changed:p.p_changed ~removed:p.p_removed)
-          in
-          if not (Tdb_crypto.Ct.equal_string expected p.p_chain) then
-            invalid "chain mismatch at backup %d (out-of-sequence or forged)" h.id;
-          apply p;
-          chain_through h.id p.p_chain (applied + 1)
-  in
-  let incrementals = chain_through full_h.id full_p.p_chain 0 in
-  ignore incrementals;
-  Shard_store.checkpoint into;
-  full_h.id + incrementals
-
 (* --- replication ingest --- *)
 
-(** Verify one archive stream against this store's persisted chain state,
-    then apply it atomically — the follower side of replication.
+(** Check one unframed stream (its MAC already verified by {!unframe})
+    against this store's persisted chain state, then apply it atomically:
+    the follower side of replication, and each step of {!restore}.
 
-    Verification strictly precedes mutation: the stream's MAC, its header,
-    and its chain value (recomputed from the persisted chain state) must
-    all check out before a single chunk is touched. The apply itself is
+    Verification strictly precedes mutation: the stream's header and its
+    chain value (recomputed from the persisted chain state) must check
+    out before a single chunk is touched. The apply itself is
     staged: every restored chunk, every deallocation *and the advanced
     chain state* land in one batch made durable by a single commit, so a
     crash at any point leaves the store at the previous consistent
@@ -353,8 +270,7 @@ let restore ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Arc
     this follower now reflects).
     @raise Invalid_backup on any verification failure; the store is
     unchanged. *)
-let apply_stream t (stream : string) : header =
-  let p = unframe_with ~cipher:t.cipher ~mac_key:t.mac_key stream in
+let apply t (p : parsed) : header =
   let st = load_state t in
   let h = p.p_header in
   let base_chain =
@@ -382,17 +298,67 @@ let apply_stream t (stream : string) : header =
          List.iter
            (fun cid ->
              if (not (Hashtbl.mem keep cid)) && not (Int.equal cid state_cid) then
-               match Shard_store.deallocate t.cs cid with () -> () | exception Types.Not_allocated _ -> ())
-           (Shard_store.live_ids t.cs)
+               match Chunk_store.deallocate t.cs cid with () -> () | exception Types.Not_allocated _ -> ())
+           (Chunk_store.live_ids t.cs)
      | Incremental _ -> ());
-     List.iter (fun (cid, data) -> Shard_store.restore_chunk t.cs cid data) p.p_changed;
+     List.iter (fun (cid, data) -> Chunk_store.restore_chunk t.cs cid data) p.p_changed;
      List.iter
-       (fun cid -> match Shard_store.deallocate t.cs cid with () -> () | exception Types.Not_allocated _ -> ())
+       (fun cid -> match Chunk_store.deallocate t.cs cid with () -> () | exception Types.Not_allocated _ -> ())
        p.p_removed
    with Types.Chunk_too_large { cid; size; max } ->
-     Shard_store.abort_batch t.cs;
+     Chunk_store.abort_batch t.cs;
      invalid "backup record for chunk %d is %d bytes (limit %d)" cid size max);
   let st' = { last_id = h.id; chain = p.p_chain; base_snapshot = None } in
-  Shard_store.restore_chunk t.cs state_cid (encode_state st');
-  Shard_store.commit ~durable:true t.cs;
+  Chunk_store.restore_chunk t.cs state_cid (encode_state st');
+  Chunk_store.commit ~durable:true t.cs;
   h
+
+let apply_stream t (stream : string) : header = apply t (unframe t stream)
+
+(* --- restore --- *)
+
+(** The backups present in [t]'s archive whose MAC verifies, sorted by id
+    (the archival store is untrusted: anything else is skipped). *)
+let scan_archive t : parsed list =
+  Tdb_platform.Archival_store.list t.archive
+  |> List.filter_map (fun name ->
+         match Tdb_platform.Archival_store.get t.archive ~name with
+         | None -> None
+         | Some stream -> ( match unframe t stream with p -> Some p | exception Invalid_backup _ -> None))
+  |> List.sort (fun a b -> Int.compare a.p_header.id b.p_header.id)
+
+(** Validated restore into a fresh chunk store: the newest full backup
+    with id <= [upto] (default: newest overall), then each incremental
+    [id + 1] whose base is the previous id, each applied by {!apply}, which
+    checks its hash chain against the chain state the previous one left.
+
+    @raise Invalid_backup if no valid full backup exists, the sequence has
+    gaps, or any chain value does not match. *)
+let restore ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Archival_store.t)
+    ?(upto : int option) ~(into : Chunk_store.t) () : int =
+  let t = create ~secret ~archive into in
+  let backups = scan_archive t in
+  let limit = match upto with Some u -> u | None -> List.fold_left (fun m p -> max m p.p_header.id) 0 backups in
+  let full =
+    List.fold_left
+      (fun best p -> match p.p_header.kind with Full when p.p_header.id <= limit -> Some p | _ -> best)
+      None backups
+  in
+  let full = match full with Some p -> p | None -> invalid "no valid full backup available" in
+  let extends last p =
+    Int.equal p.p_header.id (last + 1)
+    && match p.p_header.kind with Incremental base -> Int.equal base last | Full -> false
+  in
+  let rec sequence last =
+    if last >= limit then []
+    else
+      match List.find_opt (extends last) backups with
+      | Some p -> p :: sequence p.p_header.id
+      | None ->
+          if List.exists (fun p -> p.p_header.id > last && p.p_header.id <= limit) backups then
+            invalid "incremental sequence broken after backup %d" last
+          else []
+  in
+  let last = List.fold_left (fun _ p -> (apply t p).id) 0 (full :: sequence full.p_header.id) in
+  Chunk_store.checkpoint into;
+  last

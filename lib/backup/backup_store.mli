@@ -37,7 +37,7 @@ type chain_state = {
 val create :
   secret:Tdb_platform.Secret_store.t ->
   archive:Tdb_platform.Archival_store.t ->
-  Tdb_chunk.Shard_store.t ->
+  Tdb_chunk.Chunk_store.t ->
   t
 
 val chain_state : t -> chain_state
@@ -71,13 +71,16 @@ val restore :
   secret:Tdb_platform.Secret_store.t ->
   archive:Tdb_platform.Archival_store.t ->
   ?upto:int ->
-  into:Tdb_chunk.Shard_store.t ->
+  into:Tdb_chunk.Chunk_store.t ->
   unit ->
   int
 (** Validated restore into a {e fresh} chunk store: applies the newest full
     backup with id ≤ [upto] (default: newest overall) and its incrementals
-    in sequence, re-verifying MACs and the hash chain across streams.
-    Returns the id of the last backup applied.
+    in sequence, each through {!apply_stream}'s checks and apply. Returns
+    the id of the last backup applied. The restored store holds the chain
+    state that id leaves ([base_snapshot = None]), so its next backup is a
+    full one with the next id: it extends the archive instead of
+    overwriting the streams it was restored from.
     @raise Invalid_backup on missing/forged/out-of-order streams, and on
     records too large for the target store's configuration (the batch is
     aborted, leaving the target clean). *)

@@ -481,9 +481,6 @@ let deallocate t (cid : chunk_id) : unit =
 (** Discard the current (uncommitted) batch. *)
 let abort_batch t : unit = Hashtbl.reset t.pending
 
-let batch t : (chunk_id * op) list =
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun cid op acc -> (cid, op) :: acc) t.pending [])
-
 let batch_size t = Hashtbl.length t.pending
 
 (* Commit records must fit in one segment. Very large batches (bulk loads)
@@ -613,30 +610,46 @@ let stage t ~(durable : bool) : unit =
     durable commit runs the three stages back to back. One durable point
     is in flight at a time: each claims the next counter value, and a
     second would bump the hardware counter out of the order the records
-    claim. *)
-type barrier_token = { bt_counter : int64 (* counter value the closing record claims *) }
+    claim. A barrier with an empty batch and nothing to promote is idle:
+    its three stages touch nothing, so an idle durable point costs no sync
+    and no counter bump. *)
+type barrier_token = Idle | Claims of int64 (* counter value the closing record claims *)
 
 let barrier_begin t : barrier_token =
-  if t.barrier_inflight then invalid_arg "Chunk_store: a durable point is already in flight";
-  stage t ~durable:true;
-  t.barrier_inflight <- true;
-  (* commits landing before [barrier_finish] sit after this record *)
-  Log.hold t.log;
-  { bt_counter = t.last_counter }
+  if Int.equal (Hashtbl.length t.pending) 0 && not t.promotable then Idle
+  else begin
+    if t.barrier_inflight then invalid_arg "Chunk_store: a durable point is already in flight";
+    stage t ~durable:true;
+    t.barrier_inflight <- true;
+    (* commits landing before [barrier_finish] sit after this record *)
+    Log.hold t.log;
+    Claims t.last_counter
+  end
 
 (** Force the store and bump the hardware counter. Safe outside the state
     lock while only nondurable commits run: they append after the
     barrier's record, so the prefix it makes durable is unaffected. *)
 let barrier_sync t (tok : barrier_token) : unit =
-  Tdb_platform.Untrusted_store.sync t.store;
-  bump_counter t ~expected:tok.bt_counter
+  match tok with
+  | Idle -> ()
+  | Claims counter ->
+      Tdb_platform.Untrusted_store.sync t.store;
+      bump_counter t ~expected:counter
 
 (** Reclaim space and account, back under the state lock. *)
-let barrier_finish t (_ : barrier_token) : unit =
-  t.barrier_inflight <- false;
-  Log.barrier t.log;
-  t.stats.durable_commits <- t.stats.durable_commits + 1;
-  note_commit t
+let barrier_finish t (tok : barrier_token) : unit =
+  match tok with
+  | Idle -> ()
+  | Claims _ ->
+      t.barrier_inflight <- false;
+      Log.barrier t.log;
+      t.stats.durable_commits <- t.stats.durable_commits + 1;
+      note_commit t
+
+let durable_barrier t : unit =
+  let tok = barrier_begin t in
+  barrier_sync t tok;
+  barrier_finish t tok
 
 let commit ?(durable = true) t : unit =
   if Hashtbl.length t.pending > 0 then
@@ -693,9 +706,6 @@ let release_snapshot t (id : int) : unit =
   checkpoint t
 
 let snapshot_seq t id = (find_snapshot t id).snap_seq
-let snapshot_ids t = List.sort Int.compare (List.map fst t.snapshots)
-let next_snapshot_id t = t.next_snap_id
-let align_snapshot_id t id = if id > t.next_snap_id then t.next_snap_id <- id
 
 let read_in_snapshot t (e : entry) : chunk_id * string =
   let plain = fetch t ~what:(fun () -> "snapshot chunk") e in
@@ -762,7 +772,7 @@ let make_empty (cfg : Config.t) (sec : Security.t) counter store : t =
   }
 
 (** Create a fresh database, overwriting whatever the store held. *)
-let create ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platform.Secret_store.t)
+let create ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
   Config.validate config;
   let sec = Security.create config secret in
@@ -772,7 +782,7 @@ let create ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platform.Secre
   (* Invalidate both anchor slots, then write the initial one. *)
   Tdb_platform.Untrusted_store.write store ~off:0 (String.make (2 * config.Config.anchor_slot_size) '\000');
   write_anchor t ~root:None;
-  Security.start_session sec secret ~shard ~counter:t.last_counter ~epoch:t.epoch;
+  Security.start_session sec secret ~counter:t.last_counter ~epoch:t.epoch;
   t
 
 exception Recovery_failed of string
@@ -781,7 +791,7 @@ exception Recovery_failed of string
     @raise Recovery_failed if no valid anchor is found (wiped or never
     created store);
     @raise Types.Tamper_detected on MAC/hash/counter violations. *)
-let open_existing ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platform.Secret_store.t)
+let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
   Config.validate config;
   let sec = Security.create config secret in
@@ -932,9 +942,13 @@ let open_existing ?(config = Config.default) ?(shard = 0) ~(secret : Tdb_platfor
   (* The session starts before the first seal: the map nodes of the
      checkpoint below, whose anchor lands at epoch [t.epoch + 1] before the
      application can seal anything. *)
-  Security.start_session sec secret ~shard ~counter:t.last_counter ~epoch:(t.epoch + 1);
+  Security.start_session sec secret ~counter:t.last_counter ~epoch:(t.epoch + 1);
   (* Settle into a clean checkpointed state. *)
   checkpoint t;
+  (* Reserved chunk 2 held a shard router's decision table: a store that
+     was written as one part of a wider database cannot be served alone. *)
+  if Option.is_some (Location_map.find t.map (fetch t) 2) then
+    raise (Recovery_failed "store was written as one shard of a sharded database");
   t
 
 (** Checkpoint and sync; the database can be reopened with
@@ -967,8 +981,6 @@ let set_cache_budget t b =
 let counter_value t = t.last_counter
 let commit_seq t = t.seq
 let promotable t = t.promotable
-let mac t data = Security.mac t.sec data
-let check_mac t ~expected data = Security.check_mac t.sec ~expected data ~what:"mac"
 
 (** Chunk ids present in the last committed location map (pending batch
     writes excluded), in ascending id order — the committed footprint a
@@ -991,3 +1003,35 @@ let config t = t.cfg
 let clean ?max_segments t =
   checkpoint t;
   clean_pass ?max_segments t
+
+let metrics t : Metrics.t =
+  let st = stats t in
+  let ratio a b = Metrics.Float (if b > 0 then float_of_int a /. float_of_int b else 0.) in
+  let lookups = st.cache_hits + st.cache_misses in
+  let fresh = st.bytes_data - st.bytes_relocated in
+  Metrics.
+    [
+      ("store.commits", Int st.commits);
+      ("store.durable_commits", Int st.durable_commits);
+      ("store.checkpoints", Int st.checkpoints);
+      ("store.counter", Int (Int64.to_int (counter_value t)));
+      ("store.live_bytes", Int (live_bytes t));
+      ("store.capacity_bytes", Int (capacity t));
+      ("store.utilization", Float (utilization t));
+      ("store.size_bytes", Int (store_size t));
+      ("store.security", Text (if security_enabled t then "on" else "off"));
+      ("chunk_cache.hits", Int st.cache_hits);
+      ("chunk_cache.misses", Int st.cache_misses);
+      ("chunk_cache.evictions", Int st.cache_evictions);
+      ("chunk_cache.hit_rate", ratio st.cache_hits lookups);
+      ("chunk_cache.bytes", Int (cache_bytes t));
+      ("chunk_cache.budget_bytes", Int (cache_budget t));
+      ("chunk_cache.resident", Int (cache_resident t));
+      ("cleaner.passes", Int st.clean_passes);
+      ("cleaner.segments_cleaned", Int st.segments_cleaned);
+      ("cleaner.chunks_relocated", Int st.chunks_relocated);
+      ("cleaner.bytes_relocated", Int st.bytes_relocated);
+      ("cleaner.bytes_data", Int st.bytes_data);
+      ("cleaner.write_amp", ratio st.bytes_relocated fresh);
+      ("cleaner.live_segments", Int st.live_segments);
+    ]

@@ -33,21 +33,17 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?shard:int ->
   secret:Tdb_platform.Secret_store.t ->
   counter:Tdb_platform.One_way_counter.t ->
   Tdb_platform.Untrusted_store.t ->
   t
-(** Create a fresh database, overwriting whatever the store held. [shard]
-    (default 0) is this store's index in its {!Shard_store}; it keys the IV
-    session, so shards sharing a secret never share IVs. *)
+(** Create a fresh database, overwriting whatever the store held. *)
 
 exception Recovery_failed of string
 (** No valid anchor: the store is empty, wiped, or its anchors destroyed. *)
 
 val open_existing :
   ?config:Config.t ->
-  ?shard:int ->
   secret:Tdb_platform.Secret_store.t ->
   counter:Tdb_platform.One_way_counter.t ->
   Tdb_platform.Untrusted_store.t ->
@@ -55,8 +51,9 @@ val open_existing :
 (** Open an existing database: verifies the anchor, replays the residual
     log (verifying the commit-chain MAC and every referenced payload),
     discards trailing nondurable commits, and checks the one-way counter.
-    [shard] as for {!create}.
-    @raise Recovery_failed when no valid anchor exists.
+    @raise Recovery_failed when no valid anchor exists, or when reserved
+    chunk 2 holds a record: the store was written as one shard of a
+    sharded database, which this version no longer serves.
     @raise Types.Tamper_detected on MAC/hash/counter violations (including
     replayed images). *)
 
@@ -102,14 +99,6 @@ val commit : ?durable:bool -> t -> unit
 val abort_batch : t -> unit
 (** Discard the buffered batch. *)
 
-(** A batch entry: the chunk's buffered next state. *)
-type op = Op_write of string | Op_dealloc
-
-val batch : t -> (Types.chunk_id * op) list
-(** The buffered batch, ascending by chunk id: one net operation per
-    chunk. An id allocated and deallocated unwritten in the same batch
-    cancels out and is absent. *)
-
 val batch_size : t -> int
 (** Number of chunks the buffered batch touches. *)
 
@@ -119,7 +108,9 @@ val batch_size : t -> int
     batch (possibly empty) under a durable closing record that claims the
     next counter value, and flushes it; [sync] forces the store and bumps
     the one-way counter; [finish] reclaims garbage. A durable {!commit}
-    runs them back to back. A barrier promotes every earlier nondurable
+    and {!durable_barrier} run them back to back. With an empty batch and
+    nothing to promote ({!promotable} unset) the barrier is idle: its
+    stages touch nothing, with no sync and no counter bump. A barrier promotes every earlier nondurable
     commit: the group-commit hook, one sync + counter bump for many
     transactions. [begin] and [finish] run under the caller's state lock;
     [sync] may run outside it while other sessions land nondurable
@@ -131,7 +122,8 @@ val batch_size : t -> int
 type barrier_token
 
 val barrier_begin : t -> barrier_token
-(** Append and flush the buffered batch and its durable commit record.
+(** Append and flush the buffered batch and its durable commit record,
+    unless the barrier is idle.
     @raise Invalid_argument while a durable point is in flight. *)
 
 val barrier_sync : t -> barrier_token -> unit
@@ -141,6 +133,10 @@ val barrier_sync : t -> barrier_token -> unit
 val barrier_finish : t -> barrier_token -> unit
 (** Reclaim garbage (segments emptied since [begin] wait for the next
     barrier), account the durable commit, and checkpoint if due. *)
+
+val durable_barrier : t -> unit
+(** Promote every nondurable commit (and the buffered batch) with one
+    sync and one counter bump; idle when there is nothing to promote. *)
 
 (** {1 Maintenance} *)
 
@@ -160,21 +156,6 @@ val snapshot : t -> int
 
 val release_snapshot : t -> int -> unit
 val snapshot_seq : t -> int -> int
-
-val snapshot_ids : t -> int list
-(** Ids of the currently pinned snapshots, ascending. The shard router
-    uses this at open to reconcile snapshots taken in lockstep across
-    shards (a crash between per-shard snapshot calls may leave one shard
-    with an extra pinned snapshot to release). *)
-
-val next_snapshot_id : t -> int
-(** The id the next {!snapshot} will return. *)
-
-val align_snapshot_id : t -> int -> unit
-(** Raise the next snapshot id to at least [id] (never lowers it). The
-    shard router aligns id generators after reconciling a torn lockstep
-    snapshot so subsequent snapshots keep returning equal ids on every
-    shard. *)
 
 val fold_snapshot : t -> int -> init:'a -> f:('a -> Types.chunk_id -> string -> 'a) -> 'a
 (** Iterate every chunk of a snapshot (validated + decrypted). *)
@@ -218,6 +199,11 @@ type stats = {
 
 val stats : t -> stats
 
+val metrics : t -> Metrics.t
+(** The store's metrics, named by owner: [store.*], [chunk_cache.*] and
+    [cleaner.*] (with the [cleaner.live_segments] gauge). The one place
+    store metrics are named. *)
+
 (** {2 Verified-chunk read cache}
 
     {!read} consults a budgeted LRU of decrypted, hash-verified payloads
@@ -251,13 +237,6 @@ val commit_seq : t -> int
 val promotable : t -> bool
 (** Nondurable commits sit above the last durable point: a durable barrier
     (or a checkpoint, which promotes them) has work to do. *)
-
-val mac : t -> string -> string
-(** MAC [data] under the store's anchor key (a plain digest when security
-    is off, as for the anchor itself). *)
-
-val check_mac : t -> expected:string -> string -> bool
-(** Constant-time check of [expected] against {!mac}. *)
 
 val live_ids : t -> Types.chunk_id list
 (** Chunk ids present in the last committed location map, ascending.

@@ -45,23 +45,10 @@ type t = {
           0 disables auto-emission (the default, so standalone stores and
           benches are unchanged). [TDB_REPLICA_EVERY] overrides. *)
   shards : int;
-      (** Number of independent chunk-store shards a {!Shard_store} router
-          composes: each shard has its own log, location map, anchor and
-          one-way counter, so single-shard commits never contend on
-          another shard's tail. 1 = a single spine, byte-compatible with
-          the unsharded store format. [TDB_SHARDS] overrides the
-          default. *)
+      (** Always 1: one log, one anchor, one one-way counter (see the mli). *)
   tiers : int;
       (** Always 1: the log has one cleaning population (see the mli). *)
 }
-
-let default_shards () =
-  match Sys.getenv_opt "TDB_SHARDS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 && n <= 64 -> n
-      | _ -> invalid_arg "TDB_SHARDS must be an integer in [1, 64]" )
-  | None -> 1
 
 let default_replica_interval () =
   match Sys.getenv_opt "TDB_REPLICA_EVERY" with
@@ -88,7 +75,7 @@ let default =
     chunk_cache_bytes = 1024 * 1024;
     domains = 1;
     replica_interval_commits = default_replica_interval ();
-    shards = default_shards ();
+    shards = 1;
     tiers = 1;
   }
 
@@ -109,5 +96,5 @@ let validate (c : t) =
   if c.chunk_cache_bytes < 0 then invalid_arg "Config: chunk_cache_bytes negative";
   if c.domains <> 1 then invalid_arg "Config: domains must be 1 (commits seal on the calling domain)";
   if c.replica_interval_commits < 0 then invalid_arg "Config: replica_interval_commits negative";
-  if c.shards < 1 || c.shards > 64 then invalid_arg "Config: shards out of [1, 64]";
+  if c.shards <> 1 then invalid_arg "Config: shards must be 1 (the store has a single log)";
   if c.tiers <> 1 then invalid_arg "Config: tiers must be 1 (the log has a single cleaner)"

@@ -54,10 +54,11 @@ type t = {
           replication stream). 0 = off (the default); [TDB_REPLICA_EVERY]
           overrides the default. *)
   shards : int;
-      (** Number of independent chunk-store shards a {!Shard_store} router
-          composes (each with its own log, location map, anchor and
-          one-way counter). 1 = single spine, byte-compatible with the
-          unsharded store format; [TDB_SHARDS] overrides the default. *)
+      (** Number of chunk stores; {!validate} accepts only 1. A shard
+          router with a cross-shard two-phase commit was measured on
+          TPC-B and removed, since TDB-S lost 21% of its ops/s at width 2
+          and 30% at width 4 (DESIGN.md, "Sharding"). The field stays so
+          that code reporting the configuration keeps building. *)
   tiers : int;
       (** Number of cleaning generations; {!validate} accepts only 1. The
           log has a single least-utilized-first cleaner: a generational
@@ -70,10 +71,6 @@ type t = {
 val default : t
 (** Security on, Triple-AES + SHA-1 (the paper's TDB-S algorithm class),
     64 KiB segments, 60% maximum utilization. *)
-
-val default_shards : unit -> int
-(** The default shard count: [TDB_SHARDS] when set (validated to [1, 64]),
-    else 1. *)
 
 val max_chunk_size : t -> int
 (** Largest storable chunk payload (one record must fit in a segment). *)

@@ -1,12 +1,12 @@
 (** Named metric values: the one shape every counter and gauge takes on
     its way from the store to an operator.
 
-    {!Shard_store.metrics} names the store's metrics, the server prepends
+    {!Chunk_store.metrics} names the store's metrics, the server prepends
     its own, the wire carries the list as (name, tagged value) pairs, and
     [tdb_cli status] / [remote-status] print it through {!print}. Adding
     a metric adds one list entry; the wire codec and the printers do not
     change. Names are dotted by owner
-    ([store.commits], [cleaner.live_segments], [shard.3.counter]). *)
+    ([store.commits], [cleaner.live_segments], [object_cache.hits]). *)
 
 type value = Int of int | Float of float | Text of string
 type t = (string * value) list

@@ -54,12 +54,12 @@ let create (config : Config.t) (secret : Tdb_platform.Secret_store.t) : t =
   }
 
 (** Begin an IV session: one HMAC and one AES key schedule. The session
-    key binds the shard index, the one-way-counter value at open and the
-    anchor epoch the open's own closing checkpoint writes, so no two
-    sessions recovery can reach share a key (DESIGN.md, "IVs"). No-op when
-    security is off. *)
-let start_session (t : t) (secret : Tdb_platform.Secret_store.t) ~(shard : int) ~(counter : int64) ~(epoch : int) :
-    unit =
+    key binds the one-way-counter value at open and the anchor epoch the
+    open's own closing checkpoint writes, so no two sessions recovery can
+    reach share a key (DESIGN.md, "IVs"). The label's first field is a
+    store index that is always 0, kept so sealed bytes stay as they were.
+    No-op when security is off. *)
+let start_session (t : t) (secret : Tdb_platform.Secret_store.t) ~(counter : int64) ~(epoch : int) : unit =
   if Option.is_some t.cipher then
     t.session <-
       Some
@@ -67,7 +67,7 @@ let start_session (t : t) (secret : Tdb_platform.Secret_store.t) ~(shard : int) 
           iv_key =
             Aes.of_secret
               (Tdb_platform.Secret_store.derive_len secret
-                 (Printf.sprintf "iv-session/%d/%Ld/%d" shard counter epoch)
+                 (Printf.sprintf "iv-session/0/%Ld/%d" counter epoch)
                  Aes.key_size);
           seals = Atomic.make 0;
         }

@@ -26,9 +26,8 @@ val create : Config.t -> Tdb_platform.Secret_store.t -> t
 (** No session yet: {!draw_iv} (and {!seal}) refuse until {!start_session}
     runs. MACs, labels and {!unseal} need none. *)
 
-val start_session : t -> Tdb_platform.Secret_store.t -> shard:int -> counter:int64 -> epoch:int -> unit
-(** Key a fresh IV session from the secret, the shard index, the one-way
-    counter value at open and the anchor epoch the open's closing
+val start_session : t -> Tdb_platform.Secret_store.t -> counter:int64 -> epoch:int -> unit
+(** Key a fresh IV session from the secret, the one-way counter value at open and the anchor epoch the open's closing
     checkpoint writes; the seal count restarts at 0. Coordinator-only, and
     before the session's first seal. No-op when security is off. *)
 

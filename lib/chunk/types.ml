@@ -17,8 +17,9 @@ let entry_equal a b =
 
 (** Chunk ids [0, reserved_ids) are never handed out by [allocate]; upper
     layers claim them as well-known roots (0: backup-store state, 1:
-    object-store catalog; per shard under a {!Shard_store} router — 2:
-    cross-shard 2PC decision table, 3: 2PC participant status). *)
+    object-store catalog). A record in 2 marks a store written as one
+    shard of a sharded database, which {!Chunk_store.open_existing}
+    refuses. *)
 let reserved_ids = 8
 
 exception Tamper_detected of string

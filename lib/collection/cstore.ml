@@ -81,16 +81,10 @@ type iter_token = { it_coll : oid; mutable it_open : bool }
 
 type t = {
   txn : Object_store.txn;
-  nshards : int; (* shard width of the underlying store (1 = unsharded) *)
   mutable iters : iter_token list; (* all iterators opened in this txn *)
 }
 
-let begin_ (os : Object_store.t) : t =
-  {
-    txn = Object_store.begin_ os;
-    nshards = Tdb_chunk.Shard_store.shards (Object_store.chunk_store os);
-    iters = [];
-  }
+let begin_ (os : Object_store.t) : t = { txn = Object_store.begin_ os; iters = [] }
 
 (** Escape hatch to the object-store transaction (for objects that live
     outside any collection). Using it to write *collection* objects breaks
@@ -106,50 +100,8 @@ let open_iters_on ct coll_oid = List.filter (fun it -> it.it_open && Int.equal i
 type 'a collection = {
   coll_oid : oid;
   cls : 'a Obj_class.t;
-  coll_shard : int option; (* allocation affinity under a sharded store *)
   indexers : (string, 'a Indexer.generic) Hashtbl.t; (* registered extractors *)
 }
-
-(** The shard a collection's fresh allocations are routed to. Purely a
-    placement hint: existing chunks stay wherever they were allocated (a
-    chunk id encodes its shard), so the hint needs no persistence — it is
-    recomputed (or overridden) each time the collection is opened. *)
-let shard_of ?shard (ct : t) ~(name : string) : int option =
-  if ct.nshards <= 1 then None
-  else
-    match shard with
-    | Some s ->
-        if s < 0 || s >= ct.nshards then
-          invalid_arg (Printf.sprintf "Cstore: shard %d out of range [0, %d)" s ct.nshards);
-        Some s
-    | None ->
-        (* placement must be stable across OCaml versions, so never
-           Hashtbl.hash: rows of a reopened collection must keep landing
-           on the shard its existing rows live on *)
-        Some (Gkey.hash_bytes name mod ct.nshards)
-
-(* Route allocations inside [f] to the collection's shard. An affinity the
-   caller already pinned on the transaction (via
-   {!Object_store.set_alloc_shard}) takes precedence — it expresses a
-   row-level placement decision the collection-level hint must not
-   override. *)
-let with_shard ct (c : 'a collection) (f : unit -> 'r) : 'r =
-  match c.coll_shard with
-  | None -> f ()
-  | Some _ as s -> (
-      match Object_store.alloc_shard ct.txn with
-      | Some _ -> f ()
-      | None -> (
-          Object_store.set_alloc_shard ct.txn s;
-          (* the txn may already be dead if [f] aborted it *)
-          let restore () = try Object_store.set_alloc_shard ct.txn None with Object_store.Stale_ref -> () in
-          match f () with
-          | v ->
-              restore ();
-              v
-          | exception exn ->
-              restore ();
-              raise exn))
 
 let meta_ro ct (c : 'a collection) : coll_obj = Object_store.deref (Object_store.open_readonly ct.txn coll_cls c.coll_oid)
 let meta_rw ct (c : 'a collection) : coll_obj = Object_store.deref (Object_store.open_writable ct.txn coll_cls c.coll_oid)
@@ -197,29 +149,22 @@ let register_indexer (c : 'a collection) (ix : ('a, 'k) Indexer.t) : unit =
   Hashtbl.replace c.indexers ix.Indexer.name (Indexer.Generic ix)
 
 (** Create a named collection with a single initial index (paper Figure 5:
-    createCollection). Under a sharded store the collection's objects and
-    index nodes are routed to [shard] (default: hash of the name). *)
-let create_collection ?shard ct ~(name : string) ~(schema : 'a Obj_class.t) (ix : ('a, 'k) Indexer.t) : 'a collection =
+    createCollection). *)
+let create_collection ct ~(name : string) ~(schema : 'a Obj_class.t) (ix : ('a, 'k) Indexer.t) : 'a collection =
   if Object_store.root ct.txn (root_name name) <> None then
     invalid_arg (Printf.sprintf "collection %S already exists" name);
-  let c =
-    { coll_oid = 0; cls = schema; coll_shard = shard_of ?shard ct ~name; indexers = Hashtbl.create 4 }
+  let anchor = Index.create_anchor ct.txn ix.Indexer.impl in
+  let co =
+    {
+      co_schema = schema.Obj_class.name;
+      co_indexes =
+        [ { im_name = ix.Indexer.name; im_impl = ix.Indexer.impl; im_unique = ix.Indexer.unique; im_anchor = anchor } ];
+      co_size = 0;
+    }
   in
-  let coll_oid =
-    with_shard ct c (fun () ->
-        let anchor = Index.create_anchor ct.txn ix.Indexer.impl in
-        let co =
-          {
-            co_schema = schema.Obj_class.name;
-            co_indexes =
-              [ { im_name = ix.Indexer.name; im_impl = ix.Indexer.impl; im_unique = ix.Indexer.unique; im_anchor = anchor } ];
-            co_size = 0;
-          }
-        in
-        Object_store.insert ct.txn coll_cls co)
-  in
+  let coll_oid = Object_store.insert ct.txn coll_cls co in
   Object_store.set_root ct.txn (root_name name) (Some coll_oid);
-  let c = { c with coll_oid } in
+  let c = { coll_oid; cls = schema; indexers = Hashtbl.create 4 } in
   register_indexer c ix;
   c
 
@@ -228,7 +173,7 @@ let create_collection ?shard ct ~(name : string) ~(schema : 'a Obj_class.t) (ix 
     queries register theirs on the fly — but updates through iterators need
     the extractors of *all* persisted indexes for deferred maintenance, so
     a missing one raises {!Missing_indexer} at that point. *)
-let open_collection ?shard ?(indexers : 'a Indexer.generic list = []) ct ~(name : string)
+let open_collection ?(indexers : 'a Indexer.generic list = []) ct ~(name : string)
     ~(schema : 'a Obj_class.t) : 'a collection =
   match Object_store.root ct.txn (root_name name) with
   | None -> invalid_arg (Printf.sprintf "unknown collection %S" name)
@@ -236,7 +181,7 @@ let open_collection ?shard ?(indexers : 'a Indexer.generic list = []) ct ~(name 
       let m = Object_store.deref (Object_store.open_readonly ct.txn coll_cls coll_oid) in
       if not (String.equal m.co_schema schema.Obj_class.name) then
         raise (Obj_class.Type_mismatch { expected = schema.Obj_class.name; actual = m.co_schema });
-      let c = { coll_oid; cls = schema; coll_shard = shard_of ?shard ct ~name; indexers = Hashtbl.create 4 } in
+      let c = { coll_oid; cls = schema; indexers = Hashtbl.create 4 } in
       List.iter (fun (Indexer.Generic ix) -> register_indexer c ix) indexers;
       c
 
@@ -347,8 +292,7 @@ let close (it : 'a iterator) : unit =
   if it.token.it_open then begin
     it.token.it_open <- false;
     if Hashtbl.length it.touched = 0 && it.deleted = [] then ()
-    else with_shard it.ct it.coll @@ fun () ->
-    begin
+    else begin
     let indexes = all_indexes it.ct it.coll in
     (* deletions *)
     List.iter
@@ -413,22 +357,21 @@ let close (it : 'a iterator) : unit =
     a unique violation raises at once (paper Figure 6) and leaves the
     collection unchanged. Returns the object's id. *)
 let insert ct (c : 'a collection) (v : 'a) : oid =
-  with_shard ct c (fun () ->
-      let indexes = all_indexes ct c in
-      let oid = Object_store.insert ct.txn c.cls v in
-      let applied = ref [] in
-      (try
-         List.iter
-           (fun (im, g, ops) ->
-             let key = Indexer.generic_key_bytes g v in
-             Index.insert ct.txn ops im.im_anchor ~key ~oid;
-             applied := (im, ops, key) :: !applied)
-           indexes
-       with Index.Duplicate_key _ as exn ->
-         List.iter (fun (im, ops, key) -> Index.delete ct.txn ops im.im_anchor ~key ~oid) !applied;
-         Object_store.remove ct.txn oid;
-         raise exn);
-      oid)
+  let indexes = all_indexes ct c in
+  let oid = Object_store.insert ct.txn c.cls v in
+  let applied = ref [] in
+  (try
+     List.iter
+       (fun (im, g, ops) ->
+         let key = Indexer.generic_key_bytes g v in
+         Index.insert ct.txn ops im.im_anchor ~key ~oid;
+         applied := (im, ops, key) :: !applied)
+       indexes
+   with Index.Duplicate_key _ as exn ->
+     List.iter (fun (im, ops, key) -> Index.delete ct.txn ops im.im_anchor ~key ~oid) !applied;
+     Object_store.remove ct.txn oid;
+     raise exn);
+  oid
 
 (** Number of objects in the collection (maintained by the index anchors,
     so inserts do not dirty the collection meta-object itself). *)
@@ -440,7 +383,6 @@ let size ct (c : 'a collection) : int =
     Raises {!Index.Duplicate_key} (and drops the half-built index) if a
     unique index would cover duplicate keys (paper Figure 6). *)
 let create_index ct (c : 'a collection) (ix : ('a, 'k) Indexer.t) : unit =
-  with_shard ct c (fun () ->
   let m = meta_rw ct c in
   if List.exists (fun im -> String.equal im.im_name ix.Indexer.name) m.co_indexes then
     invalid_arg (Printf.sprintf "index %S already exists" ix.Indexer.name);
@@ -462,7 +404,7 @@ let create_index ct (c : 'a collection) (ix : ('a, 'k) Indexer.t) : unit =
      Index.drop ct.txn ops anchor;
      Hashtbl.remove c.indexers ix.Indexer.name;
      raise exn);
-  m.co_indexes <- m.co_indexes @ [ im ])
+  m.co_indexes <- m.co_indexes @ [ im ]
 
 (** Remove an index. Raises {!Last_index} if it is the only one (paper
     Figure 6). *)

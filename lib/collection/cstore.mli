@@ -64,21 +64,12 @@ type 'a collection
 (** Handle to a collection of schema class ['a]. *)
 
 val create_collection :
-  ?shard:int -> t -> name:string -> schema:'a Tdb_objstore.Obj_class.t -> ('a, 'k) Indexer.t -> 'a collection
-(** Create a named collection with one initial index. Under a sharded
-    chunk store ({!Tdb_chunk.Shard_store} width > 1) the collection's
-    objects and index nodes are allocated on shard [shard] (default: a
-    hash of the collection name), so a whole collection commits through a
-    single shard's log and group-commit barrier. The affinity is a
-    placement hint, not persistent state: a chunk id encodes the shard it
-    was allocated on, so existing objects are unaffected by the hint used
-    at any later open. Ignored on an unsharded store. *)
+  t -> name:string -> schema:'a Tdb_objstore.Obj_class.t -> ('a, 'k) Indexer.t -> 'a collection
+(** Create a named collection with one initial index. *)
 
 val open_collection :
-  ?shard:int ->
   ?indexers:'a Indexer.generic list -> t -> name:string -> schema:'a Tdb_objstore.Obj_class.t -> 'a collection
-(** Open an existing collection, re-registering its indexers. [shard]
-    overrides the allocation affinity as in {!create_collection}.
+(** Open an existing collection, re-registering its indexers.
     @raise Tdb_objstore.Obj_class.Type_mismatch if [schema] differs from the stored one. *)
 
 val collection_exists : t -> name:string -> bool

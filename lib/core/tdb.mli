@@ -41,7 +41,6 @@ module Archival_store = Tdb_platform.Archival_store
 module Chunk_config = Tdb_chunk.Config
 module Chunk_types = Tdb_chunk.Types
 module Chunk_store = Tdb_chunk.Chunk_store
-module Shard_store = Tdb_chunk.Shard_store
 module Metrics = Tdb_chunk.Metrics
 module Backup_store = Tdb_backup.Backup_store
 module Obj_class = Tdb_objstore.Obj_class
@@ -66,52 +65,37 @@ exception Tamper_detected of string
     counter, and an archival store for backups. *)
 module Device : sig
   type t = {
-    store : Untrusted_store.t;  (** shard 0 *)
+    store : Untrusted_store.t;
     secret : Secret_store.t;
-    counter : One_way_counter.t;  (** shard 0 *)
+    counter : One_way_counter.t;
     archive : Archival_store.t;
-    extra : (Untrusted_store.t * One_way_counter.t) array;
-        (** shards 1..n-1 of a sharded database; [[||]] otherwise *)
   }
 
-  val width : t -> int
-  (** Shard count ([1 + Array.length extra]). *)
-
-  val stores : t -> Untrusted_store.t array
-  val counters : t -> One_way_counter.t array
-
-  val in_memory : ?seed:string -> ?shards:int -> unit -> Untrusted_store.Mem.handle * t
+  val in_memory : ?seed:string -> unit -> Untrusted_store.Mem.handle * t
   (** Ephemeral in-memory device (tests, examples, simulations). Returns
-      the attacker's handle to shard 0's untrusted store alongside. *)
+      the attacker's handle to its untrusted store alongside. *)
 
-  val at_dir : ?shards:int -> string -> t
+  val at_dir : string -> t
   (** Durable device rooted at a directory: [db] file, [counter] file,
-      [secret] key file, [backups/] archive; shard [i ≥ 1] adds [db.i] and
-      [counter.i]. With [shards] omitted the width is detected from the
-      [db.i] files present (so reopening never needs the flag), falling
-      back to [TDB_SHARDS] / 1 for a fresh directory. *)
+      [secret] key file, [backups/] archive. *)
 end
 
 (** {1 The embedded database} *)
 
 type t = {
   device : Device.t;
-  chunks : Shard_store.t;
+  chunks : Chunk_store.t;
   objects : Object_store.t;
   backups : Backup_store.t;
 }
 
 val create : ?config:Chunk_config.t -> ?object_config:Object_store.config -> Device.t -> t
-(** Create a fresh database on the device (overwrites any existing one).
-    [config.shards] must agree with the device's width (a default config
-    simply follows the device). *)
+(** Create a fresh database on the device (overwrites any existing one). *)
 
 val open_existing : ?config:Chunk_config.t -> ?object_config:Object_store.config -> Device.t -> t
-(** Open an existing database, running recovery and tamper checks. The
-    shard width comes from the device and is cross-checked against the
-    width the store itself persists.
-    @raise Chunk_store.Recovery_failed if there is no valid anchor or the
-    shard width disagrees with the store;
+(** Open an existing database, running recovery and tamper checks.
+    @raise Chunk_store.Recovery_failed if there is no valid anchor, or the
+    store was written as one shard of a sharded database;
     @raise Tamper_detected on hash/MAC/counter violations. *)
 
 val close : t -> unit

@@ -1,13 +1,11 @@
 (** Crashpoint sweep harness (see DESIGN.md, "Crash model").
 
     The harness replays a deterministic chunk workload through a
-    {!Shard_store} router of width [n] and crashes it — via {!Fault_plan} —
-    at {e every} write/sync boundary of all [n] database stores and all [n]
-    one-way-counter stores, under several seeded choices of which unsynced
-    writes survive ({!Tdb_platform.Untrusted_store.Mem.crash}). A 1-shard
-    router writes no records beyond its one chunk store's, so width 1
-    sweeps the unsharded store with byte-identical I/O. After each crash
-    it reopens the database and checks invariant oracles against a shadow
+    {!Chunk_store} and crashes it — via {!Fault_plan} — at {e every}
+    write/sync boundary of its database store and its one-way-counter
+    store, under several seeded choices of which unsynced writes survive
+    ({!Tdb_platform.Untrusted_store.Mem.crash}). After each crash it
+    reopens the database and checks invariant oracles against a shadow
     model:
 
     - {b durability}: the recovered chunk state equals the shadow state at
@@ -15,16 +13,16 @@
       known durable (durable commit returned, or a checkpoint was observed
       after a nondurable commit returned), no later than the last commit
       issued; in particular every durably committed batch is fully visible
-      and every batch is all-or-nothing (across shards, too);
+      and every batch is all-or-nothing;
     - {b honesty}: an honest crash never raises [Tamper_detected] (no
       false tampering) and never loses the anchor ([Recovery_failed]);
-    - {b counter monotonicity}: no shard's one-way counter reads below the
+    - {b counter monotonicity}: the one-way counter never reads below the
       highest value previously observed after a completed operation;
     - {b usability}: after recovery the store accepts a write + durable
       commit and its utilization accounting stays within bounds.
 
     What varies between sweeps is the {e phase}: the phase-A workload,
-    its DRBG seed and payload tags, its config tweak and its width. Each
+    its DRBG seed and its payload tags. Each
     crashed run continues into a second phase: an epilogue workload
     against the recovered store with a second seeded crashpoint, which
     exercises the crash behaviour of freshly-reopened state (notably the
@@ -67,8 +65,7 @@ let default_trace =
 let smoke_trace = { default_trace with accounts = 6; tellers = 2; branches = 1; txns = 8; epilogue_txns = 4 }
 
 (* Small segments force chained sub-commits and frequent checkpoints;
-   Aes128/Sha1 keeps thousands of runs fast. The width is always set
-   explicitly (see [with_width]), never taken from TDB_SHARDS. *)
+   Aes128/Sha1 keeps thousands of runs fast. *)
 let store_config =
   {
     Config.default with
@@ -82,7 +79,6 @@ let store_config =
     clean_batch = 2;
   }
 
-let with_width n cfg = { cfg with Config.shards = n }
 let secret = Tdb_platform.Secret_store.of_seed "crashfuzz-device"
 
 (* ------------------------------------------------------------------ *)
@@ -154,45 +150,35 @@ exception Harness_violation of string * string
 (* ------------------------------------------------------------------ *)
 (* Stores under test *)
 
-(* [n = config.shards] database stores and [n] one-way-counter stores,
-   all instrumented by ONE fault plan, so the global boundary counter
-   interleaves every shard's writes and syncs (devices sharing one power
-   supply). *)
+(* The database store and the one-way-counter store, both instrumented by
+   ONE fault plan, so the boundary counter interleaves their writes and
+   syncs (devices sharing one power supply). *)
 type env = {
-  config : Config.t;
-  db_mem : US.Mem.handle array;
-  db : US.t array;  (* instrumented *)
-  ctr_mem : US.Mem.handle array;
-  ctr : US.t array;  (* instrumented *)
+  db_mem : US.Mem.handle;
+  db : US.t;  (* instrumented *)
+  ctr_mem : US.Mem.handle;
+  ctr : US.t;  (* instrumented *)
   plan : Fault_plan.t;
 }
 
-let make_env config =
+let make_env () =
   let plan = Fault_plan.create () in
-  let n = config.Config.shards in
-  let db = Array.init n (fun _ -> US.open_mem ()) in
-  let ctr = Array.init n (fun _ -> US.open_mem ()) in
-  {
-    config;
-    db_mem = Array.map fst db;
-    db = Array.map (fun (_, r) -> Fault_plan.instrument plan r) db;
-    ctr_mem = Array.map fst ctr;
-    ctr = Array.map (fun (_, r) -> Fault_plan.instrument plan r) ctr;
-    plan;
-  }
+  let db_mem, db = US.open_mem () in
+  let ctr_mem, ctr = US.open_mem () in
+  { db_mem; db = Fault_plan.instrument plan db; ctr_mem; ctr = Fault_plan.instrument plan ctr; plan }
 
 let create_store env =
-  let ctrs = Array.map OWC.open_store env.ctr in
-  (ctrs, Shard_store.create ~config:env.config ~secret ~counters:ctrs env.db)
+  let ctr = OWC.open_store env.ctr in
+  (ctr, Chunk_store.create ~config:store_config ~secret ~counter:ctr env.db)
 
 let open_store env =
-  let ctrs = Array.map OWC.open_store env.ctr in
-  (ctrs, Shard_store.open_existing ~config:env.config ~secret ~counters:ctrs env.db)
+  let ctr = OWC.open_store env.ctr in
+  (ctr, Chunk_store.open_existing ~config:store_config ~secret ~counter:ctr env.db)
 
-(* Lose a seeded subset of every store's unsynced writes. *)
+(* Lose a seeded subset of both stores' unsynced writes. *)
 let crash_env env ~persist_prob ~rng =
-  Array.iter (US.Mem.crash ~persist_prob ~rng) env.db_mem;
-  Array.iter (US.Mem.crash ~persist_prob ~rng) env.ctr_mem
+  US.Mem.crash ~persist_prob ~rng env.db_mem;
+  US.Mem.crash ~persist_prob ~rng env.ctr_mem
 
 (* Count the write/sync boundaries [f] issues, with the plan armed past
    the horizon. *)
@@ -203,54 +189,42 @@ let count_boundaries env f =
   Fault_plan.reset env.plan;
   n
 
-(* One run's view of the database: the live router and counters (replaced
+(* One run's view of the database: the live store and counter (replaced
    on every reopen), the shadow, the trace DRBG (phase A, then the
-   epilogue) and each shard's counter floor. *)
+   epilogue) and the counter floor. *)
 type db = {
   env : env;
   sh : shadow;
   rng : Drbg.t;
-  floors : int64 array;
-  mutable ss : Shard_store.t;
-  mutable ctrs : OWC.t array;
+  mutable floor : int64;
+  mutable cs : Chunk_store.t;
+  mutable ctr : OWC.t;
   mutable cp_seen : int;
 }
 
 let fresh_db env ~rng =
-  let ctrs, ss = create_store env in
+  let ctr, cs = create_store env in
   let sh = shadow_create () in
   shadow_base sh;
-  { env; sh; rng; floors = Array.map OWC.read ctrs; ss; ctrs; cp_seen = 0 }
+  { env; sh; rng; floor = OWC.read ctr; cs; ctr; cp_seen = 0 }
 
-let width d = Array.length d.floors
-
-(* Has shard 0 checkpointed since the last call? Only meaningful at width
-   1: a checkpoint on one shard says nothing about another shard's
-   nondurable commits, so at width >= 2 nondurable boundaries simply stay
-   in the admissible window. *)
+(* Has the store checkpointed since the last call? *)
 let new_checkpoint d =
-  Int.equal (width d) 1
-  &&
-  let cps = (Chunk_store.stats (Shard_store.shard_store d.ss 0)).Chunk_store.checkpoints in
+  let cps = (Chunk_store.stats d.cs).Chunk_store.checkpoints in
   let seen = cps > d.cp_seen in
   d.cp_seen <- cps;
   seen
 
-(* Every commit up to [upto] is known durable: raise [durable_lo] and
-   every shard's counter floor. *)
+(* Every commit up to [upto] is known durable: raise [durable_lo] and the
+   counter floor. *)
 let mark_durable d upto =
   if upto > d.sh.durable_lo then d.sh.durable_lo <- upto;
-  Array.iteri
-    (fun i c ->
-      let hw = OWC.read c in
-      if Int64.compare hw d.floors.(i) > 0 then d.floors.(i) <- hw)
-    d.ctrs;
+  let hw = OWC.read d.ctr in
+  if Int64.compare hw d.floor > 0 then d.floor <- hw;
   ignore (new_checkpoint d)
 
 (* Commit the open batch, snapshotting the shadow at the commit boundary
-   and tracking which boundary is known durable. [durable] is what the
-   workload {e observes}: the router upgrades any multi-shard batch to
-   durable, so callers pass the effective flag. A checkpoint observed
+   and tracking which boundary is known durable. A checkpoint observed
    after a nondurable commit promotes every earlier commit to durable
    (conservatively: up to the previous boundary — the checkpoint may have
    run before this batch was appended). *)
@@ -258,7 +232,7 @@ let commit_shadow ~durable d =
   let sh = d.sh in
   sh.issued <- sh.issued + 1;
   Hashtbl.replace sh.states sh.issued (Hashtbl.copy sh.model);
-  Shard_store.commit ~durable d.ss;
+  Chunk_store.commit ~durable d.cs;
   if durable then mark_durable d sh.issued
   else if new_checkpoint d then begin
     let c = sh.issued - 1 in
@@ -275,15 +249,15 @@ let pad s =
   if n >= record_len then String.sub s 0 record_len else s ^ String.make (record_len - n) '.'
 
 let put d cid data =
-  Shard_store.write d.ss cid data;
+  Chunk_store.write d.cs cid data;
   shadow_write d.sh cid data
 
 let drop d cid =
-  Shard_store.deallocate d.ss cid;
+  Chunk_store.deallocate d.cs cid;
   shadow_dealloc d.sh cid
 
 let check_read d cid =
-  let got = Shard_store.read d.ss cid in
+  let got = Chunk_store.read d.cs cid in
   match Hashtbl.find_opt d.sh.model cid with
   | Some want when String.equal want got -> ()
   | _ -> raise (Harness_violation ("live-read-mismatch", Printf.sprintf "chunk %d" cid))
@@ -297,7 +271,7 @@ let update d cid data =
    segment budget. *)
 let load_base ~trace d =
   let n_base = trace.accounts + trace.tellers + trace.branches in
-  let base = Array.init n_base (fun _ -> Shard_store.allocate d.ss) in
+  let base = Array.init n_base (fun _ -> Chunk_store.allocate d.cs) in
   Array.iteri (fun i cid -> put d cid (pad (Printf.sprintf "base:%03d:init:%d" i (Drbg.int d.rng 1_000_000)))) base;
   commit_shadow ~durable:true d;
   base
@@ -315,7 +289,7 @@ let run_phase_a ~trace d =
     let b = base.(trace.accounts + trace.tellers + Drbg.int d.rng trace.branches) in
     let delta = Drbg.int d.rng 10_000 in
     List.iter (fun cid -> update d cid (pad (Printf.sprintf "upd:%03d:txn:%04d:delta:%d" cid i delta))) [ a; t; b ];
-    let h = Shard_store.allocate d.ss in
+    let h = Chunk_store.allocate d.cs in
     put d h (pad (Printf.sprintf "hist:%04d:%d:%d:%d:%d" i a t b delta));
     Queue.add h history;
     if Queue.length history > trace.history_keep then drop d (Queue.pop history);
@@ -323,7 +297,7 @@ let run_phase_a ~trace d =
   done
 
 (* Group-commit phase A: batches of nondurable session commits made
-   durable by a *staged* barrier ({!Shard_store.barrier_begin} /
+   durable by a *staged* barrier ({!Chunk_store.barrier_begin} /
    [barrier_sync] / [barrier_finish]), with further commits landing
    inside the sync window and between sync and finish — the exact
    interleaving the object store's group commit produces, replayed
@@ -334,8 +308,7 @@ let run_phase_a ~trace d =
    they are not covered by it: [durable_lo] advances only to the commits
    issued before [barrier_begin]. This also exercises the barrier's
    segment hold ({!Tdb_chunk.Log.hold}) — a window commit may obsolete a
-   chunk version that recovery (to the barrier point) still needs. Width
-   1 only: see DESIGN.md, "Sharding". *)
+   chunk version that recovery (to the barrier point) still needs. *)
 let run_phase_gc ~trace d =
   let base = load_base ~trace d in
   let n_base = Array.length base in
@@ -343,7 +316,7 @@ let run_phase_gc ~trace d =
      segment at once, so window commits regularly empty segments — the
      reclamation case the barrier's hold must keep from the free list. *)
   let fat_len = store_config.Config.segment_size * 3 / 4 in
-  let fat = Array.init 2 (fun _ -> Shard_store.allocate d.ss) in
+  let fat = Array.init 2 (fun _ -> Chunk_store.allocate d.cs) in
   let fat_data i v =
     let s = Printf.sprintf "fat:%d:v:%04d:" i v in
     s ^ String.make (fat_len - String.length s) (Char.chr (Char.code 'a' + (v mod 26)))
@@ -378,15 +351,15 @@ let run_phase_gc ~trace d =
       Hashtbl.replace d.sh.states d.sh.issued (Hashtbl.copy d.sh.model)
     end;
     let covered = d.sh.issued in
-    let tok = Shard_store.barrier_begin d.ss in
+    let tok = Chunk_store.barrier_begin d.cs in
     (* sessions landing while the leader syncs: after the barrier record *)
     for _ = 1 to Drbg.int d.rng 6 do
       session_commit "win"
     done;
-    Shard_store.barrier_sync d.ss tok;
+    Chunk_store.barrier_sync d.cs tok;
     (* the state lock can be retaken between sync and finish *)
     if Int.equal (Drbg.int d.rng 2) 0 then session_commit "gap";
-    Shard_store.barrier_finish d.ss tok;
+    Chunk_store.barrier_finish d.cs tok;
     mark_durable d covered
   done
 
@@ -413,7 +386,7 @@ let run_phase_flush ~trace d =
     (* allocate a few new chunks and retire old ones, so flushes also
        carry allocation records and the cleaner keeps segments moving *)
     for j = 1 to 2 + Drbg.int d.rng 2 do
-      let c = Shard_store.allocate d.ss in
+      let c = Chunk_store.allocate d.cs in
       put d c (pad (Printf.sprintf "flunew:%04d:%d" i j));
       Queue.add c fresh
     done;
@@ -428,7 +401,7 @@ let run_phase_flush ~trace d =
    at every I/O boundary of a pass — mid-relocation, between a survivor's
    re-append and the map update, and inside the checkpoint that seals the
    pass. A skewed churn keeps segments garbage-heavy while the cold tail
-   survives each pass, so every {!Shard_store.clean} call re-appends
+   survives each pass, so every {!Chunk_store.clean} call re-appends
    survivors at the tail. [clean] is logical-state-neutral (chunk
    versions are preserved across relocation), so the shadow oracles apply
    unchanged; it ends in a checkpoint, which promotes every issued commit
@@ -446,65 +419,10 @@ let run_phase_clean ~trace d =
     done;
     commit_shadow ~durable:(Int.equal (i mod trace.durable_every) 0) d;
     if Int.equal (i mod 3) 0 then begin
-      Shard_store.clean ~max_segments:store_config.Config.clean_batch d.ss;
+      Chunk_store.clean ~max_segments:store_config.Config.clean_batch d.cs;
       (* checkpoint + pass + checkpoint: everything issued is now durable *)
       mark_durable d d.sh.issued
     end
-  done
-
-(* Transfer phase A (width >= 2): per-shard balance chunks loaded in one
-   all-shard durable commit (itself a 2PC), then transfers — 3/4 pick a
-   distinct source and destination shard, rewrite one balance chunk on
-   each, append a history chunk on the source and retire old history
-   (whose shard the batch also joins). Cross-shard batches are always
-   durable; same-shard transfers follow the trace's durable cadence. With
-   stride 1 the sweep crashes at every store boundary {e between prepare
-   and commit} — inside a participant's durable prepare, during the
-   coordinator's decision write, between apply commits, and in cleanup. *)
-let run_phase_transfer ~trace d =
-  let n = width d in
-  let per = max 2 ((trace.accounts + n - 1) / n) in
-  let base = Array.init n (fun s -> Array.init per (fun _ -> Shard_store.allocate ~shard:s d.ss)) in
-  Array.iteri
-    (fun s row ->
-      Array.iteri (fun i cid -> put d cid (pad (Printf.sprintf "sbase:%d:%02d:%d" s i (Drbg.int d.rng 1_000_000)))) row)
-    base;
-  commit_shadow ~durable:true d;
-  let history = Queue.create () in
-  for i = 1 to trace.txns do
-    let src = Drbg.int d.rng n in
-    let dst =
-      if Int.equal (Drbg.int d.rng 4) 0 then src
-      else begin
-        let x = Drbg.int d.rng (n - 1) in
-        if x >= src then x + 1 else x
-      end
-    in
-    let touched = ref [] in
-    let touch cid = touched := Shard_store.shard_of d.ss cid :: !touched in
-    let a = base.(src).(Drbg.int d.rng per) in
-    let b = base.(dst).(Drbg.int d.rng per) in
-    let delta = Drbg.int d.rng 10_000 in
-    List.iter
-      (fun cid ->
-        update d cid (pad (Printf.sprintf "xfer:%04d:%03d:%d" i cid delta));
-        touch cid)
-      (if Int.equal a b then [ a ] else [ a; b ]);
-    let h = Shard_store.allocate ~shard:src d.ss in
-    put d h (pad (Printf.sprintf "xhist:%04d:%d.%d:%d" i src dst delta));
-    touch h;
-    Queue.add h history;
-    if Queue.length history > trace.history_keep then begin
-      let old = Queue.pop history in
-      drop d old;
-      touch old
-    end;
-    let cross =
-      match !touched with
-      | [] -> false
-      | t0 :: rest -> List.exists (fun s -> not (Int.equal s t0)) rest
-    in
-    commit_shadow ~durable:(cross || Int.equal (i mod trace.durable_every) 0) d
   done
 
 (* A sweep's workload parameters. [seed_tag] and [data_tag] name the
@@ -514,25 +432,18 @@ type phase = {
   workload : trace:trace_cfg -> db -> unit;
   seed_tag : string;  (* infix of the trace/fault DRBG seeds *)
   data_tag : string;  (* prefix of epilogue and probe payloads *)
-  config : Config.t;  (* [shards] is the width *)
 }
 
-let plain = { workload = run_phase_a; seed_tag = ""; data_tag = ""; config = with_width 1 store_config }
+let plain = { workload = run_phase_a; seed_tag = ""; data_tag = "" }
 let group_commit = { plain with workload = run_phase_gc }
 let commit_flush = { plain with workload = run_phase_flush }
 
 let clean = { plain with workload = run_phase_clean }
 
-let transfer ~who shards =
-  let n = match shards with Some n -> n | None -> max 2 (Config.default_shards ()) in
-  if n < 2 then invalid_arg (who ^ ": shards must be >= 2");
-  { workload = run_phase_transfer; seed_tag = "shard-"; data_tag = "s"; config = with_width n store_config }
-
 let trace_rng ph trace = Drbg.create ~seed:(trace.seed ^ ":" ^ ph.seed_tag ^ "trace")
 
 (* Phase B: generic epilogue against whatever state recovery produced —
-   rewrite existing chunks, allocate new ones (round-robin, so durable
-   commits keep spanning shards), occasionally deallocate. *)
+   rewrite existing chunks, allocate new ones, occasionally deallocate. *)
 let run_epilogue ph ~trace d =
   for i = 1 to trace.epilogue_txns do
     let keys = Hashtbl.fold (fun k _ acc -> k :: acc) d.sh.model [] in
@@ -542,7 +453,7 @@ let run_epilogue ph ~trace d =
       let cid = keys.(Drbg.int d.rng nkeys) in
       update d cid (pad (Printf.sprintf "%sepi:%03d:txn:%04d" ph.data_tag cid i))
     end;
-    let c = Shard_store.allocate d.ss in
+    let c = Chunk_store.allocate d.cs in
     put d c (pad (Printf.sprintf "%sepinew:%04d" ph.data_tag i));
     if nkeys > 4 && Int.equal (Drbg.int d.rng 4) 0 then begin
       let victim = keys.(Drbg.int d.rng nkeys) in
@@ -562,7 +473,7 @@ let add violations run kind detail = violations := { v_run = run; v_kind = kind;
    ever used must either match [st] or be unreadable when absent from
    [st]; a [Tamper_detected] anywhere is reported upward (honest runs must
    never see one). *)
-let state_matches ss st all_cids =
+let state_matches cs st all_cids =
   Hashtbl.fold
     (fun cid () acc ->
       match acc with
@@ -570,13 +481,13 @@ let state_matches ss st all_cids =
       | Ok true -> (
           match Hashtbl.find_opt st cid with
           | Some want -> (
-              match Shard_store.read ss cid with
+              match Chunk_store.read cs cid with
               | got -> Ok (String.equal got want)
               | exception Types.Not_written _ -> Ok false
               | exception Types.Not_allocated _ -> Ok false
               | exception Types.Tamper_detected m -> Error m)
           | None -> (
-              match Shard_store.read ss cid with
+              match Chunk_store.read cs cid with
               | _ -> Ok false
               | exception Types.Not_written _ -> Ok true
               | exception Types.Not_allocated _ -> Ok true
@@ -584,68 +495,58 @@ let state_matches ss st all_cids =
     all_cids (Ok true)
 
 (* Try every admissible boundary, newest first. *)
-let match_candidates ss sh =
+let match_candidates cs sh =
   let rec go d =
     if d < sh.durable_lo then Error "recovered state matches no admissible commit boundary"
     else
       match Hashtbl.find_opt sh.states d with
       | None -> go (d - 1)
       | Some st -> (
-          match state_matches ss st sh.all_cids with
+          match state_matches cs st sh.all_cids with
           | Ok true -> Ok d
           | Ok false -> go (d - 1)
           | Error m -> Error ("tamper during state check: " ^ m))
   in
   go sh.issued
 
-(* Reopen every shard after a crash and run the recovery oracles; on
-   success the reopened router replaces [d.ss]. A batch applied on some
-   shards but not others matches no boundary: at width >= 2 that is the
-   atomicity oracle. *)
+(* Reopen the store after a crash and run the recovery oracles; on
+   success the reopened store replaces [d.cs]. *)
 let reopen_and_check ~run ~violations d =
   match open_store d.env with
   | exception Types.Tamper_detected m -> add violations run "false-tamper" m; false
   | exception Chunk_store.Recovery_failed m -> add violations run "recovery-failed" m; false
   | exception e -> add violations run "recovery-exception" (Printexc.to_string e); false
-  | ctrs, ss ->
-      d.ss <- ss;
-      d.ctrs <- ctrs;
+  | ctr, cs ->
+      d.cs <- cs;
+      d.ctr <- ctr;
       d.cp_seen <- 0;
-      Array.iteri
-        (fun i c ->
-          let hw = OWC.read c in
-          if Int64.compare hw d.floors.(i) < 0 then
-            add violations run "counter-rollback" (Printf.sprintf "shard %d: read %Ld, floor %Ld" i hw d.floors.(i));
-          if Int64.compare hw d.floors.(i) > 0 then d.floors.(i) <- hw)
-        ctrs;
-      (match match_candidates ss d.sh with
+      let hw = OWC.read ctr in
+      if Int64.compare hw d.floor < 0 then
+        add violations run "counter-rollback" (Printf.sprintf "read %Ld, floor %Ld" hw d.floor);
+      if Int64.compare hw d.floor > 0 then d.floor <- hw;
+      (match match_candidates cs d.sh with
       | Ok b -> shadow_reset_to d.sh b
       | Error detail ->
-          let kind = if width d > 1 then "atomicity-violation" else "durability-violation" in
-          add violations run kind detail;
+          add violations run "durability-violation" detail;
           (* keep going from the live model so later oracles still run *)
           shadow_base d.sh);
       true
 
-(* Post-recovery usability probe: a write on the first and last shard plus
-   a durable commit (a fresh cross-shard 2PC at width >= 2) must succeed,
-   serve the data back, and keep the utilization accounting sane. *)
+(* Post-recovery usability probe: a write and a durable commit must
+   succeed, serve the data back, and keep the utilization accounting
+   sane. *)
 let probe ph ~run ~violations d =
   match
-    let n = width d in
-    let cids = List.map (fun s -> Shard_store.allocate ~shard:s d.ss) (List.sort_uniq Int.compare [ 0; n - 1 ]) in
-    List.iter (fun c -> put d c (pad (Printf.sprintf "%sprobe:%06d" ph.data_tag c))) cids;
+    let c = Chunk_store.allocate d.cs in
+    put d c (pad (Printf.sprintf "%sprobe:%06d" ph.data_tag c));
     commit_shadow ~durable:true d;
-    List.iter
-      (fun c ->
-        let got = Shard_store.read d.ss c in
-        match Hashtbl.find_opt d.sh.model c with
-        | Some want when String.equal want got -> ()
-        | _ -> add violations run "probe-read-mismatch" (Printf.sprintf "chunk %d" c))
-      cids;
-    let u = Shard_store.utilization d.ss in
+    (let got = Chunk_store.read d.cs c in
+     match Hashtbl.find_opt d.sh.model c with
+     | Some want when String.equal want got -> ()
+     | _ -> add violations run "probe-read-mismatch" (Printf.sprintf "chunk %d" c));
+    let u = Chunk_store.utilization d.cs in
     if u < 0.0 || u > 1.0001 then add violations run "utilization-out-of-range" (Printf.sprintf "%f" u);
-    let live = Shard_store.live_bytes d.ss and cap = Shard_store.capacity d.ss in
+    let live = Chunk_store.live_bytes d.cs and cap = Chunk_store.capacity d.cs in
     if live < 0 || live > cap then
       add violations run "accounting-inconsistent" (Printf.sprintf "live %d capacity %d" live cap)
   with
@@ -661,17 +562,17 @@ let tears = [| Fault_plan.Skip; Fault_plan.Torn; Fault_plan.Applied |]
 (* Run the phase once to count the write/sync boundaries of its armed
    region. *)
 let record_boundaries ph ~trace =
-  let env = make_env ph.config in
+  let env = make_env () in
   let d = fresh_db env ~rng:(trace_rng ph trace) in
   let n = count_boundaries env (fun () -> ph.workload ~trace d) in
-  Shard_store.close d.ss;
+  Chunk_store.close d.cs;
   n
 
 (* One sweep cell: crash phase A at boundary [k], recover under the
    seeded persistence subset, then run the epilogue with a second seeded
    crashpoint, recover again and probe. *)
 let one_run ph ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
-  let env = make_env ph.config in
+  let env = make_env () in
   let fault_rng = Drbg.create ~seed:(Printf.sprintf "%s:%sfault:%d:%d" trace.seed ph.seed_tag k seed_idx) in
   let persist_prob = persist_probs.(seed_idx mod Array.length persist_probs) in
   let run = Printf.sprintf "%sk=%d seed=%d" ph.seed_tag k seed_idx in
@@ -679,7 +580,7 @@ let one_run ph ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
   Fault_plan.arm env.plan ~at:k ~tear:tears.(Drbg.int fault_rng (Array.length tears));
   let finish () =
     probe ph ~run:(run ^ ":probe") ~violations d;
-    Shard_store.close d.ss
+    Chunk_store.close d.cs
   in
   let crash_and_check phase =
     incr crashes;
@@ -695,7 +596,7 @@ let one_run ph ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
     match workload () with
     | () ->
         Fault_plan.reset env.plan;
-        Shard_store.close d.ss;
+        Chunk_store.close d.cs;
         shadow_base d.sh;
         if reopen_and_check ~run:clean ~violations d then finish ()
     | exception Harness_violation (kind, detail) -> add violations run kind detail
@@ -751,9 +652,6 @@ let sweep_group_commit = sweep group_commit
 let sweep_commit_flush = sweep commit_flush
 let sweep_clean = sweep clean
 
-let sweep_shard_2pc ?progress ?shards ~trace ~seeds ~stride () =
-  sweep (transfer ~who:"sweep_shard_2pc" shards) ?progress ~trace ~seeds ~stride ()
-
 (* ------------------------------------------------------------------ *)
 (* Tamper sweep *)
 
@@ -777,81 +675,39 @@ let tamper_report t =
     silent_offsets = List.rev t.t_silent;
   }
 
-(* XOR [mask] into every [stride]-th byte of each shard image in turn and
-   reopen the whole router. Detected ([Tamper_detected] /
+(* Run the phase, close cleanly, then XOR [mask] into every [stride]-th
+   byte of the committed image and reopen. Detected ([Tamper_detected] /
    [Recovery_failed]) or harmless (state at an admissible boundary) are
    fine; wrong data without an exception is silent. *)
-let flip_sweep t env sh ~stride ~mask ~off_tag =
-  let db0 = Array.map US.Mem.snapshot env.db_mem in
-  let ctr0 = Array.map US.Mem.snapshot env.ctr_mem in
-  Array.iteri
-    (fun s img ->
-      let len = Bytes.length img in
-      t.t_bytes <- t.t_bytes + len;
-      let off = ref 0 in
-      while !off < len do
-        t.t_flips <- t.t_flips + 1;
-        US.Mem.corrupt env.db_mem.(s) ~off:!off ~len:1 ~mask;
-        (match open_store env with
-        | exception Types.Tamper_detected _ -> t.t_detected <- t.t_detected + 1
-        | exception Chunk_store.Recovery_failed _ -> t.t_detected <- t.t_detected + 1
-        | _, ss -> (
-            match match_candidates ss sh with
-            | Ok _ -> t.t_harmless <- t.t_harmless + 1
-            | Error m when String.starts_with ~prefix:"tamper" m -> t.t_detected <- t.t_detected + 1
-            | Error _ -> t.t_silent <- (off_tag + (s * 1_000_000) + !off) :: t.t_silent));
-        Array.iteri (fun i img -> US.Mem.restore env.db_mem.(i) img) db0;
-        Array.iteri (fun i img -> US.Mem.restore env.ctr_mem.(i) img) ctr0;
-        off := !off + stride
-      done)
-    db0
-
-(* Two parts. Part 1 — committed image: run the phase, close cleanly and
-   flip every shard image. At width >= 2 this covers each shard's
-   decision-table chunk — its chain MAC and the width metadata — at rest.
-
-   Part 2 (width >= 2 only) — in-doubt decision flips: crash the workload
-   mid-trace at a few boundaries (most land inside a 2PC, between a
-   participant's prepare and the final apply), keep {e every} write
-   (persist_prob 1 — the richest image: staged prepares and live decision
-   entries), flip bytes across the shard images and reopen. Recovery may
-   detect the flip, or resolve the in-doubt transaction to {e some
-   admissible boundary} (commit or presumed abort — the commit never
-   returned); a flipped decision record that steers recovery to a state
-   matching no admissible boundary is silent. *)
 let tamper_sweep ph ~stride ~mask ~trace =
   let t = tally () in
-  let env = make_env ph.config in
+  let env = make_env () in
   let d = fresh_db env ~rng:(trace_rng ph trace) in
   ph.workload ~trace d;
-  Shard_store.close d.ss;
+  Chunk_store.close d.cs;
   shadow_base d.sh;
-  flip_sweep t env d.sh ~stride ~mask ~off_tag:0;
-  if ph.config.Config.shards > 1 then begin
-    let total = record_boundaries ph ~trace in
-    List.iter
-      (fun kp ->
-        let env = make_env ph.config in
-        let d = fresh_db env ~rng:(trace_rng ph trace) in
-        Fault_plan.arm env.plan ~at:kp ~tear:Fault_plan.Applied;
-        match ph.workload ~trace d with
-        | () ->
-            Fault_plan.reset env.plan;
-            Shard_store.close d.ss
-        | exception Fault_plan.Crash_point ->
-            Fault_plan.reset env.plan;
-            (* keep every write: the image retains staged prepares and any
-               not-yet-cleaned decision entry *)
-            crash_env env ~persist_prob:1.0 ~rng:(fun _ -> 0);
-            flip_sweep t env d.sh ~stride:(stride * 5) ~mask ~off_tag:((kp + 1) * 100_000_000))
-      [ total / 2; total * 3 / 4 ]
-  end;
+  let db0 = US.Mem.snapshot env.db_mem and ctr0 = US.Mem.snapshot env.ctr_mem in
+  let len = Bytes.length db0 in
+  t.t_bytes <- len;
+  let off = ref 0 in
+  while !off < len do
+    t.t_flips <- t.t_flips + 1;
+    US.Mem.corrupt env.db_mem ~off:!off ~len:1 ~mask;
+    (match open_store env with
+    | exception Types.Tamper_detected _ -> t.t_detected <- t.t_detected + 1
+    | exception Chunk_store.Recovery_failed _ -> t.t_detected <- t.t_detected + 1
+    | _, cs -> (
+        match match_candidates cs d.sh with
+        | Ok _ -> t.t_harmless <- t.t_harmless + 1
+        | Error m when String.starts_with ~prefix:"tamper" m -> t.t_detected <- t.t_detected + 1
+        | Error _ -> t.t_silent <- !off :: t.t_silent));
+    US.Mem.restore env.db_mem db0;
+    US.Mem.restore env.ctr_mem ctr0;
+    off := !off + stride
+  done;
   tamper_report t
 
 let sweep_tamper ?(stride = 7) ?(mask = 0x10) ~trace () = tamper_sweep plain ~stride ~mask ~trace
-
-let sweep_shard_tamper ?(stride = 7) ?(mask = 0x10) ?shards ~trace () =
-  tamper_sweep (transfer ~who:"sweep_shard_tamper" shards) ~stride ~mask ~trace
 
 (* ------------------------------------------------------------------ *)
 (* Replica-ingest sweep *)
@@ -874,24 +730,23 @@ type replica_fixture = {
 
 let replica_backups_total = 6
 let replica_mid_full = 4 (* this backup id is a full against a live follower *)
-let replica_config = with_width 1 store_config
 
 let build_replica_fixture ~trace : replica_fixture =
-  let _, ss = create_store (make_env replica_config) in
+  let _, cs = create_store (make_env ()) in
   let _, archive = AS.open_mem () in
-  let bs = BK.create ~secret ~archive ss in
+  let bs = BK.create ~secret ~archive cs in
   let model : chunk_state = Hashtbl.create 64 in
   let r_cids = Hashtbl.create 64 in
   let rng = Drbg.create ~seed:(trace.seed ^ ":replica") in
   let put cid data =
-    Shard_store.write ss cid data;
+    Chunk_store.write cs cid data;
     Hashtbl.replace model cid data;
     Hashtbl.replace r_cids cid ()
   in
   let n_base = trace.accounts + trace.tellers + trace.branches in
-  let base = Array.init n_base (fun _ -> Shard_store.allocate ss) in
+  let base = Array.init n_base (fun _ -> Chunk_store.allocate cs) in
   Array.iteri (fun i cid -> put cid (pad (Printf.sprintf "rbase:%03d:%d" i (Drbg.int rng 1_000_000)))) base;
-  Shard_store.commit ~durable:true ss;
+  Chunk_store.commit ~durable:true cs;
   let boundaries = ref [] (* (id, state), newest first *) in
   let record id = boundaries := (id, Hashtbl.copy model) :: !boundaries in
   record (BK.backup_full bs);
@@ -902,15 +757,15 @@ let build_replica_fixture ~trace : replica_fixture =
       incr txn;
       let cid = base.(Drbg.int rng n_base) in
       put cid (pad (Printf.sprintf "rupd:%03d:%04d:%d" cid !txn (Drbg.int rng 10_000)));
-      let c = Shard_store.allocate ss in
+      let c = Chunk_store.allocate cs in
       put c (pad (Printf.sprintf "rhist:%04d" !txn));
       Queue.add c fresh;
       if Queue.length fresh > trace.history_keep then begin
         let old = Queue.pop fresh in
-        Shard_store.deallocate ss old;
+        Chunk_store.deallocate cs old;
         Hashtbl.remove model old
       end;
-      Shard_store.commit ~durable:(Int.equal i trace.durable_every) ss
+      Chunk_store.commit ~durable:(Int.equal i trace.durable_every) cs
     done;
     record (if Int.equal b replica_mid_full then BK.backup_full bs else BK.backup_incremental bs)
   done;
@@ -927,16 +782,16 @@ let build_replica_fixture ~trace : replica_fixture =
   let r_ids = Array.of_list (List.map fst entries) in
   let r_states = Array.make (Array.length r_streams + 1) (Hashtbl.create 0) in
   List.iteri (fun i (_, st) -> r_states.(i + 1) <- st) (List.rev !boundaries);
-  Shard_store.close ss;
+  Chunk_store.close cs;
   { r_streams; r_ids; r_states; r_cids }
 
 let replica_boundary_id fx b = if Int.equal b 0 then 0 else fx.r_ids.(b - 1)
 
 (* A fresh follower: an empty store behind its own archive. *)
 let follower env =
-  let _, ss = create_store env in
+  let _, cs = create_store env in
   let _, f_archive = AS.open_mem () in
-  (ss, f_archive, BK.create ~secret ~archive:f_archive ss)
+  (cs, f_archive, BK.create ~secret ~archive:f_archive cs)
 
 (* Is the follower at backup boundary [b], chain state and contents
    alike? *)
@@ -952,7 +807,7 @@ let replica_at fx ss bs b =
    chain state matching its contents, and the remaining streams must then
    re-apply to convergence with the primary. *)
 let replica_one_run ~fx ~violations ~crashes ~recoveries ~k ~seed_idx =
-  let env = make_env replica_config in
+  let env = make_env () in
   let fault_rng = Drbg.create ~seed:(Printf.sprintf "replica:fault:%d:%d" k seed_idx) in
   let persist_prob = persist_probs.(seed_idx mod Array.length persist_probs) in
   let run = Printf.sprintf "replica k=%d seed=%d" k seed_idx in
@@ -987,7 +842,7 @@ let replica_one_run ~fx ~violations ~crashes ~recoveries ~k ~seed_idx =
          primary's newest boundary *)
       Fault_plan.reset env.plan;
       converge ss bs ~from:n ~what:"after full ingest";
-      Shard_store.close ss
+      Chunk_store.close ss
   | exception BK.Invalid_backup m -> add violations run "replica-live-reject" m
   | exception Harness_violation (kind, detail) -> add violations run kind detail
   | exception e when not (match e with Fault_plan.Crash_point -> true | _ -> false) ->
@@ -1023,15 +878,15 @@ let replica_one_run ~fx ~violations ~crashes ~recoveries ~k ~seed_idx =
                   add violations run "replica-torn-apply"
                     (Printf.sprintf "chain state says boundary %d but chunk contents disagree" b)
               | Ok true -> converge ss2 bs2 ~from:b ~what:"after resume"));
-          Shard_store.close ss2)
+          Chunk_store.close ss2)
 
 let sweep_replica ?progress ~trace ~seeds ~stride () =
   let fx = build_replica_fixture ~trace in
   let boundaries =
-    let env = make_env replica_config in
+    let env = make_env () in
     let ss, _, bs = follower env in
     let n = count_boundaries env (fun () -> Array.iter (fun s -> ignore (BK.apply_stream bs s)) fx.r_streams) in
-    Shard_store.close ss;
+    Chunk_store.close ss;
     n
   in
   sweep_cells ?progress ~boundaries ~seeds ~stride (replica_one_run ~fx)
@@ -1049,7 +904,7 @@ let sweep_replica_tamper ?(stride = 37) ?(mask = 0x10) ~trace () =
   let t = tally () in
   t.t_bytes <- Array.fold_left (fun a s -> a + String.length s) 0 fx.r_streams;
   for i = 0 to n - 1 do
-    let ss, _, bs = follower (make_env replica_config) in
+    let ss, _, bs = follower (make_env ()) in
     for j = 0 to i - 1 do
       ignore (BK.apply_stream bs fx.r_streams.(j))
     done;
@@ -1091,14 +946,14 @@ let sweep_replica_tamper ?(stride = 37) ?(mask = 0x10) ~trace () =
       | () -> if not (replica_at fx ss bs n) then mark_silent 999_998
       | exception _ -> mark_silent 999_999
     end;
-    Shard_store.close ss
+    Chunk_store.close ss
   done;
   tamper_report t
 
 (* ------------------------------------------------------------------ *)
 (* Every sweep, and the JSON summary *)
 
-let sweeps ?progress ?shards ~trace ~seeds ~stride ~tamper_stride ~mask () =
+let sweeps ?progress ~trace ~seeds ~stride ~tamper_stride ~mask () =
   let crash f () = Crash (f ?progress ~trace ~seeds ~stride ()) in
   [
     ("crash", crash sweep_crashpoints);
@@ -1106,10 +961,8 @@ let sweeps ?progress ?shards ~trace ~seeds ~stride ~tamper_stride ~mask () =
     ("commit_flush", crash sweep_commit_flush);
     ("clean", crash sweep_clean);
     ("replica", crash sweep_replica);
-    ("shard_2pc", crash (sweep_shard_2pc ?shards));
     ("tamper", fun () -> Tamper (sweep_tamper ~stride:tamper_stride ~mask ~trace ()));
     ("replica_tamper", fun () -> Tamper (sweep_replica_tamper ~mask ~trace ()));
-    ("shard_tamper", fun () -> Tamper (sweep_shard_tamper ~stride:tamper_stride ~mask ?shards ~trace ()));
   ]
 
 let json_escape s =

@@ -1,9 +1,9 @@
 (** Crashpoint sweep harness: replay a deterministic chunk workload
-    through a {!Tdb_chunk.Shard_store} router of width [n] (1 unless a
-    sweep says otherwise), crash it at every write/sync boundary of its
-    database and one-way-counter stores under seeded subsets of surviving
-    unsynced writes, reopen, and check invariant oracles against a shadow
-    model — plus bit-flip tamper sweeps over committed images. Every crash
+    through a {!Tdb_chunk.Chunk_store}, crash it at every write/sync
+    boundary of its database and one-way-counter stores under seeded
+    subsets of surviving unsynced writes, reopen, and check invariant
+    oracles against a shadow model — plus bit-flip tamper sweeps over
+    committed images. Every crash
     sweep is the same harness with a different workload phase; see
     DESIGN.md, "Crash model", for the phases and the admissibility rule
     the oracles enforce. *)
@@ -58,7 +58,7 @@ val sweep_group_commit :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report
 (** Same sweep, but phase A replays the object store's group-commit
     schedule: batches of nondurable session commits made durable by a
-    staged barrier ({!Tdb_chunk.Shard_store.barrier_begin} /
+    staged barrier ({!Tdb_chunk.Chunk_store.barrier_begin} /
     [barrier_sync] / [barrier_finish]), led in a seeded half of the
     rounds by a commit whose own batch the barrier carries, with further
     commits landing inside the barrier's sync window — so every boundary
@@ -79,7 +79,7 @@ val sweep_commit_flush :
 val sweep_clean :
   ?progress:(int -> int -> unit) -> trace:trace_cfg -> seeds:int -> stride:int -> unit -> crash_report
 (** Same sweep, but phase A churns a Zipf-style hot head over a settled
-    population and drives an explicit {!Tdb_chunk.Shard_store.clean} pass
+    population and drives an explicit {!Tdb_chunk.Chunk_store.clean} pass
     every third transaction, so live survivors are re-appended at the
     tail on every pass. With stride 1 this crashes at every I/O boundary
     of a cleaning pass — mid-relocation, between a survivor's re-append
@@ -100,27 +100,6 @@ val sweep_replica :
     agreeing — and the remaining streams must then re-apply to
     convergence with the primary. *)
 
-val sweep_shard_2pc :
-  ?progress:(int -> int -> unit) ->
-  ?shards:int ->
-  trace:trace_cfg ->
-  seeds:int ->
-  stride:int ->
-  unit ->
-  crash_report
-(** Cross-shard 2PC sweep: the router runs at width [shards] (default:
-    [max 2 TDB_SHARDS]) — [shards] database stores and [shards] counter
-    stores instrumented by one shared fault plan — and most transactions
-    transfer value between two shards with a durable commit, driving the
-    cross-shard two-phase path. With stride 1 the sweep crashes at every
-    store boundary between prepare and commit: inside a participant's
-    durable prepare, during the coordinator's decision write, between
-    apply commits, and in cleanup. After recovery all shards must agree
-    on each transaction's outcome — the recovered global state must sit
-    at one admissible commit boundary (a batch half-applied on one shard
-    matches none and is reported), with no false tampering and no
-    per-shard counter rollback. *)
-
 val sweep_tamper : ?stride:int -> ?mask:int -> trace:trace_cfg -> unit -> tamper_report
 (** Build a committed image from the trace, then XOR [mask] into every
     [stride]-th byte (one at a time): each flip must be detected
@@ -136,20 +115,8 @@ val sweep_replica_tamper : ?stride:int -> ?mask:int -> trace:trace_cfg -> unit -
     after which the genuine sequence must still apply to convergence —
     never silently wrong data. *)
 
-val sweep_shard_tamper :
-  ?stride:int -> ?mask:int -> ?shards:int -> trace:trace_cfg -> unit -> tamper_report
-(** Tamper companion for the shard sweep, in two parts: bit-flips over
-    each shard's cleanly-closed image (covering the decision-table chunk,
-    its chain MAC and the width metadata at rest), then bit-flips over
-    images crashed mid-2PC with every write retained — live staged
-    prepares and decision entries. A flip must be detected or leave
-    recovery at an admissible commit boundary (commit or presumed abort
-    for a transaction that never returned); steering recovery to any
-    other state is silent tampering and must never happen. *)
-
 val sweeps :
   ?progress:(int -> int -> unit) ->
-  ?shards:int ->
   trace:trace_cfg ->
   seeds:int ->
   stride:int ->
@@ -158,10 +125,9 @@ val sweeps :
   unit ->
   (string * (unit -> report)) list
 (** Every sweep the [tdb_crashfuzz] CLI runs, keyed by its JSON name, in
-    summary order: the six crash sweeps ([stride], [seeds]), then
-    {!sweep_tamper} and {!sweep_shard_tamper} at [tamper_stride] and
-    {!sweep_replica_tamper} at its default stride, all with [mask].
-    [shards] is the 2PC sweeps' width. *)
+    summary order: the five crash sweeps ([stride], [seeds]), then
+    {!sweep_tamper} at [tamper_stride] and {!sweep_replica_tamper} at its
+    default stride, both with [mask]. *)
 
 val json_summary : trace:trace_cfg -> (string * report) list -> string
 (** Machine-readable summary for the [tdb_crashfuzz] CLI: one key per

@@ -39,7 +39,7 @@ let default_config = { lock_timeout = 1.0; locking = true; cache_budget = 4 * 10
 let catalog_cid = 1 (* reserved chunk id holding the named-roots catalog *)
 
 type t = {
-  cs : Shard_store.t;
+  cs : Chunk_store.t;
   cfg : config;
   mu : Mutex.t;
   quiet : Condition.t; (* signalled when a barrier stops syncing *)
@@ -68,7 +68,6 @@ type txn = {
   mutable inserted : oid list;
   mutable removed : oid list;
   mutable root_updates : (string * oid option) list;
-  mutable alloc_shard : int option; (* shard affinity for this txn's inserts *)
 }
 
 (** A smart pointer: valid only while its transaction is active (paper
@@ -124,8 +123,8 @@ let decode_roots (s : string) : (string * oid) list =
 
 (* --- store lifecycle --- *)
 
-let of_shard_store ?(config = default_config) (cs : Shard_store.t) : t =
-  let roots = match Shard_store.read cs catalog_cid with s -> decode_roots s | exception Types.Not_written _ -> [] in
+let of_shard_store ?(config = default_config) (cs : Chunk_store.t) : t =
+  let roots = match Chunk_store.read cs catalog_cid with s -> decode_roots s | exception Types.Not_written _ -> [] in
   {
     cs;
     cfg = config;
@@ -143,7 +142,6 @@ let of_shard_store ?(config = default_config) (cs : Shard_store.t) : t =
     next_txn_id = 1;
   }
 
-let of_chunk_store ?config (cs : Chunk_store.t) : t = of_shard_store ?config (Shard_store.wrap cs)
 let chunk_store t = t.cs
 let held_count t = with_mu t (fun () -> Lock_manager.held_count t.locks)
 
@@ -152,7 +150,7 @@ let held_count t = with_mu t (fun () -> Lock_manager.held_count t.locks)
     this: snapshot creation, archive emission and chain-state commits must
     not interleave with a transaction's own commit. [f] must not call back
     into this object store (the mutex is not reentrant). *)
-let with_store t (f : Shard_store.t -> 'a) : 'a = with_quiet t (fun () -> f t.cs)
+let with_store t (f : Chunk_store.t -> 'a) : 'a = with_quiet t (fun () -> f t.cs)
 
 (** Replication ingest hook: run [f] (which may rewrite the store
     arbitrarily, e.g. {!Tdb_backup.Backup_store.apply_stream}) only when
@@ -161,20 +159,20 @@ let with_store t (f : Shard_store.t -> 'a) : 'a = with_quiet t (fun () -> f t.cs
     Returns [None] without running [f] if any lock is held (the caller
     retries on its next tick); 2PL plus this quiesce check is what keeps
     follower reads serializable across ingested snapshots. *)
-let ingest t (f : Shard_store.t -> 'a) : 'a option =
+let ingest t (f : Chunk_store.t -> 'a) : 'a option =
   with_quiet t (fun () ->
       if Lock_manager.held_count t.locks > 0 then None
       else begin
         let r = f t.cs in
         Lru.drop_all t.cache;
         t.roots <-
-          (match Shard_store.read t.cs catalog_cid with
+          (match Chunk_store.read t.cs catalog_cid with
           | s -> decode_roots s
           | exception Types.Not_written _ -> []);
         Some r
       end)
-let close t = with_quiet t (fun () -> Shard_store.close t.cs)
-let checkpoint t = with_quiet t (fun () -> Shard_store.checkpoint t.cs)
+let close t = with_quiet t (fun () -> Chunk_store.close t.cs)
+let checkpoint t = with_quiet t (fun () -> Chunk_store.checkpoint t.cs)
 let cache_stats t = Lru.stats t.cache
 
 let metrics t : Metrics.t =
@@ -192,15 +190,10 @@ let metrics t : Metrics.t =
         ])
 
 let chunk_cache_stats t =
-  let st = Shard_store.stats t.cs in
+  let st = Chunk_store.stats t.cs in
   (st.Chunk_store.cache_hits, st.Chunk_store.cache_misses, st.Chunk_store.cache_evictions)
 
-let set_chunk_cache_budget t b =
-  with_mu t (fun () ->
-      let n = Shard_store.shards t.cs in
-      for s = 0 to n - 1 do
-        Chunk_store.set_cache_budget (Shard_store.shard_store t.cs s) (b / n)
-      done)
+let set_chunk_cache_budget t b = with_mu t (fun () -> Chunk_store.set_cache_budget t.cs b)
 
 (** Committed value of a named root. *)
 let get_root t (name : string) : oid option = with_mu t (fun () -> List.assoc_opt name t.roots)
@@ -220,23 +213,9 @@ let begin_ (t : t) : txn =
         inserted = [];
         removed = [];
         root_updates = [];
-        alloc_shard = None;
       })
 
 let check_active (x : txn) = if not (is_active x.state) then raise Stale_ref
-
-(** Pin this transaction's inserts to one shard (collections use this so
-    an object lands with its collection's other rows; [None] restores the
-    router's round-robin default). A no-op at one shard. *)
-let set_alloc_shard (x : txn) (s : int option) : unit =
-  with_mu x.store (fun () ->
-      check_active x;
-      x.alloc_shard <- s)
-
-let alloc_shard (x : txn) : int option =
-  with_mu x.store (fun () ->
-      check_active x;
-      x.alloc_shard)
 
 let lock x ~oid ~mode =
   if x.store.cfg.locking then
@@ -253,7 +232,7 @@ let load t (oid : oid) : Obj_class.packed_value Lru.entry =
   match Lru.find t.cache oid with
   | Some e -> e
   | None -> (
-      match Shard_store.read t.cs oid with
+      match Chunk_store.read t.cs oid with
       | bytes -> Lru.put t.cache oid (Obj_class.unpickle_value bytes) ~size:(String.length bytes)
       | exception Types.Not_written _ -> raise (Unknown_object oid) )
 
@@ -263,7 +242,7 @@ let load t (oid : oid) : Obj_class.packed_value Lru.entry =
 let insert (x : txn) (cls : 'a Obj_class.t) (v : 'a) : oid =
   with_mu x.store (fun () ->
       check_active x;
-      let oid = Shard_store.allocate ?shard:x.alloc_shard x.store.cs in
+      let oid = Chunk_store.allocate x.store.cs in
       lock x ~oid ~mode:Lock_manager.Exclusive;
       let e = Lru.put x.store.cache oid (Obj_class.Value (cls, v)) ~size:0 in
       pin_entry x oid e;
@@ -344,12 +323,6 @@ let finish (x : txn) (st : txn_state) =
   Lock_manager.release_all x.store.locks ~txn:x.txn_id;
   x.state <- st
 
-(* The commit touches several shards: a two-phase commit, always durable. *)
-let spans_shards (x : txn) : bool =
-  let oids = if x.root_updates <> [] then catalog_cid :: x.removed else x.removed in
-  let oids = Hashtbl.fold (fun oid _ acc -> oid :: acc) x.writes oids in
-  match List.sort_uniq Int.compare (List.map (Shard_store.shard_of x.store.cs) oids) with _ :: _ :: _ -> true | _ -> false
-
 (* --- group commit ---
 
    A durable point costs a log force plus a one-way-counter bump (paper
@@ -372,13 +345,13 @@ let run_barrier t tok =
   let claim = t.next_ticket in
   t.syncing <- true;
   Mutex.unlock t.mu;
-  let failed = match Shard_store.barrier_sync t.cs tok with () -> None | exception exn -> Some exn in
+  let failed = match Chunk_store.barrier_sync t.cs tok with () -> None | exception exn -> Some exn in
   Mutex.lock t.mu;
   t.syncing <- false;
   Condition.broadcast t.quiet;
   match failed with
   | None ->
-      Shard_store.barrier_finish t.cs tok;
+      Chunk_store.barrier_finish t.cs tok;
       t.covered <- claim;
       t.barriers <- t.barriers + 1
   | Some exn ->
@@ -390,41 +363,38 @@ let run_barrier t tok =
 let rec await_covered t upto =
   if t.covered < upto then begin
     check_poison t;
-    if t.syncing then Condition.wait t.quiet t.mu else run_barrier t (Shard_store.barrier_begin t.cs);
+    if t.syncing then Condition.wait t.quiet t.mu else run_barrier t (Chunk_store.barrier_begin t.cs);
     await_covered t upto
   end
 
 (* What a commit does once it has landed: nothing more, wait for a
    barrier to cover the tickets issued so far, or lead the barrier that
    carries its batch. *)
-type landing = Done | Wait | Lead of Shard_store.barrier_token
+type landing = Done | Wait | Lead of Chunk_store.barrier_token
 
 (** Commit: pickle the write set, push everything into one atomic chunk
     batch (objects, removals, catalog), and commit it — durably by default
-    (paper Figure 3: commit(bool durable)). A single-shard durable commit
-    leads a barrier that carries its batch, or, while one syncs, lands
-    nondurably and waits for the next; either way its locks are released
-    once it has landed. A commit spanning shards waits for the gate before
-    its writes enter the shared chunk batch: waiting releases [mu]. *)
+    (paper Figure 3: commit(bool durable)). A durable commit leads a
+    barrier that carries its batch, or, while one syncs, lands nondurably
+    and waits for the next; either way its locks are released once it has
+    landed. *)
 let commit ?(durable = true) (x : txn) : unit =
   with_mu x.store (fun () ->
       let t = x.store in
-      let cross = spans_shards x in
-      if cross then await_quiet t;
       check_active x;
       let landing =
         try
-          if durable || cross then check_poison t;
+          if durable then check_poison t;
           Hashtbl.iter
             (fun oid e ->
               let (Obj_class.Value (cls, v)) = Lru.value e in
               let bytes = Obj_class.pickle_value cls v in
-              Shard_store.write t.cs oid bytes;
+              Chunk_store.write t.cs oid bytes;
               Lru.update_size t.cache e ~size:(String.length bytes))
             x.writes;
           List.iter
             (fun oid ->
-              Shard_store.deallocate t.cs oid;
+              Chunk_store.deallocate t.cs oid;
               Lru.remove t.cache oid)
             x.removed;
           if x.root_updates <> [] then begin
@@ -435,32 +405,31 @@ let commit ?(durable = true) (x : txn) : unit =
                   match v with Some oid -> (name, oid) :: acc | None -> acc)
                 t.roots (List.rev x.root_updates)
             in
-            Shard_store.write t.cs catalog_cid (encode_roots roots);
+            Chunk_store.write t.cs catalog_cid (encode_roots roots);
             t.roots <- roots
           end;
-          if cross || not durable then begin
-            Shard_store.commit ~durable t.cs;
+          if not durable then begin
+            Chunk_store.commit ~durable t.cs;
             Done
           end
-          else if Int.equal (Shard_store.batch_size t.cs) 0 then Wait (* for earlier tickets only *)
+          else if Int.equal (Chunk_store.batch_size t.cs) 0 then Wait (* for earlier tickets only *)
           else if t.syncing then begin
-            Shard_store.commit ~durable:false t.cs;
+            Chunk_store.commit ~durable:false t.cs;
             t.next_ticket <- t.next_ticket + 1;
             t.coalesced <- t.coalesced + 1;
             Wait
           end
           else begin
-            (* other shards need promoting only for outstanding tickets *)
-            let tok = Shard_store.barrier_begin ~promote:(t.covered < t.next_ticket) t.cs in
+            let tok = Chunk_store.barrier_begin t.cs in
             t.next_ticket <- t.next_ticket + 1;
             Lead tok
           end
         with exn ->
-          Shard_store.abort_batch t.cs;
+          Chunk_store.abort_batch t.cs;
           finish x Aborted;
           (* failed commit behaves like abort: evict dirty objects *)
           Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
-          List.iter (fun oid -> try Shard_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
+          List.iter (fun oid -> try Chunk_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
           raise exn
       in
       finish x Committed;
@@ -480,12 +449,12 @@ let abort (x : txn) : unit =
       let t = x.store in
       finish x Aborted;
       Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
-      List.iter (fun oid -> try Shard_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
-      Shard_store.abort_batch t.cs)
+      List.iter (fun oid -> try Chunk_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
+      Chunk_store.abort_batch t.cs)
 
 (** Durable barrier without a transaction: promote every committed
     nondurable transaction to durable with one sync + one counter bump
-    (see {!Shard_store.durable_barrier}), or wait for a barrier that
+    (see {!Chunk_store.durable_barrier}), or wait for a barrier that
     begins after this call — the same routine as a durable commit with
     an empty batch that takes a ticket. *)
 let durable_barrier (t : t) : unit =

@@ -33,17 +33,13 @@ val default_config : config
 
 type t
 
-val of_shard_store : ?config:config -> Tdb_chunk.Shard_store.t -> t
-(** An object store over a shard router — the general constructor. Object
-    ids are the router's global chunk ids; the named-roots catalog lives
-    on shard 0. *)
+val of_shard_store : ?config:config -> Tdb_chunk.Chunk_store.t -> t
+(** An object store over a chunk store: object ids are its chunk ids,
+    and the named-roots catalog lives in reserved chunk 1. The name
+    predates the removal of the shard router and is kept for the
+    perfbench harness. *)
 
-val of_chunk_store : ?config:config -> Tdb_chunk.Chunk_store.t -> t
-(** Convenience: wrap a single chunk store in a 1-shard router
-    ({!Tdb_chunk.Shard_store.wrap}: byte-compatible with the unsharded
-    format). *)
-
-val chunk_store : t -> Tdb_chunk.Shard_store.t
+val chunk_store : t -> Tdb_chunk.Chunk_store.t
 val close : t -> unit
 val checkpoint : t -> unit
 
@@ -54,9 +50,8 @@ val metrics : t -> Tdb_chunk.Metrics.t
 (** The object store's own metrics: the object cache's
     [object_cache.{hits,misses,evictions,resident,bytes}], and group
     commit's [group_commit.barriers] (barriers that landed) and
-    [group_commit.coalesced] (the single-shard durable commits with
-    writes that they covered). The store's metrics are
-    {!Tdb_chunk.Shard_store.metrics}. *)
+    [group_commit.coalesced] (the durable commits with writes that they
+    covered). The store's metrics are {!Tdb_chunk.Chunk_store.metrics}. *)
 
 val chunk_cache_stats : t -> int * int * int
 (** Same counters for the verified-chunk cache one level down — the
@@ -71,13 +66,13 @@ val held_count : t -> int
     transaction is active (observable lock hygiene, e.g. after a network
     session dies). *)
 
-val with_store : t -> (Tdb_chunk.Shard_store.t -> 'a) -> 'a
+val with_store : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a
 (** Run [f] on the underlying chunk store under the store's state mutex,
     serialized against every transaction — the backup/publish path (snapshot
     creation, archive emission, chain-state commits). [f] must not call
     back into this object store. *)
 
-val ingest : t -> (Tdb_chunk.Shard_store.t -> 'a) -> 'a option
+val ingest : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a option
 (** Replication ingest hook: run [f] (which may rewrite the store
     arbitrarily, e.g. an applied backup stream) only when no transaction
     holds a lock, then drop the object cache and reload the named-roots
@@ -105,16 +100,6 @@ val deref : ('a, 'mode) ref_ -> 'a
 
 val insert : txn -> 'a Obj_class.t -> 'a -> oid
 (** Insert a new object (exclusively locked, pinned dirty until commit). *)
-
-val set_alloc_shard : txn -> int option -> unit
-(** Pin this transaction's inserts to one shard of the underlying
-    {!Tdb_chunk.Shard_store} ([None] restores the router's round-robin
-    default). Collections use this so a row lands with its collection's
-    other rows; a no-op over a 1-shard router. *)
-
-val alloc_shard : txn -> int option
-(** The transaction's current allocation affinity (see
-    {!set_alloc_shard}). *)
 
 val open_readonly : txn -> 'a Obj_class.t -> oid -> ('a, readonly) ref_
 (** Shared lock; class-checked.
@@ -145,22 +130,20 @@ val commit : ?durable:bool -> txn -> unit
 (** Pickle the write set and commit everything as one atomic chunk batch;
     durable by default. Releases locks and invalidates the txn's refs.
 
-    Durable single-shard commits coalesce (group commit). With no barrier
-    syncing, the commit leads one that carries its batch under the
-    durable record and, while other durable commits wait, promotes every
-    other promotable shard; the log force and counter bump run outside
-    the state mutex. While a barrier syncs, the commit lands nondurably
+    Durable commits coalesce (group commit). With no barrier syncing, the
+    commit leads one that carries its batch under the durable record, and
+    with it every nondurable commit before it; the log force and counter
+    bump run outside the state mutex. While a barrier syncs, the commit lands nondurably
     and waits until a barrier covers it, leading the next one itself if
     none has begun. Either way the locks are released once the commit
     has landed. A durable commit with an empty batch waits only for
     durable commits already landed, the syncing leader's included, and
-    runs no barrier when none is waiting. A commit spanning shards
-    (always durable) first waits out a syncing barrier.
+    runs no barrier when none is waiting.
 
     Once a barrier's sync has raised, the store is poisoned: that
     exception reaches the barrier's leader and waiters, and every later
-    durable commit, commit spanning shards or {!durable_barrier} raises
-    it too (the commits it covered stay landed, nondurably). *)
+    durable commit or {!durable_barrier} raises it too (the commits it
+    covered stay landed, nondurably). *)
 
 val abort : txn -> unit
 (** Discard the write set; objects opened for writing are evicted from the
@@ -172,10 +155,9 @@ val with_txn : ?durable:bool -> t -> (txn -> 'a) -> 'a
 val durable_barrier : t -> unit
 (** Promote every committed nondurable transaction to durable with one
     log force and one one-way-counter bump (see
-    {!Tdb_chunk.Shard_store.durable_barrier}): the same routine as a
+    {!Tdb_chunk.Chunk_store.durable_barrier}): the same routine as a
     durable commit, with an empty batch. The sync and the bump run outside
-    the state mutex; meanwhile nondurable single-shard commits and reads
-    proceed, durable single-shard commits land and wait for the next
-    barrier, while cross-shard commits, {!checkpoint}, {!close},
-    {!with_store} and {!ingest} wait. Once a barrier's sync has raised,
+    the state mutex; meanwhile nondurable commits and reads proceed,
+    durable commits land and wait for the next barrier, while
+    {!checkpoint}, {!close}, {!with_store} and {!ingest} wait. Once a barrier's sync has raised,
     every call raises that exception. *)

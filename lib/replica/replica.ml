@@ -30,12 +30,9 @@
 
 module B = Tdb_backup.Backup_store
 
-type config = {
-  poll : float;  (** reconnect/backoff delay, seconds *)
-  keep_archive : bool;  (** store verified frames in the follower's own archive *)
-}
+type config = { poll : float  (** reconnect/backoff delay, seconds *) }
 
-let default_config = { poll = 0.2; keep_archive = true }
+let default_config = { poll = 0.2 }
 
 type status = {
   applied_id : int;  (** last backup id applied (0 = none yet) *)
@@ -93,8 +90,9 @@ let apply_frame (t : t) (stream : string) : unit =
           Thread.delay 0.002;
           go ()
       | Some h ->
-          if t.cfg.keep_archive then
-            Tdb_platform.Archival_store.put (B.archive t.bs) ~name:(B.stream_name h) stream;
+          (* keep the verified frame: point-in-time restore from the
+             follower needs its own archive *)
+          Tdb_platform.Archival_store.put (B.archive t.bs) ~name:(B.stream_name h) stream;
           t.reject_streak <- 0;
           update t (fun st ->
               {

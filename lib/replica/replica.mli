@@ -18,15 +18,11 @@
     ({!Tdb_objstore.Object_store.ingest}), so sessions stay serializable
     across snapshot switches. *)
 
-type config = {
-  poll : float;  (** reconnect/backoff delay, seconds *)
-  keep_archive : bool;
-      (** keep verified frames in the follower's own archive, preserving
-          point-in-time restore from the follower *)
-}
+type config = { poll : float  (** reconnect/backoff delay, seconds *) }
 
 val default_config : config
-(** 200 ms poll, archive kept. *)
+(** 200 ms poll. Every verified frame is also kept in the follower's own
+    archive, preserving point-in-time restore from the follower. *)
 
 type status = {
   applied_id : int;  (** last backup id applied (0 = none yet) *)

@@ -18,7 +18,6 @@ exception Unexpected_response of string
 type t = {
   fd : Unix.file_descr;
   mu : Mutex.t;
-  max_frame : int;
   mutable closed : bool;
 }
 
@@ -29,7 +28,7 @@ let rpc (c : t) (req : Proto.request) : Proto.response =
     (fun () ->
       if c.closed then raise (Unexpected_response "connection closed");
       Proto.write_frame c.fd (Proto.encode_request req);
-      match Proto.decode_response (Proto.read_frame ~max_frame:c.max_frame c.fd) with
+      match Proto.decode_response (Proto.read_frame c.fd) with
       | Proto.Error_ { tag; msg } -> raise (Server_error { tag; msg })
       | resp -> resp)
 
@@ -38,7 +37,7 @@ let expect_unit = function Proto.Ok_unit -> () | _ -> unexpected "Ok_unit"
 let expect_oid = function Proto.Ok_oid oid -> oid | _ -> unexpected "Ok_oid"
 let expect_data = function Proto.Ok_data d -> d | _ -> unexpected "Ok_data"
 
-let connect ?(max_frame = Proto.default_max_frame) (addr : Server.addr) : t =
+let connect (addr : Server.addr) : t =
   let fd =
     match addr with
     | Server.Unix_path path ->
@@ -50,7 +49,7 @@ let connect ?(max_frame = Proto.default_max_frame) (addr : Server.addr) : t =
         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
         fd
   in
-  let c = { fd; mu = Mutex.create (); max_frame; closed = false } in
+  let c = { fd; mu = Mutex.create (); closed = false } in
   match rpc c (Proto.Hello { r_magic = Proto.magic; r_version = Proto.version }) with
   | Proto.Hello_ok _ -> c
   | _ ->

@@ -14,8 +14,9 @@ exception Unexpected_response of string
 
 type t
 
-val connect : ?max_frame:int -> Server.addr -> t
-(** Connect and perform the version handshake.
+val connect : Server.addr -> t
+(** Connect and perform the version handshake. Response frames are
+    bounded by {!Proto.default_max_frame}.
     @raise Server_error on a version refusal. *)
 
 val close : t -> unit
@@ -86,7 +87,7 @@ val coll_size : t -> coll:string -> int
 val metrics : t -> Tdb_chunk.Metrics.t
 (** The server's [server.*] metrics, the object store's [object_cache.*]
     and [group_commit.*] ({!Tdb_objstore.Object_store.metrics}), then the
-    store's ({!Tdb_chunk.Shard_store.metrics}). *)
+    store's ({!Tdb_chunk.Chunk_store.metrics}). *)
 
 (** {1 Archive} — remote access to the server's backup archive. *)
 

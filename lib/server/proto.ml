@@ -343,9 +343,9 @@ let read_exact fd n ~at_start =
   go 0;
   b
 
-let read_frame ?(max_frame = default_max_frame) (fd : Unix.file_descr) : string =
+let read_frame (fd : Unix.file_descr) : string =
   let hdr = read_exact fd 4 ~at_start:true in
   let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if len < 0 || len > max_frame then
-    raise (Proto_error (Printf.sprintf "frame length %d exceeds limit %d" len max_frame));
+  if len < 0 || len > default_max_frame then
+    raise (Proto_error (Printf.sprintf "frame length %d exceeds limit %d" len default_max_frame));
   Bytes.to_string (read_exact fd len ~at_start:false)

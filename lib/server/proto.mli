@@ -81,7 +81,7 @@ val decode_response : string -> response
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one length-prefixed frame (handles short writes). *)
 
-val read_frame : ?max_frame:int -> Unix.file_descr -> string
-(** Read one frame.
+val read_frame : Unix.file_descr -> string
+(** Read one frame of at most {!default_max_frame} bytes.
     @raise End_of_file on a clean disconnect (EOF on a frame boundary).
     @raise Proto_error on a torn frame or an oversized length prefix. *)

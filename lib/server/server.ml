@@ -36,21 +36,16 @@ type addr = Unix_path of string | Tcp of string * int
 
 type config = {
   idle_timeout : float;  (** seconds of silence before a session is dropped; 0 = never *)
-  max_frame : int;
   read_only : bool;
       (** replication-follower mode: mutating requests and durable commits
           are refused with a typed ["read_only"] error; sessions read at
           the follower's restored snapshot *)
-  publish_poll : float;  (** publisher idle poll interval, seconds *)
 }
 
-let default_config =
-  {
-    idle_timeout = 0.;
-    max_frame = Proto.default_max_frame;
-    read_only = false;
-    publish_poll = 0.05;
-  }
+let default_config = { idle_timeout = 0.; read_only = false }
+
+(* Publisher idle poll interval, seconds. *)
+let publish_poll = 0.05
 
 (* ------------------------------------------------------------------ *)
 (* Exposure registries                                                 *)
@@ -298,7 +293,7 @@ let maybe_emit_incremental (t : t) : unit =
   | None -> ()
   | Some bs ->
       let interval =
-        (Tdb_chunk.Shard_store.config (Object_store.chunk_store t.os)).Tdb_chunk.Config
+        (Tdb_chunk.Chunk_store.config (Object_store.chunk_store t.os)).Tdb_chunk.Config
         .replica_interval_commits
       in
       if interval > 0 then begin
@@ -470,7 +465,7 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
   | Proto.Metrics ->
       let store =
         Object_store.with_store t.os (fun cs ->
-            Tdb_chunk.Shard_store.metrics cs
+            Tdb_chunk.Chunk_store.metrics cs
             @ match t.backups with Some bs -> Tdb_backup.Backup_store.metrics bs | None -> [])
       in
       let objects = Object_store.metrics t.os in
@@ -639,8 +634,8 @@ let publish_loop (t : t) (s : session) (bs : Tdb_backup.Backup_store.t) ~(sub_la
             Proto.Rep_heartbeat
               {
                 h_last_id = st.last_id;
-                h_seq = Tdb_chunk.Shard_store.commit_seq cs;
-                h_counter = Tdb_chunk.Shard_store.counter_value cs;
+                h_seq = Tdb_chunk.Chunk_store.commit_seq cs;
+                h_counter = Tdb_chunk.Chunk_store.counter_value cs;
               }
           in
           (to_send, hb))
@@ -651,7 +646,7 @@ let publish_loop (t : t) (s : session) (bs : Tdb_backup.Backup_store.t) ~(sub_la
         cursor := max !cursor id)
       frames;
     Proto.write_frame s.s_fd (Proto.encode_response hb);
-    match frames with [] -> Thread.delay t.cfg.publish_poll | _ :: _ -> ()
+    match frames with [] -> Thread.delay publish_poll | _ :: _ -> ()
   done
 
 (* ------------------------------------------------------------------ *)
@@ -670,7 +665,7 @@ let session_loop (t : t) (s : session) : unit =
   if t.cfg.idle_timeout > 0. then
     Unix.setsockopt_float s.s_fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
   let rec loop () =
-    let req = Proto.decode_request (Proto.read_frame ~max_frame:t.cfg.max_frame s.s_fd) in
+    let req = Proto.decode_request (Proto.read_frame s.s_fd) in
     match (req, t.backups) with
     | Proto.Subscribe { r_last_id; r_chain }, Some bs ->
         (* mode switch: this connection is now a publish feed and never

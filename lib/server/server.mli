@@ -21,18 +21,17 @@ type addr =
 
 type config = {
   idle_timeout : float;  (** seconds of silence before a session is dropped; 0 = never *)
-  max_frame : int;
   read_only : bool;
       (** replication-follower mode: writes and durable commits are
           refused with a typed ["read_only"] error; reads serve the
           follower's restored snapshot (nondurable commit stays allowed so
           read sessions end cleanly) *)
-  publish_poll : float;  (** publisher idle poll interval, seconds *)
 }
 
 val default_config : config
-(** No idle timeout, {!Proto.default_max_frame},
-    writable, 50 ms publish poll. *)
+(** No idle timeout, writable. Incoming frames are bounded by
+    {!Proto.default_max_frame}; an idle publish feed polls its archive
+    every 50 ms. *)
 
 type t
 

@@ -96,10 +96,9 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
   let config =
     { Config.default with Config.security; max_utilization = 0.75;
       checkpoint_every = 100_000; checkpoint_residual_bytes = max (384 * 1024) (4 * s.cache_bytes);
-      chunk_cache_bytes = s.cache_bytes; cipher = Config.Triple_xtea; hash = Config.Sha1;
-      shards = 1 }
+      chunk_cache_bytes = s.cache_bytes; cipher = Config.Triple_xtea; hash = Config.Sha1 }
   in
-  let cs = Shard_store.create ~config ~secret ~counters:[| counter |] [| store |] in
+  let cs = Chunk_store.create ~config ~secret ~counter store in
   (* Bulk-load the meter population (nondurable batches, like the TPC-B
      load), then checkpoint into a settled state. *)
   let cids = Array.make s.meters 0 in
@@ -107,14 +106,14 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
   while !loaded < s.meters do
     let upto = min s.meters (!loaded + 2_000) in
     for id = !loaded to upto - 1 do
-      let cid = Shard_store.allocate cs in
+      let cid = Chunk_store.allocate cs in
       cids.(id) <- cid;
-      Shard_store.write cs cid (meter_payload ~id ~count:0)
+      Chunk_store.write cs cid (meter_payload ~id ~count:0)
     done;
-    Shard_store.commit ~durable:false cs;
+    Chunk_store.commit ~durable:false cs;
     loaded := upto
   done;
-  Shard_store.checkpoint cs;
+  Chunk_store.checkpoint cs;
   (* Hot ranks must not map to adjacent meter ids: a deterministic shuffle
      scatters the Zipf head across the load-order segments, the realistic
      hard case for the cleaner. *)
@@ -129,7 +128,7 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
   let z = zipf ~alpha s.meters in
   let counts = Array.make s.meters 0 in
   (* baseline after load: write amplification measures the update phase *)
-  let st0 = Shard_store.stats cs in
+  let st0 = Chunk_store.stats cs in
   let data0 = st0.Chunk_store.bytes_data and rel0 = st0.Chunk_store.bytes_relocated in
   let io0 = clock.Sim_disk.elapsed in
   let t0 = Unix.gettimeofday () in
@@ -141,18 +140,18 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
       (* read-modify-write, like a real meter bump: the read is what makes
          the chunk-cache budget (DB many times larger) visible in the hit
          rate — hot meters hit, the cold tail misses *)
-      ignore (Shard_store.read cs cids.(id));
+      ignore (Chunk_store.read cs cids.(id));
       counts.(id) <- counts.(id) + 1;
-      Shard_store.write cs cids.(id) (meter_payload ~id ~count:counts.(id))
+      Chunk_store.write cs cids.(id) (meter_payload ~id ~count:counts.(id))
     done;
     incr batch_no;
     (* mostly-nondurable metering bursts with a periodic durable point *)
-    Shard_store.commit ~durable:(!batch_no mod 16 = 0) cs;
+    Chunk_store.commit ~durable:(!batch_no mod 16 = 0) cs;
     done_ := upto
   done;
-  Shard_store.checkpoint cs;
+  Chunk_store.checkpoint cs;
   let cpu_s = Unix.gettimeofday () -. t0 in
-  let st = Shard_store.stats cs in
+  let st = Chunk_store.stats cs in
   let relocated = st.Chunk_store.bytes_relocated - rel0 in
   (* [bytes_data] counts cleaner relocations too (they ride the same
      append path), so committed fresh bytes are the difference *)
@@ -169,8 +168,8 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
     m_segments_cleaned = st.Chunk_store.segments_cleaned;
     m_chunks_relocated = st.Chunk_store.chunks_relocated;
     m_live_segments = st.Chunk_store.live_segments;
-    m_db_size = Shard_store.store_size cs;
-    m_live_bytes = Shard_store.live_bytes cs;
+    m_db_size = Chunk_store.store_size cs;
+    m_live_bytes = Chunk_store.live_bytes cs;
     m_cache_hit_rate =
       (if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses));
     m_cpu_s = cpu_s;

@@ -106,7 +106,7 @@ let setup_server ~security ~sync_ms ~counter_ms ~lock_timeout (scale : Workload.
   let config = { Config.default with Config.security; checkpoint_every = 1_000_000 } in
   let cs = Chunk_store.create ~config ~secret ~counter store in
   let os =
-    Object_store.of_chunk_store
+    Object_store.of_shard_store
       ~config:
         { Object_store.cache_budget = scale.Workload.cache_bytes; locking = true; lock_timeout }
       cs

@@ -18,8 +18,6 @@ type result = {
   alloc_words_per_txn : float; (* GC words allocated per measured txn *)
   cache_hits : int; (* TDB only: verified-chunk cache *)
   cache_misses : int;
-  shards : int; (* chunk-store shard width (1 = unsharded) *)
-  cross_txn_fraction : float; (* fraction of commits that spanned >1 shard *)
 }
 
 let hit_rate (r : result) : float =
@@ -42,8 +40,7 @@ let mean (samples : float array) : float =
     [scale.measured]. [sim_time] reads the simulated-I/O clock; [bytes]
     reads cumulative bytes written; [writes] reads cumulative store write
     calls (same foreground-only accounting window). *)
-let drive ?idle_every ?(idle : (unit -> unit) option) ?(gen = Workload.gen_txn)
-    (scale : Workload.scale) ~(seed : string)
+let drive ?idle_every ?(idle : (unit -> unit) option) (scale : Workload.scale) ~(seed : string)
     ~(txn : Workload.txn_input -> unit) ~(sim_time : unit -> float) ~(bytes : unit -> int)
     ~(writes : unit -> int) :
     float array * float array * float array * float * float * float =
@@ -65,7 +62,7 @@ let drive ?idle_every ?(idle : (unit -> unit) option) ?(gen = Workload.gen_txn)
     (match (idle_every, idle) with
     | Some k, Some f when i > 0 && i mod k = 0 -> f ()
     | _ -> ());
-    let input = gen rng scale in
+    let input = Workload.gen_txn rng scale in
     let t0 = Unix.gettimeofday () and s0 = sim_time () and b0 = bytes () and w0 = writes () in
     let a0 = Gc.allocated_bytes () in
     txn input;
@@ -86,19 +83,16 @@ let drive ?idle_every ?(idle : (unit -> unit) option) ?(gen = Workload.gen_txn)
   let alloc_per_txn = !alloc /. float_of_int (Sys.word_size / 8) /. float_of_int measured in
   (total, cpu, io, bytes_per_txn, writes_per_txn, alloc_per_txn)
 
-let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every ?(shards = 1)
-    ?(affine = false) (scale : Workload.scale) : result =
-  let t = Tdb_driver.setup ~security ~max_utilization ?model ~shards scale in
-  let gen = if affine then Workload.gen_txn_affine else Workload.gen_txn in
+let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every (scale : Workload.scale) : result =
+  let t = Tdb_driver.setup ~security ~max_utilization ?model scale in
   let total, cpu, io, bytes_per_txn, writes_per_txn, alloc_words_per_txn =
-    drive ?idle_every ~idle:(fun () -> Tdb_driver.idle_clean t) ~gen scale ~seed:"tpcb-run"
+    drive ?idle_every ~idle:(fun () -> Tdb_driver.idle_clean t) scale ~seed:"tpcb-run"
       ~txn:(fun input -> ignore (Tdb_driver.txn t input))
       ~sim_time:(fun () -> Tdb_driver.sim_time t)
       ~bytes:(fun () -> Tdb_driver.bytes_written t)
       ~writes:(fun () -> Tdb_driver.store_writes t)
   in
   let st = Tdb_driver.stats t in
-  let commits = Tdb_driver.txn_commits t in
   {
     label = (if security then "TDB-S" else "TDB");
     txns = Array.length total;
@@ -114,10 +108,6 @@ let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every ?(sha
     alloc_words_per_txn;
     cache_hits = st.Tdb_chunk.Chunk_store.cache_hits;
     cache_misses = st.Tdb_chunk.Chunk_store.cache_misses;
-    shards = Tdb_driver.shards t;
-    cross_txn_fraction =
-      (if commits = 0 then 0.0
-       else float_of_int (Tdb_driver.cross_commits t) /. float_of_int commits);
   }
 
 let run_bdb ?model (scale : Workload.scale) : result =
@@ -144,8 +134,6 @@ let run_bdb ?model (scale : Workload.scale) : result =
     alloc_words_per_txn;
     cache_hits = 0;
     cache_misses = 0;
-    shards = 1;
-    cross_txn_fraction = 0.0;
   }
 
 let pp_result ppf (r : result) =

@@ -18,10 +18,6 @@ type result = {
   alloc_words_per_txn : float;  (** GC words allocated per measured txn *)
   cache_hits : int;  (** TDB only: verified-chunk cache *)
   cache_misses : int;
-  shards : int;  (** chunk-store shard width (1 = unsharded) *)
-  cross_txn_fraction : float;
-      (** fraction of commits that spanned more than one shard (two-phase
-          commits); 0 when unsharded *)
 }
 
 val hit_rate : result -> float
@@ -31,13 +27,9 @@ val percentile : float array -> float -> float
 val mean : float array -> float
 
 val run_tdb :
-  ?security:bool -> ?max_utilization:float -> ?model:Sim_disk.model -> ?idle_every:int ->
-  ?shards:int -> ?affine:bool -> Workload.scale -> result
+  ?security:bool -> ?max_utilization:float -> ?model:Sim_disk.model -> ?idle_every:int -> Workload.scale -> result
 (** [idle_every] injects idle-period maintenance (uncharged cleaning) every
-    N transactions — the paper's DRM workload shape. [shards] (default 1)
-    runs the benchmark over a branch-partitioned sharded store; [affine]
-    switches the input generator to {!Workload.gen_txn_affine} (use it for shard
-    sweeps at {e every} width so cross-shard fractions are comparable). *)
+    N transactions — the paper's DRM workload shape. *)
 
 val run_bdb : ?model:Sim_disk.model -> Workload.scale -> result
 

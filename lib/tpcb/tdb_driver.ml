@@ -1,14 +1,6 @@
 (** TPC-B driver for TDB: the four tables are collection-store collections
     with a unique hash index on the 4-byte id (History uses a B-tree, whose
-    monotonically growing ids make inserts cheap rightmost appends).
-
-    With [shards > 1] the database is partitioned per branch (paper
-    Section 7's natural TPC-B partitioning): branch [b] lives on shard
-    [b mod shards] together with its tellers, its contiguous block of
-    accounts and its own history collection, so a home-branch transaction
-    commits entirely through one shard's log while a remote-account
-    transaction (15% under {!Workload.gen_txn_affine}) exercises the
-    cross-shard two-phase commit. *)
+    monotonically growing ids make inserts cheap rightmost appends). *)
 
 open Tdb_platform
 open Tdb_chunk
@@ -17,15 +9,14 @@ open Tdb_collection
 
 type t = {
   os : Object_store.t;
-  cs : Shard_store.t;
-  stores : Untrusted_store.t array; (* unwrapped, for byte stats *)
+  cs : Chunk_store.t;
+  store : Untrusted_store.t; (* unwrapped, for byte stats *)
   clock : Sim_disk.clock;
   scale : Workload.scale;
-  nshards : int;
   accounts : Workload.record Cstore.collection;
   tellers : Workload.record Cstore.collection;
   branches : Workload.record Cstore.collection;
-  history : Workload.history Cstore.collection array; (* one per shard *)
+  history : Workload.history Cstore.collection;
   mutable next_history : int;
 }
 
@@ -39,22 +30,14 @@ let hid_ix () : (Workload.history, int) Indexer.t =
   Indexer.make ~name:"id" ~key:Gkey.int ~extract:(fun (h : Workload.history) -> h.Workload.h_id) ~unique:false
     ~impl:Indexer.List ()
 
-(* Branch-block row placement: branch [b] and everything belonging to it
-   live on shard [b mod n]. *)
-let shard_of_branch n b = b mod n
-
-let history_name n s = if n <= 1 then "history" else Printf.sprintf "history.%d" s
-
 (** Build and populate a TPC-B database in an in-memory untrusted store
     whose I/O is charged to [clock] (see {!Sim_disk}). *)
 let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_platform)
-    ?(shards = 1) (scale : Workload.scale) : t =
+    (scale : Workload.scale) : t =
   let clock = Sim_disk.clock () in
-  let raw_stores = Array.init shards (fun _ -> snd (Untrusted_store.open_mem ())) in
-  let stores = Array.map (Sim_disk.wrap_store model clock) raw_stores in
-  let counters =
-    Array.init shards (fun _ -> Sim_disk.wrap_counter model clock (snd (One_way_counter.open_mem ())))
-  in
+  let raw_store = snd (Untrusted_store.open_mem ()) in
+  let store = Sim_disk.wrap_store model clock raw_store in
+  let counter = Sim_disk.wrap_counter model clock (snd (One_way_counter.open_mem ())) in
   let secret = Secret_store.of_seed "tpcb-device" in
   (* Benchmark configuration parity with the paper (Section 7.3): SHA-1
      hashing and a three-pass 64-bit-block cipher standing in for 3DES
@@ -75,52 +58,41 @@ let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_p
          second level under LRU inclusion would duplicate the first and
          capture nothing; total memory stays at BDB parity. *)
       chunk_cache_bytes = scale.Workload.cache_bytes * 3 / 4;
-      cipher = Config.Triple_xtea; hash = Config.Sha1; shards }
+      cipher = Config.Triple_xtea; hash = Config.Sha1 }
   in
-  let cs = Shard_store.create ~config ~secret ~counters stores in
+  let cs = Chunk_store.create ~config ~secret ~counter store in
   let os =
     Object_store.of_shard_store
       ~config:{ Object_store.default_config with Object_store.cache_budget = scale.Workload.cache_bytes / 4; locking = false }
       cs
   in
-  (* create collections; each history collection is pinned to its shard *)
   let handles =
     Cstore.with_ctxn ~durable:false os (fun ct ->
         let accounts = Cstore.create_collection ct ~name:"account" ~schema:Workload.account_cls (id_ix ()) in
         let tellers = Cstore.create_collection ct ~name:"teller" ~schema:Workload.teller_cls (id_ix ()) in
         let branches = Cstore.create_collection ct ~name:"branch" ~schema:Workload.branch_cls (id_ix ()) in
-        let history =
-          Array.init shards (fun s ->
-              Cstore.create_collection ~shard:s ct ~name:(history_name shards s)
-                ~schema:Workload.history_cls (hid_ix ()))
-        in
+        let history = Cstore.create_collection ct ~name:"history" ~schema:Workload.history_cls (hid_ix ()) in
         (accounts, tellers, branches, history))
   in
   let accounts, tellers, branches, history = handles in
-  (* bulk load in batches to bound transaction size; [place] routes each
-     row to its home branch's shard *)
-  let load coll n place =
+  (* bulk load in batches to bound transaction size *)
+  let load coll n =
     let batch = 2_000 in
     let loaded = ref 0 in
     while !loaded < n do
       let upto = min n (!loaded + batch) in
       Cstore.with_ctxn ~durable:false os (fun ct ->
           for id = !loaded to upto - 1 do
-            if shards > 1 then Object_store.set_alloc_shard (Cstore.txn ct) (Some (place id));
             ignore (Cstore.insert ct coll (Workload.make_record ~id ~balance:0))
           done);
       loaded := upto
     done
   in
-  let shard_of_account id = shard_of_branch shards (Workload.branch_of_account scale id) in
-  let tpb = Workload.tellers_per_branch scale in
-  load accounts scale.Workload.accounts shard_of_account;
-  load tellers scale.Workload.tellers (fun id ->
-      shard_of_branch shards (min (scale.Workload.branches - 1) (id / tpb)));
-  load branches scale.Workload.branches (shard_of_branch shards);
-  Shard_store.checkpoint cs;
-  { os; cs; stores = raw_stores; clock; scale; nshards = shards; accounts; tellers; branches; history;
-    next_history = 0 }
+  load accounts scale.Workload.accounts;
+  load tellers scale.Workload.tellers;
+  load branches scale.Workload.branches;
+  Chunk_store.checkpoint cs;
+  { os; cs; store = raw_store; clock; scale; accounts; tellers; branches; history; next_history = 0 }
 
 let update_balance ct coll id delta =
   let it = Cstore.exact ct coll (id_ix ()) id in
@@ -136,35 +108,25 @@ let update_balance ct coll id delta =
   balance
 
 (** One TPC-B transaction (durable commit). Returns the account balance, as
-    the benchmark requires the read value. The history record goes to the
-    teller's home shard; a remote account makes the commit span two shards
-    and take the cross-shard two-phase path. *)
+    the benchmark requires the read value. *)
 let txn (t : t) (input : Workload.txn_input) : int =
-  let home = shard_of_branch t.nshards input.Workload.branch in
   Cstore.with_ctxn ~durable:true t.os (fun ct ->
-      if t.nshards > 1 then Object_store.set_alloc_shard (Cstore.txn ct) (Some home);
       let balance = update_balance ct t.accounts input.Workload.account input.Workload.delta in
       ignore (update_balance ct t.tellers input.Workload.teller input.Workload.delta);
       ignore (update_balance ct t.branches input.Workload.branch input.Workload.delta);
       let h = Workload.make_history ~h_id:t.next_history ~input in
-      ignore (Cstore.insert ct t.history.(home) h);
+      ignore (Cstore.insert ct t.history h);
       t.next_history <- t.next_history + 1;
       balance)
 
 (** Idle-period maintenance (the paper defers cleaning to idle time). A
     bounded pass per idle window keeps each pause short, like a real
     device's background task. *)
-let idle_clean (t : t) : unit = Shard_store.clean ~max_segments:16 t.cs
+let idle_clean (t : t) : unit = Chunk_store.clean ~max_segments:16 t.cs
 
-let sum_stats (t : t) (f : Untrusted_store.stats -> int) : int =
-  Array.fold_left (fun acc s -> acc + f (Untrusted_store.stats s)) 0 t.stores
-
-let bytes_written (t : t) : int = sum_stats t (fun s -> s.Untrusted_store.bytes_written)
-let store_writes (t : t) : int = sum_stats t (fun s -> s.Untrusted_store.writes)
-let db_size (t : t) : int = Shard_store.store_size t.cs
-let live_bytes (t : t) : int = Shard_store.live_bytes t.cs
+let bytes_written (t : t) : int = (Untrusted_store.stats t.store).Untrusted_store.bytes_written
+let store_writes (t : t) : int = (Untrusted_store.stats t.store).Untrusted_store.writes
+let db_size (t : t) : int = Chunk_store.store_size t.cs
+let live_bytes (t : t) : int = Chunk_store.live_bytes t.cs
 let sim_time (t : t) : float = t.clock.Sim_disk.elapsed
-let stats (t : t) = Shard_store.stats t.cs
-let shards (t : t) : int = t.nshards
-let txn_commits (t : t) : int = Shard_store.txn_commits t.cs
-let cross_commits (t : t) : int = Shard_store.cross_commits t.cs
+let stats (t : t) = Chunk_store.stats t.cs

@@ -43,36 +43,6 @@ let gen_txn (rng : Tdb_crypto.Drbg.t) (s : scale) : txn_input =
     delta = Tdb_crypto.Drbg.int rng 1_999_999 - 999_999;
   }
 
-(* --- branch-affine inputs (TPC-B clause 5.3.5 shape) --- *)
-
-let tellers_per_branch (s : scale) = max 1 (s.tellers / s.branches)
-let accounts_per_branch (s : scale) = max 1 (s.accounts / s.branches)
-
-(** Home branch of an account id under the contiguous-block layout
-    [gen_txn_affine] draws from. *)
-let branch_of_account (s : scale) (account : int) : int =
-  min (s.branches - 1) (account / accounts_per_branch s)
-
-(** TPC-B's branch-affine input distribution (clause 5.3.5): the teller is
-    uniform and fixes the branch; the account is drawn from the teller's
-    home branch 85% of the time and uniformly from the {e other} branches
-    the remaining 15%. Branches own contiguous id blocks
-    ([accounts / branches] accounts each). Under a sharded store, remote
-    accounts are what make a transaction span two shards. *)
-let gen_txn_affine (rng : Tdb_crypto.Drbg.t) (s : scale) : txn_input =
-  let tpb = tellers_per_branch s and apb = accounts_per_branch s in
-  let branch = Tdb_crypto.Drbg.int rng s.branches in
-  let teller = min (s.tellers - 1) ((branch * tpb) + Tdb_crypto.Drbg.int rng tpb) in
-  let account_branch =
-    if s.branches > 1 && Tdb_crypto.Drbg.int rng 100 < 15 then begin
-      let ob = Tdb_crypto.Drbg.int rng (s.branches - 1) in
-      if ob >= branch then ob + 1 else ob
-    end
-    else branch
-  in
-  let account = min (s.accounts - 1) ((account_branch * apb) + Tdb_crypto.Drbg.int rng apb) in
-  { account; teller; branch; delta = Tdb_crypto.Drbg.int rng 1_999_999 - 999_999 }
-
 (* ------------------------------------------------------------------ *)
 (* Records: 100 bytes, 4-byte ids                                      *)
 (* ------------------------------------------------------------------ *)

@@ -24,18 +24,6 @@ type txn_input = { account : int; teller : int; branch : int; delta : int }
 val gen_txn : Tdb_crypto.Drbg.t -> scale -> txn_input
 (** Uniform inputs (account, teller and branch drawn independently). *)
 
-val gen_txn_affine : Tdb_crypto.Drbg.t -> scale -> txn_input
-(** TPC-B's branch-affine inputs (clause 5.3.5): uniform teller fixes the
-    branch; the account comes from that branch 85% of the time, uniformly
-    from the others otherwise. Branches own contiguous account/teller id
-    blocks — see {!branch_of_account}. *)
-
-val branch_of_account : scale -> int -> int
-(** Home branch of an account id under [gen_txn_affine]'s layout. *)
-
-val tellers_per_branch : scale -> int
-val accounts_per_branch : scale -> int
-
 (** {1 Records} *)
 
 val record_size : int

@@ -35,7 +35,7 @@ let dump cs ids = List.filter_map (fun cid -> match Chunk_store.read cs cid with
 let test_full_roundtrip () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let ids = List.init 20 (fun i ->
       let cid = Chunk_store.allocate cs in
       Chunk_store.write cs cid (Printf.sprintf "record-%d" i);
@@ -45,13 +45,13 @@ let test_full_roundtrip () =
   let id = Backup_store.backup_full bs in
   Alcotest.(check int) "first backup id" 1 id;
   let target = fresh_target env in
-  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap target) ());
+  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target ());
   Alcotest.(check (list (pair int string))) "restored contents" (dump cs ids) (dump target ids)
 
 let test_incremental_roundtrip () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs and b = Chunk_store.allocate cs and c = Chunk_store.allocate cs in
   Chunk_store.write cs a "a1"; Chunk_store.write cs b "b1"; Chunk_store.write cs c "c1";
   Chunk_store.commit cs;
@@ -65,7 +65,7 @@ let test_incremental_roundtrip () =
   Chunk_store.commit cs;
   ignore (Backup_store.backup_incremental bs);
   let target = fresh_target env in
-  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap target) ());
+  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target ());
   Alcotest.(check (list (pair int string))) "final state" (dump cs [ a; b; c; d ]) (dump target [ a; b; c; d ]);
   Alcotest.(check bool) "c removed" true
     (match Chunk_store.read target c with exception Types.Not_written _ -> true | _ -> false)
@@ -73,7 +73,7 @@ let test_incremental_roundtrip () =
 let test_incremental_without_base_is_full () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   Chunk_store.write cs a "x";
   Chunk_store.commit cs;
@@ -85,7 +85,7 @@ let test_incremental_without_base_is_full () =
 let test_restore_upto () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   Chunk_store.write cs a "v1";
   Chunk_store.commit cs;
@@ -97,16 +97,16 @@ let test_restore_upto () =
   Chunk_store.commit cs;
   ignore (Backup_store.backup_incremental bs);
   let t1 = fresh_target env in
-  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~upto:2 ~into:(Shard_store.wrap t1) ());
+  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~upto:2 ~into:t1 ());
   Alcotest.(check string) "point-in-time" "v2" (Chunk_store.read t1 a);
   let t2 = fresh_target env in
-  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap t2) ());
+  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:t2 ());
   Alcotest.(check string) "latest" "v3" (Chunk_store.read t2 a)
 
 let test_missing_incremental_detected () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   Chunk_store.write cs a "v1"; Chunk_store.commit cs;
   ignore (Backup_store.backup_full bs);
@@ -119,14 +119,14 @@ let test_missing_incremental_detected () =
   Archival_store.delete env.archive ~name:(Printf.sprintf "tdb-%06d-incr" id2);
   let target = fresh_target env in
   Alcotest.(check bool) "gap detected" true
-    (match Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap target) () with
+    (match Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target () with
     | exception Backup_store.Invalid_backup _ -> true
     | _ -> false)
 
 let test_tampered_backup_rejected () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   Chunk_store.write cs a "premium-credits=100";
   Chunk_store.commit cs;
@@ -137,7 +137,7 @@ let test_tampered_backup_rejected () =
   Archival_store.Mem.corrupt env.arch_h ~name ~pos:(len / 2) ~mask:0x10;
   let target = fresh_target env in
   Alcotest.(check bool) "rejected" true
-    (match Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap target) () with
+    (match Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target () with
     | exception Backup_store.Invalid_backup _ -> true
     | _ -> false)
 
@@ -147,7 +147,7 @@ let test_tampered_backup_rejected () =
 let test_frame_ivs_distinct_across_attaches () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let attach () = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let attach () = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   Chunk_store.write cs a "a1";
   Chunk_store.commit cs;
@@ -169,7 +169,7 @@ let test_frame_ivs_distinct_across_attaches () =
 let test_backup_encrypted () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   let secret_data = "SECRET-LICENSE-KEY-42" in
   Chunk_store.write cs a secret_data;
@@ -187,7 +187,7 @@ let test_backup_encrypted () =
 let test_wrong_device_cannot_restore () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let a = Chunk_store.allocate cs in
   Chunk_store.write cs a "x";
   Chunk_store.commit cs;
@@ -197,14 +197,14 @@ let test_wrong_device_cannot_restore () =
   let _, ctr = One_way_counter.open_mem () in
   let target = Chunk_store.create ~config:cfg ~secret:other ~counter:ctr store in
   Alcotest.(check bool) "foreign secret fails" true
-    (match Backup_store.restore ~secret:other ~archive:env.archive ~into:(Shard_store.wrap target) () with
+    (match Backup_store.restore ~secret:other ~archive:env.archive ~into:target () with
     | exception Backup_store.Invalid_backup _ -> true
     | _ -> false)
 
 let test_restore_preserves_ids_across_reopen () =
   let env = fresh_env () in
   let cs = fresh_cs env in
-  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
   let ids = List.init 10 (fun i ->
       let cid = Chunk_store.allocate cs in
       Chunk_store.write cs cid (string_of_int i);
@@ -215,7 +215,7 @@ let test_restore_preserves_ids_across_reopen () =
   let _, store2 = Untrusted_store.open_mem () in
   let _, ctr2 = One_way_counter.open_mem () in
   let target = Chunk_store.create ~config:cfg ~secret:env.secret ~counter:ctr2 store2 in
-  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap target) ());
+  ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target ());
   (* new allocations in the restored database must not collide *)
   let fresh = Chunk_store.allocate target in
   Alcotest.(check bool) "no id collision" true (not (List.mem fresh ids));
@@ -227,7 +227,7 @@ let test_many_incrementals_qcheck =
     (fun epochs ->
       let env = fresh_env () in
       let cs = fresh_cs env in
-      let bs = Backup_store.create ~secret:env.secret ~archive:env.archive (Shard_store.wrap cs) in
+      let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
       let key_to_cid = Hashtbl.create 16 in
       List.iteri
         (fun i batch ->
@@ -247,10 +247,70 @@ let test_many_incrementals_qcheck =
           if i = 0 then ignore (Backup_store.backup_full bs) else ignore (Backup_store.backup_incremental bs))
         epochs;
       let target = fresh_target env in
-      ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:(Shard_store.wrap target) ());
+      ignore (Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target ());
       Hashtbl.fold
         (fun _ cid ok -> ok && Chunk_store.read cs cid = Chunk_store.read target cid)
         key_to_cid true)
+
+(* A database restored in place from its own archive carries the chain
+   state of the last backup applied, so its next backup extends the
+   archive (a full one, at the next id) instead of overwriting the
+   streams it was restored from. *)
+type note = { day : int }
+
+let note_cls : note Tdb.Obj_class.t =
+  Tdb.Obj_class.define ~name:"backup-test.note"
+    ~pickle:(fun w n -> Tdb.Pickle.int w n.day)
+    ~unpickle:(fun ~version:_ r -> { day = Tdb.Pickle.read_int r })
+    ()
+
+let by_day = Tdb.Indexer.make ~name:"day" ~key:Tdb.Gkey.int ~extract:(fun n -> n.day) ~unique:true ()
+
+let notes ct = Tdb.Cstore.open_collection ct ~name:"notes" ~schema:note_cls ~indexers:[ Tdb.Indexer.Generic by_day ]
+let add_note db day = Tdb.with_ctxn db (fun ct -> ignore (Tdb.Cstore.insert ct (notes ct) { day }))
+
+let days db =
+  Tdb.with_ctxn db (fun ct ->
+      let it = Tdb.Cstore.scan ct (notes ct) by_day in
+      let acc = ref [] in
+      while not (Tdb.Cstore.at_end it) do
+        acc := (Tdb.Cstore.read it).day :: !acc;
+        Tdb.Cstore.advance it
+      done;
+      Tdb.Cstore.close it;
+      List.rev !acc)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_restored_store_extends_archive () =
+  let dir = Filename.temp_dir "tdb-backup-test" "" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let db = Tdb.create (Tdb.Device.at_dir dir) in
+      Tdb.with_ctxn db (fun ct -> ignore (Tdb.Cstore.create_collection ct ~name:"notes" ~schema:note_cls by_day));
+      add_note db 1;
+      ignore (Tdb.backup_full db);
+      add_note db 2;
+      ignore (Tdb.backup_incremental db);
+      add_note db 3;
+      ignore (Tdb.backup_incremental db);
+      Tdb.close db;
+      let dev = Tdb.Device.at_dir dir in
+      let db = Tdb.restore ~from:dev dev in
+      add_note db 4;
+      let id = Tdb.backup_incremental db in
+      Tdb.close db;
+      Alcotest.(check int) "next backup extends the archive" 4 id;
+      let dev = Tdb.Device.at_dir dir in
+      let db = Tdb.restore ~upto:id ~from:dev dev in
+      Alcotest.(check (list int)) "restore at the newest id holds the new row" [ 1; 2; 3; 4 ] (days db);
+      Tdb.close db)
 
 let () =
   Alcotest.run "tdb_backup"
@@ -262,6 +322,7 @@ let () =
           Alcotest.test_case "incremental w/o base" `Quick test_incremental_without_base_is_full;
           Alcotest.test_case "point-in-time" `Quick test_restore_upto;
           Alcotest.test_case "ids preserved" `Quick test_restore_preserves_ids_across_reopen;
+          Alcotest.test_case "restored store extends its archive" `Quick test_restored_store_extends_archive;
         ] );
       ( "validation",
         [

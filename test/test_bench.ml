@@ -38,16 +38,6 @@ let test_explicit_tolerance () =
 
 let label l ops = row "label" (J.Str l) [ ("ops_per_s", ops); ("store_writes_per_txn", 1.0) ]
 
-let test_shards_axis () =
-  let base = file "tpcb" [ label "TDB-S" 100. ] in
-  let mk ?(writes = 1.0) s1 =
-    file "shards"
-      [ row "label" (J.Str "tdbs") [ ("ops_per_s", s1); ("store_writes_per_txn", writes) ]; label "tdbs/s2" 10. ]
-  in
-  Alcotest.(check bool) "shards=1 just inside, wide rows not gated" true (passes base (mk 85.01));
-  Alcotest.(check bool) "shards=1 ops just outside" false (passes base (mk 84.99));
-  Alcotest.(check bool) "shards=1 writes just outside" false (passes base (mk ~writes:1.1501 100.))
-
 let test_meter_scale_mismatch () =
   let mk name = file "meter" ~extra:[ ("scale", J.Obj [ ("name", J.Str name) ]) ] [ row "alpha" (J.Num (0.0, 1)) [ ("write_amp", 0.1) ] ] in
   Alcotest.(check bool) "same scale" true (passes (mk "default") (mk "default"));
@@ -59,7 +49,7 @@ let test_missing_label_skipped () =
   Alcotest.(check bool) "noted" true
     (List.exists (fun (v, msg) -> (match v with Guard.Note -> true | _ -> false) && String.equal msg "new: not in baseline, skipping") verdicts)
 
-let committed = [ "BENCH_TPCB.json"; "BENCH_SHARDS.json"; "BENCH_METER.json"; "BENCH_MICRO.json"; "BENCH_REPLICA.json" ]
+let committed = [ "BENCH_TPCB.json"; "BENCH_METER.json"; "BENCH_MICRO.json"; "BENCH_REPLICA.json" ]
 
 (* tests run from test/ under _build; dune exec runs from the repo root *)
 let path f = if Sys.file_exists f then f else Filename.concat ".." f
@@ -88,7 +78,6 @@ let () =
         [
           Alcotest.test_case "inside passes, outside fails" `Quick test_rules;
           Alcotest.test_case "explicit tolerance" `Quick test_explicit_tolerance;
-          Alcotest.test_case "shards=1 vs TDB-S" `Quick test_shards_axis;
           Alcotest.test_case "meter scale mismatch" `Quick test_meter_scale_mismatch;
           Alcotest.test_case "missing label skipped" `Quick test_missing_label_skipped;
         ] );

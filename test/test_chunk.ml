@@ -973,6 +973,68 @@ let test_checkpoint_promotion_bumps_counter () =
   let cs2 = reopen env in
   Alcotest.(check string) "promoted state survives" "promoted by checkpoint" (Chunk_store.read cs2 a)
 
+(* A durable barrier runs only when it has something to promote: an idle
+   barrier after a durable commit, or one after a checkpoint already
+   promoted the nondurable commit, issues no sync and no counter bump. *)
+let test_idle_barrier_touches_nothing () =
+  let env = fresh_env () in
+  let cs = create env in
+  let a = Chunk_store.allocate cs in
+  Chunk_store.write cs a "seed";
+  Chunk_store.commit ~durable:true cs;
+  let barrier what ~runs =
+    let syncs () = (Untrusted_store.stats env.store).Untrusted_store.syncs in
+    let s0 = syncs () and c0 = One_way_counter.read env.ctr in
+    let d0 = (Chunk_store.stats cs).Chunk_store.durable_commits in
+    Chunk_store.durable_barrier cs;
+    let d1 = (Chunk_store.stats cs).Chunk_store.durable_commits in
+    Alcotest.(check bool) (what ^ ": barrier ran") runs (d1 > d0);
+    Alcotest.(check bool) (what ^ ": store synced") runs (syncs () > s0);
+    Alcotest.(check bool) (what ^ ": counter advanced") runs (Int64.compare (One_way_counter.read env.ctr) c0 > 0)
+  in
+  Chunk_store.write cs a "nondurable";
+  Chunk_store.commit ~durable:false cs;
+  barrier "after a nondurable commit" ~runs:true;
+  Chunk_store.write cs a "durable";
+  Chunk_store.commit ~durable:true cs;
+  barrier "idle after a durable commit" ~runs:false;
+  Chunk_store.write cs a "promoted";
+  Chunk_store.commit ~durable:false cs;
+  Chunk_store.checkpoint cs;
+  barrier "after a promoting checkpoint" ~runs:false;
+  (* the skipped barrier lost nothing: the checkpoint made it durable *)
+  Untrusted_store.Mem.crash_hard env.mem;
+  Alcotest.(check string) "promoted commit survives" "promoted" (Chunk_store.read (reopen env) a)
+
+(* Reserved chunk 2 held a shard router's decision table: a store written
+   as one shard of a wider database is refused, not half-served. *)
+let test_sharded_image_refused () =
+  let env = fresh_env () in
+  let cs = create env in
+  Chunk_store.write cs 2 "decision table";
+  Chunk_store.commit ~durable:true cs;
+  Chunk_store.close cs;
+  Alcotest.(check bool) "open refused" true
+    (match reopen env with _ -> false | exception Chunk_store.Recovery_failed _ -> true)
+
+(* [Shard_store] is a set of aliases over one chunk store: the image it
+   writes is a plain chunk store's, and it takes exactly one store. *)
+let test_shard_aliases () =
+  let env = fresh_env () in
+  let ss = Shard_store.create ~config:(cfg ()) ~secret:env.secret ~counters:[| env.ctr |] [| env.store |] in
+  let a = Chunk_store.allocate ss in
+  Chunk_store.write ss a "through the aliases";
+  Chunk_store.commit ss;
+  Shard_store.close ss;
+  Alcotest.(check string) "plain chunk store image" "through the aliases" (Chunk_store.read (reopen env) a);
+  let _, other = Untrusted_store.open_mem () and _, ctr2 = One_way_counter.open_mem () in
+  Alcotest.(check bool) "two stores refused" true
+    (match
+       Shard_store.create ~config:(cfg ()) ~secret:env.secret ~counters:[| env.ctr; ctr2 |] [| env.store; other |]
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let qcheck_commit_batches =
   (* arbitrary batches of writes applied atomically match a model *)
   QCheck.Test.make ~name:"random batched workload matches model" ~count:15
@@ -1057,7 +1119,11 @@ let test_deterministic_images () =
 let () =
   Alcotest.run "tdb_chunk"
     [
-      ("store", [ Alcotest.test_case "deterministic images" `Quick test_deterministic_images ]);
+      ( "store",
+        [
+          Alcotest.test_case "deterministic images" `Quick test_deterministic_images;
+          Alcotest.test_case "shard aliases take one store" `Quick test_shard_aliases;
+        ] );
       ( "api",
         [
           Alcotest.test_case "write/read" `Quick test_write_read;
@@ -1083,6 +1149,7 @@ let () =
           Alcotest.test_case "randomized crash storm" `Slow test_crash_recovery_randomized;
           Alcotest.test_case "missing anchor" `Quick test_open_missing_anchor_fails;
           Alcotest.test_case "layout mismatch" `Quick test_layout_mismatch_rejected;
+          Alcotest.test_case "sharded image refused" `Quick test_sharded_image_refused;
           Alcotest.test_case "IVs unique across reopen" `Quick test_iv_unique_across_reopen;
           Alcotest.test_case "IVs unique across crash" `Quick test_iv_unique_across_crash;
         ] );
@@ -1114,7 +1181,8 @@ let () =
           Alcotest.test_case "protected from cleaner" `Quick test_snapshot_protects_from_cleaner;
         ] );
       ("checkpoint", [ Alcotest.test_case "periodic" `Quick test_periodic_checkpoint;
-                       Alcotest.test_case "promotion bumps counter" `Quick test_checkpoint_promotion_bumps_counter ]);
+                       Alcotest.test_case "promotion bumps counter" `Quick test_checkpoint_promotion_bumps_counter;
+                       Alcotest.test_case "idle barrier touches nothing" `Quick test_idle_barrier_touches_nothing ]);
       ( "cache",
         [
           Alcotest.test_case "hits after commit" `Quick test_cache_hits_after_commit;

@@ -43,10 +43,10 @@ let fresh_env () =
   { mem; store; secret = Secret_store.of_seed "ctest"; ctr }
 
 let fresh env =
-  Object_store.of_chunk_store (Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
+  Object_store.of_shard_store (Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
 
 let reopen env =
-  Object_store.of_chunk_store (Chunk_store.open_existing ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
+  Object_store.of_shard_store (Chunk_store.open_existing ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
 
 let setup ?(n = 10) ?(id_impl = Indexer.Hash) () =
   let env = fresh_env () in

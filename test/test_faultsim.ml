@@ -165,7 +165,7 @@ let test_oversized_backup_restore () =
   let secret = Secret_store.of_seed "backup-oversize" in
   let _, archive = Archival_store.open_mem () in
   let src = Chunk_store.create ~config:big_cfg ~secret ~counter:src_ctr src_store in
-  let bs = Backup_store.create ~secret ~archive (Shard_store.wrap src) in
+  let bs = Backup_store.create ~secret ~archive src in
   let a = Chunk_store.allocate src in
   Chunk_store.write src a (String.make 3000 'b');
   Chunk_store.commit src;
@@ -174,7 +174,7 @@ let test_oversized_backup_restore () =
   let _, tgt_store = Untrusted_store.open_mem () in
   let _, tgt_ctr = One_way_counter.open_mem () in
   let tgt = Chunk_store.create ~config:cfg ~secret ~counter:tgt_ctr tgt_store in
-  (match Backup_store.restore ~secret ~archive ~into:(Shard_store.wrap tgt) () with
+  (match Backup_store.restore ~secret ~archive ~into:tgt () with
   | n -> Alcotest.failf "restore of an impossible record succeeded (%d)" n
   | exception Backup_store.Invalid_backup _ -> ());
   (* the aborted restore left the target clean... *)
@@ -193,32 +193,30 @@ let test_oversized_backup_restore () =
 
 (* Recovery starts from the anchored location map and replays the residual
    log, so every record either one reaches must outlive the next anchor.
-   The workload: [width] shards of 60 chunks each, and [txns] durable
-   transactions, each rewriting 1-4 chunks per shard (on average) with
-   fresh payloads, at crashfuzz's small-segment config with the chunk cache
-   off. After every commit [check] gets the database and counter stores. *)
+   The workload: 60 chunks and [txns] durable transactions, each
+   rewriting 1-4 chunks with fresh payloads, at crashfuzz's small-segment
+   config with the chunk cache off. After every commit [check] gets the
+   database and counter stores. *)
 let reopen_secret = Secret_store.of_seed "honest-reopen"
 
-let reopen_cfg ~width ~every =
-  { cfg with Config.shards = width; checkpoint_every = every; chunk_cache_bytes = 0 }
+let reopen_cfg ~every = { cfg with Config.checkpoint_every = every; chunk_cache_bytes = 0 }
 
-let drive_durable ~width ~every ~txns ~seed check =
-  let config = reopen_cfg ~width ~every in
-  let db = Array.init width (fun _ -> Untrusted_store.open_mem ()) in
-  let ctr = Array.init width (fun _ -> Untrusted_store.open_mem ()) in
-  let counters = Array.map (fun (_, s) -> One_way_counter.open_store s) ctr in
-  let ss = Shard_store.create ~config ~secret:reopen_secret ~counters (Array.map snd db) in
-  let rng = Random.State.make [| seed; width; every |] in
-  let ids = Array.init (60 * width) (fun i -> Shard_store.allocate ~shard:(i mod width) ss) in
-  Array.iter (fun cid -> Shard_store.write ss cid "initial") ids;
-  Shard_store.commit ~durable:true ss;
+let drive_durable ~every ~txns ~seed check =
+  let config = reopen_cfg ~every in
+  let db_h, db = Untrusted_store.open_mem () in
+  let ctr_h, ctr = Untrusted_store.open_mem () in
+  let cs = Chunk_store.create ~config ~secret:reopen_secret ~counter:(One_way_counter.open_store ctr) db in
+  let rng = Random.State.make [| seed; every |] in
+  let ids = Array.init 60 (fun _ -> Chunk_store.allocate cs) in
+  Array.iter (fun cid -> Chunk_store.write cs cid "initial") ids;
+  Chunk_store.commit ~durable:true cs;
   for txn = 1 to txns do
-    for _ = 1 to width * (1 + Random.State.int rng 4) do
+    for _ = 1 to 1 + Random.State.int rng 4 do
       let cid = ids.(Random.State.int rng (Array.length ids)) in
-      Shard_store.write ss cid (String.make (40 + Random.State.int rng 160) (Char.chr (97 + (txn mod 26))))
+      Chunk_store.write cs cid (String.make (40 + Random.State.int rng 160) (Char.chr (97 + (txn mod 26))))
     done;
-    Shard_store.commit ~durable:true ss;
-    check ~config txn (Array.map fst db) (Array.map fst ctr)
+    Chunk_store.commit ~durable:true cs;
+    check ~config txn db_h ctr_h
   done
 
 (* Crash images of the given stores: each store is cloned and the clone
@@ -229,78 +227,72 @@ let crash_images db ctr =
     Untrusted_store.Mem.crash_hard c;
     (c, s)
   in
-  (Array.map image db, Array.map image ctr)
+  (image db, image ctr)
 
 (* Open an image; [instrument] wraps its stores (for a fault plan). *)
-let open_image ?(instrument = Fun.id) ~config (db, ctr) =
-  let counters = Array.map (fun (_, s) -> One_way_counter.open_store (instrument s)) ctr in
-  Shard_store.open_existing ~config ~secret:reopen_secret ~counters (Array.map (fun (_, s) -> instrument s) db)
+let open_image ?(instrument = Fun.id) ~config ((_, db), (_, ctr)) =
+  let counter = One_way_counter.open_store (instrument ctr) in
+  Chunk_store.open_existing ~config ~secret:reopen_secret ~counter (instrument db)
 
 (* An honest crash must never read as tampering or a lost anchor. *)
 let honest f = match f () with _ -> true | exception (Types.Tamper_detected _ | Chunk_store.Recovery_failed _) -> false
 
-let reopen_grid = [ (1, 8); (1, 64); (4, 8); (4, 64) ]
+let reopen_grid = [ 8; 64 ]
 
 (* Commit path: after every durable commit, the synced image opens. *)
 let test_every_commit_reopens () =
   let failures = ref [] in
   List.iter
-    (fun (width, every) ->
-      drive_durable ~width ~every ~txns:200 ~seed:1 (fun ~config txn db ctr ->
+    (fun every ->
+      drive_durable ~every ~txns:200 ~seed:1 (fun ~config txn db ctr ->
           if not (honest (fun () -> open_image ~config (crash_images db ctr))) then
-            failures := (width, every, txn) :: !failures))
+            failures := (every, txn) :: !failures))
     reopen_grid;
   match List.rev !failures with
   | [] -> ()
-  | (w, e, txn) :: _ ->
-      Alcotest.failf "%d honest crash images refused to open; first: width %d, checkpoint_every %d, txn %d"
-        (List.length !failures) w e txn
+  | (e, txn) :: _ ->
+      Alcotest.failf "%d honest crash images refused to open; first: checkpoint_every %d, txn %d"
+        (List.length !failures) e txn
 
 (* Crash a fresh image's [open_existing] at boundary [k] (the operation
    there lost), then reopen it uninstrumented. *)
 let reopens_after_crash_in_open ~config plan db ctr k =
-  let ((cdb, cctr) as images) = crash_images db ctr in
+  let ((cdb, _), (cctr, _)) as images = crash_images db ctr in
   Fault_plan.arm plan ~at:k ~tear:Fault_plan.Skip;
   (match open_image ~instrument:(Fault_plan.instrument plan) ~config images with
   | _ -> Alcotest.failf "open did not reach boundary %d" k
   | exception Fault_plan.Crash_point -> ());
   Fault_plan.reset plan;
-  Array.iter (fun (c, _) -> Untrusted_store.Mem.crash_hard c) cdb;
-  Array.iter (fun (c, _) -> Untrusted_store.Mem.crash_hard c) cctr;
+  Untrusted_store.Mem.crash_hard cdb;
+  Untrusted_store.Mem.crash_hard cctr;
   honest (fun () -> open_image ~config images)
 
 (* Open path: after every durable commit, crash the image's
-   [open_existing] at each of its write/sync boundaries and reopen. Width
-   4 has about four times the boundaries at three times the cost each, so
-   it crashes at every 16th boundary, the offset rotating with the txn so
-   consecutive txns cover every boundary position. *)
+   [open_existing] at each of its write/sync boundaries and reopen. *)
 let test_crash_inside_open_reopens () =
   let failures = ref [] and opens = ref 0 in
   List.iter
-    (fun (width, every) ->
-      let stride = if Int.equal width 1 then 1 else 16 in
-      drive_durable ~width ~every ~txns:100 ~seed:2 (fun ~config txn db ctr ->
+    (fun every ->
+      drive_durable ~every ~txns:100 ~seed:2 (fun ~config txn db ctr ->
           let plan = Fault_plan.create () in
           Fault_plan.arm plan ~at:max_int ~tear:Fault_plan.Skip;
           if not (honest (fun () -> open_image ~instrument:(Fault_plan.instrument plan) ~config (crash_images db ctr)))
-          then failures := (width, every, txn, -1) :: !failures
+          then failures := (every, txn, -1) :: !failures
           else
             for k = 0 to Fault_plan.ops plan - 1 do
-              if Int.equal ((k + txn) mod stride) 0 then begin
-                incr opens;
-                if not (reopens_after_crash_in_open ~config plan db ctr k) then
-                  failures := (width, every, txn, k) :: !failures
-              end
+              incr opens;
+              if not (reopens_after_crash_in_open ~config plan db ctr k) then
+                failures := (every, txn, k) :: !failures
             done))
     reopen_grid;
   Alcotest.(check bool) "crashed inside open" true (!opens > 0);
   match List.rev !failures with
   | [] -> ()
-  | (w, e, txn, k) :: _ ->
+  | (e, txn, k) :: _ ->
       Alcotest.failf
-        "%d of %d reopens after a crash inside open failed; first: width %d, checkpoint_every %d, txn %d, boundary %d \
+        "%d of %d reopens after a crash inside open failed; first: checkpoint_every %d, txn %d, boundary %d \
          (-1: the image itself)"
-        (List.length !failures) !opens w e txn k
+        (List.length !failures) !opens e txn k
 
 (* --- bounded crashfuzz sweeps as regression smoke tests --- *)
 
@@ -334,11 +326,7 @@ let crash report = Crashfuzz.Crash report
      per-fragment crash boundaries;
    - clean: skewed churn with explicit cleaning passes;
    - replica-ingest: a follower crashed while applying archive streams,
-     plus its stream-tamper companion;
-   - cross-shard 2PC: transfers spanning two shards commit through the
-     cross-shard 2PC, crashed at every store boundary between prepare and
-     commit; after recovery every shard must agree on each transaction's
-     outcome (no partial application). *)
+     plus its stream-tamper companion. *)
 let sweeps =
   [
     ("bounded crashpoint sweep", fun () -> crash (Crashfuzz.sweep_crashpoints ~trace ~seeds:2 ~stride:17 ()));
@@ -348,8 +336,6 @@ let sweeps =
     ("bounded replica-ingest sweep", fun () -> crash (Crashfuzz.sweep_replica ~trace ~seeds:2 ~stride:17 ()));
     ( "bounded replica stream-tamper sweep",
       fun () -> Crashfuzz.Tamper (Crashfuzz.sweep_replica_tamper ~stride:29 ~trace ()) );
-    ( "bounded cross-shard 2PC sweep",
-      fun () -> crash (Crashfuzz.sweep_shard_2pc ~shards:2 ~trace ~seeds:2 ~stride:29 ()) );
   ]
 
 let test_tamper_smoke () =
@@ -357,11 +343,6 @@ let test_tamper_smoke () =
   Alcotest.(check int) "no silent corruption" 0 report.Crashfuzz.silent;
   Alcotest.(check bool) "flips in live data detected" true (report.Crashfuzz.detected > 0);
   Alcotest.(check bool) "flips in garbage harmless" true (report.Crashfuzz.harmless > 0)
-
-let test_shard_tamper_smoke () =
-  let report = Crashfuzz.sweep_shard_tamper ~stride:53 ~shards:2 ~trace () in
-  Alcotest.(check int) "no silent corruption" 0 report.Crashfuzz.silent;
-  Alcotest.(check bool) "flips in live data detected" true (report.Crashfuzz.detected > 0)
 
 let () =
   Alcotest.run "faultsim"
@@ -387,6 +368,5 @@ let () =
         List.map (fun (name, sweep) -> Alcotest.test_case name `Slow (test_sweep sweep)) sweeps
         @ [
             Alcotest.test_case "bounded tamper sweep" `Slow test_tamper_smoke;
-            Alcotest.test_case "bounded shard tamper sweep" `Slow test_shard_tamper_smoke;
           ] );
     ]

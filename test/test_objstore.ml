@@ -42,10 +42,10 @@ let fresh_env () =
   { mem; store; secret = Secret_store.of_seed "objstore"; ctr }
 
 let fresh ?(config = Object_store.default_config) env =
-  Object_store.of_chunk_store ~config (Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
+  Object_store.of_shard_store ~config (Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
 
 let reopen ?(config = Object_store.default_config) env =
-  Object_store.of_chunk_store ~config
+  Object_store.of_shard_store ~config
     (Chunk_store.open_existing ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
 
 (* --- basic typed storage --- *)
@@ -263,25 +263,24 @@ let test_concurrent_increments () =
    ever double-granted. Two modes:
    - [Barrier_thread]: nondurable transfers, while another thread runs
      durable barriers through the staged path;
-   - [Durable n]: durable transfers at width [n] with no barrier thread,
-     every sync delayed 1 ms, and another thread checkpointing and
-     cleaning every few ms. The durable commits coalesce — at width 1 a
-     barrier covers at least two of them on average, which fails if the
-     sync holds the state mutex — and a crash that loses every unsynced
-     write loses no transfer. *)
-type stress_mode = Barrier_thread | Durable of int
+   - [Durable]: durable transfers with no barrier thread, every sync
+     delayed 1 ms, and another thread checkpointing and cleaning every
+     few ms. The durable commits coalesce — a barrier covers at least two
+     of them on average, which fails if the sync holds the state mutex —
+     and a crash that loses every unsynced write loses no transfer. *)
+type stress_mode = Barrier_thread | Durable
 
 let transfer_stress mode =
-  let n, durable = match mode with Barrier_thread -> (1, false) | Durable n -> (n, true) in
-  let config = { cfg with Config.shards = n } and secret = Secret_store.of_seed "objstore-stress" in
-  let mems, raw = Array.split (Array.init n (fun _ -> Untrusted_store.open_mem ())) in
-  let ctrs = Array.init n (fun _ -> snd (One_way_counter.open_mem ())) in
+  let durable = match mode with Barrier_thread -> false | Durable -> true in
+  let config = cfg and secret = Secret_store.of_seed "objstore-stress" in
+  let mem, raw = Untrusted_store.open_mem () in
+  let ctr = snd (One_way_counter.open_mem ()) in
   let delay_sync = function
     | Untrusted_store.Op_sync -> if durable then Thread.delay 0.001
     | Untrusted_store.Op_write _ | Untrusted_store.Op_set_size _ -> ()
   in
   let cs =
-    Shard_store.create ~config ~secret ~counters:ctrs (Array.map (Untrusted_store.interpose ~before:delay_sync) raw)
+    Chunk_store.create ~config ~secret ~counter:ctr (Untrusted_store.interpose ~before:delay_sync raw)
   in
   let os = Object_store.of_shard_store ~config:{ Object_store.default_config with lock_timeout = 0.1 } cs in
   let n_accounts = 8 and nthreads = 4 and per_thread = 40 and initial = 1000 in
@@ -294,7 +293,7 @@ let transfer_stress mode =
     Object_store.commit x;
     oids
   in
-  let durable0 = (Shard_store.stats cs).Chunk_store.durable_commits in
+  let durable0 = (Chunk_store.stats cs).Chunk_store.durable_commits in
   let deltas = Array.init nthreads (fun _ -> Array.make n_accounts 0) in
   let stop = ref false in
   let background =
@@ -303,7 +302,7 @@ let transfer_stress mode =
         while not !stop do
           if durable then begin
             Object_store.checkpoint os;
-            Object_store.with_store os (fun cs -> Shard_store.clean cs)
+            Object_store.with_store os (fun cs -> Chunk_store.clean cs)
           end
           else Object_store.durable_barrier os;
           Thread.delay 0.002
@@ -346,7 +345,7 @@ let transfer_stress mode =
   List.iter Thread.join threads;
   stop := true;
   Thread.join background;
-  let barriers = (Shard_store.stats cs).Chunk_store.durable_commits - durable0 in
+  let barriers = (Chunk_store.stats cs).Chunk_store.durable_commits - durable0 in
   Alcotest.(check int) "all locks released" 0 (Object_store.held_count os);
   let expected =
     List.init n_accounts (fun i -> Array.fold_left (fun acc d -> acc + d.(i)) initial deltas)
@@ -363,29 +362,22 @@ let transfer_stress mode =
   Alcotest.(check int) "money conserved" (n_accounts * initial) (List.fold_left ( + ) 0 live);
   Alcotest.(check (list int)) "every transfer applied" expected live;
   if durable then begin
-    Array.iteri
-      (fun s ctr ->
-        Alcotest.(check int64)
-          (Printf.sprintf "shard %d counter matches its claim" s)
-          (Chunk_store.counter_value (Shard_store.shard_store cs s))
-          (One_way_counter.read ctr))
-      ctrs;
-    if Int.equal n 1 then
-      Alcotest.(check bool)
-        (Printf.sprintf "coalesced: %d barriers for %d durable commits" barriers (nthreads * per_thread))
-        true
-        (2 * barriers <= nthreads * per_thread);
+    Alcotest.(check int64) "counter matches its claim" (Chunk_store.counter_value cs) (One_way_counter.read ctr);
+    Alcotest.(check bool)
+      (Printf.sprintf "coalesced: %d barriers for %d durable commits" barriers (nthreads * per_thread))
+      true
+      (2 * barriers <= nthreads * per_thread);
     (* every transfer was durable: a crash losing every unsynced write
        keeps them all *)
-    Array.iter Untrusted_store.Mem.crash_hard mems
+    Untrusted_store.Mem.crash_hard mem
   end;
   (* in the barrier mode, the barriers promoted the nondurable transfers
      (those after the last barrier roll back, atomically) *)
-  let reopened = balances (Object_store.of_shard_store (Shard_store.open_existing ~config ~secret ~counters:ctrs raw)) in
+  let reopened = balances (Object_store.of_shard_store (Chunk_store.open_existing ~config ~secret ~counter:ctr raw)) in
   Alcotest.(check int) "conserved after reopen" (n_accounts * initial) (List.fold_left ( + ) 0 reopened);
   if durable then Alcotest.(check (list int)) "every transfer survives the crash" expected reopened
 
-let test_concurrent_transfer_stress () = List.iter transfer_stress [ Barrier_thread; Durable 1; Durable 4 ]
+let test_concurrent_transfer_stress () = List.iter transfer_stress [ Barrier_thread; Durable ]
 
 let test_deadlock_broken_by_timeout () =
   let config = { Object_store.default_config with Object_store.lock_timeout = 0.1 } in
@@ -509,30 +501,21 @@ let wait_for ?(secs = 5.0) cond =
   cond ()
 
 (* While one thread's barrier is parked in its sync, outside the state
-   mutex: a durable commit, a checkpoint and (at width 2) a nondurable
-   commit spanning both shards wait for it, and a nondurable single-shard
-   commit lands. Once released, every waiter finishes cleanly, each
-   shard's hardware counter equals what the shard claims, and the
-   database reopens with every commit. With [~leader:true] the parked
-   barrier is a durable commit carrying its own bump of [a], and a
-   durable read-only transaction that read that bump waits for it too. *)
-let check_barrier_window ?(leader = false) n =
+   mutex: a durable commit and a checkpoint wait for it, and a nondurable
+   commit lands. Once released, every waiter finishes cleanly, the
+   hardware counter equals what the store claims, and the database
+   reopens with every commit. With [~leader:true] the parked barrier is a
+   durable commit carrying its own bump of [a], and a durable read-only
+   transaction that read that bump waits for it too. *)
+let check_barrier_window ?(leader = false) () =
   let park = { pm = Mutex.create (); pc = Condition.create (); armed = false; parked = false; released = false } in
-  let raw = Array.init n (fun _ -> snd (Untrusted_store.open_mem ())) in
-  let ctrs = Array.init n (fun _ -> snd (One_way_counter.open_mem ())) in
-  let secret = Secret_store.of_seed "objstore-window" and config = { cfg with Config.shards = n } in
-  let cs =
-    Shard_store.create ~config ~secret ~counters:ctrs
-      (Array.map (Untrusted_store.interpose ~before:(park_hook park)) raw)
-  in
+  let raw = snd (Untrusted_store.open_mem ()) and ctr = snd (One_way_counter.open_mem ()) in
+  let secret = Secret_store.of_seed "objstore-window" and config = cfg in
+  let cs = Chunk_store.create ~config ~secret ~counter:ctr (Untrusted_store.interpose ~before:(park_hook park) raw) in
   let os = Object_store.of_shard_store ~config:{ Object_store.default_config with lock_timeout = 10.0 } cs in
-  (* a, b, c on shard 0; d on the last shard *)
   let x = Object_store.begin_ os in
-  let insert shard =
-    Object_store.set_alloc_shard x (Some shard);
-    Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "w" }
-  in
-  let a = insert 0 and b = insert 0 and c = insert 0 and d = insert (n - 1) in
+  let insert () = Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "w" } in
+  let a = insert () and b = insert () in
   Object_store.commit x;
   let bump ?durable oids () =
     Object_store.with_txn ?durable os (fun x ->
@@ -554,13 +537,11 @@ let check_barrier_window ?(leader = false) n =
   in
   let durable = spawn (bump [ b ]) in
   let checkpoint = spawn (fun () -> Object_store.checkpoint os) in
-  let cross = if n > 1 then [ spawn (bump ~durable:false [ c; d ]) ] else [] in
   let single = spawn (bump ~durable:false [ a ]) in
-  Alcotest.(check bool) "nondurable single-shard commit lands in the window" true (wait_for (fun () -> finished single));
+  Alcotest.(check bool) "nondurable commit lands in the window" true (wait_for (fun () -> finished single));
   Thread.delay 0.05;
   Alcotest.(check bool) "durable commit waits" false (finished durable);
   Alcotest.(check bool) "checkpoint waits" false (finished checkpoint);
-  List.iter (fun j -> Alcotest.(check bool) "cross-shard commit waits" false (finished j)) cross;
   List.iter (fun j -> Alcotest.(check bool) "read-only durable commit waits" false (finished j)) reader;
   Alcotest.(check bool) "barrier still parked" false (finished barrier);
   with_park park (fun () ->
@@ -568,28 +549,18 @@ let check_barrier_window ?(leader = false) n =
       Condition.broadcast park.pc);
   List.iter
     (fun (what, j) -> match join j with Ok () -> () | Error e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
-    ([ ("barrier", barrier); ("durable commit", durable); ("checkpoint", checkpoint); ("single-shard commit", single) ]
-    @ List.map (fun j -> ("cross-shard commit", j)) cross
+    ([ ("barrier", barrier); ("durable commit", durable); ("checkpoint", checkpoint); ("nondurable commit", single) ]
     @ List.map (fun j -> ("read-only durable commit", j)) reader);
-  Array.iteri
-    (fun s ctr ->
-      Alcotest.(check int64)
-        (Printf.sprintf "shard %d counter matches its claim" s)
-        (Chunk_store.counter_value (Shard_store.shard_store cs s))
-        (One_way_counter.read ctr))
-    ctrs;
+  Alcotest.(check int64) "counter matches its claim" (Chunk_store.counter_value cs) (One_way_counter.read ctr);
   Object_store.close os;
-  let os2 = Object_store.of_shard_store (Shard_store.open_existing ~config ~secret ~counters:ctrs raw) in
+  let os2 = Object_store.of_shard_store (Chunk_store.open_existing ~config ~secret ~counter:ctr raw) in
   let x2 = Object_store.begin_ os2 in
   let count oid = (Object_store.deref (Object_store.open_readonly x2 meter_cls oid)).view_count in
-  Alcotest.(check (list int)) "every commit survives reopen"
-    (if n > 1 then [ 2; 1; 1; 1 ] else [ 2; 1; 0; 0 ])
-    (List.map count [ a; b; c; d ]);
+  Alcotest.(check (list int)) "every commit survives reopen" [ 2; 1 ] (List.map count [ a; b ]);
   Object_store.abort x2
 
-let test_barrier_window_w1 () = check_barrier_window 1
-let test_barrier_window_w2 () = check_barrier_window 2
-let test_barrier_window_leader () = List.iter (check_barrier_window ~leader:true) [ 1; 2 ]
+let test_barrier_window_w1 () = check_barrier_window ()
+let test_barrier_window_leader () = check_barrier_window ~leader:true ()
 
 exception Sync_failed
 
@@ -608,11 +579,8 @@ let test_failed_sync_poisons () =
         if failing then raise Sync_failed
     | op -> park_hook park op
   in
-  let config = { cfg with Config.shards = 1 } and env = fresh_env () in
-  let cs =
-    Shard_store.create ~config ~secret:env.secret ~counters:[| env.ctr |]
-      [| Untrusted_store.interpose ~before:hook env.store |]
-  in
+  let env = fresh_env () in
+  let cs = Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr (Untrusted_store.interpose ~before:hook env.store) in
   let os = Object_store.of_shard_store ~config:{ Object_store.default_config with lock_timeout = 10.0 } cs in
   let b = Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "b" }) in
   let bump ?durable () =
@@ -663,24 +631,24 @@ let test_failed_sync_poisons () =
    counter increment behind the barrier's. *)
 let test_durable_commit_in_barrier_refused () =
   let env = fresh_env () in
-  let ss = Shard_store.create ~config:{ cfg with Config.shards = 1 } ~secret:env.secret ~counters:[| env.ctr |] [| env.store |] in
-  let cid = Shard_store.allocate ss in
-  Shard_store.write ss cid "v1";
-  Shard_store.commit ~durable:false ss;
-  let tok = Shard_store.barrier_begin ss in
-  Shard_store.write ss cid "v2";
+  let cs = Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr env.store in
+  let cid = Chunk_store.allocate cs in
+  Chunk_store.write cs cid "v1";
+  Chunk_store.commit ~durable:false cs;
+  let tok = Chunk_store.barrier_begin cs in
+  Chunk_store.write cs cid "v2";
   Alcotest.(check bool) "durable commit refused" true
-    (match Shard_store.commit ~durable:true ss with exception Invalid_argument _ -> true | () -> false);
-  Alcotest.(check string) "batch untouched" "v2" (Shard_store.read ss cid);
-  Shard_store.abort_batch ss;
-  Shard_store.barrier_sync ss tok;
-  Shard_store.barrier_finish ss tok;
-  Shard_store.write ss cid "v3";
-  Shard_store.commit ~durable:true ss;
-  Alcotest.(check int64) "counter matches its claim" (Shard_store.counter_value ss) (One_way_counter.read env.ctr);
-  Shard_store.close ss;
-  let ss2 = Shard_store.open_existing ~config:{ cfg with Config.shards = 1 } ~secret:env.secret ~counters:[| env.ctr |] [| env.store |] in
-  Alcotest.(check string) "reopens" "v3" (Shard_store.read ss2 cid)
+    (match Chunk_store.commit ~durable:true cs with exception Invalid_argument _ -> true | () -> false);
+  Alcotest.(check string) "batch untouched" "v2" (Chunk_store.read cs cid);
+  Chunk_store.abort_batch cs;
+  Chunk_store.barrier_sync cs tok;
+  Chunk_store.barrier_finish cs tok;
+  Chunk_store.write cs cid "v3";
+  Chunk_store.commit ~durable:true cs;
+  Alcotest.(check int64) "counter matches its claim" (Chunk_store.counter_value cs) (One_way_counter.read env.ctr);
+  Chunk_store.close cs;
+  let cs2 = Chunk_store.open_existing ~config:cfg ~secret:env.secret ~counter:env.ctr env.store in
+  Alcotest.(check string) "reopens" "v3" (Chunk_store.read cs2 cid)
 
 (* --- cache --- *)
 
@@ -919,7 +887,6 @@ let () =
           Alcotest.test_case "writer blocks reader" `Quick test_writer_blocks_reader;
           Alcotest.test_case "locking disabled" `Quick test_locking_disabled;
           Alcotest.test_case "barrier window, width 1" `Quick test_barrier_window_w1;
-          Alcotest.test_case "barrier window, width 2" `Quick test_barrier_window_w2;
           Alcotest.test_case "barrier window, leader's batch" `Quick test_barrier_window_leader;
           Alcotest.test_case "durable commit in a barrier refused" `Quick test_durable_commit_in_barrier_refused;
           Alcotest.test_case "failed sync poisons group commit" `Quick test_failed_sync_poisons;

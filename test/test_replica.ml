@@ -50,7 +50,6 @@ let make_device () =
       secret = Tdb.Secret_store.of_seed device_seed;
       counter;
       archive;
-      extra = [||];
     } )
 
 let expose srv =
@@ -88,7 +87,7 @@ let with_follower p f =
   let fo = start_follower () in
   let rep =
     R.start
-      ~config:{ R.default_config with R.poll = 0.02 }
+      ~config:{ R.poll = 0.02 }
       ~os:fo.fdb.Tdb.objects ~backups:fo.fdb.Tdb.backups ~from:p.paddr ()
   in
   Fun.protect
@@ -176,7 +175,7 @@ let test_stale_chain_and_reconnect () =
             (fun () ->
               let rep1 =
                 R.start
-                  ~config:{ R.default_config with R.poll = 0.02 }
+                  ~config:{ R.poll = 0.02 }
                   ~os:fo.fdb.Tdb.objects ~backups:fo.fdb.Tdb.backups ~from:p.paddr ()
               in
               Alcotest.(check bool) "first convergence" true (R.wait_converged ~timeout:30. rep1);
@@ -191,7 +190,7 @@ let test_stale_chain_and_reconnect () =
               bump cp 3 300;
               let rep2 =
                 R.start
-                  ~config:{ R.default_config with R.poll = 0.02 }
+                  ~config:{ R.poll = 0.02 }
                   ~os:fo.fdb.Tdb.objects ~backups:fo.fdb.Tdb.backups ~from:p.paddr ()
               in
               Fun.protect

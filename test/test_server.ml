@@ -35,12 +35,11 @@ let item_ix () : (item, int) Indexer.t =
 
 type env = { os : Object_store.t; srv : Server.t; addr : Server.addr }
 
-let with_server ?(config = Server.default_config) ?(lock_timeout = 1.0) ?(shards = 1) f =
-  let stores = Array.init shards (fun _ -> snd (Untrusted_store.open_mem ())) in
-  let counters = Array.init shards (fun _ -> snd (One_way_counter.open_mem ())) in
+let with_server ?(config = Server.default_config) ?(lock_timeout = 1.0) f =
   let cs =
-    Shard_store.create ~config:{ chunk_cfg with Config.shards } ~secret:(Secret_store.of_seed "server-test")
-      ~counters stores
+    Chunk_store.create ~config:chunk_cfg ~secret:(Secret_store.of_seed "server-test")
+      ~counter:(snd (One_way_counter.open_mem ()))
+      (snd (Untrusted_store.open_mem ()))
   in
   let os =
     Object_store.of_shard_store
@@ -205,41 +204,29 @@ let test_e2e_group_commit () =
    list, so every name the local store reports (what [tdb_cli status]
    prints) also arrives over the wire. *)
 let test_stats_counters () =
-  List.iter
-    (fun shards ->
-      with_server ~shards (fun env ->
-          let clients = List.init 4 (fun _ -> Client.connect env.addr) in
-          List.iteri
-            (fun i c ->
-              Client.with_txn c (fun () ->
-                  ignore (Client.coll_insert c ~coll:"item" item_cls { id = i; qty = i; label = "s" })))
-            clients;
-          let remote =
-            match clients with c :: _ -> Client.metrics c | [] -> Alcotest.fail "no clients"
-          in
-          let local = Object_store.with_store env.os Shard_store.metrics in
-          let int name =
-            match Metrics.find remote name with
-            | Some (Metrics.Int n) -> n
-            | _ -> Alcotest.failf "no int metric %s at width %d" name shards
-          in
-          List.iter
-            (fun (name, _) ->
-              if Option.is_none (Metrics.find remote name) then
-                Alcotest.failf "local metric %s missing remotely at width %d" name shards)
-            local;
-          Alcotest.(check bool) "live sessions" true (int "server.sessions" >= 4);
-          Alcotest.(check bool) "sessions counted" true (int "server.sessions_total" >= 4);
-          Alcotest.(check bool) "commits counted" true (int "server.committed" >= 4);
-          Alcotest.(check int) "width" shards (int "shard.width");
-          (* the chain position comes from the archive, and this server has none *)
-          Alcotest.(check bool) "no archive, no backup rows" true
-            (Option.is_none (Metrics.find remote "backup.last_id"));
-          Alcotest.(check bool) "live segments gauged" true (int "cleaner.live_segments" > 0);
-          Alcotest.(check bool) "object cache gauged" true (int "object_cache.resident" > 0);
-          ignore (int (Printf.sprintf "shard.%d.counter" (shards - 1)));
-          List.iter Client.close clients))
-    [ 1; 4 ]
+  with_server (fun env ->
+      let clients = List.init 4 (fun _ -> Client.connect env.addr) in
+      List.iteri
+        (fun i c ->
+          Client.with_txn c (fun () -> ignore (Client.coll_insert c ~coll:"item" item_cls { id = i; qty = i; label = "s" })))
+        clients;
+      let remote = match clients with c :: _ -> Client.metrics c | [] -> Alcotest.fail "no clients" in
+      let local = Object_store.with_store env.os Chunk_store.metrics in
+      let int name =
+        match Metrics.find remote name with Some (Metrics.Int n) -> n | _ -> Alcotest.failf "no int metric %s" name
+      in
+      List.iter
+        (fun (name, _) ->
+          if Option.is_none (Metrics.find remote name) then Alcotest.failf "local metric %s missing remotely" name)
+        local;
+      Alcotest.(check bool) "live sessions" true (int "server.sessions" >= 4);
+      Alcotest.(check bool) "sessions counted" true (int "server.sessions_total" >= 4);
+      Alcotest.(check bool) "commits counted" true (int "server.committed" >= 4);
+      (* the chain position comes from the archive, and this server has none *)
+      Alcotest.(check bool) "no archive, no backup rows" true (Option.is_none (Metrics.find remote "backup.last_id"));
+      Alcotest.(check bool) "live segments gauged" true (int "cleaner.live_segments" > 0);
+      Alcotest.(check bool) "object cache gauged" true (int "object_cache.resident" > 0);
+      List.iter Client.close clients)
 
 (* --- the Metrics wire op --- *)
 

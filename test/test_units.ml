@@ -12,7 +12,7 @@ let test_cfg =
 let sec_on () =
   let secret = Secret_store.of_seed "units" in
   let sec = Security.create test_cfg secret in
-  Security.start_session sec secret ~shard:0 ~counter:0L ~epoch:1;
+  Security.start_session sec secret ~counter:0L ~epoch:1;
   sec
 let sec_off () = Security.create { test_cfg with Config.security = false } (Secret_store.of_seed "units")
 
@@ -620,7 +620,7 @@ let test_locks_reentrant () =
 let fresh_os () =
   let _, store = Untrusted_store.open_mem () in
   let _, ctr = One_way_counter.open_mem () in
-  Tdb_objstore.Object_store.of_chunk_store
+  Tdb_objstore.Object_store.of_shard_store
     (Chunk_store.create ~config:test_cfg ~secret:(Secret_store.of_seed "ix") ~counter:ctr store)
 
 let test_btree_index_ordering () =
@@ -780,7 +780,7 @@ let test_concurrent_collection_torture () =
   let _, store = Untrusted_store.open_mem () in
   let _, ctr = One_way_counter.open_mem () in
   let os =
-    Tdb_objstore.Object_store.of_chunk_store
+    Tdb_objstore.Object_store.of_shard_store
       ~config:{ Tdb_objstore.Object_store.default_config with Tdb_objstore.Object_store.lock_timeout = 0.2 }
       (Chunk_store.create ~config:test_cfg ~secret:(Secret_store.of_seed "torture") ~counter:ctr store)
   in
@@ -881,11 +881,11 @@ let qcheck_list_model = index_model_test Tdb_collection.Indexer.List "list match
 
 (* Child mode for the pin test: report what [Config.default] resolved to
    in this process's environment. *)
-let print_default_domains = "--print-default-domains"
+let print_default_widths = "--print-default-widths"
 
 let () =
-  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) print_default_domains then begin
-    print_int Config.default.Config.domains;
+  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) print_default_widths then begin
+    Printf.printf "domains=%d shards=%d" Config.default.Config.domains Config.default.Config.shards;
     exit 0
   end
 
@@ -896,21 +896,23 @@ let test_config_pins () =
   in
   rejects "tiers = 2" { Config.default with Config.tiers = 2 };
   rejects "domains = 4" { Config.default with Config.domains = 4 };
+  rejects "shards = 2" { Config.default with Config.shards = 2 };
   Config.validate Config.default;
   (* the environment no longer widens the default *)
+  let widened = [ "TDB_DOMAINS=4"; "TDB_SHARDS=4" ] in
   let env =
-    Array.append [| "TDB_DOMAINS=4" |]
-      (Array.of_list
-         (List.filter
-            (fun kv -> not (String.starts_with ~prefix:"TDB_DOMAINS=" kv))
-            (Array.to_list (Unix.environment ()))))
+    Array.of_list
+      (widened
+      @ List.filter
+          (fun kv -> not (String.starts_with ~prefix:"TDB_DOMAINS=" kv || String.starts_with ~prefix:"TDB_SHARDS=" kv))
+          (Array.to_list (Unix.environment ())))
   in
   let out, inp, err =
-    Unix.open_process_args_full Sys.executable_name [| Sys.executable_name; print_default_domains |] env
+    Unix.open_process_args_full Sys.executable_name [| Sys.executable_name; print_default_widths |] env
   in
   let printed = In_channel.input_all out in
   ignore (Unix.close_process_full (out, inp, err));
-  Alcotest.(check string) "default domains under TDB_DOMAINS=4" "1" printed
+  Alcotest.(check string) "default widths under TDB_DOMAINS=4 TDB_SHARDS=4" "domains=1 shards=1" printed
 
 let () =
   Alcotest.run "tdb_units"
