@@ -26,7 +26,7 @@ let rows key = function
 
 let find key j id = List.find_map (fun (id', r) -> if String.equal id id' then Some r else None) (rows key j)
 
-let judge ~tol ~what ~fresh ~base r =
+let within ~tol r ~what ~fresh ~base =
   let value row = Option.bind (member r.field row) (fun v -> Option.map (fun x -> (x, show v)) (to_float v)) in
   match (value base, value fresh) with
   | None, _ -> [ (Note, Printf.sprintf "%s: baseline has no %s, skipping" what r.field) ]
@@ -39,30 +39,46 @@ let judge ~tol ~what ~fresh ~base r =
         let op = if r.up_is_worse then ">" else "<" in
         [ (Fail, Printf.sprintf "%s: %s %s %s %.*f (baseline %s, tolerance %g)" what r.field fs op r.digits limit bs tol) ]
 
+(* Meter counters are deterministic at equal scale: a fresh value that
+   differs at all means the committed file no longer describes the code. *)
+let meter_exact =
+  [ "bytes_relocated"; "bytes_committed"; "chunks_relocated"; "segments_cleaned"; "clean_passes"; "db_size"; "live_bytes" ]
+
+let exact field ~what ~fresh ~base =
+  match (Option.bind (member field base) to_float, Option.bind (member field fresh) to_float) with
+  | None, _ -> [ (Note, Printf.sprintf "%s: baseline has no %s, skipping" what field) ]
+  | _, None -> [ (Note, Printf.sprintf "%s: fresh run has no %s, skipping" what field) ]
+  | Some b, Some f when Float.equal b f -> [ (Pass, Printf.sprintf "%s: %s %.0f (baseline %.0f)" what field f b) ]
+  | Some b, Some f ->
+      [ (Fail, Printf.sprintf "%s: %s %.0f, baseline %.0f: regenerate BENCH_METER.json" what field f b) ]
+
 (* one row pair, judged only when both rows exist *)
-let axis ~tol ~what rules fresh base =
-  match (fresh, base) with Some f, Some b -> List.concat_map (judge ~tol ~what ~fresh:f ~base:b) rules | _ -> []
+let axis ~what checks fresh base =
+  match (fresh, base) with
+  | Some f, Some b -> List.concat_map (fun check -> check ~what ~fresh:f ~base:b) checks
+  | _ -> []
 
 (* each fresh row against the baseline row with the same [key] *)
-let same_rows ~tol ?(prefix = "") key rules ~base fresh =
+let same_rows ?(prefix = "") key checks ~base fresh =
   List.concat_map
     (fun (id, f) ->
       match find key base id with
       | None -> [ (Note, prefix ^ id ^ ": not in baseline, skipping") ]
-      | b -> axis ~tol ~what:(prefix ^ id) rules (Some f) b)
+      | b -> axis ~what:(prefix ^ id) checks (Some f) b)
     (rows key fresh)
 
 let scale_name j = match Option.bind (member "scale" j) (member "name") with Some (Str s) -> s | _ -> ""
 
 let run ?tol ~base fresh =
-  let tol default = Option.value tol ~default in
+  let within default r = within ~tol:(Option.value tol ~default) r in
   match member "bench" fresh with
-  | Some (Str "tpcb") -> same_rows ~tol:(tol 0.15) "label" [ ops; writes ] ~base fresh
+  | Some (Str "tpcb") -> same_rows "label" [ within 0.15 ops; within 0.15 writes ] ~base fresh
   | Some (Str "meter") when not (String.equal (scale_name base) (scale_name fresh)) ->
       let b, f = (scale_name base, scale_name fresh) in
       [ (Fail, Printf.sprintf "meter scales differ (baseline %s, fresh %s): rows are not comparable" b f) ]
-  | Some (Str "meter") -> same_rows ~tol:(tol 0.15) ~prefix:"meter alpha=" "alpha" [ write_amp ] ~base fresh
-  | Some (Str "micro") -> same_rows ~tol:(tol 0.50) "name" [ ns_per_op ] ~base fresh
+  | Some (Str "meter") ->
+      same_rows ~prefix:"meter alpha=" "alpha" (within 0.15 write_amp :: List.map exact meter_exact) ~base fresh
+  | Some (Str "micro") -> same_rows "name" [ within 0.50 ns_per_op ] ~base fresh
   | Some (Str bench) -> [ (Note, bench ^ ": no guard rules, nothing gated") ]
   | _ -> raise (Error "fresh file has no \"bench\" field")
 

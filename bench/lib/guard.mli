@@ -6,6 +6,10 @@
       below the baseline and [store_writes_per_txn] may rise at most TOL
       above it;
     - [meter]: the scales must match; [write_amp] <= (1+TOL)·base + 0.02;
+      the cleaner and size counters ([bytes_relocated], [bytes_committed],
+      [chunks_relocated], [segments_cleaned], [clean_passes], [db_size],
+      [live_bytes]), deterministic at equal scale, must equal the
+      baseline's, failing with "regenerate BENCH_METER.json";
     - [micro]: [ns_per_op] <= (1+TOL)·base, TOL defaulting to 0.50.
 
     A row or field the baseline lacks is noted and skipped. *)

@@ -193,6 +193,30 @@ let micro () : (string * float) list =
     done;
     c
   in
+  (* a churned store under the default cipher (Triple-AES), closed once:
+     every clean-pass run opens its own copy of that image, so each run
+     cleans the same four fragmented segments *)
+  let churned_mem, churned_counter =
+    let mem, st = Tdb_platform.Untrusted_store.open_mem () in
+    let _, ct = Tdb_platform.One_way_counter.open_mem () in
+    let cs = Tdb_chunk.Chunk_store.create ~secret:(Tdb_platform.Secret_store.of_seed "bench") ~counter:ct st in
+    let ids = Array.init 2000 (fun _ -> Tdb_chunk.Chunk_store.allocate cs) in
+    for round = 0 to 5 do
+      Array.iteri
+        (fun i id ->
+          if round = 0 || (i + round) mod 3 = 0 then
+            Tdb_chunk.Chunk_store.write cs id (Printf.sprintf "%d/%d:%s" i round (String.make (100 + (i mod 200)) 'c'));
+          if i mod 50 = 49 then Tdb_chunk.Chunk_store.commit cs)
+        ids
+    done;
+    Tdb_chunk.Chunk_store.close cs;
+    (mem, Tdb_platform.One_way_counter.read ct)
+  in
+  let open_churned () =
+    let _, st = Tdb_platform.Untrusted_store.Mem.clone churned_mem in
+    let _, ct = Tdb_platform.One_way_counter.open_mem ~initial:churned_counter () in
+    Tdb_chunk.Chunk_store.open_existing ~secret:(Tdb_platform.Secret_store.of_seed "bench") ~counter:ct st
+  in
   let tests =
     [
       Test.make ~name:"sha1/1KiB" (Staged.stage (fun () -> Tdb_crypto.Sha1.digest data_1k));
@@ -219,6 +243,8 @@ let micro () : (string * float) list =
              Tdb_chunk.Chunk_store.write cs cid data_1k;
              Tdb_chunk.Chunk_store.commit ~durable:false cs));
       Test.make ~name:"commit-batch32x1KiB/d1" (Staged.stage batch_commit);
+      Test.make_with_resource ~name:"clean-pass" Test.multiple ~allocate:open_churned ~free:ignore
+        (Staged.stage (fun cs -> Tdb_chunk.Chunk_store.clean ~max_segments:4 cs));
       Test.make ~name:"lru/put-behind-2000-pins"
         (Staged.stage (fun () ->
              ignore (Tdb_chunk.Lru.put pinned_lru 0 () ~size:1);

@@ -280,11 +280,33 @@ let checkpoint t : unit =
 (* Cleaning                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Plaintext bytes that hold a record's identity: a data record's leading
+   [cid] varint, a map node's leading [(level, base)] varints (a varint of
+   a non-negative int takes at most 9 bytes). *)
+let data_id_len = 10
+let node_id_len = 20
+
+(* The identity a sealed record claims, read from its first [len]
+   plaintext bytes — only the cipher blocks holding them are decrypted.
+   [None] when they do not decrypt or parse: stale garbage. *)
+let claimed_id t (sealed : string) ~(len : int) (read : Tdb_pickle.Pickle.reader -> 'a) : 'a option =
+  match read (Tdb_pickle.Pickle.reader (Security.unseal_prefix t.sec sealed ~len)) with
+  | id -> Some id
+  | exception (Tamper_detected _ | Tdb_pickle.Pickle.Error _) -> None
+
 (** Reclaim up to [max_segments] of the least-utilized segments by copying
     their live records to the tail (ciphertext is position-independent, so
     bytes are copied verbatim, hashes unchanged) and dirtying live map
     nodes so the next checkpoint rewrites them. Ends with a checkpoint,
-    which is the barrier that actually frees the segments. *)
+    which is the barrier that actually frees the segments.
+
+    A record is identified from its leading plaintext bytes alone, and
+    that claim is only a hint: it picks which authenticated map entry to
+    consult, and the record is live iff that entry points at this exact
+    position. A forged or damaged record the map still points at is
+    copied verbatim under its old Merkle hash, so its next read raises
+    [Tamper_detected] as it would had the cleaner dropped it; a claimed id
+    the map cannot hold is garbage. *)
 let clean_pass ?(max_segments = max_int) ?candidates t : unit =
   if t.cleaning then invalid_arg "Chunk_store.clean: reentrant call";
   t.cleaning <- true;
@@ -294,6 +316,8 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
       let candidates = match candidates with Some c -> c | None -> Log.clean_candidates t.log in
       let batch = List.filteri (fun i _ -> i < max_segments) candidates in
       if batch <> [] then begin
+        let module P = Tdb_pickle.Pickle in
+        let capacity = Location_map.capacity t.map in
         let relocated = ref [] in
         List.iter
           (fun seg ->
@@ -303,12 +327,8 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
                 match kind with
                 | Commit | Next_segment -> ()
                 | Data_chunk -> (
-                    match
-                      (try Some (parse_data_payload (Security.unseal t.sec sealed))
-                       with Tamper_detected _ | Tdb_pickle.Pickle.Error _ -> None)
-                    with
-                    | None -> () (* stale garbage that no longer decrypts cleanly *)
-                    | Some (cid, _version, _data) -> (
+                    match claimed_id t sealed ~len:data_id_len P.read_uint with
+                    | Some cid when cid < capacity -> (
                         match Location_map.find t.map (fetch t) cid with
                         | Some e when Int.equal e.seg seg && Int.equal e.off poff ->
                             (* live: relocate ciphertext verbatim (the entry
@@ -320,22 +340,23 @@ let clean_pass ?(max_segments = max_int) ?candidates t : unit =
                             relocated := (cid, e') :: !relocated;
                             t.stats.chunks_relocated <- t.stats.chunks_relocated + 1;
                             t.stats.bytes_relocated <- t.stats.bytes_relocated + String.length sealed
-                        | _ -> () ))
+                        | _ -> ())
+                    | _ -> ())
                 | Map_node -> (
-                    match
-                      (try Some (Location_map.node_of_payload ~fanout:t.cfg.Config.map_fanout (Security.unseal t.sec sealed))
-                       with Tamper_detected _ | Tdb_pickle.Pickle.Error _ -> None)
-                    with
-                    | None -> ()
-                    | Some parsed -> (
+                    let level_base r =
+                      let level = P.read_uint r in
+                      (level, P.read_uint r)
+                    in
+                    match claimed_id t sealed ~len:node_id_len level_base with
+                    | Some (level, base) when level < t.cfg.Config.map_depth -> (
                         (* live iff the current map's node at (level, base)
                            still points here; dirty it so the checkpoint
                            relocates it *)
-                        let { Location_map.level; base; _ } = parsed in
                         match Location_map.find_node t.map (fetch t) ~level ~base with
                         | Some { Location_map.disk = Some e; _ } when Int.equal e.seg seg && Int.equal e.off poff ->
                             Location_map.dirty_path t.map (fetch t) ~level base
-                        | _ -> () )))
+                        | _ -> ())
+                    | _ -> ()))
               records;
             t.stats.segments_cleaned <- t.stats.segments_cleaned + 1)
           batch;

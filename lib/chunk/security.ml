@@ -99,6 +99,20 @@ let unseal (t : t) (stored : string) : string =
   | None -> stored
   | Some c -> ( try Cbc.decrypt c stored with Cbc.Bad_padding -> Types.tamper "bad padding in stored chunk" )
 
+(** The first [len] bytes of a stored payload's plaintext (all of it when
+    shorter, padding included when sealed), decrypting only the cipher
+    blocks that hold them.
+    Nothing is authenticated and padding is not checked: the result is a
+    hint about what the record claims to be, fit for choosing which map
+    entry to look up, not for trusting.
+    @raise Types.Tamper_detected when the ciphertext is malformed. *)
+let unseal_prefix (t : t) (stored : string) ~(len : int) : string =
+  match t.cipher with
+  | None -> String.sub stored 0 (min len (String.length stored))
+  | Some c -> (
+      let len = min len (String.length stored - Cbc.block_size c) in
+      try Cbc.decrypt_prefix c stored ~len with Cbc.Bad_padding -> Types.tamper "malformed stored chunk" )
+
 (** Digest of stored bytes — the Merkle label. Empty when security is off
     (validation is skipped entirely, as in the paper's plain TDB). *)
 let label (t : t) (stored : string) : string =

@@ -46,6 +46,13 @@ val unseal : t -> string -> string
 (** Pure (reads only the cipher); safe to run on any thread.
     @raise Types.Tamper_detected on malformed padding. *)
 
+val unseal_prefix : t -> string -> len:int -> string
+(** The first [len] bytes of the plaintext (fewer if it is shorter; with
+    security on, padding bytes may follow a shorter plaintext), decrypting
+    only the cipher blocks that hold them. Unauthenticated and
+    padding-unchecked: a hint, never trusted data.
+    @raise Types.Tamper_detected on a malformed ciphertext. *)
+
 val label : t -> string -> string
 (** Digest of stored bytes — the Merkle label ("" when disabled). *)
 

@@ -55,32 +55,44 @@ let encrypt (Cipher ((module C), key)) ~(iv : string) (plain : string) : string 
   done;
   Bytes.unsafe_to_string out
 
-(** Inverse of {!encrypt}. Padding is validated in constant time (the
-    classic CBC padding-oracle countermeasure): every candidate pad byte is
-    inspected with {!Ct} masks and a single data-independent branch decides
-    validity at the end. @raise Bad_padding on malformed input. *)
-let decrypt (Cipher ((module C), key)) (data : string) : string =
+(* CBC-decrypt the first [nblocks] ciphertext blocks of [IV ^ ciphertext]
+   into a fresh buffer. The caller guarantees [(nblocks + 1) * bs <=
+   String.length data], which bounds every index below. *)
+let decrypt_blocks (Cipher ((module C), key)) (data : string) ~(nblocks : int) : bytes =
   let bs = C.block_size in
-  let total = String.length data in
-  if total < 2 * bs || (total - bs) mod bs <> 0 then raise Bad_padding;
-  let nblocks = (total - bs) / bs in
   (* Read-only view: [decrypt_block] only loads from [src], and the XOR
      below only reads [data] through string accessors, so the ciphertext
      is never copied. *)
   let src = Bytes.unsafe_of_string data in
-  let n = total - bs in
-  let out = Bytes.create n in
+  let out = Bytes.create (nblocks * bs) in
   for b = 0 to nblocks - 1 do
     let doff = b * bs in
     C.decrypt_block key ~src ~src_off:(bs + doff) ~dst:out ~dst_off:doff;
     (* XOR with previous ciphertext block (or IV for the first block). *)
     for i = 0 to bs - 1 do
-      (* in bounds: doff + i < n and doff + i < total *)
+      (* in bounds: doff + i < nblocks * bs and doff + i < total *)
       Bytes.unsafe_set out (doff + i)
         (Char.unsafe_chr
            (Char.code (Bytes.unsafe_get out (doff + i)) lxor Char.code (String.unsafe_get data (doff + i))))
     done
   done;
+  out
+
+(* Ciphertext length (excluding IV) of a well-formed [IV ^ ciphertext]. *)
+let body_len c (data : string) : int =
+  let bs = block_size c in
+  let total = String.length data in
+  if total < 2 * bs || (total - bs) mod bs <> 0 then raise Bad_padding;
+  total - bs
+
+(** Inverse of {!encrypt}. Padding is validated in constant time (the
+    classic CBC padding-oracle countermeasure): every candidate pad byte is
+    inspected with {!Ct} masks and a single data-independent branch decides
+    validity at the end. @raise Bad_padding on malformed input. *)
+let decrypt c (data : string) : string =
+  let bs = block_size c in
+  let n = body_len c data in
+  let out = decrypt_blocks c data ~nblocks:(n / bs) in
   let pad = Char.code (Bytes.unsafe_get out (n - 1)) in
   (* bad <> 0 iff pad is out of [1, bs] or any of the last [pad] bytes
      differs from [pad]; the loop always scans a full block. *)
@@ -91,3 +103,13 @@ let decrypt (Cipher ((module C), key)) (data : string) : string =
   done;
   if !bad <> 0 then raise Bad_padding;
   Bytes.sub_string out 0 (n - pad)
+
+(** The first [len] bytes of the padded plaintext: decrypts only the
+    [ceil (len / bs)] blocks that hold them and checks no padding, so a
+    reader after a record's leading fields pays for those blocks alone.
+    @raise Bad_padding on a malformed ciphertext or [len] outside
+    [\[0, ciphertext length\]]. *)
+let decrypt_prefix c (data : string) ~(len : int) : string =
+  let bs = block_size c in
+  if len < 0 || len > body_len c data then raise Bad_padding;
+  Bytes.sub_string (decrypt_blocks c data ~nblocks:((len + bs - 1) / bs)) 0 len

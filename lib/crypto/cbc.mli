@@ -20,3 +20,10 @@ val encrypt : cipher -> iv:string -> string -> string
 
 val decrypt : cipher -> string -> string
 (** Inverse of {!encrypt}. @raise Bad_padding on malformed input. *)
+
+val decrypt_prefix : cipher -> string -> len:int -> string
+(** The first [len] bytes of the padded plaintext, from only the blocks
+    that hold them; padding is not checked, so for [len] up to the
+    plaintext length this is a prefix of {!decrypt}'s result.
+    @raise Bad_padding on a malformed ciphertext, or unless
+    [0 <= len <= String.length data - block_size c]. *)

@@ -43,6 +43,34 @@ let test_meter_scale_mismatch () =
   Alcotest.(check bool) "same scale" true (passes (mk "default") (mk "default"));
   Alcotest.(check bool) "scales differ" false (passes (mk "default") (mk "quick"))
 
+(* A meter counter that moves at all, either way, fails: at equal scale
+   those counters repeat exactly, so a difference means a stale file. *)
+let test_meter_exact_fields () =
+  let fields =
+    [ "bytes_relocated"; "bytes_committed"; "chunks_relocated"; "segments_cleaned"; "clean_passes"; "db_size";
+      "live_bytes" ]
+  in
+  let mk ?(bump = "") () =
+    file "meter"
+      [ J.Obj
+          ((("alpha", J.Num (0.8, 1)) :: ("write_amp", J.Num (0.1, 4)) :: List.mapi
+              (fun i f -> (f, J.Int ((1000 * (i + 1)) + if String.equal f bump then 1 else 0)))
+              fields)) ]
+  in
+  Alcotest.(check bool) "equal counters pass" true (passes (mk ()) (mk ()));
+  List.iter
+    (fun f ->
+      let verdicts = Guard.run ~base:(mk ()) (mk ~bump:f ()) in
+      Alcotest.(check bool) (f ^ " moved fails") false (Guard.passed verdicts);
+      Alcotest.(check bool) (f ^ " names the fix") true
+        (List.exists
+           (fun (v, msg) ->
+             (match v with Guard.Fail -> true | _ -> false)
+             && String.ends_with ~suffix:"regenerate BENCH_METER.json" msg)
+           verdicts);
+      Alcotest.(check bool) (f ^ " moved down fails too") false (passes (mk ~bump:f ()) (mk ())))
+    fields
+
 let test_missing_label_skipped () =
   let verdicts = Guard.run ~base:(file "tpcb" [ label "TDB" 100. ]) (file "tpcb" [ label "TDB" 100.; label "new" 1. ]) in
   Alcotest.(check bool) "passes" true (Guard.passed verdicts);
@@ -79,6 +107,7 @@ let () =
           Alcotest.test_case "inside passes, outside fails" `Quick test_rules;
           Alcotest.test_case "explicit tolerance" `Quick test_explicit_tolerance;
           Alcotest.test_case "meter scale mismatch" `Quick test_meter_scale_mismatch;
+          Alcotest.test_case "meter counters exact" `Quick test_meter_exact_fields;
           Alcotest.test_case "missing label skipped" `Quick test_missing_label_skipped;
         ] );
       ( "files",

@@ -79,6 +79,11 @@ let raw_header ?(magic = Log.magic_byte) kind_byte len =
   Bytes.set h 5 (Char.chr (len land 0xff));
   Bytes.to_string h
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let test_scan_chain_cycle () =
   let _, store = Untrusted_store.open_mem () in
   let log = Log.create store (cfg ()) in
@@ -564,11 +569,6 @@ let test_plaintext_visible_without_security () =
   Chunk_store.write cs a "VISIBLE-WITHOUT-SECURITY";
   Chunk_store.commit cs;
   let image = Untrusted_store.Mem.contents env.mem in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "plaintext there" true (contains image "VISIBLE-WITHOUT-SECURITY");
   (* and the counter is never touched in this mode *)
   Alcotest.(check int64) "counter untouched" 0L (One_way_counter.read env.ctr)
@@ -702,6 +702,182 @@ let test_clean_lowest_utilization_first () =
         (Chunk_store.read cs ids.(i))
     done
   done
+
+(* (segment, payload offset, stored length) of every data record on the
+   store whose plaintext contains [needle], stale copies included. *)
+let records_holding env config needle =
+  let log = Log.create env.store config in
+  let sec = Security.create config env.secret in
+  let nsegs = (Untrusted_store.size env.store - log.Log.log_base) / config.Config.segment_size in
+  let holds (kind, _, stored) =
+    match (kind, Security.unseal sec stored) with
+    | Types.Data_chunk, plain -> contains plain needle
+    | _ -> false
+    | exception Types.Tamper_detected _ -> false
+  in
+  List.concat_map
+    (fun seg ->
+      List.filter_map
+        (fun ((_, poff, stored) as r) -> if holds r then Some (seg, poff, String.length stored) else None)
+        (Log.scan_segment log seg))
+    (List.init nsegs Fun.id)
+
+let locate_record env config needle =
+  match records_holding env config needle with
+  | [ r ] -> r
+  | l -> Alcotest.failf "%d records hold %S" (List.length l) needle
+
+(* The cleaner identifies a record from its leading cipher blocks alone.
+   Under each cipher (16- and 8-byte blocks) and with security off, a
+   chunk whose id takes a 4-byte varint must be relocated out of its
+   segment (a record the cleaner fails to identify is skipped and pins
+   its segment), and every chunk must read back intact across a reopen. *)
+let test_clean_every_cipher () =
+  List.iter
+    (fun (name, config) ->
+      let config = { config with Config.initial_segments = 32; max_utilization = 0.9; checkpoint_every = 8 } in
+      let env = fresh_env () in
+      let cs = create ~config env in
+      let expect = Hashtbl.create 32 in
+      let write cid data =
+        Chunk_store.write cs cid data;
+        Hashtbl.replace expect cid data
+      in
+      let ids = Array.init 24 (fun _ -> Chunk_store.allocate cs) in
+      let high = (1 lsl 21) + 7 in
+      Chunk_store.restore_chunk cs high "high-id chunk";
+      Hashtbl.replace expect high "high-id chunk";
+      Array.iteri (fun i cid -> write cid (Printf.sprintf "%02d:%s" i (String.make 150 'i'))) ids;
+      Chunk_store.commit cs;
+      for r = 1 to 10 do
+        Array.iteri
+          (fun i cid -> if (i + r) mod 3 = 0 then write cid (Printf.sprintf "%02d/%02d:%s" i r (String.make 150 'u')))
+          ids;
+        Chunk_store.commit cs
+      done;
+      Alcotest.(check int) (name ^ ": no cleaning before the explicit pass") 0 (Chunk_store.stats cs).Chunk_store.clean_passes;
+      let seg, _, _ = locate_record env config "high-id chunk" in
+      Chunk_store.clean cs;
+      Alcotest.(check bool) (name ^ ": chunks relocated") true ((Chunk_store.stats cs).Chunk_store.chunks_relocated > 0);
+      Alcotest.(check bool) (name ^ ": wide-id chunk relocated") true
+        (List.exists (fun (s, _, _) -> s <> seg) (records_holding env config "high-id chunk"));
+      Chunk_store.close cs;
+      let cs = reopen ~config env in
+      Hashtbl.iter
+        (fun cid data -> Alcotest.(check string) (Printf.sprintf "%s: chunk %d" name cid) data (Chunk_store.read cs cid))
+        expect)
+    [
+      ("aes128", { (cfg ()) with Config.cipher = Config.Aes128 });
+      ("3aes", { (cfg ()) with Config.cipher = Config.Triple_aes });
+      ("3xtea", { (cfg ()) with Config.cipher = Config.Triple_xtea });
+      ("security off", cfg ~security:false ());
+    ]
+
+(* Store offset of byte [off] of log segment [seg]. *)
+let log_offset config ~seg ~off = (2 * config.Config.anchor_slot_size) + (seg * config.Config.segment_size) + off
+
+(* Overwrite the record at [(seg, poff)] in place with a well-formed
+   [kind] record of the same stored length, sealed under the store's key;
+   [payload fill] must encode [fill] filler bytes in [fill] + a constant. *)
+let forge_record env config ~seg ~poff ~stored_len kind (payload : int -> string) =
+  let sec = Security.create config env.secret in
+  Security.start_session sec env.secret ~counter:99L ~epoch:99;
+  let n = match sec.Security.cipher with None -> stored_len | Some c -> stored_len - Tdb_crypto.Cbc.block_size c - 1 in
+  let plain = payload (n - String.length (payload 0)) in
+  let sealed = Security.seal sec plain in
+  Alcotest.(check int) "forged record fills the slot" stored_len (String.length sealed);
+  let off = log_offset config ~seg ~off:(poff - Log.header_size) in
+  Untrusted_store.write env.store ~off (raw_header (Types.kind_to_byte kind) stored_len ^ sealed)
+
+(* Records on the store are untrusted input to the cleaner. One sealed
+   under the store's key whose leading varint claims an id the map cannot
+   hold (a chunk id past its capacity, a node level equal to its depth)
+   is garbage: [clean] skips it without raising and every live chunk
+   reads back. A live record damaged past its leading blocks is relocated
+   verbatim under its old hash, so its next read signals tampering. *)
+let test_clean_skips_forged_ids () =
+  let module P = Tdb_pickle.Pickle in
+  let encode f =
+    let w = P.writer () in
+    f w;
+    P.contents w
+  in
+  let { Config.map_fanout = fanout; map_depth = depth; _ } = Config.default in
+  let capacity = Location_map.capacity (Location_map.create ~fanout ~depth) in
+  let forged_cid fill =
+    encode (fun w ->
+        P.uint w (capacity + 5);
+        P.uint w 0;
+        P.string w (String.make fill 'f'))
+  in
+  let forged_level fill =
+    encode (fun w ->
+        P.uint w depth;
+        P.uint w 0;
+        P.list w
+          (fun w hash ->
+            P.uint w 0;
+            Location_map.write_entry w { Types.seg = 0; off = 0; len = 0; hash; version = 0 })
+          [ String.make fill 'h' ])
+  in
+  let live_data i = Printf.sprintf "live-%02d:%s" i (String.make 200 'l') in
+  let run ~security what damage =
+    let config =
+      { (cfg ~security ~initial_segments:16 ~max_utilization:0.9 ~checkpoint_every:1000 ()) with
+        Config.chunk_cache_bytes = 0 }
+    in
+    let env = fresh_env () in
+    let cs = create ~config env in
+    let ids = Array.init 8 (fun _ -> Chunk_store.allocate cs) in
+    let victim = Chunk_store.allocate cs in
+    Chunk_store.write cs victim "victim-old";
+    Array.iteri (fun i cid -> Chunk_store.write cs cid (live_data i)) ids;
+    Chunk_store.commit cs;
+    (* move the tail off the victim's segment, so it is cleanable *)
+    let filler = Array.init 6 (fun _ -> Chunk_store.allocate cs) in
+    Array.iter (fun cid -> Chunk_store.write cs cid (String.make 1500 'z')) filler;
+    Chunk_store.write cs victim "victim-new";
+    Chunk_store.commit cs;
+    Chunk_store.checkpoint cs;
+    let tampered = damage env config in
+    Chunk_store.clean cs;
+    let st = Chunk_store.stats cs in
+    Alcotest.(check bool) (what ^ ": cleaned") true (st.Chunk_store.segments_cleaned > 0 && st.Chunk_store.chunks_relocated > 0);
+    let check cs =
+      Array.iteri
+        (fun i cid ->
+          match Chunk_store.read cs cid with
+          | data -> Alcotest.(check string) (what ^ ": live chunk") (live_data i) data
+          | exception Types.Tamper_detected _ ->
+              Alcotest.(check bool) (what ^ ": only the damaged chunk signals") true (Some i = tampered))
+        ids;
+      Alcotest.(check string) (what ^ ": victim") "victim-new" (Chunk_store.read cs victim);
+      Array.iter (fun cid -> Alcotest.(check int) (what ^ ": filler") 1500 (String.length (Chunk_store.read cs cid))) filler
+    in
+    check cs;
+    (match tampered with
+    | Some i ->
+        Alcotest.(check bool) (what ^ ": damaged chunk signals") true
+          (match Chunk_store.read cs ids.(i) with _ -> false | exception Types.Tamper_detected _ -> true)
+    | None -> ());
+    Chunk_store.close cs;
+    check (reopen ~config env)
+  in
+  let forge kind payload env config =
+    let seg, poff, stored_len = locate_record env config "victim-old" in
+    forge_record env config ~seg ~poff ~stored_len kind payload;
+    None
+  in
+  List.iter
+    (fun security ->
+      let mode = if security then "sealed" else "plain" in
+      run ~security (mode ^ " cid past capacity") (forge Types.Data_chunk forged_cid);
+      run ~security (mode ^ " map level at depth") (forge Types.Map_node forged_level))
+    [ true; false ];
+  run ~security:true "damaged live record" (fun env config ->
+      let seg, poff, stored_len = locate_record env config "live-03" in
+      Untrusted_store.Mem.corrupt env.mem ~off:(log_offset config ~seg ~off:(poff + stored_len - 1)) ~len:1 ~mask:0x01;
+      Some 3)
 
 (* --- snapshots and diffs --- *)
 
@@ -1172,6 +1348,8 @@ let () =
           Alcotest.test_case "grow vs clean policy" `Quick test_low_utilization_grows_instead;
           Alcotest.test_case "explicit idle clean" `Quick test_explicit_idle_clean;
           Alcotest.test_case "lowest utilization first" `Quick test_clean_lowest_utilization_first;
+          Alcotest.test_case "every cipher, wide ids" `Quick test_clean_every_cipher;
+          Alcotest.test_case "forged ids are garbage" `Quick test_clean_skips_forged_ids;
         ] );
       ( "snapshots",
         [

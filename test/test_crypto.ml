@@ -169,6 +169,23 @@ let test_cbc_roundtrip_qcheck =
       let ct = Cbc.encrypt c ~iv plain in
       String.length ct = 16 + Cbc.padded_len c (String.length plain) && Cbc.decrypt c ct = plain)
 
+(* The cleaner's identity read: every prefix up to the plaintext length is
+   the same bytes a whole-record decrypt returns. *)
+let cbc_prefix_qcheck (module C : Block.CIPHER) =
+  QCheck.Test.make
+    ~name:(C.name ^ " cbc decrypt_prefix = prefix of decrypt")
+    ~count:100
+    QCheck.(
+      triple (string_of_size (Gen.return C.key_size)) (string_of_size (Gen.return C.block_size))
+        (string_of_size Gen.(0 -- 80)))
+    (fun (secret, iv, plain) ->
+      let c = Cbc.make (module C) ~secret in
+      let ct = Cbc.encrypt c ~iv plain in
+      let whole = Cbc.decrypt c ct in
+      List.for_all
+        (fun len -> String.equal (Cbc.decrypt_prefix c ct ~len) (String.sub whole 0 len))
+        (List.init (String.length plain + 1) Fun.id))
+
 let test_cbc_tamper_detected_by_padding_or_content () =
   let c = cbc_cipher () in
   let iv = String.init 16 (fun i -> Char.chr i) in
@@ -201,7 +218,13 @@ let test_cbc_bad_input () =
   let c = cbc_cipher () in
   Alcotest.check_raises "too short" Cbc.Bad_padding (fun () -> ignore (Cbc.decrypt c "short"));
   Alcotest.check_raises "not block multiple" Cbc.Bad_padding (fun () ->
-      ignore (Cbc.decrypt c (String.make 33 'z')))
+      ignore (Cbc.decrypt c (String.make 33 'z')));
+  let ct = Cbc.encrypt c ~iv:(String.make 16 'i') "twenty bytes of text" in
+  Alcotest.check_raises "prefix of a short input" Cbc.Bad_padding (fun () ->
+      ignore (Cbc.decrypt_prefix c "short" ~len:1));
+  Alcotest.check_raises "prefix past the ciphertext" Cbc.Bad_padding (fun () ->
+      ignore (Cbc.decrypt_prefix c ct ~len:33));
+  Alcotest.check_raises "negative prefix" Cbc.Bad_padding (fun () -> ignore (Cbc.decrypt_prefix c ct ~len:(-1)))
 
 let test_cbc_nist_vector () =
   (* NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), all four blocks. [Cbc]
@@ -374,6 +397,9 @@ let qsuite =
       test_hex_roundtrip;
       block_roundtrip_qcheck (module Aes);
       block_roundtrip_qcheck (module Triple.Aes3);
+      cbc_prefix_qcheck (module Aes);
+      cbc_prefix_qcheck (module Triple.Aes3);
+      cbc_prefix_qcheck (module Triple.Xtea3);
     ]
 
 let () =
