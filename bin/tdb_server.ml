@@ -24,8 +24,14 @@ let fresh_arg = Arg.(value & flag & info [ "fresh" ] ~doc:"Create a fresh databa
 let idle_arg =
   Arg.(value & opt float 0. & info [ "idle-timeout" ] ~docv:"SECONDS" ~doc:"Drop sessions idle longer than $(docv) (0 = never).")
 
+let replica_every_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "replica-every" ] ~docv:"N"
+        ~doc:"Emit an incremental backup to the replication feed every $(docv) durable commits (0 = never).")
+
 let serve_cmd =
-  let run dir socket port host fresh idle_timeout =
+  let run dir socket port host fresh idle_timeout replica_every =
     let addr =
       match (socket, port) with
       | Some path, None -> Tdb.Server.Unix_path path
@@ -35,8 +41,15 @@ let serve_cmd =
           prerr_endline "tdb_server: --socket and --port are mutually exclusive";
           exit 2
     in
+    if replica_every < 0 then begin
+      prerr_endline "tdb_server: --replica-every must be >= 0";
+      exit 2
+    end;
     let device = Tdb.Device.at_dir dir in
-    let db = if fresh then Tdb.create device else Tdb.open_existing device in
+    let store_config = { Tdb.Chunk_config.default with Tdb.Chunk_config.replica_interval_commits = replica_every } in
+    let db =
+      if fresh then Tdb.create ~config:store_config device else Tdb.open_existing ~config:store_config device
+    in
     let config = { Tdb.Server.default_config with Tdb.Server.idle_timeout } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
     Tdb_tpcb.Net_driver.expose_schema srv;
@@ -50,7 +63,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve a database over a Unix-domain or TCP socket.")
-    Term.(const run $ dir_arg $ socket_arg $ port_arg $ host_arg $ fresh_arg $ idle_arg)
+    Term.(const run $ dir_arg $ socket_arg $ port_arg $ host_arg $ fresh_arg $ idle_arg $ replica_every_arg)
 
 (* Follower mode: tail a primary's archive feed into a local database
    directory and serve it read-only over a socket of its own. The

@@ -43,20 +43,12 @@ type t = {
           incremental backup every this many durable commits, feeding the
           replication stream without manual [backup_incremental] calls.
           0 disables auto-emission (the default, so standalone stores and
-          benches are unchanged). [TDB_REPLICA_EVERY] overrides. *)
+          benches are unchanged). *)
   shards : int;
       (** Always 1: one log, one anchor, one one-way counter (see the mli). *)
   tiers : int;
       (** Always 1: the log has one cleaning population (see the mli). *)
 }
-
-let default_replica_interval () =
-  match Sys.getenv_opt "TDB_REPLICA_EVERY" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> invalid_arg "TDB_REPLICA_EVERY must be an integer >= 0" )
-  | None -> 0
 
 let default =
   {
@@ -74,7 +66,7 @@ let default =
     clean_batch = 8;
     chunk_cache_bytes = 1024 * 1024;
     domains = 1;
-    replica_interval_commits = default_replica_interval ();
+    replica_interval_commits = 0;
     shards = 1;
     tiers = 1;
   }

@@ -51,8 +51,8 @@ type t = {
   replica_interval_commits : int;
       (** When a server has a backup store attached, auto-emit an
           incremental backup every this many durable commits (feeding the
-          replication stream). 0 = off (the default); [TDB_REPLICA_EVERY]
-          overrides the default. *)
+          replication stream). 0 = off (the default); [tdb_server serve
+          --replica-every N] sets it. *)
   shards : int;
       (** Number of chunk stores; {!validate} accepts only 1. A shard
           router with a cross-shard two-phase commit was measured on

@@ -17,15 +17,19 @@
 
 open Types
 
+(* Every loaded chunk keeps its slot in memory, so a filled leaf slot is
+   one block: the entry's fields inline, with no option or entry box. *)
 type kid =
-  | Entry of entry (* level 0: a data chunk's location *)
+  | Empty
+  | Entry of { seg : int; off : int; len : int; hash : string; version : int }
+      (* level 0: a data chunk's location *)
   | Node of node (* level > 0: loaded child node *)
   | Unloaded of entry (* level > 0: child node still on disk *)
 
 and node = {
   level : int; (* 0 = leaf *)
   base : int; (* first chunk id covered by this node *)
-  kids : kid option array;
+  kids : kid array;
   mutable disk : entry option; (* the on-disk copy the current anchor reaches *)
   mutable dirty : bool; (* changed since [disk]; a dirty node's ancestors are dirty *)
 }
@@ -37,7 +41,16 @@ type fetch = what:(unit -> string) -> entry -> string
     [what ()] names the record in a tamper message; it runs only on failure.
     @raise Tamper_detected on validation failure. *)
 
-let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout None; disk = None; dirty = true }
+let entry_kid (e : entry) : kid = Entry { seg = e.seg; off = e.off; len = e.len; hash = e.hash; version = e.version }
+
+(** The data entry in a leaf slot. *)
+let leaf_entry (k : kid) : entry option =
+  match k with
+  | Empty -> None
+  | Entry { seg; off; len; hash; version } -> Some { seg; off; len; hash; version }
+  | Node _ | Unloaded _ -> tamper "node entry at leaf map level"
+
+let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout Empty; disk = None; dirty = true }
 
 let create ~fanout ~depth =
   { fanout; depth; root = fresh_node ~fanout ~level:(depth - 1) ~base:0 }
@@ -80,10 +93,10 @@ let node_payload (n : node) : string =
   Array.iteri
     (fun i kid ->
       match kid with
-      | None -> ()
-      | Some (Entry e) -> slots := (i, e) :: !slots
-      | Some (Unloaded e) -> slots := (i, e) :: !slots
-      | Some (Node child) -> (
+      | Empty -> ()
+      | Entry { seg; off; len; hash; version } -> slots := (i, { seg; off; len; hash; version }) :: !slots
+      | Unloaded e -> slots := (i, e) :: !slots
+      | Node child -> (
           match child.disk with
           | Some e -> slots := (i, e) :: !slots
           | None -> invalid_arg "Location_map.node_payload: dirty child"))
@@ -110,7 +123,7 @@ let node_of_payload ~fanout (payload : string) : node =
   List.iter
     (fun (i, e) ->
       if i >= fanout then tamper "map node slot out of range";
-      n.kids.(i) <- Some (if level = 0 then Entry e else Unloaded e))
+      n.kids.(i) <- (if level = 0 then entry_kid e else Unloaded e))
     slots;
   n
 
@@ -127,16 +140,16 @@ let check_cid t cid =
 
 let load_child t (fetch : fetch) (parent : node) (i : int) : node option =
   match parent.kids.(i) with
-  | None -> None
-  | Some (Node n) -> Some n
-  | Some (Unloaded e) ->
+  | Empty -> None
+  | Node n -> Some n
+  | Unloaded e ->
       let payload = fetch ~what:(fun () -> Printf.sprintf "map node (level %d)" (parent.level - 1)) e in
       let n = node_of_payload ~fanout:t.fanout payload in
       if n.level <> parent.level - 1 then tamper "map node level mismatch";
       n.disk <- Some e;
-      parent.kids.(i) <- Some (Node n);
+      parent.kids.(i) <- Node n;
       Some n
-  | Some (Entry _) -> tamper "data entry at interior map level"
+  | Entry _ -> tamper "data entry at interior map level"
 
 (** Descend to the leaf covering [cid]. [create_path] materializes missing
     interior nodes (for writes). *)
@@ -151,7 +164,7 @@ let rec descend t fetch (n : node) ~create_path (cid : chunk_id) : node option =
         else begin
           let child_span = span t (n.level - 1) in
           let child = fresh_node ~fanout:t.fanout ~level:(n.level - 1) ~base:(n.base + (i * child_span)) in
-          n.kids.(i) <- Some (Node child);
+          n.kids.(i) <- Node child;
           descend t fetch child ~create_path cid
         end
   end
@@ -176,11 +189,7 @@ let find t (fetch : fetch) (cid : chunk_id) : entry option =
   check_cid t cid;
   match descend t fetch t.root ~create_path:false cid with
   | None -> None
-  | Some leaf -> (
-      match leaf.kids.(slot_of t cid 0) with
-      | Some (Entry e) -> Some e
-      | None -> None
-      | Some _ -> tamper "node entry at leaf map level" )
+  | Some leaf -> leaf_entry leaf.kids.(slot_of t cid 0)
 
 (** Mark every node on the path from the root down to the node at [level]
     covering [cid] dirty, so the next checkpoint rewrites it and its
@@ -202,8 +211,8 @@ let set t (fetch : fetch) (cid : chunk_id) (e : entry) : entry option =
   | None -> assert false
   | Some leaf ->
       let i = slot_of t cid 0 in
-      let old = match leaf.kids.(i) with Some (Entry o) -> Some o | None -> None | Some _ -> tamper "bad leaf" in
-      leaf.kids.(i) <- Some (Entry e);
+      let old = leaf_entry leaf.kids.(i) in
+      leaf.kids.(i) <- entry_kid e;
       old
 
 let remove t (fetch : fetch) (cid : chunk_id) : entry option =
@@ -212,13 +221,12 @@ let remove t (fetch : fetch) (cid : chunk_id) : entry option =
   | None -> None
   | Some leaf -> (
       let i = slot_of t cid 0 in
-      match leaf.kids.(i) with
-      | Some (Entry o) ->
+      match leaf_entry leaf.kids.(i) with
+      | Some o ->
           dirty_path t fetch ~level:0 cid;
-          leaf.kids.(i) <- None;
+          leaf.kids.(i) <- Empty;
           Some o
-      | None -> None
-      | Some _ -> tamper "bad leaf" )
+      | None -> None )
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
@@ -236,12 +244,12 @@ let checkpoint t ~(write_node : string -> entry) ~(retire : entry -> unit) : ent
       Array.iteri
         (fun i kid ->
           match kid with
-          | Some (Node c) when c.dirty -> if Option.is_none (flush c) then n.kids.(i) <- None
+          | Node c when c.dirty -> if Option.is_none (flush c) then n.kids.(i) <- Empty
           | _ -> ())
         n.kids;
       Option.iter retire n.disk;
       n.dirty <- false;
-      n.disk <- (if Array.for_all Option.is_none n.kids then None else Some (write_node (node_payload n)))
+      n.disk <- (if Array.for_all (function Empty -> true | _ -> false) n.kids then None else Some (write_node (node_payload n)))
     end;
     n.disk
   in
@@ -253,7 +261,7 @@ let count_dirty t : int =
   let rec go (n : node) =
     if not n.dirty then 0
     else
-      Array.fold_left (fun acc kid -> match kid with Some (Node c) -> acc + go c | _ -> acc) 1 n.kids
+      Array.fold_left (fun acc kid -> match kid with Node c -> acc + go c | _ -> acc) 1 n.kids
   in
   go t.root
 
@@ -270,9 +278,9 @@ let iter t (fetch : fetch) ~(data : chunk_id -> entry -> unit) ~(node : entry ->
     Array.iteri
       (fun i kid ->
         match kid with
-        | None -> ()
-        | Some (Entry e) -> data (n.base + i) e
-        | Some (Node _) | Some (Unloaded _) -> (
+        | Empty -> ()
+        | Entry { seg; off; len; hash; version } -> data (n.base + i) { seg; off; len; hash; version }
+        | Node _ | Unloaded _ -> (
             match load_child t fetch n i with Some child -> go child | None -> () ))
       n.kids
   in
@@ -288,10 +296,10 @@ let walk_tree ~fanout (fetch : fetch) ~(root : entry) ~(data : chunk_id -> entry
     Array.iteri
       (fun i kid ->
         match kid with
-        | None -> ()
-        | Some (Entry de) -> data (n.base + i) de
-        | Some (Unloaded ce) -> go ce
-        | Some (Node _) -> assert false)
+        | Empty -> ()
+        | Entry { seg; off; len; hash; version } -> data (n.base + i) { seg; off; len; hash; version }
+        | Unloaded ce -> go ce
+        | Node _ -> assert false)
       n.kids
   in
   go root
@@ -311,10 +319,10 @@ let diff_trees ~fanout (fetch : fetch) ~(old_root : entry option) ~(new_root : e
         Array.iteri
           (fun i kid ->
             match kid with
-            | None -> ()
-            | Some (Entry de) -> f (n.base + i) (Some de)
-            | Some (Unloaded ce) -> subtree_all f (Some ce)
-            | Some (Node _) -> assert false)
+            | Empty -> ()
+            | Entry _ -> f (n.base + i) (leaf_entry kid)
+            | Unloaded ce -> subtree_all f (Some ce)
+            | Node _ -> assert false)
           n.kids
   in
   let rec go (old_e : entry option) (new_e : entry option) =
@@ -329,13 +337,15 @@ let diff_trees ~fanout (fetch : fetch) ~(old_root : entry option) ~(new_root : e
           if (not (Int.equal on.level nn.level)) || not (Int.equal on.base nn.base) then tamper "diff: incompatible map nodes";
           for i = 0 to fanout - 1 do
             match (on.kids.(i), nn.kids.(i)) with
-            | None, None -> ()
-            | Some (Entry a), Some (Entry b) -> if not (entries_equal a b) then changed (nn.base + i) b
-            | Some (Entry _), None -> removed (on.base + i)
-            | None, Some (Entry b) -> changed (nn.base + i) b
-            | Some (Unloaded a), Some (Unloaded b) -> go (Some a) (Some b)
-            | Some (Unloaded a), None -> go (Some a) None
-            | None, Some (Unloaded b) -> go None (Some b)
+            | ((Entry _ | Empty) as a), ((Entry _ | Empty) as b) -> (
+                match (leaf_entry a, leaf_entry b) with
+                | Some a, Some b -> if not (entries_equal a b) then changed (nn.base + i) b
+                | Some _, None -> removed (on.base + i)
+                | None, Some b -> changed (nn.base + i) b
+                | None, None -> ())
+            | Unloaded a, Unloaded b -> go (Some a) (Some b)
+            | Unloaded a, Empty -> go (Some a) None
+            | Empty, Unloaded b -> go None (Some b)
             | _ -> tamper "diff: mixed node kinds"
           done
         end

@@ -17,12 +17,17 @@
 
 open Types
 
-type kid = Entry of entry | Node of node | Unloaded of entry
+type kid =
+  | Empty
+  | Entry of { seg : int; off : int; len : int; hash : string; version : int }
+      (** a data chunk's entry, inline: a filled leaf slot is one block *)
+  | Node of node
+  | Unloaded of entry
 
 and node = {
   level : int;  (** 0 = leaf *)
   base : int;  (** first chunk id covered *)
-  kids : kid option array;
+  kids : kid array;
   mutable disk : entry option;  (** the on-disk copy the current anchor reaches *)
   mutable dirty : bool;  (** changed since [disk]; a dirty node's ancestors are dirty *)
 }

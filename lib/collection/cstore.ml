@@ -373,11 +373,11 @@ let insert ct (c : 'a collection) (v : 'a) : oid =
      raise exn);
   oid
 
-(** Number of objects in the collection (maintained by the index anchors,
+(** Number of objects in the collection (maintained by its first index,
     so inserts do not dirty the collection meta-object itself). *)
 let size ct (c : 'a collection) : int =
   let m = meta_ro ct c in
-  match m.co_indexes with [] -> 0 | im :: _ -> Index.count ct.txn im.im_anchor
+  match m.co_indexes with [] -> 0 | im :: _ -> Index.count ct.txn im.im_impl im.im_anchor
 
 (** Create an additional index, populating it from the existing objects.
     Raises {!Index.Duplicate_key} (and drops the half-built index) if a

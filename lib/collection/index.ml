@@ -21,7 +21,7 @@ exception Unsupported_query of string
 
 let max_leaf = 32 (* max keys per B-tree node *)
 let bucket_split_load = 4 (* linear hashing: avg entries per bucket before split *)
-let max_list_node = 64
+let max_list_node = 8 (* max pairs per list node; the head is rewritten whole on every insert *)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent classes                                                  *)
@@ -115,19 +115,29 @@ let dir_seg_cls : dir_seg Obj_class.t =
     ~unpickle:(fun ~version:_ r -> { d_slots = P.read_list r P.read_uint })
     ()
 
-type list_node = { mutable pairs : (string * oid) list; mutable lnext : oid option }
+(** A list node holds pairs newest first. The head never moves: it is the
+    node the anchor's [a_root] names from creation on, and it carries the
+    entry count of the whole list ([l_count]), so an insert writes the head
+    and nothing else. Spilled nodes, and heads written by version 1 of the
+    class, have [l_count = None]; the count then comes from the anchor. *)
+type list_node = {
+  mutable pairs : (string * oid) list;
+  mutable lnext : oid option;
+  mutable l_count : int option;
+}
 
 let list_cls : list_node Obj_class.t =
   let module P = Tdb_pickle.Pickle in
-  Obj_class.define ~name:"tdb.index.list_node"
+  Obj_class.define ~name:"tdb.index.list_node" ~version:2
     ~pickle:(fun w n ->
       P.list w
         (fun w (k, o) ->
           P.string w k;
           P.uint w o)
         n.pairs;
-      P.option w (fun w v -> P.uint w v) n.lnext)
-    ~unpickle:(fun ~version:_ r ->
+      P.option w (fun w v -> P.uint w v) n.lnext;
+      P.option w (fun w v -> P.uint w v) n.l_count)
+    ~unpickle:(fun ~version r ->
       let pairs =
         P.read_list r (fun r ->
             let k = P.read_string r in
@@ -135,7 +145,8 @@ let list_cls : list_node Obj_class.t =
             (k, o))
       in
       let lnext = P.read_option r P.read_uint in
-      { pairs; lnext })
+      let l_count = if version >= 2 then P.read_option r P.read_uint else None in
+      { pairs; lnext; l_count })
     ()
 
 (* ------------------------------------------------------------------ *)
@@ -159,8 +170,11 @@ let rw x cls oid = Object_store.deref (Object_store.open_writable x cls oid)
     returns its oid. *)
 let create_anchor (x : Object_store.txn) (impl : Indexer.impl) : oid =
   match impl with
-  | Indexer.Btree | Indexer.List ->
+  | Indexer.Btree ->
       Object_store.insert x anchor_cls { a_root = None; a_count = 0; a_buckets = []; a_level = 0; a_next = 0 }
+  | Indexer.List ->
+      let head = Object_store.insert x list_cls { pairs = []; lnext = None; l_count = Some 0 } in
+      Object_store.insert x anchor_cls { a_root = Some head; a_count = 0; a_buckets = []; a_level = 0; a_next = 0 }
   | Indexer.Hash ->
       let nbuckets = 4 in
       let buckets = List.init nbuckets (fun _ -> Object_store.insert x bucket_cls { pairs = [] }) in
@@ -457,8 +471,24 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Listidx = struct
+  (* The anchor is opened shared and the head exclusive, so concurrent
+     inserters queue on the head's lock and never upgrade one. *)
+
+  let count_of (a : anchor) (head : list_node) : int = Option.value head.l_count ~default:a.a_count
+
   let insert x ops anchor_oid key oid : unit =
-    let a = rw x anchor_cls anchor_oid in
+    let a = ro x anchor_cls anchor_oid in
+    let head_oid =
+      match a.a_root with
+      | Some h -> h
+      | None ->
+          (* an empty list created before the head was fixed *)
+          let a = rw x anchor_cls anchor_oid in
+          let h = Object_store.insert x list_cls { pairs = []; lnext = None; l_count = Some a.a_count } in
+          a.a_root <- Some h;
+          h
+    in
+    let head = rw x list_cls head_oid in
     if ops.unique then begin
       (* linear uniqueness check *)
       let rec dup = function
@@ -467,49 +497,53 @@ module Listidx = struct
             let n = ro x list_cls noid in
             List.exists (fun (k, _) -> String.equal k key) n.pairs || dup n.lnext
       in
-      if dup a.a_root then raise (Duplicate_key { index = ops.index_name; key })
+      if dup (Some head_oid) then raise (Duplicate_key { index = ops.index_name; key })
     end;
-    (match a.a_root with
-    | Some head_oid when List.length (ro x list_cls head_oid).pairs < max_list_node ->
-        let head = rw x list_cls head_oid in
-        head.pairs <- (key, oid) :: head.pairs
-    | old_head ->
-        let fresh = Object_store.insert x list_cls { pairs = [ (key, oid) ]; lnext = old_head } in
-        a.a_root <- Some fresh);
-    a.a_count <- a.a_count + 1
+    let count = count_of a head in
+    if List.length head.pairs >= max_list_node then begin
+      (* spill the full head's pairs into a node right behind it *)
+      let spilled = Object_store.insert x list_cls { pairs = head.pairs; lnext = head.lnext; l_count = None } in
+      head.lnext <- Some spilled;
+      head.pairs <- []
+    end;
+    head.pairs <- (key, oid) :: head.pairs;
+    head.l_count <- Some (count + 1)
 
   let delete x _ops anchor_oid key oid : unit =
-    let a = rw x anchor_cls anchor_oid in
-    let rec go = function
-      | None -> false
-      | Some noid ->
-          let n = ro x list_cls noid in
-          if List.exists (fun (k, o) -> String.equal k key && Int.equal o oid) n.pairs then begin
-            let n = rw x list_cls noid in
-            n.pairs <- List.filter (fun (k, o) -> not (String.equal k key && Int.equal o oid)) n.pairs;
-            true
-          end
-          else go n.lnext
-    in
-    if go a.a_root then a.a_count <- max 0 (a.a_count - 1)
+    let a = ro x anchor_cls anchor_oid in
+    match a.a_root with
+    | None -> ()
+    | Some head_oid ->
+        let head = rw x list_cls head_oid in
+        let hit (k, o) = String.equal k key && Int.equal o oid in
+        let rec go = function
+          | None -> false
+          | Some noid ->
+              let n = ro x list_cls noid in
+              if List.exists hit n.pairs then begin
+                let n = rw x list_cls noid in
+                n.pairs <- List.filter (fun p -> not (hit p)) n.pairs;
+                true
+              end
+              else go n.lnext
+        in
+        if go (Some head_oid) then head.l_count <- Some (max 0 (count_of a head - 1))
 
+  (** Insertion order: pairs are prepended within a node and older nodes
+      sit further down the chain. *)
   let scan x anchor_oid : (string * oid) list =
     let a = ro x anchor_cls anchor_oid in
-    let rec go acc = function
-      | None -> List.concat (List.rev acc)
-      | Some noid ->
-          let n = ro x list_cls noid in
-          go (List.rev n.pairs :: acc) n.lnext
-    in
-    (* preserve insertion order: nodes are prepended, pairs are prepended *)
     let rec nodes acc = function
       | None -> acc
       | Some noid ->
           let n = ro x list_cls noid in
           nodes (List.rev n.pairs :: acc) n.lnext
     in
-    ignore go;
     List.concat (nodes [] a.a_root)
+
+  let count x anchor_oid : int =
+    let a = ro x anchor_cls anchor_oid in
+    match a.a_root with None -> a.a_count | Some head -> count_of a (ro x list_cls head)
 
   let exact x _ops anchor_oid key : oid list =
     scan x anchor_oid |> List.filter_map (fun (k, o) -> if String.equal k key then Some o else None)
@@ -567,7 +601,12 @@ let range x (ops : ops) anchor_oid ~(min : string option) ~(max : string option)
              let above = match max with None -> false | Some m -> ops.cmp k m > 0 in
              if below || above then None else Some o)
 
-let count x anchor_oid : int = (ro x anchor_cls anchor_oid).a_count
+(** Entries in the index: a list keeps its count in its head node, the
+    others in the anchor. *)
+let count x (impl : Indexer.impl) anchor_oid : int =
+  match impl with
+  | Indexer.List -> Listidx.count x anchor_oid
+  | Indexer.Btree | Indexer.Hash -> (ro x anchor_cls anchor_oid).a_count
 
 (** Drop all meta-objects of an index (anchor included). *)
 let drop x (ops : ops) anchor_oid : unit =

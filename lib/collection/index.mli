@@ -41,7 +41,9 @@ val scan : Object_store.txn -> ops -> oid -> oid list
 val range : Object_store.txn -> ops -> oid -> min:string option -> max:string option -> oid list
 (** Inclusive range. @raise Unsupported_query on a hash index. *)
 
-val count : Object_store.txn -> oid -> int
+val count : Object_store.txn -> Indexer.impl -> oid -> int
+(** Entries in the index. A list index keeps its count in its head node;
+    a head written before it did falls back to the anchor's count. *)
 
 val drop : Object_store.txn -> ops -> oid -> unit
 (** Remove every meta-object of the index, anchor included. *)

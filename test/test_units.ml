@@ -617,11 +617,24 @@ let test_locks_reentrant () =
 (* Index structures (directly, over an object store)                   *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_os () =
-  let _, store = Untrusted_store.open_mem () in
-  let _, ctr = One_way_counter.open_mem () in
+(* An in-memory database that [reopen_os] can open again, as after a
+   restart. *)
+type mem_db = { db_store : Untrusted_store.t; db_ctr : One_way_counter.t; db_secret : Secret_store.t }
+
+let mem_db () =
+  let _, db_store = Untrusted_store.open_mem () in
+  let _, db_ctr = One_way_counter.open_mem () in
+  { db_store; db_ctr; db_secret = Secret_store.of_seed "ix" }
+
+let create_os db =
   Tdb_objstore.Object_store.of_shard_store
-    (Chunk_store.create ~config:test_cfg ~secret:(Secret_store.of_seed "ix") ~counter:ctr store)
+    (Chunk_store.create ~config:test_cfg ~secret:db.db_secret ~counter:db.db_ctr db.db_store)
+
+let reopen_os db =
+  Tdb_objstore.Object_store.of_shard_store
+    (Chunk_store.open_existing ~config:test_cfg ~secret:db.db_secret ~counter:db.db_ctr db.db_store)
+
+let fresh_os () = create_os (mem_db ())
 
 let test_btree_index_ordering () =
   let open Tdb_collection in
@@ -635,7 +648,7 @@ let test_btree_index_ordering () =
     let k = i * 37 mod n in
     Index.insert x ops anchor ~key:(Gkey.to_bytes Gkey.int k) ~oid:(1000 + i)
   done;
-  Alcotest.(check int) "count" n (Index.count x anchor);
+  Alcotest.(check int) "count" n (Index.count x Indexer.Btree anchor);
   let all = Index.scan x ops anchor in
   Alcotest.(check int) "scan count" n (List.length all);
   (* range [50,59] *)
@@ -646,7 +659,7 @@ let test_btree_index_ordering () =
   (* delete one (key, oid) pair and re-check *)
   let victim_oid = List.hd (Index.exact x ops anchor ~key:(Gkey.to_bytes Gkey.int 55)) in
   Index.delete x ops anchor ~key:(Gkey.to_bytes Gkey.int 55) ~oid:victim_oid;
-  Alcotest.(check int) "one fewer" (n - 1) (Index.count x anchor);
+  Alcotest.(check int) "one fewer" (n - 1) (Index.count x Indexer.Btree anchor);
   Alcotest.(check bool) "specific pair gone" true
     (not (List.mem victim_oid (Index.exact x ops anchor ~key:(Gkey.to_bytes Gkey.int 55))));
   Tdb_objstore.Object_store.commit x
@@ -684,6 +697,126 @@ let test_list_index_order_preserved () =
   Alcotest.(check int) "count" 200 (List.length all);
   Alcotest.(check (list int)) "insertion order" (List.init 200 (fun i -> 100 + i)) all;
   Tdb_objstore.Object_store.commit x
+
+let list_ops = Tdb_collection.(Index.ops_of ~index_name:"l" ~unique:false ~impl:Indexer.List Gkey.int)
+let int_key i = Tdb_collection.(Gkey.to_bytes Gkey.int i)
+
+let test_list_insert_leaves_anchor () =
+  let open Tdb_collection in
+  let module Os = Tdb_objstore.Object_store in
+  let os = fresh_os () in
+  let cs = Os.chunk_store os in
+  let anchor = Os.with_txn os (fun x -> Index.create_anchor x Indexer.List) in
+  let before = Chunk_store.snapshot cs in
+  for i = 0 to 99 do
+    Os.with_txn ~durable:false os (fun x -> Index.insert x list_ops anchor ~key:(int_key i) ~oid:(100 + i))
+  done;
+  let after = Chunk_store.snapshot cs in
+  let changed = ref [] in
+  Chunk_store.diff_snapshots cs ~old_id:before ~new_id:after
+    ~changed:(fun cid _ -> changed := cid :: !changed)
+    ~removed:(fun cid -> Alcotest.failf "chunk %d removed" cid);
+  Alcotest.(check bool) "anchor chunk unchanged" false (List.mem anchor !changed);
+  (* 100 pairs, 8 to a node: the head (4 pairs) and 12 spilled nodes *)
+  Alcotest.(check int) "head + spilled nodes written" 13 (List.length !changed);
+  Os.with_txn os (fun x ->
+      Alcotest.(check int) "count" 100 (Index.count x Indexer.List anchor);
+      Alcotest.(check (list int)) "insertion order" (List.init 100 (fun i -> 100 + i)) (Index.scan x list_ops anchor))
+
+(* A list as the code before version 2 of the node class wrote it: the
+   anchor names the newest node and holds the count; nodes carry none. *)
+let test_list_version1_head () =
+  let open Tdb_collection in
+  let module Os = Tdb_objstore.Object_store in
+  let module P = Tdb_pickle.Pickle in
+  let db = mem_db () in
+  let os = create_os db in
+  let cs = Os.chunk_store os in
+  let pickle_v1 name f =
+    let w = P.writer () in
+    P.string w name;
+    P.uint w 1;
+    f w;
+    P.contents w
+  in
+  let node pairs lnext =
+    pickle_v1 "tdb.index.list_node" (fun w ->
+        P.list w
+          (fun w (k, o) ->
+            P.string w (int_key k);
+            P.uint w o)
+          pairs;
+        P.option w P.uint lnext)
+  in
+  let anchor_v1 root count =
+    pickle_v1 "tdb.index.anchor" (fun w ->
+        P.option w P.uint root;
+        P.uint w count;
+        P.list w P.uint [];
+        P.uint w 0;
+        P.uint w 0)
+  in
+  let tail = Chunk_store.allocate cs and head = Chunk_store.allocate cs and anchor = Chunk_store.allocate cs in
+  Chunk_store.write cs tail (node [ (1, 11); (0, 10) ] None);
+  Chunk_store.write cs head (node [ (2, 12) ] (Some tail));
+  (* a count no walk of the three pairs would give, so the test sees
+     where the count is read from *)
+  let anchor_bytes = anchor_v1 (Some head) 5 in
+  Chunk_store.write cs anchor anchor_bytes;
+  (* an empty list of that era has no head node at all *)
+  let empty = Chunk_store.allocate cs in
+  Chunk_store.write cs empty (anchor_v1 None 0);
+  Chunk_store.commit cs;
+  Os.with_txn os (fun x ->
+      Alcotest.(check int) "count from the anchor" 5 (Index.count x Indexer.List anchor);
+      Alcotest.(check (list int)) "scan" [ 10; 11; 12 ] (Index.scan x list_ops anchor);
+      Index.insert x list_ops anchor ~key:(int_key 3) ~oid:13);
+  let r = P.reader (Chunk_store.read cs head) in
+  Alcotest.(check string) "head class" "tdb.index.list_node" (P.read_string r);
+  Alcotest.(check int) "head rewritten at version 2" 2 (P.read_uint r);
+  Alcotest.(check string) "anchor untouched" anchor_bytes (Chunk_store.read cs anchor);
+  Os.close os;
+  let os = reopen_os db in
+  Os.with_txn os (fun x ->
+      Alcotest.(check int) "count moved into the head" 6 (Index.count x Indexer.List anchor);
+      Alcotest.(check (list int)) "scan after insert" [ 10; 11; 12; 13 ] (Index.scan x list_ops anchor);
+      Index.delete x list_ops anchor ~key:(int_key 0) ~oid:10;
+      Alcotest.(check int) "delete from the tail" 5 (Index.count x Indexer.List anchor);
+      Alcotest.(check int) "empty list" 0 (Index.count x Indexer.List empty);
+      Index.insert x list_ops empty ~key:(int_key 7) ~oid:20;
+      Index.insert x list_ops empty ~key:(int_key 8) ~oid:21);
+  Os.with_txn os (fun x ->
+      Alcotest.(check int) "empty list gained a head" 2 (Index.count x Indexer.List empty);
+      Alcotest.(check (list int)) "its scan" [ 20; 21 ] (Index.scan x list_ops empty))
+
+(* Inserts into one list open its anchor shared and its head exclusive, so
+   concurrent inserters queue on the head and never upgrade a lock. *)
+let test_list_concurrent_inserts () =
+  let open Tdb_collection in
+  let module Os = Tdb_objstore.Object_store in
+  let os = fresh_os () in
+  let anchor = Os.with_txn os (fun x -> Index.create_anchor x Indexer.List) in
+  let nthreads = 4 and per_thread = 50 in
+  let timeouts = Atomic.make 0 in
+  let worker tid =
+    for i = 1 to per_thread do
+      let oid = (tid * 1000) + i in
+      match Os.with_txn ~durable:false os (fun x -> Index.insert x list_ops anchor ~key:(int_key oid) ~oid) with
+      | () -> ()
+      | exception Tdb_objstore.Lock_manager.Lock_timeout _ -> Atomic.incr timeouts
+    done
+  in
+  List.iter Thread.join (List.init nthreads (fun tid -> Thread.create worker tid));
+  Alcotest.(check int) "lock timeouts" 0 (Atomic.get timeouts);
+  Os.with_txn os (fun x ->
+      Alcotest.(check int) "count" (nthreads * per_thread) (Index.count x Indexer.List anchor);
+      let all = Index.scan x list_ops anchor in
+      for tid = 0 to nthreads - 1 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "thread %d in order" tid)
+          (List.init per_thread (fun i -> (tid * 1000) + i + 1))
+          (List.filter (fun o -> o / 1000 = tid) all)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Sim disk & workload                                                 *)
@@ -856,7 +989,7 @@ let index_model_test impl name =
           end)
         ops;
       (* exact queries agree with the model for every key *)
-      let ok = ref (Index.count x anchor = Hashtbl.length model) in
+      let ok = ref (Index.count x impl anchor = Hashtbl.length model) in
       for k = 0 to 40 do
         let expect =
           Hashtbl.fold (fun (k', o) () acc -> if k' = k then o :: acc else acc) model []
@@ -873,7 +1006,106 @@ let index_model_test impl name =
 
 let qcheck_btree_model = index_model_test Tdb_collection.Indexer.Btree "btree matches model"
 let qcheck_hash_model = index_model_test Tdb_collection.Indexer.Hash "hash matches model"
-let qcheck_list_model = index_model_test Tdb_collection.Indexer.List "list matches model"
+(* The list model spans commits and reopens. A collection whose only index
+   is a list and a bare list anchor take the same inserts and deletes; both
+   must agree with the model in count and in scan (insertion) order. Runs
+   grow past one node, so most deletes land in spilled nodes. *)
+type list_step = Ins of int | Del of int | Commit | Reopen
+
+let list_steps =
+  let open QCheck in
+  let step =
+    Gen.frequency
+      [
+        (6, Gen.map (fun k -> Ins k) (Gen.int_range 0 40));
+        (3, Gen.map (fun i -> Del i) Gen.nat);
+        (1, Gen.return Commit);
+        (1, Gen.return Reopen);
+      ]
+  in
+  let show = function
+    | Ins k -> Printf.sprintf "ins %d" k
+    | Del i -> Printf.sprintf "del %d" i
+    | Commit -> "commit"
+    | Reopen -> "reopen"
+  in
+  make ~print:(Print.list show) Gen.(list_size (int_range 0 120) step)
+
+let qcheck_list_model =
+  QCheck.Test.make ~name:"list matches model" ~count:20 list_steps (fun steps ->
+      let open Tdb_collection in
+      let db = mem_db () in
+      let ix = Indexer.make ~name:"seq" ~key:Gkey.int ~extract:(fun (b : blob) -> b.v) ~impl:Indexer.List () in
+      let os = ref (create_os db) in
+      let ct = ref (Cstore.begin_ !os) in
+      let c = ref (Cstore.create_collection !ct ~name:"m" ~schema:blob_cls ix) in
+      let anchor = Index.create_anchor (Cstore.txn !ct) Indexer.List in
+      (* (key, oid) pairs in insertion order *)
+      let model = ref [] in
+      let ok = ref true in
+      let check () =
+        let expect = List.map snd !model in
+        let it = Cstore.scan !ct !c ix in
+        let rec oids acc =
+          if Cstore.at_end it then List.rev acc
+          else begin
+            let o = Cstore.current_oid it in
+            Cstore.advance it;
+            oids (o :: acc)
+          end
+        in
+        let scanned = oids [] in
+        Cstore.close it;
+        let x = Cstore.txn !ct in
+        if
+          Index.count x Indexer.List anchor <> List.length expect
+          || Cstore.size !ct !c <> List.length expect
+          || Index.scan x list_ops anchor <> expect
+          || scanned <> expect
+        then ok := false
+      in
+      let commit () =
+        Cstore.commit !ct;
+        ct := Cstore.begin_ !os
+      in
+      let reopen () =
+        Cstore.commit !ct;
+        Tdb_objstore.Object_store.close !os;
+        os := reopen_os db;
+        ct := Cstore.begin_ !os;
+        c := Cstore.open_collection !ct ~name:"m" ~schema:blob_cls ~indexers:[ Indexer.Generic ix ]
+      in
+      List.iter
+        (function
+          | Ins k ->
+              let oid = Cstore.insert !ct !c { v = k } in
+              Index.insert (Cstore.txn !ct) list_ops anchor ~key:(int_key k) ~oid;
+              model := !model @ [ (k, oid) ]
+          | Del i -> (
+              match !model with
+              | [] -> ()
+              | m ->
+                  let k, oid = List.nth m (i mod List.length m) in
+                  Index.delete (Cstore.txn !ct) list_ops anchor ~key:(int_key k) ~oid;
+                  let it = Cstore.exact !ct !c ix k in
+                  while Cstore.current_oid it <> oid do
+                    Cstore.advance it
+                  done;
+                  Cstore.delete it;
+                  Cstore.close it;
+                  model := List.filter (fun (_, o) -> o <> oid) m)
+          | Commit ->
+              commit ();
+              check ()
+          | Reopen ->
+              reopen ();
+              check ())
+        steps;
+      check ();
+      reopen ();
+      check ();
+      Cstore.commit !ct;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Config pins                                                         *)
@@ -881,11 +1113,12 @@ let qcheck_list_model = index_model_test Tdb_collection.Indexer.List "list match
 
 (* Child mode for the pin test: report what [Config.default] resolved to
    in this process's environment. *)
-let print_default_widths = "--print-default-widths"
+let print_defaults = "--print-defaults"
 
 let () =
-  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) print_default_widths then begin
-    Printf.printf "domains=%d shards=%d" Config.default.Config.domains Config.default.Config.shards;
+  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) print_defaults then begin
+    Printf.printf "domains=%d shards=%d replica_every=%d" Config.default.Config.domains Config.default.Config.shards
+      Config.default.Config.replica_interval_commits;
     exit 0
   end
 
@@ -899,20 +1132,19 @@ let test_config_pins () =
   rejects "shards = 2" { Config.default with Config.shards = 2 };
   Config.validate Config.default;
   (* the environment no longer widens the default *)
-  let widened = [ "TDB_DOMAINS=4"; "TDB_SHARDS=4" ] in
+  let widened = [ "TDB_DOMAINS=4"; "TDB_SHARDS=4"; "TDB_REPLICA_EVERY=8" ] in
   let env =
     Array.of_list
       (widened
-      @ List.filter
-          (fun kv -> not (String.starts_with ~prefix:"TDB_DOMAINS=" kv || String.starts_with ~prefix:"TDB_SHARDS=" kv))
-          (Array.to_list (Unix.environment ())))
+      @ List.filter (fun kv -> not (String.starts_with ~prefix:"TDB_" kv)) (Array.to_list (Unix.environment ())))
   in
   let out, inp, err =
-    Unix.open_process_args_full Sys.executable_name [| Sys.executable_name; print_default_widths |] env
+    Unix.open_process_args_full Sys.executable_name [| Sys.executable_name; print_defaults |] env
   in
   let printed = In_channel.input_all out in
   ignore (Unix.close_process_full (out, inp, err));
-  Alcotest.(check string) "default widths under TDB_DOMAINS=4 TDB_SHARDS=4" "domains=1 shards=1" printed
+  Alcotest.(check string) "defaults under TDB_DOMAINS=4 TDB_SHARDS=4 TDB_REPLICA_EVERY=8"
+    "domains=1 shards=1 replica_every=0" printed
 
 let () =
   Alcotest.run "tdb_units"
@@ -969,6 +1201,9 @@ let () =
           Alcotest.test_case "btree ordering" `Quick test_btree_index_ordering;
           Alcotest.test_case "hash growth" `Quick test_hash_index_growth;
           Alcotest.test_case "list order" `Quick test_list_index_order_preserved;
+          Alcotest.test_case "list insert leaves the anchor" `Quick test_list_insert_leaves_anchor;
+          Alcotest.test_case "list version-1 head" `Quick test_list_version1_head;
+          Alcotest.test_case "list inserts under 2PL" `Quick test_list_concurrent_inserts;
         ] );
       ( "baseline-page",
         [
