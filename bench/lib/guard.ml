@@ -39,18 +39,22 @@ let within ~tol r ~what ~fresh ~base =
         let op = if r.up_is_worse then ">" else "<" in
         [ (Fail, Printf.sprintf "%s: %s %s %s %.*f (baseline %s, tolerance %g)" what r.field fs op r.digits limit bs tol) ]
 
-(* Meter counters are deterministic at equal scale: a fresh value that
-   differs at all means the committed file no longer describes the code. *)
+(* Meter counters (at equal scale) and the replica's archive counters are
+   deterministic: a fresh value that differs at all means the committed
+   file no longer describes the code. *)
 let meter_exact =
   [ "bytes_relocated"; "bytes_committed"; "chunks_relocated"; "segments_cleaned"; "clean_passes"; "db_size"; "live_bytes" ]
 
-let exact field ~what ~fresh ~base =
+let replica_exact = [ "backups"; "stream_bytes" ]
+
+let exact bench field ~what ~fresh ~base =
   match (Option.bind (member field base) to_float, Option.bind (member field fresh) to_float) with
   | None, _ -> [ (Note, Printf.sprintf "%s: baseline has no %s, skipping" what field) ]
   | _, None -> [ (Note, Printf.sprintf "%s: fresh run has no %s, skipping" what field) ]
   | Some b, Some f when Float.equal b f -> [ (Pass, Printf.sprintf "%s: %s %.0f (baseline %.0f)" what field f b) ]
   | Some b, Some f ->
-      [ (Fail, Printf.sprintf "%s: %s %.0f, baseline %.0f: regenerate BENCH_METER.json" what field f b) ]
+      let file = "BENCH_" ^ String.uppercase_ascii bench ^ ".json" in
+      [ (Fail, Printf.sprintf "%s: %s %.0f, baseline %.0f: regenerate %s" what field f b file) ]
 
 (* one row pair, judged only when both rows exist *)
 let axis ~what checks fresh base =
@@ -77,7 +81,10 @@ let run ?tol ~base fresh =
       let b, f = (scale_name base, scale_name fresh) in
       [ (Fail, Printf.sprintf "meter scales differ (baseline %s, fresh %s): rows are not comparable" b f) ]
   | Some (Str "meter") ->
-      same_rows ~prefix:"meter alpha=" "alpha" (within 0.15 write_amp :: List.map exact meter_exact) ~base fresh
+      let checks = within 0.15 write_amp :: List.map (exact "meter") meter_exact in
+      same_rows ~prefix:"meter alpha=" "alpha" checks ~base fresh
+  | Some (Str "replica") ->
+      same_rows ~prefix:"replica interval=" "interval" (List.map (exact "replica") replica_exact) ~base fresh
   | Some (Str "micro") -> same_rows "name" [ within 0.50 ns_per_op ] ~base fresh
   | Some (Str bench) -> [ (Note, bench ^ ": no guard rules, nothing gated") ]
   | _ -> raise (Error "fresh file has no \"bench\" field")

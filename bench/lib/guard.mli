@@ -10,7 +10,12 @@
       [chunks_relocated], [segments_cleaned], [clean_passes], [db_size],
       [live_bytes]), deterministic at equal scale, must equal the
       baseline's, failing with "regenerate BENCH_METER.json";
-    - [micro]: [ns_per_op] <= (1+TOL)·base, TOL defaulting to 0.50.
+    - [micro]: [ns_per_op] <= (1+TOL)·base, TOL defaulting to 0.50;
+    - [replica]: per [interval], [backups] and [stream_bytes] —
+      deterministic, since the emitted archive depends only on the seeded
+      workload — must equal the baseline's, failing with "regenerate
+      BENCH_REPLICA.json"; lag and timing fields are not gated (primary
+      and follower timeshare the host).
 
     A row or field the baseline lacks is noted and skipped. *)
 

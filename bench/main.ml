@@ -345,27 +345,15 @@ type replica_row = {
 }
 
 let replica_one ~every ~accounts ~txns : replica_row =
-  let record_ix () : (Workload.record, int) Tdb.Indexer.t =
-    Tdb.Indexer.make ~name:"id" ~key:Tdb.Gkey.int
-      ~extract:(fun (r : Workload.record) -> r.Workload.id)
-      ~unique:true ~impl:Tdb.Indexer.Hash ()
-  in
-  let expose srv =
-    Tdb.Server.expose_collection srv ~name:"account" ~schema:Workload.account_cls
-      ~indexers:[ Tdb.Indexer.Generic (record_ix ()) ]
-      ~mutations:
-        [ ("add", fun (r : Workload.record) rd -> r.Workload.balance <- r.Workload.balance + Tdb.Pickle.read_int rd) ]
-      ()
-  in
   let seed = "bench-replica" in
   let _, pdev = Tdb.Device.in_memory ~seed () in
-  let pdb =
-    Tdb.create
-      ~config:{ Tdb.Chunk_config.default with Tdb.Chunk_config.replica_interval_commits = every }
-      pdev
+  let pdb = Tdb.create pdev in
+  let psrv =
+    Tdb.Server.create
+      ~config:{ Tdb.Server.default_config with Tdb.Server.replica_every = every }
+      ~backups:pdb.Tdb.backups pdb.Tdb.objects (Tdb.Server.Tcp ("127.0.0.1", 0))
   in
-  let psrv = Tdb.Server.create ~backups:pdb.Tdb.backups pdb.Tdb.objects (Tdb.Server.Tcp ("127.0.0.1", 0)) in
-  expose psrv;
+  Net_driver.expose_schema psrv;
   Tdb.Server.start psrv;
   let paddr = Tdb.Server.Tcp ("127.0.0.1", Tdb.Server.port psrv) in
   let _, fdev = Tdb.Device.in_memory ~seed () in
@@ -405,8 +393,8 @@ let replica_one ~every ~accounts ~txns : replica_row =
       done;
       let t_load = Unix.gettimeofday () in
       (* converged = the follower applied the primary's newest frame; the
-         last heartbeat's id can trail the final emission, so it is not
-         the target *)
+         follower's last listing can predate the final emission, so its
+         [primary_id] is not the target *)
       let newest = (Tdb.Backup_store.chain_state pdb.Tdb.backups).Tdb.Backup_store.last_id in
       while (Tdb.Replica.status rep).Tdb.Replica.applied_id < newest do
         if Unix.gettimeofday () -. t_load > 60. then failwith "replica bench: no convergence";

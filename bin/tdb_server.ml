@@ -28,7 +28,7 @@ let replica_every_arg =
   Arg.(
     value & opt int 0
     & info [ "replica-every" ] ~docv:"N"
-        ~doc:"Emit an incremental backup to the replication feed every $(docv) durable commits (0 = never).")
+        ~doc:"Emit an incremental backup to the archive followers poll every $(docv) durable commits (0 = never).")
 
 let serve_cmd =
   let run dir socket port host fresh idle_timeout replica_every =
@@ -46,11 +46,8 @@ let serve_cmd =
       exit 2
     end;
     let device = Tdb.Device.at_dir dir in
-    let store_config = { Tdb.Chunk_config.default with Tdb.Chunk_config.replica_interval_commits = replica_every } in
-    let db =
-      if fresh then Tdb.create ~config:store_config device else Tdb.open_existing ~config:store_config device
-    in
-    let config = { Tdb.Server.default_config with Tdb.Server.idle_timeout } in
+    let db = if fresh then Tdb.create device else Tdb.open_existing device in
+    let config = { Tdb.Server.default_config with Tdb.Server.idle_timeout; replica_every } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
     Tdb_tpcb.Net_driver.expose_schema srv;
     (match addr with
@@ -65,7 +62,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Serve a database over a Unix-domain or TCP socket.")
     Term.(const run $ dir_arg $ socket_arg $ port_arg $ host_arg $ fresh_arg $ idle_arg $ replica_every_arg)
 
-(* Follower mode: tail a primary's archive feed into a local database
+(* Follower mode: poll a primary's archive into a local database
    directory and serve it read-only over a socket of its own. The
    follower's directory must hold a copy of the primary's secret file
    (frames verify against the shared platform secret). *)
@@ -80,7 +77,7 @@ let replicate_cmd =
     Arg.(value & opt string "127.0.0.1" & info [ "from-host" ] ~docv:"HOST" ~doc:"Primary's numeric address with --from-port.")
   in
   let poll_arg =
-    Arg.(value & opt float 0.2 & info [ "poll" ] ~docv:"SECONDS" ~doc:"Reconnect backoff.")
+    Arg.(value & opt float 0.05 & info [ "poll" ] ~docv:"SECONDS" ~doc:"Idle poll interval and reconnect delay.")
   in
   let run dir socket port host fresh from_socket from_port from_host poll idle_timeout =
     let from =
@@ -113,7 +110,7 @@ let replicate_cmd =
         ~config:{ Tdb.Replica.poll }
         ~os:db.Tdb.objects ~backups:db.Tdb.backups ~from ()
     in
-    let config = { Tdb.Server.read_only = true; idle_timeout } in
+    let config = { Tdb.Server.default_config with Tdb.Server.read_only = true; idle_timeout } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
     Tdb_tpcb.Net_driver.expose_schema srv;
     (match addr with
@@ -126,7 +123,7 @@ let replicate_cmd =
   in
   Cmd.v
     (Cmd.info "replicate"
-       ~doc:"Tail a primary's replication feed into $(docv) and serve it read-only.")
+       ~doc:"Poll a primary's archive into $(docv) and serve it read-only.")
     Term.(const run $ dir_arg $ socket_arg $ port_arg $ host_arg $ fresh_arg $ from_socket $ from_port
           $ from_host $ poll_arg $ idle_arg)
 

@@ -193,8 +193,8 @@ let name_of (h : header) : string =
 let stream_name = name_of
 
 (** Parse an archive entry name back to (id, kind). Names are untrusted
-    hints for ordering the publish stream; the follower verifies every
-    frame's MAC and chain before believing anything. *)
+    hints that steer a follower's frame selection; the follower verifies
+    every frame's MAC and chain before believing anything. *)
 let parse_name (name : string) : (int * [ `Full | `Incremental ]) option =
   let n = String.length name in
   if n < 4 + 1 + 5 || not (String.equal (String.sub name 0 4) "tdb-") then None

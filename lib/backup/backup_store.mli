@@ -57,8 +57,8 @@ val stream_name : header -> string
 
 val parse_name : string -> (int * [ `Full | `Incremental ]) option
 (** Parse an archive entry name ([tdb-NNNNNN-full|incr]) to (id, kind) —
-    an untrusted ordering hint for the publisher; consumers verify frames
-    cryptographically before believing anything. *)
+    an untrusted hint for a follower's frame selection; consumers verify
+    frames cryptographically before believing anything. *)
 
 val backup_full : t -> int
 (** Write a full backup; resets the incremental chain. Returns its id. *)

@@ -38,12 +38,6 @@ type t = {
           held inside the trusted boundary); 0 disables it *)
   domains : int;
       (** Always 1: commits seal on the calling domain (see the mli). *)
-  replica_interval_commits : int;
-      (** When a server has a backup store attached, auto-emit an
-          incremental backup every this many durable commits, feeding the
-          replication stream without manual [backup_incremental] calls.
-          0 disables auto-emission (the default, so standalone stores and
-          benches are unchanged). *)
   shards : int;
       (** Always 1: one log, one anchor, one one-way counter (see the mli). *)
   tiers : int;
@@ -66,7 +60,6 @@ let default =
     clean_batch = 8;
     chunk_cache_bytes = 1024 * 1024;
     domains = 1;
-    replica_interval_commits = 0;
     shards = 1;
     tiers = 1;
   }
@@ -87,6 +80,5 @@ let validate (c : t) =
     invalid_arg "Config: checkpoint_residual_bytes must cover a few segments";
   if c.chunk_cache_bytes < 0 then invalid_arg "Config: chunk_cache_bytes negative";
   if c.domains <> 1 then invalid_arg "Config: domains must be 1 (commits seal on the calling domain)";
-  if c.replica_interval_commits < 0 then invalid_arg "Config: replica_interval_commits negative";
   if c.shards <> 1 then invalid_arg "Config: shards must be 1 (the store has a single log)";
   if c.tiers <> 1 then invalid_arg "Config: tiers must be 1 (the log has a single cleaner)"

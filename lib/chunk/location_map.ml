@@ -312,24 +312,11 @@ let diff_trees ~fanout (fetch : fetch) ~(old_root : entry option) ~(new_root : e
     ~(changed : chunk_id -> entry -> unit) ~(removed : chunk_id -> unit) : unit =
   let load e = node_of_payload ~fanout (fetch ~what:(fun () -> "diff map node") e) in
   let entries_equal (a : entry) (b : entry) = entry_equal a b in
-  let rec subtree_all f = function
-    | None -> ()
-    | Some (e : entry) ->
-        let n = load e in
-        Array.iteri
-          (fun i kid ->
-            match kid with
-            | Empty -> ()
-            | Entry _ -> f (n.base + i) (leaf_entry kid)
-            | Unloaded ce -> subtree_all f (Some ce)
-            | Node _ -> assert false)
-          n.kids
-  in
   let rec go (old_e : entry option) (new_e : entry option) =
     match (old_e, new_e) with
     | None, None -> ()
-    | None, Some _ -> subtree_all (fun cid e -> match e with Some e -> changed cid e | None -> ()) new_e
-    | Some _, None -> subtree_all (fun cid _ -> removed cid) old_e
+    | None, Some root -> walk_tree ~fanout fetch ~root ~data:changed ~node:ignore
+    | Some root, None -> walk_tree ~fanout fetch ~root ~data:(fun cid _ -> removed cid) ~node:ignore
     | Some oe, Some ne ->
         if entries_equal oe ne then ()
         else begin

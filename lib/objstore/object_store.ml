@@ -146,7 +146,7 @@ let chunk_store t = t.cs
 let held_count t = with_mu t (fun () -> Lock_manager.held_count t.locks)
 
 (** Run [f] on the underlying chunk store while holding the state mutex,
-    serializing it against every transaction. The backup/publish path uses
+    serializing it against every transaction. The backup path uses
     this: snapshot creation, archive emission and chain-state commits must
     not interleave with a transaction's own commit. [f] must not call back
     into this object store (the mutex is not reentrant). *)

@@ -68,8 +68,8 @@ val held_count : t -> int
 
 val with_store : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a
 (** Run [f] on the underlying chunk store under the store's state mutex,
-    serialized against every transaction — the backup/publish path (snapshot
-    creation, archive emission, chain-state commits). [f] must not call
+    serialized against every transaction — the backup path (snapshot
+    creation, archive emission and listing, chain-state commits). [f] must not call
     back into this object store. *)
 
 val ingest : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a option

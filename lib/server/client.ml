@@ -38,23 +38,26 @@ let expect_oid = function Proto.Ok_oid oid -> oid | _ -> unexpected "Ok_oid"
 let expect_data = function Proto.Ok_data d -> d | _ -> unexpected "Ok_data"
 
 let connect (addr : Server.addr) : t =
-  let fd =
+  let domain, sa =
     match addr with
-    | Server.Unix_path path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | Server.Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-        fd
+    | Server.Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Server.Tcp (host, port) -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
   in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   let c = { fd; mu = Mutex.create (); closed = false } in
-  match rpc c (Proto.Hello { r_magic = Proto.magic; r_version = Proto.version }) with
+  (* a refused connect or handshake must not leak the socket: a follower
+     retries against a downed primary every poll interval *)
+  match
+    Unix.connect fd sa;
+    rpc c (Proto.Hello { r_magic = Proto.magic; r_version = Proto.version })
+  with
   | Proto.Hello_ok _ -> c
   | _ ->
       Unix.close fd;
       unexpected "Hello_ok"
+  | exception e ->
+      Unix.close fd;
+      raise e
 
 let close (c : t) : unit =
   if not c.closed then begin
@@ -77,6 +80,9 @@ let disconnect_abruptly (c : t) : unit =
     c.closed <- true;
     match Unix.close c.fd with () -> () | exception Unix.Unix_error (_, _, _) -> ()
   end
+
+let shutdown (c : t) : unit =
+  match Unix.shutdown c.fd Unix.SHUTDOWN_ALL with () -> () | exception Unix.Unix_error (_, _, _) -> ()
 
 (* --- transactions --- *)
 
@@ -164,8 +170,19 @@ let metrics (c : t) : Tdb_chunk.Metrics.t =
 
 (* --- archive --- *)
 
-let list_backups (c : t) : (int * string) list =
-  match rpc c Proto.List_backups with Proto.Ok_list l -> l | _ -> unexpected "Ok_list"
+let list_backups ?(after = 0) (c : t) : (int * string) list =
+  let rec pages after acc =
+    match rpc c (Proto.List_backups { after }) with
+    | Proto.Ok_list page -> (
+        let acc = List.rev_append page acc in
+        match List.rev page with
+        | (last, _) :: _ when List.compare_length_with page Proto.list_page >= 0 ->
+            if last <= after then unexpected "a List_backups page past its cursor";
+            pages last acc
+        | _ -> List.rev acc)
+    | _ -> unexpected "Ok_list"
+  in
+  pages after []
 
 let fetch_backup (c : t) ~(name : string) : string =
   expect_data (rpc c (Proto.Fetch_backup { name }))

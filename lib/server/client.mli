@@ -17,6 +17,7 @@ type t
 val connect : Server.addr -> t
 (** Connect and perform the version handshake. Response frames are
     bounded by {!Proto.default_max_frame}.
+    The socket is closed when the connect or the handshake fails.
     @raise Server_error on a version refusal. *)
 
 val close : t -> unit
@@ -25,6 +26,11 @@ val close : t -> unit
 val disconnect_abruptly : t -> unit
 (** Drop the socket without a goodbye — the server must abort the
     session's transaction and release its locks. For tests. *)
+
+val shutdown : t -> unit
+(** Shut the socket down without closing it, from any thread: a request
+    blocked on it fails ([End_of_file] or [Unix.Unix_error]). {!close}
+    still releases the descriptor. *)
 
 (** {1 Transactions} — at most one open per connection. *)
 
@@ -91,10 +97,12 @@ val metrics : t -> Tdb_chunk.Metrics.t
 
 (** {1 Archive} — remote access to the server's backup archive. *)
 
-val list_backups : t -> (int * string) list
-(** (backup id, archive stream name) pairs in id order. Raises
-    {!Server_error} with tag ["no_archive"] when the server has no
-    archive attached. *)
+val list_backups : ?after:int -> t -> (int * string) list
+(** (backup id, archive stream name) pairs with id above [after] (default
+    0: the whole index), in id order. Fetched a page of at most
+    {!Proto.list_page} entries per request, so no answer outgrows a frame
+    however long the archive is. Raises {!Server_error} with tag
+    ["no_archive"] when the server has no archive attached. *)
 
 val fetch_backup : t -> name:string -> string
 (** One archive stream by name, as listed by {!list_backups}. The stream

@@ -17,12 +17,14 @@ exception Proto_error of string
 (** Malformed frame, unknown opcode, version mismatch, or oversized
     payload. *)
 
-let version = 7
+let version = 8
 let magic = "TDB\001"
 
 let default_max_frame = 4 * 1024 * 1024
 (** Frames larger than this are refused outright — a length prefix is
     attacker-supplied input and must not size an allocation unchecked. *)
+
+let list_page = 16384
 
 module P = Tdb_pickle.Pickle
 
@@ -48,12 +50,10 @@ type request =
   | Coll_size of { coll : string }
   | Metrics  (** the server's and the store's named metrics *)
   | Bye
-  | Subscribe of { r_last_id : int; r_chain : string }
-      (** switch the connection to publish mode: stream archive frames
-          starting after the subscriber's chain position (its persisted
-          backup chain state). The publisher treats both fields as
-          untrusted hints — frames are verified by the subscriber. *)
-  | List_backups  (** archive index: (backup id, archive name) pairs *)
+  | List_backups of { after : int }
+      (** one page of the archive index: the (backup id, archive name)
+          pairs with id above [after], in id order, at most {!list_page}
+          of them *)
   | Fetch_backup of { name : string }
       (** one archive stream by name — an opaque sealed backup frame the
           client verifies and unseals locally under the device secret *)
@@ -69,12 +69,6 @@ type response =
   | Ok_int of int
   | Ok_metrics of Tdb_chunk.Metrics.t
   | Error_ of { tag : string; msg : string }
-  | Rep_frame of { f_name : string; f_stream : string }
-      (** one archive stream (a sealed, MAC'd backup frame, opaque here) *)
-  | Rep_heartbeat of { h_last_id : int; h_seq : int; h_counter : int64 }
-      (** publisher position: newest archive id, the store's commit
-          sequence and one-way counter — what follower lag is measured
-          against *)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -141,11 +135,9 @@ let encode_request (req : request) : string =
       P.string w coll
   | Metrics -> P.byte w 15
   | Bye -> P.byte w 16
-  | Subscribe { r_last_id; r_chain } ->
-      P.byte w 17;
-      P.uint w r_last_id;
-      P.string w r_chain
-  | List_backups -> P.byte w 18
+  | List_backups { after } ->
+      P.byte w 18;
+      P.uint w after
   | Fetch_backup { name } ->
       P.byte w 19;
       P.string w name);
@@ -203,11 +195,7 @@ let decode_request (payload : string) : request =
     | 14 -> Coll_size { coll = P.read_string r }
     | 15 -> Metrics
     | 16 -> Bye
-    | 17 ->
-        let r_last_id = P.read_uint r in
-        let r_chain = P.read_string r in
-        Subscribe { r_last_id; r_chain }
-    | 18 -> List_backups
+    | 18 -> List_backups { after = P.read_uint r }
     | 19 -> Fetch_backup { name = P.read_string r }
     | op -> raise (Proto_error (Printf.sprintf "unknown request opcode %d" op))
   in
@@ -266,16 +254,7 @@ let encode_response (resp : response) : string =
   | Error_ { tag; msg } ->
       P.byte w 9;
       P.string w tag;
-      P.string w msg
-  | Rep_frame { f_name; f_stream } ->
-      P.byte w 10;
-      P.string w f_name;
-      P.string w f_stream
-  | Rep_heartbeat { h_last_id; h_seq; h_counter } ->
-      P.byte w 11;
-      P.uint w h_last_id;
-      P.uint w h_seq;
-      P.int64 w h_counter);
+      P.string w msg);
   P.contents w
 
 let decode_response (payload : string) : response =
@@ -295,15 +274,6 @@ let decode_response (payload : string) : response =
         let tag = P.read_string r in
         let msg = P.read_string r in
         Error_ { tag; msg }
-    | 10 ->
-        let f_name = P.read_string r in
-        let f_stream = P.read_string r in
-        Rep_frame { f_name; f_stream }
-    | 11 ->
-        let h_last_id = P.read_uint r in
-        let h_seq = P.read_uint r in
-        let h_counter = P.read_int64 r in
-        Rep_heartbeat { h_last_id; h_seq; h_counter }
     | op -> raise (Proto_error (Printf.sprintf "unknown response opcode %d" op))
   in
   P.expect_end r;

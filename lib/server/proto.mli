@@ -18,6 +18,11 @@ val default_max_frame : int
 (** Hard bound on frame payloads — the length prefix is attacker-supplied
     and must not size an allocation unchecked. *)
 
+val list_page : int
+(** Most entries one [List_backups] answer carries, so an index page fits
+    a frame however long the archive grows (an entry is about 20 bytes).
+    A shorter page is the last one. *)
+
 (** {1 Messages} *)
 
 type request =
@@ -38,11 +43,10 @@ type request =
   | Coll_size of { coll : string }
   | Metrics  (** the server's and the store's named metrics *)
   | Bye
-  | Subscribe of { r_last_id : int; r_chain : string }
-      (** switch the connection to publish mode: stream archive frames
-          from after the subscriber's chain position. Both fields are
-          untrusted hints; the subscriber verifies every frame. *)
-  | List_backups  (** archive index: (backup id, archive name) pairs *)
+  | List_backups of { after : int }
+      (** one page of the archive index: the (backup id, archive name)
+          pairs with id above [after], in id order, at most {!list_page}
+          of them *)
   | Fetch_backup of { name : string }
       (** one archive stream by name — an opaque sealed backup frame the
           client verifies and unseals locally under the device secret *)
@@ -58,11 +62,6 @@ type response =
   | Ok_int of int
   | Ok_metrics of Tdb_chunk.Metrics.t
   | Error_ of { tag : string; msg : string }
-  | Rep_frame of { f_name : string; f_stream : string }
-      (** one archive stream (sealed, MAC'd backup frame — opaque here) *)
-  | Rep_heartbeat of { h_last_id : int; h_seq : int; h_counter : int64 }
-      (** publisher position: newest archive id, commit sequence, one-way
-          counter — what follower lag is measured against *)
 
 val encode_request : request -> string
 

@@ -40,12 +40,12 @@ type config = {
       (** replication-follower mode: mutating requests and durable commits
           are refused with a typed ["read_only"] error; sessions read at
           the follower's restored snapshot *)
+  replica_every : int;
+      (** with an archive attached, emit an incremental backup every this
+          many durable commits; 0 = never *)
 }
 
-let default_config = { idle_timeout = 0.; read_only = false }
-
-(* Publisher idle poll interval, seconds. *)
-let publish_poll = 0.05
+let default_config = { idle_timeout = 0.; read_only = false; replica_every = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Exposure registries                                                 *)
@@ -71,8 +71,8 @@ type t = {
   os : Object_store.t;
   cfg : config;
   backups : Tdb_backup.Backup_store.t option;
-      (** archive this server publishes (and, when
-          [Config.replica_interval_commits > 0], auto-extends) *)
+      (** archive this server lists and serves (and, when
+          [cfg.replica_every > 0], auto-extends) *)
   classes : (string, packed_class) Hashtbl.t;
   colls : (string, exposure) Hashtbl.t;
   listen_fd : Unix.file_descr;
@@ -110,8 +110,8 @@ let listen_on (addr : addr) : Unix.file_descr * string option =
       Unix.listen fd 64;
       (fd, None)
 
-(* Streaming writers (publisher frames, heartbeats) can hit a peer that
-   closed mid-stream; take the EPIPE as a Unix_error, not a fatal signal. *)
+(* A response can hit a peer that closed mid-request; take the EPIPE as a
+   Unix_error, not a fatal signal. *)
 let ignore_sigpipe () =
   match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with () -> () | exception Invalid_argument _ -> ()
 
@@ -284,7 +284,7 @@ let check_read_only (t : t) (req : Proto.request) : unit =
           "this server is a replication follower: durable commit refused (commit nondurably or abort)"
     | _ -> ()
 
-(* Primary-side auto-emission: every [replica_interval_commits] durable
+(* Primary-side auto-emission: every [replica_every] durable
    commits, extend the archive with an incremental backup. The counter and
    a single-emitter election run under [t.mu]; the emission itself runs
    outside it (it takes the object store's state mutex via [with_store]). *)
@@ -292,10 +292,7 @@ let maybe_emit_incremental (t : t) : unit =
   match t.backups with
   | None -> ()
   | Some bs ->
-      let interval =
-        (Tdb_chunk.Chunk_store.config (Object_store.chunk_store t.os)).Tdb_chunk.Config
-        .replica_interval_commits
-      in
+      let interval = t.cfg.replica_every in
       if interval > 0 then begin
         Mutex.lock t.mu;
         t.commits_since_emit <- t.commits_since_emit + 1;
@@ -481,19 +478,19 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
       in
       Mutex.unlock t.mu;
       Proto.Ok_metrics (server @ objects @ store)
-  | Proto.List_backups -> (
+  | Proto.List_backups { after } -> (
       match t.backups with
       | None -> reject "no_archive" "this server has no archive attached"
       | Some bs ->
           let module B = Tdb_backup.Backup_store in
-          let index =
+          let above =
             Object_store.with_store t.os (fun _cs ->
                 Tdb_platform.Archival_store.list (B.archive bs)
                 |> List.filter_map (fun name ->
-                       match B.parse_name name with Some (id, _) -> Some (id, name) | None -> None)
-                |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+                       match B.parse_name name with Some (id, _) when id > after -> Some (id, name) | _ -> None))
           in
-          Proto.Ok_list index)
+          let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) above in
+          Proto.Ok_list (List.filteri (fun i _ -> i < Proto.list_page) sorted))
   | Proto.Fetch_backup { name } -> (
       match t.backups with
       | None -> reject "no_archive" "this server has no archive attached"
@@ -512,10 +509,6 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
           | None -> reject "not_found" "archive stream %S not found" name
           | Some s -> Proto.Ok_data s)
   | Proto.Bye -> Proto.Ok_unit
-  | Proto.Subscribe _ ->
-      (* reached only when the session loop could not switch this
-         connection into publish mode *)
-      reject "no_archive" "this server has no archive attached to publish"
 
 (* Abort the session's transaction, if any, counting it. *)
 let abort_session_txn (t : t) (s : session) : unit =
@@ -566,90 +559,6 @@ let respond (t : t) (s : session) (req : Proto.request) : Proto.response =
   | exception Failure msg -> Proto.Error_ { tag = "failed"; msg }
 
 (* ------------------------------------------------------------------ *)
-(* Publisher                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* After a [Subscribe], the connection becomes a one-way archive feed:
-   [Rep_frame]s in backup-id order, a [Rep_heartbeat] after every batch
-   (and on idle ticks, as the liveness/lag signal), until the subscriber
-   disconnects or the server stops.
-
-   The publisher trusts nothing from the subscriber. Its position
-   [(r_last_id, r_chain)] is only a cursor hint: if it claims our exact
-   position but its chain value differs, or claims to be ahead of us, it
-   has diverged and is restarted from the newest full. A subscriber whose
-   stale chain we *cannot* detect simply fails verification on its own
-   side and re-subscribes from genesis. Archive reads run under the object
-   store's state mutex (serialized against emissions); socket writes
-   happen outside every lock. *)
-let publish_loop (t : t) (s : session) (bs : Tdb_backup.Backup_store.t) ~(sub_last_id : int)
-    ~(sub_chain : string) : unit =
-  let module B = Tdb_backup.Backup_store in
-  let archive = B.archive bs in
-  let cursor = ref sub_last_id in
-  let first = ref true in
-  let stopping () =
-    Mutex.lock t.mu;
-    let v = t.stopping in
-    Mutex.unlock t.mu;
-    v
-  in
-  while not (stopping ()) do
-    let frames, hb =
-      Object_store.with_store t.os (fun cs ->
-          let st = B.chain_state bs in
-          let index =
-            Tdb_platform.Archival_store.list archive
-            |> List.filter_map (fun name ->
-                   match B.parse_name name with Some (id, k) -> Some (id, k, name) | None -> None)
-            |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          in
-          let newest_full =
-            List.fold_left
-              (fun acc (id, k, _) -> match k with `Full -> max acc id | `Incremental -> acc)
-              0 index
-          in
-          if !first then begin
-            first := false;
-            if
-              !cursor > st.last_id
-              || (Int.equal !cursor st.last_id && not (Tdb_crypto.Ct.equal_string sub_chain st.chain))
-            then cursor := max 0 (newest_full - 1)
-          end;
-          (* a subscriber behind the newest full can only catch up from
-             that full: incrementals below it chain from a history the
-             archive may no longer hold *)
-          if newest_full > !cursor + 1 then cursor := newest_full - 1;
-          let to_send =
-            List.filter_map
-              (fun (id, _, name) ->
-                if id > !cursor then
-                  match Tdb_platform.Archival_store.get archive ~name with
-                  | Some stream -> Some (id, name, stream)
-                  | None -> None
-                else None)
-              index
-          in
-          let hb =
-            Proto.Rep_heartbeat
-              {
-                h_last_id = st.last_id;
-                h_seq = Tdb_chunk.Chunk_store.commit_seq cs;
-                h_counter = Tdb_chunk.Chunk_store.counter_value cs;
-              }
-          in
-          (to_send, hb))
-    in
-    List.iter
-      (fun (id, name, stream) ->
-        Proto.write_frame s.s_fd (Proto.encode_response (Proto.Rep_frame { f_name = name; f_stream = stream }));
-        cursor := max !cursor id)
-      frames;
-    Proto.write_frame s.s_fd (Proto.encode_response hb);
-    match frames with [] -> Thread.delay publish_poll | _ :: _ -> ()
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Session loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -666,15 +575,9 @@ let session_loop (t : t) (s : session) : unit =
     Unix.setsockopt_float s.s_fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
   let rec loop () =
     let req = Proto.decode_request (Proto.read_frame s.s_fd) in
-    match (req, t.backups) with
-    | Proto.Subscribe { r_last_id; r_chain }, Some bs ->
-        (* mode switch: this connection is now a publish feed and never
-           returns to request/response *)
-        publish_loop t s bs ~sub_last_id:r_last_id ~sub_chain:r_chain
-    | _ ->
-        let resp = respond t s req in
-        Proto.write_frame s.s_fd (Proto.encode_response resp);
-        (match req with Proto.Bye -> () | _ -> loop ())
+    let resp = respond t s req in
+    Proto.write_frame s.s_fd (Proto.encode_response resp);
+    match req with Proto.Bye -> () | _ -> loop ()
   in
   Fun.protect
     ~finally:(fun () -> finish_session t s)

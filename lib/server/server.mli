@@ -26,12 +26,15 @@ type config = {
           refused with a typed ["read_only"] error; reads serve the
           follower's restored snapshot (nondurable commit stays allowed so
           read sessions end cleanly) *)
+  replica_every : int;
+      (** with [backups] attached, emit an incremental backup every this
+          many durable commits, extending the archive followers pull
+          from; 0 = never ([tdb_server serve --replica-every N]) *)
 }
 
 val default_config : config
-(** No idle timeout, writable. Incoming frames are bounded by
-    {!Proto.default_max_frame}; an idle publish feed polls its archive
-    every 50 ms. *)
+(** No idle timeout, writable, no auto-emission. Incoming frames are
+    bounded by {!Proto.default_max_frame}. *)
 
 type t
 
@@ -40,12 +43,14 @@ val create :
 (** Bind and listen. The server does not own the store's lifecycle: close
     it yourself after {!stop}.
 
-    [backups] attaches an archive: [Subscribe] connections become publish
-    feeds streaming its frames in backup-id order (heartbeats carry the
-    store's commit sequence and counter), and, when
-    {!Tdb_chunk.Config.t.replica_interval_commits} [> 0], every that-many
-    durable commits auto-emit an incremental backup. Without [backups],
-    [Subscribe] is refused with a typed ["no_archive"] error. *)
+    [backups] attaches an archive: [List_backups] returns a page of its
+    index above the request's cursor and [Fetch_backup] one of its
+    streams — the path replication followers
+    ([Tdb_replica.Replica]) and [tdb_cli remote-restore] poll — and, when
+    [config.replica_every > 0], every that-many durable commits
+    auto-emit an incremental backup. Without [backups], both requests are
+    refused with a typed ["no_archive"] error. Every connection is plain
+    request/response. *)
 
 val port : t -> int
 (** The bound TCP port (use with [Tcp (host, 0)]).

@@ -44,14 +44,6 @@ let net_scale : Workload.scale =
   { Workload.accounts = 1_000; tellers = 100; branches = 10; transactions = 0; measured = 0;
     cache_bytes = 256 * 1024 }
 
-let id_ix () : (Workload.record, int) Indexer.t =
-  Indexer.make ~name:"id" ~key:Gkey.int ~extract:(fun (r : Workload.record) -> r.Workload.id)
-    ~unique:true ~impl:Indexer.Hash ()
-
-let hid_ix () : (Workload.history, int) Indexer.t =
-  Indexer.make ~name:"id" ~key:Gkey.int ~extract:(fun (h : Workload.history) -> h.Workload.h_id)
-    ~unique:false ~impl:Indexer.List ()
-
 (* Wrap the platform with wall-clock latency: syncs cost [sync_ms],
    counter bumps [counter_ms]. [Thread.delay] releases the runtime lock,
    so other sessions keep running — which is the point. *)
@@ -85,11 +77,11 @@ let expose_schema (srv : Server.t) : unit =
   List.iter
     (fun (name, schema) ->
       Server.expose_collection srv ~name ~schema
-        ~indexers:[ Indexer.Generic (id_ix ()) ]
+        ~indexers:[ Indexer.Generic (Workload.id_ix ()) ]
         ~mutations:[ ("add", add) ] ())
     [ ("account", Workload.account_cls); ("teller", Workload.teller_cls); ("branch", Workload.branch_cls) ];
   Server.expose_collection srv ~name:"history" ~schema:Workload.history_cls
-    ~indexers:[ Indexer.Generic (hid_ix ()) ]
+    ~indexers:[ Indexer.Generic (Workload.hid_ix ()) ]
     ()
 
 type setup = {
@@ -115,10 +107,10 @@ let setup_server ~security ~sync_ms ~counter_ms ~lock_timeout (scale : Workload.
      drive phase starts from a clean log *)
   let accounts, tellers, branches =
     Cstore.with_ctxn ~durable:false os (fun ct ->
-        let accounts = Cstore.create_collection ct ~name:"account" ~schema:Workload.account_cls (id_ix ()) in
-        let tellers = Cstore.create_collection ct ~name:"teller" ~schema:Workload.teller_cls (id_ix ()) in
-        let branches = Cstore.create_collection ct ~name:"branch" ~schema:Workload.branch_cls (id_ix ()) in
-        ignore (Cstore.create_collection ct ~name:"history" ~schema:Workload.history_cls (hid_ix ()));
+        let accounts = Cstore.create_collection ct ~name:"account" ~schema:Workload.account_cls (Workload.id_ix ()) in
+        let tellers = Cstore.create_collection ct ~name:"teller" ~schema:Workload.teller_cls (Workload.id_ix ()) in
+        let branches = Cstore.create_collection ct ~name:"branch" ~schema:Workload.branch_cls (Workload.id_ix ()) in
+        ignore (Cstore.create_collection ct ~name:"history" ~schema:Workload.history_cls (Workload.hid_ix ()));
         (accounts, tellers, branches))
   in
   let load coll n =

@@ -1,6 +1,6 @@
 (** TPC-B driver for TDB: the four tables are collection-store collections
-    with a unique hash index on the 4-byte id (History uses a B-tree, whose
-    monotonically growing ids make inserts cheap rightmost appends). *)
+    with a unique hash index on the 4-byte id (History uses a list index,
+    {!Workload.hid_ix}: cheap append-only maintenance). *)
 
 open Tdb_platform
 open Tdb_chunk
@@ -19,16 +19,6 @@ type t = {
   history : Workload.history Cstore.collection;
   mutable next_history : int;
 }
-
-let id_ix () : (Workload.record, int) Indexer.t =
-  Indexer.make ~name:"id" ~key:Gkey.int ~extract:(fun (r : Workload.record) -> r.Workload.id) ~unique:true
-    ~impl:Indexer.Hash ()
-
-(* History is append-only: a list index keeps the per-insert index write a
-   small head-node delta (the role the paper's list indexes serve). *)
-let hid_ix () : (Workload.history, int) Indexer.t =
-  Indexer.make ~name:"id" ~key:Gkey.int ~extract:(fun (h : Workload.history) -> h.Workload.h_id) ~unique:false
-    ~impl:Indexer.List ()
 
 (** Build and populate a TPC-B database in an in-memory untrusted store
     whose I/O is charged to [clock] (see {!Sim_disk}). *)
@@ -68,10 +58,10 @@ let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_p
   in
   let handles =
     Cstore.with_ctxn ~durable:false os (fun ct ->
-        let accounts = Cstore.create_collection ct ~name:"account" ~schema:Workload.account_cls (id_ix ()) in
-        let tellers = Cstore.create_collection ct ~name:"teller" ~schema:Workload.teller_cls (id_ix ()) in
-        let branches = Cstore.create_collection ct ~name:"branch" ~schema:Workload.branch_cls (id_ix ()) in
-        let history = Cstore.create_collection ct ~name:"history" ~schema:Workload.history_cls (hid_ix ()) in
+        let accounts = Cstore.create_collection ct ~name:"account" ~schema:Workload.account_cls (Workload.id_ix ()) in
+        let tellers = Cstore.create_collection ct ~name:"teller" ~schema:Workload.teller_cls (Workload.id_ix ()) in
+        let branches = Cstore.create_collection ct ~name:"branch" ~schema:Workload.branch_cls (Workload.id_ix ()) in
+        let history = Cstore.create_collection ct ~name:"history" ~schema:Workload.history_cls (Workload.hid_ix ()) in
         (accounts, tellers, branches, history))
   in
   let accounts, tellers, branches, history = handles in
@@ -95,7 +85,7 @@ let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_p
   { os; cs; store = raw_store; clock; scale; accounts; tellers; branches; history; next_history = 0 }
 
 let update_balance ct coll id delta =
-  let it = Cstore.exact ct coll (id_ix ()) id in
+  let it = Cstore.exact ct coll (Workload.id_ix ()) id in
   if Cstore.at_end it then begin
     Cstore.close it;
     failwith (Printf.sprintf "tpcb: missing record %d" id)

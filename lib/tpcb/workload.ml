@@ -115,6 +115,18 @@ let history_cls : history Tdb_objstore.Obj_class.t =
       { h_id; h_account; h_teller; h_branch; h_delta; h_filler })
     ()
 
+(* --- indexes --- *)
+
+let id_ix () : (record, int) Tdb_collection.Indexer.t =
+  Tdb_collection.Indexer.make ~name:"id" ~key:Tdb_collection.Gkey.int ~extract:(fun (r : record) -> r.id)
+    ~unique:true ~impl:Tdb_collection.Indexer.Hash ()
+
+(* History is append-only: a list index keeps the per-insert index write a
+   small head-node delta (the role the paper's list indexes serve). *)
+let hid_ix () : (history, int) Tdb_collection.Indexer.t =
+  Tdb_collection.Indexer.make ~name:"id" ~key:Tdb_collection.Gkey.int ~extract:(fun (h : history) -> h.h_id)
+    ~unique:false ~impl:Tdb_collection.Indexer.List ()
+
 (* --- flat 100-byte encoding for the baseline engine (untyped values) --- *)
 
 let flat_of_record (r : record) : string =

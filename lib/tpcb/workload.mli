@@ -50,6 +50,15 @@ type history = {
 val make_history : h_id:int -> input:txn_input -> history
 val history_cls : history Tdb_objstore.Obj_class.t
 
+(** {1 Indexes} *)
+
+val id_ix : unit -> (record, int) Tdb_collection.Indexer.t
+(** Account, teller and branch: a unique hash index ["id"]. *)
+
+val hid_ix : unit -> (history, int) Tdb_collection.Indexer.t
+(** History: a list index ["id"], append-only, so an insert writes only a
+    small head node. *)
+
 (** {1 Flat encodings for the baseline engine} *)
 
 val flat_of_record : record -> string

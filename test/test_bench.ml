@@ -71,6 +71,31 @@ let test_meter_exact_fields () =
       Alcotest.(check bool) (f ^ " moved down fails too") false (passes (mk ~bump:f ()) (mk ())))
     fields
 
+(* Replica archive counters repeat exactly (the emitted archive depends
+   only on the seeded workload), so either moving fails and names the
+   file; lag and timing fields are not gated at all. *)
+let test_replica_exact_fields () =
+  let mk ?(backups = 32) ?(stream_bytes = 39089) ?(lag = 80.) () =
+    file "replica"
+      [ J.Obj
+          [ ("interval", J.Int 8); ("txns", J.Int 256); ("backups", J.Int backups);
+            ("stream_bytes", J.Int stream_bytes); ("avg_lag_commits", J.Num (lag, 3));
+            ("tail_converge_ms", J.Num (lag, 2)) ] ]
+  in
+  Alcotest.(check bool) "equal counters pass" true (passes (mk ()) (mk ()));
+  Alcotest.(check bool) "lag and timing ungated" true (passes (mk ()) (mk ~lag:1000. ()));
+  List.iter
+    (fun (what, fresh) ->
+      let verdicts = Guard.run ~base:(mk ()) fresh in
+      Alcotest.(check bool) (what ^ " moved fails") false (Guard.passed verdicts);
+      Alcotest.(check bool) (what ^ " names the fix") true
+        (List.exists
+           (fun (v, msg) ->
+             (match v with Guard.Fail -> true | _ -> false)
+             && String.ends_with ~suffix:"regenerate BENCH_REPLICA.json" msg)
+           verdicts))
+    [ ("backups", mk ~backups:33 ()); ("stream_bytes", mk ~stream_bytes:39088 ()) ]
+
 let test_missing_label_skipped () =
   let verdicts = Guard.run ~base:(file "tpcb" [ label "TDB" 100. ]) (file "tpcb" [ label "TDB" 100.; label "new" 1. ]) in
   Alcotest.(check bool) "passes" true (Guard.passed verdicts);
@@ -108,6 +133,7 @@ let () =
           Alcotest.test_case "explicit tolerance" `Quick test_explicit_tolerance;
           Alcotest.test_case "meter scale mismatch" `Quick test_meter_scale_mismatch;
           Alcotest.test_case "meter counters exact" `Quick test_meter_exact_fields;
+          Alcotest.test_case "replica counters exact" `Quick test_replica_exact_fields;
           Alcotest.test_case "missing label skipped" `Quick test_missing_label_skipped;
         ] );
       ( "files",

@@ -1,5 +1,5 @@
-(* Replication tests: a primary serving its archive feed, a follower
-   ingesting it — from-empty and stale-chain convergence, reconnection,
+(* Replication tests: a primary serving its archive, a follower polling
+   it — from-empty and stale-chain convergence, reconnection,
    torn and bit-flipped frames leaving the follower readable at its
    previous snapshot, read-only session semantics on the follower, and
    end-to-end content equality between primary and converged follower. *)
@@ -7,14 +7,13 @@
 module B = Tdb_backup.Backup_store
 module R = Tdb_replica.Replica
 
-let chunk_cfg every =
+let chunk_cfg =
   {
     Tdb.Chunk_config.default with
     Tdb.Chunk_config.segment_size = 8192;
     initial_segments = 8;
     checkpoint_every = 64;
     anchor_slot_size = 2048;
-    replica_interval_commits = every;
   }
 
 type item = { id : int; mutable qty : int; label : string }
@@ -62,8 +61,12 @@ type primary = { pdb : Tdb.t; psrv : Tdb.Server.t; paddr : Tdb.Server.addr; parc
 
 let start_primary ?(every = 1) () : primary =
   let ah, device = make_device () in
-  let pdb = Tdb.create ~config:(chunk_cfg every) device in
-  let psrv = Tdb.Server.create ~backups:pdb.Tdb.backups pdb.Tdb.objects (Tdb.Server.Tcp ("127.0.0.1", 0)) in
+  let pdb = Tdb.create ~config:chunk_cfg device in
+  let psrv =
+    Tdb.Server.create
+      ~config:{ Tdb.Server.default_config with Tdb.Server.replica_every = every }
+      ~backups:pdb.Tdb.backups pdb.Tdb.objects (Tdb.Server.Tcp ("127.0.0.1", 0))
+  in
   expose psrv;
   Tdb.Server.start psrv;
   { pdb; psrv; paddr = Tdb.Server.Tcp ("127.0.0.1", Tdb.Server.port psrv); parchive = ah }
@@ -320,11 +323,55 @@ let test_wire_tamper_self_heal () =
               Alcotest.(check (option int)) "readable at previous snapshot" (Some 20)
                 (read_qty_follower fo 2);
               (* heal the archive (XOR is its own inverse); the follower's
-                 retry-from-chain-state resubscription then converges *)
+                 retry-from-chain-state poll then converges *)
               Tdb.Archival_store.Mem.corrupt p.parchive ~name ~pos:12 ~mask:0x40;
               Alcotest.(check bool) "healed convergence" true (R.wait_converged ~timeout:30. rep);
               Alcotest.(check (option int)) "bumped 1" (read_qty cp 1) (read_qty_follower fo 1);
               Alcotest.(check (option int)) "bumped 2" (read_qty cp 2) (read_qty_follower fo 2))))
+
+(* --- frame selection: what one poll fetches --- *)
+
+let test_select () =
+  (* full 1, incrementals 2-4, full 5, incrementals 6-7 *)
+  let index =
+    List.map
+      (fun (id, kind) -> (id, B.stream_name { B.id; kind; seq = 0 }))
+      [ (1, B.Full); (2, B.Incremental 1); (3, B.Incremental 2); (4, B.Incremental 3); (5, B.Full);
+        (6, B.Incremental 5); (7, B.Incremental 6) ]
+  in
+  let ids ?(index = index) ?(streak = 0) last_id =
+    List.map fst (R.select ~index ~last_id ~reject_streak:streak)
+  in
+  let check what expected got = Alcotest.(check (list int)) what expected got in
+  (* normal path: everything above the chain position, in id order *)
+  check "caught up" [] (ids 7);
+  check "one behind" [ 7 ] (ids 6);
+  check "at the full's base" [ 5; 6; 7 ] (ids 4);
+  check "listing order does not matter" [ 6; 7 ] (ids ~index:(List.rev index) 5);
+  (* behind the newest full: start there, not at its older incrementals *)
+  check "behind the newest full" [ 5; 6; 7 ] (ids 2);
+  check "from empty" [ 5; 6; 7 ] (ids 0);
+  (* an odd reject streak retries after the chain position; an even one
+     restarts from the newest full *)
+  check "odd streak" [ 7 ] (ids ~streak:1 6);
+  check "even streak" [ 5; 6; 7 ] (ids ~streak:2 6);
+  check "third reject" [ 7 ] (ids ~streak:3 6);
+  check "fourth reject" [ 5; 6; 7 ] (ids ~streak:4 6);
+  (* empty archive: nothing, whatever the streak *)
+  List.iter (fun streak -> check "empty archive" [] (ids ~index:[] ~streak 3)) [ 0; 1; 2 ];
+  (* a follower ahead of its primary selects nothing until a reject
+     streak turns even; the newest full then fails [apply_stream]'s
+     rollback check *)
+  check "ahead" [] (ids 9);
+  check "ahead, even streak" [ 5; 6; 7 ] (ids ~streak:2 9);
+  (* a poll passes only the entries above its position: an even streak
+     then restarts from a full above it, or, with none listed, retries the
+     ids above it *)
+  let above last_id = List.filter (fun (id, _) -> id > last_id) index in
+  check "listed above, behind the newest full" [ 5; 6; 7 ] (ids ~index:(above 2) 2);
+  check "listed above, even streak, full listed" [ 5; 6; 7 ] (ids ~index:(above 4) ~streak:2 4);
+  check "listed above, even streak, no full listed" [ 7 ] (ids ~index:(above 6) ~streak:2 6);
+  check "listed above, ahead" [] (ids ~index:(above 9) ~streak:2 9)
 
 let () =
   Alcotest.run "replica"
@@ -335,5 +382,6 @@ let () =
           Alcotest.test_case "stale chain + reconnect" `Quick test_stale_chain_and_reconnect;
           Alcotest.test_case "tampered and torn frames" `Quick test_tampered_and_torn_frames;
           Alcotest.test_case "wire tamper self-heal" `Quick test_wire_tamper_self_heal;
+          Alcotest.test_case "frame selection" `Quick test_select;
         ] );
     ]

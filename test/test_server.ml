@@ -245,6 +245,41 @@ let test_metrics_roundtrip () =
   | Proto.Ok_metrics m -> Alcotest.(check bool) "all three value tags round-trip" true (m = sample_metrics)
   | _ -> Alcotest.fail "Ok_metrics did not round-trip"
 
+(* A protocol-7 follower: its Hello is refused, and the Subscribe it sends
+   next (opcode 17, removed in version 8) is an unknown opcode, so the
+   server drops that session. A session with a transaction open meanwhile
+   commits afterwards. *)
+let test_v7_subscribe_dropped () =
+  with_server (fun env ->
+      let c = Client.connect env.addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.begin_ c;
+          let oid = Client.insert c item_cls { id = 7; qty = 70; label = "v7" } in
+          let port = Server.port env.srv in
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+              Proto.write_frame fd (Proto.encode_request (Proto.Hello { r_magic = Proto.magic; r_version = 7 }));
+              (match Proto.decode_response (Proto.read_frame fd) with
+              | Proto.Error_ { tag; _ } -> Alcotest.(check string) "v7 hello refused" "proto" tag
+              | _ -> Alcotest.fail "v7 hello accepted");
+              let w = Tdb_pickle.Pickle.writer () in
+              Tdb_pickle.Pickle.byte w 17;
+              Tdb_pickle.Pickle.uint w 0;
+              Tdb_pickle.Pickle.string w "genesis";
+              Proto.write_frame fd (Tdb_pickle.Pickle.contents w);
+              match Proto.read_frame fd with
+              | _ -> Alcotest.fail "subscribe answered"
+              | exception End_of_file -> ()
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
+          Client.commit c;
+          Client.with_txn c (fun () ->
+              Alcotest.(check int) "concurrent session committed" 70 (Client.read c item_cls oid).qty)))
+
 (* A metrics frame comes off an untrusted wire: every truncation and every
    single-byte substitution must decode to a value or a typed error. *)
 let test_metrics_frame_fuzz () =
@@ -397,6 +432,71 @@ let test_remote_restore () =
       Tdb.close (Tdb.restore ~from:device device);
       Alcotest.(check int) "newest state" 3 (qty_at full))
 
+(* A refused connect closes its socket: a replication follower retries a
+   downed primary every poll interval and must not run out of
+   descriptors. Counted through /proc, so skipped where there is none. *)
+let test_refused_connect_keeps_no_fd () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    (* a port nothing listens on: bind one, then give it back *)
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    let port = match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0 in
+    Unix.close s;
+    let no_socket = Filename.concat (Filename.get_temp_dir_name ()) "tdb-test-no-such-socket" in
+    let before = fds () in
+    for _ = 1 to 64 do
+      List.iter
+        (fun addr ->
+          match Client.connect addr with
+          | c ->
+              Client.close c;
+              Alcotest.fail "connected where nothing listens"
+          | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> ())
+        [ Server.Tcp ("127.0.0.1", port); Server.Unix_path no_socket ]
+    done;
+    Alcotest.(check int) "descriptors after 128 refused connects" before (fds ())
+  end
+
+(* An archive index too long for one frame still lists, a page at a time,
+   and a listing above a position carries only the entries past it. The
+   archive holds names only: no stream is fetched. *)
+let test_index_longer_than_a_frame () =
+  let module B = Tdb_backup.Backup_store in
+  let n = 240_000 in
+  let index =
+    List.init n (fun i ->
+        let id = i + 1 in
+        (id, B.stream_name { B.id; kind = (if id = 1 then B.Full else B.Incremental i); seq = 0 }))
+  in
+  Alcotest.(check bool)
+    "the whole index outgrows a frame" true
+    (String.length (Proto.encode_response (Proto.Ok_list index)) > Proto.default_max_frame);
+  let names = List.map snd index in
+  let archive =
+    { Archival_store.put = (fun ~name:_ _ -> ()); get = (fun ~name:_ -> None); list = (fun () -> names);
+      delete = (fun ~name:_ -> ()) }
+  in
+  let secret = Secret_store.of_seed "server-test" in
+  let cs =
+    Chunk_store.create ~config:chunk_cfg ~secret ~counter:(snd (One_way_counter.open_mem ()))
+      (snd (Untrusted_store.open_mem ()))
+  in
+  let bs = B.create ~secret ~archive cs in
+  let srv = Server.create ~backups:bs (Object_store.of_shard_store cs) (Server.Tcp ("127.0.0.1", 0)) in
+  Server.start srv;
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let c = Client.connect (Server.Tcp ("127.0.0.1", Server.port srv)) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Alcotest.(check bool) "whole index, in id order" true (Client.list_backups c = index);
+          Alcotest.(check (list int)) "above a position" [ n - 1; n ]
+            (List.map fst (Client.list_backups ~after:(n - 2) c));
+          Alcotest.(check (list int)) "above the newest" [] (List.map fst (Client.list_backups ~after:n c))))
+
 let () =
   Alcotest.run "tdb_server"
     [
@@ -410,11 +510,13 @@ let () =
           Alcotest.test_case "disconnect releases locks" `Quick test_disconnect_releases_locks;
           Alcotest.test_case "idle timeout reaps session" `Slow test_idle_timeout;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "refused connect keeps no fd" `Quick test_refused_connect_keeps_no_fd;
         ] );
       ( "wire",
         [
           Alcotest.test_case "metrics round trip" `Quick test_metrics_roundtrip;
           Alcotest.test_case "metrics frame prefixes and flips" `Quick test_metrics_frame_fuzz;
+          Alcotest.test_case "v7 subscribe drops the session" `Quick test_v7_subscribe_dropped;
         ] );
       ( "e2e",
         [
@@ -424,5 +526,6 @@ let () =
         [
           Alcotest.test_case "no archive refused" `Quick test_no_archive_refused;
           Alcotest.test_case "remote point-in-time restore" `Quick test_remote_restore;
+          Alcotest.test_case "index longer than a frame" `Quick test_index_longer_than_a_frame;
         ] );
     ]

@@ -1111,14 +1111,14 @@ let qcheck_list_model =
 (* Config pins                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Child mode for the pin test: report what [Config.default] resolved to
-   in this process's environment. *)
+(* Child mode for the pin test: report what [Config.default] and
+   [Server.default_config] resolved to in this process's environment. *)
 let print_defaults = "--print-defaults"
 
 let () =
   if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) print_defaults then begin
     Printf.printf "domains=%d shards=%d replica_every=%d" Config.default.Config.domains Config.default.Config.shards
-      Config.default.Config.replica_interval_commits;
+      Tdb_server.Server.default_config.Tdb_server.Server.replica_every;
     exit 0
   end
 
