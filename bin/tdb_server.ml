@@ -3,8 +3,8 @@
    The served schema is the repo's demo application schema (the TPC-B
    tables from lib/tpcb): collections account/teller/branch of balance
    records with a unique hash index on id and an "add" mutation, plus the
-   append-only history collection. Raw typed object and root operations
-   are exposed for the same classes. *)
+   append-only history collection. Clients reach the data only through
+   these collections. *)
 
 open Cmdliner
 

@@ -29,7 +29,6 @@ let create ~(budget : int) : 'v t =
   { table = Hashtbl.create 256; mru = None; lru = None; total_size = 0; budget; hits = 0; misses = 0; evictions = 0 }
 
 let value e = e.value
-let set_value e v = e.value <- v
 
 let unlink t e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.mru <- e.next);

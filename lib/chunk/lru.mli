@@ -23,7 +23,6 @@ type 'v t
 val create : budget:int -> 'v t
 
 val value : 'v entry -> 'v
-val set_value : 'v entry -> 'v -> unit
 
 val find : ?valid:('v -> bool) -> 'v t -> int -> 'v entry option
 (** A hit moves the entry to the MRU end, or leaves a parked entry

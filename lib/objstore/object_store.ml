@@ -269,25 +269,6 @@ let open_readonly (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, readonly) 
 let open_writable (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, writable) ref_ =
   { value = open_gen x cls oid ~mode:Lock_manager.Exclusive; owner = x }
 
-(** Replace the stored value of [oid] with [v] wholesale (exclusive lock;
-    the object joins the write set exactly as {!open_writable} would).
-    Unlike mutating through a writable ref, the caller supplies a complete
-    new value — the primitive a network server needs to apply a
-    client-supplied state. The class is checked against the stored
-    object. *)
-let update (x : txn) (cls : 'a Obj_class.t) (oid : oid) (v : 'a) : unit =
-  with_mu x.store (fun () ->
-      check_active x;
-      if List.mem oid x.removed then raise (Removed_in_transaction oid);
-      lock x ~oid ~mode:Lock_manager.Exclusive;
-      let e = load x.store oid in
-      (* class check: updating at the wrong class is the same error as
-         opening at the wrong class *)
-      ignore (Obj_class.cast cls (Lru.value e));
-      pin_entry x oid e;
-      Lru.set_value e (Obj_class.Value (cls, v));
-      Hashtbl.replace x.writes oid e)
-
 (** Remove an object from the store; its id is freed at commit. *)
 let remove (x : txn) (oid : oid) : unit =
   with_mu x.store (fun () ->

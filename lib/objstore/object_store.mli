@@ -111,12 +111,6 @@ val open_writable : txn -> 'a Obj_class.t -> oid -> ('a, writable) ref_
 (** Exclusive lock; the object joins the write set and is pickled and
     written at commit. Mutate the dereferenced value in place. *)
 
-val update : txn -> 'a Obj_class.t -> oid -> 'a -> unit
-(** Replace the stored value wholesale (exclusive lock, joins the write
-    set). The network server's write primitive: the new value arrives
-    complete, rather than being mutated through a ref.
-    @raise Obj_class.Type_mismatch when the stored class differs. *)
-
 val remove : txn -> oid -> unit
 (** Remove the object; its id is released at commit. *)
 

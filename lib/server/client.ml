@@ -1,9 +1,10 @@
 (** Client library for the TDB network service.
 
     A thin, synchronous RPC layer over {!Proto}: one request in flight per
-    connection (a mutex serializes callers), typed payloads pickled with
-    the same {!Tdb_objstore.Obj_class} registry the server dispatches on,
-    keys in {!Tdb_collection.Gkey} canonical form. Server-side errors
+    connection (a mutex serializes callers). Every data call names a
+    collection the server exposes; objects travel pickled with their
+    {!Tdb_objstore.Obj_class}, keys in {!Tdb_collection.Gkey} canonical
+    form. Server-side errors
     surface as {!Server_error} carrying the wire tag — [lock_timeout]
     means the server already aborted the transaction and the client
     should retry a fresh one. *)
@@ -103,26 +104,6 @@ let with_txn ?durable (c : t) (f : unit -> 'a) : 'a =
       | exception Unix.Unix_error (_, _, _) -> ()
       | exception End_of_file -> ());
       raise e
-
-(* --- roots and typed objects --- *)
-
-let get_root (c : t) (name : string) : int option =
-  match rpc c (Proto.Get_root name) with Proto.Ok_root r -> r | _ -> unexpected "Ok_root"
-
-let set_root (c : t) (name : string) (oid : int option) : unit =
-  expect_unit (rpc c (Proto.Set_root (name, oid)))
-
-let insert (c : t) (cls : 'a Obj_class.t) (v : 'a) : int =
-  expect_oid (rpc c (Proto.Insert { data = Obj_class.pickle_value cls v }))
-
-let read (c : t) (cls : 'a Obj_class.t) (oid : int) : 'a =
-  let data = expect_data (rpc c (Proto.Read { cls = cls.Obj_class.name; oid })) in
-  Obj_class.cast cls (Obj_class.unpickle_value data)
-
-let update (c : t) (cls : 'a Obj_class.t) (oid : int) (v : 'a) : unit =
-  expect_unit (rpc c (Proto.Update { oid; data = Obj_class.pickle_value cls v }))
-
-let remove (c : t) (oid : int) : unit = expect_unit (rpc c (Proto.Remove { oid }))
 
 (* --- collections --- *)
 

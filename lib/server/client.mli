@@ -1,7 +1,9 @@
 (** Client library for the TDB network service: a synchronous RPC layer
     over {!Proto}. One request in flight per connection (callers are
-    serialized); typed payloads go through the {!Tdb_objstore.Obj_class}
-    registry, so client and server must register the same classes. *)
+    serialized). Every data call goes through a collection the server
+    exposes; objects travel pickled with their
+    {!Tdb_objstore.Obj_class}, so client and server must register the same
+    classes. *)
 
 exception Server_error of { tag : string; msg : string }
 (** A wire-level error from the server. Notable tags: ["lock_timeout"]
@@ -41,15 +43,6 @@ val abort : t -> unit
 val with_txn : ?durable:bool -> t -> (unit -> 'a) -> 'a
 (** Begin, run, commit; abort on exception (tolerating the server having
     already aborted, as after a lock timeout). *)
-
-(** {1 Roots and typed objects} *)
-
-val get_root : t -> string -> int option
-val set_root : t -> string -> int option -> unit
-val insert : t -> 'a Tdb_objstore.Obj_class.t -> 'a -> int
-val read : t -> 'a Tdb_objstore.Obj_class.t -> int -> 'a
-val update : t -> 'a Tdb_objstore.Obj_class.t -> int -> 'a -> unit
-val remove : t -> int -> unit
 
 (** {1 Collections} *)
 

@@ -4,20 +4,22 @@
     encoded with {!Tdb_pickle.Pickle} — the same combinators the stores
     use, never [Marshal] (the wire crosses a trust boundary; lint rule R3
     enforces this mechanically). A connection opens with a [Hello]
-    carrying the magic and protocol version; the server refuses anything
-    it does not speak.
+    carrying the magic and protocol version; the server answers nothing
+    else until one succeeds and ends the session after a refused one.
 
-    Typed object payloads travel in {!Tdb_objstore.Obj_class} packed form
-    (class name + version embedded), so both ends dispatch through their
-    class registries and a class mismatch is detected, not silently
+    Every data request names a collection: objects change only through a
+    collection and its indexes, never as raw oids or roots. Object
+    payloads travel in {!Tdb_objstore.Obj_class} packed form (class name +
+    version embedded), so a class mismatch is detected, not silently
     mis-decoded. Index keys travel as {!Tdb_collection.Gkey} canonical
-    bytes. *)
+    bytes. Opcodes of removed kinds (4–9, 17) stay unassigned, so an older
+    client's frame of that kind is an unknown opcode. *)
 
 exception Proto_error of string
 (** Malformed frame, unknown opcode, version mismatch, or oversized
     payload. *)
 
-let version = 8
+let version = 9
 let magic = "TDB\001"
 
 let default_max_frame = 4 * 1024 * 1024
@@ -37,12 +39,6 @@ type request =
   | Begin
   | Commit of { durable : bool }
   | Abort
-  | Get_root of string
-  | Set_root of string * int option
-  | Insert of { data : string }  (** packed value; returns the new oid *)
-  | Read of { cls : string; oid : int }  (** class-checked read *)
-  | Update of { oid : int; data : string }  (** packed value replaces state *)
-  | Remove of { oid : int }
   | Coll_insert of { coll : string; data : string }
   | Coll_find of { coll : string; index : string; key : string }
   | Coll_scan of { coll : string; index : string; min : string option; max : string option; limit : int }
@@ -65,7 +61,6 @@ type response =
   | Ok_data of string
   | Ok_found of (int * string) option
   | Ok_list of (int * string) list
-  | Ok_root of int option
   | Ok_int of int
   | Ok_metrics of Tdb_chunk.Metrics.t
   | Error_ of { tag : string; msg : string }
@@ -86,27 +81,6 @@ let encode_request (req : request) : string =
       P.byte w 2;
       P.bool w durable
   | Abort -> P.byte w 3
-  | Get_root name ->
-      P.byte w 4;
-      P.string w name
-  | Set_root (name, oid) ->
-      P.byte w 5;
-      P.string w name;
-      P.option w P.int oid
-  | Insert { data } ->
-      P.byte w 6;
-      P.string w data
-  | Read { cls; oid } ->
-      P.byte w 7;
-      P.string w cls;
-      P.int w oid
-  | Update { oid; data } ->
-      P.byte w 8;
-      P.int w oid;
-      P.string w data
-  | Remove { oid } ->
-      P.byte w 9;
-      P.int w oid
   | Coll_insert { coll; data } ->
       P.byte w 10;
       P.string w coll;
@@ -154,21 +128,6 @@ let decode_request (payload : string) : request =
     | 1 -> Begin
     | 2 -> Commit { durable = P.read_bool r }
     | 3 -> Abort
-    | 4 -> Get_root (P.read_string r)
-    | 5 ->
-        let name = P.read_string r in
-        let oid = P.read_option r P.read_int in
-        Set_root (name, oid)
-    | 6 -> Insert { data = P.read_string r }
-    | 7 ->
-        let cls = P.read_string r in
-        let oid = P.read_int r in
-        Read { cls; oid }
-    | 8 ->
-        let oid = P.read_int r in
-        let data = P.read_string r in
-        Update { oid; data }
-    | 9 -> Remove { oid = P.read_int r }
     | 10 ->
         let coll = P.read_string r in
         let data = P.read_string r in
@@ -242,9 +201,6 @@ let encode_response (resp : response) : string =
   | Ok_list l ->
       P.byte w 5;
       P.list w (fun w p -> P.pair w P.int P.string p) l
-  | Ok_root oid ->
-      P.byte w 6;
-      P.option w P.int oid
   | Ok_int n ->
       P.byte w 7;
       P.int w n
@@ -267,7 +223,6 @@ let decode_response (payload : string) : response =
     | 3 -> Ok_data (P.read_string r)
     | 4 -> Ok_found (P.read_option r (fun r -> P.read_pair r P.read_int P.read_string))
     | 5 -> Ok_list (P.read_list r (fun r -> P.read_pair r P.read_int P.read_string))
-    | 6 -> Ok_root (P.read_option r P.read_int)
     | 7 -> Ok_int (P.read_int r)
     | 8 -> Ok_metrics (P.read_list r (fun r -> P.read_pair r P.read_string read_value))
     | 9 ->

@@ -3,9 +3,10 @@
     [Marshal]; the wire crosses a trust boundary and lint rule R3 bans
     unsafe serialization here mechanically.
 
-    Typed object payloads travel in {!Tdb_objstore.Obj_class} packed form
-    (class name + version embedded); index keys travel as
-    {!Tdb_collection.Gkey} canonical bytes. *)
+    Every data request names a collection, so objects change only
+    through a collection and its indexes. Object payloads travel in
+    {!Tdb_objstore.Obj_class} packed form (class name + version embedded);
+    index keys travel as {!Tdb_collection.Gkey} canonical bytes. *)
 
 exception Proto_error of string
 (** Malformed frame, unknown opcode, version mismatch, or oversized
@@ -30,12 +31,6 @@ type request =
   | Begin
   | Commit of { durable : bool }
   | Abort
-  | Get_root of string
-  | Set_root of string * int option
-  | Insert of { data : string }  (** packed value; returns the new oid *)
-  | Read of { cls : string; oid : int }  (** class-checked read *)
-  | Update of { oid : int; data : string }  (** packed value replaces state *)
-  | Remove of { oid : int }
   | Coll_insert of { coll : string; data : string }
   | Coll_find of { coll : string; index : string; key : string }
   | Coll_scan of { coll : string; index : string; min : string option; max : string option; limit : int }
@@ -58,7 +53,6 @@ type response =
   | Ok_data of string
   | Ok_found of (int * string) option
   | Ok_list of (int * string) list
-  | Ok_root of int option
   | Ok_int of int
   | Ok_metrics of Tdb_chunk.Metrics.t
   | Error_ of { tag : string; msg : string }

@@ -19,11 +19,12 @@
       commits ({!Tdb_objstore.Object_store.commit}) — one log force and
       one counter bump cover every session that commits in the window.
 
-    Only {e exposed} classes and collections are reachable over the wire:
-    the server dispatches through explicit registries populated by
-    {!expose_class} / {!expose_collection}, never through the ambient
-    class registry, so a remote peer cannot touch types the operator did
-    not opt in. Collection mutations run server-side as registered named
+    A session answers nothing but a [Hello] until one succeeds, and ends
+    after a refused one. Every data request then names a collection the
+    operator exposed with {!expose_collection}: objects change only
+    through a collection, so its indexes stay in step with its members,
+    and a peer can reach no oid, root or class outside those
+    collections. Collection mutations run server-side as registered named
     closures — the client sends a mutation name plus a pickled argument
     and gets the updated object back, one round trip, no shared-lock
     upgrade window. *)
@@ -48,24 +49,23 @@ type config = {
 let default_config = { idle_timeout = 0.; read_only = false; replica_every = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Exposure registries                                                 *)
+(* Exposure registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type packed_class = Packed_class : 'a Obj_class.t -> packed_class
+(** A collection made reachable over the wire. [e_handle] is opened
+    lazily (collection handles are store-level, so one open serves every
+    session). *)
+type 'a exposed = {
+  e_name : string;
+  e_schema : 'a Obj_class.t;
+  e_indexers : 'a Indexer.generic list;
+  e_mutations : (string, 'a -> P.reader -> unit) Hashtbl.t;
+  mutable e_handle : 'a Cstore.collection option;
+  mutable e_opening : bool;  (** an opener is at work outside [mu] *)
+}
 
-(** A collection made reachable over the wire, existentially packed over
-    its schema type. [handle] is opened lazily (collection handles are
-    store-level, so one open serves every session). *)
-type exposure =
-  | Exposure : {
-      e_name : string;
-      e_schema : 'a Obj_class.t;
-      e_indexers : 'a Indexer.generic list;
-      e_mutations : (string, 'a -> P.reader -> unit) Hashtbl.t;
-      mutable e_handle : 'a Cstore.collection option;
-      mutable e_opening : bool;  (** an opener is at work outside [mu] *)
-    }
-      -> exposure
+(** An exposure, existentially packed over its schema type. *)
+type exposure = Exposure : 'a exposed -> exposure
 
 type t = {
   os : Object_store.t;
@@ -73,7 +73,6 @@ type t = {
   backups : Tdb_backup.Backup_store.t option;
       (** archive this server lists and serves (and, when
           [cfg.replica_every > 0], auto-extends) *)
-  classes : (string, packed_class) Hashtbl.t;
   colls : (string, exposure) Hashtbl.t;
   listen_fd : Unix.file_descr;
   sock_path : string option;  (** unlinked on close *)
@@ -122,7 +121,6 @@ let create ?(config = default_config) ?backups (os : Object_store.t) (addr : add
     os;
     cfg = config;
     backups;
-    classes = Hashtbl.create 16;
     colls = Hashtbl.create 16;
     listen_fd;
     sock_path;
@@ -145,16 +143,12 @@ let port (t : t) : int =
   | Unix.ADDR_INET (_, p) -> p
   | Unix.ADDR_UNIX _ -> invalid_arg "Server.port: Unix-domain socket"
 
-let expose_class (t : t) (cls : 'a Obj_class.t) : unit =
-  Hashtbl.replace t.classes cls.Obj_class.name (Packed_class cls)
-
 let expose_collection (t : t) ~name ~(schema : 'a Obj_class.t)
     ~(indexers : 'a Indexer.generic list)
     ?(mutations : (string * ('a -> P.reader -> unit)) list = []) () : unit =
   (match indexers with [] -> invalid_arg "Server.expose_collection: no indexers" | _ -> ());
   let tbl = Hashtbl.create 8 in
   List.iter (fun (n, f) -> Hashtbl.replace tbl n f) mutations;
-  expose_class t schema;
   Hashtbl.replace t.colls name
     (Exposure
        {
@@ -184,11 +178,6 @@ type session = {
 let require_txn (s : session) : Cstore.t =
   match s.s_ct with None -> reject "no_txn" "no transaction open on this session" | Some ct -> ct
 
-let lookup_class (t : t) (name : string) : packed_class =
-  match Hashtbl.find_opt t.classes name with
-  | None -> reject "not_exposed" "class %S is not exposed by this server" name
-  | Some p -> p
-
 let lookup_coll (t : t) (name : string) : exposure =
   match Hashtbl.find_opt t.colls name with
   | None -> reject "not_exposed" "collection %S is not exposed by this server" name
@@ -207,8 +196,7 @@ let lookup_coll (t : t) (name : string) : exposure =
    [t.mu] only guards the cache state machine: an [e_opening] flag
    elects one opener, late arrivals wait on [t.opened], and the winner
    publishes the handle (or its failure) under the mutex. *)
-let coll_handle (t : t) (ct : Cstore.t) (e : exposure) : exposure =
-  let (Exposure ex) = e in
+let coll_handle (t : t) (ct : Cstore.t) (ex : 'a exposed) : 'a Cstore.collection =
   let claimed = ref false in
   Mutex.lock t.mu;
   while Option.is_none ex.e_handle && not !claimed do
@@ -249,7 +237,19 @@ let coll_handle (t : t) (ct : Cstore.t) (e : exposure) : exposure =
         settle None;
         raise err
   end;
-  e
+  match ex.e_handle with
+  | None -> reject "server" "collection %S failed to open" ex.e_name
+  | Some c -> c
+
+(** An exposed collection and its handle, packed over the schema type. *)
+type opened = Opened : 'a exposed * 'a Cstore.collection -> opened
+
+(* The prelude of every collection request: the session's transaction and
+   the named exposure's collection, opened on first touch. *)
+let open_coll (t : t) (s : session) (coll : string) : Cstore.t * opened =
+  let ct = require_txn s in
+  let (Exposure ex) = lookup_coll t coll in
+  (ct, Opened (ex, coll_handle t ct ex))
 
 let find_indexer (type a) (indexers : a Indexer.generic list) (coll_name : string) (name : string) :
     a Indexer.generic =
@@ -276,8 +276,7 @@ let pack (type a) (schema : a Obj_class.t) (v : a) : string = Obj_class.pickle_v
 let check_read_only (t : t) (req : Proto.request) : unit =
   if t.cfg.read_only then
     match req with
-    | Proto.Set_root _ | Proto.Insert _ | Proto.Update _ | Proto.Remove _ | Proto.Coll_insert _
-    | Proto.Coll_mutate _ ->
+    | Proto.Coll_insert _ | Proto.Coll_mutate _ ->
         reject "read_only" "this server is a replication follower: writes are refused"
     | Proto.Commit { durable = true } ->
         reject "read_only"
@@ -320,11 +319,7 @@ let maybe_emit_incremental (t : t) : unit =
 let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response =
   check_read_only t req;
   match req with
-  | Proto.Hello { r_magic; r_version } ->
-      if not (String.equal r_magic Proto.magic) then reject "proto" "bad magic";
-      if not (Int.equal r_version Proto.version) then
-        reject "proto" "protocol version %d not supported (server speaks %d)" r_version Proto.version;
-      Proto.Hello_ok { a_version = Proto.version }
+  | Proto.Hello _ -> reject "proto" "this session has already said Hello"
   | Proto.Begin -> (
       match s.s_ct with
       | Some _ -> reject "txn_open" "session already has an open transaction"
@@ -348,117 +343,60 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
       t.aborted <- t.aborted + 1;
       Mutex.unlock t.mu;
       Proto.Ok_unit
-  | Proto.Get_root name -> (
-      match s.s_ct with
-      | Some ct -> Proto.Ok_root (Object_store.root (Cstore.txn ct) name)
-      | None -> Proto.Ok_root (Object_store.get_root t.os name))
-  | Proto.Set_root (name, oid) ->
-      let ct = require_txn s in
-      Object_store.set_root (Cstore.txn ct) name oid;
-      Proto.Ok_unit
-  | Proto.Insert { data } -> (
-      let ct = require_txn s in
-      match Obj_class.unpickle_value data with
-      | Obj_class.Value (cls, v) ->
-          let (Packed_class _) = lookup_class t cls.Obj_class.name in
-          Proto.Ok_oid (Object_store.insert (Cstore.txn ct) cls v))
-  | Proto.Read { cls; oid } -> (
-      let ct = require_txn s in
-      match lookup_class t cls with
-      | Packed_class c ->
-          let r = Object_store.open_readonly (Cstore.txn ct) c oid in
-          Proto.Ok_data (pack c (Object_store.deref r)))
-  | Proto.Update { oid; data } -> (
-      let ct = require_txn s in
-      match Obj_class.unpickle_value data with
-      | Obj_class.Value (cls, v) ->
-          let (Packed_class _) = lookup_class t cls.Obj_class.name in
-          Object_store.update (Cstore.txn ct) cls oid v;
-          Proto.Ok_unit)
-  | Proto.Remove { oid } ->
-      let ct = require_txn s in
-      Object_store.remove (Cstore.txn ct) oid;
-      Proto.Ok_unit
-  | Proto.Coll_insert { coll; data } -> (
-      let ct = require_txn s in
-      match coll_handle t ct (lookup_coll t coll) with
-      | Exposure ex -> (
-          match ex.e_handle with
-          | None -> reject "server" "collection %S failed to open" coll
-          | Some c ->
-              let v = Obj_class.cast ex.e_schema (Obj_class.unpickle_value data) in
-              Proto.Ok_oid (Cstore.insert ct c v)))
-  | Proto.Coll_find { coll; index; key } -> (
-      let ct = require_txn s in
-      match coll_handle t ct (lookup_coll t coll) with
-      | Exposure ex -> (
-          match ex.e_handle with
-          | None -> reject "server" "collection %S failed to open" coll
-          | Some c ->
-              let (Indexer.Generic ix) = find_indexer ex.e_indexers coll index in
-              let found =
-                with_exact ct c ix key (fun it ->
-                    (Cstore.current_oid it, pack ex.e_schema (Cstore.read it)))
-              in
-              Proto.Ok_found found))
-  | Proto.Coll_scan { coll; index; min; max; limit } -> (
-      let ct = require_txn s in
-      match coll_handle t ct (lookup_coll t coll) with
-      | Exposure ex -> (
-          match ex.e_handle with
-          | None -> reject "server" "collection %S failed to open" coll
-          | Some c ->
-              let (Indexer.Generic ix) = find_indexer ex.e_indexers coll index in
-              let decode b = Gkey.of_bytes ix.Indexer.key b in
-              let it =
-                match (min, max) with
-                | None, None -> Cstore.scan ct c ix
-                | _ ->
-                    Cstore.range ct c ix ~min:(Option.map decode min) ~max:(Option.map decode max)
-              in
-              let cap = if Int.equal limit 0 then Stdlib.max_int else limit in
-              Fun.protect
-                ~finally:(fun () -> Cstore.close it)
-                (fun () ->
-                  let acc = ref [] in
-                  let n = ref 0 in
-                  while (not (Cstore.at_end it)) && !n < cap do
-                    acc := (Cstore.current_oid it, pack ex.e_schema (Cstore.read it)) :: !acc;
-                    incr n;
-                    Cstore.advance it
-                  done;
-                  Proto.Ok_list (List.rev !acc))))
+  | Proto.Coll_insert { coll; data } ->
+      let ct, Opened (ex, c) = open_coll t s coll in
+      let v = Obj_class.cast ex.e_schema (Obj_class.unpickle_value data) in
+      Proto.Ok_oid (Cstore.insert ct c v)
+  | Proto.Coll_find { coll; index; key } ->
+      let ct, Opened (ex, c) = open_coll t s coll in
+      let (Indexer.Generic ix) = find_indexer ex.e_indexers coll index in
+      let found =
+        with_exact ct c ix key (fun it -> (Cstore.current_oid it, pack ex.e_schema (Cstore.read it)))
+      in
+      Proto.Ok_found found
+  | Proto.Coll_scan { coll; index; min; max; limit } ->
+      let ct, Opened (ex, c) = open_coll t s coll in
+      let (Indexer.Generic ix) = find_indexer ex.e_indexers coll index in
+      let decode b = Gkey.of_bytes ix.Indexer.key b in
+      let it =
+        match (min, max) with
+        | None, None -> Cstore.scan ct c ix
+        | _ -> Cstore.range ct c ix ~min:(Option.map decode min) ~max:(Option.map decode max)
+      in
+      let cap = if Int.equal limit 0 then Stdlib.max_int else limit in
+      Fun.protect
+        ~finally:(fun () -> Cstore.close it)
+        (fun () ->
+          let acc = ref [] in
+          let n = ref 0 in
+          while (not (Cstore.at_end it)) && !n < cap do
+            acc := (Cstore.current_oid it, pack ex.e_schema (Cstore.read it)) :: !acc;
+            incr n;
+            Cstore.advance it
+          done;
+          Proto.Ok_list (List.rev !acc))
   | Proto.Coll_mutate { coll; index; key; mutation; arg } -> (
-      let ct = require_txn s in
-      match coll_handle t ct (lookup_coll t coll) with
-      | Exposure ex -> (
-          match ex.e_handle with
-          | None -> reject "server" "collection %S failed to open" coll
-          | Some c -> (
-              let (Indexer.Generic ix) = find_indexer ex.e_indexers coll index in
-              let mut =
-                match Hashtbl.find_opt ex.e_mutations mutation with
-                | None -> reject "not_exposed" "mutation %S is not exposed on collection %S" mutation coll
-                | Some f -> f
-              in
-              let updated =
-                with_exact ct c ix key (fun it ->
-                    let v = Cstore.write it in
-                    let rd = P.reader arg in
-                    mut v rd;
-                    P.expect_end rd;
-                    pack ex.e_schema v)
-              in
-              match updated with
-              | None -> reject "not_found" "no object with that key in %S" coll
-              | Some data -> Proto.Ok_data data)))
-  | Proto.Coll_size { coll } -> (
-      let ct = require_txn s in
-      match coll_handle t ct (lookup_coll t coll) with
-      | Exposure ex -> (
-          match ex.e_handle with
-          | None -> reject "server" "collection %S failed to open" coll
-          | Some c -> Proto.Ok_int (Cstore.size ct c)))
+      let ct, Opened (ex, c) = open_coll t s coll in
+      let (Indexer.Generic ix) = find_indexer ex.e_indexers coll index in
+      let mut =
+        match Hashtbl.find_opt ex.e_mutations mutation with
+        | None -> reject "not_exposed" "mutation %S is not exposed on collection %S" mutation coll
+        | Some f -> f
+      in
+      let updated =
+        with_exact ct c ix key (fun it ->
+            let v = Cstore.write it in
+            let rd = P.reader arg in
+            mut v rd;
+            P.expect_end rd;
+            pack ex.e_schema v)
+      in
+      match updated with
+      | None -> reject "not_found" "no object with that key in %S" coll
+      | Some data -> Proto.Ok_data data)
+  | Proto.Coll_size { coll } ->
+      let ct, Opened (_, c) = open_coll t s coll in
+      Proto.Ok_int (Cstore.size ct c)
   | Proto.Metrics ->
       let store =
         Object_store.with_store t.os (fun cs ->
@@ -570,19 +508,34 @@ let finish_session (t : t) (s : session) : unit =
   Condition.broadcast t.drained;
   Mutex.unlock t.mu
 
+(* The answer to a session's first frame: only a [Hello] in this server's
+   magic and version is accepted. *)
+let greet (req : Proto.request) : Proto.response =
+  let refuse msg = Proto.Error_ { tag = "proto"; msg } in
+  match req with
+  | Proto.Hello { r_magic; _ } when not (String.equal r_magic Proto.magic) -> refuse "bad magic"
+  | Proto.Hello { r_version; _ } when not (Int.equal r_version Proto.version) ->
+      refuse (Printf.sprintf "protocol version %d not supported (server speaks %d)" r_version Proto.version)
+  | Proto.Hello _ -> Proto.Hello_ok { a_version = Proto.version }
+  | _ -> refuse "the first request of a session must be Hello"
+
 let session_loop (t : t) (s : session) : unit =
   if t.cfg.idle_timeout > 0. then
     Unix.setsockopt_float s.s_fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
-  let rec loop () =
+  let exchange answer =
     let req = Proto.decode_request (Proto.read_frame s.s_fd) in
-    let resp = respond t s req in
+    let resp = answer req in
     Proto.write_frame s.s_fd (Proto.encode_response resp);
-    match req with Proto.Bye -> () | _ -> loop ()
+    (req, resp)
   in
+  let rec loop () = match exchange (respond t s) with Proto.Bye, _ -> () | _ -> loop () in
+  (* no request reaches the store before the peer has agreed on the
+     protocol; a refused greeting ends the session *)
+  let session () = match exchange greet with _, Proto.Hello_ok _ -> loop () | _ -> () in
   Fun.protect
     ~finally:(fun () -> finish_session t s)
     (fun () ->
-      match loop () with
+      match session () with
       | () -> ()
       | exception End_of_file -> () (* client disconnected; finally aborts its txn *)
       | exception Proto.Proto_error _ -> () (* garbage on the wire: drop the session *)

@@ -10,10 +10,13 @@
     durable commits share log forces and counter bumps: the object
     store's group commit ({!Tdb_objstore.Object_store.commit}).
 
-    Only explicitly exposed classes and collections are reachable over
-    the wire; collection mutations run server-side as registered named
-    closures, so a read-modify-write costs one round trip and never holds
-    a shared lock while waiting for the client. *)
+    A session must open with a [Hello] in this server's protocol version;
+    any other first request, or a refused [Hello], ends it. Every data
+    request then names an exposed collection, so objects change only
+    through a collection and its indexes: no raw oid, root or class is
+    reachable over the wire. Collection mutations run server-side as
+    registered named closures, so a read-modify-write costs one round
+    trip and never holds a shared lock while waiting for the client. *)
 
 type addr =
   | Unix_path of string  (** Unix-domain socket at this path (unlinked first) *)
@@ -56,9 +59,6 @@ val port : t -> int
 (** The bound TCP port (use with [Tcp (host, 0)]).
     @raise Invalid_argument on a Unix-domain server. *)
 
-val expose_class : t -> 'a Tdb_objstore.Obj_class.t -> unit
-(** Allow remote typed reads/writes/inserts of this class. *)
-
 val expose_collection :
   t ->
   name:string ->
@@ -71,7 +71,7 @@ val expose_collection :
     database does not have it yet; opened with [indexers] otherwise).
     [mutations] are the named in-place updates remote peers may invoke;
     each receives the object and a reader over the client-supplied
-    argument bytes. Exposing a collection also exposes its schema class. *)
+    argument bytes. *)
 
 val start : t -> unit
 (** Spawn the accept loop in a background thread. *)

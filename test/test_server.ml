@@ -47,7 +47,6 @@ let with_server ?(config = Server.default_config) ?(lock_timeout = 1.0) f =
       cs
   in
   let srv = Server.create ~config os (Server.Tcp ("127.0.0.1", 0)) in
-  Server.expose_class srv item_cls;
   Server.expose_collection srv ~name:"item" ~schema:item_cls
     ~indexers:[ Indexer.Generic (item_ix ()) ]
     ~mutations:[ ("bump", fun (i : item) rd -> i.qty <- i.qty + Tdb_pickle.Pickle.read_int rd) ]
@@ -56,7 +55,15 @@ let with_server ?(config = Server.default_config) ?(lock_timeout = 1.0) f =
   let env = { os; srv; addr = Server.Tcp ("127.0.0.1", Server.port srv) } in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f env)
 
-(* --- typed objects and roots over the wire --- *)
+(* --- typed objects through a collection --- *)
+
+let find c id = Option.map snd (Client.coll_find c ~coll:"item" ~index:"id" Gkey.int id item_cls)
+
+let bump c id n =
+  Client.coll_mutate c ~coll:"item" ~index:"id" ~mutation:"bump" Gkey.int id item_cls
+    ~arg:(fun w -> Tdb_pickle.Pickle.int w n)
+
+let qty c id = match find c id with Some i -> i.qty | None -> Alcotest.failf "item %d missing" id
 
 let test_rpc_objects () =
   with_server (fun env ->
@@ -64,29 +71,20 @@ let test_rpc_objects () =
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          let oid =
-            Client.with_txn c (fun () ->
-                let oid = Client.insert c item_cls { id = 1; qty = 10; label = "first" } in
-                Client.set_root c "main" (Some oid);
-                oid)
-          in
-          Alcotest.(check (option int)) "root visible" (Some oid) (Client.get_root c "main");
           Client.with_txn c (fun () ->
-              let v = Client.read c item_cls oid in
-              Alcotest.(check int) "read qty" 10 v.qty;
-              Alcotest.(check string) "read label" "first" v.label;
-              Client.update c item_cls oid { v with qty = 11 });
+              ignore (Client.coll_insert c ~coll:"item" item_cls { id = 1; qty = 10; label = "first" });
+              (* a transaction reads its own write *)
+              match find c 1 with
+              | Some v ->
+                  Alcotest.(check int) "read qty" 10 v.qty;
+                  Alcotest.(check string) "read label" "first" v.label
+              | None -> Alcotest.fail "own insert invisible");
+          Client.with_txn c (fun () -> Alcotest.(check int) "bumped" 11 (bump c 1 1).qty);
           (* aborted writes stay invisible *)
           Client.begin_ c;
-          Client.update c item_cls oid { id = 1; qty = 999; label = "first" };
+          Alcotest.(check int) "bump seen in txn" 999 (bump c 1 988).qty;
           Client.abort c;
-          Client.with_txn c (fun () ->
-              Alcotest.(check int) "abort rolled back" 11 (Client.read c item_cls oid).qty;
-              Client.remove c oid);
-          Client.with_txn c (fun () ->
-              match Client.read c item_cls oid with
-              | _ -> Alcotest.fail "removed object still readable"
-              | exception Client.Server_error _ -> ())))
+          Client.with_txn c (fun () -> Alcotest.(check int) "abort rolled back" 11 (qty c 1))))
 
 let test_rpc_collections () =
   with_server (fun env ->
@@ -133,13 +131,12 @@ let test_rpc_collections () =
 let test_disconnect_releases_locks () =
   with_server ~lock_timeout:5.0 (fun env ->
       let c0 = Client.connect env.addr in
-      let oid =
-        Client.with_txn c0 (fun () -> Client.insert c0 item_cls { id = 0; qty = 0; label = "l" })
-      in
+      Client.with_txn c0 (fun () ->
+          ignore (Client.coll_insert c0 ~coll:"item" item_cls { id = 0; qty = 0; label = "l" }));
       Client.close c0;
       let a = Client.connect env.addr in
       Client.begin_ a;
-      Client.update a item_cls oid { id = 0; qty = 666; label = "a" };
+      ignore (bump a 0 666);
       (* [a] now holds the exclusive lock — and dies without a word *)
       Client.disconnect_abruptly a;
       let b = Client.connect env.addr in
@@ -147,11 +144,9 @@ let test_disconnect_releases_locks () =
         ~finally:(fun () -> Client.close b)
         (fun () ->
           let t0 = Unix.gettimeofday () in
-          Client.with_txn b (fun () -> Client.update b item_cls oid { id = 0; qty = 1; label = "b" });
+          Client.with_txn b (fun () -> ignore (bump b 0 1));
           Alcotest.(check bool) "lock released promptly" true (Unix.gettimeofday () -. t0 < 4.0);
-          Client.with_txn b (fun () ->
-              let v = Client.read b item_cls oid in
-              Alcotest.(check int) "dead session's write discarded" 1 v.qty));
+          Client.with_txn b (fun () -> Alcotest.(check int) "dead session's write discarded" 1 (qty b 0)));
       Alcotest.(check int) "no locks held" 0 (Object_store.held_count env.os))
 
 (* An idle session is reaped after [idle_timeout] and its transaction is
@@ -162,20 +157,20 @@ let test_idle_timeout () =
     ~lock_timeout:5.0
     (fun env ->
       let c0 = Client.connect env.addr in
-      let oid =
-        Client.with_txn c0 (fun () -> Client.insert c0 item_cls { id = 0; qty = 0; label = "l" })
-      in
+      Client.with_txn c0 (fun () ->
+          ignore (Client.coll_insert c0 ~coll:"item" item_cls { id = 0; qty = 0; label = "l" }));
       Client.close c0;
       let a = Client.connect env.addr in
       Client.begin_ a;
-      Client.update a item_cls oid { id = 0; qty = 666; label = "a" };
+      ignore (bump a 0 666);
       Thread.delay 1.0;
       (* the server has dropped [a]; its lock is gone *)
       let b = Client.connect env.addr in
       Fun.protect
         ~finally:(fun () -> Client.close b)
         (fun () ->
-          Client.with_txn b (fun () -> Client.update b item_cls oid { id = 0; qty = 2; label = "b" }));
+          Client.with_txn b (fun () -> ignore (bump b 0 2));
+          Client.with_txn b (fun () -> Alcotest.(check int) "reaped session's write discarded" 2 (qty b 0)));
       Alcotest.(check bool) "reaped session errors out" true
         (match Client.begin_ a with _ -> false | exception _ -> true);
       Alcotest.(check int) "no locks held" 0 (Object_store.held_count env.os))
@@ -245,62 +240,154 @@ let test_metrics_roundtrip () =
   | Proto.Ok_metrics m -> Alcotest.(check bool) "all three value tags round-trip" true (m = sample_metrics)
   | _ -> Alcotest.fail "Ok_metrics did not round-trip"
 
-(* A protocol-7 follower: its Hello is refused, and the Subscribe it sends
-   next (opcode 17, removed in version 8) is an unknown opcode, so the
-   server drops that session. A session with a transaction open meanwhile
-   commits afterwards. *)
+(* Raw frames on a fresh connection, for peers the client library would
+   never be: an older protocol, or none at all. *)
+let with_raw env f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port env.srv));
+      f fd)
+
+let opcode_frame op fields =
+  let w = Tdb_pickle.Pickle.writer () in
+  Tdb_pickle.Pickle.byte w op;
+  fields w;
+  Tdb_pickle.Pickle.contents w
+
+(* Send a frame the server may already have hung up on. *)
+let send fd payload =
+  match Proto.write_frame fd payload with
+  | () -> ()
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
+let ask fd req =
+  send fd (Proto.encode_request req);
+  Proto.decode_response (Proto.read_frame fd)
+
+let hello fd version = ask fd (Proto.Hello { r_magic = Proto.magic; r_version = version })
+
+let check_dropped fd what =
+  match Proto.read_frame fd with
+  | _ -> Alcotest.failf "%s answered" what
+  | exception End_of_file -> ()
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+
+let check_refused what = function
+  | Proto.Error_ { tag; _ } -> Alcotest.(check string) what "proto" tag
+  | _ -> Alcotest.failf "%s accepted" what
+
+(* Frames a version-9 server must not act on: a protocol-7 follower's
+   Hello and the Subscribe it sends next (opcode 17, removed in version 8);
+   a request before any Hello; a version-8 raw Remove (opcode 9, removed
+   in version 9) naming a member's oid. Each ends its session, no member
+   is lost, and a session with a transaction open meanwhile commits
+   afterwards. *)
 let test_v7_subscribe_dropped () =
   with_server (fun env ->
       let c = Client.connect env.addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
+          let member =
+            Client.with_txn c (fun () ->
+                Client.coll_insert c ~coll:"item" item_cls { id = 8; qty = 80; label = "member" })
+          in
           Client.begin_ c;
-          let oid = Client.insert c item_cls { id = 7; qty = 70; label = "v7" } in
-          let port = Server.port env.srv in
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-              Proto.write_frame fd (Proto.encode_request (Proto.Hello { r_magic = Proto.magic; r_version = 7 }));
-              (match Proto.decode_response (Proto.read_frame fd) with
-              | Proto.Error_ { tag; _ } -> Alcotest.(check string) "v7 hello refused" "proto" tag
-              | _ -> Alcotest.fail "v7 hello accepted");
-              let w = Tdb_pickle.Pickle.writer () in
-              Tdb_pickle.Pickle.byte w 17;
-              Tdb_pickle.Pickle.uint w 0;
-              Tdb_pickle.Pickle.string w "genesis";
-              Proto.write_frame fd (Tdb_pickle.Pickle.contents w);
-              match Proto.read_frame fd with
-              | _ -> Alcotest.fail "subscribe answered"
-              | exception End_of_file -> ()
-              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
+          ignore (Client.coll_insert c ~coll:"item" item_cls { id = 7; qty = 70; label = "v7" });
+          with_raw env (fun fd ->
+              check_refused "v7 hello" (hello fd 7);
+              send fd (opcode_frame 17 (fun w -> Tdb_pickle.Pickle.uint w 0; Tdb_pickle.Pickle.string w "genesis"));
+              check_dropped fd "subscribe after a refused hello");
+          with_raw env (fun fd ->
+              check_refused "begin without hello" (ask fd Proto.Begin);
+              check_dropped fd "a session without hello");
+          with_raw env (fun fd ->
+              (match hello fd Proto.version with Proto.Hello_ok _ -> () | _ -> Alcotest.fail "hello refused");
+              send fd (opcode_frame 17 (fun w -> Tdb_pickle.Pickle.uint w 0; Tdb_pickle.Pickle.string w "genesis"));
+              check_dropped fd "subscribe");
+          with_raw env (fun fd ->
+              (match hello fd Proto.version with Proto.Hello_ok _ -> () | _ -> Alcotest.fail "hello refused");
+              (match ask fd Proto.Begin with Proto.Ok_unit -> () | _ -> Alcotest.fail "begin refused");
+              send fd (opcode_frame 9 (fun w -> Tdb_pickle.Pickle.int w member));
+              check_dropped fd "raw remove");
           Client.commit c;
           Client.with_txn c (fun () ->
-              Alcotest.(check int) "concurrent session committed" 70 (Client.read c item_cls oid).qty)))
+              Alcotest.(check int) "concurrent session committed" 70 (qty c 7);
+              Alcotest.(check (option int)) "member still found by key" (Some member)
+                (Option.map fst (Client.coll_find c ~coll:"item" ~index:"id" Gkey.int 8 item_cls));
+              Alcotest.(check int) "size unchanged" 2 (Client.coll_size c ~coll:"item"))))
 
-(* A metrics frame comes off an untrusted wire: every truncation and every
-   single-byte substitution must decode to a value or a typed error. *)
-let test_metrics_frame_fuzz () =
-  let frame = Proto.encode_response (Proto.Ok_metrics sample_metrics) in
-  let decodes label bytes =
-    match Proto.decode_response bytes with
-    | _ -> ()
-    | exception (Proto.Proto_error _ | Tdb_pickle.Pickle.Error _) -> ()
-    | exception e -> Alcotest.failf "%s: %s" label (Printexc.to_string e)
+(* One sample of every request and response kind. *)
+let sample_requests =
+  Proto.
+    [
+      Hello { r_magic = magic; r_version = version }; Begin; Commit { durable = true }; Abort;
+      Coll_insert { coll = "item"; data = "\000packed" };
+      Coll_find { coll = "item"; index = "id"; key = "\001k" };
+      Coll_scan { coll = "item"; index = "id"; min = Some "a"; max = None; limit = 5 };
+      Coll_mutate { coll = "item"; index = "id"; key = "k"; mutation = "bump"; arg = "\002" };
+      Coll_size { coll = "item" }; Metrics; Bye; List_backups { after = 3 }; Fetch_backup { name = "backup-000001-full" };
+    ]
+
+let sample_responses =
+  Proto.
+    [
+      Hello_ok { a_version = version }; Ok_unit; Ok_oid (-7); Ok_data "bytes"; Ok_found (Some (4, "obj"));
+      Ok_list [ (1, "a"); (2, "") ]; Ok_int max_int; Ok_metrics sample_metrics;
+      Error_ { tag = "proto"; msg = "refused" };
+    ]
+
+(* The opcodes a decoder knows: a one-byte frame carrying an unknown one
+   raises [Proto_error]; a known one decodes or runs out of bytes. *)
+let known_opcodes decode =
+  List.filter
+    (fun op ->
+      match decode (String.make 1 (Char.chr op)) with
+      | _ -> true
+      | exception Tdb_pickle.Pickle.Error _ -> true
+      | exception Proto.Proto_error _ -> false)
+    (List.init 256 Fun.id)
+
+let opcodes frames = List.sort_uniq Int.compare (List.map (fun f -> Char.code f.[0]) frames)
+
+(* Every frame comes off an untrusted wire: each kind round-trips, and
+   every truncation and every single-byte substitution of it must decode
+   to a value or a typed error. *)
+let test_frame_fuzz () =
+  let fuzz decode frame =
+    let decodes label bytes =
+      match decode bytes with
+      | _ -> ()
+      | exception (Proto.Proto_error _ | Tdb_pickle.Pickle.Error _) -> ()
+      | exception e -> Alcotest.failf "%s: %s" label (Printexc.to_string e)
+    in
+    for len = 0 to String.length frame - 1 do
+      decodes (Printf.sprintf "prefix of %d bytes" len) (String.sub frame 0 len)
+    done;
+    String.iteri
+      (fun i c ->
+        for x = 1 to 255 do
+          let b = Bytes.of_string frame in
+          Bytes.set b i (Char.chr (Char.code c lxor x));
+          decodes (Printf.sprintf "byte %d xor %d" i x) (Bytes.to_string b)
+        done)
+      frame
   in
-  for len = 0 to String.length frame - 1 do
-    decodes (Printf.sprintf "prefix of %d bytes" len) (String.sub frame 0 len)
-  done;
-  String.iteri
-    (fun i c ->
-      for x = 1 to 255 do
-        let b = Bytes.of_string frame in
-        Bytes.set b i (Char.chr (Char.code c lxor x));
-        decodes (Printf.sprintf "byte %d xor %d" i x) (Bytes.to_string b)
-      done)
-    frame
+  let requests = List.map Proto.encode_request sample_requests in
+  let responses = List.map Proto.encode_response sample_responses in
+  Alcotest.(check (list int)) "a sample of every request kind" (known_opcodes Proto.decode_request) (opcodes requests);
+  Alcotest.(check (list int)) "a sample of every response kind" (known_opcodes Proto.decode_response)
+    (opcodes responses);
+  List.iter2
+    (fun req frame -> if Proto.decode_request frame <> req then Alcotest.fail "a request did not round-trip")
+    sample_requests requests;
+  List.iter2
+    (fun resp frame -> if Proto.decode_response frame <> resp then Alcotest.fail "a response did not round-trip")
+    sample_responses responses;
+  List.iter (fuzz Proto.decode_request) requests;
+  List.iter (fuzz Proto.decode_response) responses
 
 (* --- remote restore: pull the archive over the wire, rebuild locally --- *)
 
@@ -502,7 +589,7 @@ let () =
     [
       ( "rpc",
         [
-          Alcotest.test_case "typed objects + roots" `Quick test_rpc_objects;
+          Alcotest.test_case "typed objects through a collection" `Quick test_rpc_objects;
           Alcotest.test_case "collections + mutations" `Quick test_rpc_collections;
         ] );
       ( "sessions",
@@ -515,7 +602,7 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "metrics round trip" `Quick test_metrics_roundtrip;
-          Alcotest.test_case "metrics frame prefixes and flips" `Quick test_metrics_frame_fuzz;
+          Alcotest.test_case "frame prefixes and flips, every kind" `Quick test_frame_fuzz;
           Alcotest.test_case "v7 subscribe drops the session" `Quick test_v7_subscribe_dropped;
         ] );
       ( "e2e",
