@@ -5,7 +5,7 @@
     - [tpcb]        Figure 9 (schema table) + Figure 10 (response times)
     - [utilization] Figure 11 (response time & database size vs utilization)
     - [micro]       Bechamel micro-benchmarks (crypto, chunk ops)
-    - [ablation]    design-choice ablations (idle cleaning, durability, security)
+    - [ablation]    design-choice ablations (idle cleaning, security)
     - [all]         everything above at the default scale
 
     Absolute times come from measured CPU plus the calibrated disk model
@@ -285,26 +285,9 @@ let ablation (scale : Workload.scale) =
   Printf.printf "idle-period maintenance:  with %.2f ms/txn   without %.2f ms/txn\n" with_idle.Runner.avg_ms
     without.Runner.avg_ms;
   let plain = Runner.run_tdb ~security:false ~idle_every:500 scale in
-  Printf.printf "security on/off:          TDB-S %.2f ms  vs TDB %.2f ms  (crypto + counter cost %.2f ms)\n"
+  Printf.printf "security on/off:          TDB-S %.2f ms  vs TDB %.2f ms  (crypto + counter cost %.2f ms)\n\n"
     with_idle.Runner.avg_ms plain.Runner.avg_ms
-    (with_idle.Runner.avg_ms -. plain.Runner.avg_ms);
-  (* durability: nondurable commits skip the log force and the counter *)
-  let t = Tdb_driver.setup ~security:true scale in
-  let rng = Tdb_crypto.Drbg.create ~seed:"abl" in
-  let time_txns n ~durable =
-    ignore durable;
-    let t0 = Unix.gettimeofday () and s0 = Tdb_driver.sim_time t in
-    for _ = 1 to n do
-      ignore (Tdb_driver.txn t (Workload.gen_txn rng scale))
-    done;
-    (Unix.gettimeofday () -. t0 +. (Tdb_driver.sim_time t -. s0)) /. float_of_int n *. 1000.
-  in
-  let dur = time_txns 500 ~durable:true in
-  Printf.printf "durable commits:          %.2f ms/txn (forces log + one-way counter each txn)\n" dur;
-  (* cipher choice *)
-  let c3x = Runner.run_tdb ~security:true ~idle_every:500 scale in
-  Printf.printf "cipher (3xtea, default): %.2f ms/txn; see `micro` for per-block 3aes/aes costs\n\n"
-    c3x.Runner.avg_ms
+    (with_idle.Runner.avg_ms -. plain.Runner.avg_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Network service: throughput scaling vs clients under group commit   *)

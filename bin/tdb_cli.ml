@@ -95,23 +95,28 @@ let backup_cmd =
 
 (* --- restore --- *)
 
-let restore_cmd =
-  let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"FROM" ~doc:"Source database directory (its backups/ archive is read).") in
-  let dst = Arg.(required & pos 1 (some string) None & info [] ~docv:"TO" ~doc:"Destination directory for the restored database.") in
-  let upto = Arg.(value & opt (some int) None & info [ "upto" ] ~docv:"N" ~doc:"Restore only up to backup N (point-in-time).") in
-  let run src dst upto =
-    (* the restored database must live under the same secret as the source:
-       copy the key file before the destination device materializes one *)
-    if not (Sys.file_exists dst) then Unix.mkdir dst 0o700;
-    let src_key = Filename.concat src "secret" and dst_key = Filename.concat dst "secret" in
-    if Sys.file_exists src_key && not (Sys.file_exists dst_key) then begin
+(* A restored database must live under the device secret that sealed its
+   backups: create [dst] and copy the key file there before the
+   destination device materializes a fresh one. *)
+let prepare_target ?src_key dst =
+  if not (Sys.file_exists dst) then Unix.mkdir dst 0o700;
+  let dst_key = Filename.concat dst "secret" in
+  match src_key with
+  | Some src_key when Sys.file_exists src_key && not (Sys.file_exists dst_key) ->
       let ic = open_in_bin src_key in
       let data = really_input_string ic (in_channel_length ic) in
       close_in ic;
       let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600 dst_key in
       output_string oc data;
       close_out oc
-    end;
+  | Some _ | None -> ()
+
+let restore_cmd =
+  let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"FROM" ~doc:"Source database directory (its backups/ archive is read).") in
+  let dst = Arg.(required & pos 1 (some string) None & info [] ~docv:"TO" ~doc:"Destination directory for the restored database.") in
+  let upto = Arg.(value & opt (some int) None & info [ "upto" ] ~docv:"N" ~doc:"Restore only up to backup N (point-in-time).") in
+  let run src dst upto =
+    prepare_target ~src_key:(Filename.concat src "secret") dst;
     let from = Tdb.Device.at_dir src in
     let target = Tdb.Device.at_dir dst in
     match Tdb.restore ?upto ~from target with
@@ -161,10 +166,12 @@ let remote_status_cmd =
     (Cmd.info "remote-status" ~doc:"Print a running server's metrics: its sessions and group commit, then the store's.")
     Term.(const run $ addr_term)
 
-(* Remote point-in-time restore: pull the archive off a running server
-   and rebuild a local database from it. The streams are opaque sealed
-   frames — everything is re-verified locally under the operator's copy
-   of the device secret, so neither the server nor the wire is trusted. *)
+(* Remote point-in-time restore: fetch from a running server the frames
+   a restore applies, picked by the same rule restore and the follower
+   use, and rebuild a local database from them. The streams are opaque
+   sealed frames — everything is re-verified locally under the operator's
+   copy of the device secret, so neither the server nor the wire is
+   trusted. *)
 let remote_restore_cmd =
   let dst = Arg.(required & pos 0 (some string) None & info [] ~docv:"TO" ~doc:"Destination directory for the restored database.") in
   let upto = Arg.(value & opt (some int) None & info [ "upto" ] ~docv:"N" ~doc:"Restore only up to backup N (point-in-time).") in
@@ -173,19 +180,7 @@ let remote_restore_cmd =
            ~doc:"Device secret file matching the server's (copied to TO/secret). The fetched streams are sealed under it; without the matching key the restore fails verification.")
   in
   let run addr dst upto secret =
-    if not (Sys.file_exists dst) then Unix.mkdir dst 0o700;
-    (match secret with
-    | None -> ()
-    | Some src_key ->
-        let dst_key = Filename.concat dst "secret" in
-        if not (Sys.file_exists dst_key) then begin
-          let ic = open_in_bin src_key in
-          let data = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600 dst_key in
-          output_string oc data;
-          close_out oc
-        end);
+    prepare_target ?src_key:secret dst;
     let fetched =
       with_client addr (fun c ->
           match Tdb.Client.list_backups c with
@@ -193,7 +188,9 @@ let remote_restore_cmd =
               let index =
                 match upto with None -> index | Some n -> List.filter (fun (id, _) -> id <= n) index
               in
-              List.map (fun (id, name) -> (id, name, Tdb.Client.fetch_backup c ~name)) index
+              List.map
+                (fun (_, name) -> (name, Tdb.Client.fetch_backup c ~name))
+                (Tdb.Backup_store.select ~index ~last_id:0 ~reject_streak:0)
           | exception Tdb.Client.Server_error { tag; msg } ->
               Printf.printf "server refused: %s (%s)\n" msg tag;
               exit 2)
@@ -204,12 +201,13 @@ let remote_restore_cmd =
           (match upto with None -> "" | Some n -> Printf.sprintf " at or below #%d" n);
         exit 2
     | _ :: _ -> ());
-    (* stage the streams into TO/backups so the local validated-restore
-       path (full + chained incrementals) runs over them unchanged *)
+    (* stage the streams into TO/backups, so the restored database keeps
+       the archive it extends and the local validated restore runs over
+       them unchanged *)
     let bdir = Filename.concat dst "backups" in
     if not (Sys.file_exists bdir) then Unix.mkdir bdir 0o700;
     List.iter
-      (fun (_, name, stream) ->
+      (fun (name, stream) ->
         let oc =
           open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600
             (Filename.concat bdir (Filename.basename name))
@@ -230,7 +228,7 @@ let remote_restore_cmd =
   in
   Cmd.v
     (Cmd.info "remote-restore"
-       ~doc:"Fetch a running server's backup archive and restore it locally (newest, or --upto N).")
+       ~doc:"Fetch the backup chain a restore applies from a running server and restore it locally (newest, or --upto N).")
     Term.(const run $ addr_term $ dst $ upto $ secret)
 
 let remote_balance_cmd =

@@ -187,14 +187,12 @@ let unframe t (stream : string) : parsed =
   let p_changed, p_removed = decode_body body in
   { p_header; p_changed; p_removed; p_chain }
 
-let name_of (h : header) : string =
+let stream_name (h : header) : string =
   Printf.sprintf "tdb-%06d-%s" h.id (match h.kind with Full -> "full" | Incremental _ -> "incr")
 
-let stream_name = name_of
-
 (** Parse an archive entry name back to (id, kind). Names are untrusted
-    hints that steer a follower's frame selection; the follower verifies
-    every frame's MAC and chain before believing anything. *)
+    hints that steer frame selection ({!select}); every frame's MAC and
+    chain are verified before anything is believed. *)
 let parse_name (name : string) : (int * [ `Full | `Incremental ]) option =
   let n = String.length name in
   if n < 4 + 1 + 5 || not (String.equal (String.sub name 0 4) "tdb-") then None
@@ -220,7 +218,7 @@ let backup_full t : int =
   let header = { id; kind = Full; seq = Chunk_store.snapshot_seq t.cs snap } in
   let body = encode_body ~changed:(List.rev changed) ~removed:[] in
   let stream, new_chain = frame t header body ~chain:"genesis" in
-  Tdb_platform.Archival_store.put t.archive ~name:(name_of header) stream;
+  Tdb_platform.Archival_store.put t.archive ~name:(stream_name header) stream;
   (match st.base_snapshot with Some old -> Chunk_store.release_snapshot t.cs old | None -> ());
   save_state t { last_id = id; chain = new_chain; base_snapshot = Some snap };
   id
@@ -241,7 +239,7 @@ let backup_incremental t : int =
       let header = { id; kind = Incremental st.last_id; seq = Chunk_store.snapshot_seq t.cs snap } in
       let body = encode_body ~changed:(List.rev !changed) ~removed:(List.rev !removed) in
       let stream, new_chain = frame t header body ~chain:st.chain in
-      Tdb_platform.Archival_store.put t.archive ~name:(name_of header) stream;
+      Tdb_platform.Archival_store.put t.archive ~name:(stream_name header) stream;
       Chunk_store.release_snapshot t.cs base;
       save_state t { last_id = id; chain = new_chain; base_snapshot = Some snap };
       id
@@ -315,50 +313,53 @@ let apply t (p : parsed) : header =
 
 let apply_stream t (stream : string) : header = apply t (unframe t stream)
 
-(* --- restore --- *)
+(* --- frame selection and restore --- *)
 
-(** The backups present in [t]'s archive whose MAC verifies, sorted by id
-    (the archival store is untrusted: anything else is skipped). *)
-let scan_archive t : parsed list =
-  Tdb_platform.Archival_store.list t.archive
+(** The archive's stream names with id above [after], as (id, name)
+    sorted by id; names {!parse_name} does not accept are skipped. Reads
+    names only: no stream is fetched. *)
+let index (archive : Tdb_platform.Archival_store.t) ~(after : int) : (int * string) list =
+  Tdb_platform.Archival_store.list archive
   |> List.filter_map (fun name ->
-         match Tdb_platform.Archival_store.get t.archive ~name with
-         | None -> None
-         | Some stream -> ( match unframe t stream with p -> Some p | exception Invalid_backup _ -> None))
-  |> List.sort (fun a b -> Int.compare a.p_header.id b.p_header.id)
+         match parse_name name with Some (id, _) when id > after -> Some (id, name) | _ -> None)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(** Validated restore into a fresh chunk store: the newest full backup
-    with id <= [upto] (default: newest overall), then each incremental
-    [id + 1] whose base is the previous id, each applied by {!apply}, which
-    checks its hash chain against the chain state the previous one left.
+(** The one frame-selection rule, for restore and the follower alike
+    (see the interface). *)
+let select ~(index : (int * string) list) ~(last_id : int) ~(reject_streak : int) : (int * string) list =
+  let newest_full =
+    List.fold_left
+      (fun acc (id, name) -> match parse_name name with Some (_, `Full) -> max acc id | _ -> acc)
+      0 index
+  in
+  let retry_full = reject_streak > 0 && Int.equal (reject_streak land 1) 0 in
+  let first = if retry_full || newest_full > last_id + 1 then newest_full else last_id + 1 in
+  List.filter (fun (id, _) -> id >= first) index |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-    @raise Invalid_backup if no valid full backup exists, the sequence has
-    gaps, or any chain value does not match. *)
+(** Validated restore into a fresh chunk store: a follower catching up
+    from empty. The names {!select} picks must run contiguously from a
+    full, so a gap is refused before anything is applied; then each frame
+    is read and applied by {!apply_stream}, one at a time. *)
 let restore ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Archival_store.t)
     ?(upto : int option) ~(into : Chunk_store.t) () : int =
   let t = create ~secret ~archive into in
-  let backups = scan_archive t in
-  let limit = match upto with Some u -> u | None -> List.fold_left (fun m p -> max m p.p_header.id) 0 backups in
-  let full =
+  let index = index archive ~after:0 in
+  let index = match upto with None -> index | Some u -> List.filter (fun (id, _) -> id <= u) index in
+  let chain = select ~index ~last_id:0 ~reject_streak:0 in
+  (match chain with
+  | (first, name) :: _ when (match parse_name name with Some (_, `Full) -> true | _ -> false) ->
+      List.iteri
+        (fun i (id, _) ->
+          if not (Int.equal id (first + i)) then invalid "incremental sequence broken after backup %d" (first + i - 1))
+        chain
+  | _ -> invalid "no full backup available");
+  let last =
     List.fold_left
-      (fun best p -> match p.p_header.kind with Full when p.p_header.id <= limit -> Some p | _ -> best)
-      None backups
+      (fun _ (_, name) ->
+        match Tdb_platform.Archival_store.get archive ~name with
+        | None -> invalid "backup stream %s vanished" name
+        | Some stream -> (apply_stream t stream).id)
+      0 chain
   in
-  let full = match full with Some p -> p | None -> invalid "no valid full backup available" in
-  let extends last p =
-    Int.equal p.p_header.id (last + 1)
-    && match p.p_header.kind with Incremental base -> Int.equal base last | Full -> false
-  in
-  let rec sequence last =
-    if last >= limit then []
-    else
-      match List.find_opt (extends last) backups with
-      | Some p -> p :: sequence p.p_header.id
-      | None ->
-          if List.exists (fun p -> p.p_header.id > last && p.p_header.id <= limit) backups then
-            invalid "incremental sequence broken after backup %d" last
-          else []
-  in
-  let last = List.fold_left (fun _ p -> (apply t p).id) 0 (full :: sequence full.p_header.id) in
   Chunk_store.checkpoint into;
   last

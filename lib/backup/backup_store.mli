@@ -57,8 +57,27 @@ val stream_name : header -> string
 
 val parse_name : string -> (int * [ `Full | `Incremental ]) option
 (** Parse an archive entry name ([tdb-NNNNNN-full|incr]) to (id, kind) —
-    an untrusted hint for a follower's frame selection; consumers verify
-    frames cryptographically before believing anything. *)
+    an untrusted hint for frame selection; consumers verify frames
+    cryptographically before believing anything. *)
+
+val index : Tdb_platform.Archival_store.t -> after:int -> (int * string) list
+(** The archive's (id, name) pairs with id above [after], sorted by id;
+    names {!parse_name} rejects are skipped. Reads names only. *)
+
+val select : index:(int * string) list -> last_id:int -> reject_streak:int -> (int * string) list
+(** The one frame-selection rule, shared by {!restore}, [tdb_cli
+    remote-restore] and the replication follower: the frames a reader at
+    chain position [last_id] applies next, in id order, from an archive
+    [index] ((id, name) pairs; the kind comes from {!parse_name}) and the
+    reader's count of consecutive polls ended by a rejected frame. Every
+    id from the newest full up when that full is past [last_id + 1] (the
+    incrementals below it chain from a history the reader cannot use) or
+    when [reject_streak] is even and nonzero (restart a diverged
+    follower); otherwise every id above [last_id]. A follower passes only
+    the entries above [last_id] ({!index} [~after:last_id]), so a
+    listing's size follows its lag, not the archive's length. A full at
+    or below [last_id], which a whole index could add, would fail
+    {!apply_stream}'s rollback check anyway. *)
 
 val backup_full : t -> int
 (** Write a full backup; resets the incremental chain. Returns its id. *)
@@ -74,16 +93,21 @@ val restore :
   into:Tdb_chunk.Chunk_store.t ->
   unit ->
   int
-(** Validated restore into a {e fresh} chunk store: applies the newest full
-    backup with id ≤ [upto] (default: newest overall) and its incrementals
-    in sequence, each through {!apply_stream}'s checks and apply. Returns
-    the id of the last backup applied. The restored store holds the chain
+(** Validated restore into a {e fresh} chunk store: a follower catching
+    up from empty. {!select} [~last_id:0] over the archive's {!index}, cut
+    at [upto] (default: newest overall), picks the newest full and the
+    ids after it. Their names must run contiguously from that full, so a
+    gap is refused before anything is applied; then each frame is read
+    and applied through {!apply_stream}, one at a time. Only the chain it
+    applies is read, and only one frame is held at a time. Returns the id
+    of the last backup applied. The restored store holds the chain
     state that id leaves ([base_snapshot = None]), so its next backup is a
     full one with the next id: it extends the archive instead of
     overwriting the streams it was restored from.
-    @raise Invalid_backup on missing/forged/out-of-order streams, and on
-    records too large for the target store's configuration (the batch is
-    aborted, leaving the target clean). *)
+    @raise Invalid_backup on missing/forged/out-of-order streams — a
+    damaged newest frame is refused, not rolled back past ([upto] picks
+    an older point) — and on records too large for the target store's
+    configuration (the batch is aborted, leaving the target clean). *)
 
 val apply_stream : t -> string -> header
 (** Replication ingest: verify one archive stream (MAC, header, hash chain

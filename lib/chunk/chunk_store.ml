@@ -1001,7 +1001,6 @@ let set_cache_budget t b =
 
 let counter_value t = t.last_counter
 let commit_seq t = t.seq
-let promotable t = t.promotable
 
 (** Chunk ids present in the last committed location map (pending batch
     writes excluded), in ascending id order — the committed footprint a
@@ -1015,7 +1014,6 @@ let utilization t = Log.utilization t.log
 let live_bytes t = Log.live_bytes t.log
 let capacity t = Log.capacity t.log
 let store_size t = Tdb_platform.Untrusted_store.size t.store
-let security_enabled t = t.sec.Security.enabled
 let config t = t.cfg
 
 (** Explicit idle-time cleaning (paper: "some of the database
@@ -1040,7 +1038,7 @@ let metrics t : Metrics.t =
       ("store.capacity_bytes", Int (capacity t));
       ("store.utilization", Float (utilization t));
       ("store.size_bytes", Int (store_size t));
-      ("store.security", Text (if security_enabled t then "on" else "off"));
+      ("store.security", Text (if t.sec.Security.enabled then "on" else "off"));
       ("chunk_cache.hits", Int st.cache_hits);
       ("chunk_cache.misses", Int st.cache_misses);
       ("chunk_cache.evictions", Int st.cache_evictions);

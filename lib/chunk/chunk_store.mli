@@ -109,8 +109,9 @@ val batch_size : t -> int
     next counter value, and flushes it; [sync] forces the store and bumps
     the one-way counter; [finish] reclaims garbage. A durable {!commit}
     and {!durable_barrier} run them back to back. With an empty batch and
-    nothing to promote ({!promotable} unset) the barrier is idle: its
-    stages touch nothing, with no sync and no counter bump. A barrier promotes every earlier nondurable
+    nothing to promote (no nondurable commit since the last durable
+    point) the barrier is idle: its stages touch nothing, with no sync
+    and no counter bump. A barrier promotes every earlier nondurable
     commit: the group-commit hook, one sync + counter bump for many
     transactions. [begin] and [finish] run under the caller's state lock;
     [sync] may run outside it while other sessions land nondurable
@@ -234,10 +235,6 @@ val commit_seq : t -> int
 (** Sequence number of the last commit (durable or not); snapshots carry
     the sequence current when they were taken. *)
 
-val promotable : t -> bool
-(** Nondurable commits sit above the last durable point: a durable barrier
-    (or a checkpoint, which promotes them) has work to do. *)
-
 val live_ids : t -> Types.chunk_id list
 (** Chunk ids present in the last committed location map, ascending.
     Pending batch writes are excluded. This is the committed footprint a
@@ -248,5 +245,4 @@ val utilization : t -> float
 val live_bytes : t -> int
 val capacity : t -> int
 val store_size : t -> int
-val security_enabled : t -> bool
 val config : t -> Config.t

@@ -46,7 +46,6 @@ val capacity : t -> int
 
 val write_entry : Tdb_pickle.Pickle.writer -> entry -> unit
 val read_entry : Tdb_pickle.Pickle.reader -> entry
-val node_payload : node -> string
 val node_of_payload : fanout:int -> string -> node
 
 (** {1 Point operations} *)

@@ -24,8 +24,6 @@ open Types
 
 val header_size : int
 val magic_byte : char
-val marker_size : int
-
 type run = {
   run_off : int;
   mutable run_frags : string list;  (** reversed: newest fragment first *)
@@ -62,7 +60,6 @@ val of_recovery :
 (** {1 Accounting} *)
 
 val segment_size : t -> int
-val usage_of : t -> int -> int
 val capacity : t -> int
 val live_bytes : t -> int
 
@@ -75,7 +72,6 @@ val nsegments : t -> int
 val tail_pos : t -> int * int
 val record_space : int -> int
 val residual_bytes : t -> int
-val obsolete_bytes : t -> seg:int -> payload_len:int -> unit
 val obsolete_entry : t -> entry -> unit
 
 (** {1 Barriers, growth, pinning} *)

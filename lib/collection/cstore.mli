@@ -78,8 +78,6 @@ val remove_collection :
   t -> name:string -> schema:'a Tdb_objstore.Obj_class.t -> indexers:'a Indexer.generic list -> unit
 (** Remove the collection {e and} every object in it (paper Figure 5). *)
 
-val register_indexer : 'a collection -> ('a, 'k) Indexer.t -> unit
-
 val insert : t -> 'a collection -> 'a -> oid
 (** Insert an object; all indexes update immediately.
     @raise Index.Duplicate_key on a unique violation (collection unchanged). *)

@@ -155,7 +155,7 @@ let backup_incremental (db : t) : int =
 
 (** Restore the newest (or [upto]) backup found in [from]'s archive into a
     fresh database on [device] (which must share the secret store that made
-    the backups). *)
+    the backups), reading only the chain it applies. *)
 let restore ?upto ~(from : Device.t) (device : Device.t) : t =
   let chunks =
     Chunk_store.create ~secret:device.Device.secret ~counter:device.Device.counter device.Device.store

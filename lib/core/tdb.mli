@@ -120,4 +120,9 @@ val backup_incremental : t -> int
 val restore : ?upto:int -> from:Device.t -> Device.t -> t
 (** Restore the newest (or [upto]) backup found in [from]'s archive into a
     fresh database on the second device (which must share the secret store
-    that made the backups). *)
+    that made the backups). Reads only the chain it applies: the newest
+    full at or below [upto] and the incrementals after it
+    ({!Backup_store.restore}).
+    @raise Backup_store.Invalid_backup when that chain has a gap or a
+    damaged frame — a damaged newest frame is refused, not rolled back
+    past; [upto] picks an older point. *)

@@ -21,9 +21,8 @@
     - {b usability}: after recovery the store accepts a write + durable
       commit and its utilization accounting stays within bounds.
 
-    What varies between sweeps is the {e phase}: the phase-A workload,
-    its DRBG seed and its payload tags. Each
-    crashed run continues into a second phase: an epilogue workload
+    What varies between sweeps is the {e phase}: the phase-A workload.
+    Each crashed run continues into a second phase: an epilogue workload
     against the recovered store with a second seeded crashpoint, which
     exercises the crash behaviour of freshly-reopened state (notably the
     counter slot-targeting window). The tamper sweep bit-flips every
@@ -425,36 +424,21 @@ let run_phase_clean ~trace d =
     end
   done
 
-(* A sweep's workload parameters. [seed_tag] and [data_tag] name the
-   phase's DRBG seeds and payload prefixes: changing either changes every
-   boundary the phase records. *)
-type phase = {
-  workload : trace:trace_cfg -> db -> unit;
-  seed_tag : string;  (* infix of the trace/fault DRBG seeds *)
-  data_tag : string;  (* prefix of epilogue and probe payloads *)
-}
-
-let plain = { workload = run_phase_a; seed_tag = ""; data_tag = "" }
-let group_commit = { plain with workload = run_phase_gc }
-let commit_flush = { plain with workload = run_phase_flush }
-
-let clean = { plain with workload = run_phase_clean }
-
-let trace_rng ph trace = Drbg.create ~seed:(trace.seed ^ ":" ^ ph.seed_tag ^ "trace")
+let trace_rng trace = Drbg.create ~seed:(trace.seed ^ ":trace")
 
 (* Phase B: generic epilogue against whatever state recovery produced —
    rewrite existing chunks, allocate new ones, occasionally deallocate. *)
-let run_epilogue ph ~trace d =
+let run_epilogue ~trace d =
   for i = 1 to trace.epilogue_txns do
     let keys = Hashtbl.fold (fun k _ acc -> k :: acc) d.sh.model [] in
     let keys = Array.of_list (List.sort Int.compare keys) in
     let nkeys = Array.length keys in
     if nkeys > 0 then begin
       let cid = keys.(Drbg.int d.rng nkeys) in
-      update d cid (pad (Printf.sprintf "%sepi:%03d:txn:%04d" ph.data_tag cid i))
+      update d cid (pad (Printf.sprintf "epi:%03d:txn:%04d" cid i))
     end;
     let c = Chunk_store.allocate d.cs in
-    put d c (pad (Printf.sprintf "%sepinew:%04d" ph.data_tag i));
+    put d c (pad (Printf.sprintf "epinew:%04d" i));
     if nkeys > 4 && Int.equal (Drbg.int d.rng 4) 0 then begin
       let victim = keys.(Drbg.int d.rng nkeys) in
       if Hashtbl.mem d.sh.model victim then drop d victim
@@ -535,10 +519,10 @@ let reopen_and_check ~run ~violations d =
 (* Post-recovery usability probe: a write and a durable commit must
    succeed, serve the data back, and keep the utilization accounting
    sane. *)
-let probe ph ~run ~violations d =
+let probe ~run ~violations d =
   match
     let c = Chunk_store.allocate d.cs in
-    put d c (pad (Printf.sprintf "%sprobe:%06d" ph.data_tag c));
+    put d c (pad (Printf.sprintf "probe:%06d" c));
     commit_shadow ~durable:true d;
     (let got = Chunk_store.read d.cs c in
      match Hashtbl.find_opt d.sh.model c with
@@ -561,25 +545,25 @@ let tears = [| Fault_plan.Skip; Fault_plan.Torn; Fault_plan.Applied |]
 
 (* Run the phase once to count the write/sync boundaries of its armed
    region. *)
-let record_boundaries ph ~trace =
+let record_boundaries workload ~trace =
   let env = make_env () in
-  let d = fresh_db env ~rng:(trace_rng ph trace) in
-  let n = count_boundaries env (fun () -> ph.workload ~trace d) in
+  let d = fresh_db env ~rng:(trace_rng trace) in
+  let n = count_boundaries env (fun () -> workload ~trace d) in
   Chunk_store.close d.cs;
   n
 
 (* One sweep cell: crash phase A at boundary [k], recover under the
    seeded persistence subset, then run the epilogue with a second seeded
    crashpoint, recover again and probe. *)
-let one_run ph ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
+let one_run workload ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
   let env = make_env () in
-  let fault_rng = Drbg.create ~seed:(Printf.sprintf "%s:%sfault:%d:%d" trace.seed ph.seed_tag k seed_idx) in
+  let fault_rng = Drbg.create ~seed:(Printf.sprintf "%s:fault:%d:%d" trace.seed k seed_idx) in
   let persist_prob = persist_probs.(seed_idx mod Array.length persist_probs) in
-  let run = Printf.sprintf "%sk=%d seed=%d" ph.seed_tag k seed_idx in
-  let d = fresh_db env ~rng:(trace_rng ph trace) in
+  let run = Printf.sprintf "k=%d seed=%d" k seed_idx in
+  let d = fresh_db env ~rng:(trace_rng trace) in
   Fault_plan.arm env.plan ~at:k ~tear:tears.(Drbg.int fault_rng (Array.length tears));
   let finish () =
-    probe ph ~run:(run ^ ":probe") ~violations d;
+    probe ~run:(run ^ ":probe") ~violations d;
     Chunk_store.close d.cs
   in
   let crash_and_check phase =
@@ -604,7 +588,7 @@ let one_run ph ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
     | exception e -> add violations run "workload-exception" (Printexc.to_string e)
   in
   attempt ~run ~clean:(run ^ ":clean")
-    (fun () -> ph.workload ~trace d)
+    (fun () -> workload ~trace d)
     ~on_crash:(fun () ->
       if crash_and_check "A" then begin
         (* Odd seeds focus the second crashpoint on the start of the
@@ -616,7 +600,7 @@ let one_run ph ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
         let tear2 = if counter_focus then Fault_plan.Torn else tears.(Drbg.int fault_rng (Array.length tears)) in
         Fault_plan.arm env.plan ~at:k2 ~tear:tear2;
         attempt ~run:(run ^ ":B") ~clean:(run ^ ":B-clean")
-          (fun () -> run_epilogue ph ~trace d)
+          (fun () -> run_epilogue ~trace d)
           ~on_crash:(fun () -> if crash_and_check "B" then finish ())
       end)
 
@@ -644,13 +628,13 @@ let sweep_cells ?(progress = fun _ _ -> ()) ~boundaries ~seeds ~stride cell =
     violations = List.rev !violations;
   }
 
-let sweep ph ?progress ~trace ~seeds ~stride () =
-  sweep_cells ?progress ~boundaries:(record_boundaries ph ~trace) ~seeds ~stride (one_run ph ~trace)
+let sweep workload ?progress ~trace ~seeds ~stride () =
+  sweep_cells ?progress ~boundaries:(record_boundaries workload ~trace) ~seeds ~stride (one_run workload ~trace)
 
-let sweep_crashpoints = sweep plain
-let sweep_group_commit = sweep group_commit
-let sweep_commit_flush = sweep commit_flush
-let sweep_clean = sweep clean
+let sweep_crashpoints = sweep run_phase_a
+let sweep_group_commit = sweep run_phase_gc
+let sweep_commit_flush = sweep run_phase_flush
+let sweep_clean = sweep run_phase_clean
 
 (* ------------------------------------------------------------------ *)
 (* Tamper sweep *)
@@ -679,11 +663,11 @@ let tamper_report t =
    byte of the committed image and reopen. Detected ([Tamper_detected] /
    [Recovery_failed]) or harmless (state at an admissible boundary) are
    fine; wrong data without an exception is silent. *)
-let tamper_sweep ph ~stride ~mask ~trace =
+let tamper_sweep workload ~stride ~mask ~trace =
   let t = tally () in
   let env = make_env () in
-  let d = fresh_db env ~rng:(trace_rng ph trace) in
-  ph.workload ~trace d;
+  let d = fresh_db env ~rng:(trace_rng trace) in
+  workload ~trace d;
   Chunk_store.close d.cs;
   shadow_base d.sh;
   let db0 = US.Mem.snapshot env.db_mem and ctr0 = US.Mem.snapshot env.ctr_mem in
@@ -707,7 +691,7 @@ let tamper_sweep ph ~stride ~mask ~trace =
   done;
   tamper_report t
 
-let sweep_tamper ?(stride = 7) ?(mask = 0x10) ~trace () = tamper_sweep plain ~stride ~mask ~trace
+let sweep_tamper ?(stride = 7) ?(mask = 0x10) ~trace () = tamper_sweep run_phase_a ~stride ~mask ~trace
 
 (* ------------------------------------------------------------------ *)
 (* Replica-ingest sweep *)
@@ -770,13 +754,8 @@ let build_replica_fixture ~trace : replica_fixture =
     record (if Int.equal b replica_mid_full then BK.backup_full bs else BK.backup_incremental bs)
   done;
   let entries =
-    AS.list archive
-    |> List.filter_map (fun name ->
-           match BK.parse_name name with
-           | Some (id, _) -> (
-               match AS.get archive ~name with Some s -> Some (id, s) | None -> None)
-           | None -> None)
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    BK.index archive ~after:0
+    |> List.filter_map (fun (id, name) -> Option.map (fun s -> (id, s)) (AS.get archive ~name))
   in
   let r_streams = Array.of_list (List.map snd entries) in
   let r_ids = Array.of_list (List.map fst entries) in

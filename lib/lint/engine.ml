@@ -71,15 +71,6 @@ let rule_equal a b =
   | R1, R1 | R2, R2 | R3, R3 | R4, R4 | R5, R5 | R6, R6 | R7, R7 -> true
   | (R1 | R2 | R3 | R4 | R5 | R6 | R7), _ -> false
 
-let rule_doc = function
-  | R1 -> "polymorphic comparison/hash (timing-unsafe, version-unstable)"
-  | R2 -> "MAC/digest comparison must be constant-time (Ct.equal_string/Ct.equal_bytes)"
-  | R3 -> "Obj/Marshal/Random/Domain are banned in trusted layers (Drbg, Pickle, threads)"
-  | R4 -> "partial or unsafe function / catch-all exception handler"
-  | R5 -> "module lacks an .mli interface"
-  | R6 -> "secret-tainted value reaches an untrusted sink unsanitized (seal/MAC/digest first)"
-  | R7 -> "lock discipline: ordering cycle, wrong-mutex wait, or blocking call under a mutex"
-
 type violation = {
   v_file : string;
   v_line : int;

@@ -30,9 +30,6 @@ val rule_id : rule -> string
 val rule_of_id : string -> rule option
 val rule_equal : rule -> rule -> bool
 
-val rule_doc : rule -> string
-(** One-line rationale, for [--explain]-style output. *)
-
 type violation = {
   v_file : string;  (** repo-relative path, '/'-separated *)
   v_line : int;  (** 1-based *)

@@ -18,10 +18,11 @@
 
     Convergence — a frame that cannot extend the follower's chain raises
     {!Tdb_backup.Backup_store.Invalid_backup}; the follower stops that
-    poll and {!select} alternates on consecutive rejects: an odd streak
-    retries the frames after its own chain position (a tampered frame in
-    the primary's archive may be transient), an even one starts from the
-    newest full (a diverged history is re-bootstrapped in place by
+    poll and {!Tdb_backup.Backup_store.select} alternates on consecutive
+    rejects: an odd streak retries the frames after its own chain
+    position (a tampered frame in the primary's archive may be
+    transient), an even one starts from the newest full (a diverged
+    history is re-bootstrapped in place by
     {!Tdb_backup.Backup_store.apply_stream}). A follower *ahead* of its
     primary refuses the rollback forever — [frames_rejected] climbs and an
     operator must re-seed it. Applies run through
@@ -68,18 +69,6 @@ let status t = with_mu t (fun () -> t.st)
 let update t f = with_mu t (fun () -> t.st <- f t.st)
 let stopping t = with_mu t (fun () -> t.stopping)
 
-let select ~(index : (int * string) list) ~(last_id : int) ~(reject_streak : int) : (int * string) list =
-  let newest_full =
-    List.fold_left
-      (fun acc (id, name) -> match B.parse_name name with Some (_, `Full) -> max acc id | _ -> acc)
-      0 index
-  in
-  let retry_full = reject_streak > 0 && Int.equal (reject_streak land 1) 0 in
-  (* a follower behind the newest full starts there: the incrementals
-     below it chain from a history the archive may no longer hold *)
-  let first = if retry_full || newest_full > last_id + 1 then newest_full else last_id + 1 in
-  List.filter (fun (id, _) -> id >= first) index |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 (* Apply one verified frame. [Object_store.ingest] refuses while a read
    transaction holds locks; wait it out — readers are short-lived and the
    frame is already in hand. *)
@@ -107,7 +96,7 @@ let apply_frame (t : t) (stream : string) : unit =
   go ()
 
 (* One poll: list the primary's archive above our chain position, then
-   fetch and apply what [select] picks, in order, up to the first frame
+   fetch and apply what [B.select] picks, in order, up to the first frame
    that does not extend our chain. Returns whether anything was applied. *)
 let poll (t : t) (c : C.t) : bool =
   let before = status t in
@@ -123,7 +112,7 @@ let poll (t : t) (c : C.t) : bool =
             t.reject_streak <- t.reject_streak + 1)
     | _ -> ()
   in
-  go (select ~index ~last_id:before.applied_id ~reject_streak:t.reject_streak);
+  go (B.select ~index ~last_id:before.applied_id ~reject_streak:t.reject_streak);
   (status t).applied_id > before.applied_id
 
 (* What a primary that went away, or misbehaved, raises: drop the

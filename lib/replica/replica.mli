@@ -9,7 +9,8 @@
     applied, and each apply is a single durable commit
     ({!Tdb_backup.Backup_store.apply_stream}) — a crash or a torn/tampered
     frame leaves the follower at the previous consistent snapshot. A frame
-    that cannot extend its chain ends the poll; {!select} then alternates
+    that cannot extend its chain ends the poll; the next poll's
+    {!Tdb_backup.Backup_store.select} (the rule restore also uses) alternates
     between retrying from the follower's own chain position (a transiently
     tampered frame) and restarting from the newest full backup (a
     diverged follower).
@@ -39,21 +40,6 @@ type status = {
 
 type t
 
-val select : index:(int * string) list -> last_id:int -> reject_streak:int -> (int * string) list
-(** The frames one poll fetches, in id order, from the primary's archive
-    [index] ((id, name) pairs; the kind comes from
-    {!Tdb_backup.Backup_store.parse_name}), the follower's chain position
-    [last_id] and its count of consecutive polls ended by a rejected
-    frame. Every id from the newest full up when that full is past
-    [last_id + 1] (the incrementals below it chain from a history the
-    follower cannot use) or when [reject_streak] is even and nonzero
-    (restart a diverged follower); otherwise every id above [last_id].
-    A poll passes only the entries above [last_id]
-    ({!Tdb_server.Client.list_backups} [~after:last_id]), so a listing's
-    size follows the follower's lag, not the archive's length. A full at
-    or below [last_id], which a whole index could add, would fail
-    {!Tdb_backup.Backup_store.apply_stream}'s rollback check anyway. *)
-
 val start :
   ?config:config ->
   os:Tdb_objstore.Object_store.t ->
@@ -63,9 +49,9 @@ val start :
   t
 (** Spawn the ingest thread: connect to the primary with a
     {!Tdb_server.Client}, then poll — list the archive above the
-    follower's persisted chain position, fetch and verify
-    and apply each frame {!select} picks — sleeping [config.poll] after a poll that applied
-    nothing, and reconnecting after [config.poll] when the connection
+    follower's persisted chain position, fetch and verify and apply each
+    frame {!Tdb_backup.Backup_store.select} picks — sleeping [config.poll]
+    after a poll that applied nothing, and reconnecting after [config.poll] when the connection
     fails, until {!stop}.
     [backups] must be built over [os]'s chunk store with the shared
     device secret. *)

@@ -166,4 +166,9 @@ let list_backups ?(after = 0) (c : t) : (int * string) list =
   pages after []
 
 let fetch_backup (c : t) ~(name : string) : string =
-  expect_data (rpc c (Proto.Fetch_backup { name }))
+  let rec slices off acc =
+    let slice = expect_data (rpc c (Proto.Fetch_backup { name; off })) in
+    if String.length slice >= Proto.fetch_slice then slices (off + String.length slice) (slice :: acc)
+    else String.concat "" (List.rev (slice :: acc))
+  in
+  slices 0 []

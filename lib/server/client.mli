@@ -98,7 +98,9 @@ val list_backups : ?after:int -> t -> (int * string) list
     ["no_archive"] when the server has no archive attached. *)
 
 val fetch_backup : t -> name:string -> string
-(** One archive stream by name, as listed by {!list_backups}. The stream
-    is an opaque sealed backup frame: it is verified and unsealed locally
+(** One archive stream by name, as listed by {!list_backups}. Fetched a
+    slice of at most {!Proto.fetch_slice} bytes per request, so a stream
+    larger than a frame still arrives whole. The stream is an opaque
+    sealed backup frame: it is verified and unsealed locally
     by {!Tdb_backup.Backup_store} under the device secret — a server (or
     wire) that tampers with it is detected at restore time, not trusted. *)

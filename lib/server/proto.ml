@@ -19,7 +19,7 @@ exception Proto_error of string
 (** Malformed frame, unknown opcode, version mismatch, or oversized
     payload. *)
 
-let version = 9
+let version = 10
 let magic = "TDB\001"
 
 let default_max_frame = 4 * 1024 * 1024
@@ -27,6 +27,7 @@ let default_max_frame = 4 * 1024 * 1024
     attacker-supplied input and must not size an allocation unchecked. *)
 
 let list_page = 16384
+let fetch_slice = default_max_frame - 1024
 
 module P = Tdb_pickle.Pickle
 
@@ -50,9 +51,10 @@ type request =
       (** one page of the archive index: the (backup id, archive name)
           pairs with id above [after], in id order, at most {!list_page}
           of them *)
-  | Fetch_backup of { name : string }
-      (** one archive stream by name — an opaque sealed backup frame the
-          client verifies and unseals locally under the device secret *)
+  | Fetch_backup of { name : string; off : int }
+      (** one slice of an archive stream: at most {!fetch_slice} bytes
+          from byte [off] of an opaque sealed backup frame the client
+          verifies and unseals locally under the device secret *)
 
 type response =
   | Hello_ok of { a_version : int }
@@ -112,9 +114,10 @@ let encode_request (req : request) : string =
   | List_backups { after } ->
       P.byte w 18;
       P.uint w after
-  | Fetch_backup { name } ->
+  | Fetch_backup { name; off } ->
       P.byte w 19;
-      P.string w name);
+      P.string w name;
+      P.uint w off);
   P.contents w
 
 let decode_request (payload : string) : request =
@@ -155,7 +158,9 @@ let decode_request (payload : string) : request =
     | 15 -> Metrics
     | 16 -> Bye
     | 18 -> List_backups { after = P.read_uint r }
-    | 19 -> Fetch_backup { name = P.read_string r }
+    | 19 ->
+        let name = P.read_string r in
+        Fetch_backup { name; off = P.read_uint r }
     | op -> raise (Proto_error (Printf.sprintf "unknown request opcode %d" op))
   in
   P.expect_end r;

@@ -24,6 +24,11 @@ val list_page : int
     a frame however long the archive grows (an entry is about 20 bytes).
     A shorter page is the last one. *)
 
+val fetch_slice : int
+(** Most stream bytes one [Fetch_backup] answer carries: a frame's cap
+    less room for the response's own framing, so a backup stream of any
+    size is fetched a slice at a time. A shorter slice is the last one. *)
+
 (** {1 Messages} *)
 
 type request =
@@ -42,9 +47,10 @@ type request =
       (** one page of the archive index: the (backup id, archive name)
           pairs with id above [after], in id order, at most {!list_page}
           of them *)
-  | Fetch_backup of { name : string }
-      (** one archive stream by name — an opaque sealed backup frame the
-          client verifies and unseals locally under the device secret *)
+  | Fetch_backup of { name : string; off : int }
+      (** one slice of an archive stream: at most {!fetch_slice} bytes
+          from byte [off] of an opaque sealed backup frame the client
+          verifies and unseals locally under the device secret *)
 
 type response =
   | Hello_ok of { a_version : int }

@@ -421,15 +421,9 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
       | None -> reject "no_archive" "this server has no archive attached"
       | Some bs ->
           let module B = Tdb_backup.Backup_store in
-          let above =
-            Object_store.with_store t.os (fun _cs ->
-                Tdb_platform.Archival_store.list (B.archive bs)
-                |> List.filter_map (fun name ->
-                       match B.parse_name name with Some (id, _) when id > after -> Some (id, name) | _ -> None))
-          in
-          let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) above in
-          Proto.Ok_list (List.filteri (fun i _ -> i < Proto.list_page) sorted))
-  | Proto.Fetch_backup { name } -> (
+          let above = Object_store.with_store t.os (fun _cs -> B.index (B.archive bs) ~after) in
+          Proto.Ok_list (List.filteri (fun i _ -> i < Proto.list_page) above))
+  | Proto.Fetch_backup { name; off } -> (
       match t.backups with
       | None -> reject "no_archive" "this server has no archive attached"
       | Some bs ->
@@ -445,7 +439,9 @@ let handle_request (t : t) (s : session) (req : Proto.request) : Proto.response 
           in
           match stream with
           | None -> reject "not_found" "archive stream %S not found" name
-          | Some s -> Proto.Ok_data s)
+          | Some s when off > String.length s ->
+              reject "invalid" "offset %d is past the end of %S (%d bytes)" off name (String.length s)
+          | Some s -> Proto.Ok_data (String.sub s off (min Proto.fetch_slice (String.length s - off))))
   | Proto.Bye -> Proto.Ok_unit
 
 (* Abort the session's transaction, if any, counting it. *)
@@ -525,7 +521,17 @@ let session_loop (t : t) (s : session) : unit =
   let exchange answer =
     let req = Proto.decode_request (Proto.read_frame s.s_fd) in
     let resp = answer req in
-    Proto.write_frame s.s_fd (Proto.encode_response resp);
+    let frame = Proto.encode_response resp in
+    (* an answer over the cap becomes a typed error that fits, so the
+       session and its transaction survive *)
+    let resp, frame =
+      if String.length frame <= Proto.default_max_frame then (resp, frame)
+      else
+        let msg = Printf.sprintf "response of %d bytes exceeds the frame limit" (String.length frame) in
+        let refused = Proto.Error_ { tag = "too_large"; msg } in
+        (refused, Proto.encode_response refused)
+    in
+    Proto.write_frame s.s_fd frame;
     (req, resp)
   in
   let rec loop () = match exchange (respond t s) with Proto.Bye, _ -> () | _ -> loop () in

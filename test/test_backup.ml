@@ -121,7 +121,11 @@ let test_missing_incremental_detected () =
   Alcotest.(check bool) "gap detected" true
     (match Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target () with
     | exception Backup_store.Invalid_backup _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* refused from the names alone, before anything was applied *)
+  let tbs = Backup_store.create ~secret:env.secret ~archive:env.archive target in
+  Alcotest.(check int) "target chain state" 0 (Backup_store.chain_state tbs).Backup_store.last_id;
+  Alcotest.(check (list int)) "target live ids" [] (Chunk_store.live_ids target)
 
 let test_tampered_backup_rejected () =
   let env = fresh_env () in
@@ -140,6 +144,60 @@ let test_tampered_backup_rejected () =
     (match Backup_store.restore ~secret:env.secret ~archive:env.archive ~into:target () with
     | exception Backup_store.Invalid_backup _ -> true
     | _ -> false)
+
+(* The archive {F1, I2, F3, I4, I5}, each backup after a write of [a],
+   and the archive's [get] calls by name. *)
+let chain_with_reads () =
+  let env = fresh_env () in
+  let cs = fresh_cs env in
+  let bs = Backup_store.create ~secret:env.secret ~archive:env.archive cs in
+  let a = Chunk_store.allocate cs in
+  List.iteri
+    (fun i full ->
+      Chunk_store.write cs a (Printf.sprintf "v%d" (i + 1));
+      Chunk_store.commit cs;
+      ignore (if full then Backup_store.backup_full bs else Backup_store.backup_incremental bs))
+    [ true; false; true; false; false ];
+  let reads = ref [] in
+  let counting =
+    { env.archive with
+      Archival_store.get =
+        (fun ~name ->
+          reads := name :: !reads;
+          Archival_store.get env.archive ~name) }
+  in
+  (env, a, counting, reads)
+
+let read_ids reads = List.rev_map (fun name -> fst (Option.get (Backup_store.parse_name name))) !reads
+
+(* Restore reads only the chain it applies: the newest full at or below
+   the cut and the incrementals after it, each once. *)
+let test_restore_reads_only_its_chain () =
+  let env, a, archive, reads = chain_with_reads () in
+  let t1 = fresh_target env in
+  Alcotest.(check int) "newest" 5 (Backup_store.restore ~secret:env.secret ~archive ~into:t1 ());
+  Alcotest.(check (list int)) "frames read" [ 3; 4; 5 ] (read_ids reads);
+  Alcotest.(check string) "newest state" "v5" (Chunk_store.read t1 a);
+  reads := [];
+  let t2 = fresh_target env in
+  Alcotest.(check int) "point-in-time" 2 (Backup_store.restore ~secret:env.secret ~archive ~upto:2 ~into:t2 ());
+  Alcotest.(check (list int)) "frames read, upto 2" [ 1; 2 ] (read_ids reads);
+  Alcotest.(check string) "state at 2" "v2" (Chunk_store.read t2 a)
+
+(* A damaged newest frame is refused, not silently rolled back past;
+   [upto] still reaches the older point. *)
+let test_damaged_newest_refused () =
+  let env, a, archive, _ = chain_with_reads () in
+  let name = "tdb-000005-incr" in
+  let len = String.length (Option.get (Archival_store.get env.archive ~name)) in
+  Archival_store.Mem.corrupt env.arch_h ~name ~pos:(len / 2) ~mask:0x10;
+  Alcotest.(check bool) "damaged I5 refused" true
+    (match Backup_store.restore ~secret:env.secret ~archive ~into:(fresh_target env) () with
+    | exception Backup_store.Invalid_backup _ -> true
+    | _ -> false);
+  let t = fresh_target env in
+  Alcotest.(check int) "upto 4" 4 (Backup_store.restore ~secret:env.secret ~archive ~upto:4 ~into:t ());
+  Alcotest.(check string) "state at 4" "v4" (Chunk_store.read t a)
 
 (* Frame IVs must not repeat across attaches: each attach used to reseed
    the IV generator from the secret, so a second attach replayed the first
@@ -328,6 +386,8 @@ let () =
         [
           Alcotest.test_case "missing incremental" `Quick test_missing_incremental_detected;
           Alcotest.test_case "tampered stream" `Quick test_tampered_backup_rejected;
+          Alcotest.test_case "damaged newest frame refused" `Quick test_damaged_newest_refused;
+          Alcotest.test_case "restore reads only its chain" `Quick test_restore_reads_only_its_chain;
           Alcotest.test_case "encrypted at rest" `Quick test_backup_encrypted;
           Alcotest.test_case "frame IVs distinct across attaches" `Quick test_frame_ivs_distinct_across_attaches;
           Alcotest.test_case "device binding" `Quick test_wrong_device_cannot_restore;

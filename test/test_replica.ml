@@ -208,13 +208,8 @@ let test_stale_chain_and_reconnect () =
 
 let archive_streams (db : Tdb.t) : (int * string) list =
   let archive = db.Tdb.device.Tdb.Device.archive in
-  Tdb.Archival_store.list archive
-  |> List.filter_map (fun name ->
-         match B.parse_name name with
-         | Some (id, _) -> (
-             match Tdb.Archival_store.get archive ~name with Some s -> Some (id, s) | None -> None)
-         | None -> None)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  B.index archive ~after:0
+  |> List.filter_map (fun (id, name) -> Option.map (fun s -> (id, s)) (Tdb.Archival_store.get archive ~name))
 
 let flip s pos =
   let b = Bytes.of_string s in
@@ -340,7 +335,7 @@ let test_select () =
         (6, B.Incremental 5); (7, B.Incremental 6) ]
   in
   let ids ?(index = index) ?(streak = 0) last_id =
-    List.map fst (R.select ~index ~last_id ~reject_streak:streak)
+    List.map fst (B.select ~index ~last_id ~reject_streak:streak)
   in
   let check what expected got = Alcotest.(check (list int)) what expected got in
   (* normal path: everything above the chain position, in id order *)

@@ -278,7 +278,7 @@ let check_refused what = function
   | Proto.Error_ { tag; _ } -> Alcotest.(check string) what "proto" tag
   | _ -> Alcotest.failf "%s accepted" what
 
-(* Frames a version-9 server must not act on: a protocol-7 follower's
+(* Frames the server must not act on: a protocol-7 follower's
    Hello and the Subscribe it sends next (opcode 17, removed in version 8);
    a request before any Hello; a version-8 raw Remove (opcode 9, removed
    in version 9) naming a member's oid. Each ends its session, no member
@@ -328,7 +328,7 @@ let sample_requests =
       Coll_find { coll = "item"; index = "id"; key = "\001k" };
       Coll_scan { coll = "item"; index = "id"; min = Some "a"; max = None; limit = 5 };
       Coll_mutate { coll = "item"; index = "id"; key = "k"; mutation = "bump"; arg = "\002" };
-      Coll_size { coll = "item" }; Metrics; Bye; List_backups { after = 3 }; Fetch_backup { name = "backup-000001-full" };
+      Coll_size { coll = "item" }; Metrics; Bye; List_backups { after = 3 }; Fetch_backup { name = "backup-000001-full"; off = 5 };
     ]
 
 let sample_responses =
@@ -545,6 +545,27 @@ let test_refused_connect_keeps_no_fd () =
     Alcotest.(check int) "descriptors after 128 refused connects" before (fds ())
   end
 
+(* A server whose backup store reads [archive], and a client to it. *)
+let with_archive_client (archive : Archival_store.t) f =
+  let secret = Secret_store.of_seed "server-test" in
+  let cs =
+    Chunk_store.create ~config:chunk_cfg ~secret ~counter:(snd (One_way_counter.open_mem ()))
+      (snd (Untrusted_store.open_mem ()))
+  in
+  let bs = Tdb_backup.Backup_store.create ~secret ~archive cs in
+  let srv = Server.create ~backups:bs (Object_store.of_shard_store cs) (Server.Tcp ("127.0.0.1", 0)) in
+  Server.start srv;
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let c = Client.connect (Server.Tcp ("127.0.0.1", Server.port srv)) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c))
+
+(* A read-only archive holding [streams] ((name, bytes) pairs). *)
+let synthetic_archive (streams : (string * string) list) : Archival_store.t =
+  { Archival_store.put = (fun ~name:_ _ -> ()); get = (fun ~name -> List.assoc_opt name streams);
+    list = (fun () -> List.map fst streams); delete = (fun ~name:_ -> ()) }
+
 (* An archive index too long for one frame still lists, a page at a time,
    and a listing above a position carries only the entries past it. The
    archive holds names only: no stream is fetched. *)
@@ -559,30 +580,47 @@ let test_index_longer_than_a_frame () =
   Alcotest.(check bool)
     "the whole index outgrows a frame" true
     (String.length (Proto.encode_response (Proto.Ok_list index)) > Proto.default_max_frame);
-  let names = List.map snd index in
-  let archive =
-    { Archival_store.put = (fun ~name:_ _ -> ()); get = (fun ~name:_ -> None); list = (fun () -> names);
-      delete = (fun ~name:_ -> ()) }
-  in
-  let secret = Secret_store.of_seed "server-test" in
-  let cs =
-    Chunk_store.create ~config:chunk_cfg ~secret ~counter:(snd (One_way_counter.open_mem ()))
-      (snd (Untrusted_store.open_mem ()))
-  in
-  let bs = B.create ~secret ~archive cs in
-  let srv = Server.create ~backups:bs (Object_store.of_shard_store cs) (Server.Tcp ("127.0.0.1", 0)) in
-  Server.start srv;
-  Fun.protect
-    ~finally:(fun () -> Server.stop srv)
-    (fun () ->
-      let c = Client.connect (Server.Tcp ("127.0.0.1", Server.port srv)) in
+  with_archive_client (synthetic_archive (List.map (fun (_, name) -> (name, "")) index)) (fun c ->
+      Alcotest.(check bool) "whole index, in id order" true (Client.list_backups c = index);
+      Alcotest.(check (list int)) "above a position" [ n - 1; n ]
+        (List.map fst (Client.list_backups ~after:(n - 2) c));
+      Alcotest.(check (list int)) "above the newest" [] (List.map fst (Client.list_backups ~after:n c)))
+
+(* A stream longer than a frame is fetched a slice at a time and arrives
+   byte-identical; so does one of exactly a slice, whose last slice is
+   empty. *)
+let test_stream_longer_than_a_frame () =
+  let module B = Tdb_backup.Backup_store in
+  let name id = B.stream_name { B.id; kind = B.Full; seq = 0 } in
+  let bytes n = String.init n (fun i -> Char.chr ((i + (i / 251)) land 0xff)) in
+  let big = bytes (5 * 1024 * 1024) and exact = bytes Proto.fetch_slice in
+  Alcotest.(check bool)
+    "the stream outgrows a frame" true
+    (String.length (Proto.encode_response (Proto.Ok_data big)) > Proto.default_max_frame);
+  with_archive_client (synthetic_archive [ (name 1, big); (name 2, exact) ]) (fun c ->
+      Alcotest.(check bool) "5 MiB stream, byte-identical" true (String.equal big (Client.fetch_backup c ~name:(name 1)));
+      Alcotest.(check bool) "one-slice stream, byte-identical" true
+        (String.equal exact (Client.fetch_backup c ~name:(name 2))))
+
+(* An answer too large for a frame is a typed error: the session and its
+   open transaction survive it. *)
+let test_oversized_answer_refused () =
+  with_server (fun env ->
+      let c = Client.connect env.addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          Alcotest.(check bool) "whole index, in id order" true (Client.list_backups c = index);
-          Alcotest.(check (list int)) "above a position" [ n - 1; n ]
-            (List.map fst (Client.list_backups ~after:(n - 2) c));
-          Alcotest.(check (list int)) "above the newest" [] (List.map fst (Client.list_backups ~after:n c))))
+          let label = String.make 1000 'l' in
+          Client.with_txn ~durable:false c (fun () ->
+              for id = 0 to 4999 do
+                ignore (Client.coll_insert c ~coll:"item" item_cls { id; qty = id; label })
+              done);
+          Client.begin_ c;
+          (match Client.coll_scan c ~coll:"item" ~index:"id" Gkey.int item_cls with
+          | _ -> Alcotest.fail "a scan larger than a frame was answered"
+          | exception Client.Server_error { tag = "too_large"; _ } -> ());
+          Alcotest.(check int) "the next request, same transaction" 7 (qty c 7);
+          Client.commit c))
 
 let () =
   Alcotest.run "tdb_server"
@@ -604,6 +642,7 @@ let () =
           Alcotest.test_case "metrics round trip" `Quick test_metrics_roundtrip;
           Alcotest.test_case "frame prefixes and flips, every kind" `Quick test_frame_fuzz;
           Alcotest.test_case "v7 subscribe drops the session" `Quick test_v7_subscribe_dropped;
+          Alcotest.test_case "oversized answer refused" `Quick test_oversized_answer_refused;
         ] );
       ( "e2e",
         [
@@ -614,5 +653,6 @@ let () =
           Alcotest.test_case "no archive refused" `Quick test_no_archive_refused;
           Alcotest.test_case "remote point-in-time restore" `Quick test_remote_restore;
           Alcotest.test_case "index longer than a frame" `Quick test_index_longer_than_a_frame;
+          Alcotest.test_case "stream longer than a frame" `Quick test_stream_longer_than_a_frame;
         ] );
     ]
