@@ -184,6 +184,9 @@ let micro () : (string * float) list =
     Tdb_chunk.Security.start_session sec secret ~counter:0L ~epoch:1;
     sec
   in
+  (* the one-way counter's two-slot emulation over an in-memory store: one
+     bump per durable commit *)
+  let owc = Tdb_platform.One_way_counter.open_store (snd (Tdb_platform.Untrusted_store.open_mem ())) in
   (* an LRU at its budget whose LRU end holds 2 000 pinned entries: a put
      over budget walks from that end *)
   let pinned_lru =
@@ -236,6 +239,7 @@ let micro () : (string * float) list =
         (Staged.stage (fun () -> Tdb_crypto.Cbc.encrypt cbc ~iv:(String.make 16 'i') data_1k));
       Test.make ~name:"cbc-aes-decrypt/1KiB" (Staged.stage (fun () -> Tdb_crypto.Cbc.decrypt cbc sealed));
       Test.make ~name:"iv-draw" (Staged.stage (fun () -> Tdb_chunk.Security.draw_iv iv_sec));
+      Test.make ~name:"owc-increment" (Staged.stage (fun () -> Tdb_platform.One_way_counter.increment owc));
       Test.make ~name:"chunk-read/1KiB" (Staged.stage (fun () -> Tdb_chunk.Chunk_store.read cs cid));
       Test.make ~name:"chunk-read-nocache/1KiB" (Staged.stage (fun () -> Tdb_chunk.Chunk_store.read cs0 cid0));
       Test.make ~name:"chunk-write+commit/1KiB"

@@ -152,10 +152,16 @@ let addr_term =
   in
   Term.(ret (const build $ socket $ port $ host))
 
+(* Run [f] on a fresh connection. A request the server refuses ends the
+   command with its message and exit code 2, as a failed connect does. *)
 let with_client addr f =
   match Tdb.Client.connect addr with
-  | c ->
-      Fun.protect ~finally:(fun () -> Tdb.Client.close c) (fun () -> f c)
+  | c -> (
+      match Fun.protect ~finally:(fun () -> Tdb.Client.close c) (fun () -> f c) with
+      | r -> r
+      | exception Tdb.Client.Server_error { tag; msg } ->
+          Printf.printf "server refused: %s (%s)\n" msg tag;
+          exit 2)
   | exception Unix.Unix_error (e, _, _) ->
       Printf.printf "cannot connect: %s\n" (Unix.error_message e);
       exit 2
@@ -183,17 +189,11 @@ let remote_restore_cmd =
     prepare_target ?src_key:secret dst;
     let fetched =
       with_client addr (fun c ->
-          match Tdb.Client.list_backups c with
-          | index ->
-              let index =
-                match upto with None -> index | Some n -> List.filter (fun (id, _) -> id <= n) index
-              in
-              List.map
-                (fun (_, name) -> (name, Tdb.Client.fetch_backup c ~name))
-                (Tdb.Backup_store.select ~index ~last_id:0 ~reject_streak:0)
-          | exception Tdb.Client.Server_error { tag; msg } ->
-              Printf.printf "server refused: %s (%s)\n" msg tag;
-              exit 2)
+          let index = Tdb.Client.list_backups c in
+          let index = match upto with None -> index | Some n -> List.filter (fun (id, _) -> id <= n) index in
+          List.map
+            (fun (_, name) -> (name, Tdb.Client.fetch_backup c ~name))
+            (Tdb.Backup_store.select ~index ~last_id:0 ~reject_streak:0))
     in
     (match fetched with
     | [] ->

@@ -44,6 +44,7 @@ type t = {
   mutable tail_off : int; (* offset within tail segment *)
   mutable tail_buf : run list; (* buffered appends, newest run first *)
   mutable held : (int, unit) Hashtbl.t option; (* segments emptied since [hold] *)
+  mutable candidates : int list; (* segments that may have turned freeable since the last barrier *)
 }
 
 let seg_start t seg = t.log_base + (seg * t.cfg.Config.segment_size)
@@ -57,6 +58,13 @@ let is_pinned t seg = match Hashtbl.find_opt t.pinned seg with Some n -> n > 0 |
 let free_count t = t.nfree
 let tail_pos t = (t.tail_seg, t.tail_off)
 let nsegments t = t.nsegments
+
+(* A segment turns freeable only through an event that names it: its usage
+   reaches zero, its last pin goes, or the checkpoint ends its residual
+   window (which also covers a segment the tail left, since the tail marks
+   every segment it writes residual). Each event records the segment here,
+   and a barrier visits these alone; one the hold kept stays for the next. *)
+let note_candidate t seg = t.candidates <- seg :: t.candidates
 
 (* ------------------------------------------------------------------ *)
 (* Tail write buffer                                                   *)
@@ -97,7 +105,9 @@ let pin t seg = Hashtbl.replace t.pinned seg (1 + Option.value ~default:0 (Hasht
 
 let unpin t seg =
   match Hashtbl.find_opt t.pinned seg with
-  | Some 1 -> Hashtbl.remove t.pinned seg
+  | Some 1 ->
+      Hashtbl.remove t.pinned seg;
+      note_candidate t seg
   | Some n when n > 1 -> Hashtbl.replace t.pinned seg (n - 1)
   | _ -> invalid_arg "Log.unpin: not pinned"
 
@@ -122,6 +132,7 @@ let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
       tail_off = 0;
       tail_buf = [];
       held = None;
+      candidates = [];
     }
   in
   ensure_store_size t;
@@ -129,7 +140,8 @@ let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
 
 (** Reconstruct log state after recovery: the usage table is rebuilt by the
     chunk store (walking the recovered map), then it calls this to derive
-    the free list. Fresh recovery counts as a barrier. *)
+    the free list. Fresh recovery counts as a barrier, and every segment
+    starts as a candidate, so that first barrier scans them all. *)
 let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail_seg : int) ~(tail_off : int)
     ~(usage : (int, int) Hashtbl.t) : t =
   let log_base = 2 * cfg.Config.anchor_slot_size in
@@ -151,6 +163,7 @@ let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail
       tail_off;
       tail_buf = [];
       held = None;
+      candidates = List.init nsegments Fun.id;
     }
   in
   ensure_store_size t;
@@ -163,7 +176,11 @@ let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail
 let hold t = t.held <- Some (Hashtbl.create 8)
 
 (** Promote empty segments to the free list — callable only at barriers
-    (durable commit, checkpoint, recovery); see the module comment.
+    (durable commit, checkpoint, recovery); see the module comment. Only
+    the candidates noted since the last barrier are visited. A listed free
+    segment stays freeable until an append takes it, and a candidate that
+    turns freeable was not free (it had usage, a pin or a residual mark),
+    so merging the two equals a full rescan, ascending as before.
     Trailing free segments are handed back to the untrusted store: the
     paper notes the chunk store "can increase or decrease the space
     allocated for storage" (Section 3.2.1), and shrinking is what lets the
@@ -172,43 +189,45 @@ let barrier t =
   (* Barriers follow the durability point; anything still buffered belongs
      to the log and must land before segment accounting is recomputed. *)
   flush t;
-  let held = t.held in
-  t.held <- None;
-  let held seg = match held with Some h -> Hashtbl.mem h seg | None -> false in
-  let free = ref [] and nfree = ref 0 in
-  for seg = 0 to t.nsegments - 1 do
-    if
-      (not (Int.equal seg t.tail_seg))
-      && usage_of t seg = 0
-      && (not (held seg))
-      && (not (is_pinned t seg))
-      && not (Hashtbl.mem t.residual seg)
-    then begin
-      free := seg :: !free;
-      incr nfree
-    end
-  done;
-  (* [!free] is descending (seg 0 pushed first), so trailing free segments
-     sit at its head: shrink is a single walk dropping head elements while
-     they coincide with the last segment, keeping the cleaner's copy
-     reserve. *)
-  let reserve = (2 * t.cfg.Config.clean_batch) + 6 in
-  let rec drop_trailing = function
-    | l :: rest
-      when Int.equal l (t.nsegments - 1)
-           && t.nsegments > t.cfg.Config.initial_segments
-           && !nfree > reserve ->
-        t.nsegments <- t.nsegments - 1;
-        decr nfree;
-        drop_trailing rest
-    | fl -> fl
+  let freeable seg =
+    seg < t.nsegments
+    && (not (Int.equal seg t.tail_seg))
+    && usage_of t seg = 0
+    && (not (is_pinned t seg))
+    && not (Hashtbl.mem t.residual seg)
   in
-  t.free <- List.rev (drop_trailing !free);
-  t.nfree <- !nfree;
+  (* A held segment stays a candidate for the barrier after this one. *)
+  let kept, visit =
+    match t.held with Some h -> List.partition (Hashtbl.mem h) t.candidates | None -> ([], t.candidates)
+  in
+  t.held <- None;
+  t.candidates <- kept;
+  (match List.sort_uniq Int.compare (List.filter freeable visit) with
+  | [] -> ()
+  | news ->
+      t.free <- List.merge Int.compare t.free news;
+      t.nfree <- t.nfree + List.length news);
+  (* Trailing free segments sit at the end of the ascending list: shrink
+     drops them while they coincide with the last segment, keeping the
+     cleaner's copy reserve. *)
+  let reserve = (2 * t.cfg.Config.clean_batch) + 6 in
+  let can_shrink () = t.nsegments > t.cfg.Config.initial_segments && t.nfree > reserve in
+  let rec last = function [ l ] -> l | _ :: rest -> last rest | [] -> -1 in
+  if can_shrink () && Int.equal (last t.free) (t.nsegments - 1) then begin
+    let rec drop_trailing = function
+      | l :: rest when Int.equal l (t.nsegments - 1) && can_shrink () ->
+          t.nsegments <- t.nsegments - 1;
+          t.nfree <- t.nfree - 1;
+          drop_trailing rest
+      | fl -> fl
+    in
+    t.free <- List.rev (drop_trailing (List.rev t.free))
+  end;
   Tdb_platform.Untrusted_store.set_size t.store (t.log_base + (t.nsegments * segment_size t))
 
 (** Checkpoint completion: the residual log is no longer needed. *)
 let end_checkpoint t =
+  Hashtbl.iter (fun seg () -> note_candidate t seg) t.residual;
   Hashtbl.reset t.residual;
   t.residual_bytes <- 0;
   barrier t
@@ -228,6 +247,7 @@ let obsolete_bytes t ~(seg : int) ~(payload_len : int) =
   if v < 0 then failwith (Printf.sprintf "Log: usage underflow on segment %d" seg);
   if v = 0 then begin
     Hashtbl.remove t.usage seg;
+    note_candidate t seg;
     Option.iter (fun h -> Hashtbl.replace h seg ()) t.held
   end
   else Hashtbl.replace t.usage seg v

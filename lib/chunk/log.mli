@@ -46,6 +46,9 @@ type t = {
   mutable tail_off : int;
   mutable tail_buf : run list;  (** buffered appends, newest run first *)
   mutable held : (int, unit) Hashtbl.t option;  (** segments emptied since {!hold} *)
+  mutable candidates : int list;
+      (** segments that may have turned freeable since the last {!barrier},
+          duplicates allowed: the only ones it visits *)
 }
 
 val create : Tdb_platform.Untrusted_store.t -> Config.t -> t
@@ -77,8 +80,11 @@ val obsolete_entry : t -> entry -> unit
 (** {1 Barriers, growth, pinning} *)
 
 val barrier : t -> unit
-(** Recompute the free list and shrink trailing free segments. Segments
-    emptied since {!hold} stay out of it; the barrier ends the hold. *)
+(** Add the segments freeable since the last barrier to the free list and
+    shrink trailing free segments; the list ends equal to a full rescan
+    (ascending, every segment with no usage that is not the tail, pinned
+    or residual). Only {!field-candidates} are visited. Segments emptied
+    since {!hold} stay out of it; the barrier ends the hold. *)
 
 val hold : t -> unit
 (** Called once a staged barrier's record is in the log: segments emptied

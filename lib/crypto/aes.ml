@@ -68,7 +68,7 @@ let inv_sbox =
    S-boxes and [gmul], so no constant here is memorized. *)
 
 let word b0 b1 b2 b3 = (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
-let b0 w = w lsr 24
+let b0 w = (w lsr 24) land 0xff
 let b1 w = (w lsr 16) land 0xff
 let b2 w = (w lsr 8) land 0xff
 let b3 w = w land 0xff
@@ -90,6 +90,13 @@ let td0, td1, td2, td3 =
    the order decryption consumes it — round 10's words first, round 0's
    last, and rounds 1–9 passed through InvMixColumns. *)
 type key = { enc : int array; dec : int array }
+
+(* Every table and round-key read in the rounds below goes through [at],
+   which skips the bounds check. Each index is in range by construction:
+   T-table and S-box indices are bytes ([b0]..[b3] mask to [0, 255]) into
+   256-entry tables, and round-key indices are constants below 44 into a
+   [key], which only [of_secret] builds, always with 44 words. *)
+let[@inline] at (t : int array) i = Array.unsafe_get t i
 
 let inv_mix_column w =
   (* td tables apply S⁻¹ first; feed them S(byte) so only InvMixColumns remains *)
@@ -128,45 +135,49 @@ let store b off w = Bytes.set_int32_be b off (Int32.of_int w)
 let encrypt_block { enc = k; _ } ~src ~src_off ~dst ~dst_off =
   Block.check_block ~fn:"Aes.encrypt_block" ~block_size src src_off;
   Block.check_block ~fn:"Aes.encrypt_block" ~block_size dst dst_off;
-  let s0 = ref (load src src_off lxor k.(0))
-  and s1 = ref (load src (src_off + 4) lxor k.(1))
-  and s2 = ref (load src (src_off + 8) lxor k.(2))
-  and s3 = ref (load src (src_off + 12) lxor k.(3)) in
+  let s0 = ref (load src src_off lxor at k 0)
+  and s1 = ref (load src (src_off + 4) lxor at k 1)
+  and s2 = ref (load src (src_off + 8) lxor at k 2)
+  and s3 = ref (load src (src_off + 12) lxor at k 3) in
   (* rounds 1-9: row r of output column c comes from input column c+r *)
   for round = 1 to 9 do
     let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-    s0 := te0.(b0 a0) lxor te1.(b1 a1) lxor te2.(b2 a2) lxor te3.(b3 a3) lxor k.(r);
-    s1 := te0.(b0 a1) lxor te1.(b1 a2) lxor te2.(b2 a3) lxor te3.(b3 a0) lxor k.(r + 1);
-    s2 := te0.(b0 a2) lxor te1.(b1 a3) lxor te2.(b2 a0) lxor te3.(b3 a1) lxor k.(r + 2);
-    s3 := te0.(b0 a3) lxor te1.(b1 a0) lxor te2.(b2 a1) lxor te3.(b3 a2) lxor k.(r + 3)
+    s0 := at te0 (b0 a0) lxor at te1 (b1 a1) lxor at te2 (b2 a2) lxor at te3 (b3 a3) lxor at k r;
+    s1 := at te0 (b0 a1) lxor at te1 (b1 a2) lxor at te2 (b2 a3) lxor at te3 (b3 a0) lxor at k (r + 1);
+    s2 := at te0 (b0 a2) lxor at te1 (b1 a3) lxor at te2 (b2 a0) lxor at te3 (b3 a1) lxor at k (r + 2);
+    s3 := at te0 (b0 a3) lxor at te1 (b1 a0) lxor at te2 (b2 a1) lxor at te3 (b3 a2) lxor at k (r + 3)
   done;
   (* round 10: SubBytes + ShiftRows, no MixColumns *)
   let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-  let last x0 x1 x2 x3 kw = word sbox.(b0 x0) sbox.(b1 x1) sbox.(b2 x2) sbox.(b3 x3) lxor kw in
-  store dst dst_off (last a0 a1 a2 a3 k.(40));
-  store dst (dst_off + 4) (last a1 a2 a3 a0 k.(41));
-  store dst (dst_off + 8) (last a2 a3 a0 a1 k.(42));
-  store dst (dst_off + 12) (last a3 a0 a1 a2 k.(43))
+  let last x0 x1 x2 x3 kw =
+    word (at sbox (b0 x0)) (at sbox (b1 x1)) (at sbox (b2 x2)) (at sbox (b3 x3)) lxor kw
+  in
+  store dst dst_off (last a0 a1 a2 a3 (at k 40));
+  store dst (dst_off + 4) (last a1 a2 a3 a0 (at k 41));
+  store dst (dst_off + 8) (last a2 a3 a0 a1 (at k 42));
+  store dst (dst_off + 12) (last a3 a0 a1 a2 (at k 43))
 
 let decrypt_block { dec = k; _ } ~src ~src_off ~dst ~dst_off =
   Block.check_block ~fn:"Aes.decrypt_block" ~block_size src src_off;
   Block.check_block ~fn:"Aes.decrypt_block" ~block_size dst dst_off;
-  let s0 = ref (load src src_off lxor k.(0))
-  and s1 = ref (load src (src_off + 4) lxor k.(1))
-  and s2 = ref (load src (src_off + 8) lxor k.(2))
-  and s3 = ref (load src (src_off + 12) lxor k.(3)) in
+  let s0 = ref (load src src_off lxor at k 0)
+  and s1 = ref (load src (src_off + 4) lxor at k 1)
+  and s2 = ref (load src (src_off + 8) lxor at k 2)
+  and s3 = ref (load src (src_off + 12) lxor at k 3) in
   (* rounds 9-1: row r of output column c comes from input column c-r *)
   for round = 1 to 9 do
     let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-    s0 := td0.(b0 a0) lxor td1.(b1 a3) lxor td2.(b2 a2) lxor td3.(b3 a1) lxor k.(r);
-    s1 := td0.(b0 a1) lxor td1.(b1 a0) lxor td2.(b2 a3) lxor td3.(b3 a2) lxor k.(r + 1);
-    s2 := td0.(b0 a2) lxor td1.(b1 a1) lxor td2.(b2 a0) lxor td3.(b3 a3) lxor k.(r + 2);
-    s3 := td0.(b0 a3) lxor td1.(b1 a2) lxor td2.(b2 a1) lxor td3.(b3 a0) lxor k.(r + 3)
+    s0 := at td0 (b0 a0) lxor at td1 (b1 a3) lxor at td2 (b2 a2) lxor at td3 (b3 a1) lxor at k r;
+    s1 := at td0 (b0 a1) lxor at td1 (b1 a0) lxor at td2 (b2 a3) lxor at td3 (b3 a2) lxor at k (r + 1);
+    s2 := at td0 (b0 a2) lxor at td1 (b1 a1) lxor at td2 (b2 a0) lxor at td3 (b3 a3) lxor at k (r + 2);
+    s3 := at td0 (b0 a3) lxor at td1 (b1 a2) lxor at td2 (b2 a1) lxor at td3 (b3 a0) lxor at k (r + 3)
   done;
   (* round 0: InvSubBytes + InvShiftRows, no InvMixColumns *)
   let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-  let last x0 x1 x2 x3 kw = word inv_sbox.(b0 x0) inv_sbox.(b1 x1) inv_sbox.(b2 x2) inv_sbox.(b3 x3) lxor kw in
-  store dst dst_off (last a0 a3 a2 a1 k.(40));
-  store dst (dst_off + 4) (last a1 a0 a3 a2 k.(41));
-  store dst (dst_off + 8) (last a2 a1 a0 a3 k.(42));
-  store dst (dst_off + 12) (last a3 a2 a1 a0 k.(43))
+  let last x0 x1 x2 x3 kw =
+    word (at inv_sbox (b0 x0)) (at inv_sbox (b1 x1)) (at inv_sbox (b2 x2)) (at inv_sbox (b3 x3)) lxor kw
+  in
+  store dst dst_off (last a0 a3 a2 a1 (at k 40));
+  store dst (dst_off + 4) (last a1 a0 a3 a2 (at k 41));
+  store dst (dst_off + 8) (last a2 a1 a0 a3 (at k 42));
+  store dst (dst_off + 12) (last a3 a2 a1 a0 (at k 43))

@@ -93,12 +93,12 @@ let decrypt c (data : string) : string =
   let bs = block_size c in
   let n = body_len c data in
   let out = decrypt_blocks c data ~nblocks:(n / bs) in
-  let pad = Char.code (Bytes.unsafe_get out (n - 1)) in
+  let pad = Char.code (Bytes.get out (n - 1)) in
   (* bad <> 0 iff pad is out of [1, bs] or any of the last [pad] bytes
      differs from [pad]; the loop always scans a full block. *)
   let bad = ref (Ct.lt_mask pad 1 lor Ct.lt_mask bs pad) in
   for i = 0 to bs - 1 do
-    let byte = Char.code (Bytes.unsafe_get out (n - 1 - i)) in
+    let byte = Char.code (Bytes.get out (n - 1 - i)) in
     bad := !bad lor (Ct.lt_mask i pad land (byte lxor pad))
   done;
   if !bad <> 0 then raise Bad_padding;

@@ -57,13 +57,27 @@ let open_store (store : Untrusted_store.t) : t =
             Some v
         | _ -> None )
   in
+  (* [decode] is a function of the bytes alone, so each slot remembers the
+     last bytes it decoded with their value, and [write_slot] primes it
+     with the bytes it writes: an increment re-checks a slot only when its
+     bytes changed (torn, forged or written by another opener). *)
+  let memo = Array.make 2 ("", None) in
+  let decode_slot i s =
+    let seen, v = memo.(i) in
+    if String.equal seen s then v
+    else begin
+      let v = decode s in
+      memo.(i) <- (s, v);
+      v
+    end
+  in
   (* Per-slot view: which value (if any) each slot currently holds. *)
   let slot_values () : int64 option * int64 option =
     let sz = Untrusted_store.size store in
     if sz < 2 * slot_len then (None, None)
     else begin
       let buf = Untrusted_store.read store ~off:0 ~len:(2 * slot_len) in
-      (decode (Bytes.sub_string buf 0 slot_len), decode (Bytes.sub_string buf slot_len slot_len))
+      (decode_slot 0 (Bytes.sub_string buf 0 slot_len), decode_slot 1 (Bytes.sub_string buf slot_len slot_len))
     end
   in
   let max_of = function
@@ -73,7 +87,9 @@ let open_store (store : Untrusted_store.t) : t =
   in
   let current () = max_of (slot_values ()) in
   let write_slot i v =
-    Untrusted_store.write store ~off:(i * slot_len) (encode v);
+    let s = encode v in
+    Untrusted_store.write store ~off:(i * slot_len) s;
+    memo.(i) <- (s, Some v);
     Untrusted_store.sync store
   in
   (* Initialize both slots if empty. *)

@@ -1211,6 +1211,146 @@ let test_shard_aliases () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* --- log barriers: the free list equals a full rescan --- *)
+
+(* A barrier visits only the segments noted since the last one; these tests
+   hold it to the full rescan it replaces, read through [Log.t]'s fields:
+   every segment with no usage that is not the tail, pinned, residual or
+   held, ascending, less the trailing ones shrink hands back. *)
+let log_cfg = { (cfg ()) with Config.clean_batch = 1 }
+
+let rescan ?(checkpoint = false) (log : Log.t) : int * int list =
+  let held s = match log.Log.held with Some h -> Hashtbl.mem h s | None -> false in
+  let freeable s =
+    s <> log.Log.tail_seg
+    && (not (Hashtbl.mem log.Log.usage s))
+    && (not (Log.is_pinned log s))
+    && (checkpoint || not (Hashtbl.mem log.Log.residual s))
+    && not (held s)
+  in
+  let reserve = (2 * log.Log.cfg.Config.clean_batch) + 6 in
+  let rec shrink n desc =
+    match desc with
+    | l :: rest when l = n - 1 && n > log.Log.cfg.Config.initial_segments && List.length desc > reserve ->
+        shrink (n - 1) rest
+    | _ -> (n, List.rev desc)
+  in
+  shrink log.Log.nsegments (List.rev (List.filter freeable (List.init log.Log.nsegments Fun.id)))
+
+(* Run a barrier ([Log.barrier], or [Log.end_checkpoint] with
+   [~checkpoint:true]) and check its free list against the rescan. *)
+let checked_barrier ?(checkpoint = false) what (log : Log.t) =
+  let nsegments, free = rescan ~checkpoint log in
+  if checkpoint then Log.end_checkpoint log else Log.barrier log;
+  Alcotest.(check (list int)) (what ^ ": free list = rescan") free log.Log.free;
+  Alcotest.(check int) (what ^ ": nfree") (List.length free) log.Log.nfree;
+  Alcotest.(check int) (what ^ ": nsegments") nsegments log.Log.nsegments
+
+let log_append ?(live = true) log len =
+  let rec go () =
+    match Log.append ~live log (if live then Types.Data_chunk else Types.Commit) (String.make len 'r') with
+    | seg, off -> { Types.seg; off; len; hash = ""; version = 0 }
+    | exception Log.Need_segment ->
+        Log.grow log ~segments:2;
+        go ()
+  in
+  go ()
+
+(* A random store life at the log level: appends and obsoletes, commit
+   records, durable barriers, checkpoints, a snapshot pinned and released,
+   grows that later shrink, clean passes that relocate a segment's live
+   records, and staged barriers whose hold spans more writes. *)
+let log_barrier_workload seed =
+  let rng = Random.State.make [| seed |] in
+  let _, store = Untrusted_store.open_mem () in
+  let log = Log.create store log_cfg in
+  let live = ref [] and snap = ref None in
+  let write () = live := log_append log (50 + Random.State.int rng 1500) :: !live in
+  let obsolete () =
+    match !live with
+    | [] -> ()
+    | l ->
+        let victim = List.nth l (Random.State.int rng (List.length l)) in
+        Log.obsolete_entry log victim;
+        live := List.filter (fun e -> e != victim) l
+  in
+  let churn () =
+    for _ = 1 to Random.State.int rng 6 do
+      if Random.State.bool rng then write () else obsolete ()
+    done
+  in
+  for step = 1 to 300 do
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    match Random.State.int rng 12 with
+    | 0 | 1 | 2 -> churn ()
+    | 3 -> ignore (log_append ~live:false log (20 + Random.State.int rng 200))
+    | 4 | 5 -> checked_barrier ("durable " ^ what) log
+    | 6 -> checked_barrier ~checkpoint:true ("checkpoint " ^ what) log
+    | 7 -> (
+        match !snap with
+        | None ->
+            checked_barrier ~checkpoint:true ("snapshot " ^ what) log;
+            let segs = List.sort_uniq Int.compare (List.map (fun e -> e.Types.seg) !live) in
+            List.iter (Log.pin log) segs;
+            snap := Some segs
+        | Some segs ->
+            List.iter (Log.unpin log) segs;
+            snap := None;
+            checked_barrier ~checkpoint:true ("release " ^ what) log)
+    | 8 -> Log.grow log ~segments:(1 + Random.State.int rng 12)
+    | 9 -> (
+        checked_barrier ~checkpoint:true ("pre-clean " ^ what) log;
+        match Log.clean_candidates log with
+        | [] -> ()
+        | seg :: _ ->
+            let moving, staying = List.partition (fun e -> e.Types.seg = seg) !live in
+            live := staying;
+            List.iter
+              (fun e ->
+                Log.obsolete_entry log e;
+                live := log_append log e.Types.len :: !live)
+              moving;
+            checked_barrier ~checkpoint:true ("clean " ^ what) log)
+    | _ ->
+        Log.hold log;
+        churn ();
+        checked_barrier ("staged " ^ what) log
+  done
+
+let test_log_barrier_rescan () = List.iter log_barrier_workload [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+(* Fill segments with 500-byte records until the tail is past segment 2;
+   returns the live entries. *)
+let log_fill log =
+  let rec go acc = if fst (Log.tail_pos log) > 2 then acc else go (log_append log 500 :: acc) in
+  go []
+
+let empty_segment log entries seg = List.iter (fun e -> if e.Types.seg = seg then Log.obsolete_entry log e) entries
+
+let test_log_emptied_under_snapshot () =
+  let _, store = Untrusted_store.open_mem () in
+  let log = Log.create store log_cfg in
+  let entries = log_fill log in
+  checked_barrier ~checkpoint:true "checkpoint" log;
+  Log.pin log 1;
+  empty_segment log entries 1;
+  checked_barrier "durable while pinned" log;
+  checked_barrier ~checkpoint:true "checkpoint while pinned" log;
+  Alcotest.(check bool) "pinned: kept" false (List.mem 1 log.Log.free);
+  Log.unpin log 1;
+  checked_barrier ~checkpoint:true "release" log;
+  Alcotest.(check bool) "released: freed" true (List.mem 1 log.Log.free)
+
+let test_log_emptied_while_residual () =
+  let _, store = Untrusted_store.open_mem () in
+  let log = Log.create store log_cfg in
+  let entries = log_fill log in
+  empty_segment log entries 1;
+  checked_barrier "durable" log;
+  Alcotest.(check bool) "residual: kept" false (List.mem 1 log.Log.free);
+  checked_barrier ~checkpoint:true "checkpoint" log;
+  Alcotest.(check bool) "checkpoint: freed" true (List.mem 1 log.Log.free)
+
 let qcheck_commit_batches =
   (* arbitrary batches of writes applied atomically match a model *)
   QCheck.Test.make ~name:"random batched workload matches model" ~count:15
@@ -1357,6 +1497,14 @@ let () =
           Alcotest.test_case "diff" `Quick test_snapshot_diff;
           Alcotest.test_case "survives reopen" `Quick test_snapshot_survives_reopen;
           Alcotest.test_case "protected from cleaner" `Quick test_snapshot_protects_from_cleaner;
+        ] );
+      ( "barrier",
+        [
+          Alcotest.test_case "free list = full rescan" `Quick test_log_barrier_rescan;
+          Alcotest.test_case "emptied under a snapshot frees only after release" `Quick
+            test_log_emptied_under_snapshot;
+          Alcotest.test_case "emptied while residual frees at the checkpoint" `Quick
+            test_log_emptied_while_residual;
         ] );
       ("checkpoint", [ Alcotest.test_case "periodic" `Quick test_periodic_checkpoint;
                        Alcotest.test_case "promotion bumps counter" `Quick test_checkpoint_promotion_bumps_counter;

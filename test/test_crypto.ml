@@ -124,6 +124,110 @@ let test_aes_sbox_structure () =
     Alcotest.(check string) "roundtrip" (Hex.of_bytes p) (Hex.of_bytes d)
   done
 
+(* --- AES against a byte-wise FIPS-197 reference --- *)
+
+(* The textbook cipher, one byte at a time: KeyExpansion, then SubBytes,
+   ShiftRows, MixColumns and AddRoundKey on a 16-byte state (byte [r + 4c]
+   is row r of column c), with the S-box derived here from its definition.
+   It shares no code or table with the T-table kernel. *)
+module Ref_aes = struct
+  let xtime x = if x land 0x80 <> 0 then ((x lsl 1) lxor 0x1b) land 0xff else x lsl 1
+  let rec gmul a b = if b = 0 then 0 else (if b land 1 <> 0 then a else 0) lxor gmul (xtime a) (b lsr 1)
+
+  let sbox =
+    let inv x = if x = 0 then 0 else List.find (fun y -> gmul x y = 1) (List.init 255 succ) in
+    let rotl8 b n = ((b lsl n) lor (b lsr (8 - n))) land 0xff in
+    Array.init 256 (fun x ->
+        let b = inv x in
+        b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
+
+  let inv_sbox =
+    let t = Array.make 256 0 in
+    Array.iteri (fun x s -> t.(s) <- x) sbox;
+    t
+
+  (* 176 bytes: round r's key at [16r, 16r + 16) *)
+  let expand key =
+    let w = Array.make 176 0 in
+    String.iteri (fun i c -> w.(i) <- Char.code c) key;
+    let rcon = ref 1 in
+    for i = 4 to 43 do
+      let t = Array.init 4 (fun j -> w.((4 * (i - 1)) + j)) in
+      let t =
+        if i mod 4 <> 0 then t
+        else begin
+          let r = [| sbox.(t.(1)) lxor !rcon; sbox.(t.(2)); sbox.(t.(3)); sbox.(t.(0)) |] in
+          rcon := xtime !rcon;
+          r
+        end
+      in
+      for j = 0 to 3 do
+        w.((4 * i) + j) <- w.((4 * (i - 4)) + j) lxor t.(j)
+      done
+    done;
+    w
+
+  let add_round_key w round s = Array.mapi (fun i b -> b lxor w.((16 * round) + i)) s
+  let sub_bytes box s = Array.map (fun b -> box.(b)) s
+  let shift_rows dir s = Array.init 16 (fun i -> s.((i mod 4) + (4 * (((i / 4) + (dir * (i mod 4)) + 4) mod 4))))
+
+  (* column c, row r gets the sum over rows j of [coeff.((j - r) mod 4)] · a_j *)
+  let mix coeff s =
+    Array.init 16 (fun i ->
+        let c = i / 4 and r = i mod 4 in
+        List.fold_left (fun acc j -> acc lxor gmul coeff.((j - r + 4) mod 4) s.((4 * c) + j)) 0 [ 0; 1; 2; 3 ])
+
+  let encrypt key block =
+    let w = expand key in
+    let s = ref (add_round_key w 0 (Array.init 16 (fun i -> Char.code block.[i]))) in
+    for round = 1 to 10 do
+      let t = shift_rows 1 (sub_bytes sbox !s) in
+      s := add_round_key w round (if round < 10 then mix [| 2; 3; 1; 1 |] t else t)
+    done;
+    String.init 16 (fun i -> Char.chr !s.(i))
+
+  let decrypt key block =
+    let w = expand key in
+    let s = ref (add_round_key w 10 (Array.init 16 (fun i -> Char.code block.[i]))) in
+    for round = 9 downto 0 do
+      let t = add_round_key w round (sub_bytes inv_sbox (shift_rows (-1) !s)) in
+      s := if round > 0 then mix [| 14; 11; 13; 9 |] t else t
+    done;
+    String.init 16 (fun i -> Char.chr !s.(i))
+end
+
+let test_aes_reference_vector () =
+  let key = Hex.to_string "000102030405060708090a0b0c0d0e0f" in
+  let plain = Hex.to_string "00112233445566778899aabbccddeeff" in
+  check_hex "reference encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" (Ref_aes.encrypt key plain);
+  check_hex "reference decrypt" "00112233445566778899aabbccddeeff"
+    (Ref_aes.decrypt key (Ref_aes.encrypt key plain))
+
+let run_block f key block =
+  let out = Bytes.create (String.length block) in
+  f key ~src:(Bytes.of_string block) ~src_off:0 ~dst:out ~dst_off:0;
+  Bytes.to_string out
+
+let aes_matches_reference_qcheck =
+  QCheck.Test.make ~name:"aes T-table kernel = byte-wise reference" ~count:200
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
+    (fun (secret, block) ->
+      let key = Aes.of_secret secret in
+      String.equal (run_block Aes.encrypt_block key block) (Ref_aes.encrypt secret block)
+      && String.equal (run_block Aes.decrypt_block key block) (Ref_aes.decrypt secret block))
+
+let aes3_matches_reference_qcheck =
+  QCheck.Test.make ~name:"3aes128 = reference E_k3 . D_k2 . E_k1" ~count:100
+    QCheck.(pair (string_of_size (Gen.return 48)) (string_of_size (Gen.return 16)))
+    (fun (secret, block) ->
+      let module T = Triple.Aes3 in
+      let key = T.of_secret secret in
+      let k i = String.sub secret (16 * i) 16 in
+      let enc x = Ref_aes.encrypt (k 2) (Ref_aes.decrypt (k 1) (Ref_aes.encrypt (k 0) x)) in
+      let dec x = Ref_aes.decrypt (k 0) (Ref_aes.encrypt (k 1) (Ref_aes.decrypt (k 2) x)) in
+      String.equal (run_block T.encrypt_block key block) (enc block)
+      && String.equal (run_block T.decrypt_block key block) (dec block))
+
 (* --- XTEA --- *)
 
 let test_xtea_roundtrip () =
@@ -395,6 +499,8 @@ let qsuite =
       test_cbc_roundtrip_qcheck;
       test_drbg_int_bounds;
       test_hex_roundtrip;
+      aes_matches_reference_qcheck;
+      aes3_matches_reference_qcheck;
       block_roundtrip_qcheck (module Aes);
       block_roundtrip_qcheck (module Triple.Aes3);
       cbc_prefix_qcheck (module Aes);
@@ -426,6 +532,7 @@ let () =
         [
           Alcotest.test_case "fips-197 vector" `Quick test_aes_fips_vector;
           Alcotest.test_case "roundtrips" `Quick test_aes_sbox_structure;
+          Alcotest.test_case "byte-wise reference vector" `Quick test_aes_reference_vector;
         ] );
       ( "xtea", [ Alcotest.test_case "roundtrip" `Quick test_xtea_roundtrip ] );
       ( "triple", [ Alcotest.test_case "ede roundtrip + degenerate" `Quick test_triple_roundtrip ] );

@@ -237,6 +237,37 @@ let test_counter_increment_reads_once () =
   Alcotest.(check int) "one store read per increment" 1 (st.Untrusted_store.reads - r0);
   Alcotest.(check int64) "read back" 2L (One_way_counter.read c)
 
+(* An increment re-checks a slot whose bytes changed since it last read or
+   wrote them, even the slot it wrote itself: a valid higher value written
+   between two increments is the new maximum, and garbage is ignored. A
+   fresh opener, which has seen no bytes before, reads the same value. *)
+let test_counter_slot_overwritten () =
+  let _, store = Untrusted_store.open_mem () in
+  let c = One_way_counter.open_store store in
+  let slot_len = Untrusted_store.size store / 2 in
+  let encode v =
+    let sum = String.sub (Tdb_crypto.Sha256.digest (Printf.sprintf "owc:%Ld" v)) 0 8 in
+    Printf.sprintf "%020Ld:%s" v (Tdb_crypto.Hex.of_string sum)
+  in
+  Alcotest.(check int) "slot layout" slot_len (String.length (encode 0L));
+  let overwrite i s = Untrusted_store.write store ~off:(i * slot_len) s in
+  let fresh () = One_way_counter.read (One_way_counter.open_store store) in
+  ignore (One_way_counter.increment c);
+  Alcotest.(check int64) "slot 0 written last" 2L (One_way_counter.increment c);
+  overwrite 0 (encode 10L);
+  Alcotest.(check int64) "valid higher value in the slot just written" 11L (One_way_counter.increment c);
+  overwrite 0 (encode 20L);
+  Alcotest.(check int64) "valid higher value in the other slot" 21L (One_way_counter.increment c);
+  Alcotest.(check int64) "fresh opener agrees" 21L (fresh ());
+  (* slot 1 holds 21, slot 0 holds 20 *)
+  overwrite 0 (String.make slot_len 'X');
+  Alcotest.(check int64) "garbage in the other slot ignored" 22L (One_way_counter.increment c);
+  (* slot 0 holds 22, written last; garbage there leaves slot 1's 21 *)
+  overwrite 0 (String.make slot_len 'Y');
+  Alcotest.(check int64) "garbage in the slot just written ignored" 21L (One_way_counter.read c);
+  Alcotest.(check int64) "fresh opener agrees" 21L (fresh ());
+  Alcotest.(check int64) "next increment" 22L (One_way_counter.increment c)
+
 let test_counter_file_torn_write () =
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "ctr" in
@@ -341,6 +372,7 @@ let () =
           Alcotest.test_case "file persistence" `Quick test_counter_file_persistence;
           Alcotest.test_case "increment reads once" `Quick test_counter_increment_reads_once;
           Alcotest.test_case "torn write" `Quick test_counter_file_torn_write;
+          Alcotest.test_case "slot overwritten between increments" `Quick test_counter_slot_overwritten;
           QCheck_alcotest.to_alcotest test_counter_monotonic_qcheck;
         ] );
       ( "secret-store",
