@@ -4,7 +4,7 @@
     - [footprint]   Figure 8 (code footprint table)
     - [tpcb]        Figure 9 (schema table) + Figure 10 (response times)
     - [utilization] Figure 11 (response time & database size vs utilization)
-    - [micro]       Bechamel micro-benchmarks (crypto, chunk ops)
+    - [micro]       Bechamel micro-benchmarks (crypto, chunk and object ops)
     - [ablation]    design-choice ablations (idle cleaning, security)
     - [all]         everything above at the default scale
 
@@ -128,6 +128,15 @@ let figure11 (scale : Workload.scale) =
 (* Micro-benchmarks (Bechamel)                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The object the object-open rows open: one int. *)
+let bench_cls : int Tdb.Obj_class.t =
+  Tdb.Obj_class.define ~name:"bench.int"
+    ~pickle:(fun w i -> Tdb.Pickle.int w i)
+    ~unpickle:(fun ~version:_ r -> Tdb.Pickle.read_int r)
+    ()
+
+let object_opens = 18
+
 let micro () : (string * float) list =
   let open Bechamel in
   let open Toolkit in
@@ -215,6 +224,29 @@ let micro () : (string * float) list =
     Tdb_chunk.Chunk_store.close cs;
     (mem, Tdb_platform.One_way_counter.read ct)
   in
+  (* an object store whose cache holds 18 committed objects (a [lookup]
+     op's worth of opens): [open_objects] opens each read-only in a fresh
+     transaction and commits it read-only; [reopen] re-opens an object
+     that a transaction left open already holds *)
+  let os, objects =
+    let _, st = Tdb_platform.Untrusted_store.open_mem () in
+    let _, ct = Tdb_platform.One_way_counter.open_mem () in
+    let os =
+      Tdb.Object_store.of_shard_store
+        (Tdb_chunk.Chunk_store.create ~secret:(Tdb_platform.Secret_store.of_seed "bench") ~counter:ct st)
+    in
+    let oids = Tdb.Object_store.with_txn os (fun x -> Array.init object_opens (fun i -> Tdb.Object_store.insert x bench_cls i)) in
+    (os, oids)
+  in
+  let open_objects () =
+    let x = Tdb.Object_store.begin_ os in
+    Array.iter (fun oid -> ignore (Tdb.Object_store.open_readonly x bench_cls oid)) objects;
+    Tdb.Object_store.commit ~durable:false x
+  in
+  open_objects ();
+  let held = Tdb.Object_store.begin_ os in
+  let reopen () = ignore (Tdb.Object_store.open_readonly held bench_cls objects.(0)) in
+  reopen ();
   let open_churned () =
     let _, st = Tdb_platform.Untrusted_store.Mem.clone churned_mem in
     let _, ct = Tdb_platform.One_way_counter.open_mem ~initial:churned_counter () in
@@ -253,8 +285,12 @@ let micro () : (string * float) list =
         (Staged.stage (fun () ->
              ignore (Tdb_chunk.Lru.put pinned_lru 0 () ~size:1);
              Tdb_chunk.Lru.remove pinned_lru 0));
+      Test.make ~name:"object-open" (Staged.stage open_objects);
+      Test.make ~name:"object-reopen" (Staged.stage reopen);
     ]
   in
+  (* a row that times several operations per run reports one of them *)
+  let per_run = function "tdb/object-open" -> float_of_int object_opens | _ -> 1. in
   let run test =
     let instances = Instance.[ monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 256) () in
@@ -266,12 +302,13 @@ let micro () : (string * float) list =
     in
     Hashtbl.fold
       (fun name est acc ->
-        let v = match Analyze.OLS.estimates est with Some [ x ] -> x | _ -> nan in
+        let v = match Analyze.OLS.estimates est with Some [ x ] -> x /. per_run name | _ -> nan in
         Printf.printf "%-32s %12.0f ns/op\n%!" name v;
         (name, v) :: acc)
       ols []
   in
   let results = List.concat_map run tests in
+  Tdb.Object_store.abort held;
   Printf.printf
     "\n(compare the block-cipher costs against the ~3.5 ms log force that\n\
      dominates a transaction: crypto CPU is a small fraction, matching the\n\

@@ -15,7 +15,7 @@ type 'v entry = {
 }
 
 type 'v t = {
-  table : (int, 'v entry) Hashtbl.t;
+  table : 'v entry Int_table.t;
   mutable mru : 'v entry option;
   mutable lru : 'v entry option;
   mutable total_size : int;
@@ -26,7 +26,7 @@ type 'v t = {
 }
 
 let create ~(budget : int) : 'v t =
-  { table = Hashtbl.create 256; mru = None; lru = None; total_size = 0; budget; hits = 0; misses = 0; evictions = 0 }
+  { table = Int_table.create 256; mru = None; lru = None; total_size = 0; budget; hits = 0; misses = 0; evictions = 0 }
 
 let value e = e.value
 
@@ -44,7 +44,7 @@ let push_mru t e =
 
 let drop t e =
   if e.parked then e.parked <- false else unlink t e;
-  Hashtbl.remove t.table e.key;
+  Int_table.remove t.table e.key;
   t.total_size <- t.total_size - e.size
 
 (* Drop unpinned entries from the LRU end until within budget, parking
@@ -66,7 +66,7 @@ let rec evict_until_within t =
         evict_until_within t
 
 let find ?valid t (key : int) : 'v entry option =
-  match Hashtbl.find_opt t.table key with
+  match Int_table.find_opt t.table key with
   | Some e when (match valid with None -> true | Some ok -> ok e.value) ->
       t.hits <- t.hits + 1;
       if not e.parked then begin
@@ -87,7 +87,7 @@ let find ?valid t (key : int) : 'v entry option =
    walk. A parked entry stays parked. *)
 let put t (key : int) (value : 'v) ~(size : int) : 'v entry =
   let e =
-    match Hashtbl.find_opt t.table key with
+    match Int_table.find_opt t.table key with
     | Some e ->
         if not e.parked then unlink t e;
         t.total_size <- t.total_size - e.size + size;
@@ -96,7 +96,7 @@ let put t (key : int) (value : 'v) ~(size : int) : 'v entry =
         e
     | None ->
         let e = { key; value; size; pins = 0; parked = false; prev = None; next = None } in
-        Hashtbl.replace t.table key e;
+        Int_table.replace t.table key e;
         t.total_size <- t.total_size + size;
         e
   in
@@ -115,7 +115,7 @@ let unpin t e =
   end;
   if t.total_size > t.budget then evict_until_within t
 
-let remove t (key : int) : unit = match Hashtbl.find_opt t.table key with None -> () | Some e -> drop t e
+let remove t (key : int) : unit = match Int_table.find_opt t.table key with None -> () | Some e -> drop t e
 
 let update_size t e ~(size : int) =
   t.total_size <- t.total_size - e.size + size;
@@ -123,14 +123,14 @@ let update_size t e ~(size : int) =
   evict_until_within t
 
 let drop_all t : unit =
-  Hashtbl.iter (fun _ e -> if e.pins > 0 then invalid_arg "Lru.drop_all: pinned entry") t.table;
-  Hashtbl.reset t.table;
+  Int_table.iter (fun _ e -> if e.pins > 0 then invalid_arg "Lru.drop_all: pinned entry") t.table;
+  Int_table.reset t.table;
   t.mru <- None;
   t.lru <- None;
   t.total_size <- 0
 
 let stats t = (t.hits, t.misses, t.evictions)
-let resident t = Hashtbl.length t.table
+let resident t = Int_table.length t.table
 let total_size t = t.total_size
 let budget t = t.budget
 

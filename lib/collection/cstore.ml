@@ -132,16 +132,17 @@ let all_indexes ct (c : 'a collection) : (index_meta * 'a Indexer.generic * Inde
       (im, g, ops_of_generic g im))
     m.co_indexes
 
-(** Current key bytes of [v] for every index. With [skip_immutable], keys
-    the application declared immutable are omitted (they can always be
-    recomputed from the current value — the paper's snapshot-storage
-    optimization). *)
-let snapshot_keys ?(skip_immutable = false) ct (c : 'a collection) (v : 'a) : (string * string) list =
+(** Current key bytes of [v] for every index in [indexes] (as resolved by
+    {!all_indexes}). With [skip_immutable], keys the application declared
+    immutable are omitted (they can always be recomputed from the current
+    value — the paper's snapshot-storage optimization). *)
+let snapshot_keys ?(skip_immutable = false) (indexes : (index_meta * 'a Indexer.generic * Index.ops) list) (v : 'a) :
+    (string * string) list =
   List.filter_map
     (fun (im, g, _) ->
       if skip_immutable && Indexer.generic_immutable g then None
       else Some (im.im_name, Indexer.generic_key_bytes g v))
-    (all_indexes ct c)
+    indexes
 
 (* --- creation / opening --- *)
 
@@ -261,7 +262,7 @@ let write (it : 'a iterator) : 'a =
   | _ -> raise Concurrent_iterators);
   let v = Object_store.deref (Object_store.open_writable it.ct.txn it.coll.cls oid) in
   if not (Hashtbl.mem it.touched oid) then
-    Hashtbl.replace it.touched oid (v, snapshot_keys ~skip_immutable:true it.ct it.coll v);
+    Hashtbl.replace it.touched oid (v, snapshot_keys ~skip_immutable:true (all_indexes it.ct it.coll) v);
   v
 
 (** Delete the current object from the collection (and the store); index
@@ -276,11 +277,11 @@ let delete (it : 'a iterator) : unit =
     | Some (v, pre) ->
         (* the index holds the pre-update keys; immutable ones were not
            snapshotted and are recomputed from the value *)
-        let full = snapshot_keys it.ct it.coll v in
+        let full = snapshot_keys (all_indexes it.ct it.coll) v in
         List.map (fun (n, k) -> (n, Option.value ~default:k (List.assoc_opt n pre))) full
     | None ->
         let v = Object_store.deref (Object_store.open_writable it.ct.txn it.coll.cls oid) in
-        snapshot_keys it.ct it.coll v
+        snapshot_keys (all_indexes it.ct it.coll) v
   in
   Hashtbl.remove it.touched oid;
   it.deleted <- (oid, keys) :: it.deleted
@@ -307,7 +308,7 @@ let close (it : 'a iterator) : unit =
     let violators = ref [] in
     Hashtbl.iter
       (fun oid (v, pre_keys) ->
-        let post_keys = snapshot_keys it.ct it.coll v in
+        let post_keys = snapshot_keys indexes v in
         let pre_of im post =
           (* immutable indexes were not snapshotted: their key cannot have
              changed, so the current key doubles as the old one *)

@@ -17,7 +17,11 @@
     idle or uncontended store runs no background work at all.
 
     Geared to low concurrency on purpose: no granular locks, no lock
-    escalation, a plain hash table of per-object queues. *)
+    escalation, a plain hash table of per-object queues. The manager keeps
+    no per-transaction index: a transaction records the oids it locked
+    and hands them back to {!release_all}. *)
+
+open Tdb_chunk
 
 exception Lock_timeout of { oid : int; txn : int }
 
@@ -28,8 +32,7 @@ let mode_shared = function Shared -> true | Exclusive -> false
 type entry = { mutable holders : (int * mode) list (* txn id, mode *) }
 
 type t = {
-  table : (int, entry) Hashtbl.t;
-  by_txn : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* txn -> oids held *)
+  table : entry Int_table.t;
   cond : Condition.t; (* broadcast on every release (and by the timer) *)
   deadlines : (int, float) Hashtbl.t; (* waiter ticket -> absolute deadline *)
   mutable next_ticket : int;
@@ -38,8 +41,7 @@ type t = {
 
 let create () =
   {
-    table = Hashtbl.create 64;
-    by_txn = Hashtbl.create 8;
+    table = Int_table.create 64;
     cond = Condition.create ();
     deadlines = Hashtbl.create 8;
     next_ticket = 0;
@@ -47,7 +49,7 @@ let create () =
   }
 
 let mode_of t ~txn ~oid =
-  match Hashtbl.find_opt t.table oid with
+  match Int_table.find_opt t.table oid with
   | None -> None
   | Some e -> List.assoc_opt txn e.holders
 
@@ -56,17 +58,6 @@ let grantable (e : entry) ~txn ~mode =
   match mode with
   | Shared -> List.for_all (fun (t', m) -> Int.equal t' txn || mode_shared m) e.holders
   | Exclusive -> List.for_all (fun (t', _) -> Int.equal t' txn) e.holders
-
-let note_held t ~txn ~oid =
-  let oids =
-    match Hashtbl.find_opt t.by_txn txn with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 8 in
-        Hashtbl.replace t.by_txn txn h;
-        h
-  in
-  Hashtbl.replace oids oid ()
 
 (* The deadline timer: sleeps (without holding [mu]) until the earliest
    waiter deadline, then broadcasts so expired waiters can raise
@@ -107,11 +98,11 @@ let acquire t ~(mu : Mutex.t) ~(txn : int) ~(oid : int) ~(mode : mode) ~(timeout
      ourselves on the stale one would hand two transactions the same
      exclusive lock. *)
   let entry () =
-    match Hashtbl.find_opt t.table oid with
+    match Int_table.find_opt t.table oid with
     | Some e -> e
     | None ->
         let e = { holders = [] } in
-        Hashtbl.replace t.table oid e;
+        Int_table.replace t.table oid e;
         e
   in
   let try_grant () =
@@ -140,8 +131,8 @@ let acquire t ~(mu : Mutex.t) ~(txn : int) ~(oid : int) ~(mode : mode) ~(timeout
             if Unix.gettimeofday () >= deadline then begin
               (* drop the entry if we were the only party interested, so a
                  timed-out wait leaves no empty entry behind *)
-              (match Hashtbl.find_opt t.table oid with
-              | Some e when e.holders = [] -> Hashtbl.remove t.table oid
+              (match Int_table.find_opt t.table oid with
+              | Some { holders = [] } -> Int_table.remove t.table oid
               | Some _ | None -> ());
               raise (Lock_timeout { oid; txn })
             end
@@ -154,24 +145,24 @@ let acquire t ~(mu : Mutex.t) ~(txn : int) ~(oid : int) ~(mode : mode) ~(timeout
             end
         in
         wait ())
-  end;
-  note_held t ~txn ~oid
+  end
 
 (** Strict two-phase locking: all locks are released together at the end of
-    the transaction. Waiters are woken so they can re-check grantability. *)
-let release_all t ~(txn : int) : unit =
-  match Hashtbl.find_opt t.by_txn txn with
-  | None -> ()
-  | Some oids ->
-      Hashtbl.iter
-        (fun oid () ->
-          match Hashtbl.find_opt t.table oid with
+    the transaction. [oids] is every oid [txn] acquired, as the transaction
+    recorded them; an oid listed twice (an upgrade) or no longer held is
+    passed over. Waiters are woken so they can re-check grantability. *)
+let release_all t ~(txn : int) ~(oids : int list) : unit =
+  match oids with
+  | [] -> ()
+  | _ ->
+      List.iter
+        (fun oid ->
+          match Int_table.find_opt t.table oid with
           | None -> ()
-          | Some e ->
+          | Some e -> (
               e.holders <- List.remove_assoc txn e.holders;
-              if e.holders = [] then Hashtbl.remove t.table oid)
+              match e.holders with [] -> Int_table.remove t.table oid | _ :: _ -> ()))
         oids;
-      Hashtbl.remove t.by_txn txn;
       Condition.broadcast t.cond
 
-let held_count t = Hashtbl.length t.table
+let held_count t = Int_table.length t.table

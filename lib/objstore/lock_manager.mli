@@ -21,7 +21,9 @@ val acquire : t -> mu:Mutex.t -> txn:int -> oid:int -> mode:mode -> timeout:floa
     released while blocked. Re-entrant; shared locks are compatible;
     upgrades need sole ownership. @raise Lock_timeout after [timeout]s. *)
 
-val release_all : t -> txn:int -> unit
-(** Strict two-phase locking: everything releases together at txn end. *)
+val release_all : t -> txn:int -> oids:int list -> unit
+(** Strict two-phase locking: everything releases together at txn end.
+    [oids] lists every oid [txn] acquired (the manager keeps no
+    per-transaction index); duplicates are harmless. *)
 
 val held_count : t -> int

@@ -63,8 +63,11 @@ type txn = {
   store : t;
   txn_id : int;
   mutable state : txn_state;
-  pins : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t; (* every object referenced by this txn *)
-  writes : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t; (* inserted or opened writable *)
+  pins : Obj_class.packed_value Lru.entry Int_table.t; (* every object referenced by this txn *)
+  writes : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t;
+      (* inserted or opened writable; polymorphic on purpose: its iteration
+         order is the order of the batch's writes, and so of their IVs *)
+  mutable locked : oid list; (* every oid this txn acquired, for release *)
   mutable inserted : oid list;
   mutable removed : oid list;
   mutable root_updates : (string * oid option) list;
@@ -185,6 +188,7 @@ let metrics t : Metrics.t =
           ("object_cache.evictions", Int evictions);
           ("object_cache.resident", Int (Lru.resident t.cache));
           ("object_cache.bytes", Int (Lru.total_size t.cache));
+          ("locks.held", Int (Lock_manager.held_count t.locks));
           ("group_commit.barriers", Int t.barriers);
           ("group_commit.coalesced", Int t.coalesced);
         ])
@@ -208,8 +212,9 @@ let begin_ (t : t) : txn =
         store = t;
         txn_id = id;
         state = Active;
-        pins = Hashtbl.create 16;
+        pins = Int_table.create 16;
         writes = Hashtbl.create 8;
+        locked = [];
         inserted = [];
         removed = [];
         root_updates = [];
@@ -218,14 +223,16 @@ let begin_ (t : t) : txn =
 let check_active (x : txn) = if not (is_active x.state) then raise Stale_ref
 
 let lock x ~oid ~mode =
-  if x.store.cfg.locking then
+  if x.store.cfg.locking then begin
     Lock_manager.acquire x.store.locks ~mu:x.store.mu ~txn:x.txn_id ~oid ~mode
-      ~timeout:x.store.cfg.lock_timeout
+      ~timeout:x.store.cfg.lock_timeout;
+    x.locked <- oid :: x.locked
+  end
 
 let pin_entry x oid e =
-  if not (Hashtbl.mem x.pins oid) then begin
+  if not (Int_table.mem x.pins oid) then begin
     Lru.pin e;
-    Hashtbl.replace x.pins oid e
+    Int_table.replace x.pins oid e
   end
 
 let load t (oid : oid) : Obj_class.packed_value Lru.entry =
@@ -250,14 +257,28 @@ let insert (x : txn) (cls : 'a Obj_class.t) (v : 'a) : oid =
       x.inserted <- oid :: x.inserted;
       oid)
 
+(* Whether a pinned [oid] is already locked at [mode] by this transaction:
+   a pinned oid is locked at least shared, and one in [writes] exclusive. *)
+let pinned_at x oid ~mode =
+  match mode with Lock_manager.Shared -> true | Lock_manager.Exclusive -> Hashtbl.mem x.writes oid
+
+(* A re-open is answered from the transaction's own tables, with no lock
+   request, cache probe or pin. Only a shared-to-exclusive upgrade goes
+   back to the lock manager. *)
 let open_gen (x : txn) (cls : 'a Obj_class.t) (oid : oid) ~(mode : Lock_manager.mode) : 'a =
   with_mu x.store (fun () ->
       check_active x;
       if List.mem oid x.removed then raise (Removed_in_transaction oid);
-      lock x ~oid ~mode;
-      let e = load x.store oid in
-      pin_entry x oid e;
-      (match mode with Lock_manager.Exclusive -> Hashtbl.replace x.writes oid e | Lock_manager.Shared -> ());
+      let e =
+        match Int_table.find_opt x.pins oid with
+        | Some e when pinned_at x oid ~mode -> e
+        | Some _ | None ->
+            lock x ~oid ~mode;
+            let e = load x.store oid in
+            pin_entry x oid e;
+            (match mode with Lock_manager.Exclusive -> Hashtbl.replace x.writes oid e | Lock_manager.Shared -> ());
+            e
+      in
       Obj_class.cast cls (Lru.value e))
 
 (** Open for reading: shared lock, const view. *)
@@ -299,9 +320,10 @@ let root (x : txn) (name : string) : oid option =
       | None -> List.assoc_opt name x.store.roots)
 
 let finish (x : txn) (st : txn_state) =
-  Hashtbl.iter (fun _ e -> Lru.unpin x.store.cache e) x.pins;
-  Hashtbl.reset x.pins;
-  Lock_manager.release_all x.store.locks ~txn:x.txn_id;
+  Int_table.iter (fun _ e -> Lru.unpin x.store.cache e) x.pins;
+  Int_table.reset x.pins;
+  Lock_manager.release_all x.store.locks ~txn:x.txn_id ~oids:x.locked;
+  x.locked <- [];
   x.state <- st
 
 (* --- group commit ---

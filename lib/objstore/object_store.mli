@@ -48,7 +48,9 @@ val cache_stats : t -> int * int * int
 
 val metrics : t -> Tdb_chunk.Metrics.t
 (** The object store's own metrics: the object cache's
-    [object_cache.{hits,misses,evictions,resident,bytes}], and group
+    [object_cache.{hits,misses,evictions,resident,bytes}] (a re-open of an
+    object the transaction already holds is answered by the transaction
+    and counts no hit), [locks.held] ({!held_count}), and group
     commit's [group_commit.barriers] (barriers that landed) and
     [group_commit.coalesced] (the durable commits with writes that they
     covered). The store's metrics are {!Tdb_chunk.Chunk_store.metrics}. *)

@@ -84,8 +84,9 @@ val coll_size : t -> coll:string -> int
 (** {1 Introspection} *)
 
 val metrics : t -> Tdb_chunk.Metrics.t
-(** The server's [server.*] metrics, the object store's [object_cache.*]
-    and [group_commit.*] ({!Tdb_objstore.Object_store.metrics}), then the
+(** The server's [server.*] metrics, the object store's [object_cache.*],
+    [locks.held] and [group_commit.*]
+    ({!Tdb_objstore.Object_store.metrics}), then the
     store's ({!Tdb_chunk.Chunk_store.metrics}). *)
 
 (** {1 Archive} — remote access to the server's backup archive. *)

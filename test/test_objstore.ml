@@ -818,6 +818,252 @@ let test_schema_evolution () =
     ~unpickle:(fun ~version:_ r -> ({ meters = Tdb_pickle.Pickle.read_list r Tdb_pickle.Pickle.read_uint } : profile))
     () : profile Obj_class.t)
 
+(* --- re-opens and lock bookkeeping --- *)
+
+(* A re-open of an object the transaction already holds at the needed mode
+   is answered by the transaction: the same physical value, and no cache
+   probe. *)
+let test_reopen_shared_after_exclusive () =
+  let os = fresh (fresh_env ()) in
+  let oid =
+    Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "r" })
+  in
+  let x = Object_store.begin_ os in
+  let w = Object_store.deref (Object_store.open_writable x meter_cls oid) in
+  w.view_count <- 9;
+  let probes () =
+    let hits, misses, _ = Object_store.cache_stats os in
+    hits + misses
+  in
+  let before = probes () in
+  let r = Object_store.deref (Object_store.open_readonly x meter_cls oid) in
+  let w2 = Object_store.deref (Object_store.open_writable x meter_cls oid) in
+  Alcotest.(check int) "re-opens probe no cache" before (probes ());
+  Alcotest.(check bool) "one physical value" true (r == w && w2 == w);
+  Alcotest.(check int) "shared re-open sees the mutation" 9 r.view_count;
+  Object_store.commit x;
+  Alcotest.(check int) "no lock held" 0 (Object_store.held_count os)
+
+(* A shared-to-exclusive upgrade still asks the lock manager: it waits
+   for another shared holder and times out. *)
+let test_reopen_upgrade_blocks () =
+  let config = { Object_store.default_config with Object_store.lock_timeout = 0.05 } in
+  let os = fresh ~config (fresh_env ()) in
+  let oid =
+    Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "u" })
+  in
+  let t1 = Object_store.begin_ os and t2 = Object_store.begin_ os in
+  ignore (Object_store.open_readonly t1 meter_cls oid);
+  ignore (Object_store.open_readonly t2 meter_cls oid);
+  Alcotest.(check bool) "upgrade times out" true
+    (match Object_store.open_writable t1 meter_cls oid with
+    | exception Lock_manager.Lock_timeout _ -> true
+    | _ -> false);
+  Object_store.commit t2;
+  let m = Object_store.deref (Object_store.open_writable t1 meter_cls oid) in
+  m.view_count <- 1;
+  Object_store.commit t1;
+  Alcotest.(check int) "no lock held" 0 (Object_store.held_count os)
+
+let test_reopen_removed () =
+  let os = fresh (fresh_env ()) in
+  let oid =
+    Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "d" })
+  in
+  let x = Object_store.begin_ os in
+  ignore (Object_store.open_readonly x meter_cls oid);
+  Object_store.remove x oid;
+  let removed f = match f () with exception Object_store.Removed_in_transaction o -> Int.equal o oid | _ -> false in
+  Alcotest.(check bool) "shared re-open refused" true (removed (fun () -> ignore (Object_store.open_readonly x meter_cls oid)));
+  Alcotest.(check bool) "exclusive re-open refused" true
+    (removed (fun () -> ignore (Object_store.open_writable x meter_cls oid)));
+  Object_store.abort x;
+  Alcotest.(check int) "no lock held" 0 (Object_store.held_count os)
+
+exception Pickle_refused
+
+let brittle_cls : unit Obj_class.t =
+  Obj_class.define ~name:"test.brittle" ~pickle:(fun _ () -> raise Pickle_refused) ~unpickle:(fun ~version:_ _ -> ()) ()
+
+(* Every way a transaction ends leaves no lock behind. *)
+let test_locks_released () =
+  let config = { Object_store.default_config with Object_store.lock_timeout = 0.02 } in
+  let os = fresh ~config (fresh_env ()) in
+  let a, b =
+    Object_store.with_txn os (fun x ->
+        let ins g = Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = g } in
+        let a = ins "a" in
+        (a, ins "b"))
+  in
+  let held what n = Alcotest.(check int) what n (Object_store.held_count os) in
+  let x = Object_store.begin_ os in
+  ignore (Object_store.open_writable x meter_cls a);
+  ignore (Object_store.open_readonly x meter_cls b);
+  ignore (Object_store.open_readonly x meter_cls b);
+  held "two held" 2;
+  Object_store.commit x;
+  held "after commit" 0;
+  let x = Object_store.begin_ os in
+  ignore (Object_store.open_readonly x meter_cls a);
+  ignore (Object_store.open_writable x meter_cls a);
+  Object_store.abort x;
+  held "after abort" 0;
+  let x = Object_store.begin_ os in
+  ignore (Object_store.open_writable x meter_cls a);
+  ignore (Object_store.insert x brittle_cls ());
+  Alcotest.(check bool) "commit fails" true
+    (match Object_store.commit x with exception Pickle_refused -> true | () -> false);
+  held "after a failed commit" 0;
+  let t1 = Object_store.begin_ os and t2 = Object_store.begin_ os in
+  ignore (Object_store.open_writable t1 meter_cls a);
+  ignore (Object_store.open_readonly t2 meter_cls b);
+  Alcotest.(check bool) "open times out" true
+    (match Object_store.open_readonly t2 meter_cls a with exception Lock_manager.Lock_timeout _ -> true | _ -> false);
+  held "a timed-out wait adds no entry" 2;
+  Object_store.abort t2;
+  Object_store.commit t1;
+  held "after a lock timeout" 0;
+  let x = Object_store.begin_ os in
+  Object_store.remove x b;
+  held "removal locks" 1;
+  Object_store.commit x;
+  held "after a remove-only commit" 0
+
+(* A model of the lock bookkeeping: 2-3 transactions interleaved on one
+   thread, each step an open, insert, remove, commit or abort. After
+   every step the store holds exactly the distinct oids the model's live
+   transactions hold, and nothing once they have all ended. *)
+type lock_step = Open_s of int | Open_x of int | Insert | Remove of int | Commit | Abort
+
+let lock_step_to_string = function
+  | Open_s k -> Printf.sprintf "S%d" k
+  | Open_x k -> Printf.sprintf "X%d" k
+  | Insert -> "I"
+  | Remove k -> Printf.sprintf "R%d" k
+  | Commit -> "C"
+  | Abort -> "A"
+
+type model_txn = {
+  mx : Object_store.txn;
+  held : (Object_store.oid, Lock_manager.mode) Hashtbl.t;
+  mutable ins : Object_store.oid list;
+  mutable rem : Object_store.oid list;
+}
+
+let run_lock_model (nslots, steps) =
+  let config = { Object_store.default_config with Object_store.lock_timeout = 0.002 } in
+  let os = fresh ~config (fresh_env ()) in
+  let meter g = { view_count = 0; print_count = 0; good = g } in
+  let pool = ref (Object_store.with_txn os (fun x -> List.init 4 (fun _ -> Object_store.insert x meter_cls (meter "m")))) in
+  let slots = Array.make nslots None in
+  let live () = List.filter_map Fun.id (Array.to_list slots) in
+  let txn_in slot =
+    match slots.(slot) with
+    | Some m -> m
+    | None ->
+        let m = { mx = Object_store.begin_ os; held = Hashtbl.create 8; ins = []; rem = [] } in
+        slots.(slot) <- Some m;
+        m
+  in
+  let pick k =
+    match !pool @ List.concat_map (fun m -> m.ins) (live ()) with [] -> None | l -> Some (List.nth l (k mod List.length l))
+  in
+  let conflicts m oid mode =
+    List.exists
+      (fun o ->
+        o != m
+        &&
+        match (Hashtbl.find_opt o.held oid, mode) with
+        | None, _ -> false
+        | Some Lock_manager.Exclusive, _ | Some Lock_manager.Shared, Lock_manager.Exclusive -> true
+        | Some Lock_manager.Shared, Lock_manager.Shared -> false)
+      (live ())
+  in
+  let grant m oid mode =
+    match (Hashtbl.find_opt m.held oid, mode) with
+    | Some Lock_manager.Exclusive, _ -> ()
+    | _ -> Hashtbl.replace m.held oid mode
+  in
+  (* run [f], which needs [oid] at [mode]; true if it did what the model
+     expects *)
+  let locking m oid mode f =
+    if List.mem oid m.rem then match f () with exception Object_store.Removed_in_transaction _ -> true | () -> false
+    else if conflicts m oid mode then match f () with exception Lock_manager.Lock_timeout _ -> true | () -> false
+    else begin
+      f ();
+      grant m oid mode;
+      true
+    end
+  in
+  let end_txn slot = slots.(slot) <- None in
+  let step (slot, op) =
+    let slot = slot mod nslots in
+    let m = txn_in slot in
+    match op with
+    | Open_s k -> (
+        match pick k with
+        | None -> true
+        | Some oid -> locking m oid Lock_manager.Shared (fun () -> ignore (Object_store.open_readonly m.mx meter_cls oid)))
+    | Open_x k -> (
+        match pick k with
+        | None -> true
+        | Some oid ->
+            locking m oid Lock_manager.Exclusive (fun () -> ignore (Object_store.open_writable m.mx meter_cls oid)))
+    | Insert ->
+        let oid = Object_store.insert m.mx meter_cls (meter "i") in
+        grant m oid Lock_manager.Exclusive;
+        m.ins <- oid :: m.ins;
+        true
+    | Remove k -> (
+        match pick k with
+        | None -> true
+        | Some oid ->
+            locking m oid Lock_manager.Exclusive (fun () ->
+                Object_store.remove m.mx oid;
+                m.ins <- List.filter (fun o -> o <> oid) m.ins;
+                m.rem <- oid :: m.rem))
+    | Commit ->
+        Object_store.commit ~durable:false m.mx;
+        pool := List.filter (fun o -> not (List.mem o m.rem)) !pool @ m.ins;
+        end_txn slot;
+        true
+    | Abort ->
+        Object_store.abort m.mx;
+        end_txn slot;
+        true
+  in
+  let modelled () =
+    let oids = Hashtbl.create 8 in
+    List.iter (fun m -> Hashtbl.iter (fun oid _ -> Hashtbl.replace oids oid ()) m.held) (live ());
+    Hashtbl.length oids
+  in
+  let ok = List.for_all (fun s -> step s && Int.equal (Object_store.held_count os) (modelled ())) steps in
+  Array.iteri (fun slot -> function Some m -> Object_store.abort m.mx; end_txn slot | None -> ()) slots;
+  ok && Int.equal (Object_store.held_count os) 0
+
+let qcheck_lock_bookkeeping =
+  let open QCheck in
+  let step =
+    Gen.(
+      pair (int_bound 2)
+        (frequency
+           [
+             (3, map (fun k -> Open_s k) nat);
+             (3, map (fun k -> Open_x k) nat);
+             (1, return Insert);
+             (1, map (fun k -> Remove k) nat);
+             (1, return Commit);
+             (1, return Abort);
+           ]))
+  in
+  let print (n, steps) =
+    Printf.sprintf "%d txns: %s" n
+      (String.concat " " (List.map (fun (s, op) -> Printf.sprintf "%d%s" s (lock_step_to_string op)) steps))
+  in
+  Test.make ~name:"lock bookkeeping matches model" ~count:60
+    (make ~print Gen.(pair (int_range 2 3) (list_size (int_range 1 40) step)))
+    run_lock_model
+
 let qcheck_random_objects =
   QCheck.Test.make ~name:"random object workload matches model" ~count:10
     QCheck.(list_of_size Gen.(1 -- 8) (small_list (pair (int_range 0 8) small_int)))
@@ -898,5 +1144,16 @@ let () =
           Alcotest.test_case "two-level fall-through" `Quick test_two_level_cache;
           Alcotest.test_case "re-open under cache pressure" `Quick test_reopen_under_pressure;
         ] );
-      ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_random_objects ]);
+      ( "re-open",
+        [
+          Alcotest.test_case "shared after exclusive" `Quick test_reopen_shared_after_exclusive;
+          Alcotest.test_case "upgrade still waits" `Quick test_reopen_upgrade_blocks;
+          Alcotest.test_case "removed oid refused" `Quick test_reopen_removed;
+          Alcotest.test_case "every ending releases locks" `Quick test_locks_released;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest qcheck_random_objects;
+          QCheck_alcotest.to_alcotest qcheck_lock_bookkeeping;
+        ] );
     ]

@@ -594,11 +594,11 @@ let test_locks_shared_compatible () =
     (match Lock_manager.acquire lm ~mu ~txn:1 ~oid:7 ~mode:Lock_manager.Exclusive ~timeout:0.05 with
     | exception Lock_manager.Lock_timeout _ -> true
     | () -> false);
-  Lock_manager.release_all lm ~txn:2;
+  Lock_manager.release_all lm ~txn:2 ~oids:[ 7 ];
   (* now the upgrade succeeds *)
   Lock_manager.acquire lm ~mu ~txn:1 ~oid:7 ~mode:Lock_manager.Exclusive ~timeout:0.05;
   Alcotest.(check bool) "upgraded" true (Lock_manager.mode_of lm ~txn:1 ~oid:7 = Some Lock_manager.Exclusive);
-  Lock_manager.release_all lm ~txn:1;
+  Lock_manager.release_all lm ~txn:1 ~oids:[ 7; 7 ];
   Alcotest.(check int) "table empty" 0 (Lock_manager.held_count lm);
   Mutex.unlock mu
 
