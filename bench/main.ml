@@ -247,6 +247,40 @@ let micro () : (string * float) list =
   let held = Tdb.Object_store.begin_ os in
   let reopen () = ignore (Tdb.Object_store.open_readonly held bench_cls objects.(0)) in
   reopen ();
+  (* two int keys' canonical bytes (two-byte varints) and their comparator *)
+  let key_cmp = Tdb.Gkey.bytes_compare Tdb.Gkey.int in
+  let key_a = Tdb.Gkey.to_bytes Tdb.Gkey.int 1234 and key_b = Tdb.Gkey.to_bytes Tdb.Gkey.int 1235 in
+  (* a collection of 5 000 ints on one B-tree index, eight to an owner
+     ([v / 8]): a run is one owner's range in a read-only transaction,
+     cycling through the 625 owners. Built when its row runs: its live heap
+     would slow the GC under the rows before it. *)
+  let range8 () =
+    let _, st = Tdb_platform.Untrusted_store.open_mem () in
+    let _, ct = Tdb_platform.One_way_counter.open_mem () in
+    let os =
+      Tdb.Object_store.of_shard_store
+        (Tdb_chunk.Chunk_store.create ~secret:(Tdb_platform.Secret_store.of_seed "bench") ~counter:ct st)
+    in
+    let owner_ix = Tdb.Indexer.make ~name:"owner" ~key:Tdb.Gkey.int ~extract:(fun v -> v / 8) () in
+    let coll =
+      Tdb.Cstore.with_ctxn os (fun ct ->
+          let c = Tdb.Cstore.create_collection ct ~name:"range8" ~schema:bench_cls owner_ix in
+          for v = 0 to 4_999 do
+            ignore (Tdb.Cstore.insert ct c v)
+          done;
+          c)
+    in
+    let owner = ref 0 in
+    let run () =
+      owner := (!owner + 1) mod 625;
+      let ct = Tdb.Cstore.begin_ os in
+      let it = Tdb.Cstore.range ct coll owner_ix ~min:(Some !owner) ~max:(Some !owner) in
+      Tdb.Cstore.close it;
+      Tdb.Cstore.commit ~durable:false ct
+    in
+    run ();
+    run
+  in
   let open_churned () =
     let _, st = Tdb_platform.Untrusted_store.Mem.clone churned_mem in
     let _, ct = Tdb_platform.One_way_counter.open_mem ~initial:churned_counter () in
@@ -287,6 +321,9 @@ let micro () : (string * float) list =
              Tdb_chunk.Lru.remove pinned_lru 0));
       Test.make ~name:"object-open" (Staged.stage open_objects);
       Test.make ~name:"object-reopen" (Staged.stage reopen);
+      Test.make ~name:"key-compare-int" (Staged.stage (fun () -> key_cmp key_a key_b));
+      Test.make_with_resource ~name:"btree-range8" Test.uniq ~allocate:range8 ~free:ignore
+        (Staged.stage (fun run -> run ()));
     ]
   in
   (* a row that times several operations per run reports one of them *)

@@ -81,7 +81,7 @@ type iter_token = { it_coll : oid; mutable it_open : bool }
 
 type t = {
   txn : Object_store.txn;
-  mutable iters : iter_token list; (* all iterators opened in this txn *)
+  mutable iters : iter_token list; (* the iterators open in this txn; [close] drops its own *)
 }
 
 let begin_ (os : Object_store.t) : t = { txn = Object_store.begin_ os; iters = [] }
@@ -91,7 +91,9 @@ let begin_ (os : Object_store.t) : t = { txn = Object_store.begin_ os; iters = [
     iterator insensitivity — don't. *)
 let txn (ct : t) : Object_store.txn = ct.txn
 
-let open_iters_on ct coll_oid = List.filter (fun it -> it.it_open && Int.equal it.it_coll coll_oid) ct.iters
+(* Constraint 2: [tok]'s iterator is the only one open on its collection. *)
+let sole_iter ct tok =
+  tok.it_open && List.for_all (fun it -> it == tok || not (Int.equal it.it_coll tok.it_coll)) ct.iters
 
 (* ------------------------------------------------------------------ *)
 (* Collection handles                                                  *)
@@ -197,14 +199,15 @@ type 'a iterator = {
   items : oid array; (* materialized result set: insensitive by construction *)
   mutable pos : int;
   (* deferred maintenance state *)
-  touched : (oid, 'a * (string * string) list) Hashtbl.t; (* oid -> value, pre-update keys *)
+  mutable touched : (oid, 'a * (string * string) list) Hashtbl.t option;
+      (* oid -> value, pre-update keys; made by the first [write] or [delete] *)
   mutable deleted : (oid * (string * string) list) list;
 }
 
 let make_iter ct (c : 'a collection) (oids : oid list) : 'a iterator =
   let token = { it_coll = c.coll_oid; it_open = true } in
   ct.iters <- token :: ct.iters;
-  { ct; coll = c; token; items = Array.of_list oids; pos = 0; touched = Hashtbl.create 8; deleted = [] }
+  { ct; coll = c; token; items = Array.of_list oids; pos = 0; touched = None; deleted = [] }
 
 (** Scan query over any index (B-tree scans in key order). *)
 let scan ct (c : 'a collection) (ix : ('a, 'k) Indexer.t) : 'a iterator =
@@ -252,28 +255,34 @@ let current_oid (it : 'a iterator) : oid =
 let read (it : 'a iterator) : 'a =
   Object_store.deref (Object_store.open_readonly it.ct.txn it.coll.cls (current_oid it))
 
+let touched_of (it : 'a iterator) =
+  match it.touched with
+  | Some t -> t
+  | None ->
+      let t = Hashtbl.create 8 in
+      it.touched <- Some t;
+      t
+
 (** Writable view of the current object. Takes the pre-update key snapshot
     on first access (Section 5.2.3) and requires this to be the only open
     iterator on the collection (constraint 2). *)
 let write (it : 'a iterator) : 'a =
   let oid = current_oid it in
-  (match open_iters_on it.ct it.coll.coll_oid with
-  | [ tok ] when tok == it.token -> ()
-  | _ -> raise Concurrent_iterators);
+  if not (sole_iter it.ct it.token) then raise Concurrent_iterators;
   let v = Object_store.deref (Object_store.open_writable it.ct.txn it.coll.cls oid) in
-  if not (Hashtbl.mem it.touched oid) then
-    Hashtbl.replace it.touched oid (v, snapshot_keys ~skip_immutable:true (all_indexes it.ct it.coll) v);
+  let touched = touched_of it in
+  if not (Hashtbl.mem touched oid) then
+    Hashtbl.replace touched oid (v, snapshot_keys ~skip_immutable:true (all_indexes it.ct it.coll) v);
   v
 
 (** Delete the current object from the collection (and the store); index
     maintenance is deferred to close like any other update. *)
 let delete (it : 'a iterator) : unit =
   let oid = current_oid it in
-  (match open_iters_on it.ct it.coll.coll_oid with
-  | [ tok ] when tok == it.token -> ()
-  | _ -> raise Concurrent_iterators);
+  if not (sole_iter it.ct it.token) then raise Concurrent_iterators;
+  let touched = touched_of it in
   let keys =
-    match Hashtbl.find_opt it.touched oid with
+    match Hashtbl.find_opt touched oid with
     | Some (v, pre) ->
         (* the index holds the pre-update keys; immutable ones were not
            snapshotted and are recomputed from the value *)
@@ -283,7 +292,7 @@ let delete (it : 'a iterator) : unit =
         let v = Object_store.deref (Object_store.open_writable it.ct.txn it.coll.cls oid) in
         snapshot_keys (all_indexes it.ct it.coll) v
   in
-  Hashtbl.remove it.touched oid;
+  Hashtbl.remove touched oid;
   it.deleted <- (oid, keys) :: it.deleted
 
 (** Close the iterator and apply all deferred index maintenance. Objects
@@ -292,8 +301,11 @@ let delete (it : 'a iterator) : unit =
 let close (it : 'a iterator) : unit =
   if it.token.it_open then begin
     it.token.it_open <- false;
-    if Hashtbl.length it.touched = 0 && it.deleted = [] then ()
-    else begin
+    it.ct.iters <- List.filter (fun tok -> tok != it.token) it.ct.iters;
+    match it.touched with
+    | None -> ()
+    | Some touched ->
+    it.touched <- None;
     let indexes = all_indexes it.ct it.coll in
     (* deletions *)
     List.iter
@@ -344,12 +356,10 @@ let close (it : 'a iterator) : unit =
                   violators := (index, oid) :: !violators )
         in
         reinsert [] changed)
-      it.touched;
-    Hashtbl.reset it.touched;
+      touched;
     match !violators with
     | [] -> ()
     | (index, _) :: _ as vs -> raise (Unique_violation { index; removed = List.map snd vs })
-    end
   end
 
 (* --- collection-level operations --- *)
@@ -438,16 +448,16 @@ let remove_collection ct ~(name : string) ~(schema : 'a Obj_class.t) ~(indexers 
 
 (* --- transaction termination --- *)
 
-(** Commit: closes any iterators still open (applying their deferred index
-    maintenance — a {!Unique_violation} aborts the commit) and commits the
-    underlying transaction in the requested durability mode. *)
+(** Commit the underlying transaction in the requested durability mode.
+    Every iterator must be closed first, so that its deferred index
+    maintenance has been applied: an open one raises [Invalid_argument]. *)
 let commit ?durable (ct : t) : unit =
-  if List.exists (fun tok -> tok.it_open) ct.iters then
-    invalid_arg "Cstore.commit: close all iterators first";
+  if ct.iters <> [] then invalid_arg "Cstore.commit: close all iterators first";
   Object_store.commit ?durable ct.txn
 
 let abort (ct : t) : unit =
   List.iter (fun tok -> tok.it_open <- false) ct.iters;
+  ct.iters <- [];
   Object_store.abort ct.txn
 
 (** Run [f] in a collection transaction. *)

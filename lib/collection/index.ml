@@ -85,7 +85,7 @@ type bucket = { mutable pairs : (string * oid) list }
     stays small no matter how many buckets the table grows (a flat
     directory would make the anchor a multi-kilobyte object rewritten on
     every split). *)
-type dir_seg = { mutable d_slots : oid list (* bucket oids, newest last *) }
+type dir_seg = { mutable d_slots : oid array (* bucket oids, newest last *) }
 
 let dir_seg_cap = 256
 
@@ -111,8 +111,8 @@ let bucket_cls : bucket Obj_class.t =
 let dir_seg_cls : dir_seg Obj_class.t =
   let module P = Tdb_pickle.Pickle in
   Obj_class.define ~name:"tdb.index.dir_seg"
-    ~pickle:(fun w d -> P.list w (fun w o -> P.uint w o) d.d_slots)
-    ~unpickle:(fun ~version:_ r -> { d_slots = P.read_list r P.read_uint })
+    ~pickle:(fun w d -> P.array w (fun w o -> P.uint w o) d.d_slots)
+    ~unpickle:(fun ~version:_ r -> { d_slots = Array.of_list (P.read_list r P.read_uint) })
     ()
 
 (** A list node holds pairs newest first. The head never moves: it is the
@@ -178,7 +178,7 @@ let create_anchor (x : Object_store.txn) (impl : Indexer.impl) : oid =
   | Indexer.Hash ->
       let nbuckets = 4 in
       let buckets = List.init nbuckets (fun _ -> Object_store.insert x bucket_cls { pairs = [] }) in
-      let seg = Object_store.insert x dir_seg_cls { d_slots = buckets } in
+      let seg = Object_store.insert x dir_seg_cls { d_slots = Array.of_list buckets } in
       Object_store.insert x anchor_cls { a_root = None; a_count = 0; a_buckets = [ seg ]; a_level = 2; a_next = 0 }
 
 (* ------------------------------------------------------------------ *)
@@ -333,7 +333,8 @@ module Btree = struct
       if n.leaf then
         let rec find ks vs =
           match (ks, vs) with
-          | k :: krest, v :: vrest -> if ops.cmp key k = 0 then List.rev v else find krest vrest
+          | k :: krest, v :: vrest -> (
+              match ops.cmp key k with 0 -> List.rev v | c when c < 0 -> [] | _ -> find krest vrest)
           | _ -> []
         in
         find n.keys n.vals
@@ -349,27 +350,28 @@ module Btree = struct
       let slot = match min with None -> 0 | Some k -> child_slot ops.cmp n.keys k in
       seek_leaf x ops (nth_kid n.kids slot) min
 
-  (** In-order (key, oids) within [min, max] inclusive. *)
+  (** In-order (key, oids) within [min, max] inclusive. The walk along the
+      leaf chain tests [min] only until a key reaches it, and stops at the
+      first key above [max]: keys are sorted. *)
   let range x ops anchor_oid ~(min : string option) ~(max : string option) : (string * oid list) list =
     let a = ro x anchor_cls anchor_oid in
     match a.a_root with
     | None -> []
     | Some root ->
-        let acc = ref [] in
-        let rec walk leaf_oid =
-          let n = ro x btree_cls leaf_oid in
-          let stop = ref false in
-          List.iter2
-            (fun k v ->
-              let below = match min with None -> false | Some m -> ops.cmp k m < 0 in
-              let above = match max with None -> false | Some m -> ops.cmp k m > 0 in
-              if above then stop := true
-              else if not below then acc := (k, List.rev v) :: !acc)
-            n.keys n.vals;
-          if not !stop then match n.next with Some next -> walk next | None -> ()
+        let below k = match min with None -> false | Some m -> ops.cmp k m < 0 in
+        let above k = match max with None -> false | Some m -> ops.cmp k m > 0 in
+        let rec leaf acc ~seeking noid =
+          let n = ro x btree_cls noid in
+          keys acc ~seeking n.keys n.vals n.next
+        and keys acc ~seeking ks vs next =
+          match (ks, vs) with
+          | k :: krest, _ :: vrest when seeking && below k -> keys acc ~seeking krest vrest next
+          | k :: krest, v :: vrest ->
+              if above k then List.rev acc else keys ((k, List.rev v) :: acc) ~seeking:false krest vrest next
+          | [], [] -> ( match next with Some noid -> leaf acc ~seeking noid | None -> List.rev acc)
+          | _ -> corrupt "leaf keys and values differ in length"
         in
-        walk (seek_leaf x ops root min);
-        List.rev !acc
+        leaf [] ~seeking:(Option.is_some min) (seek_leaf x ops root min)
 
   (** All index node oids (for dropping the index). *)
   let node_oids x anchor_oid : oid list =
@@ -400,17 +402,18 @@ module Hashidx = struct
 
   let bucket_oid x (a : anchor) (i : int) : oid =
     let seg = ro x dir_seg_cls (nth_or a.a_buckets (i / dir_seg_cap) "directory segment missing") in
-    nth_or seg.d_slots (i mod dir_seg_cap) "bucket slot missing"
+    let slot = i mod dir_seg_cap in
+    if slot < Array.length seg.d_slots then seg.d_slots.(slot) else corrupt "bucket slot missing"
 
   let append_bucket x (a : anchor) (b : oid) : unit =
     let last = nth_or a.a_buckets (List.length a.a_buckets - 1) "directory has no segments" in
     let seg = ro x dir_seg_cls last in
-    if List.length seg.d_slots < dir_seg_cap then begin
+    if Array.length seg.d_slots < dir_seg_cap then begin
       let seg = rw x dir_seg_cls last in
-      seg.d_slots <- seg.d_slots @ [ b ]
+      seg.d_slots <- Array.append seg.d_slots [| b |]
     end
     else begin
-      let fresh = Object_store.insert x dir_seg_cls { d_slots = [ b ] } in
+      let fresh = Object_store.insert x dir_seg_cls { d_slots = [| b |] } in
       a.a_buckets <- a.a_buckets @ [ fresh ]
     end
 
@@ -455,7 +458,7 @@ module Hashidx = struct
     List.rev (List.filter_map (fun (k, o) -> if String.equal k key then Some o else None) b.pairs)
 
   let all_buckets x (a : anchor) : oid list =
-    List.concat_map (fun seg -> (ro x dir_seg_cls seg).d_slots) a.a_buckets
+    List.concat_map (fun seg -> Array.to_list (ro x dir_seg_cls seg).d_slots) a.a_buckets
 
   let scan x anchor_oid : (string * oid) list =
     let a = ro x anchor_cls anchor_oid in

@@ -209,6 +209,32 @@ let test_concurrent_iterators_blocked_on_write () =
   Cstore.close it1;
   Cstore.commit ct
 
+(* A closed iterator leaves its transaction: after 10 000 exact+close
+   pairs, constraint 2 still sees exactly the iterators that are open. *)
+let test_closed_iterators_leave_txn () =
+  let _, os = setup () in
+  let ct = Cstore.begin_ os in
+  let c = Cstore.open_collection ct ~name:"profile" ~schema:meter_cls
+      ~indexers:[ Indexer.Generic (id_ix ()); Indexer.Generic (usage_ix ()) ] in
+  for i = 1 to 10_000 do
+    Cstore.close (Cstore.exact ct c (id_ix ()) (i mod 10))
+  done;
+  let a = Cstore.exact ct c (id_ix ()) 3 in
+  let b = Cstore.exact ct c (id_ix ()) 4 in
+  Alcotest.(check bool) "write with two open" true
+    (match Cstore.write a with exception Cstore.Concurrent_iterators -> true | _ -> false);
+  Alcotest.(check bool) "delete with two open" true
+    (match Cstore.delete a with exception Cstore.Concurrent_iterators -> true | () -> false);
+  Cstore.close b;
+  Cstore.close b;
+  (Cstore.write a).print_count <- 5;
+  Cstore.close a;
+  Alcotest.(check bool) "closed iterator" true
+    (match Cstore.read a with exception Cstore.Iterator_closed -> true | _ -> false);
+  let usage_8 = collect (Cstore.range ct c (usage_ix ()) ~min:(Some 8) ~max:(Some 8)) in
+  Alcotest.(check (list int)) "update applied" [ 3; 8 ] (List.sort Int.compare (List.map (fun m -> m.id) usage_8));
+  Cstore.commit ct
+
 let test_delete_via_iterator () =
   let _, os = setup ~n:6 () in
   let ct = Cstore.begin_ os in
@@ -492,6 +518,7 @@ let () =
           Alcotest.test_case "insensitive (Halloween)" `Quick test_iterator_insensitive;
           Alcotest.test_case "deferred visibility" `Quick test_updates_invisible_until_close;
           Alcotest.test_case "concurrent iterators" `Quick test_concurrent_iterators_blocked_on_write;
+          Alcotest.test_case "closed iterators leave the txn" `Quick test_closed_iterators_leave_txn;
           Alcotest.test_case "delete" `Quick test_delete_via_iterator;
           Alcotest.test_case "open iterator blocks commit" `Quick test_commit_with_open_iterator_rejected;
         ] );

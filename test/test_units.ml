@@ -959,6 +959,120 @@ let test_concurrent_collection_torture () =
       Alcotest.(check int) "size agrees" !n (Cstore.size ct c))
 
 (* ------------------------------------------------------------------ *)
+(* Key comparison on canonical bytes                                   *)
+(* ------------------------------------------------------------------ *)
+
+let int_gen =
+  QCheck.Gen.(
+    oneof
+      [ int; int_range (-300) 300;
+        oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0; -1; 1; 63; 64; -64; -65; 8191; -8192 ] ])
+
+(* any bytes, >= 0x80 included; short, so prefixes and equal strings are common *)
+let string_gen =
+  QCheck.Gen.(string_size ~gen:(oneof [ char; oneofl [ '\000'; 'a'; '\127'; '\128'; '\255' ] ]) (int_range 0 6))
+
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [ float; float_range (-3.) 3.;
+        oneofl
+          [ nan; -.nan; Int64.float_of_bits 0x7ff0000000000001L; infinity; neg_infinity; 0.; -0.; min_float;
+            -.min_float; max_float; epsilon_float; 5e-324; -5e-324; 1.; -1. ] ])
+
+(* Pairs of values that often share a prefix: a string and one of its
+   prefixes or extensions, or a value and itself. *)
+let related_pair (gen : 'a QCheck.Gen.t) (grow : 'a -> 'a QCheck.Gen.t) : ('a * 'a) QCheck.Gen.t =
+  QCheck.Gen.(
+    gen >>= fun a ->
+    oneof [ map (fun b -> (a, b)) gen; return (a, a); map (fun b -> (a, b)) (grow a); map (fun b -> (b, a)) (grow a) ])
+
+let grow_string s =
+  QCheck.Gen.(
+    oneof
+      [ map (fun n -> String.sub s 0 (n mod (String.length s + 1))) nat; map (fun t -> s ^ t) string_gen ])
+
+let std_keys : (string * (string -> string -> int) * (string -> string -> int) * string QCheck.Gen.t) list =
+  (* name, in-place comparator, reference, canonical encodings *)
+  let open Tdb_collection in
+  let entry (type k) name (key : k Gkey.t) (gen : k QCheck.Gen.t) =
+    (name, Gkey.bytes_compare key, Gkey.decode_compare key, QCheck.Gen.map (Gkey.to_bytes key) gen)
+  in
+  [ entry "int" Gkey.int int_gen; entry "string" Gkey.string string_gen; entry "float" Gkey.float float_gen;
+    entry "pair int string" (Gkey.pair Gkey.int Gkey.string) QCheck.Gen.(pair int_gen string_gen);
+    entry "pair float (pair string int)"
+      (Gkey.pair Gkey.float (Gkey.pair Gkey.string Gkey.int))
+      QCheck.Gen.(pair float_gen (pair string_gen int_gen)) ]
+
+(* On canonical encodings the byte order is the value order. *)
+let qcheck_key_order (type k) name (key : k Tdb_collection.Gkey.t) (compare : k -> k -> int)
+    (pairs : (k * k) QCheck.Gen.t) =
+  QCheck.Test.make ~name:(name ^ ": bytes order like values") ~count:2000 (QCheck.make pairs) (fun (a, b) ->
+      let open Tdb_collection in
+      Gkey.bytes_compare key (Gkey.to_bytes key a) (Gkey.to_bytes key b) = compare a b)
+
+let qcheck_key_orders =
+  let open Tdb_collection in
+  [ qcheck_key_order "int" Gkey.int Int.compare (QCheck.Gen.pair int_gen int_gen);
+    qcheck_key_order "string" Gkey.string String.compare (related_pair string_gen grow_string);
+    qcheck_key_order "float" Gkey.float Float.compare (QCheck.Gen.pair float_gen float_gen);
+    qcheck_key_order "pair int string" (Gkey.pair Gkey.int Gkey.string)
+      (fun (a1, b1) (a2, b2) -> match Int.compare a1 a2 with 0 -> String.compare b1 b2 | c -> c)
+      (related_pair
+         QCheck.Gen.(pair (int_range (-2) 2) string_gen)
+         (fun (i, s) -> QCheck.Gen.map (fun s -> (i, s)) (grow_string s))) ]
+
+(* Arbitrary bytes: mostly damaged encodings (cut short, trailing bytes,
+   one byte changed), some noise and some hand-made bad varints. *)
+let damaged (enc : string QCheck.Gen.t) : string QCheck.Gen.t =
+  QCheck.Gen.(
+    let cut = enc >>= fun e -> map (fun n -> String.sub e 0 (n mod (String.length e + 1))) nat in
+    let trail = map2 ( ^ ) enc string_gen in
+    let flip =
+      enc >>= fun e ->
+      if e = "" then return e
+      else
+        map2
+          (fun i c -> String.mapi (fun j d -> if j = i mod String.length e then c else d) e)
+          nat char
+    in
+    let noise = string_size ~gen:char (int_range 0 12) in
+    let bad =
+      oneofl
+        [ String.make 10 '\255'; String.make 9 '\255' ^ "\001"; "\255\255\255\255\255\255\255\255\127";
+          "\255\255\255\255\255\255\255\255\127abc"; "\128"; "\005ab"; "" ]
+    in
+    frequency [ (3, enc); (3, cut); (2, trail); (3, flip); (2, noise); (1, bad) ])
+
+let qcheck_key_vs_reference (name, cmp, reference, enc) =
+  QCheck.Test.make ~name:(name ^ ": in place = decode then compare") ~count:3000
+    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b) (QCheck.Gen.pair (damaged enc) (damaged enc)))
+    (fun (a, b) ->
+      let run f = match f a b with c -> Ok c | exception Tdb_pickle.Pickle.Error _ -> Error () in
+      run cmp = run reference)
+
+(* Ordering two encodings allocates nothing: the loop's minor words are an
+   empty loop's. *)
+let test_key_compare_allocates_nothing () =
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let open Tdb_collection in
+  let case (type k) name (key : k Gkey.t) (a : k) (b : k) =
+    let cmp = Gkey.bytes_compare key and ea = Gkey.to_bytes key a and eb = Gkey.to_bytes key b in
+    let idle = words (fun () -> 0) in
+    Alcotest.(check (float 0.)) (name ^ ": minor words for 10 000 compares") idle (words (fun () -> cmp ea eb))
+  in
+  case "int" Gkey.int (-123456789) (-123456790);
+  case "string" Gkey.string (String.make 40 'k' ^ "a") (String.make 40 'k' ^ "b");
+  case "float" Gkey.float 2.5 nan;
+  case "pair int string" (Gkey.pair Gkey.int Gkey.string) (7, "owner-a") (7, "owner-b")
+
+(* ------------------------------------------------------------------ *)
 (* QCheck model tests for the index structures                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1006,6 +1120,117 @@ let index_model_test impl name =
 
 let qcheck_btree_model = index_model_test Tdb_collection.Indexer.Btree "btree matches model"
 let qcheck_hash_model = index_model_test Tdb_collection.Indexer.Hash "hash matches model"
+
+(* Ranges over [n] distinct keys in -300..300, whose zig-zag bytes do not
+   sort like the values, inserted in ascending, descending or shuffled
+   order. Some keys get a second oid. Bounds: open, crossed, absent from
+   the tree, and every present key on either side, so each leaf's last key
+   is one. *)
+let btree_range_matches_model (n, order, bounds) =
+  let open Tdb_collection in
+  let os = fresh_os () in
+  let x = Tdb_objstore.Object_store.begin_ os in
+  let anchor = Index.create_anchor x Indexer.Btree in
+  let iops = Index.ops_of ~index_name:"r" ~unique:false ~impl:Indexer.Btree Gkey.int in
+  let rng = Random.State.make [| n |] in
+  let all = Array.init 601 (fun i -> i - 300) in
+  (* a random subset of [n] keys, then put in [order] *)
+  for i = 600 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = all.(i) in
+    all.(i) <- all.(j);
+    all.(j) <- t
+  done;
+  let keys = Array.sub all 0 n in
+  (match order with
+  | `Asc -> Array.sort Int.compare keys
+  | `Desc -> Array.sort (fun a b -> Int.compare b a) keys
+  | `Shuffled -> ());
+  let model = ref [] and next = ref 0 in
+  let add k =
+    incr next;
+    Index.insert x iops anchor ~key:(Gkey.to_bytes Gkey.int k) ~oid:!next;
+    model := (k, !next) :: !model
+  in
+  Array.iter add keys;
+  Array.iter (fun k -> if k mod 7 = 0 then add k) keys;
+  let model = List.sort compare !model in
+  let ok = ref true in
+  let check lo hi =
+    let enc = Option.map (Gkey.to_bytes Gkey.int) in
+    let got = Index.range x iops anchor ~min:(enc lo) ~max:(enc hi) in
+    let inside k =
+      (match lo with None -> true | Some m -> k >= m) && match hi with None -> true | Some m -> k <= m
+    in
+    let expect = List.filter_map (fun (k, o) -> if inside k then Some o else None) model in
+    if got <> expect then ok := false
+  in
+  List.iter (fun (lo, hi) -> check lo hi) ((None, None) :: (Some 5, Some (-5)) :: bounds);
+  Array.iter
+    (fun k ->
+      check (Some k) (Some k);
+      check None (Some k);
+      check (Some k) None)
+    keys;
+  Tdb_objstore.Object_store.commit x;
+  !ok
+
+let qcheck_btree_range_model =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 0 601)
+        (oneofl [ `Asc; `Desc; `Shuffled ])
+        (list_size (int_range 0 40) (pair (opt (int_range (-310) 310)) (opt (int_range (-310) 310)))))
+  in
+  let print (n, order, _) =
+    let order = match order with `Asc -> "ascending" | `Desc -> "descending" | `Shuffled -> "shuffled" in
+    Printf.sprintf "%d keys %s" n order
+  in
+  QCheck.Test.make ~name:"btree range matches model" ~count:12 (QCheck.make ~print gen) btree_range_matches_model
+
+(* All 601 keys ascending leave 16-key leaves, 37 of them: more separators
+   than an internal node holds, so the root splits. *)
+let test_btree_range_split_root () =
+  Alcotest.(check bool) "ranges match the model" true
+    (btree_range_matches_model (601, `Asc, [ (Some (-5), Some 5); (Some 7, Some (-7)); (Some (-400), None) ]))
+
+(* A one-key range reads the keys up to the one it wants and the next, not
+   every key of the leaf against both bounds. Over 1 000 keys inserted in
+   a fixed shuffled order, the 1 000 one-key ranges made 56 251 compares
+   when every leaf key was tested against both bounds. *)
+let test_btree_range_compares () =
+  let open Tdb_collection in
+  let calls = ref 0 in
+  let key =
+    Gkey.custom
+      (module struct
+        type k = int
+
+        let name = "counted-int"
+
+        let compare a b =
+          incr calls;
+          Int.compare a b
+
+        let pickle = Tdb_pickle.Pickle.int
+        let unpickle = Tdb_pickle.Pickle.read_int
+      end)
+  in
+  let os = fresh_os () in
+  let x = Tdb_objstore.Object_store.begin_ os in
+  let anchor = Index.create_anchor x Indexer.Btree in
+  let iops = Index.ops_of ~index_name:"c" ~unique:false ~impl:Indexer.Btree key in
+  for i = 0 to 999 do
+    let k = i * 37 mod 1000 in
+    Index.insert x iops anchor ~key:(Gkey.to_bytes key k) ~oid:(1 + k)
+  done;
+  calls := 0;
+  for k = 0 to 999 do
+    let kb = Gkey.to_bytes key k in
+    Alcotest.(check (list int)) "one key" [ 1 + k ] (Index.range x iops anchor ~min:(Some kb) ~max:(Some kb))
+  done;
+  Tdb_objstore.Object_store.commit x;
+  if !calls >= 56_251 / 2 then Alcotest.failf "%d compares for 1 000 one-key ranges; want under %d" !calls (56_251 / 2)
 (* The list model spans commits and reopens. A collection whose only index
    is a list and a bare list anchor take the same inserts and deletes; both
    must agree with the model in count and in scan (insertion) order. Runs
@@ -1213,7 +1438,13 @@ let () =
       ( "torture",
         [ Alcotest.test_case "threads over collections" `Slow test_concurrent_collection_torture ] );
       ( "index-models",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_btree_model; qcheck_hash_model; qcheck_list_model ] );
+        Alcotest.test_case "btree one-key range compares" `Quick test_btree_range_compares
+        :: Alcotest.test_case "btree range, split root" `Quick test_btree_range_split_root
+        :: List.map QCheck_alcotest.to_alcotest
+             [ qcheck_btree_model; qcheck_btree_range_model; qcheck_hash_model; qcheck_list_model ] );
+      ( "key-compare",
+        Alcotest.test_case "allocates nothing" `Quick test_key_compare_allocates_nothing
+        :: List.map QCheck_alcotest.to_alcotest (qcheck_key_orders @ List.map qcheck_key_vs_reference std_keys) );
       ( "tpcb-support",
         [
           Alcotest.test_case "sim disk charges" `Quick test_sim_disk_charges;
