@@ -8,7 +8,15 @@ open Cmdliner
 
 let dir_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory.")
 
-let open_db dir = Tdb.open_existing (Tdb.Device.at_dir dir)
+(* Refuse a directory with no [db] file before the device creates one. *)
+let existing_device dir =
+  if not (Sys.file_exists (Filename.concat dir "db")) then begin
+    Printf.printf "no database in %s\n" dir;
+    exit 2
+  end;
+  Tdb.Device.at_dir dir
+
+let open_db dir = Tdb.open_existing (existing_device dir)
 
 let human_bytes n =
   if n > 1_048_576 then Printf.sprintf "%.2f MiB" (float_of_int n /. 1_048_576.)
@@ -44,19 +52,12 @@ let status_cmd =
 
 let verify_cmd =
   let run dir =
-    match
-      let db = open_db dir in
-      (* walk every chunk through the Merkle tree *)
-      let snap = Tdb.Chunk_store.snapshot db.Tdb.chunks in
-      let n =
-        Tdb.Chunk_store.fold_snapshot db.Tdb.chunks snap ~init:0 ~f:(fun acc _cid _data -> acc + 1)
-      in
-      Tdb.Chunk_store.release_snapshot db.Tdb.chunks snap;
-      Tdb.close db;
-      n
-    with
-    | n ->
-        Printf.printf "OK: %d chunks validated against the Merkle tree, anchor and counter\n" n
+    let d = existing_device dir in
+    match Tdb.Chunk_store.verify ~secret:d.Tdb.Device.secret ~counter:d.Tdb.Device.counter d.Tdb.Device.store with
+    | { Tdb.Chunk_store.replayed; dropped; counter_behind }, n ->
+        Printf.printf "OK: %d chunks validated against the Merkle tree, anchor and counter\n" n;
+        Printf.printf "open would replay %d residual commits, drop %d past the durable prefix, %s\n" replayed dropped
+          (if counter_behind then "and repair the counter (one behind)" else "counter in step")
     | exception Tdb.Tamper_detected msg ->
         Printf.printf "TAMPER DETECTED: %s\n" msg;
         exit 2
@@ -64,7 +65,7 @@ let verify_cmd =
         Printf.printf "UNRECOVERABLE: %s\n" msg;
         exit 2
   in
-  Cmd.v (Cmd.info "verify" ~doc:"Validate every chunk in the database against its hash tree.")
+  Cmd.v (Cmd.info "verify" ~doc:"Check the database as open would, and every chunk; writes nothing.")
     Term.(const run $ dir_arg)
 
 (* --- clean --- *)

@@ -205,44 +205,34 @@ let parse_name (name : string) : (int * [ `Full | `Incremental ]) option =
 
 (* --- backup creation --- *)
 
-(** Create a full backup; resets the incremental chain. Returns the backup
-    id. *)
-let backup_full t : int =
-  let st = load_state t in
+(* Snapshot, stream the difference from [base] (every chunk when [None]:
+   a full backup, which resets the incremental chain) into the archive,
+   and make the new snapshot the next base. Returns the backup id. *)
+let backup_from t (st : chain_state) ~(base : int option) : int =
   let snap = Chunk_store.snapshot t.cs in
-  let changed =
-    Chunk_store.fold_snapshot t.cs snap ~init:[] ~f:(fun acc cid data ->
-        if Int.equal cid state_cid then acc else (cid, data) :: acc)
-  in
+  let changed = ref [] and removed = ref [] in
+  Chunk_store.diff_snapshots t.cs ~old_id:base ~new_id:snap
+    ~changed:(fun cid data -> if not (Int.equal cid state_cid) then changed := (cid, data) :: !changed)
+    ~removed:(fun cid -> if not (Int.equal cid state_cid) then removed := cid :: !removed);
   let id = st.last_id + 1 in
-  let header = { id; kind = Full; seq = Chunk_store.snapshot_seq t.cs snap } in
-  let body = encode_body ~changed:(List.rev changed) ~removed:[] in
-  let stream, new_chain = frame t header body ~chain:"genesis" in
+  let kind, chain = match base with None -> (Full, "genesis") | Some _ -> (Incremental st.last_id, st.chain) in
+  let header = { id; kind; seq = Chunk_store.snapshot_seq t.cs snap } in
+  let body = encode_body ~changed:(List.rev !changed) ~removed:(List.rev !removed) in
+  let stream, new_chain = frame t header body ~chain in
   Tdb_platform.Archival_store.put t.archive ~name:(stream_name header) stream;
-  (match st.base_snapshot with Some old -> Chunk_store.release_snapshot t.cs old | None -> ());
+  Option.iter (Chunk_store.release_snapshot t.cs) st.base_snapshot;
   save_state t { last_id = id; chain = new_chain; base_snapshot = Some snap };
   id
+
+(** Create a full backup; resets the incremental chain. Returns the backup
+    id. *)
+let backup_full t : int = backup_from t (load_state t) ~base:None
 
 (** Create an incremental backup against the previous backup (full or
     incremental). Falls back to a full backup when there is no base. *)
 let backup_incremental t : int =
   let st = load_state t in
-  match st.base_snapshot with
-  | None -> backup_full t
-  | Some base ->
-      let snap = Chunk_store.snapshot t.cs in
-      let changed = ref [] and removed = ref [] in
-      Chunk_store.diff_snapshots t.cs ~old_id:base ~new_id:snap
-        ~changed:(fun cid data -> if not (Int.equal cid state_cid) then changed := (cid, data) :: !changed)
-        ~removed:(fun cid -> if not (Int.equal cid state_cid) then removed := cid :: !removed);
-      let id = st.last_id + 1 in
-      let header = { id; kind = Incremental st.last_id; seq = Chunk_store.snapshot_seq t.cs snap } in
-      let body = encode_body ~changed:(List.rev !changed) ~removed:(List.rev !removed) in
-      let stream, new_chain = frame t header body ~chain:st.chain in
-      Tdb_platform.Archival_store.put t.archive ~name:(stream_name header) stream;
-      Chunk_store.release_snapshot t.cs base;
-      save_state t { last_id = id; chain = new_chain; base_snapshot = Some snap };
-      id
+  backup_from t st ~base:st.base_snapshot
 
 (* --- replication ingest --- *)
 

@@ -11,7 +11,7 @@
       respect to crashes, durably or nondurably;
     - log-structured storage with cleaning, bounded by a configurable
       maximum utilization (grow-vs-clean policy, paper Section 7.3);
-    - cheap copy-on-write snapshots, foldable and diffable (the substrate
+    - cheap copy-on-write snapshots, diffable (the substrate
       for full/incremental backups).
 
     Concurrency: the chunk store itself is single-threaded; the object
@@ -728,52 +728,33 @@ let release_snapshot t (id : int) : unit =
 
 let snapshot_seq t id = (find_snapshot t id).snap_seq
 
-let read_in_snapshot t (e : entry) : chunk_id * string =
-  let plain = fetch t ~what:(fun () -> "snapshot chunk") e in
-  let cid, version, data = try parse_data_payload plain with Tdb_pickle.Pickle.Error _ -> tamper "malformed snapshot chunk" in
-  if not (Int.equal version e.version) then tamper "snapshot chunk version mismatch";
-  (cid, data)
-
-(** Fold over every chunk in a snapshot (full-backup substrate). *)
-let fold_snapshot t (id : int) ~(init : 'a) ~(f : 'a -> chunk_id -> string -> 'a) : 'a =
-  let s = find_snapshot t id in
-  match s.snap_root with
-  | None -> init
-  | Some root ->
-      let acc = ref init in
-      Location_map.walk_tree ~fanout:t.cfg.Config.map_fanout (fetch t) ~root
-        ~data:(fun cid e ->
-          let cid', data = read_in_snapshot t e in
-          if not (Int.equal cid' cid) then tamper "snapshot chunk id mismatch";
-          acc := f !acc cid data)
-        ~node:(fun _ -> ());
-      !acc
-
-(** Stream the differences between two snapshots (incremental-backup
-    substrate): [changed] for added/updated chunks, [removed] for
-    deallocated ones. Identical subtrees are pruned by Merkle hash. *)
-let diff_snapshots t ~(old_id : int) ~(new_id : int) ~(changed : chunk_id -> string -> unit)
+(** Stream the differences between two snapshots (the backup substrate):
+    [changed] for added/updated chunks, [removed] for deallocated ones.
+    Identical subtrees are pruned by Merkle hash; with no [old_id] every
+    chunk of the new snapshot is [changed], in ascending id order. *)
+let diff_snapshots t ~(old_id : int option) ~(new_id : int) ~(changed : chunk_id -> string -> unit)
     ~(removed : chunk_id -> unit) : unit =
-  let old_s = find_snapshot t old_id and new_s = find_snapshot t new_id in
-  Location_map.diff_trees ~fanout:t.cfg.Config.map_fanout (fetch t) ~old_root:old_s.snap_root
-    ~new_root:new_s.snap_root
+  let old_root = Option.bind old_id (fun id -> (find_snapshot t id).snap_root) in
+  Location_map.diff_trees ~fanout:t.cfg.Config.map_fanout (fetch t) ~old_root
+    ~new_root:(find_snapshot t new_id).snap_root
     ~changed:(fun cid e ->
-      let cid', data = read_in_snapshot t e in
-      if not (Int.equal cid' cid) then tamper "snapshot chunk id mismatch";
-      changed cid data)
+      match parse_data_payload (fetch t ~what:(fun () -> "snapshot chunk") e) with
+      | cid', version, data when Int.equal cid' cid && Int.equal version e.version -> changed cid data
+      | _ -> tamper "snapshot chunk %d identity mismatch" cid
+      | exception Tdb_pickle.Pickle.Error _ -> tamper "malformed snapshot chunk")
     ~removed
 
 (* ------------------------------------------------------------------ *)
 (* Creation, recovery, close                                           *)
 (* ------------------------------------------------------------------ *)
 
-let make_empty (cfg : Config.t) (sec : Security.t) counter store : t =
+let make_empty (cfg : Config.t) (sec : Security.t) counter store log : t =
   {
     cfg;
     sec;
     counter;
     store;
-    log = Log.create store cfg;
+    log;
     map = Location_map.create ~fanout:cfg.Config.map_fanout ~depth:cfg.Config.map_depth;
     pending = Hashtbl.create 16;
     allocated = Hashtbl.create 16;
@@ -797,7 +778,7 @@ let create ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
   Config.validate config;
   let sec = Security.create config secret in
-  let t = make_empty config sec counter store in
+  let t = make_empty config sec counter store (Log.create store config) in
   t.last_counter <- Tdb_platform.One_way_counter.read counter;
   t.chain <- Security.mac sec "tdb-chain-genesis";
   (* Invalidate both anchor slots, then write the initial one. *)
@@ -808,12 +789,15 @@ let create ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
 
 exception Recovery_failed of string
 
-(** Open an existing database, running crash recovery and tamper checks.
-    @raise Recovery_failed if no valid anchor is found (wiped or never
-    created store);
-    @raise Types.Tamper_detected on MAC/hash/counter violations. *)
-let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
-    ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
+type recovery = { replayed : int; dropped : int; counter_behind : bool }
+
+(** Crash recovery and tamper checks, reading only, so a refused open and
+    {!verify} change no evidence: the recovered store and what {!settle}
+    repairs. @raise Recovery_failed without a valid anchor, on a layout
+    mismatch or a shard's image; @raise Types.Tamper_detected on
+    MAC/hash/counter violations. *)
+let recover (config : Config.t) ~(secret : Tdb_platform.Secret_store.t) ~(counter : Tdb_platform.One_way_counter.t)
+    (store : Tdb_platform.Untrusted_store.t) : t * recovery =
   Config.validate config;
   let sec = Security.create config secret in
   let anchor =
@@ -834,26 +818,23 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
             "layout mismatch: database uses segment_size=%d fanout=%d depth=%d, configuration says %d/%d/%d"
             anchor.Anchor.segment_size anchor.Anchor.map_fanout anchor.Anchor.map_depth
             config.Config.segment_size config.Config.map_fanout config.Config.map_depth));
-  let t = make_empty config sec counter store in
+  (* The log in recovery mode: tail from the anchor, usage rebuilt below. *)
+  let usage = Hashtbl.create 64 in
+  let t =
+    make_empty config sec counter store
+      (Log.of_recovery store config ~tail_seg:anchor.Anchor.tail_seg ~tail_off:anchor.Anchor.tail_off ~usage)
+  in
   t.epoch <- anchor.Anchor.epoch;
   t.seq <- anchor.Anchor.seq;
   t.chain <- anchor.Anchor.chain;
   t.last_counter <- anchor.Anchor.counter;
   t.next_id <- anchor.Anchor.next_id;
   t.next_snap_id <- List.fold_left (fun acc (id, _, _) -> max acc (id + 1)) 1 anchor.Anchor.snapshots;
-  (* Rebind the log to recovery mode: tail from the anchor, usage rebuilt
-     below. *)
-  let usage = Hashtbl.create 64 in
-  let log =
-    Log.of_recovery store config ~tail_seg:anchor.Anchor.tail_seg ~tail_off:anchor.Anchor.tail_off ~usage
-  in
-  let t = { t with log } in
   (* Load the map root. *)
   (match anchor.Anchor.root with
   | None -> ()
   | Some root_e ->
-      let payload = fetch t ~what:(fun () -> "map root") root_e in
-      let root = Location_map.node_of_payload ~fanout:config.Config.map_fanout payload in
+      let root = Location_map.node_of_payload ~fanout:config.Config.map_fanout (fetch t ~what:(fun () -> "map root") root_e) in
       root.Location_map.disk <- Some root_e;
       t.map.Location_map.root <- root);
   (* Scan the residual log: verify the commit chain, collect commits. *)
@@ -865,8 +846,7 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
      Log.scan_chain t.log ~seg:anchor.Anchor.tail_seg ~off:(anchor.Anchor.tail_off)
        ~f:(fun kind (seg, poff) payload ->
          match kind with
-         | Data_chunk | Map_node -> () (* applied via commit records *)
-         | Next_segment -> ()
+         | Data_chunk | Map_node | Next_segment -> () (* applied via commit records *)
          | Commit -> (
              match
                (let plain = Security.unseal t.sec payload in
@@ -879,8 +859,7 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
                   let body = decode_commit_body encoded in
                   if not (Int.equal body.c_seq !expected_seq) then None else Some (body, link))
              with
-             | exception _ -> raise Exit
-             | None -> raise Exit
+             | exception _ | None -> raise Exit
              | Some (body, link) ->
                  chain := link;
                  incr expected_seq;
@@ -909,16 +888,14 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
   in
   let validated = keep commits in
   (* Keep the prefix up to the last durable commit. *)
-  let last_durable =
-    List.fold_left
-      (fun (idx, best) (body, _, _) ->
-        match body.c_kind with App { durable = true } -> (idx + 1, idx) | _ -> (idx + 1, best))
-      (0, -1) validated
-    |> snd
+  let durable (body, _, _) = match body.c_kind with App { durable } -> durable | Clean | Checkpoint -> false in
+  let rec durable_prefix = function
+    | [] -> []
+    | c :: rest -> ( match durable_prefix rest with [] when not (durable c) -> [] | kept -> c :: kept)
   in
-  let applied = List.filteri (fun i _ -> i <= last_durable) validated in
+  let applied = durable_prefix validated in
   List.iter
-    (fun (body, link, end_pos) ->
+    (fun (body, link, (seg, off)) ->
       List.iter
         (fun (cid, e) ->
           ignore (Location_map.set t.map (fetch t) cid e);
@@ -928,29 +905,23 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
       t.seq <- body.c_seq;
       t.chain <- link;
       t.last_counter <- (match body.c_kind with App { durable = true } -> body.c_counter | _ -> t.last_counter);
-      let seg, off = end_pos in
       t.log.Log.tail_seg <- seg;
       t.log.Log.tail_off <- off)
     applied;
   (* Replay-attack check against the one-way counter. hw = c_last is
      normal; hw = c_last - 1 means the last durable commit synced but the
-     counter increment was lost to a crash — repair by incrementing;
-     anything else is tampering (in particular, hw > c_last means durable
-     commits happened on a state that was later replayed). *)
-  if t.sec.Security.enabled then begin
-    let hw = Tdb_platform.One_way_counter.read counter in
-    if Int64.equal (Int64.add hw 1L) t.last_counter then
-      ignore (Tdb_platform.One_way_counter.increment counter)
-    else if not (Int64.equal hw t.last_counter) then
-      tamper "one-way counter mismatch (counter=%Ld, database=%Ld): %s" hw t.last_counter
-        (if hw > t.last_counter then "replay of stale state detected" else "counter rollback detected")
-  end;
+     counter increment was lost to a crash — {!settle} repairs it by
+     incrementing; anything else is tampering (in particular, hw > c_last
+     means durable commits happened on a state that was later replayed). *)
+  let hw = if t.sec.Security.enabled then Tdb_platform.One_way_counter.read counter else t.last_counter in
+  if not (Int64.equal hw t.last_counter || Int64.equal (Int64.add hw 1L) t.last_counter) then
+    tamper "one-way counter mismatch (counter=%Ld, database=%Ld): %s" hw t.last_counter
+      (if hw > t.last_counter then "replay of stale state detected" else "counter rollback detected");
   (* Rebuild usage from the recovered map: every data entry and every map
      node copy the anchor reaches, including nodes replay dirtied (open's
-     checkpoint below retires those once the new anchor lands). *)
-  Location_map.iter t.map (fetch t)
-    ~data:(fun _cid e -> Hashtbl.replace usage e.seg (Option.value ~default:0 (Hashtbl.find_opt usage e.seg) + Log.record_space e.len))
-    ~node:(fun e -> Hashtbl.replace usage e.seg (Option.value ~default:0 (Hashtbl.find_opt usage e.seg) + Log.record_space e.len));
+     checkpoint retires those once the new anchor lands). *)
+  let charge e = Hashtbl.replace usage e.seg (Option.value ~default:0 (Hashtbl.find_opt usage e.seg) + Log.record_space e.len) in
+  Location_map.iter t.map (fetch t) ~data:(fun _ e -> charge e) ~node:charge;
   (* Re-pin snapshot segments. *)
   t.snapshots <-
     List.map
@@ -959,17 +930,31 @@ let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_stor
         List.iter (fun s -> Log.pin t.log s) segs;
         (id, { snap_root = root; snap_seq = sseq; snap_segs = segs }))
       anchor.Anchor.snapshots;
-  Log.barrier t.log;
-  (* The session starts before the first seal: the map nodes of the
-     checkpoint below, whose anchor lands at epoch [t.epoch + 1] before the
-     application can seal anything. *)
-  Security.start_session sec secret ~counter:t.last_counter ~epoch:(t.epoch + 1);
-  (* Settle into a clean checkpointed state. *)
-  checkpoint t;
   (* Reserved chunk 2 held a shard router's decision table: a store that
      was written as one part of a wider database cannot be served alone. *)
   if Option.is_some (Location_map.find t.map (fetch t) 2) then
     raise (Recovery_failed "store was written as one shard of a sharded database");
+  let replayed = List.length applied in
+  (t, { replayed; dropped = List.length commits - replayed; counter_behind = not (Int64.equal hw t.last_counter) })
+
+(** The writes that take a recovered store into service, in order: extend
+    the store to its segments, repair a counter one behind, free what
+    recovery found empty, start the sealing session, checkpoint. *)
+let settle t ~(secret : Tdb_platform.Secret_store.t) (r : recovery) : unit =
+  Log.ensure_store_size t.log;
+  if r.counter_behind then ignore (Tdb_platform.One_way_counter.increment t.counter);
+  Log.barrier t.log;
+  (* The session starts before the first seal: the map nodes of the
+     checkpoint below, whose anchor lands at epoch [t.epoch + 1] before the
+     application can seal anything. *)
+  Security.start_session t.sec secret ~counter:t.last_counter ~epoch:(t.epoch + 1);
+  checkpoint t
+
+(** Open an existing database: {!recover}, then {!settle}. *)
+let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
+    ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
+  let t, r = recover config ~secret ~counter store in
+  settle t ~secret r;
   t
 
 (** Checkpoint and sync; the database can be reopened with
@@ -1009,6 +994,15 @@ let live_ids t : chunk_id list =
   let acc = ref [] in
   Location_map.iter t.map (fetch t) ~data:(fun cid _ -> acc := cid :: !acc) ~node:(fun _ -> ());
   List.sort Int.compare !acc
+
+(** {!recover} plus a validated read of every live chunk, lowest id first:
+    the verdict open would reach, and the chunk count, writing nothing. *)
+let verify ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
+    ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : recovery * int =
+  let t, r = recover config ~secret ~counter store in
+  let ids = live_ids t in
+  List.iter (fun cid -> ignore (read t cid)) ids;
+  (r, List.length ids)
 
 let utilization t = Log.utilization t.log
 let live_bytes t = Log.live_bytes t.log

@@ -18,7 +18,7 @@
       nondurable batch survives only once a later durable barrier lands).
     - {b Log-structured storage} with cleaning bounded by the
       [max_utilization] knob (grow-vs-clean policy, paper Section 7.3),
-      and cheap copy-on-write {!snapshot}s, foldable and diffable — the
+      and cheap copy-on-write {!snapshot}s, diffable — the
       substrate for full/incremental backups.
 
     Concurrency: the chunk store itself is single-threaded; the object
@@ -48,14 +48,30 @@ val open_existing :
   counter:Tdb_platform.One_way_counter.t ->
   Tdb_platform.Untrusted_store.t ->
   t
-(** Open an existing database: verifies the anchor, replays the residual
-    log (verifying the commit-chain MAC and every referenced payload),
-    discards trailing nondurable commits, and checks the one-way counter.
+(** Open an existing database: recovery verifies the anchor, replays the
+    residual log (verifying the commit-chain MAC and every referenced
+    payload), discards trailing nondurable commits and checks the one-way
+    counter, writing nothing; then open extends the store, repairs a
+    counter one behind and checkpoints.
     @raise Recovery_failed when no valid anchor exists, or when reserved
     chunk 2 holds a record: the store was written as one shard of a
     sharded database, which this version no longer serves.
     @raise Types.Tamper_detected on MAC/hash/counter violations (including
     replayed images). *)
+
+type recovery = { replayed : int; dropped : int; counter_behind : bool }
+(** What recovery found: residual-log commits replayed, commits dropped
+    past the durable prefix, and whether the one-way counter is one
+    behind (open increments it). *)
+
+val verify :
+  ?config:Config.t ->
+  secret:Tdb_platform.Secret_store.t ->
+  counter:Tdb_platform.One_way_counter.t ->
+  Tdb_platform.Untrusted_store.t ->
+  recovery * int
+(** Open's recovery plus a validated read of every live chunk, writing
+    nothing: the report and the chunk count, or the exception open raises. *)
 
 val close : t -> unit
 (** Checkpoint, sync and close the underlying store. *)
@@ -158,18 +174,16 @@ val snapshot : t -> int
 val release_snapshot : t -> int -> unit
 val snapshot_seq : t -> int -> int
 
-val fold_snapshot : t -> int -> init:'a -> f:('a -> Types.chunk_id -> string -> 'a) -> 'a
-(** Iterate every chunk of a snapshot (validated + decrypted). *)
-
 val diff_snapshots :
   t ->
-  old_id:int ->
+  old_id:int option ->
   new_id:int ->
   changed:(Types.chunk_id -> string -> unit) ->
   removed:(Types.chunk_id -> unit) ->
   unit
 (** Stream the difference between two snapshots, pruning identical
-    subtrees by Merkle hash — the incremental-backup primitive. *)
+    subtrees by Merkle hash — the backup primitive. From [old_id = None]
+    every chunk of [new_id] is [changed], ascending: a full backup. *)
 
 (** {1 Introspection} *)
 

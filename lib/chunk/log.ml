@@ -99,7 +99,22 @@ let prepare_read t ~lo ~hi = if buf_overlaps t ~lo ~hi then flush t
    other owner, so freezing it in place is sound: no one mutates it after
    this point. Saves a full copy on every record read. *)
 let string_of_read t ~off ~len : string =
-  Bytes.unsafe_to_string (Tdb_platform.Untrusted_store.read t.store ~off ~len)
+  let size = Tdb_platform.Untrusted_store.size t.store in
+  let b =
+    if off + len <= size then Tdb_platform.Untrusted_store.read t.store ~off ~len
+    else begin
+      (* past a truncated store's end: zeros, as [ensure_store_size]
+         adds inside its segments, so read-only recovery sees what open
+         sees once it has extended the store *)
+      let b = Bytes.make len '\000' in
+      if size > off then Bytes.blit (Tdb_platform.Untrusted_store.read t.store ~off ~len:(size - off)) 0 b 0 (size - off);
+      b
+    end
+  in
+  Bytes.unsafe_to_string b
+
+(* Where record parsing stops: the end of the segments, or of a longer store. *)
+let store_end t = max (Tdb_platform.Untrusted_store.size t.store) (seg_start t t.nsegments)
 
 let pin t seg = Hashtbl.replace t.pinned seg (1 + Option.value ~default:0 (Hashtbl.find_opt t.pinned seg))
 
@@ -115,56 +130,40 @@ let ensure_store_size t =
   let need = t.log_base + (t.nsegments * segment_size t) in
   if Tdb_platform.Untrusted_store.size t.store < need then Tdb_platform.Untrusted_store.set_size t.store need
 
-let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
-  let t =
-    {
-      store;
-      cfg;
-      log_base = 2 * cfg.Config.anchor_slot_size;
-      nsegments = cfg.Config.initial_segments;
-      usage = Hashtbl.create 64;
-      free = List.init (cfg.Config.initial_segments - 1) (fun i -> i + 1);
-      nfree = cfg.Config.initial_segments - 1;
-      pinned = Hashtbl.create 8;
-      residual = Hashtbl.create 16;
-      residual_bytes = 0;
-      tail_seg = 0;
-      tail_off = 0;
-      tail_buf = [];
-      held = None;
-      candidates = [];
-    }
-  in
-  ensure_store_size t;
-  t
-
 (** Reconstruct log state after recovery: the usage table is rebuilt by the
     chunk store (walking the recovered map), then it calls this to derive
     the free list. Fresh recovery counts as a barrier, and every segment
-    starts as a candidate, so that first barrier scans them all. *)
+    starts as a candidate, so that first barrier scans them all. Writes
+    nothing: a store shorter than its segments reads as zero-extended
+    until {!ensure_store_size} extends it. *)
 let of_recovery (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) ~(tail_seg : int) ~(tail_off : int)
     ~(usage : (int, int) Hashtbl.t) : t =
   let log_base = 2 * cfg.Config.anchor_slot_size in
   let store_size = Tdb_platform.Untrusted_store.size store in
   let nsegments = max cfg.Config.initial_segments ((store_size - log_base) / cfg.Config.segment_size) in
+  {
+    store;
+    cfg;
+    log_base;
+    nsegments;
+    usage;
+    free = [];
+    nfree = 0;
+    pinned = Hashtbl.create 8;
+    residual = Hashtbl.create 16;
+    residual_bytes = 0;
+    tail_seg;
+    tail_off;
+    tail_buf = [];
+    held = None;
+    candidates = List.init nsegments Fun.id;
+  }
+
+let create (store : Tdb_platform.Untrusted_store.t) (cfg : Config.t) : t =
+  let n = cfg.Config.initial_segments in
   let t =
-    {
-      store;
-      cfg;
-      log_base;
-      nsegments;
-      usage;
-      free = [];
-      nfree = 0;
-      pinned = Hashtbl.create 8;
-      residual = Hashtbl.create 16;
-      residual_bytes = 0;
-      tail_seg;
-      tail_off;
-      tail_buf = [];
-      held = None;
-      candidates = List.init nsegments Fun.id;
-    }
+    { (of_recovery store cfg ~tail_seg:0 ~tail_off:0 ~usage:(Hashtbl.create 64)) with
+      nsegments = n; free = List.init (n - 1) (fun i -> i + 1); nfree = n - 1; candidates = [] }
   in
   ensure_store_size t;
   t
@@ -348,7 +347,7 @@ let parse_record t ~(seg : int) ~(off : int) : (record_kind * int * string) opti
     let abs = seg_start t seg + off in
     (* guard the whole rest of the segment: header + payload in one check *)
     prepare_read t ~lo:abs ~hi:(seg_start t seg + segment_size t);
-    let limit = min (segment_size t - off) (Tdb_platform.Untrusted_store.size t.store - abs) in
+    let limit = min (segment_size t - off) (store_end t - abs) in
     if header_size > limit then None
     else
       match decode_header (string_of_read t ~off:abs ~len:header_size) ~off:0 ~limit with
@@ -364,7 +363,7 @@ let scan_segment t (seg : int) : (record_kind * int * string) list =
   let size = segment_size t in
   let base = seg_start t seg in
   prepare_read t ~lo:base ~hi:(base + size);
-  let avail = max 0 (min size (Tdb_platform.Untrusted_store.size t.store - base)) in
+  let avail = max 0 (min size (store_end t - base)) in
   if avail < header_size then []
   else begin
     let img = string_of_read t ~off:base ~len:avail in

@@ -58,7 +58,12 @@ val of_recovery :
   usage:(int, int) Hashtbl.t -> t
 (** Recovery-mode construction: tail from the anchor; the caller rebuilds
     [usage] by walking the recovered map and scans the residual chain
-    ({!scan_chain} marks its segments residual), then calls {!barrier}. *)
+    ({!scan_chain} marks its segments residual), then calls {!barrier}.
+    Writes nothing: until {!ensure_store_size}, bytes past a truncated
+    store's end and inside its segments read as zeros. *)
+
+val ensure_store_size : t -> unit
+(** Zero-extend the store to hold every segment. *)
 
 (** {1 Accounting} *)
 

@@ -141,7 +141,6 @@ let idle_maintenance (db : t) : unit = Object_store.with_store db.objects (fun c
 
 let with_txn ?durable (db : t) f = Object_store.with_txn ?durable db.objects f
 let with_ctxn ?durable (db : t) f = Cstore.with_ctxn ?durable db.objects f
-let begin_txn (db : t) = Object_store.begin_ db.objects
 let begin_ctxn (db : t) = Cstore.begin_ db.objects
 
 (* --- backups --- *)

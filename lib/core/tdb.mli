@@ -109,7 +109,6 @@ val idle_maintenance : t -> unit
 
 val with_txn : ?durable:bool -> t -> (Object_store.txn -> 'a) -> 'a
 val with_ctxn : ?durable:bool -> t -> (Cstore.t -> 'a) -> 'a
-val begin_txn : t -> Object_store.txn
 val begin_ctxn : t -> Cstore.t
 
 (** {1 Backups} *)

@@ -73,5 +73,3 @@ let cast : type a. a t -> packed_value -> a =
   match Witness.eq expected.witness cls.witness with
   | Some Witness.Eq -> v
   | None -> raise (Type_mismatch { expected = expected.name; actual = cls.name })
-
-let name_of (Value (cls, _) : packed_value) = cls.name

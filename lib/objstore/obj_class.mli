@@ -52,5 +52,3 @@ val unpickle_value : string -> packed_value
 val cast : 'a t -> packed_value -> 'a
 (** Recover the static type, checking the type witness.
     @raise Type_mismatch when the classes differ. *)
-
-val name_of : packed_value -> string

@@ -545,6 +545,172 @@ let test_exhaustive_bitflip_sweep () =
   Alcotest.(check bool) "flips in live data are detected" true (!detected > 0);
   Alcotest.(check bool) "flips in garbage are harmless" true (!harmless > 0)
 
+(* --- read-only verify --- *)
+
+(* A database whose one-way counter also lives in a byte image, so a test
+   can compare both images around a call. *)
+type images = {
+  db : Untrusted_store.Mem.handle;
+  db_store : Untrusted_store.t;
+  ctr_img : Untrusted_store.Mem.handle;
+  counter : One_way_counter.t;
+}
+
+let image_env () =
+  let db, db_store = Untrusted_store.open_mem () in
+  let ctr_img, ctr_store = Untrusted_store.open_mem () in
+  { db; db_store; ctr_img; counter = One_way_counter.open_store ctr_store }
+
+let test_secret = Secret_store.of_seed "test-device"
+let image_bytes im = (Untrusted_store.Mem.contents im.db, Untrusted_store.Mem.contents im.ctr_img)
+let verify_images ~config im = Chunk_store.verify ~config ~secret:test_secret ~counter:im.counter im.db_store
+let open_images ~config im = Chunk_store.open_existing ~config ~secret:test_secret ~counter:im.counter im.db_store
+
+(* [Some chunk_count] when the check passes, [None] when it refuses. *)
+let verdict f = match f () with n -> Some n | exception (Types.Tamper_detected _ | Chunk_store.Recovery_failed _) -> None
+let verify_verdict ~config im = verdict (fun () -> snd (verify_images ~config im))
+
+(* The reference verdict: open, then read every live chunk. *)
+let open_verdict ~config im =
+  verdict (fun () ->
+      let cs = open_images ~config im in
+      let ids = Chunk_store.live_ids cs in
+      List.iter (fun cid -> ignore (Chunk_store.read cs cid)) ids;
+      List.length ids)
+
+let test_verify_writes_nothing () =
+  let config = cfg () in
+  let im = image_env () in
+  let cs = Chunk_store.create ~config ~secret:test_secret ~counter:im.counter im.db_store in
+  List.iter (fun i -> let cid = Chunk_store.allocate cs in Chunk_store.write cs cid (Printf.sprintf "chunk-%02d" i)) (List.init 50 Fun.id);
+  Chunk_store.commit cs;
+  Chunk_store.close cs;
+  let st = Untrusted_store.stats im.db_store in
+  let before = image_bytes im and writes = st.Untrusted_store.writes and syncs = st.Untrusted_store.syncs in
+  let r, n = verify_images ~config im in
+  Alcotest.(check int) "every chunk" 50 n;
+  Alcotest.(check (pair int int)) "nothing to replay on a closed store" (0, 0) (r.Chunk_store.replayed, r.dropped);
+  Alcotest.(check bool) "counter in step" false r.counter_behind;
+  Alcotest.(check (pair string string)) "images unchanged" before (image_bytes im);
+  Alcotest.(check (pair int int)) "no write or sync" (writes, syncs) (st.writes, st.syncs);
+  (* the counter one behind (a crash between a durable sync and its
+     increment): verify reports the repair and leaves it, open makes it *)
+  let cs = open_images ~config im in
+  let behind = Untrusted_store.Mem.snapshot im.ctr_img in
+  let a = Chunk_store.allocate cs in
+  Chunk_store.write cs a "after";
+  Chunk_store.commit cs;
+  Chunk_store.close cs;
+  let v = One_way_counter.read im.counter in
+  Untrusted_store.Mem.restore im.ctr_img behind;
+  Alcotest.(check int64) "counter one behind" (Int64.pred v) (One_way_counter.read im.counter);
+  let before = image_bytes im in
+  let r, n = verify_images ~config im in
+  Alcotest.(check int) "every chunk, one behind" 51 n;
+  Alcotest.(check bool) "repair reported" true r.counter_behind;
+  Alcotest.(check (pair string string)) "images unchanged, one behind" before (image_bytes im);
+  let cs = open_images ~config im in
+  Alcotest.(check int64) "open repairs the counter" v (One_way_counter.read im.counter);
+  Alcotest.(check string) "state intact" "after" (Chunk_store.read cs a)
+
+(* The report counts what recovery replays and what it drops: two durable
+   commits and a nondurable one, all of which reached the media. *)
+let test_verify_reports_replay () =
+  let config = cfg () in
+  let im = image_env () in
+  let cs = Chunk_store.create ~config ~secret:test_secret ~counter:im.counter im.db_store in
+  List.iter
+    (fun durable ->
+      let cid = Chunk_store.allocate cs in
+      Chunk_store.write cs cid "v";
+      Chunk_store.commit ~durable cs)
+    [ true; true; false ];
+  Untrusted_store.Mem.crash ~persist_prob:1.0 ~rng:(fun _ -> 0) im.db;
+  let before = image_bytes im in
+  let r, n = verify_images ~config im in
+  Alcotest.(check (pair int int)) "two replayed, one dropped" (2, 1) (r.Chunk_store.replayed, r.dropped);
+  Alcotest.(check int) "durable chunks" 2 n;
+  Alcotest.(check (pair string string)) "images unchanged" before (image_bytes im);
+  Alcotest.(check int) "open keeps the same chunks" 2 (List.length (Chunk_store.live_ids (open_images ~config im)))
+
+(* Flip every 7th byte of a closed image: verify refuses exactly where
+   open-then-read-everything does, and agrees on the count elsewhere. *)
+let test_verify_agrees_on_bitflips () =
+  let config = cfg ~segment_size:2048 ~initial_segments:4 () in
+  let im = image_env () in
+  let cs = Chunk_store.create ~config ~secret:test_secret ~counter:im.counter im.db_store in
+  let ids = List.init 12 (fun _ -> Chunk_store.allocate cs) in
+  List.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "value-%04d" i)) ids;
+  Chunk_store.commit cs;
+  List.iteri (fun i cid -> if i mod 3 = 0 then Chunk_store.write cs cid "rewritten") ids;
+  Chunk_store.commit cs;
+  Chunk_store.close cs;
+  let pristine = Untrusted_store.Mem.snapshot im.db and ctr = Untrusted_store.Mem.snapshot im.ctr_img in
+  let refused = ref 0 and pos = ref 0 in
+  while !pos < Bytes.length pristine do
+    Untrusted_store.Mem.corrupt im.db ~off:!pos ~len:1 ~mask:0x10;
+    let v = verify_verdict ~config im in
+    if Option.is_none v then incr refused;
+    Alcotest.(check (option int)) (Printf.sprintf "flip at %d" !pos) (open_verdict ~config im) v;
+    Untrusted_store.Mem.restore im.db pristine;
+    Untrusted_store.Mem.restore im.ctr_img ctr;
+    pos := !pos + 7
+  done;
+  Alcotest.(check bool) "some flips refused" true (!refused > 0)
+
+(* Honest crash images always pass verify, with open's chunk count. *)
+let test_verify_passes_honest_crashes () =
+  let config = cfg ~segment_size:2048 ~initial_segments:4 ~checkpoint_every:8 () in
+  let im = image_env () in
+  let cs = Chunk_store.create ~config ~secret:test_secret ~counter:im.counter im.db_store in
+  let rng = Random.State.make [| 39 |] in
+  let ids = Array.init 8 (fun _ -> Chunk_store.allocate cs) in
+  for txn = 1 to 60 do
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      let cid = ids.(Random.State.int rng (Array.length ids)) in
+      Chunk_store.write cs cid (Printf.sprintf "txn-%d-%s" txn (String.make (Random.State.int rng 200) 'x'))
+    done;
+    Chunk_store.commit ~durable:(txn mod 3 <> 0) cs;
+    let db, db_store = Untrusted_store.Mem.clone im.db and ctr_img, ctr_store = Untrusted_store.Mem.clone im.ctr_img in
+    Untrusted_store.Mem.crash ~rng:(Random.State.int rng) db;
+    Untrusted_store.Mem.crash ~rng:(Random.State.int rng) ctr_img;
+    let crashed = { db; db_store; ctr_img; counter = One_way_counter.open_store ctr_store } in
+    let v = verify_verdict ~config crashed in
+    Alcotest.(check bool) (Printf.sprintf "txn %d image passes" txn) true (Option.is_some v);
+    Alcotest.(check (option int)) (Printf.sprintf "txn %d count" txn) (open_verdict ~config crashed) v
+  done
+
+(* Truncate a store that has grown past its initial segments, with a live
+   residual log, at every 509th byte: verify and open reach the same
+   verdict, and neither a verify nor a refused open changes the store's
+   size. *)
+let test_verify_agrees_on_truncation () =
+  let config = cfg ~segment_size:2048 ~initial_segments:4 () in
+  let im = image_env () in
+  let cs = Chunk_store.create ~config ~secret:test_secret ~counter:im.counter im.db_store in
+  let ids = List.init 30 (fun _ -> Chunk_store.allocate cs) in
+  List.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "%03d-%s" i (String.make 600 'v'))) ids;
+  Chunk_store.commit cs;
+  List.iteri (fun i cid -> if i mod 3 = 0 then Chunk_store.write cs cid "rewritten") ids;
+  Chunk_store.commit cs;
+  let pristine = Untrusted_store.Mem.snapshot im.db and ctr = Untrusted_store.Mem.snapshot im.ctr_img in
+  let full = Bytes.length pristine in
+  Alcotest.(check bool) "grown past the initial segments" true (full > 2048 * (2 + 4));
+  let passed = ref 0 and refused = ref 0 in
+  List.iter
+    (fun n ->
+      Untrusted_store.Mem.restore im.db (Bytes.sub pristine 0 n);
+      Untrusted_store.Mem.restore im.ctr_img ctr;
+      let v = verify_verdict ~config im in
+      Alcotest.(check int) (Printf.sprintf "verify keeps size %d" n) n (Untrusted_store.size im.db_store);
+      let o = open_verdict ~config im in
+      if Option.is_none o then
+        Alcotest.(check int) (Printf.sprintf "refused open keeps size %d" n) n (Untrusted_store.size im.db_store);
+      Alcotest.(check (option int)) (Printf.sprintf "truncated to %d" n) o v;
+      incr (if Option.is_some v then passed else refused))
+    (List.init ((full / 509) + 1) (fun i -> i * 509) @ [ full ]);
+  Alcotest.(check bool) "some truncations pass, some are refused" true (!passed > 0 && !refused > 0)
+
 let test_no_plaintext_on_media () =
   let env = fresh_env () in
   let cs = create env in
@@ -881,6 +1047,14 @@ let test_clean_skips_forged_ids () =
 
 (* --- snapshots and diffs --- *)
 
+(* Every chunk of a snapshot, ascending: a diff from no base. *)
+let snapshot_contents cs snap =
+  let acc = ref [] in
+  Chunk_store.diff_snapshots cs ~old_id:None ~new_id:snap
+    ~changed:(fun cid data -> acc := (cid, data) :: !acc)
+    ~removed:(fun cid -> Alcotest.failf "a diff from no base removed chunk %d" cid);
+  List.rev !acc
+
 let test_snapshot_isolation () =
   let env = fresh_env () in
   let cs = create env in
@@ -890,7 +1064,7 @@ let test_snapshot_isolation () =
   let snap = Chunk_store.snapshot cs in
   Chunk_store.write cs a "new";
   Chunk_store.commit cs;
-  let contents = Chunk_store.fold_snapshot cs snap ~init:[] ~f:(fun acc cid data -> (cid, data) :: acc) in
+  let contents = snapshot_contents cs snap in
   Alcotest.(check (list (pair int string))) "snapshot sees old" [ (a, "old") ] contents;
   Alcotest.(check string) "live sees new" "new" (Chunk_store.read cs a);
   Chunk_store.release_snapshot cs snap
@@ -913,7 +1087,7 @@ let test_snapshot_diff () =
   Chunk_store.commit cs;
   let s2 = Chunk_store.snapshot cs in
   let changed = ref [] and removed = ref [] in
-  Chunk_store.diff_snapshots cs ~old_id:s1 ~new_id:s2
+  Chunk_store.diff_snapshots cs ~old_id:(Some s1) ~new_id:s2
     ~changed:(fun cid data -> changed := (cid, data) :: !changed)
     ~removed:(fun cid -> removed := cid :: !removed);
   Alcotest.(check (list (pair int string))) "changed" [ (b, "b2"); (d, "d1") ] (List.sort compare !changed);
@@ -932,7 +1106,7 @@ let test_snapshot_survives_reopen () =
   Chunk_store.commit cs;
   Chunk_store.close cs;
   let cs2 = reopen env in
-  let contents = Chunk_store.fold_snapshot cs2 snap ~init:[] ~f:(fun acc cid data -> (cid, data) :: acc) in
+  let contents = snapshot_contents cs2 snap in
   Alcotest.(check (list (pair int string))) "snapshot persisted" [ (a, "snapped") ] contents;
   Chunk_store.release_snapshot cs2 snap
 
@@ -949,7 +1123,7 @@ let test_snapshot_protects_from_cleaner () =
     Array.iter (fun cid -> Chunk_store.write cs cid (Printf.sprintf "new-%d" r)) ids;
     Chunk_store.commit cs
   done;
-  let contents = Chunk_store.fold_snapshot cs snap ~init:[] ~f:(fun acc _ d -> d :: acc) in
+  let contents = List.map snd (snapshot_contents cs snap) in
   Alcotest.(check int) "all snapshot chunks readable" 20 (List.length contents);
   List.iter (fun d -> Alcotest.(check bool) "original data" true (String.length d >= 6 && String.sub d 0 4 = "orig")) contents;
   Chunk_store.release_snapshot cs snap
@@ -1468,6 +1642,14 @@ let () =
           Alcotest.test_case "sharded image refused" `Quick test_sharded_image_refused;
           Alcotest.test_case "IVs unique across reopen" `Quick test_iv_unique_across_reopen;
           Alcotest.test_case "IVs unique across crash" `Quick test_iv_unique_across_crash;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "writes nothing" `Quick test_verify_writes_nothing;
+          Alcotest.test_case "reports replay" `Quick test_verify_reports_replay;
+          Alcotest.test_case "agrees with open on bit flips" `Quick test_verify_agrees_on_bitflips;
+          Alcotest.test_case "passes honest crash images" `Quick test_verify_passes_honest_crashes;
+          Alcotest.test_case "agrees with open on truncation" `Quick test_verify_agrees_on_truncation;
         ] );
       ( "tamper",
         [

@@ -713,7 +713,7 @@ let test_list_insert_leaves_anchor () =
   done;
   let after = Chunk_store.snapshot cs in
   let changed = ref [] in
-  Chunk_store.diff_snapshots cs ~old_id:before ~new_id:after
+  Chunk_store.diff_snapshots cs ~old_id:(Some before) ~new_id:after
     ~changed:(fun cid _ -> changed := cid :: !changed)
     ~removed:(fun cid -> Alcotest.failf "chunk %d removed" cid);
   Alcotest.(check bool) "anchor chunk unchanged" false (List.mem anchor !changed);
