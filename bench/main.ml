@@ -196,14 +196,23 @@ let micro () : (string * float) list =
   (* the one-way counter's two-slot emulation over an in-memory store: one
      bump per durable commit *)
   let owc = Tdb_platform.One_way_counter.open_store (snd (Tdb_platform.Untrusted_store.open_mem ())) in
-  (* an LRU at its budget whose LRU end holds 2 000 pinned entries: a put
-     over budget walks from that end *)
+  (* a cache at its budget whose oldest 2 000 entries are pinned: a put
+     over budget walks from the oldest end *)
   let pinned_lru =
     let c = Tdb_chunk.Lru.create ~budget:2000 in
     for k = 1 to 2000 do
       Tdb_chunk.Lru.pin (Tdb_chunk.Lru.put c k () ~size:1)
     done;
     c
+  in
+  (* a cache of 5 000 entries under its budget: a run finds the next key,
+     cycling through all of them *)
+  let hit_lru, hit_key =
+    let c = Tdb_chunk.Lru.create ~budget:5000 in
+    for k = 0 to 4999 do
+      ignore (Tdb_chunk.Lru.put c k () ~size:1)
+    done;
+    (c, ref 0)
   in
   (* a churned store under the default cipher (Triple-AES), closed once:
      every clean-pass run opens its own copy of that image, so each run
@@ -319,6 +328,10 @@ let micro () : (string * float) list =
         (Staged.stage (fun () ->
              ignore (Tdb_chunk.Lru.put pinned_lru 0 () ~size:1);
              Tdb_chunk.Lru.remove pinned_lru 0));
+      Test.make ~name:"lru-hit"
+        (Staged.stage (fun () ->
+             hit_key := (!hit_key + 1) mod 5000;
+             Tdb_chunk.Lru.find hit_lru !hit_key));
       Test.make ~name:"object-open" (Staged.stage open_objects);
       Test.make ~name:"object-reopen" (Staged.stage reopen);
       Test.make ~name:"key-compare-int" (Staged.stage (fun () -> key_cmp key_a key_b));

@@ -8,13 +8,22 @@ open Cmdliner
 
 let dir_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory.")
 
-(* Refuse a directory with no [db] file before the device creates one. *)
+(* Refuse a directory with no [db] or no [secret] file before the device
+   creates one, and a counter that holds no valid slot before anything
+   writes it. *)
 let existing_device dir =
-  if not (Sys.file_exists (Filename.concat dir "db")) then begin
-    Printf.printf "no database in %s\n" dir;
-    exit 2
-  end;
-  Tdb.Device.at_dir dir
+  List.iter
+    (fun (file, what) ->
+      if not (Sys.file_exists (Filename.concat dir file)) then begin
+        Printf.printf "no %s in %s\n" what dir;
+        exit 2
+      end)
+    [ ("db", "database"); ("secret", "device secret") ];
+  match Tdb.Device.at_dir dir with
+  | d -> d
+  | exception Tdb.One_way_counter.Unreadable msg ->
+      Printf.printf "UNREADABLE COUNTER: %s\n" msg;
+      exit 2
 
 let open_db dir = Tdb.open_existing (existing_device dir)
 

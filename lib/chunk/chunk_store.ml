@@ -269,6 +269,7 @@ let do_checkpoint t : unit =
      reached it until [write_anchor] above. *)
   List.iter (Log.obsolete_entry t.log) !retired;
   Log.end_checkpoint t.log;
+  Location_map.trim t.map ~keep:t.cfg.Config.map_leaves;
   t.commits_since_cp <- 0;
   t.stats.checkpoints <- t.stats.checkpoints + 1
 

@@ -32,6 +32,9 @@ type t = {
           cleaner cannot touch *)
   map_fanout : int;
   map_depth : int; (** map covers [map_fanout ^ map_depth] chunk ids *)
+  map_leaves : int;
+      (** leaf map nodes a checkpoint leaves in memory before it unloads
+          the ones no lookup reached since the previous checkpoint *)
   clean_batch : int; (** max segments reclaimed per cleaning pass *)
   chunk_cache_bytes : int;
       (** budget for the verified-chunk read cache (decrypted plaintext
@@ -57,6 +60,7 @@ let default =
     checkpoint_residual_bytes = 768 * 1024;
     map_fanout = 64;
     map_depth = 4;
+    map_leaves = 1024;
     clean_batch = 8;
     chunk_cache_bytes = 1024 * 1024;
     domains = 1;
@@ -75,6 +79,7 @@ let validate (c : t) =
   if not (c.max_utilization > 0.05 && c.max_utilization < 0.98) then
     invalid_arg "Config: max_utilization out of (0.05, 0.98)";
   if c.map_fanout < 2 || c.map_depth < 2 then invalid_arg "Config: map too small";
+  if c.map_leaves < 0 then invalid_arg "Config: map_leaves negative";
   if c.checkpoint_every < 1 then invalid_arg "Config: checkpoint_every < 1";
   if c.checkpoint_residual_bytes < 4 * c.segment_size then
     invalid_arg "Config: checkpoint_residual_bytes must cover a few segments";

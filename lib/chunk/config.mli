@@ -35,6 +35,12 @@ type t = {
           cleaner cannot touch *)
   map_fanout : int;
   map_depth : int;  (** the map covers [map_fanout ^ map_depth] chunk ids *)
+  map_leaves : int;
+      (** Bound on the leaf map nodes held in memory. Once more are
+          loaded, each checkpoint unloads the clean leaves no lookup
+          reached since the previous checkpoint; a later lookup fetches
+          and checks them again. A filled leaf holds [map_fanout] entries
+          of 11 words each. *)
   clean_batch : int;  (** max segments reclaimed per cleaning pass *)
   chunk_cache_bytes : int;
       (** budget for the verified-chunk read cache ({!Chunk_cache}):

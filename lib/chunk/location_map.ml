@@ -13,7 +13,10 @@
     store (which reads the untrusted store, checks the recorded hash and
     decrypts). Dirty nodes live only in memory until the next checkpoint
     writes them out bottom-up — the paper's "modified portions of the
-    location map ... written opportunistically at checkpoints". *)
+    location map ... written opportunistically at checkpoints". Once
+    more leaves are loaded than the store's bound, {!trim} unloads the
+    clean ones no lookup reached since the previous trim, so a store that
+    keeps adding chunks does not keep every entry in memory. *)
 
 open Types
 
@@ -32,6 +35,7 @@ and node = {
   kids : kid array;
   mutable disk : entry option; (* the on-disk copy the current anchor reaches *)
   mutable dirty : bool; (* changed since [disk]; a dirty node's ancestors are dirty *)
+  mutable used : bool; (* leaf: a lookup reached it since the last {!trim} passed it *)
 }
 
 type t = { fanout : int; depth : int; mutable root : node }
@@ -50,7 +54,7 @@ let leaf_entry (k : kid) : entry option =
   | Entry { seg; off; len; hash; version } -> Some { seg; off; len; hash; version }
   | Node _ | Unloaded _ -> tamper "node entry at leaf map level"
 
-let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout Empty; disk = None; dirty = true }
+let fresh_node ~fanout ~level ~base = { level; base; kids = Array.make fanout Empty; disk = None; dirty = true; used = false }
 
 let create ~fanout ~depth =
   { fanout; depth; root = fresh_node ~fanout ~level:(depth - 1) ~base:0 }
@@ -154,7 +158,10 @@ let load_child t (fetch : fetch) (parent : node) (i : int) : node option =
 (** Descend to the leaf covering [cid]. [create_path] materializes missing
     interior nodes (for writes). *)
 let rec descend t fetch (n : node) ~create_path (cid : chunk_id) : node option =
-  if n.level = 0 then Some n
+  if n.level = 0 then begin
+    n.used <- true;
+    Some n
+  end
   else begin
     let i = slot_of t cid n.level in
     match load_child t fetch n i with
@@ -254,6 +261,35 @@ let checkpoint t ~(write_node : string -> entry) ~(retire : entry -> unit) : ent
     n.disk
   in
   flush t.root
+
+(* ------------------------------------------------------------------ *)
+(* Residency                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let resident_leaves t : int =
+  let rec go (n : node) =
+    if n.level = 0 then 1 else Array.fold_left (fun acc kid -> match kid with Node c -> acc + go c | _ -> acc) 0 n.kids
+  in
+  go t.root
+
+(** With more than [keep] leaves in memory, unload every clean leaf no
+    lookup reached since the previous trim (its parent slot goes back to
+    [Unloaded] of the leaf's on-disk entry, which the next lookup fetches
+    and checks again) and clear the mark of the others. A dirty leaf
+    stays: its [disk] copy is stale. Interior nodes stay. *)
+let trim t ~(keep : int) : unit =
+  let rec go (n : node) =
+    if n.level = 1 then
+      Array.iteri
+        (fun i kid ->
+          match kid with
+          | Node ({ dirty = false; disk = Some e; _ } as leaf) ->
+              if leaf.used then leaf.used <- false else n.kids.(i) <- Unloaded e
+          | _ -> ())
+        n.kids
+    else Array.iter (function Node c -> go c | _ -> ()) n.kids
+  in
+  if resident_leaves t > keep then go t.root
 
 (** Number of dirty nodes, walking only those — used to pre-reserve log
     space before a checkpoint. *)

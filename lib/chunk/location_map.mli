@@ -8,7 +8,8 @@
 
     Nodes load lazily through a [fetch] callback (which reads the
     untrusted store, checks the recorded hash and decrypts); dirty nodes
-    live in memory until {!checkpoint} writes them bottom-up.
+    live in memory until {!checkpoint} writes them bottom-up, and {!trim}
+    unloads clean leaves again.
 
     Recovery starts from the anchored tree, so a node's [disk] copy stays
     live until a checkpoint rewrites or empties the node, even while the
@@ -30,6 +31,7 @@ and node = {
   kids : kid array;
   mutable disk : entry option;  (** the on-disk copy the current anchor reaches *)
   mutable dirty : bool;  (** changed since [disk]; a dirty node's ancestors are dirty *)
+  mutable used : bool;  (** leaf: a lookup reached it since the last {!trim} passed it *)
 }
 
 type t = { fanout : int; depth : int; mutable root : node }
@@ -69,6 +71,16 @@ val find_node : t -> fetch -> level:int -> base:int -> node option
 
 val root_entry : t -> entry option
 (** The root's on-disk entry; [None] while dirty or empty. *)
+
+val resident_leaves : t -> int
+(** Leaf nodes in memory. *)
+
+val trim : t -> keep:int -> unit
+(** With more than [keep] leaves in memory, unload every clean leaf that
+    no {!find}, {!set} or {!remove} reached since the previous trim, and
+    clear that mark on the others; a later lookup fetches and checks the
+    leaf again. Dirty leaves and interior nodes stay. Called after a
+    checkpoint's anchor lands, when every leaf is clean. *)
 
 val count_dirty : t -> int
 (** Dirty nodes (walks only those). *)

@@ -1,21 +1,25 @@
-(** A byte-budgeted LRU map from int keys to values, with pin counts.
+(** A byte-budgeted cache map from int keys to values, with pin counts and
+    second-chance (CLOCK) replacement.
 
     Both cache tiers run on it (see DESIGN.md, "Caching"): the object
     store keeps unpickled objects in one, pinned while a transaction
     references them (no-steal, paper Section 4.2.2); {!Chunk_cache} keeps
     verified chunk payloads in one and adds its version guard on top.
 
-    Every entry is charged the [size] its caller gives it. Whenever the
-    total exceeds the budget, eviction walks from the least recently used
-    end and drops unpinned entries until the total fits or no entry is
-    left to walk. A pinned entry the walk meets is parked: taken off the
-    list (it stays in the map and is still found) until its last
-    {!unpin}, so a walk costs the entries it evicts or parks and passes a
-    pinned entry at most once per pin period. [pin], and [unpin] of an
-    entry that is not parked, make no list operation of their own. The
-    total may exceed the budget only by pinned entries plus the entry
-    just put. The structure is unsynchronized: callers serialize
-    access. *)
+    Every entry is charged the [size] its caller gives it. Entries sit in
+    the order they joined, oldest first. A hit only sets the entry's
+    referenced bit: it moves nothing and allocates nothing beyond the
+    returned option. Whenever the total exceeds the budget, eviction walks
+    from the oldest entry until the total fits or no entry is left to
+    walk. An unpinned entry whose bit is set has it cleared and rejoins at
+    the young end (its second chance); one whose bit is clear is dropped.
+    A pinned entry the walk meets is parked: taken off the list (it stays
+    in the map and is still found) until its last {!unpin}, so a walk
+    passes a pinned entry at most once per pin period and a referenced one
+    at most once per hit. [pin], and [unpin] of an entry that is not
+    parked, make no list operation of their own. The total may exceed the
+    budget only by pinned entries plus the entry just put. The structure
+    is unsynchronized: callers serialize access. *)
 
 type 'v entry
 type 'v t
@@ -25,20 +29,21 @@ val create : budget:int -> 'v t
 val value : 'v entry -> 'v
 
 val find : ?valid:('v -> bool) -> 'v t -> int -> 'v entry option
-(** A hit moves the entry to the MRU end, or leaves a parked entry
-    parked. An entry whose value fails [valid] is dropped and counted as
-    a miss, not as an eviction. *)
+(** A hit sets the entry's referenced bit and leaves it where it is, a
+    parked entry parked. An entry whose value fails [valid] is dropped and
+    counted as a miss, not as an eviction. *)
 
 val put : 'v t -> int -> 'v -> size:int -> 'v entry
 (** Insert, or replace the value and size of the entry already there (its
-    pins are kept). Eviction runs before the entry joins the MRU end (a
-    parked entry stays parked), so a put never evicts its own entry: one
-    larger than the budget stays until the next walk. *)
+    pins and referenced bit are kept). Eviction runs before the entry
+    joins the young end (a parked entry stays parked), so a put never
+    evicts its own entry: one larger than the budget stays until the next
+    walk. *)
 
 val pin : 'v entry -> unit
 
 val unpin : 'v t -> 'v entry -> unit
-(** Drop one pin. At the last one a parked entry re-enters at the MRU
+(** Drop one pin. At the last one a parked entry re-enters at the young
     end; then eviction runs if over budget.
     @raise Invalid_argument if the entry is not pinned. *)
 
@@ -51,6 +56,10 @@ val update_size : 'v t -> 'v entry -> size:int -> unit
 val drop_all : 'v t -> unit
 (** Drop every entry; the counters are kept.
     @raise Invalid_argument (dropping nothing) if any entry is pinned. *)
+
+val mem : 'v t -> int -> bool
+(** Whether the key has an entry. Unlike {!find}, it counts nothing and
+    sets no bit. *)
 
 val stats : 'v t -> int * int * int
 (** [(hits, misses, evictions)] since creation. *)

@@ -12,6 +12,8 @@ type t = {
   increment : unit -> int64; (* returns the new value *)
 }
 
+exception Unreadable of string
+
 let read t = t.read ()
 let increment t = t.increment ()
 
@@ -71,13 +73,15 @@ let open_store (store : Untrusted_store.t) : t =
       v
     end
   in
-  (* Per-slot view: which value (if any) each slot currently holds. *)
+  (* Per-slot view: which value (if any) each slot currently holds; a slot
+     the store does not hold in full holds none. *)
   let slot_values () : int64 option * int64 option =
-    let sz = Untrusted_store.size store in
-    if sz < 2 * slot_len then (None, None)
+    let full = min 2 (Untrusted_store.size store / slot_len) in
+    if full = 0 then (None, None)
     else begin
-      let buf = Untrusted_store.read store ~off:0 ~len:(2 * slot_len) in
-      (decode_slot 0 (Bytes.sub_string buf 0 slot_len), decode_slot 1 (Bytes.sub_string buf slot_len slot_len))
+      let buf = Untrusted_store.read store ~off:0 ~len:(full * slot_len) in
+      let slot i = if i < full then decode_slot i (Bytes.sub_string buf (i * slot_len) slot_len) else None in
+      (slot 0, slot 1)
     end
   in
   let max_of = function
@@ -92,9 +96,15 @@ let open_store (store : Untrusted_store.t) : t =
     memo.(i) <- (s, Some v);
     Untrusted_store.sync store
   in
-  (* Initialize both slots if empty. *)
+  (* Initialize both slots only while no byte past slot 0 was written:
+     the first initialization syncs slot 0 before it writes slot 1, so a
+     store that reaches slot 1 and holds no valid slot is not a torn
+     initialization. Zeroing it would roll the counter back. *)
   (match slot_values () with
   | None, None ->
+      let size = Untrusted_store.size store in
+      if size > slot_len then
+        raise (Unreadable (Printf.sprintf "no valid slot in %d bytes of counter state" size));
       write_slot 0 0L;
       write_slot 1 0L
   | _ -> ());

@@ -8,6 +8,11 @@
 
 type t = { read : unit -> int64; increment : unit -> int64 (** returns the new value *) }
 
+exception Unreadable of string
+(** Raised by {!open_store} when the store holds more than one slot's bytes
+    and no slot decodes: a garbled counter, not a torn first
+    initialization. Nothing is written. *)
+
 val read : t -> int64
 val increment : t -> int64
 
@@ -25,8 +30,11 @@ val open_store : Untrusted_store.t -> t
 (** Counter emulated over an untrusted byte store: the value sits in two
     checksummed slots; each increment writes the slot {e not} holding the
     current maximum and syncs, so a torn slot write never rolls the counter
-    back. The fault-injection harness instruments this store to crash the
-    counter protocol at every write/sync boundary. *)
+    back. A store holding at most one slot's bytes and no valid slot (a
+    torn first initialization) is initialized to 0.
+    The fault-injection harness instruments this store to crash the
+    counter protocol at every write/sync boundary.
+    @raise Unreadable if the store holds more and no slot decodes. *)
 
 val open_file : string -> t
 (** {!open_store} over a file-backed store — the paper's NTFS-file

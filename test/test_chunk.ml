@@ -1599,6 +1599,65 @@ let trace_image () =
   Chunk_store.close !cs;
   Untrusted_store.Mem.contents env.mem
 
+(* Unloading clean map leaves changes what a store holds in memory, not
+   what it writes: one trace of writes, reads, idle cleans and a reopen
+   under fanout 4, run with a zero leaf bound and with none, leaves the
+   same image and reads the same chunks; the bounded store fetches map
+   nodes again, so it makes more read calls. *)
+let map_trim_trace ~map_leaves =
+  let config =
+    { (cfg ~max_utilization:0.8 ~checkpoint_every:8 ()) with Config.map_fanout = 4; map_depth = 6; map_leaves }
+  in
+  let env = fresh_env () in
+  let lcg = ref 7 in
+  let next bound =
+    lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
+    !lcg mod bound
+  in
+  let cs = ref (create ~config env) in
+  let ids = Array.init 120 (fun _ -> Chunk_store.allocate !cs) in
+  let expect = Hashtbl.create 128 in
+  Array.iter
+    (fun cid ->
+      Chunk_store.write !cs cid "initial";
+      Hashtbl.replace expect cid "initial")
+    ids;
+  Chunk_store.commit ~durable:true !cs;
+  let check_some n =
+    for _ = 1 to n do
+      let cid = ids.(next 120) in
+      Alcotest.(check string) "read back" (Hashtbl.find expect cid) (Chunk_store.read !cs cid)
+    done
+  in
+  for r = 0 to 59 do
+    for _ = 1 to 6 do
+      let cid = ids.(next 120) in
+      let d = Printf.sprintf "r%d-c%d-%s" r cid (String.make (16 + next 100) 'm') in
+      Chunk_store.write !cs cid d;
+      Hashtbl.replace expect cid d
+    done;
+    Chunk_store.commit ~durable:(r mod 4 = 0) !cs;
+    check_some 4;
+    if r mod 20 = 19 then Chunk_store.clean !cs;
+    if r = 40 then begin
+      Chunk_store.close !cs;
+      cs := reopen ~config env
+    end
+  done;
+  Chunk_store.commit ~durable:true !cs;
+  Hashtbl.iter (fun cid d -> Alcotest.(check string) "read back at the end" d (Chunk_store.read !cs cid)) expect;
+  let reads = (Untrusted_store.stats env.store).Untrusted_store.reads in
+  Chunk_store.close !cs;
+  (Untrusted_store.Mem.contents env.mem, reads)
+
+let test_map_trim_same_image () =
+  let bounded, bounded_reads = map_trim_trace ~map_leaves:0 in
+  let unbounded, unbounded_reads = map_trim_trace ~map_leaves:max_int in
+  Alcotest.(check bool) "same image" true (String.equal bounded unbounded);
+  Alcotest.(check bool)
+    (Printf.sprintf "unloaded leaves were fetched again (%d > %d read calls)" bounded_reads unbounded_reads)
+    true (bounded_reads > unbounded_reads)
+
 let test_deterministic_images () =
   let img = trace_image () in
   Alcotest.(check bool) "same image on a second run" true (String.equal img (trace_image ()));
@@ -1612,6 +1671,7 @@ let () =
       ( "store",
         [
           Alcotest.test_case "deterministic images" `Quick test_deterministic_images;
+          Alcotest.test_case "map trim writes the same image" `Quick test_map_trim_same_image;
           Alcotest.test_case "shard aliases take one store" `Quick test_shard_aliases;
         ] );
       ( "api",

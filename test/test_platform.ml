@@ -268,6 +268,50 @@ let test_counter_slot_overwritten () =
   Alcotest.(check int64) "fresh opener agrees" 21L (fresh ());
   Alcotest.(check int64) "next increment" 22L (One_way_counter.increment c)
 
+(* Open initializes a store that holds at most one slot's bytes (a torn
+   first initialization: slot 0 is synced before slot 1 is written), reads
+   a valid slot 0 when slot 1 is incomplete, and refuses, writing nothing,
+   a store past one slot where no slot decodes: zeroing it would roll the
+   counter back. *)
+let test_counter_garbled_refused () =
+  let slot_len = String.length (Printf.sprintf "%020Ld:%s" 0L (String.make 16 '0')) in
+  let store_of image =
+    let _, store = Untrusted_store.open_mem () in
+    Untrusted_store.write store ~off:0 image;
+    Untrusted_store.sync store;
+    store
+  in
+  let image store = Bytes.to_string (Untrusted_store.read store ~off:0 ~len:(Untrusted_store.size store)) in
+  List.iter
+    (fun len ->
+      let garbage = String.init len (fun i -> Char.chr (33 + (i * 7 mod 90))) in
+      let store = store_of garbage in
+      let writes = (Untrusted_store.stats store).Untrusted_store.writes in
+      (match One_way_counter.open_store store with
+      | _ -> Alcotest.failf "%d garbage bytes: opened" len
+      | exception One_way_counter.Unreadable _ -> ());
+      Alcotest.(check int) (Printf.sprintf "%d garbage bytes: no write" len) writes
+        (Untrusted_store.stats store).Untrusted_store.writes;
+      Alcotest.(check string) (Printf.sprintf "%d garbage bytes: image unchanged" len) garbage (image store))
+    [ slot_len + 1; 70; 2 * slot_len; 3 * slot_len ];
+  List.iter
+    (fun len ->
+      let store = store_of (String.make len 'G') in
+      Alcotest.(check int64) (Printf.sprintf "torn first initialization (%d bytes): 0" len) 0L
+        (One_way_counter.read (One_way_counter.open_store store));
+      Alcotest.(check int) "both slots written" (2 * slot_len) (Untrusted_store.size store))
+    [ 1; slot_len / 2; slot_len ];
+  (* two increments leave 2 in slot 0 (and 1 in slot 1); keep slot 0 and
+     half of slot 1 *)
+  let _, two = Untrusted_store.open_mem () in
+  let c = One_way_counter.open_store two in
+  ignore (One_way_counter.increment c);
+  ignore (One_way_counter.increment c);
+  let store = store_of (String.sub (image two) 0 (slot_len + (slot_len / 2))) in
+  let c = One_way_counter.open_store store in
+  Alcotest.(check int64) "valid slot 0, slot 1 incomplete" 2L (One_way_counter.read c);
+  Alcotest.(check int64) "next increment" 3L (One_way_counter.increment c)
+
 let test_counter_file_torn_write () =
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "ctr" in
@@ -372,6 +416,7 @@ let () =
           Alcotest.test_case "file persistence" `Quick test_counter_file_persistence;
           Alcotest.test_case "increment reads once" `Quick test_counter_increment_reads_once;
           Alcotest.test_case "torn write" `Quick test_counter_file_torn_write;
+          Alcotest.test_case "garbled counter refused" `Quick test_counter_garbled_refused;
           Alcotest.test_case "slot overwritten between increments" `Quick test_counter_slot_overwritten;
           QCheck_alcotest.to_alcotest test_counter_monotonic_qcheck;
         ] );

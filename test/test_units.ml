@@ -162,6 +162,53 @@ let test_map_count_dirty () =
   Alcotest.(check (pair int int)) "node and root rewritten, old copies retired" (2, 2) (!written, !retired);
   Alcotest.(check int) "clean after relocation" 0 (Location_map.count_dirty m)
 
+(* Trimming unloads clean leaves no lookup reached since the previous
+   trim, once more than [keep] are loaded; a dirty leaf stays, and a later
+   lookup fetches an unloaded leaf again and finds the same entries. *)
+let test_map_trim () =
+  let tbl = Hashtbl.create 16 in
+  let fetches = ref 0 in
+  let fetch ~what e =
+    incr fetches;
+    fake_fetch tbl ~what e
+  in
+  let write_node = fake_writer tbl in
+  let m = Location_map.create ~fanout:4 ~depth:3 (* 16 leaves of 4 ids *) in
+  for i = 0 to 63 do
+    ignore (Location_map.set m fetch i (entry_for i))
+  done;
+  ignore (Location_map.checkpoint m ~write_node ~retire:ignore);
+  Alcotest.(check int) "all leaves loaded" 16 (Location_map.resident_leaves m);
+  Location_map.trim m ~keep:4;
+  Alcotest.(check int) "every leaf was used: marks cleared, none unloaded" 16 (Location_map.resident_leaves m);
+  ignore (Location_map.find m fetch 0);
+  ignore (Location_map.find m fetch 5);
+  ignore (Location_map.set m fetch 8 (entry_for 108));
+  Location_map.trim m ~keep:16;
+  Alcotest.(check int) "within the bound nothing is unloaded" 16 (Location_map.resident_leaves m);
+  Location_map.trim m ~keep:4;
+  Alcotest.(check int) "two used leaves and one dirty leaf stay" 3 (Location_map.resident_leaves m);
+  Alcotest.(check int) "trimming fetched nothing" 0 !fetches;
+  Alcotest.(check int) "trimming dirtied nothing more" 3 (Location_map.count_dirty m);
+  for i = 0 to 63 do
+    match Location_map.find m fetch i with
+    | Some e -> Alcotest.(check int) "same entry after a reload" (if i = 8 then 108 else i) e.Types.version
+    | None -> Alcotest.failf "missing %d after trim" i
+  done;
+  Alcotest.(check int) "each unloaded leaf fetched once" 13 !fetches;
+  Alcotest.(check int) "all leaves loaded again" 16 (Location_map.resident_leaves m);
+  Location_map.trim m ~keep:0;
+  Alcotest.(check int) "the lookups marked every leaf" 16 (Location_map.resident_leaves m);
+  Location_map.trim m ~keep:0;
+  Alcotest.(check int) "the dirty leaf stays at a zero bound" 1 (Location_map.resident_leaves m);
+  ignore (Location_map.checkpoint m ~write_node ~retire:ignore);
+  Location_map.trim m ~keep:0;
+  Alcotest.(check int) "clean, its write still marks it" 1 (Location_map.resident_leaves m);
+  Location_map.trim m ~keep:0;
+  Alcotest.(check int) "then it goes too" 0 (Location_map.resident_leaves m);
+  Alcotest.(check int) "found after a full unload" 108
+    (match Location_map.find m fetch 8 with Some e -> e.Types.version | None -> -1)
+
 let test_map_diff_trees () =
   let tbl = Hashtbl.create 16 in
   let fetch = fake_fetch tbl in
@@ -576,6 +623,181 @@ let test_lru_oversize_put () =
   ignore (Lru.put c 2 2 ~size:50);
   check_lru "next put evicts it" c ~stats:(0, 0, 1) ~resident:1 ~total:50;
   Alcotest.(check bool) "oversize entry gone" true (Lru.find c 1 = None)
+
+(* An entry hit since the last walk outlives an older entry that was not
+   hit, and a walk that gives a hit entry its second chance uses the hit
+   up: the next walk evicts it unless it was hit again. *)
+let test_lru_second_chance () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:300 in
+  for i = 0 to 2 do
+    ignore (Lru.put c i i ~size:100)
+  done;
+  ignore (Lru.find c 0);
+  ignore (Lru.find c 1);
+  ignore (Lru.put c 3 3 ~size:100);
+  Alcotest.(check (list bool)) "walk passes hit entries, evicts 2" [ true; true; false; true ]
+    (List.map (Lru.mem c) [ 0; 1; 2; 3 ]);
+  ignore (Lru.find c 1);
+  ignore (Lru.put c 4 4 ~size:100);
+  Alcotest.(check bool) "hit before the last walk: evicted" false (Lru.mem c 0);
+  ignore (Lru.put c 5 5 ~size:100);
+  Alcotest.(check (list bool)) "hit since the last walk outlives 3" [ true; false; true; true ]
+    (List.map (Lru.mem c) [ 1; 3; 4; 5 ]);
+  check_lru "after walks" c ~stats:(3, 0, 3) ~resident:3 ~total:300
+
+(* A hit writes a bit into an entry that lives in the major heap: 100 000
+   hits on a 5 000-entry cache promote (next to) nothing. A cache that
+   relinks each hit at the front through option boxes stores fresh boxes
+   into old entries and promotes about 120 000 words here. *)
+let test_lru_hits_promote_nothing () =
+  let open Tdb_chunk in
+  let c = Lru.create ~budget:5000 in
+  for k = 0 to 4999 do
+    ignore (Lru.put c k k ~size:1)
+  done;
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 0 to 99_999 do
+    ignore (Lru.find c (i * 7 mod 5000))
+  done;
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  Alcotest.(check int) "every find hit" 100_000 (let h, _, _ = Lru.stats c in h);
+  if promoted >= 1000. then Alcotest.failf "100 000 hits promoted %.0f words (bound 1 000)" promoted
+
+type lru_op =
+  | Put of int * int
+  | Find of int * bool option (* [Some ok]: find with [~valid] answering [ok] *)
+  | Pin of int
+  | Unpin of int (* the n-th pin held, modulo their number *)
+  | Remove of int
+  | Update_size of int * int
+  | Set_budget of int
+
+let show_lru_op = function
+  | Put (k, s) -> Printf.sprintf "put %d %d" k s
+  | Find (k, None) -> Printf.sprintf "find %d" k
+  | Find (k, Some ok) -> Printf.sprintf "find %d valid=%b" k ok
+  | Pin k -> Printf.sprintf "pin %d" k
+  | Unpin n -> Printf.sprintf "unpin #%d" n
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Update_size (k, s) -> Printf.sprintf "update_size %d %d" k s
+  | Set_budget b -> Printf.sprintf "set_budget %d" b
+
+let gen_lru_op =
+  let open QCheck.Gen in
+  let key = int_bound 11 and size = int_bound 120 in
+  frequency
+    [
+      (5, map2 (fun k s -> Put (k, s)) key size);
+      (5, map2 (fun k v -> Find (k, v)) key (frequency [ (3, return None); (1, map Option.some bool) ]));
+      (2, map (fun k -> Pin k) key);
+      (2, map (fun n -> Unpin n) nat);
+      (1, map (fun k -> Remove k) key);
+      (1, map2 (fun k s -> Update_size (k, s)) key size);
+      (1, map (fun b -> Set_budget b) (int_bound 600));
+    ]
+
+(* Random operations against a model of what must hold whatever the
+   replacement order: the model tracks each resident key's entry, size and
+   pins, and the pins held on entries dropped by [remove] or a failed
+   [valid]. After each step: the resident keys are exactly the model's less
+   those the cache evicted, no pinned entry was evicted, the counters and
+   [total_size] match, and the total exceeds the budget only by pinned
+   entries plus the entry last put. *)
+let qcheck_lru_model =
+  QCheck.Test.make ~name:"lru keeps its invariants under random operations" ~count:300
+    QCheck.(make ~print:(fun ops -> String.concat "; " (List.map show_lru_op ops)) Gen.(list_size (1 -- 80) gen_lru_op))
+    (fun ops ->
+      let open Tdb_chunk in
+      let c = Lru.create ~budget:300 in
+      let live : (int, int Lru.entry * int ref * int ref) Hashtbl.t = Hashtbl.create 16 in
+      let orphans = ref [] (* one element per pin held on a dropped entry *) in
+      let hits = ref 0 and misses = ref 0 and evictions = ref 0 and last_put = ref (-1) in
+      let fail step fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "after %s: %s" (show_lru_op step) m) fmt in
+      let drop_live k =
+        (match Hashtbl.find_opt live k with
+        | Some (e, _, pins) -> orphans := List.init !pins (fun _ -> e) @ !orphans
+        | None -> ());
+        Hashtbl.remove live k
+      in
+      let held () =
+        Hashtbl.fold (fun k (e, _, pins) acc -> List.init !pins (fun _ -> (Some k, e)) @ acc) live []
+        @ List.map (fun e -> (None, e)) !orphans
+      in
+      let apply = function
+        | Put (k, s) ->
+            let e = Lru.put c k k ~size:s in
+            (match Hashtbl.find_opt live k with
+            | Some (_, size, _) -> size := s
+            | None -> Hashtbl.replace live k (e, ref s, ref 0));
+            last_put := k
+        | Find (k, valid) -> (
+            let r = Lru.find c k ?valid:(Option.map (fun ok _ -> ok) valid) in
+            match (Hashtbl.mem live k, valid, r) with
+            | true, (None | Some true), Some _ -> incr hits
+            | true, Some false, None ->
+                incr misses;
+                drop_live k
+            | false, _, None -> incr misses
+            | _ -> QCheck.Test.fail_reportf "find %d answered against the model" k)
+        | Pin k -> (
+            match Hashtbl.find_opt live k with
+            | Some (e, _, pins) ->
+                Lru.pin e;
+                incr pins
+            | None -> ())
+        | Unpin n -> (
+            match held () with
+            | [] -> ()
+            | l -> (
+                let k, e = List.nth l (n mod List.length l) in
+                Lru.unpin c e;
+                match k with
+                | Some k ->
+                    let _, _, pins = Hashtbl.find live k in
+                    decr pins
+                | None ->
+                    let rec take = function [] -> [] | x :: r when x == e -> r | x :: r -> x :: take r in
+                    orphans := take !orphans))
+        | Remove k ->
+            Lru.remove c k;
+            drop_live k
+        | Update_size (k, s) -> (
+            match Hashtbl.find_opt live k with
+            | Some (e, size, _) ->
+                Lru.update_size c e ~size:s;
+                size := s
+            | None -> ())
+        | Set_budget b -> Lru.set_budget c b
+      in
+      List.iter
+        (fun step ->
+          apply step;
+          Hashtbl.filter_map_inplace
+            (fun k ((_, _, pins) as v) ->
+              if Lru.mem c k then Some v
+              else if !pins > 0 then fail step "pinned key %d evicted" k
+              else begin
+                incr evictions;
+                None
+              end)
+            live;
+          for k = 0 to 11 do
+            if Lru.mem c k && not (Hashtbl.mem live k) then fail step "key %d resident against the model" k
+          done;
+          let sum = Hashtbl.fold (fun _ (_, size, _) acc -> acc + !size) live 0 in
+          let excused =
+            Hashtbl.fold (fun k (_, size, pins) acc -> if !pins > 0 || k = !last_put then acc + !size else acc) live 0
+          in
+          if Lru.total_size c <> sum then fail step "total_size %d, resident sizes sum to %d" (Lru.total_size c) sum;
+          if Lru.resident c <> Hashtbl.length live then fail step "resident %d, model %d" (Lru.resident c) (Hashtbl.length live);
+          if Lru.stats c <> (!hits, !misses, !evictions) then fail step "stats differ from the model";
+          if sum > Lru.budget c + excused then
+            fail step "total %d over budget %d beyond pinned and last-put entries (%d)" sum (Lru.budget c) excused)
+        ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Lock manager                                                        *)
@@ -1386,6 +1608,7 @@ let () =
           Alcotest.test_case "set/find/remove" `Quick test_map_set_find_remove;
           Alcotest.test_case "checkpoint + reload" `Quick test_map_checkpoint_and_reload;
           Alcotest.test_case "count dirty" `Quick test_map_count_dirty;
+          Alcotest.test_case "trim unloads unused clean leaves" `Quick test_map_trim;
           Alcotest.test_case "diff trees" `Quick test_map_diff_trees;
         ] );
       ( "log",
@@ -1415,6 +1638,9 @@ let () =
           Alcotest.test_case "shrink below a pin" `Quick test_lru_shrink_below_pinned;
           Alcotest.test_case "walk parks pinned entries" `Quick test_lru_park_pinned;
           Alcotest.test_case "oversize put kept" `Quick test_lru_oversize_put;
+          Alcotest.test_case "second chance" `Quick test_lru_second_chance;
+          Alcotest.test_case "hits promote nothing" `Quick test_lru_hits_promote_nothing;
+          QCheck_alcotest.to_alcotest qcheck_lru_model;
         ] );
       ( "locks",
         [
