@@ -2,30 +2,19 @@
 
    A database lives in a directory holding the untrusted store ([db]), the
    emulated one-way counter ([counter]), the secret-store image ([secret])
-   and the backup archive ([backups/]). *)
+   and the backup archive ([backups/]). Every command that takes a
+   directory runs under [Tdb.Device.or_exit]: a damaged directory is
+   refused with one line and exit 2. *)
 
 open Cmdliner
 
 let dir_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory.")
 
-(* Refuse a directory with no [db] or no [secret] file before the device
-   creates one, and a counter that holds no valid slot before anything
-   writes it. *)
-let existing_device dir =
-  List.iter
-    (fun (file, what) ->
-      if not (Sys.file_exists (Filename.concat dir file)) then begin
-        Printf.printf "no %s in %s\n" what dir;
-        exit 2
-      end)
-    [ ("db", "database"); ("secret", "device secret") ];
-  match Tdb.Device.at_dir dir with
-  | d -> d
-  | exception Tdb.One_way_counter.Unreadable msg ->
-      Printf.printf "UNREADABLE COUNTER: %s\n" msg;
-      exit 2
-
-let open_db dir = Tdb.open_existing (existing_device dir)
+let with_db dir f =
+  Tdb.Device.or_exit (fun () ->
+      let db = Tdb.open_existing (Tdb.Device.open_dir dir) in
+      f db;
+      Tdb.close db)
 
 let human_bytes n =
   if n > 1_048_576 then Printf.sprintf "%.2f MiB" (float_of_int n /. 1_048_576.)
@@ -36,43 +25,42 @@ let human_bytes n =
 
 let init_cmd =
   let run dir =
-    Tdb.close (Tdb.create (Tdb.Device.at_dir dir));
+    Tdb.Device.or_exit (fun () -> Tdb.init_dir dir);
     Printf.printf "initialized TDB database in %s\n" dir
   in
-  Cmd.v (Cmd.info "init" ~doc:"Create a fresh database (overwrites any existing one).") Term.(const run $ dir_arg)
+  Cmd.v
+    (Cmd.info "init" ~doc:"Create a fresh database (replaces any existing one, keeping its secret).")
+    Term.(const run $ dir_arg)
 
 (* --- status --- *)
 
 let status_cmd =
   let run dir =
-    let db = open_db dir in
-    Printf.printf "database: %s\n" dir;
-    Printf.printf "backups:  %s\n"
-      (match Tdb.Archival_store.list db.Tdb.device.Tdb.Device.archive with
-      | [] -> "(none)"
-      | l -> String.concat ", " l);
-    Tdb.Metrics.print (Tdb.Chunk_store.metrics db.Tdb.chunks @ Tdb.Backup_store.metrics db.Tdb.backups);
-    Tdb.close db
+    Tdb.Device.or_exit (fun () ->
+        let { Tdb.Device.store; secret; counter; archive } = Tdb.Device.open_dir dir in
+        let chunks, _ = Tdb.Chunk_store.recover ~secret ~counter store in
+        let backups = Tdb.Backup_store.create ~secret ~archive chunks in
+        Printf.printf "database: %s\n" dir;
+        Printf.printf "backups:  %s\n"
+          (match Tdb.Archival_store.list archive with [] -> "(none)" | l -> String.concat ", " l);
+        Tdb.Metrics.print (Tdb.Chunk_store.metrics chunks @ Tdb.Backup_store.metrics backups))
   in
-  Cmd.v (Cmd.info "status" ~doc:"Open a database (running recovery + tamper checks) and print its metrics.")
+  Cmd.v
+    (Cmd.info "status" ~doc:"Run recovery and tamper checks as open would, and print the metrics; writes nothing.")
     Term.(const run $ dir_arg)
 
 (* --- verify --- *)
 
 let verify_cmd =
   let run dir =
-    let d = existing_device dir in
-    match Tdb.Chunk_store.verify ~secret:d.Tdb.Device.secret ~counter:d.Tdb.Device.counter d.Tdb.Device.store with
-    | { Tdb.Chunk_store.replayed; dropped; counter_behind }, n ->
-        Printf.printf "OK: %d chunks validated against the Merkle tree, anchor and counter\n" n;
-        Printf.printf "open would replay %d residual commits, drop %d past the durable prefix, %s\n" replayed dropped
-          (if counter_behind then "and repair the counter (one behind)" else "counter in step")
-    | exception Tdb.Tamper_detected msg ->
-        Printf.printf "TAMPER DETECTED: %s\n" msg;
-        exit 2
-    | exception Tdb.Chunk_store.Recovery_failed msg ->
-        Printf.printf "UNRECOVERABLE: %s\n" msg;
-        exit 2
+    let { Tdb.Chunk_store.replayed; dropped; counter_behind }, n =
+      Tdb.Device.or_exit (fun () ->
+          let { Tdb.Device.store; secret; counter; _ } = Tdb.Device.open_dir dir in
+          Tdb.Chunk_store.verify ~secret ~counter store)
+    in
+    Printf.printf "OK: %d chunks validated against the Merkle tree, anchor and counter\n" n;
+    Printf.printf "open would replay %d residual commits, drop %d past the durable prefix, %s\n" replayed dropped
+      (if counter_behind then "and repair the counter (one behind)" else "counter in step")
   in
   Cmd.v (Cmd.info "verify" ~doc:"Check the database as open would, and every chunk; writes nothing.")
     Term.(const run $ dir_arg)
@@ -81,12 +69,11 @@ let verify_cmd =
 
 let clean_cmd =
   let run dir =
-    let db = open_db dir in
-    let before = Tdb.Chunk_store.capacity db.Tdb.chunks in
-    Tdb.idle_maintenance db;
-    let after = Tdb.Chunk_store.capacity db.Tdb.chunks in
-    Printf.printf "cleaned: capacity %s -> %s\n" (human_bytes before) (human_bytes after);
-    Tdb.close db
+    with_db dir (fun db ->
+        let before = Tdb.Chunk_store.capacity db.Tdb.chunks in
+        Tdb.idle_maintenance db;
+        let after = Tdb.Chunk_store.capacity db.Tdb.chunks in
+        Printf.printf "cleaned: capacity %s -> %s\n" (human_bytes before) (human_bytes after))
   in
   Cmd.v (Cmd.info "clean" ~doc:"Run idle-time log cleaning.") Term.(const run $ dir_arg)
 
@@ -95,47 +82,26 @@ let clean_cmd =
 let backup_cmd =
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Force a full backup (default: incremental).") in
   let run dir full =
-    let db = open_db dir in
-    let id = if full then Tdb.backup_full db else Tdb.backup_incremental db in
-    Printf.printf "backup #%d written to %s/backups\n" id dir;
-    Tdb.close db
+    with_db dir (fun db ->
+        let id = if full then Tdb.backup_full db else Tdb.backup_incremental db in
+        Printf.printf "backup #%d written to %s/backups\n" id dir)
   in
   Cmd.v (Cmd.info "backup" ~doc:"Create a backup in the database's archival store.")
     Term.(const run $ dir_arg $ full)
 
 (* --- restore --- *)
 
-(* A restored database must live under the device secret that sealed its
-   backups: create [dst] and copy the key file there before the
-   destination device materializes a fresh one. *)
-let prepare_target ?src_key dst =
-  if not (Sys.file_exists dst) then Unix.mkdir dst 0o700;
-  let dst_key = Filename.concat dst "secret" in
-  match src_key with
-  | Some src_key when Sys.file_exists src_key && not (Sys.file_exists dst_key) ->
-      let ic = open_in_bin src_key in
-      let data = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600 dst_key in
-      output_string oc data;
-      close_out oc
-  | Some _ | None -> ()
-
 let restore_cmd =
-  let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"FROM" ~doc:"Source database directory (its backups/ archive is read).") in
+  let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"FROM" ~doc:"Source database directory (only its secret and backups/ archive are read).") in
   let dst = Arg.(required & pos 1 (some string) None & info [] ~docv:"TO" ~doc:"Destination directory for the restored database.") in
   let upto = Arg.(value & opt (some int) None & info [ "upto" ] ~docv:"N" ~doc:"Restore only up to backup N (point-in-time).") in
   let run src dst upto =
-    prepare_target ~src_key:(Filename.concat src "secret") dst;
-    let from = Tdb.Device.at_dir src in
-    let target = Tdb.Device.at_dir dst in
-    match Tdb.restore ?upto ~from target with
-    | db ->
-        Printf.printf "restored into %s\n" dst;
-        Tdb.close db
-    | exception Tdb.Backup_store.Invalid_backup msg ->
-        Printf.printf "restore refused: %s\n" msg;
-        exit 2
+    Tdb.Device.or_exit (fun () ->
+        (* only FROM's secret and archive are read; the restored database
+           lives under the secret that sealed its backups *)
+        let key, from = Tdb.Device.open_archive src in
+        Tdb.Device.create_dir ~key dst (fun d -> Tdb.close (Tdb.restore ?upto ~from d)));
+    Printf.printf "restored into %s\n" dst
   in
   Cmd.v
     (Cmd.info "restore" ~doc:"Restore a database from validated backups (newest, or --upto N).")
@@ -196,7 +162,6 @@ let remote_restore_cmd =
            ~doc:"Device secret file matching the server's (copied to TO/secret). The fetched streams are sealed under it; without the matching key the restore fails verification.")
   in
   let run addr dst upto secret =
-    prepare_target ?src_key:secret dst;
     let fetched =
       with_client addr (fun c ->
           let index = Tdb.Client.list_backups c in
@@ -214,27 +179,13 @@ let remote_restore_cmd =
     (* stage the streams into TO/backups, so the restored database keeps
        the archive it extends and the local validated restore runs over
        them unchanged *)
-    let bdir = Filename.concat dst "backups" in
-    if not (Sys.file_exists bdir) then Unix.mkdir bdir 0o700;
-    List.iter
-      (fun (name, stream) ->
-        let oc =
-          open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600
-            (Filename.concat bdir (Filename.basename name))
-        in
-        output_string oc stream;
-        close_out oc)
-      fetched;
-    let device = Tdb.Device.at_dir dst in
-    match Tdb.restore ?upto ~from:device device with
-    | db ->
-        Printf.printf "fetched %d stream%s; restored into %s\n" (List.length fetched)
-          (match fetched with [ _ ] -> "" | _ -> "s")
-          dst;
-        Tdb.close db
-    | exception Tdb.Backup_store.Invalid_backup msg ->
-        Printf.printf "restore refused: %s\n" msg;
-        exit 2
+    Tdb.Device.or_exit (fun () ->
+        Tdb.Device.create_dir ?key:(Option.map Tdb.Device.key_file secret) dst (fun d ->
+            List.iter (fun (name, stream) -> Tdb.Archival_store.put d.Tdb.Device.archive ~name:(Filename.basename name) stream) fetched;
+            Tdb.close (Tdb.restore ?upto ~from:d.Tdb.Device.archive d)));
+    Printf.printf "fetched %d stream%s; restored into %s\n" (List.length fetched)
+      (match fetched with [ _ ] -> "" | _ -> "s")
+      dst
   in
   Cmd.v
     (Cmd.info "remote-restore"

@@ -30,23 +30,28 @@ let replica_every_arg =
     & info [ "replica-every" ] ~docv:"N"
         ~doc:"Emit an incremental backup to the archive followers poll every $(docv) durable commits (0 = never).")
 
+(* The address to listen on: --socket, --port, or DIR/tdb.sock. *)
+let listen_addr dir socket port host =
+  match (socket, port) with
+  | Some path, None -> Tdb.Server.Unix_path path
+  | None, Some p -> Tdb.Server.Tcp (host, p)
+  | None, None -> Tdb.Server.Unix_path (Filename.concat dir "tdb.sock")
+  | Some _, Some _ ->
+      prerr_endline "tdb_server: --socket and --port are mutually exclusive";
+      exit 2
+
 let serve_cmd =
   let run dir socket port host fresh idle_timeout replica_every =
-    let addr =
-      match (socket, port) with
-      | Some path, None -> Tdb.Server.Unix_path path
-      | None, Some p -> Tdb.Server.Tcp (host, p)
-      | None, None -> Tdb.Server.Unix_path (Filename.concat dir "tdb.sock")
-      | Some _, Some _ ->
-          prerr_endline "tdb_server: --socket and --port are mutually exclusive";
-          exit 2
-    in
+    let addr = listen_addr dir socket port host in
     if replica_every < 0 then begin
       prerr_endline "tdb_server: --replica-every must be >= 0";
       exit 2
     end;
-    let device = Tdb.Device.at_dir dir in
-    let db = if fresh then Tdb.create device else Tdb.open_existing device in
+    let db =
+      Tdb.Device.or_exit (fun () ->
+          if fresh then Tdb.init_dir dir;
+          Tdb.open_existing (Tdb.Device.open_dir dir))
+    in
     let config = { Tdb.Server.default_config with Tdb.Server.idle_timeout; replica_every } in
     let srv = Tdb.Server.create ~config ~backups:db.Tdb.backups db.Tdb.objects addr in
     Tdb_tpcb.Net_driver.expose_schema srv;
@@ -65,7 +70,9 @@ let serve_cmd =
 (* Follower mode: poll a primary's archive into a local database
    directory and serve it read-only over a socket of its own. The
    follower's directory must hold a copy of the primary's secret file
-   (frames verify against the shared platform secret). *)
+   (frames verify against the shared platform secret); a directory
+   holding only that file, or missing any other, is bootstrapped under
+   it. *)
 let replicate_cmd =
   let from_socket =
     Arg.(value & opt (some string) None & info [ "from-socket" ] ~docv:"PATH" ~doc:"Primary's Unix-domain socket.")
@@ -88,23 +95,23 @@ let replicate_cmd =
           prerr_endline "tdb_server: replicate needs exactly one of --from-socket / --from-port";
           exit 2
     in
-    let addr =
-      match (socket, port) with
-      | Some path, None -> Tdb.Server.Unix_path path
-      | None, Some p -> Tdb.Server.Tcp (host, p)
-      | None, None -> Tdb.Server.Unix_path (Filename.concat dir "tdb.sock")
-      | Some _, Some _ ->
-          prerr_endline "tdb_server: --socket and --port are mutually exclusive";
-          exit 2
+    let addr = listen_addr dir socket port host in
+    let db =
+      Tdb.Device.or_exit (fun () ->
+          let bootstrap () =
+            Tdb.init_dir ~key:(Tdb.Device.key_file (Filename.concat dir "secret")) dir;
+            Tdb.Device.open_dir dir
+          in
+          let device =
+            if fresh then bootstrap ()
+            else
+              match Tdb.Device.attempt (fun () -> Tdb.Device.open_dir dir) with
+              | Ok d -> d
+              | Error (Tdb.Device.Missing_file _) -> bootstrap ()
+              | Error r -> raise (Tdb.Device.Refused r)
+          in
+          Tdb.open_existing device)
     in
-    if not (Sys.file_exists (Filename.concat dir "secret")) then begin
-      Printf.eprintf "tdb_server: %s/secret not found — copy the primary's secret file there first\n" dir;
-      exit 2
-    end;
-    (* probe before [at_dir]: opening the device creates an empty [db] file *)
-    let existing = Sys.file_exists (Filename.concat dir "db") in
-    let device = Tdb.Device.at_dir dir in
-    let db = if fresh || not existing then Tdb.create device else Tdb.open_existing device in
     let rep =
       Tdb.Replica.start
         ~config:{ Tdb.Replica.poll }

@@ -66,7 +66,7 @@ let () =
   let replacement =
     { device with Tdb.Device.store = fresh_store; counter = fresh_counter }
   in
-  let db2 = Tdb.restore ~from:device replacement in
+  let db2 = Tdb.restore ~from:device.Tdb.Device.archive replacement in
   dump db2 "restored (latest)";
   Tdb.close db2;
 
@@ -74,7 +74,7 @@ let () =
   let _, pit_store = Tdb.Untrusted_store.open_mem () in
   let _, pit_counter = Tdb.One_way_counter.open_mem () in
   let pit_device = { device with Tdb.Device.store = pit_store; counter = pit_counter } in
-  let db3 = Tdb.restore ~upto:b2 ~from:device pit_device in
+  let db3 = Tdb.restore ~upto:b2 ~from:device.Tdb.Device.archive pit_device in
   dump db3 "restored (as of backup #2)";
   Tdb.close db3;
 
@@ -87,7 +87,7 @@ let () =
   Tdb.Archival_store.put device.Tdb.Device.archive ~name (Bytes.to_string b);
   let _, s4 = Tdb.Untrusted_store.open_mem () in
   let _, c4 = Tdb.One_way_counter.open_mem () in
-  (match Tdb.restore ~from:device { device with Tdb.Device.store = s4; counter = c4 } with
+  (match Tdb.restore ~from:device.Tdb.Device.archive { device with Tdb.Device.store = s4; counter = c4 } with
   | _ -> print_endline "restore succeeded (broken!)"
   | exception Tdb.Backup_store.Invalid_backup msg -> Printf.printf "restore refused: %s\n" msg);
   print_endline "backup_restore: ok"

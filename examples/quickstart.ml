@@ -25,7 +25,7 @@ let indexers = [ Tdb.Indexer.Generic by_good; Tdb.Indexer.Generic by_views ]
 
 let () =
   (* 3. A device bundles the platform stores; in-memory here, use
-     Tdb.Device.at_dir for a durable one. *)
+     Tdb.init_dir and Tdb.Device.open_dir for a durable one. *)
   let _attacker, device = Tdb.Device.in_memory ~seed:"quickstart" () in
   let db = Tdb.create device in
 

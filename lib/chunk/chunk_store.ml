@@ -797,7 +797,7 @@ type recovery = { replayed : int; dropped : int; counter_behind : bool }
     repairs. @raise Recovery_failed without a valid anchor, on a layout
     mismatch or a shard's image; @raise Types.Tamper_detected on
     MAC/hash/counter violations. *)
-let recover (config : Config.t) ~(secret : Tdb_platform.Secret_store.t) ~(counter : Tdb_platform.One_way_counter.t)
+let recover ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t) ~(counter : Tdb_platform.One_way_counter.t)
     (store : Tdb_platform.Untrusted_store.t) : t * recovery =
   Config.validate config;
   let sec = Security.create config secret in
@@ -954,7 +954,7 @@ let settle t ~(secret : Tdb_platform.Secret_store.t) (r : recovery) : unit =
 (** Open an existing database: {!recover}, then {!settle}. *)
 let open_existing ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : t =
-  let t, r = recover config ~secret ~counter store in
+  let t, r = recover ~config ~secret ~counter store in
   settle t ~secret r;
   t
 
@@ -1000,7 +1000,7 @@ let live_ids t : chunk_id list =
     the verdict open would reach, and the chunk count, writing nothing. *)
 let verify ?(config = Config.default) ~(secret : Tdb_platform.Secret_store.t)
     ~(counter : Tdb_platform.One_way_counter.t) (store : Tdb_platform.Untrusted_store.t) : recovery * int =
-  let t, r = recover config ~secret ~counter store in
+  let t, r = recover ~config ~secret ~counter store in
   let ids = live_ids t in
   List.iter (fun cid -> ignore (read t cid)) ids;
   (r, List.length ids)

@@ -64,6 +64,19 @@ type recovery = { replayed : int; dropped : int; counter_behind : bool }
     past the durable prefix, and whether the one-way counter is one
     behind (open increments it). *)
 
+val recover :
+  ?config:Config.t ->
+  secret:Tdb_platform.Secret_store.t ->
+  counter:Tdb_platform.One_way_counter.t ->
+  Tdb_platform.Untrusted_store.t ->
+  t * recovery
+(** {!open_existing}'s checks alone, writing nothing: the recovered
+    store, for reading and for {!metrics}, and what open would repair.
+    Nothing may be written through it (it neither settles nor starts a
+    sealing session), and {!close} would checkpoint: drop it instead.
+    @raise Recovery_failed
+    @raise Types.Tamper_detected as {!open_existing} does. *)
+
 val verify :
   ?config:Config.t ->
   secret:Tdb_platform.Secret_store.t ->

@@ -88,16 +88,138 @@ module Device = struct
     let _, archive = Archival_store.open_mem () in
     (mem, { store; secret = Secret_store.of_seed seed; counter; archive })
 
-  (** Durable device rooted at a directory: [db] file, [counter] file,
-      [secret] key file, [backups/] archive. *)
-  let at_dir (dir : string) : t =
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
-    {
-      store = Untrusted_store.open_file (Filename.concat dir "db");
-      secret = Secret_store.of_file (Filename.concat dir "secret");
-      counter = One_way_counter.open_file (Filename.concat dir "counter");
-      archive = Archival_store.open_dir (Filename.concat dir "backups");
-    }
+  (* --- durable devices: a directory holding [db], [counter], [secret]
+     and the [backups/] archive --- *)
+
+  type refusal =
+    | No_directory of string
+    | Missing_file of string
+    | Bad_secret of string
+    | Unreadable_counter of string
+    | Tampered of string
+    | Unrecoverable of string
+    | Invalid_backup of string
+    | Io_error of string
+
+  exception Refused of refusal
+
+  let describe = function
+    | No_directory d -> "NO DIRECTORY: " ^ d
+    | Missing_file p -> "MISSING: " ^ p
+    | Bad_secret m -> "CORRUPT SECRET: " ^ m
+    | Unreadable_counter m -> "UNREADABLE COUNTER: " ^ m
+    | Tampered m -> "TAMPER DETECTED: " ^ m
+    | Unrecoverable m -> "UNRECOVERABLE: " ^ m
+    | Invalid_backup m -> "INVALID BACKUP: " ^ m
+    | Io_error m -> "I/O ERROR: " ^ m
+
+  (* Every typed verdict a layer below raises on a damaged directory. *)
+  let attempt f =
+    match f () with
+    | v -> Ok v
+    | exception Refused r -> Error r
+    | exception Secret_store.Bad_key_file m -> Error (Bad_secret m)
+    | exception One_way_counter.Unreadable m -> Error (Unreadable_counter m)
+    | exception Tamper_detected m -> Error (Tampered m)
+    | exception Chunk_store.Recovery_failed m -> Error (Unrecoverable m)
+    | exception Backup_store.Invalid_backup m -> Error (Invalid_backup m)
+
+  let or_exit f =
+    match attempt f with
+    | Ok v -> v
+    | Error r ->
+        prerr_endline (describe r);
+        exit 2
+
+  let refuse r = raise (Refused r)
+  let is_dir p = Sys.file_exists p && Sys.is_directory p
+
+  let key_file path = if Sys.file_exists path then Secret_store.of_file path else refuse (Missing_file path)
+
+  let open_dir dir =
+    if not (is_dir dir) then refuse (No_directory dir);
+    let path = Filename.concat dir in
+    List.iter (fun f -> if not (Sys.file_exists (path f)) then refuse (Missing_file (path f))) [ "db"; "secret"; "counter" ];
+    let secret = Secret_store.of_file (path "secret") in
+    let counter = One_way_counter.open_file ~existing:true (path "counter") in
+    { store = Untrusted_store.open_file (path "db"); secret; counter; archive = Archival_store.open_dir (path "backups") }
+
+  (* What a restore reads of a directory: its secret and its archive. *)
+  let open_archive dir =
+    if not (is_dir dir) then refuse (No_directory dir);
+    (key_file (Filename.concat dir "secret"), Archival_store.open_dir (Filename.concat dir "backups"))
+
+  let rec remove_tree p =
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> remove_tree (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
+  (* An absent target is renamed into place whole. An existing one has
+     [counter], [db] and [secret] replaced, each by one rename; the new
+     streams join its [backups/], whose other streams stay. *)
+  let install ~tmp dir =
+    if not (Sys.file_exists dir) then Sys.rename tmp dir
+    else begin
+      let src = Filename.concat tmp and dst = Filename.concat dir in
+      if is_dir (dst "backups") then begin
+        Array.iter
+          (fun s -> Sys.rename (Filename.concat (src "backups") s) (Filename.concat (dst "backups") s))
+          (Sys.readdir (src "backups"));
+        Sys.rmdir (src "backups")
+      end
+      else begin
+        if Sys.file_exists (dst "backups") then Sys.remove (dst "backups");
+        Sys.rename (src "backups") (dst "backups")
+      end;
+      List.iter (fun f -> Sys.rename (src f) (dst f)) [ "counter"; "db"; "secret" ];
+      Sys.rmdir tmp
+    end
+
+  let io f =
+    try f () with
+    | Sys_error m -> refuse (Io_error m)
+    | Unix.Unix_error (e, fn, arg) -> refuse (Io_error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
+
+  let create_dir ?key dir build =
+    let exists = Sys.file_exists dir in
+    if exists && not (Sys.is_directory dir) then refuse (No_directory dir);
+    let parent = Filename.dirname dir in
+    if not (is_dir parent) then refuse (No_directory parent);
+    let key =
+      match key with
+      | Some _ -> key
+      | None ->
+          let own = Filename.concat dir "secret" in
+          if Sys.file_exists own then Some (key_file own) else None
+    in
+    (* staged inside an existing target, so only it need be writable *)
+    let tmp =
+      io (fun () ->
+          if exists then Filename.temp_dir ~temp_dir:dir ".new" ".tmp"
+          else Filename.temp_dir ~temp_dir:parent ("." ^ Filename.basename dir) ".tmp")
+    in
+    let path = Filename.concat tmp in
+    match
+      io (fun () ->
+          Unix.mkdir (path "backups") 0o700;
+          let v =
+            build
+              {
+                secret = Secret_store.create_file ?key (path "secret");
+                counter = One_way_counter.open_file (path "counter");
+                store = Untrusted_store.open_file (path "db");
+                archive = Archival_store.open_dir (path "backups");
+              }
+          in
+          install ~tmp dir;
+          v)
+    with
+    | v -> v
+    | exception e ->
+        (try if Sys.file_exists tmp then remove_tree tmp with Sys_error _ -> ());
+        raise e
 end
 
 (* --- the embedded database --- *)
@@ -133,6 +255,9 @@ let open_existing ?(config = Chunk_config.default) ?object_config (device : Devi
 let close (db : t) : unit = Object_store.close db.objects
 let checkpoint (db : t) : unit = Object_store.checkpoint db.objects
 
+(** A fresh database in a new directory ({!Device.create_dir}). *)
+let init_dir ?key (dir : string) : unit = Device.create_dir ?key dir (fun d -> close (create d))
+
 (** Idle-time maintenance: log cleaning (paper Section 3.2.1), under the
     state mutex like every other store access. *)
 let idle_maintenance (db : t) : unit = Object_store.with_store db.objects (fun cs -> Chunk_store.clean cs)
@@ -152,13 +277,12 @@ let backup_full (db : t) : int = Object_store.with_store db.objects (fun _ -> Ba
 let backup_incremental (db : t) : int =
   Object_store.with_store db.objects (fun _ -> Backup_store.backup_incremental db.backups)
 
-(** Restore the newest (or [upto]) backup found in [from]'s archive into a
-    fresh database on [device] (which must share the secret store that made
-    the backups), reading only the chain it applies. *)
-let restore ?upto ~(from : Device.t) (device : Device.t) : t =
+(** Restore the newest (or [upto]) backup found in the archive [from] into
+    a fresh database on [device], whose secret store made the backups,
+    reading only the chain it applies. *)
+let restore ?upto ~(from : Archival_store.t) (device : Device.t) : t =
   let chunks =
     Chunk_store.create ~secret:device.Device.secret ~counter:device.Device.counter device.Device.store
   in
-  ignore
-    (Backup_store.restore ~secret:from.Device.secret ~archive:from.Device.archive ?upto ~into:chunks ());
+  ignore (Backup_store.restore ~secret:device.Device.secret ~archive:from ?upto ~into:chunks ());
   assemble device chunks

@@ -75,9 +75,77 @@ module Device : sig
   (** Ephemeral in-memory device (tests, examples, simulations). Returns
       the attacker's handle to its untrusted store alongside. *)
 
-  val at_dir : string -> t
-  (** Durable device rooted at a directory: [db] file, [counter] file,
-      [secret] key file, [backups/] archive. *)
+  (** {2 Durable devices}
+
+      A database directory holds the untrusted store ([db]), the emulated
+      one-way counter ([counter]), the secret-store image ([secret]) and
+      the backup archive ([backups/], made by the first backup). Opening
+      one writes nothing; {!create_dir} is the one place a directory is
+      written from scratch. *)
+
+  (** Why a directory is not a usable database, one constructor per
+      cause. Everything in a directory is attacker-controlled input, so
+      each cause is a typed answer, never an internal error. *)
+  type refusal =
+    | No_directory of string  (** the directory — or, to create one, its parent — is not there *)
+    | Missing_file of string  (** the path of a missing [db], [secret] or [counter] *)
+    | Bad_secret of string  (** {!Secret_store.Bad_key_file} *)
+    | Unreadable_counter of string  (** {!One_way_counter.Unreadable} *)
+    | Tampered of string  (** {!Tamper_detected} *)
+    | Unrecoverable of string  (** {!Chunk_store.Recovery_failed} *)
+    | Invalid_backup of string  (** {!Backup_store.Invalid_backup} *)
+    | Io_error of string  (** {!create_dir} could not write its temporary directory or move it into place *)
+
+  exception Refused of refusal
+
+  val describe : refusal -> string
+  (** One line: the verdict in capitals, then the detail. *)
+
+  val attempt : (unit -> 'a) -> ('a, refusal) result
+  (** Run [f]; {!Refused}, and each exception a {!refusal} constructor
+      names, become [Error]. *)
+
+  val or_exit : (unit -> 'a) -> 'a
+  (** {!attempt} for a command: a refusal prints its {!describe} line on
+      stderr and exits 2. *)
+
+  val open_dir : string -> t
+  (** The device of an existing database directory. Creates, writes and
+      repairs nothing: a counter with no valid slot is refused, not
+      initialized, and a missing [backups/] lists empty. Raises what
+      {!attempt} turns into [No_directory], [Missing_file] (checked in
+      the order [db], [secret], [counter]), [Bad_secret] or
+      [Unreadable_counter]. *)
+
+  val key_file : string -> Secret_store.t
+  (** Load a key file; raises what {!attempt} turns into [Missing_file]
+      or [Bad_secret]. *)
+
+  val open_archive : string -> Secret_store.t * Archival_store.t
+  (** What a restore reads of a directory: its [secret] and its
+      [backups/] archive; [db] and [counter] need not be there. Writes
+      nothing. Raises what {!attempt} turns into [No_directory],
+      [Missing_file] or [Bad_secret]. *)
+
+  val create_dir : ?key:Secret_store.t -> string -> (t -> 'a) -> 'a
+  (** [create_dir dir build] runs [build] on a new device in a temporary
+      directory — under [key], or by default the secret [dir] already
+      holds, or a fresh one — and only when [build] returns moves it into
+      place. An absent [dir] is made beside it, in [dir]'s parent, and
+      renamed into place whole. An existing [dir] is staged inside
+      itself, so only [dir] need be writable; then its [counter], [db]
+      and [secret] are each replaced by one rename, and the new streams
+      join its [backups/] while its other streams (and other entries)
+      stay, so restoring a directory into itself keeps its archive. That
+      replacement is not atomic as a whole: a crash or an I/O error
+      between the renames can leave some entries replaced. On an
+      exception the temporary directory is removed; [dir] is untouched
+      unless the failure came while moving entries into it. [build] must
+      close any database it opens. Refuses ({!attempt}) with
+      [No_directory] if [dir]'s parent is not a directory or [dir] is not
+      one, with [Bad_secret] if the secret [dir] holds is corrupt, with
+      [Io_error] on a file-system error, and with whatever [build]
+      raises. *)
 end
 
 (** {1 The embedded database} *)
@@ -99,6 +167,11 @@ val open_existing : ?config:Chunk_config.t -> ?object_config:Object_store.config
     @raise Tamper_detected on hash/MAC/counter violations. *)
 
 val close : t -> unit
+
+val init_dir : ?key:Secret_store.t -> string -> unit
+(** A fresh database in a directory: {!create}, then {!close}, inside
+    {!Device.create_dir}. *)
+
 val checkpoint : t -> unit
 
 val idle_maintenance : t -> unit
@@ -116,10 +189,10 @@ val begin_ctxn : t -> Cstore.t
 val backup_full : t -> int
 val backup_incremental : t -> int
 
-val restore : ?upto:int -> from:Device.t -> Device.t -> t
-(** Restore the newest (or [upto]) backup found in [from]'s archive into a
-    fresh database on the second device (which must share the secret store
-    that made the backups). Reads only the chain it applies: the newest
+val restore : ?upto:int -> from:Archival_store.t -> Device.t -> t
+(** Restore the newest (or [upto]) backup found in the archive [from] into
+    a fresh database on the device, whose secret store must be the one
+    that made the backups. Reads only the chain it applies: the newest
     full at or below [upto] and the incrementals after it
     ({!Backup_store.restore}).
     @raise Backup_store.Invalid_backup when that chain has a gap or a

@@ -9,9 +9,6 @@ type unit_ = {
   u_str : Parsetree.structure;
 }
 
-val module_of_path : string -> string
-(** ["lib/chunk/chunk_store.ml"] -> ["Chunk_store"]. *)
-
 val parse_unit : path:string -> string -> unit_
 (** @raise Syntaxerr.Error on unparsable input. *)
 

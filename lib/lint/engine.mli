@@ -38,12 +38,6 @@ type violation = {
   v_msg : string;
 }
 
-val trusted_dirs : string list
-(** Directories forming the paper's trusted code base (R3 scope). *)
-
-val ct_dirs : string list
-(** Directories where R2 (constant-time comparison) applies. *)
-
 val check_source : path:string -> string -> violation list
 (** [check_source ~path source] parses [source] as an implementation and
     returns its violations sorted by position. [path] is the

@@ -13,12 +13,9 @@ type fn_key = {
 val taint_sources : fn_key list
 val sensitive_fields : string list
 val taint_sanitizers : fn_key list
-val generic_sanitizer_names : string list
 val taint_sinks : fn_key list
-val taint_report_dirs : string list
 val blocking_calls : fn_key list
 val io_locks : string list
-val lock_report_dirs : string list
 
 val matches : fn_key -> string list -> bool
 (** [matches k path] — [path] is a flattened dotted path; the name must
@@ -31,7 +28,10 @@ val blocking_of : string list -> fn_key option
 val is_sensitive_field : string -> bool
 val is_io_lock : string -> bool
 val taint_reported : string -> bool
-val lock_reported : string -> bool
+(** Is [path] under a directory where R6 reports: the trusted layers
+    ([lib/crypto], [lib/chunk], [lib/backup]), the facade ([lib/core])
+    and [bin]? *)
 
-val in_dirs : string list -> string -> bool
-(** [in_dirs dirs path] — is [path] under one of [dirs]? *)
+val lock_reported : string -> bool
+(** Is [path] under a directory where R7 reports: [lib/server],
+    [lib/objstore] and [lib/chunk]? *)

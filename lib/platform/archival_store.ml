@@ -42,9 +42,9 @@ let open_mem () : Mem.handle * t =
       delete = (fun ~name -> Hashtbl.remove h name);
     } )
 
-(** Directory-backed archive: one file per backup stream. *)
+(** Directory-backed archive: one file per backup stream. The directory
+    is made by the first [put]. *)
 let open_dir (dir : string) : t =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
   let path name =
     if String.exists (fun c -> c = '/' || c = '\000') name then invalid_arg "Archival_store: bad name";
     Filename.concat dir name
@@ -52,6 +52,7 @@ let open_dir (dir : string) : t =
   {
     put =
       (fun ~name data ->
+        if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
         let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600 (path name) in
         output_string oc data;
         close_out oc);
@@ -65,6 +66,6 @@ let open_dir (dir : string) : t =
           Some s
         end
         else None);
-    list = (fun () -> Sys.readdir dir |> Array.to_list |> List.sort String.compare);
+    list = (fun () -> if Sys.file_exists dir then Sys.readdir dir |> Array.to_list |> List.sort String.compare else []);
     delete = (fun ~name -> try Sys.remove (path name) with Sys_error _ -> ());
   }

@@ -25,5 +25,7 @@ end
 val open_mem : unit -> Mem.handle * t
 
 val open_dir : string -> t
-(** One file per backup stream under the directory.
+(** One file per backup stream under the directory. Opening writes
+    nothing: the first {!put} makes the directory, and until then the
+    archive lists empty.
     @raise Invalid_argument on names containing path separators. *)

@@ -42,7 +42,7 @@ let open_mem ?(initial = 0L) () : Mem.handle * t =
     harness run it over an in-memory store). The value is stored with a
     checksum in two slots, so a torn write of one slot never loses
     monotonicity: on read we take the highest valid slot. *)
-let open_store (store : Untrusted_store.t) : t =
+let open_store ?(existing = false) (store : Untrusted_store.t) : t =
   let checksum v = String.sub (Tdb_crypto.Sha256.digest (Printf.sprintf "owc:%Ld" v)) 0 8 in
   let encode v = Printf.sprintf "%020Ld:%s" v (Tdb_crypto.Hex.of_string (checksum v)) in
   let slot_len = String.length (encode 0L) in
@@ -99,11 +99,13 @@ let open_store (store : Untrusted_store.t) : t =
   (* Initialize both slots only while no byte past slot 0 was written:
      the first initialization syncs slot 0 before it writes slot 1, so a
      store that reaches slot 1 and holds no valid slot is not a torn
-     initialization. Zeroing it would roll the counter back. *)
+     initialization. Zeroing it would roll the counter back. A counter
+     opened as [existing] was initialized before it went into service, so
+     it is never initialized again. *)
   (match slot_values () with
   | None, None ->
       let size = Untrusted_store.size store in
-      if size > slot_len then
+      if existing || size > slot_len then
         raise (Unreadable (Printf.sprintf "no valid slot in %d bytes of counter state" size));
       write_slot 0 0L;
       write_slot 1 0L
@@ -132,4 +134,4 @@ let open_store (store : Untrusted_store.t) : t =
 
 (** File-backed counter (paper Section 7.2), via {!open_store} over a
     file-backed untrusted store. *)
-let open_file (path : string) : t = open_store (Untrusted_store.open_file path)
+let open_file ?existing (path : string) : t = open_store ?existing (Untrusted_store.open_file path)

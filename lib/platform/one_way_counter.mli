@@ -9,9 +9,9 @@
 type t = { read : unit -> int64; increment : unit -> int64 (** returns the new value *) }
 
 exception Unreadable of string
-(** Raised by {!open_store} when the store holds more than one slot's bytes
-    and no slot decodes: a garbled counter, not a torn first
-    initialization. Nothing is written. *)
+(** Raised by {!open_store} when no slot decodes and the store is not a
+    torn first initialization: it holds more than one slot's bytes, or
+    the counter was opened as existing. Nothing is written. *)
 
 val read : t -> int64
 val increment : t -> int64
@@ -26,7 +26,7 @@ end
 
 val open_mem : ?initial:int64 -> unit -> Mem.handle * t
 
-val open_store : Untrusted_store.t -> t
+val open_store : ?existing:bool -> Untrusted_store.t -> t
 (** Counter emulated over an untrusted byte store: the value sits in two
     checksummed slots; each increment writes the slot {e not} holding the
     current maximum and syncs, so a torn slot write never rolls the counter
@@ -34,8 +34,10 @@ val open_store : Untrusted_store.t -> t
     torn first initialization) is initialized to 0.
     The fault-injection harness instruments this store to crash the
     counter protocol at every write/sync boundary.
-    @raise Unreadable if the store holds more and no slot decodes. *)
+    @raise Unreadable if the store holds more and no slot decodes, or,
+    with [~existing:true] (a counter that must already be in service),
+    if no slot decodes at all. *)
 
-val open_file : string -> t
+val open_file : ?existing:bool -> string -> t
 (** {!open_store} over a file-backed store — the paper's NTFS-file
     emulation (Section 7.2). *)

@@ -13,25 +13,26 @@ let key_size = 32
 (** In-memory secret store seeded deterministically (tests, benchmarks). *)
 let of_seed (seed : string) : t = { master = Tdb_crypto.Sha256.digest ("tdb-master:" ^ seed) }
 
-(** Load from (or initialize into) a key file — the "ROM image". *)
+exception Bad_key_file of string
+
+(** Load a key file — the "ROM image". Never writes. *)
 let of_file (path : string) : t =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    if String.length s <> key_size then failwith "Secret_store.of_file: corrupt key file";
-    { master = s }
-  end
-  else begin
-    let master =
-      Tdb_crypto.Sha256.digest (Printf.sprintf "init:%f:%d:%s" (Unix.gettimeofday ()) (Unix.getpid ()) path)
-    in
-    let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600 path in
-    output_string oc master;
-    close_out oc;
-    { master }
-  end
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s when Int.equal (String.length s) key_size -> { master = s }
+  | s -> raise (Bad_key_file (Printf.sprintf "%s holds %d bytes, not a %d-byte key" path (String.length s) key_size))
+  | exception Sys_error msg -> raise (Bad_key_file msg)
+
+(** Write [key] (default: a fresh one) to a new key file. *)
+let create_file ?key (path : string) : t =
+  let t =
+    match key with
+    | Some t -> t
+    | None ->
+        { master = Tdb_crypto.Sha256.digest (Printf.sprintf "init:%f:%d:%s" (Unix.gettimeofday ()) (Unix.getpid ()) path) }
+  in
+  Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o600 path (fun oc ->
+      Out_channel.output_string oc t.master);
+  t
 
 (** [derive t purpose] is a 32-byte key bound to [purpose]
     (e.g. ["chunk-encryption"], ["anchor-mac"], ["backup-mac"]). *)

@@ -10,8 +10,18 @@ val key_size : int
 val of_seed : string -> t
 (** In-memory secret store, deterministically seeded (tests, simulations). *)
 
+exception Bad_key_file of string
+(** A key file that cannot be read, or does not hold exactly {!key_size}
+    bytes. *)
+
 val of_file : string -> t
-(** Load from — or initialize into — a key file (the "ROM image"). *)
+(** Load a key file (the "ROM image"). Never writes; a missing file is
+    refused like a corrupt one.
+    @raise Bad_key_file *)
+
+val create_file : ?key:t -> string -> t
+(** Write [key] — default: a fresh one — to a key file that must not
+    exist yet, and return it. *)
 
 val derive : t -> string -> string
 (** [derive t purpose] is a 32-byte key bound to [purpose]

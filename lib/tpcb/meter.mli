@@ -13,14 +13,6 @@ type scale = {
 val default_scale : scale
 val quick_scale : scale
 
-type zipf
-(** Cumulative Zipf(alpha) distribution over ranks [0..n-1]. *)
-
-val zipf : alpha:float -> int -> zipf
-(** [alpha = 0] degenerates to uniform. *)
-
-val sample : zipf -> Tdb_crypto.Drbg.t -> int
-
 type result = {
   m_alpha : float;
   m_meters : int;

@@ -32,7 +32,6 @@ type record = { id : int; mutable balance : int; filler : string }
 
 val make_record : id:int -> balance:int -> record
 val pickle_record : Tdb_pickle.Pickle.writer -> record -> unit
-val unpickle_record : version:int -> Tdb_pickle.Pickle.reader -> record
 
 val account_cls : record Tdb_objstore.Obj_class.t
 val teller_cls : record Tdb_objstore.Obj_class.t

@@ -350,7 +350,8 @@ let test_restored_store_extends_archive () =
   Fun.protect
     ~finally:(fun () -> remove_tree dir)
     (fun () ->
-      let db = Tdb.create (Tdb.Device.at_dir dir) in
+      Tdb.init_dir dir;
+      let db = Tdb.open_existing (Tdb.Device.open_dir dir) in
       Tdb.with_ctxn db (fun ct -> ignore (Tdb.Cstore.create_collection ct ~name:"notes" ~schema:note_cls by_day));
       add_note db 1;
       ignore (Tdb.backup_full db);
@@ -359,14 +360,14 @@ let test_restored_store_extends_archive () =
       add_note db 3;
       ignore (Tdb.backup_incremental db);
       Tdb.close db;
-      let dev = Tdb.Device.at_dir dir in
-      let db = Tdb.restore ~from:dev dev in
+      let dev = Tdb.Device.open_dir dir in
+      let db = Tdb.restore ~from:dev.Tdb.Device.archive dev in
       add_note db 4;
       let id = Tdb.backup_incremental db in
       Tdb.close db;
       Alcotest.(check int) "next backup extends the archive" 4 id;
-      let dev = Tdb.Device.at_dir dir in
-      let db = Tdb.restore ~upto:id ~from:dev dev in
+      let dev = Tdb.Device.open_dir dir in
+      let db = Tdb.restore ~upto:id ~from:dev.Tdb.Device.archive dev in
       Alcotest.(check (list int)) "restore at the newest id holds the new row" [ 1; 2; 3; 4 ] (days db);
       Tdb.close db)
 

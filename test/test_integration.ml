@@ -108,7 +108,7 @@ let test_backup_of_collections () =
       Tdb.close db;
       let _, store = Tdb.Untrusted_store.open_mem () in
       let _, counter = Tdb.One_way_counter.open_mem () in
-      let db2 = Tdb.restore ~from:device { device with Tdb.Device.store; counter } in
+      let db2 = Tdb.restore ~from:device.Tdb.Device.archive { device with Tdb.Device.store; counter } in
       Alcotest.(check (option int)) "restored collection works" (Some 4) (qty_of db2 4);
       Tdb.with_ctxn db2 (fun ct ->
           Alcotest.(check int) "all rows" 4 (Tdb.Cstore.size ct (open_items ct)));

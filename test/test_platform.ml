@@ -357,10 +357,44 @@ let test_secret_derivation () =
 let test_secret_file () =
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "rom" in
-      let s = Secret_store.of_file path in
+      let s = Secret_store.create_file path in
       let s2 = Secret_store.of_file path in
       Alcotest.(check bool) "stable across opens" true
         (Secret_store.derive s "x" = Secret_store.derive s2 "x"))
+
+(* A key file of any other length is refused with the typed error, and a
+   missing one is refused, not created. *)
+let test_secret_bad_file () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "rom" in
+      let refused () = match Secret_store.of_file path with _ -> false | exception Secret_store.Bad_key_file _ -> true in
+      List.iter
+        (fun n ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (String.make n 'k'));
+          Alcotest.(check bool) (Printf.sprintf "%d-byte key refused" n) true (refused ()))
+        [ 0; 31; 40 ];
+      Sys.remove path;
+      Alcotest.(check bool) "missing key refused" true (refused ());
+      Alcotest.(check bool) "missing key not created" false (Sys.file_exists path))
+
+(* Opening a database directory creates nothing: one with no secret is
+   refused and still has none, one with a short secret is refused. *)
+let test_secret_dir_open () =
+  with_tmpdir (fun root ->
+      let dir = Filename.concat root "db" in
+      Tdb.init_dir dir;
+      let secret = Filename.concat dir "secret" in
+      let key = In_channel.with_open_bin secret In_channel.input_all in
+      let open_dir () = Tdb.Device.attempt (fun () -> Tdb.Device.open_dir dir) in
+      Sys.remove secret;
+      Alcotest.(check bool) "no secret refused" true
+        (match open_dir () with Error (Tdb.Device.Missing_file p) -> String.equal p secret | _ -> false);
+      Alcotest.(check bool) "no secret left behind" false (Sys.file_exists secret);
+      Out_channel.with_open_bin secret (fun oc -> Out_channel.output_string oc (String.sub key 0 31));
+      Alcotest.(check bool) "short secret refused" true
+        (match open_dir () with Error (Tdb.Device.Bad_secret _) -> true | _ -> false);
+      Out_channel.with_open_bin secret (fun oc -> Out_channel.output_string oc key);
+      Alcotest.(check bool) "restored secret opens" true (Result.is_ok (open_dir ())))
 
 let test_secret_zeroize () =
   let s = Secret_store.of_seed "z" in
@@ -383,6 +417,8 @@ let test_archive_mem () =
 let test_archive_dir () =
   with_tmpdir (fun dir ->
       let a = Archival_store.open_dir (Filename.concat dir "arch") in
+      Alcotest.(check (list string)) "lists empty before the first put" [] (Archival_store.list a);
+      Alcotest.(check bool) "opening made no directory" false (Sys.file_exists (Filename.concat dir "arch"));
       Archival_store.put a ~name:"b1" "payload";
       Alcotest.(check (option string)) "roundtrip" (Some "payload") (Archival_store.get a ~name:"b1");
       Alcotest.(check (option string)) "missing" None (Archival_store.get a ~name:"nope");
@@ -424,6 +460,8 @@ let () =
         [
           Alcotest.test_case "derivation" `Quick test_secret_derivation;
           Alcotest.test_case "file" `Quick test_secret_file;
+          Alcotest.test_case "bad file" `Quick test_secret_bad_file;
+          Alcotest.test_case "directory open" `Quick test_secret_dir_open;
           Alcotest.test_case "zeroize" `Quick test_secret_zeroize;
         ] );
       ( "archival-store",

@@ -414,19 +414,11 @@ let rec rm_rf path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let copy_file src dst =
-  let ic = open_in_bin src in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600 dst in
-  output_string oc data;
-  close_out oc
-
 (* End-to-end remote point-in-time restore, the flow behind
    [tdb remote-restore --upto]: a primary on disk takes a full backup and
    two incrementals, a client lists and fetches the streams over the wire,
-   stages them into a fresh directory next to a copy of the device secret,
-   and the ordinary validated restore rebuilds the database — cut at
+   stages them into a new directory created under the device secret, and
+   the ordinary validated restore rebuilds the database — cut at
    backup 2 ([--upto]) and at the newest. *)
 let test_remote_restore () =
   let tmp = Filename.temp_file "tdb-remote-restore" "" in
@@ -437,7 +429,8 @@ let test_remote_restore () =
     (fun () ->
       let pdir = Filename.concat tmp "primary" in
       Unix.mkdir pdir 0o700;
-      let db = Tdb.create (Tdb.Device.at_dir pdir) in
+      Tdb.init_dir pdir;
+      let db = Tdb.open_existing (Tdb.Device.open_dir pdir) in
       let ix = item_ix () in
       Tdb.with_ctxn db (fun ct ->
           let coll = Tdb.Cstore.create_collection ct ~name:"item" ~schema:item_cls ix in
@@ -477,7 +470,7 @@ let test_remote_restore () =
       in
       Tdb.close db;
       let qty_at dir =
-        let rdb = Tdb.open_existing (Tdb.Device.at_dir dir) in
+        let rdb = Tdb.open_existing (Tdb.Device.open_dir dir) in
         Fun.protect
           ~finally:(fun () -> Tdb.close rdb)
           (fun () ->
@@ -491,32 +484,21 @@ let test_remote_restore () =
                 Tdb.Cstore.close it;
                 q))
       in
-      let stage dir keep =
-        Unix.mkdir dir 0o700;
-        copy_file (Filename.concat pdir "secret") (Filename.concat dir "secret");
-        let bdir = Filename.concat dir "backups" in
-        Unix.mkdir bdir 0o700;
-        List.iter
-          (fun (id, name, stream) ->
-            if keep id then begin
-              let oc =
-                open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o600
-                  (Filename.concat bdir name)
-              in
-              output_string oc stream;
-              close_out oc
-            end)
-          fetched
+      (* what tdb_cli remote-restore does: stage the fetched streams in
+         the new directory's archive, restore from them under the
+         primary's secret *)
+      let restore_into ?upto dir keep =
+        Tdb.Device.create_dir ~key:(Tdb.Device.key_file (Filename.concat pdir "secret")) dir (fun d ->
+            List.iter
+              (fun (id, name, stream) -> if keep id then Tdb.Archival_store.put d.Tdb.Device.archive ~name stream)
+              fetched;
+            Tdb.close (Tdb.restore ?upto ~from:d.Tdb.Device.archive d))
       in
       let pit = Filename.concat tmp "pit" in
-      stage pit (fun id -> id <= 2);
-      let device = Tdb.Device.at_dir pit in
-      Tdb.close (Tdb.restore ~upto:2 ~from:device device);
+      restore_into ~upto:2 pit (fun id -> id <= 2);
       Alcotest.(check int) "point-in-time state (--upto 2)" 2 (qty_at pit);
       let full = Filename.concat tmp "full" in
-      stage full (fun _ -> true);
-      let device = Tdb.Device.at_dir full in
-      Tdb.close (Tdb.restore ~from:device device);
+      restore_into full (fun _ -> true);
       Alcotest.(check int) "newest state" 3 (qty_at full))
 
 (* A refused connect closes its socket: a replication follower retries a
