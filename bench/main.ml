@@ -149,6 +149,11 @@ let micro () : (string * float) list =
   let block8 = Bytes.make 8 'p' in
   let cbc = Tdb_crypto.Cbc.make (module Tdb_crypto.Aes) ~secret:(String.make 16 's') in
   let sealed = Tdb_crypto.Cbc.encrypt cbc ~iv:(String.make 16 'i') data_1k in
+  (* the default chunk cipher, Triple-AES, over a 1 KiB payload *)
+  let cbc3 = Tdb_crypto.Cbc.make (module Tdb_crypto.Triple.Aes3) ~secret:(String.make 48 's') in
+  let sealed3 = Tdb_crypto.Cbc.encrypt cbc3 ~iv:(String.make 16 'i') data_1k in
+  (* a Merkle label's input: about an average sealed TPC-B record *)
+  let data_128 = String.make 128 'x' in
   let _, store = Tdb_platform.Untrusted_store.open_mem () in
   let _, counter = Tdb_platform.One_way_counter.open_mem () in
   let cs =
@@ -298,6 +303,7 @@ let micro () : (string * float) list =
   let tests =
     [
       Test.make ~name:"sha1/1KiB" (Staged.stage (fun () -> Tdb_crypto.Sha1.digest data_1k));
+      Test.make ~name:"sha1/128B" (Staged.stage (fun () -> Tdb_crypto.Sha1.digest data_128));
       Test.make ~name:"sha256/1KiB" (Staged.stage (fun () -> Tdb_crypto.Sha256.digest data_1k));
       Test.make ~name:"hmac-sha256/1KiB" (Staged.stage (fun () -> Tdb_crypto.Hmac.sha256 ~key:"k" data_1k));
       Test.make ~name:"hmac-sha256-pre/1KiB" (Staged.stage (fun () -> Tdb_crypto.Hmac.mac mac_key data_1k));
@@ -313,6 +319,9 @@ let micro () : (string * float) list =
       Test.make ~name:"cbc-aes-encrypt/1KiB"
         (Staged.stage (fun () -> Tdb_crypto.Cbc.encrypt cbc ~iv:(String.make 16 'i') data_1k));
       Test.make ~name:"cbc-aes-decrypt/1KiB" (Staged.stage (fun () -> Tdb_crypto.Cbc.decrypt cbc sealed));
+      Test.make ~name:"3aes-cbc-encrypt/1KiB"
+        (Staged.stage (fun () -> Tdb_crypto.Cbc.encrypt cbc3 ~iv:(String.make 16 'i') data_1k));
+      Test.make ~name:"3aes-cbc-decrypt/1KiB" (Staged.stage (fun () -> Tdb_crypto.Cbc.decrypt cbc3 sealed3));
       Test.make ~name:"iv-draw" (Staged.stage (fun () -> Tdb_chunk.Security.draw_iv iv_sec));
       Test.make ~name:"owc-increment" (Staged.stage (fun () -> Tdb_platform.One_way_counter.increment owc));
       Test.make ~name:"chunk-read/1KiB" (Staged.stage (fun () -> Tdb_chunk.Chunk_store.read cs cid));

@@ -91,6 +91,9 @@ let backup_cmd =
 
 (* --- restore --- *)
 
+(* The id a restore of [chain] ends at (0 for none). *)
+let last_id chain = List.fold_left (fun _ (id, _) -> id) 0 chain
+
 let restore_cmd =
   let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"FROM" ~doc:"Source database directory (only its secret and backups/ archive are read).") in
   let dst = Arg.(required & pos 1 (some string) None & info [] ~docv:"TO" ~doc:"Destination directory for the restored database.") in
@@ -100,7 +103,8 @@ let restore_cmd =
         (* only FROM's secret and archive are read; the restored database
            lives under the secret that sealed its backups *)
         let key, from = Tdb.Device.open_archive src in
-        Tdb.Device.create_dir ~key dst (fun d -> Tdb.close (Tdb.restore ?upto ~from d)));
+        let restored = last_id (Tdb.Backup_store.restore_chain ?upto (Tdb.Backup_store.index from ~after:0)) in
+        Tdb.Device.create_dir ~key ~restored dst (fun d -> Tdb.close (Tdb.restore ?upto ~from d)));
     Printf.printf "restored into %s\n" dst
   in
   Cmd.v
@@ -164,11 +168,9 @@ let remote_restore_cmd =
   let run addr dst upto secret =
     let fetched =
       with_client addr (fun c ->
-          let index = Tdb.Client.list_backups c in
-          let index = match upto with None -> index | Some n -> List.filter (fun (id, _) -> id <= n) index in
           List.map
-            (fun (_, name) -> (name, Tdb.Client.fetch_backup c ~name))
-            (Tdb.Backup_store.select ~index ~last_id:0 ~reject_streak:0))
+            (fun (id, name) -> (id, name, Tdb.Client.fetch_backup c ~name))
+            (Tdb.Backup_store.restore_chain ?upto (Tdb.Client.list_backups c)))
     in
     (match fetched with
     | [] ->
@@ -180,8 +182,9 @@ let remote_restore_cmd =
        the archive it extends and the local validated restore runs over
        them unchanged *)
     Tdb.Device.or_exit (fun () ->
-        Tdb.Device.create_dir ?key:(Option.map Tdb.Device.key_file secret) dst (fun d ->
-            List.iter (fun (name, stream) -> Tdb.Archival_store.put d.Tdb.Device.archive ~name:(Filename.basename name) stream) fetched;
+        let restored = last_id (List.map (fun (id, name, _) -> (id, name)) fetched) in
+        Tdb.Device.create_dir ?key:(Option.map Tdb.Device.key_file secret) ~restored dst (fun d ->
+            List.iter (fun (_, name, stream) -> Tdb.Archival_store.put d.Tdb.Device.archive ~name:(Filename.basename name) stream) fetched;
             Tdb.close (Tdb.restore ?upto ~from:d.Tdb.Device.archive d)));
     Printf.printf "fetched %d stream%s; restored into %s\n" (List.length fetched)
       (match fetched with [ _ ] -> "" | _ -> "s")

@@ -326,6 +326,12 @@ let select ~(index : (int * string) list) ~(last_id : int) ~(reject_streak : int
   let first = if retry_full || newest_full > last_id + 1 then newest_full else last_id + 1 in
   List.filter (fun (id, _) -> id >= first) index |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(** The frames a restore applies: {!select} from position 0 over the
+    entries at or below [upto]. *)
+let restore_chain ?upto (index : (int * string) list) : (int * string) list =
+  let index = match upto with None -> index | Some u -> List.filter (fun (id, _) -> id <= u) index in
+  select ~index ~last_id:0 ~reject_streak:0
+
 (** Validated restore into a fresh chunk store: a follower catching up
     from empty. The names {!select} picks must run contiguously from a
     full, so a gap is refused before anything is applied; then each frame
@@ -333,9 +339,7 @@ let select ~(index : (int * string) list) ~(last_id : int) ~(reject_streak : int
 let restore ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Archival_store.t)
     ?(upto : int option) ~(into : Chunk_store.t) () : int =
   let t = create ~secret ~archive into in
-  let index = index archive ~after:0 in
-  let index = match upto with None -> index | Some u -> List.filter (fun (id, _) -> id <= u) index in
-  let chain = select ~index ~last_id:0 ~reject_streak:0 in
+  let chain = restore_chain ?upto (index archive ~after:0) in
   (match chain with
   | (first, name) :: _ when (match parse_name name with Some (_, `Full) -> true | _ -> false) ->
       List.iteri

@@ -79,6 +79,12 @@ val select : index:(int * string) list -> last_id:int -> reject_streak:int -> (i
     or below [last_id], which a whole index could add, would fail
     {!apply_stream}'s rollback check anyway. *)
 
+val restore_chain : ?upto:int -> (int * string) list -> (int * string) list
+(** The frames {!restore} (and [tdb_cli remote-restore]) applies from an
+    archive [index]: {!select} [~last_id:0] over the entries at or below
+    [upto] (default: all). The last one's id is the point restored to,
+    when the chain is valid. *)
+
 val backup_full : t -> int
 (** Write a full backup; resets the incremental chain. Returns its id. *)
 

@@ -1049,3 +1049,4 @@ let metrics t : Metrics.t =
       ("cleaner.write_amp", ratio st.bytes_relocated fresh);
       ("cleaner.live_segments", Int st.live_segments);
     ]
+  @ Security.metrics t.sec

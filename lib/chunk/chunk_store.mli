@@ -228,9 +228,10 @@ type stats = {
 val stats : t -> stats
 
 val metrics : t -> Metrics.t
-(** The store's metrics, named by owner: [store.*], [chunk_cache.*] and
-    [cleaner.*] (with the [cleaner.live_segments] gauge). The one place
-    store metrics are named. *)
+(** The store's metrics, named by owner: [store.*], [chunk_cache.*],
+    [cleaner.*] (with the [cleaner.live_segments] gauge) and the crypto
+    work counts [security.*] ({!Security.metrics}). The one place store
+    metrics are named. *)
 
 (** {2 Verified-chunk read cache}
 

@@ -20,9 +20,22 @@ type t = {
   mac_key : string; (* anchor + commit chain MAC *)
   mac_pre : Hmac.key; (* same key, ipad/opad precompressed (hot path) *)
   mutable session : session option; (* IV source; None until {!start_session} *)
+  work : work; (* calls and bytes, for {!metrics} *)
 }
 
 and session = { iv_key : Aes.key; seals : int Atomic.t (* seals drawn this session *) }
+
+(* One operation's count of calls and of input bytes. Atomic, because
+   unseals and labels run on whichever thread reads. *)
+and tally = { calls : int Atomic.t; bytes : int Atomic.t }
+
+and work = { seal_w : tally; unseal_w : tally; prefix_w : tally; label_w : tally; mac_w : tally }
+
+let tally () = { calls = Atomic.make 0; bytes = Atomic.make 0 }
+
+let count (c : tally) n =
+  Atomic.incr c.calls;
+  ignore (Atomic.fetch_and_add c.bytes n)
 
 let create (config : Config.t) (secret : Tdb_platform.Secret_store.t) : t =
   let module H = (val match config.Config.hash with Config.Sha1 -> (module Sha1 : Hash.S) | Config.Sha256 -> (module Sha256)) in
@@ -51,6 +64,7 @@ let create (config : Config.t) (secret : Tdb_platform.Secret_store.t) : t =
     mac_key;
     mac_pre = Hmac.precompute (module Sha256) ~key:mac_key;
     session = None;
+    work = { seal_w = tally (); unseal_w = tally (); prefix_w = tally (); label_w = tally (); mac_w = tally () };
   }
 
 (** Begin an IV session: one HMAC and one AES key schedule. The session
@@ -89,7 +103,9 @@ let draw_iv (t : t) : string option =
 let seal (t : t) (plain : string) : string =
   match (t.cipher, draw_iv t) with
   | None, _ -> plain
-  | Some c, Some iv -> Cbc.encrypt c ~iv plain
+  | Some c, Some iv ->
+      count t.work.seal_w (String.length plain);
+      Cbc.encrypt c ~iv plain
   | Some _, None -> invalid_arg "Security.seal: missing IV"
 
 (** Decrypt a stored payload.
@@ -97,7 +113,9 @@ let seal (t : t) (plain : string) : string =
 let unseal (t : t) (stored : string) : string =
   match t.cipher with
   | None -> stored
-  | Some c -> ( try Cbc.decrypt c stored with Cbc.Bad_padding -> Types.tamper "bad padding in stored chunk" )
+  | Some c -> (
+      count t.work.unseal_w (String.length stored);
+      try Cbc.decrypt c stored with Cbc.Bad_padding -> Types.tamper "bad padding in stored chunk" )
 
 (** The first [len] bytes of a stored payload's plaintext (all of it when
     shorter, padding included when sealed), decrypting only the cipher
@@ -111,6 +129,7 @@ let unseal_prefix (t : t) (stored : string) ~(len : int) : string =
   | None -> String.sub stored 0 (min len (String.length stored))
   | Some c -> (
       let len = min len (String.length stored - Cbc.block_size c) in
+      count t.work.prefix_w (max len 0);
       try Cbc.decrypt_prefix c stored ~len with Cbc.Bad_padding -> Types.tamper "malformed stored chunk" )
 
 (** Digest of stored bytes — the Merkle label. Empty when security is off
@@ -119,6 +138,7 @@ let label (t : t) (stored : string) : string =
   if not t.enabled then ""
   else
     let module H = (val t.hash) in
+    count t.work.label_w (String.length stored);
     H.digest stored
 
 let check_label (t : t) ~(expected : string) (stored : string) ~(what : unit -> string) : unit =
@@ -130,6 +150,7 @@ let check_label (t : t) ~(expected : string) (stored : string) ~(what : unit -> 
     (torn anchor writes) but offers no protection against forgery — exactly
     the paper's TDB-without-security mode. *)
 let mac (t : t) (data : string) : string =
+  count t.work.mac_w (String.length data);
   if t.enabled then Hmac.mac t.mac_pre data else Sha256.digest data
 
 let mac_len = Sha256.digest_size
@@ -141,3 +162,19 @@ let check_mac (t : t) ~(expected : string) (data : string) ~(what : string) : bo
 (** Storage overhead of sealing an [n]-byte payload (IV + padding). *)
 let seal_overhead (t : t) (n : int) : int =
   match t.cipher with None -> 0 | Some c -> Cbc.block_size c + Cbc.padded_len c n - n
+
+(** What the crypto has done since {!create}: calls and input bytes of
+    each operation, counted only when it runs (no seal, unseal or label
+    with security off). *)
+let metrics (t : t) : Metrics.t =
+  let w = t.work in
+  List.concat_map
+    (fun (calls, bytes, c) ->
+      Metrics.[ ("security." ^ calls, Int (Atomic.get c.calls)); ("security." ^ bytes, Int (Atomic.get c.bytes)) ])
+    [
+      ("seals", "seal_bytes", w.seal_w);
+      ("unseals", "unseal_bytes", w.unseal_w);
+      ("prefixes", "prefix_bytes", w.prefix_w);
+      ("labels", "label_bytes", w.label_w);
+      ("macs", "mac_bytes", w.mac_w);
+    ]

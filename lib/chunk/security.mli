@@ -16,11 +16,16 @@ type t = {
                                       fast path *)
   mutable session : session option;  (** IV source; [None] until
                                          {!start_session} *)
+  work : work;  (** the counts {!metrics} reports *)
 }
 
 and session
 (** A per-session AES-128 key and an atomic count of the seals drawn under
     it. *)
+
+and work
+(** Calls and input bytes of {!seal}, {!unseal}, {!unseal_prefix},
+    {!label} and {!mac}; atomic counters, no clock reads. *)
 
 val create : Config.t -> Tdb_platform.Secret_store.t -> t
 (** No session yet: {!draw_iv} (and {!seal}) refuse until {!start_session}
@@ -67,6 +72,16 @@ val mac : t -> string -> string
 
 val mac_len : int
 val check_mac : t -> expected:string -> string -> what:string -> bool
+
+val metrics : t -> Metrics.t
+(** The crypto work since {!create}: [security.seals] / [seal_bytes]
+    (plaintext bytes), [unseals] / [unseal_bytes] (stored bytes),
+    [prefixes] / [prefix_bytes] ({!unseal_prefix}: prefix bytes
+    decrypted),
+    [labels] / [label_bytes] (stored bytes hashed, {!check_label}
+    included) and [macs] / [mac_bytes] ({!check_mac} included). Seals,
+    unseals and labels count only when they run: with security off, none
+    do; a MAC always runs. *)
 
 val seal_overhead : t -> int -> int
 (** Storage overhead (IV + padding) of sealing an n-byte payload. *)

@@ -100,6 +100,7 @@ module Device = struct
     | Unrecoverable of string
     | Invalid_backup of string
     | Io_error of string
+    | Archive_ahead of string
 
   exception Refused of refusal
 
@@ -112,6 +113,7 @@ module Device = struct
     | Unrecoverable m -> "UNRECOVERABLE: " ^ m
     | Invalid_backup m -> "INVALID BACKUP: " ^ m
     | Io_error m -> "I/O ERROR: " ^ m
+    | Archive_ahead m -> "ARCHIVE AHEAD: " ^ m
 
   (* Every typed verdict a layer below raises on a damaged directory. *)
   let attempt f =
@@ -182,11 +184,26 @@ module Device = struct
     | Sys_error m -> refuse (Io_error m)
     | Unix.Unix_error (e, fn, arg) -> refuse (Io_error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
 
-  let create_dir ?key dir build =
+  (* A database restored to [restored] makes its next backup with id
+     [restored + 1], beside any stream already above it in the target's
+     archive: a later restore would pick both and refuse the fork. With
+     no chain to restore (0), the restore itself refuses. *)
+  let refuse_fork dir ~restored =
+    if restored > 0 && is_dir dir then
+      match Backup_store.index (Archival_store.open_dir (Filename.concat dir "backups")) ~after:restored with
+      | [] -> ()
+      | (_, name) :: _ ->
+          refuse
+            (Archive_ahead
+               (Printf.sprintf "%s/backups holds %s, past backup %d being restored; restore into a new directory"
+                  dir name restored))
+
+  let create_dir ?key ?restored dir build =
     let exists = Sys.file_exists dir in
     if exists && not (Sys.is_directory dir) then refuse (No_directory dir);
     let parent = Filename.dirname dir in
     if not (is_dir parent) then refuse (No_directory parent);
+    Option.iter (fun restored -> refuse_fork dir ~restored) restored;
     let key =
       match key with
       | Some _ -> key

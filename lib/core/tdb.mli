@@ -95,6 +95,8 @@ module Device : sig
     | Unrecoverable of string  (** {!Chunk_store.Recovery_failed} *)
     | Invalid_backup of string  (** {!Backup_store.Invalid_backup} *)
     | Io_error of string  (** {!create_dir} could not write its temporary directory or move it into place *)
+    | Archive_ahead of string
+        (** a restore to backup N into a directory whose [backups/] already holds a stream above N *)
 
   exception Refused of refusal
 
@@ -127,7 +129,7 @@ module Device : sig
       nothing. Raises what {!attempt} turns into [No_directory],
       [Missing_file] or [Bad_secret]. *)
 
-  val create_dir : ?key:Secret_store.t -> string -> (t -> 'a) -> 'a
+  val create_dir : ?key:Secret_store.t -> ?restored:int -> string -> (t -> 'a) -> 'a
   (** [create_dir dir build] runs [build] on a new device in a temporary
       directory — under [key], or by default the secret [dir] already
       holds, or a fresh one — and only when [build] returns moves it into
@@ -145,7 +147,13 @@ module Device : sig
       [No_directory] if [dir]'s parent is not a directory or [dir] is not
       one, with [Bad_secret] if the secret [dir] holds is corrupt, with
       [Io_error] on a file-system error, and with whatever [build]
-      raises. *)
+      raises.
+
+      [restored] is given by a restore to backup [restored]: before
+      anything is staged, it refuses with [Archive_ahead] if [dir]'s
+      [backups/] holds a stream with a higher id. The restored database's
+      next backup would take id [restored + 1] beside that stream, and
+      every later restore would refuse the forked chain. *)
 end
 
 (** {1 The embedded database} *)

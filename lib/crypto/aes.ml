@@ -67,7 +67,7 @@ let inv_sbox =
    column (14,9,13,11)·S⁻¹(x). All eight are derived from the computed
    S-boxes and [gmul], so no constant here is memorized. *)
 
-let word b0 b1 b2 b3 = (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
+let[@inline] word b0 b1 b2 b3 = (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
 let b0 w = (w lsr 24) land 0xff
 let b1 w = (w lsr 16) land 0xff
 let b2 w = (w lsr 8) land 0xff
@@ -127,10 +127,26 @@ let of_secret secret =
 
 (* The state is four 32-bit column words, big-endian: byte (row r, column c)
    sits at bits 24-8r of [s_c]. The whole source block is loaded before
-   anything is stored, so [src] and [dst] may alias (see {!Cbc}). *)
+   anything is stored, so [src] and [dst] may alias. *)
 
 let load b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 let store b off w = Bytes.set_int32_be b off (Int32.of_int w)
+
+(* One output column of a round, from round-key word [r]. Encryption reads
+   row r of column c from input column c+r (ShiftRows), decryption from
+   column c-r; callers pass the four input columns in that order. The
+   [last] forms are the final round: S-box only, no MixColumns. *)
+let[@inline] enc_col k r x0 x1 x2 x3 =
+  at te0 (b0 x0) lxor at te1 (b1 x1) lxor at te2 (b2 x2) lxor at te3 (b3 x3) lxor at k r
+
+let[@inline] dec_col k r x0 x1 x2 x3 =
+  at td0 (b0 x0) lxor at td1 (b1 x1) lxor at td2 (b2 x2) lxor at td3 (b3 x3) lxor at k r
+
+let[@inline] enc_last k r x0 x1 x2 x3 =
+  word (at sbox (b0 x0)) (at sbox (b1 x1)) (at sbox (b2 x2)) (at sbox (b3 x3)) lxor at k r
+
+let[@inline] dec_last k r x0 x1 x2 x3 =
+  word (at inv_sbox (b0 x0)) (at inv_sbox (b1 x1)) (at inv_sbox (b2 x2)) (at inv_sbox (b3 x3)) lxor at k r
 
 let encrypt_block { enc = k; _ } ~src ~src_off ~dst ~dst_off =
   Block.check_block ~fn:"Aes.encrypt_block" ~block_size src src_off;
@@ -139,23 +155,18 @@ let encrypt_block { enc = k; _ } ~src ~src_off ~dst ~dst_off =
   and s1 = ref (load src (src_off + 4) lxor at k 1)
   and s2 = ref (load src (src_off + 8) lxor at k 2)
   and s3 = ref (load src (src_off + 12) lxor at k 3) in
-  (* rounds 1-9: row r of output column c comes from input column c+r *)
   for round = 1 to 9 do
     let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-    s0 := at te0 (b0 a0) lxor at te1 (b1 a1) lxor at te2 (b2 a2) lxor at te3 (b3 a3) lxor at k r;
-    s1 := at te0 (b0 a1) lxor at te1 (b1 a2) lxor at te2 (b2 a3) lxor at te3 (b3 a0) lxor at k (r + 1);
-    s2 := at te0 (b0 a2) lxor at te1 (b1 a3) lxor at te2 (b2 a0) lxor at te3 (b3 a1) lxor at k (r + 2);
-    s3 := at te0 (b0 a3) lxor at te1 (b1 a0) lxor at te2 (b2 a1) lxor at te3 (b3 a2) lxor at k (r + 3)
+    s0 := enc_col k r a0 a1 a2 a3;
+    s1 := enc_col k (r + 1) a1 a2 a3 a0;
+    s2 := enc_col k (r + 2) a2 a3 a0 a1;
+    s3 := enc_col k (r + 3) a3 a0 a1 a2
   done;
-  (* round 10: SubBytes + ShiftRows, no MixColumns *)
   let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-  let last x0 x1 x2 x3 kw =
-    word (at sbox (b0 x0)) (at sbox (b1 x1)) (at sbox (b2 x2)) (at sbox (b3 x3)) lxor kw
-  in
-  store dst dst_off (last a0 a1 a2 a3 (at k 40));
-  store dst (dst_off + 4) (last a1 a2 a3 a0 (at k 41));
-  store dst (dst_off + 8) (last a2 a3 a0 a1 (at k 42));
-  store dst (dst_off + 12) (last a3 a0 a1 a2 (at k 43))
+  store dst dst_off (enc_last k 40 a0 a1 a2 a3);
+  store dst (dst_off + 4) (enc_last k 41 a1 a2 a3 a0);
+  store dst (dst_off + 8) (enc_last k 42 a2 a3 a0 a1);
+  store dst (dst_off + 12) (enc_last k 43 a3 a0 a1 a2)
 
 let decrypt_block { dec = k; _ } ~src ~src_off ~dst ~dst_off =
   Block.check_block ~fn:"Aes.decrypt_block" ~block_size src src_off;
@@ -164,20 +175,140 @@ let decrypt_block { dec = k; _ } ~src ~src_off ~dst ~dst_off =
   and s1 = ref (load src (src_off + 4) lxor at k 1)
   and s2 = ref (load src (src_off + 8) lxor at k 2)
   and s3 = ref (load src (src_off + 12) lxor at k 3) in
-  (* rounds 9-1: row r of output column c comes from input column c-r *)
   for round = 1 to 9 do
     let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-    s0 := at td0 (b0 a0) lxor at td1 (b1 a3) lxor at td2 (b2 a2) lxor at td3 (b3 a1) lxor at k r;
-    s1 := at td0 (b0 a1) lxor at td1 (b1 a0) lxor at td2 (b2 a3) lxor at td3 (b3 a2) lxor at k (r + 1);
-    s2 := at td0 (b0 a2) lxor at td1 (b1 a1) lxor at td2 (b2 a0) lxor at td3 (b3 a3) lxor at k (r + 2);
-    s3 := at td0 (b0 a3) lxor at td1 (b1 a2) lxor at td2 (b2 a1) lxor at td3 (b3 a0) lxor at k (r + 3)
+    s0 := dec_col k r a0 a3 a2 a1;
+    s1 := dec_col k (r + 1) a1 a0 a3 a2;
+    s2 := dec_col k (r + 2) a2 a1 a0 a3;
+    s3 := dec_col k (r + 3) a3 a2 a1 a0
   done;
-  (* round 0: InvSubBytes + InvShiftRows, no InvMixColumns *)
   let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-  let last x0 x1 x2 x3 kw =
-    word (at inv_sbox (b0 x0)) (at inv_sbox (b1 x1)) (at inv_sbox (b2 x2)) (at inv_sbox (b3 x3)) lxor kw
-  in
-  store dst dst_off (last a0 a3 a2 a1 (at k 40));
-  store dst (dst_off + 4) (last a1 a0 a3 a2 (at k 41));
-  store dst (dst_off + 8) (last a2 a1 a0 a3 (at k 42));
-  store dst (dst_off + 12) (last a3 a2 a1 a0 (at k 43))
+  store dst dst_off (dec_last k 40 a0 a3 a2 a1);
+  store dst (dst_off + 4) (dec_last k 41 a1 a0 a3 a2);
+  store dst (dst_off + 8) (dec_last k 42 a2 a1 a0 a3);
+  store dst (dst_off + 12) (dec_last k 43 a3 a2 a1 a0)
+
+let cbc_encrypt = Block.cbc_encrypt ~fn:"Aes.cbc_encrypt" ~block_size encrypt_block
+let cbc_decrypt = Block.cbc_decrypt ~fn:"Aes.cbc_decrypt" ~block_size decrypt_block
+
+(* --- Triple-AES (EDE) CBC, fused ---
+
+   One block of [E_k3 (D_k2 (E_k1 x))] CBC is thirty rounds over the same
+   four column words. The kernels below keep those words in locals from
+   the chaining XOR through all three passes to the store, fold each
+   pass's last round-key add into the next pass's first, and carry the
+   chaining value (the previous ciphertext block) in locals too, so a
+   block costs four loads, four stores and the table lookups. The range
+   is checked once per call. *)
+
+let ede_cbc_encrypt { enc = k1; _ } { dec = k2; _ } { enc = k3; _ } b ~off ~nblocks =
+  Block.check_chain ~fn:"Aes.ede_cbc_encrypt" ~block_size b ~off ~nblocks;
+  let c0 = ref (load b (off - 16))
+  and c1 = ref (load b (off - 12))
+  and c2 = ref (load b (off - 8))
+  and c3 = ref (load b (off - 4)) in
+  for i = 0 to nblocks - 1 do
+    let o = off + (16 * i) in
+    (* E_k1 of plaintext xor chaining value *)
+    let s0 = ref (load b o lxor !c0 lxor at k1 0)
+    and s1 = ref (load b (o + 4) lxor !c1 lxor at k1 1)
+    and s2 = ref (load b (o + 8) lxor !c2 lxor at k1 2)
+    and s3 = ref (load b (o + 12) lxor !c3 lxor at k1 3) in
+    for round = 1 to 9 do
+      let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      s0 := enc_col k1 r a0 a1 a2 a3;
+      s1 := enc_col k1 (r + 1) a1 a2 a3 a0;
+      s2 := enc_col k1 (r + 2) a2 a3 a0 a1;
+      s3 := enc_col k1 (r + 3) a3 a0 a1 a2
+    done;
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := enc_last k1 40 a0 a1 a2 a3 lxor at k2 0;
+    s1 := enc_last k1 41 a1 a2 a3 a0 lxor at k2 1;
+    s2 := enc_last k1 42 a2 a3 a0 a1 lxor at k2 2;
+    s3 := enc_last k1 43 a3 a0 a1 a2 lxor at k2 3;
+    (* D_k2 *)
+    for round = 1 to 9 do
+      let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      s0 := dec_col k2 r a0 a3 a2 a1;
+      s1 := dec_col k2 (r + 1) a1 a0 a3 a2;
+      s2 := dec_col k2 (r + 2) a2 a1 a0 a3;
+      s3 := dec_col k2 (r + 3) a3 a2 a1 a0
+    done;
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := dec_last k2 40 a0 a3 a2 a1 lxor at k3 0;
+    s1 := dec_last k2 41 a1 a0 a3 a2 lxor at k3 1;
+    s2 := dec_last k2 42 a2 a1 a0 a3 lxor at k3 2;
+    s3 := dec_last k2 43 a3 a2 a1 a0 lxor at k3 3;
+    (* E_k3: the ciphertext block, and the next block's chaining value *)
+    for round = 1 to 9 do
+      let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      s0 := enc_col k3 r a0 a1 a2 a3;
+      s1 := enc_col k3 (r + 1) a1 a2 a3 a0;
+      s2 := enc_col k3 (r + 2) a2 a3 a0 a1;
+      s3 := enc_col k3 (r + 3) a3 a0 a1 a2
+    done;
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    c0 := enc_last k3 40 a0 a1 a2 a3;
+    c1 := enc_last k3 41 a1 a2 a3 a0;
+    c2 := enc_last k3 42 a2 a3 a0 a1;
+    c3 := enc_last k3 43 a3 a0 a1 a2;
+    store b o !c0;
+    store b (o + 4) !c1;
+    store b (o + 8) !c2;
+    store b (o + 12) !c3
+  done
+
+let ede_cbc_decrypt { dec = k1; _ } { enc = k2; _ } { dec = k3; _ } src ~nblocks =
+  Block.check_chain ~fn:"Aes.ede_cbc_decrypt" ~block_size src ~off:block_size ~nblocks;
+  let out = Bytes.create (nblocks * block_size) in
+  let c0 = ref (load src 0) and c1 = ref (load src 4) and c2 = ref (load src 8) and c3 = ref (load src 12) in
+  for i = 0 to nblocks - 1 do
+    let o = 16 * (i + 1) in
+    let x0 = load src o and x1 = load src (o + 4) and x2 = load src (o + 8) and x3 = load src (o + 12) in
+    (* D_k3 *)
+    let s0 = ref (x0 lxor at k3 0) and s1 = ref (x1 lxor at k3 1) and s2 = ref (x2 lxor at k3 2) and s3 = ref (x3 lxor at k3 3) in
+    for round = 1 to 9 do
+      let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      s0 := dec_col k3 r a0 a3 a2 a1;
+      s1 := dec_col k3 (r + 1) a1 a0 a3 a2;
+      s2 := dec_col k3 (r + 2) a2 a1 a0 a3;
+      s3 := dec_col k3 (r + 3) a3 a2 a1 a0
+    done;
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := dec_last k3 40 a0 a3 a2 a1 lxor at k2 0;
+    s1 := dec_last k3 41 a1 a0 a3 a2 lxor at k2 1;
+    s2 := dec_last k3 42 a2 a1 a0 a3 lxor at k2 2;
+    s3 := dec_last k3 43 a3 a2 a1 a0 lxor at k2 3;
+    (* E_k2 *)
+    for round = 1 to 9 do
+      let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      s0 := enc_col k2 r a0 a1 a2 a3;
+      s1 := enc_col k2 (r + 1) a1 a2 a3 a0;
+      s2 := enc_col k2 (r + 2) a2 a3 a0 a1;
+      s3 := enc_col k2 (r + 3) a3 a0 a1 a2
+    done;
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := enc_last k2 40 a0 a1 a2 a3 lxor at k1 0;
+    s1 := enc_last k2 41 a1 a2 a3 a0 lxor at k1 1;
+    s2 := enc_last k2 42 a2 a3 a0 a1 lxor at k1 2;
+    s3 := enc_last k2 43 a3 a0 a1 a2 lxor at k1 3;
+    (* D_k1, then the chaining XOR *)
+    for round = 1 to 9 do
+      let r = 4 * round and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      s0 := dec_col k1 r a0 a3 a2 a1;
+      s1 := dec_col k1 (r + 1) a1 a0 a3 a2;
+      s2 := dec_col k1 (r + 2) a2 a1 a0 a3;
+      s3 := dec_col k1 (r + 3) a3 a2 a1 a0
+    done;
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    let o = o - 16 in
+    store out o (dec_last k1 40 a0 a3 a2 a1 lxor !c0);
+    store out (o + 4) (dec_last k1 41 a1 a0 a3 a2 lxor !c1);
+    store out (o + 8) (dec_last k1 42 a2 a1 a0 a3 lxor !c2);
+    store out (o + 12) (dec_last k1 43 a3 a2 a1 a0 lxor !c3);
+    c0 := x0;
+    c1 := x1;
+    c2 := x2;
+    c3 := x3
+  done;
+  out

@@ -7,3 +7,13 @@
     Stands in for the paper's 3DES (see DESIGN.md, "Substitutions"). *)
 
 include Block.CIPHER
+
+val ede_cbc_encrypt : key -> key -> key -> bytes -> off:int -> nblocks:int -> unit
+(** [ede_cbc_encrypt k1 k2 k3] is {!Block.CIPHER.cbc_encrypt} for the
+    EDE composition [E_k3 (D_k2 (E_k1 x))]: one fused kernel that keeps the
+    block in four column words through the chaining XOR and all three
+    passes ({!Triple.Aes3}'s chain). Same range check and contract. *)
+
+val ede_cbc_decrypt : key -> key -> key -> bytes -> nblocks:int -> bytes
+(** [ede_cbc_decrypt k1 k2 k3] is {!Block.CIPHER.cbc_decrypt} for the
+    same composition, [D_k1 (E_k2 (D_k3 c))] xor the previous block. *)

@@ -5,12 +5,10 @@
     block encryption" storage overhead the paper measures for TDB-S.
 
     This is the storage hot path: every sealed record passes through here
-    once per write and once per (cache-missing) read, so both directions
-    work in a single output buffer with no per-block temporaries. The
-    in-place [encrypt] relies on a {!Block.CIPHER} contract every cipher in
-    this library honours: [encrypt_block]/[decrypt_block] load the whole
-    source block before storing the destination, so [src] and [dst] may
-    alias at the same offset. *)
+    once per write and once per (cache-missing) read. Each direction is one
+    call into the cipher's CBC chain ({!Block.CIPHER.cbc_encrypt} in place
+    over one buffer, {!Block.CIPHER.cbc_decrypt} into a fresh one), so the
+    chaining XOR runs inside the cipher's kernel, not byte by byte here. *)
 
 exception Bad_padding
 
@@ -34,49 +32,20 @@ let encrypt (Cipher ((module C), key)) ~(iv : string) (plain : string) : string 
   if String.length iv <> bs then invalid_arg "Cbc.encrypt: IV must be one block";
   let n = String.length plain in
   let pad = bs - (n mod bs) in
-  (* One buffer holds IV ^ padded plaintext and becomes IV ^ ciphertext:
-     block b XORs against the previous block — already ciphertext (or the
-     IV) — then encrypts in place. *)
+  (* One buffer holds IV ^ padded plaintext and becomes IV ^ ciphertext
+     in one chain call. *)
   let out = Bytes.create (bs + n + pad) in
   Bytes.blit_string iv 0 out 0 bs;
   Bytes.blit_string plain 0 out bs n;
   Bytes.fill out (bs + n) pad (Char.chr pad);
-  let nblocks = (n + pad) / bs in
-  for b = 0 to nblocks - 1 do
-    let off = bs + (b * bs) in
-    let prev = off - bs in
-    for i = 0 to bs - 1 do
-      (* in bounds: off + i < bs + n + pad = length out *)
-      Bytes.unsafe_set out (off + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get out (off + i)) lxor Char.code (Bytes.unsafe_get out (prev + i))))
-    done;
-    C.encrypt_block key ~src:out ~src_off:off ~dst:out ~dst_off:off
-  done;
+  C.cbc_encrypt key out ~off:bs ~nblocks:((n + pad) / bs);
   Bytes.unsafe_to_string out
 
 (* CBC-decrypt the first [nblocks] ciphertext blocks of [IV ^ ciphertext]
-   into a fresh buffer. The caller guarantees [(nblocks + 1) * bs <=
-   String.length data], which bounds every index below. *)
+   into a fresh buffer. Read-only view: the chain only loads from its
+   source, so the ciphertext is never copied. *)
 let decrypt_blocks (Cipher ((module C), key)) (data : string) ~(nblocks : int) : bytes =
-  let bs = C.block_size in
-  (* Read-only view: [decrypt_block] only loads from [src], and the XOR
-     below only reads [data] through string accessors, so the ciphertext
-     is never copied. *)
-  let src = Bytes.unsafe_of_string data in
-  let out = Bytes.create (nblocks * bs) in
-  for b = 0 to nblocks - 1 do
-    let doff = b * bs in
-    C.decrypt_block key ~src ~src_off:(bs + doff) ~dst:out ~dst_off:doff;
-    (* XOR with previous ciphertext block (or IV for the first block). *)
-    for i = 0 to bs - 1 do
-      (* in bounds: doff + i < nblocks * bs and doff + i < total *)
-      Bytes.unsafe_set out (doff + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get out (doff + i)) lxor Char.code (String.unsafe_get data (doff + i))))
-    done
-  done;
-  out
+  C.cbc_decrypt key (Bytes.unsafe_of_string data) ~nblocks
 
 (* Ciphertext length (excluding IV) of a well-formed [IV ^ ciphertext]. *)
 let body_len c (data : string) : int =

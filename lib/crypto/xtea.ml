@@ -59,3 +59,6 @@ let decrypt_block (k : key) ~src ~src_off ~dst ~dst_off =
   done;
   put32 dst dst_off !v0;
   put32 dst (dst_off + 4) !v1
+
+let cbc_encrypt = Block.cbc_encrypt ~fn:"Xtea.cbc_encrypt" ~block_size encrypt_block
+let cbc_decrypt = Block.cbc_decrypt ~fn:"Xtea.cbc_decrypt" ~block_size decrypt_block

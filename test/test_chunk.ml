@@ -1147,6 +1147,36 @@ let cache_counters cs =
   let st = Chunk_store.stats cs in
   (st.Chunk_store.cache_hits, st.Chunk_store.cache_misses, st.Chunk_store.cache_evictions)
 
+(* The crypto work of one fixed durable commit, counted exactly: three
+   chunk writes (100, 200 and 300 bytes) sealed and labelled, the commit
+   record sealed, and one commit-chain MAC; nothing unsealed. A change to
+   a kernel leaves these counts alone; a change to what a commit seals,
+   hashes or MACs moves them. *)
+let test_security_counts () =
+  let env = fresh_env () in
+  let cs = create env in
+  let ids = List.init 3 (fun _ -> Chunk_store.allocate cs) in
+  Chunk_store.commit ~durable:true cs;
+  let counts () =
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Metrics.Int n when String.length name > 9 && String.equal (String.sub name 0 9) "security." -> Some (name, n)
+        | _ -> None)
+      (Chunk_store.metrics cs)
+  in
+  let before = counts () in
+  List.iteri (fun i cid -> Chunk_store.write cs cid (String.make (100 * (i + 1)) (Char.chr (0x61 + i)))) ids;
+  Chunk_store.commit ~durable:true cs;
+  let delta = List.map2 (fun (name, a) (_, b) -> Printf.sprintf "%s=%d" name (b - a)) before (counts ()) in
+  Alcotest.(check (list string)) "security.* of one durable commit"
+    [
+      "security.seals=4"; "security.seal_bytes=740"; "security.unseals=0"; "security.unseal_bytes=0";
+      "security.prefixes=0"; "security.prefix_bytes=0"; "security.labels=3"; "security.label_bytes=688";
+      "security.macs=1"; "security.mac_bytes=127";
+    ]
+    delta
+
 let test_cache_hits_after_commit () =
   let env = fresh_env () in
   let cs = create env in
@@ -1753,6 +1783,7 @@ let () =
                        Alcotest.test_case "idle barrier touches nothing" `Quick test_idle_barrier_touches_nothing ]);
       ( "cache",
         [
+          Alcotest.test_case "security work counts" `Quick test_security_counts;
           Alcotest.test_case "hits after commit" `Quick test_cache_hits_after_commit;
           Alcotest.test_case "read-after-write coherence" `Quick test_cache_read_after_write_coherence;
           Alcotest.test_case "dealloc coherence" `Quick test_cache_dealloc_coherence;

@@ -134,6 +134,24 @@ let restore_in_place () =
       ok "restore D E" [ "restore"; base; e ];
       ok "verify E" [ "verify"; e ])
 
+(* A point-in-time restore into a directory whose archive already holds a
+   later stream is refused before anything is written: its next backup
+   would take that stream's id and fork the chain, so that every later
+   restore refuses. Into a new directory it restores. *)
+let restore_point_in_time_in_place () =
+  with_root (fun root ->
+      let base = base root in
+      let before = snapshot root in
+      Alcotest.(check int) "restore --upto 1 D D" 2 (run [ "restore"; "--upto"; "1"; base; base ]);
+      Alcotest.(check (list (pair string string))) "nothing written" before (snapshot root);
+      ok "backup D" [ "backup"; base ];
+      ok "restore D X" [ "restore"; base; Filename.concat root "x" ];
+      let e = Filename.concat root "e" in
+      ok "restore --upto 1 D E" [ "restore"; "--upto"; "1"; base; e ];
+      ok "backup E" [ "backup"; e ];
+      ok "restore E F" [ "restore"; e; Filename.concat root "f" ];
+      ok "verify F" [ "verify"; Filename.concat root "f" ])
+
 (* A restore reads only FROM's secret and archive: what is left of a dead
    device's directory when [db] and [counter] are lost is enough. *)
 let restore_from_key_and_archive () =
@@ -181,6 +199,7 @@ let () =
       ( "create and restore",
         [
           Alcotest.test_case "in place keeps the archive" `Quick restore_in_place;
+          Alcotest.test_case "point in time in place is refused" `Quick restore_point_in_time_in_place;
           Alcotest.test_case "from secret and backups/ only" `Quick restore_from_key_and_archive;
           Alcotest.test_case "an install error is a refusal" `Quick install_error;
         ] );

@@ -402,6 +402,110 @@ let test_block_out_of_range () =
   check (module Xtea);
   check (module Triple.Xtea3)
 
+(* The chain entry points, given a bad range, raise before writing: the
+   buffer keeps every byte. *)
+let test_chain_out_of_range () =
+  let check (module C : Block.CIPHER) =
+    let bs = C.block_size in
+    let key = C.of_secret (String.make C.key_size 'k') in
+    let len = (3 * bs) + 4 in
+    List.iter
+      (fun (what, off, nblocks) ->
+        let b = Bytes.make len 'b' in
+        let name = Printf.sprintf "%s cbc_encrypt %s" C.name what in
+        (match C.cbc_encrypt key b ~off ~nblocks with
+        | () -> Alcotest.failf "%s: no exception" name
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check string) (name ^ ": buffer untouched") (String.make len 'b') (Bytes.to_string b))
+      [
+        ("no IV before off", 0, 1);
+        ("off inside the IV", bs - 1, 1);
+        ("negative off", -bs, 1);
+        ("blocks past the end", bs, 3);
+        ("negative nblocks", bs, -1);
+      ];
+    let src = Bytes.make len 's' in
+    List.iter
+      (fun (what, nblocks) ->
+        let name = Printf.sprintf "%s cbc_decrypt %s" C.name what in
+        (match C.cbc_decrypt key src ~nblocks with
+        | _ -> Alcotest.failf "%s: no exception" name
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check string) (name ^ ": source untouched") (String.make len 's') (Bytes.to_string src))
+      [ ("blocks past the end", 3); ("negative nblocks", -1) ]
+  in
+  check (module Aes);
+  check (module Triple.Aes3);
+  check (module Xtea);
+  check (module Triple.Xtea3)
+
+(* Plaintext lengths 0-300, with the block-aligned ones drawn as often. *)
+let cbc_len_gen = QCheck.Gen.(oneof [ 0 -- 300; map (fun k -> 16 * k) (0 -- 18) ])
+
+(* The fused Triple-AES chain against textbook CBC over the EDE block
+   functions, one block at a time, in both directions and for every
+   prefix length [decrypt_prefix] takes. *)
+let aes3_chain_matches_blocks_qcheck =
+  QCheck.Test.make ~name:"3aes128 fused cbc = block-by-block cbc" ~count:200
+    QCheck.(
+      triple (string_of_size (Gen.return 48)) (string_of_size (Gen.return 16))
+        (string_gen_of_size cbc_len_gen Gen.char))
+    (fun (secret, iv, plain) ->
+      let module T = Triple.Aes3 in
+      let key = T.of_secret secret in
+      let n = String.length plain in
+      let pad = 16 - (n mod 16) in
+      let padded = Bytes.of_string (plain ^ String.make pad (Char.chr pad)) in
+      let nblocks = (n + pad) / 16 in
+      let expect = Bytes.create (16 + (16 * nblocks)) in
+      Bytes.blit_string iv 0 expect 0 16;
+      for i = 0 to nblocks - 1 do
+        let x = Bytes.init 16 (fun j -> Char.chr (Char.code (Bytes.get padded ((16 * i) + j)) lxor Char.code (Bytes.get expect ((16 * i) + j)))) in
+        T.encrypt_block key ~src:x ~src_off:0 ~dst:expect ~dst_off:(16 * (i + 1))
+      done;
+      let expect = Bytes.to_string expect in
+      let c = Cbc.make (module T) ~secret in
+      let ct = Cbc.encrypt c ~iv plain in
+      let back = Bytes.create (16 * nblocks) in
+      for i = 0 to nblocks - 1 do
+        T.decrypt_block key ~src:(Bytes.of_string ct) ~src_off:(16 * (i + 1)) ~dst:back ~dst_off:(16 * i);
+        for j = 0 to 15 do
+          let k = (16 * i) + j in
+          Bytes.set back k (Char.chr (Char.code (Bytes.get back k) lxor Char.code ct.[k]))
+        done
+      done;
+      String.equal ct expect
+      && String.equal (Bytes.to_string back) (Bytes.to_string padded)
+      && String.equal (Cbc.decrypt c ct) plain
+      && List.for_all
+           (fun len -> String.equal (Cbc.decrypt_prefix c ct ~len) (Bytes.sub_string padded 0 len))
+           (List.init ((16 * nblocks) + 1) Fun.id))
+
+(* One-shot SHA-1 against the same bytes fed in pieces, over lengths
+   around the padding edges: 55 bytes still fit the length field in one
+   block, 56 do not, 64 fill a block exactly. *)
+let sha1_split_qcheck =
+  QCheck.Test.make ~name:"sha1 digest = feed at random split points" ~count:300
+    QCheck.(
+      pair
+        (string_gen_of_size
+           Gen.(oneof [ 0 -- 200; oneofl [ 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 129 ] ])
+           Gen.char)
+        (small_list small_nat))
+    (fun (data, cuts) ->
+      let n = String.length data in
+      let cuts = List.sort_uniq Int.compare (List.map (fun c -> if n = 0 then 0 else c mod (n + 1)) cuts) in
+      let ctx = Sha1.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha1.feed ctx ~off:pos ~len:(cut - pos) data;
+            cut)
+          0 cuts
+      in
+      Sha1.feed ctx ~off:last data;
+      String.equal (Sha1.get ctx) (Sha1.digest data))
+
 (* --- DRBG --- *)
 
 let test_drbg_deterministic () =
@@ -506,6 +610,8 @@ let qsuite =
       cbc_prefix_qcheck (module Aes);
       cbc_prefix_qcheck (module Triple.Aes3);
       cbc_prefix_qcheck (module Triple.Xtea3);
+      aes3_chain_matches_blocks_qcheck;
+      sha1_split_qcheck;
     ]
 
 let () =
@@ -544,7 +650,11 @@ let () =
           Alcotest.test_case "nist sp800-38a vector" `Quick test_cbc_nist_vector;
           Alcotest.test_case "pinned ciphertext digests" `Quick test_cbc_pinned_digests;
         ] );
-      ("block", [ Alcotest.test_case "out-of-range offsets" `Quick test_block_out_of_range ]);
+      ( "block",
+        [
+          Alcotest.test_case "out-of-range offsets" `Quick test_block_out_of_range;
+          Alcotest.test_case "chain out-of-range offsets" `Quick test_chain_out_of_range;
+        ] );
       ( "drbg",
         [
           Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
