@@ -39,22 +39,25 @@ let within ~tol r ~what ~fresh ~base =
         let op = if r.up_is_worse then ">" else "<" in
         [ (Fail, Printf.sprintf "%s: %s %s %s %.*f (baseline %s, tolerance %g)" what r.field fs op r.digits limit bs tol) ]
 
-(* Meter counters (at equal scale) and the replica's archive counters are
-   deterministic: a fresh value that differs at all means the committed
-   file no longer describes the code. *)
+(* TPC-B and meter counters (at equal scale) and the replica's archive
+   counters are deterministic: a fresh value that differs at all means the
+   committed file no longer describes the code. *)
+let tpcb_exact = [ "cache_hits"; "cache_misses"; "bytes_per_txn"; "store_writes_per_txn"; "db_size"; "live_bytes" ]
+
 let meter_exact =
   [ "bytes_relocated"; "bytes_committed"; "chunks_relocated"; "segments_cleaned"; "clean_passes"; "db_size"; "live_bytes" ]
 
 let replica_exact = [ "backups"; "stream_bytes" ]
 
 let exact bench field ~what ~fresh ~base =
-  match (Option.bind (member field base) to_float, Option.bind (member field fresh) to_float) with
+  let value row = Option.bind (member field row) (fun v -> Option.map (fun x -> (x, show v)) (to_float v)) in
+  match (value base, value fresh) with
   | None, _ -> [ (Note, Printf.sprintf "%s: baseline has no %s, skipping" what field) ]
   | _, None -> [ (Note, Printf.sprintf "%s: fresh run has no %s, skipping" what field) ]
-  | Some b, Some f when Float.equal b f -> [ (Pass, Printf.sprintf "%s: %s %.0f (baseline %.0f)" what field f b) ]
-  | Some b, Some f ->
+  | Some (b, bs), Some (f, fs) when Float.equal b f -> [ (Pass, Printf.sprintf "%s: %s %s (baseline %s)" what field fs bs) ]
+  | Some (_, bs), Some (_, fs) ->
       let file = "BENCH_" ^ String.uppercase_ascii bench ^ ".json" in
-      [ (Fail, Printf.sprintf "%s: %s %.0f, baseline %.0f: regenerate %s" what field f b file) ]
+      [ (Fail, Printf.sprintf "%s: %s %s, baseline %s: regenerate %s" what field fs bs file) ]
 
 (* one row pair, judged only when both rows exist *)
 let axis ~what checks fresh base =
@@ -73,10 +76,20 @@ let same_rows ?(prefix = "") key checks ~base fresh =
 
 let scale_name j = match Option.bind (member "scale" j) (member "name") with Some (Str s) -> s | _ -> ""
 
+(* both files name the same scale: a file naming none is not comparable *)
+let same_scale base fresh =
+  let b = scale_name base in
+  (not (String.equal b "")) && String.equal b (scale_name fresh)
+
 let run ?tol ~base fresh =
   let within default r = within ~tol:(Option.value tol ~default) r in
   match member "bench" fresh with
-  | Some (Str "tpcb") -> same_rows "label" [ within 0.15 ops; within 0.15 writes ] ~base fresh
+  | Some (Str "tpcb") when same_scale base fresh ->
+      same_rows "label" (within 0.15 ops :: List.map (exact "tpcb") tpcb_exact) ~base fresh
+  | Some (Str "tpcb") ->
+      let b, f = (scale_name base, scale_name fresh) in
+      (Note, Printf.sprintf "tpcb scales differ (baseline %S, fresh %S): counts not gated" b f)
+      :: same_rows "label" [ within 0.15 ops; within 0.15 writes ] ~base fresh
   | Some (Str "meter") when not (String.equal (scale_name base) (scale_name fresh)) ->
       let b, f = (scale_name base, scale_name fresh) in
       [ (Fail, Printf.sprintf "meter scales differ (baseline %s, fresh %s): rows are not comparable" b f) ]

@@ -3,8 +3,13 @@
     Dispatches on the fresh file's ["bench"] field; each bench has a small
     table of rules:
     - [tpcb]: per label, [ops_per_s] may drop at most TOL (default 0.15)
-      below the baseline and [store_writes_per_txn] may rise at most TOL
-      above it;
+      below the baseline. When both files name the same scale, the counts
+      ([cache_hits], [cache_misses], [bytes_per_txn],
+      [store_writes_per_txn], [db_size], [live_bytes]), deterministic at
+      equal scale, must equal the baseline's, failing with "regenerate
+      BENCH_TPCB.json"; otherwise a note says so, and
+      [store_writes_per_txn] may instead rise at most TOL above the
+      baseline;
     - [meter]: the scales must match; [write_amp] <= (1+TOL)·base + 0.02;
       the cleaner and size counters ([bytes_relocated], [bytes_committed],
       [chunks_relocated], [segments_cleaned], [clean_passes], [db_size],

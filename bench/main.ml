@@ -43,7 +43,7 @@ let tpcb_row (r : Runner.result) =
       ("cpu_avg_ms", num 4 r.cpu_avg_ms); ("io_avg_ms", num 4 r.io_avg_ms); ("ops_per_s", num 1 (ops_per_s r));
       ("bytes_per_txn", num 1 r.bytes_per_txn); ("store_writes_per_txn", num 2 r.store_writes_per_txn);
       ("store_bytes_per_txn", num 1 r.store_bytes_per_txn); ("db_size", J.Int r.db_size);
-      ("live_bytes", J.Int r.live_bytes); ("alloc_words_per_txn", num 0 r.alloc_words_per_txn);
+      ("live_bytes", J.Int r.live_bytes); ("minor_words_per_txn", num 0 r.minor_words_per_txn);
       ("cache_hits", J.Int r.cache_hits); ("cache_misses", J.Int r.cache_misses);
       ("cache_hit_rate", num 4 (Runner.hit_rate r)) ]
 

@@ -3,7 +3,11 @@
 
     Sits inside the chunk store, below the object cache: a hit skips the
     log read, the Merkle-label check and the decryption that
-    {!Chunk_store.read} otherwise pays on every access. The LRU is
+    {!Chunk_store.read} otherwise pays on every access. It holds what the
+    object cache does not: payloads read on a miss, and chunk-level
+    writes, which commit writes through. An object-store commit caches
+    nothing here and drops the older version ({!Chunk_store.write}'s
+    [kept]), so the two tiers do not hold the same bytes. The LRU is
     {!Lru}, the same structure the object cache runs on; this module adds
     only the chunk tier's policy:
     - the version guard: entries are keyed by chunk id and a lookup only

@@ -97,8 +97,12 @@ val close : t -> unit
 val allocate : t -> Types.chunk_id
 (** Returns a previously unallocated chunk id. *)
 
-val write : t -> Types.chunk_id -> string -> unit
-(** Buffer a new state for the chunk (any size, including empty).
+val write : ?kept:bool -> t -> Types.chunk_id -> string -> unit
+(** Buffer a new state for the chunk (any size, including empty). Its
+    commit writes the bytes through to the verified-chunk cache, unless
+    [kept] (default [false]) says the writer keeps them itself, as the
+    object store's cache does: then the commit drops any cached older
+    version and caches nothing.
     @raise Types.Not_allocated if the id was never allocated.
     @raise Types.Chunk_too_large if the state cannot fit in a segment. *)
 
@@ -238,9 +242,12 @@ val metrics : t -> Metrics.t
     {!read} consults a budgeted LRU of decrypted, hash-verified payloads
     ({!Chunk_cache}) before paying the full fetch/verify/decrypt path.
     Coherence is by committed version: entries are served only at the
-    exact version the location map holds, refreshed write-through at
-    commit, dropped on deallocation, and naturally void after recovery
-    (the cache is rebuilt empty). Budget comes from
+    exact version the location map holds, dropped on deallocation, and
+    naturally void after recovery (the cache is rebuilt empty). A commit
+    refreshes a chunk-level write through the cache, so read-after-write
+    stays a hit; a write whose writer keeps the bytes ({!write}'s [kept],
+    every object-store commit) drops the cached older version instead, so
+    the two tiers do not hold the same bytes. Budget comes from
     {!Config.t.chunk_cache_bytes}. *)
 
 val cache_resident : t -> int

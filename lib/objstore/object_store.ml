@@ -388,11 +388,13 @@ let commit ?(durable = true) (x : txn) : unit =
       let landing =
         try
           if durable then check_poison t;
+          (* [~kept]: the object cache holds these objects and [t.roots]
+             the catalog, so the chunk cache need not hold their bytes *)
           Hashtbl.iter
             (fun oid e ->
               let (Obj_class.Value (cls, v)) = Lru.value e in
               let bytes = Obj_class.pickle_value cls v in
-              Chunk_store.write t.cs oid bytes;
+              Chunk_store.write ~kept:true t.cs oid bytes;
               Lru.update_size t.cache e ~size:(String.length bytes))
             x.writes;
           List.iter
@@ -408,7 +410,7 @@ let commit ?(durable = true) (x : txn) : unit =
                   match v with Some oid -> (name, oid) :: acc | None -> acc)
                 t.roots (List.rev x.root_updates)
             in
-            Chunk_store.write t.cs catalog_cid (encode_roots roots);
+            Chunk_store.write ~kept:true t.cs catalog_cid (encode_roots roots);
             t.roots <- roots
           end;
           if not durable then begin

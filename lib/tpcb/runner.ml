@@ -15,7 +15,7 @@ type result = {
   store_bytes_per_txn : float; (* same accounting window as store_writes_per_txn *)
   db_size : int; (* final on-disk footprint, bytes *)
   live_bytes : int; (* TDB only: live data *)
-  alloc_words_per_txn : float; (* GC words allocated per measured txn *)
+  minor_words_per_txn : float; (* minor-heap words allocated per measured txn *)
   cache_hits : int; (* TDB only: verified-chunk cache *)
   cache_misses : int;
 }
@@ -53,7 +53,7 @@ let drive ?idle_every ?(idle : (unit -> unit) option) (scale : Workload.scale) ~
   let io = Array.make measured 0.0 in
   let fg_bytes = ref 0 in
   let fg_writes = ref 0 in
-  let alloc = ref 0.0 in
+  let minor = ref 0.0 in
   for i = 0 to n - 1 do
     (* DRM workloads are "short sequences of transactions separated by long
        idle periods" (paper Section 1); with [idle_every], maintenance runs
@@ -64,10 +64,12 @@ let drive ?idle_every ?(idle : (unit -> unit) option) (scale : Workload.scale) ~
     | _ -> ());
     let input = Workload.gen_txn rng scale in
     let t0 = Unix.gettimeofday () and s0 = sim_time () and b0 = bytes () and w0 = writes () in
-    let a0 = Gc.allocated_bytes () in
+    (* minor words repeat run to run; major allocations and promotions
+       follow GC pacing *)
+    let m0 = Gc.minor_words () in
     txn input;
     let t1 = Unix.gettimeofday () and s1 = sim_time () in
-    let a1 = Gc.allocated_bytes () in
+    let m1 = Gc.minor_words () in
     if i >= warmup then begin
       let j = i - warmup in
       cpu.(j) <- t1 -. t0;
@@ -75,17 +77,16 @@ let drive ?idle_every ?(idle : (unit -> unit) option) (scale : Workload.scale) ~
       total.(j) <- (t1 -. t0) +. (s1 -. s0);
       fg_bytes := !fg_bytes + (bytes () - b0);
       fg_writes := !fg_writes + (writes () - w0);
-      alloc := !alloc +. (a1 -. a0)
+      minor := !minor +. (m1 -. m0)
     end
   done;
   let bytes_per_txn = float_of_int !fg_bytes /. float_of_int measured in
   let writes_per_txn = float_of_int !fg_writes /. float_of_int measured in
-  let alloc_per_txn = !alloc /. float_of_int (Sys.word_size / 8) /. float_of_int measured in
-  (total, cpu, io, bytes_per_txn, writes_per_txn, alloc_per_txn)
+  (total, cpu, io, bytes_per_txn, writes_per_txn, !minor /. float_of_int measured)
 
 let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every (scale : Workload.scale) : result =
   let t = Tdb_driver.setup ~security ~max_utilization ?model scale in
-  let total, cpu, io, bytes_per_txn, writes_per_txn, alloc_words_per_txn =
+  let total, cpu, io, bytes_per_txn, writes_per_txn, minor_words_per_txn =
     drive ?idle_every ~idle:(fun () -> Tdb_driver.idle_clean t) scale ~seed:"tpcb-run"
       ~txn:(fun input -> ignore (Tdb_driver.txn t input))
       ~sim_time:(fun () -> Tdb_driver.sim_time t)
@@ -105,14 +106,14 @@ let run_tdb ?(security = true) ?(max_utilization = 0.6) ?model ?idle_every (scal
     store_bytes_per_txn = bytes_per_txn;
     db_size = Tdb_driver.db_size t;
     live_bytes = Tdb_driver.live_bytes t;
-    alloc_words_per_txn;
+    minor_words_per_txn;
     cache_hits = st.Tdb_chunk.Chunk_store.cache_hits;
     cache_misses = st.Tdb_chunk.Chunk_store.cache_misses;
   }
 
 let run_bdb ?model (scale : Workload.scale) : result =
   let t = Bdb_driver.setup ?model scale in
-  let total, cpu, io, bytes_per_txn, writes_per_txn, alloc_words_per_txn =
+  let total, cpu, io, bytes_per_txn, writes_per_txn, minor_words_per_txn =
     drive scale ~seed:"tpcb-run"
       ~txn:(fun input -> ignore (Bdb_driver.txn t input))
       ~sim_time:(fun () -> Bdb_driver.sim_time t)
@@ -131,7 +132,7 @@ let run_bdb ?model (scale : Workload.scale) : result =
     store_bytes_per_txn = bytes_per_txn;
     db_size = Bdb_driver.db_size t;
     live_bytes = 0;
-    alloc_words_per_txn;
+    minor_words_per_txn;
     cache_hits = 0;
     cache_misses = 0;
   }

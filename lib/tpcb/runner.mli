@@ -15,7 +15,9 @@ type result = {
   store_bytes_per_txn : float;  (** foreground store bytes, same window *)
   db_size : int;
   live_bytes : int;  (** TDB only *)
-  alloc_words_per_txn : float;  (** GC words allocated per measured txn *)
+  minor_words_per_txn : float;
+      (** minor-heap words allocated per measured txn ([Gc.minor_words]):
+          repeats run to run for one binary, but depends on the compiler *)
   cache_hits : int;  (** TDB only: verified-chunk cache *)
   cache_misses : int;
 }

@@ -96,6 +96,39 @@ let test_replica_exact_fields () =
            verdicts))
     [ ("backups", mk ~backups:33 ()); ("stream_bytes", mk ~stream_bytes:39088 ()) ]
 
+(* TPC-B counts repeat exactly at equal scale, so any of them moving, up
+   or down, fails and names the file; files at different scales gate only
+   ops/s and writes per transaction, within tolerance. *)
+let test_tpcb_exact_fields () =
+  let fields = [ "cache_hits"; "cache_misses"; "bytes_per_txn"; "store_writes_per_txn"; "db_size"; "live_bytes" ] in
+  let mk ?(scale = "default") ?(bump = "") () =
+    file "tpcb" ~extra:[ ("scale", J.Obj [ ("name", J.Str scale) ]) ]
+      [ J.Obj
+          ((("label", J.Str "TDB-S") :: ("ops_per_s", J.Num (170., 1)) :: List.mapi
+              (fun i f -> (f, J.Num ((1000. *. float_of_int (i + 1)) +. (if String.equal f bump then 0.1 else 0.), 1)))
+              fields)) ]
+  in
+  Alcotest.(check bool) "equal counts pass" true (passes (mk ()) (mk ()));
+  List.iter
+    (fun f ->
+      let verdicts = Guard.run ~base:(mk ()) (mk ~bump:f ()) in
+      Alcotest.(check bool) (f ^ " moved fails") false (Guard.passed verdicts);
+      Alcotest.(check bool) (f ^ " names the fix") true
+        (List.exists
+           (fun (v, msg) ->
+             (match v with Guard.Fail -> true | _ -> false)
+             && String.ends_with ~suffix:"regenerate BENCH_TPCB.json" msg)
+           verdicts);
+      Alcotest.(check bool) (f ^ " moved down fails too") false (passes (mk ~bump:f ()) (mk ())))
+    fields;
+  Alcotest.(check bool) "other scale: counts not gated" true (passes (mk ()) (mk ~scale:"quick" ~bump:"cache_hits" ()));
+  let quick_writes w =
+    file "tpcb" ~extra:[ ("scale", J.Obj [ ("name", J.Str "quick") ]) ]
+      [ row "label" (J.Str "TDB-S") [ ("ops_per_s", 170.); ("store_writes_per_txn", w) ] ]
+  in
+  Alcotest.(check bool) "other scale: writes within tolerance" true (passes (mk ()) (quick_writes 4500.));
+  Alcotest.(check bool) "other scale: writes beyond it" false (passes (mk ()) (quick_writes 4700.))
+
 let test_missing_label_skipped () =
   let verdicts = Guard.run ~base:(file "tpcb" [ label "TDB" 100. ]) (file "tpcb" [ label "TDB" 100.; label "new" 1. ]) in
   Alcotest.(check bool) "passes" true (Guard.passed verdicts);
@@ -134,6 +167,7 @@ let () =
           Alcotest.test_case "meter scale mismatch" `Quick test_meter_scale_mismatch;
           Alcotest.test_case "meter counters exact" `Quick test_meter_exact_fields;
           Alcotest.test_case "replica counters exact" `Quick test_replica_exact_fields;
+          Alcotest.test_case "tpcb counts exact" `Quick test_tpcb_exact_fields;
           Alcotest.test_case "missing label skipped" `Quick test_missing_label_skipped;
         ] );
       ( "files",

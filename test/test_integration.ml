@@ -183,6 +183,16 @@ let test_tpcb_engines_agree () =
     if b1 <> b2 then Alcotest.failf "balances diverge at txn %d: tdb %d vs bdb %d" i b1 b2
   done
 
+(* TDB-S at the scale of `bench/main.exe tpcb --scale quick`: object-store
+   commits no longer write their chunks through to the chunk cache (the
+   object cache holds them), so the hash-index buckets that are read again
+   stay cached. That run misses 2 132 times; writing every commit through
+   missed 2 924 times. *)
+let test_tpcb_chunk_cache_misses () =
+  let r = Tdb_tpcb.Runner.run_tdb ~security:true ~idle_every:500 Tdb_tpcb.Workload.quick_scale in
+  let misses = r.Tdb_tpcb.Runner.cache_misses in
+  if misses > 2_500 then Alcotest.failf "chunk-cache misses %d, over the bound of 2 500" misses
+
 let () =
   Alcotest.run "tdb_integration"
     [
@@ -199,5 +209,9 @@ let () =
           Alcotest.test_case "replay through stack" `Quick test_replay_detected_through_stack;
         ] );
       ("backup", [ Alcotest.test_case "collections restored" `Quick test_backup_of_collections ]);
-      ("tpcb", [ Alcotest.test_case "engines agree" `Slow test_tpcb_engines_agree ]);
+      ( "tpcb",
+        [
+          Alcotest.test_case "engines agree" `Slow test_tpcb_engines_agree;
+          Alcotest.test_case "chunk-cache misses" `Quick test_tpcb_chunk_cache_misses;
+        ] );
     ]

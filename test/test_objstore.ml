@@ -750,6 +750,102 @@ let test_two_level_cache () =
   Alcotest.(check int) "no hits with cache off" hits0 hits1;
   Alcotest.(check bool) "misses counted" true (misses1 > 0)
 
+(* An object-store commit leaves its bytes to the object cache (and the
+   catalog to [roots]): it writes no chunk-cache entry for the oids it
+   wrote, and drops the older version it replaces. Probed through the
+   chunk store: a committed chunk's first read misses and caches it, so
+   the next one hits. *)
+let test_commit_keeps_no_chunk_copy () =
+  let os = fresh (fresh_env ()) in
+  let cs = Object_store.chunk_store os in
+  let hits () = match Object_store.chunk_cache_stats os with h, _, _ -> h in
+  let hit cid =
+    let h = hits () in
+    ignore (Chunk_store.read cs cid);
+    hits () > h
+  in
+  let resident () = Chunk_store.cache_resident cs in
+  let r0 = resident () in
+  let a, b =
+    Object_store.with_txn os (fun x ->
+        let a = Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "a" } in
+        Object_store.set_root x "a" (Some a);
+        (a, Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "b" }))
+  in
+  Alcotest.(check int) "insert commit caches nothing" r0 (resident ());
+  let catalog = 1 (* the object store's reserved catalog chunk *) in
+  Alcotest.(check (list bool)) "objects and catalog miss, then hit" [ false; true; false; false; true ]
+    (List.map hit [ a; a; b; catalog; catalog ]);
+  let bump v = Object_store.with_txn os (fun x -> (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- v) in
+  let r1 = resident () in
+  bump 1;
+  Alcotest.(check int) "update drops the older version" (r1 - 1) (resident ());
+  Alcotest.(check (list bool)) "updated object misses, then hits" [ false; true ] (List.map hit [ a; a ]);
+  Object_store.with_txn ~durable:false os (fun x -> Object_store.set_root x "b" (Some b));
+  Alcotest.(check bool) "catalog update drops its older version" false (hit catalog);
+  (* an abort and a failed commit stage nothing: a's cached copy stays *)
+  let x = Object_store.begin_ os in
+  (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- 99;
+  Object_store.abort x;
+  Alcotest.(check bool) "abort keeps the cached copy" true (hit a);
+  let too_large =
+    match
+      Object_store.with_txn os (fun x ->
+          (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- 98;
+          ignore (Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = String.make 100_000 'x' }))
+    with
+    | () -> false
+    | exception Types.Chunk_too_large _ -> true
+  in
+  Alcotest.(check bool) "commit fails" true too_large;
+  Alcotest.(check bool) "failed commit keeps the cached copy" true (hit a);
+  let r2 = resident () in
+  Object_store.with_txn os (fun x -> Object_store.remove x a);
+  Alcotest.(check int) "remove drops the cached copy" (r2 - 1) (resident ());
+  Alcotest.(check bool) "removed chunk is gone" true
+    (match Chunk_store.read cs a with _ -> false | exception Types.Not_written _ -> true)
+
+(* The same commits, aborts, failed commit, and a removed id that a
+   chunk-level restore (a replication ingest) writes again, under an
+   object cache too small to keep any object: every re-open reads the
+   chunk store, and must see the committed value. *)
+let test_tiny_object_cache_reads_committed () =
+  let os = fresh ~config:{ Object_store.default_config with Object_store.cache_budget = 1 } (fresh_env ()) in
+  let meter v = { view_count = v; print_count = 0; good = "g" } in
+  let view oid = Object_store.with_txn os (fun x -> (Object_store.deref (Object_store.open_readonly x meter_cls oid)).view_count) in
+  let set oid v = Object_store.with_txn os (fun x -> (Object_store.deref (Object_store.open_writable x meter_cls oid)).view_count <- v) in
+  let a, b = Object_store.with_txn os (fun x -> (Object_store.insert x meter_cls (meter 1), Object_store.insert x meter_cls (meter 2))) in
+  Alcotest.(check (list int)) "inserted" [ 1; 2 ] (List.map view [ a; b ]);
+  set a 10;
+  set a 11;
+  Alcotest.(check int) "committed twice" 11 (view a);
+  let x = Object_store.begin_ os in
+  (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- 99;
+  Object_store.abort x;
+  Alcotest.(check int) "aborted" 11 (view a);
+  (match
+     Object_store.with_txn os (fun x ->
+         (Object_store.deref (Object_store.open_writable x meter_cls b)).view_count <- 98;
+         ignore (Object_store.insert x meter_cls { (meter 0) with good = String.make 100_000 'x' }))
+   with
+  | () -> Alcotest.fail "oversized insert committed"
+  | exception Types.Chunk_too_large _ -> ());
+  Alcotest.(check int) "failed commit" 2 (view b);
+  Object_store.with_txn os (fun x -> Object_store.remove x a);
+  Alcotest.(check bool) "removed" true
+    (match view a with _ -> false | exception Object_store.Unknown_object _ -> true);
+  let reused =
+    Object_store.ingest os (fun cs ->
+        Chunk_store.restore_chunk cs a (Obj_class.pickle_value meter_cls (meter 7));
+        Chunk_store.commit cs)
+  in
+  Alcotest.(check bool) "ingested" true (Option.is_some reused);
+  Alcotest.(check (list int)) "reused id, and its neighbour" [ 7; 2 ] (List.map view [ a; b ]);
+  set a 8;
+  Alcotest.(check int) "reused id updated" 8 (view a);
+  let _, _, evictions = Object_store.cache_stats os in
+  Alcotest.(check bool) "objects left the object cache" true (evictions > 0)
+
 (* --- persistence of many objects + crash --- *)
 
 let test_crash_recovery_objects () =
@@ -1143,6 +1239,8 @@ let () =
           Alcotest.test_case "hits avoid I/O" `Quick test_cache_hit_no_io;
           Alcotest.test_case "two-level fall-through" `Quick test_two_level_cache;
           Alcotest.test_case "re-open under cache pressure" `Quick test_reopen_under_pressure;
+          Alcotest.test_case "commit keeps no chunk copy" `Quick test_commit_keeps_no_chunk_copy;
+          Alcotest.test_case "tiny object cache reads committed" `Quick test_tiny_object_cache_reads_committed;
         ] );
       ( "re-open",
         [
