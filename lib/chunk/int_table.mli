@@ -4,8 +4,8 @@
     sequence. Hashing such a key to itself spreads it across the buckets
     as well as the polymorphic hash does, and an [Int.equal] probe costs a
     machine compare where [Hashtbl.find] calls into the C hash and the
-    polymorphic compare. The LRU under both cache tiers, the lock table
-    and a transaction's pins use it.
+    polymorphic compare. The LRU under both cache tiers and a
+    transaction's pins use it.
 
     Iteration order differs from the polymorphic [Hashtbl]'s. A table
     whose iteration order decides what reaches the store (an object

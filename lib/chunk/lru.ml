@@ -18,6 +18,7 @@ type 'v entry = {
   mutable pins : int;
   mutable parked : bool; (* pinned and off the ring *)
   mutable referenced : bool; (* hit since a walk last passed it *)
+  mutable lock : int; (* the caller's word; never read here *)
   mutable prev : 'v entry; (* towards the young end; itself when off the ring *)
   mutable next : 'v entry; (* towards the old end; itself when off the ring *)
 }
@@ -41,6 +42,9 @@ let create ~(budget : int) : 'v t =
   { table = Int_table.create 256; ring = Empty; total_size = 0; budget; hits = 0; misses = 0; evictions = 0 }
 
 let value e = e.value
+let lock e = e.lock
+let set_lock e w = e.lock <- w
+let pinned e = e.pins > 0
 
 (* [e] must be on the ring. *)
 let unlink t e =
@@ -132,9 +136,12 @@ let put t (key : int) (value : 'v) ~(size : int) : 'v entry =
         (* links are set when it joins the ring; until then any entry will do *)
         let e =
           match t.ring with
-          | Ring r -> { key; value; size; pins = 0; parked = false; referenced = false; prev = r.hand; next = r.hand }
+          | Ring r ->
+              { key; value; size; pins = 0; parked = false; referenced = false; lock = 0; prev = r.hand; next = r.hand }
           | Empty ->
-              let rec e = { key; value; size; pins = 0; parked = false; referenced = false; prev = e; next = e } in
+              let rec e =
+                { key; value; size; pins = 0; parked = false; referenced = false; lock = 0; prev = e; next = e }
+              in
               e
         in
         Int_table.replace t.table key e;
@@ -170,6 +177,7 @@ let drop_all t : unit =
   t.total_size <- 0
 
 let mem t (key : int) : bool = Int_table.mem t.table key
+let fold f t acc = Int_table.fold (fun _ e acc -> f e acc) t.table acc
 let stats t = (t.hits, t.misses, t.evictions)
 let resident t = Int_table.length t.table
 let total_size t = t.total_size

@@ -28,6 +28,15 @@ val create : budget:int -> 'v t
 
 val value : 'v entry -> 'v
 
+val lock : 'v entry -> int
+(** A word the caller owns: 0 in a new entry, kept by a {!put} that
+    replaces the value, and never read here. The object store keeps the
+    object's transactional lock in it. *)
+
+val set_lock : 'v entry -> int -> unit
+
+val pinned : 'v entry -> bool
+
 val find : ?valid:('v -> bool) -> 'v t -> int -> 'v entry option
 (** A hit sets the entry's referenced bit and leaves it where it is, a
     parked entry parked. An entry whose value fails [valid] is dropped and
@@ -60,6 +69,10 @@ val drop_all : 'v t -> unit
 val mem : 'v t -> int -> bool
 (** Whether the key has an entry. Unlike {!find}, it counts nothing and
     sets no bit. *)
+
+val fold : ('v entry -> 'a -> 'a) -> 'v t -> 'a -> 'a
+(** Fold over the entries in the map, parked ones included, in no
+    particular order. *)
 
 val stats : 'v t -> int * int * int
 (** [(hits, misses, evictions)] since creation. *)

@@ -12,7 +12,7 @@
       a mutex other than the one held is a lost-wakeup/deadlock bug;
       waiting while a {e second} mutex is held parks the thread with that
       mutex locked. Waits under no statically-held lock (the
-      caller-supplies-the-mutex idiom, e.g. [Lock_manager.acquire ~mu])
+      caller-supplies-the-mutex idiom, e.g. [Lock_manager.wait_for ~mu])
       are out of scope for a per-function analysis and stay silent.
     - {b blocking under a lock}: calls that block for I/O-scale time
       ({!Sources.blocking_calls}, or any callee whose summary says it may

@@ -12,7 +12,10 @@
     - strict two-phase locking with shared/exclusive object locks, lock
       omissions caught by construction (objects are only reachable through
       refs tied to a transaction), deadlocks broken by timeout, and the
-      single state mutex released while blocked on a lock (Section 4.2.3);
+      single state mutex released while blocked on a lock (Section 4.2.3).
+      A locked object is pinned in the cache (Section 4.2.2), so its lock
+      is one word on its cache entry, with no lock table beside the cache
+      (see "Locks" below);
     - refs are invalidated when their transaction ends; dereferencing a
       stale ref is a checked runtime error (Section 4.1);
     - typed opens are checked against the stored class via type witnesses —
@@ -49,7 +52,9 @@ type t = {
   mutable poisoned : exn option; (* a barrier's sync raised *)
   mutable barriers : int; (* barriers that landed *)
   mutable coalesced : int; (* durable commits those barriers covered *)
-  locks : Lock_manager.t;
+  locks : Lock_manager.t; (* where a blocked grant waits *)
+  mutable held : int; (* nonzero lock words *)
+  mutable acquired : int; (* grants that changed a lock word *)
   cache : Obj_class.packed_value Lru.t;
   mutable roots : (string * oid) list;
   mutable next_txn_id : int;
@@ -67,7 +72,6 @@ type txn = {
   writes : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t;
       (* inserted or opened writable; polymorphic on purpose: its iteration
          order is the order of the batch's writes, and so of their IVs *)
-  mutable locked : oid list; (* every oid this txn acquired, for release *)
   mutable inserted : oid list;
   mutable removed : oid list;
   mutable root_updates : (string * oid option) list;
@@ -140,13 +144,15 @@ let of_shard_store ?(config = default_config) (cs : Chunk_store.t) : t =
     barriers = 0;
     coalesced = 0;
     locks = Lock_manager.create ();
+    held = 0;
+    acquired = 0;
     cache = Lru.create ~budget:config.cache_budget;
     roots;
     next_txn_id = 1;
   }
 
 let chunk_store t = t.cs
-let held_count t = with_mu t (fun () -> Lock_manager.held_count t.locks)
+let held_count t = with_mu t (fun () -> t.held)
 
 (** Run [f] on the underlying chunk store while holding the state mutex,
     serializing it against every transaction. The backup path uses
@@ -164,7 +170,7 @@ let with_store t (f : Chunk_store.t -> 'a) : 'a = with_quiet t (fun () -> f t.cs
     follower reads serializable across ingested snapshots. *)
 let ingest t (f : Chunk_store.t -> 'a) : 'a option =
   with_quiet t (fun () ->
-      if Lock_manager.held_count t.locks > 0 then None
+      if t.held > 0 then None
       else begin
         let r = f t.cs in
         Lru.drop_all t.cache;
@@ -178,6 +184,13 @@ let close t = with_quiet t (fun () -> Chunk_store.close t.cs)
 let checkpoint t = with_quiet t (fun () -> Chunk_store.checkpoint t.cs)
 let cache_stats t = Lru.stats t.cache
 
+let lock_audit t =
+  with_mu t (fun () ->
+      Lru.fold
+        (fun e ((words, unpinned) as acc) ->
+          if Int.equal (Lru.lock e) 0 then acc else (words + 1, if Lru.pinned e then unpinned else unpinned + 1))
+        t.cache (0, 0))
+
 let metrics t : Metrics.t =
   with_mu t (fun () ->
       let hits, misses, evictions = Lru.stats t.cache in
@@ -188,7 +201,10 @@ let metrics t : Metrics.t =
           ("object_cache.evictions", Int evictions);
           ("object_cache.resident", Int (Lru.resident t.cache));
           ("object_cache.bytes", Int (Lru.total_size t.cache));
-          ("locks.held", Int (Lock_manager.held_count t.locks));
+          ("locks.held", Int t.held);
+          ("locks.acquired", Int t.acquired);
+          ("locks.waits", Int (Lock_manager.waits t.locks));
+          ("locks.timeouts", Int (Lock_manager.timeouts t.locks));
           ("group_commit.barriers", Int t.barriers);
           ("group_commit.coalesced", Int t.coalesced);
         ])
@@ -214,26 +230,12 @@ let begin_ (t : t) : txn =
         state = Active;
         pins = Int_table.create 16;
         writes = Hashtbl.create 8;
-        locked = [];
         inserted = [];
         removed = [];
         root_updates = [];
       })
 
 let check_active (x : txn) = if not (is_active x.state) then raise Stale_ref
-
-let lock x ~oid ~mode =
-  if x.store.cfg.locking then begin
-    Lock_manager.acquire x.store.locks ~mu:x.store.mu ~txn:x.txn_id ~oid ~mode
-      ~timeout:x.store.cfg.lock_timeout;
-    x.locked <- oid :: x.locked
-  end
-
-let pin_entry x oid e =
-  if not (Int_table.mem x.pins oid) then begin
-    Lru.pin e;
-    Int_table.replace x.pins oid e
-  end
 
 let load t (oid : oid) : Obj_class.packed_value Lru.entry =
   match Lru.find t.cache oid with
@@ -243,16 +245,88 @@ let load t (oid : oid) : Obj_class.packed_value Lru.entry =
       | bytes -> Lru.put t.cache oid (Obj_class.unpickle_value bytes) ~size:(String.length bytes)
       | exception Types.Not_written _ -> raise (Unknown_object oid) )
 
+(* --- locks ---
+
+   An object's lock is one word on its cache entry ([Lru.lock]): 0 is
+   free, a transaction id (ids start at 1) is held exclusive by that
+   transaction, and -n is held shared by n transactions. A transaction
+   pins every entry it locks, in the same critical section, and unpins
+   it only in [finish], which releases the lock in the same loop. So a
+   nonzero word implies a pinned entry (a pinned entry is never evicted,
+   so the word cannot vanish with it), and a pin implies the transaction
+   holds the lock at least shared: re-entrance and the upgrade are
+   decided from [pins] plus the word, with no lock table. An uncontended
+   grant or release is a few field writes on the entry the one
+   [Lru.find] returned. *)
+
+(* Grant [mode] on [e] to [x] if the word allows it. [pinned]: [x]
+   already holds [e], so at least shared; the upgrade needs it to be the
+   sole shared holder. *)
+let grant x e ~(mode : Lock_manager.mode) ~pinned =
+  let t = x.store and w = Lru.lock e in
+  match mode with
+  | Lock_manager.Shared when w > 0 -> false
+  | Lock_manager.Shared ->
+      if Int.equal w 0 then t.held <- t.held + 1;
+      Lru.set_lock e (w - 1);
+      t.acquired <- t.acquired + 1;
+      true
+  | Lock_manager.Exclusive ->
+      if Int.equal w x.txn_id then true
+      else if Int.equal w 0 || (pinned && Int.equal w (-1)) then begin
+        if Int.equal w 0 then t.held <- t.held + 1;
+        Lru.set_lock e x.txn_id;
+        t.acquired <- t.acquired + 1;
+        true
+      end
+      else false
+
+(* Drop one transaction's hold on [e], which it pinned: at least shared,
+   and exclusive if the word is positive. *)
+let release t e =
+  let w = Lru.lock e in
+  if w < 0 then begin
+    Lru.set_lock e (w + 1);
+    if Int.equal w (-1) then t.held <- t.held - 1
+  end
+  else if w > 0 then begin
+    Lru.set_lock e 0;
+    t.held <- t.held - 1
+  end
+
+(* Lock [oid] at [mode] for [x] and pin it, returning its entry. It is
+   loaded first, so an unknown oid raises before anything is granted. A
+   grant that must wait re-resolves the oid through the cache after every
+   wake: an aborting writer drops its entry. [pinned]: [x] has pinned
+   [oid] already. *)
+let hold x oid ~mode ~pinned =
+  let t = x.store in
+  let e = load t oid in
+  let e =
+    if (not t.cfg.locking) || grant x e ~mode ~pinned then e
+    else
+      Lock_manager.wait_for t.locks ~mu:t.mu ~txn:x.txn_id ~oid ~timeout:t.cfg.lock_timeout (fun () ->
+          let e = load t oid in
+          if grant x e ~mode ~pinned then Some e else None)
+  in
+  if not pinned then begin
+    Lru.pin e;
+    Int_table.replace x.pins oid e
+  end;
+  e
+
 (** Insert a new object; it is immediately locked exclusively, pinned and
     dirty (no-steal: it stays in cache until commit writes it). Returns its
-    persistent id. *)
+    persistent id. A fresh oid has no entry, so nobody else holds its
+    lock. *)
 let insert (x : txn) (cls : 'a Obj_class.t) (v : 'a) : oid =
   with_mu x.store (fun () ->
       check_active x;
       let oid = Chunk_store.allocate x.store.cs in
-      lock x ~oid ~mode:Lock_manager.Exclusive;
       let e = Lru.put x.store.cache oid (Obj_class.Value (cls, v)) ~size:0 in
-      pin_entry x oid e;
+      if x.store.cfg.locking then ignore (grant x e ~mode:Lock_manager.Exclusive ~pinned:false);
+      Lru.pin e;
+      Int_table.replace x.pins oid e;
       Hashtbl.replace x.writes oid e;
       x.inserted <- oid :: x.inserted;
       oid)
@@ -264,7 +338,7 @@ let pinned_at x oid ~mode =
 
 (* A re-open is answered from the transaction's own tables, with no lock
    request, cache probe or pin. Only a shared-to-exclusive upgrade goes
-   back to the lock manager. *)
+   back to the lock word. *)
 let open_gen (x : txn) (cls : 'a Obj_class.t) (oid : oid) ~(mode : Lock_manager.mode) : 'a =
   with_mu x.store (fun () ->
       check_active x;
@@ -272,10 +346,8 @@ let open_gen (x : txn) (cls : 'a Obj_class.t) (oid : oid) ~(mode : Lock_manager.
       let e =
         match Int_table.find_opt x.pins oid with
         | Some e when pinned_at x oid ~mode -> e
-        | Some _ | None ->
-            lock x ~oid ~mode;
-            let e = load x.store oid in
-            pin_entry x oid e;
+        | pinned ->
+            let e = hold x oid ~mode ~pinned:(Option.is_some pinned) in
             (match mode with Lock_manager.Exclusive -> Hashtbl.replace x.writes oid e | Lock_manager.Shared -> ());
             e
       in
@@ -290,16 +362,16 @@ let open_readonly (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, readonly) 
 let open_writable (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, writable) ref_ =
   { value = open_gen x cls oid ~mode:Lock_manager.Exclusive; owner = x }
 
-(** Remove an object from the store; its id is freed at commit. *)
+(** Remove an object from the store; its id is freed at commit. It is
+    locked exclusive and pinned like an open, so it must exist, and
+    [finish] releases it. *)
 let remove (x : txn) (oid : oid) : unit =
   with_mu x.store (fun () ->
       check_active x;
       if List.mem oid x.removed then raise (Removed_in_transaction oid);
-      lock x ~oid ~mode:Lock_manager.Exclusive;
-      (* ensure it exists (signals like the chunk layer does) *)
-      (match Hashtbl.mem x.writes oid with
-      | true -> ()
-      | false -> ignore (load x.store oid));
+      (match Int_table.find_opt x.pins oid with
+      | Some _ when Hashtbl.mem x.writes oid -> ()
+      | pinned -> ignore (hold x oid ~mode:Lock_manager.Exclusive ~pinned:(Option.is_some pinned)));
       Hashtbl.remove x.writes oid;
       x.inserted <- List.filter (fun o -> not (Int.equal o oid)) x.inserted;
       x.removed <- oid :: x.removed)
@@ -319,11 +391,19 @@ let root (x : txn) (name : string) : oid option =
       | Some v -> v
       | None -> List.assoc_opt name x.store.roots)
 
+(* Strict two-phase locking: every lock is released at the end, in the
+   loop that unpins. An entry a commit dropped from the cache (a removed
+   object) is released all the same: nobody can find it any more, and a
+   waiter re-resolves its oid. *)
 let finish (x : txn) (st : txn_state) =
-  Int_table.iter (fun _ e -> Lru.unpin x.store.cache e) x.pins;
+  let t = x.store in
+  Int_table.iter
+    (fun _ e ->
+      release t e;
+      Lru.unpin t.cache e)
+    x.pins;
   Int_table.reset x.pins;
-  Lock_manager.release_all x.store.locks ~txn:x.txn_id ~oids:x.locked;
-  x.locked <- [];
+  Lock_manager.wake t.locks;
   x.state <- st
 
 (* --- group commit ---

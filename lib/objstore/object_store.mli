@@ -50,8 +50,12 @@ val metrics : t -> Tdb_chunk.Metrics.t
 (** The object store's own metrics: the object cache's
     [object_cache.{hits,misses,evictions,resident,bytes}] (a re-open of an
     object the transaction already holds is answered by the transaction
-    and counts no hit), [locks.held] ({!held_count}), and group
-    commit's [group_commit.barriers] (barriers that landed) and
+    and counts no hit), the locks' [locks.held] ({!held_count}),
+    [locks.acquired] (grants that changed a lock: a first shared or
+    exclusive lock, or an upgrade; a re-open counts none),
+    [locks.waits] (grants that had to wait, once however many wakes)
+    and [locks.timeouts] ({!Lock_manager.Lock_timeout}s raised), and
+    group commit's [group_commit.barriers] (barriers that landed) and
     [group_commit.coalesced] (the durable commits with writes that they
     covered). The store's metrics are {!Tdb_chunk.Chunk_store.metrics}. *)
 
@@ -64,9 +68,15 @@ val set_chunk_cache_budget : t -> int -> unit
     (0 disables it); evicts immediately if over the new budget. *)
 
 val held_count : t -> int
-(** Objects currently holding at least one transactional lock — 0 when no
-    transaction is active (observable lock hygiene, e.g. after a network
-    session dies). *)
+(** Objects currently locked by at least one transaction (nonzero lock
+    words) — 0 when no transaction is active (observable lock hygiene,
+    e.g. after a network session dies). *)
+
+val lock_audit : t -> int * int
+(** [(locked, unpinned)]: the cached objects whose lock word is nonzero,
+    and how many of those are not pinned. Between operations [locked]
+    equals {!held_count} and [unpinned] is 0 (a lock implies a pin); for
+    tests. *)
 
 val with_store : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a
 (** Run [f] on the underlying chunk store under the store's state mutex,

@@ -85,7 +85,7 @@ val coll_size : t -> coll:string -> int
 
 val metrics : t -> Tdb_chunk.Metrics.t
 (** The server's [server.*] metrics, the object store's [object_cache.*],
-    [locks.held] and [group_commit.*]
+    [locks.*] and [group_commit.*]
     ({!Tdb_objstore.Object_store.metrics}), then the
     store's ({!Tdb_chunk.Chunk_store.metrics}). *)
 

@@ -189,7 +189,7 @@ let lookup_coll (t : t) (name : string) : exposure =
    everyone.
 
    The open itself runs *outside* [t.mu]: opening takes object-store
-   locks and can park in [Lock_manager.acquire] behind another session's
+   locks and can park in [Lock_manager.wait_for] behind another session's
    transaction, and that session may in turn need [t.mu] for its own
    handle lookup — holding the server mutex across the open is a
    server-wide stall and a two-thread deadlock (flagged by lint R7).

@@ -48,6 +48,10 @@ let reopen ?(config = Object_store.default_config) env =
   Object_store.of_shard_store ~config
     (Chunk_store.open_existing ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
 
+(* A [locks.*] counter from the store's metrics. *)
+let lock_count os name =
+  match Metrics.find (Object_store.metrics os) ("locks." ^ name) with Some (Metrics.Int n) -> n | _ -> -1
+
 (* --- basic typed storage --- *)
 
 let test_insert_open () =
@@ -438,7 +442,49 @@ let test_writer_blocks_reader () =
     | exception Lock_manager.Lock_timeout _ -> true
     | _ -> false);
   Object_store.abort t2;
-  Object_store.commit t1
+  Object_store.commit t1;
+  Alcotest.(check (list int)) "acquired, waits, timeouts" [ 2; 1; 1 ]
+    (List.map (lock_count os) [ "acquired"; "waits"; "timeouts" ])
+
+(* A reader blocked behind a writer that changed the object in place. The
+   writer's lock word lives on the entry it dirtied; when it aborts, that
+   entry leaves the cache, so the reader must re-resolve the oid after its
+   wake and read the committed value, never the dropped entry's. *)
+let blocked_reader ~writer_commits =
+  let config = { Object_store.default_config with Object_store.lock_timeout = 10.0 } in
+  let os = fresh ~config (fresh_env ()) in
+  let oid =
+    Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 1; print_count = 0; good = "h" })
+  in
+  let t1 = Object_store.begin_ os in
+  (Object_store.deref (Object_store.open_writable t1 meter_cls oid)).view_count <- 2;
+  let read = ref (-1) in
+  let reader =
+    Thread.create
+      (fun () ->
+        Object_store.with_txn os (fun t2 ->
+            read := (Object_store.deref (Object_store.open_readonly t2 meter_cls oid)).view_count))
+      ()
+  in
+  (* the reader is parked once it has counted its wait *)
+  let rec parked tries =
+    if lock_count os "waits" < 1 then
+      if tries = 0 then Alcotest.fail "the reader never waited"
+      else begin
+        Thread.delay 0.001;
+        parked (tries - 1)
+      end
+  in
+  parked 5000;
+  Alcotest.(check int) "reader still blocked" (-1) !read;
+  if writer_commits then Object_store.commit t1 else Object_store.abort t1;
+  Thread.join reader;
+  Alcotest.(check int) "value the reader saw" (if writer_commits then 2 else 1) !read;
+  Alcotest.(check (list int)) "one wait, no timeout, nothing held" [ 1; 0; 0 ]
+    [ lock_count os "waits"; lock_count os "timeouts"; Object_store.held_count os ]
+
+let test_blocked_reader_after_abort () = blocked_reader ~writer_commits:false
+let test_blocked_reader_after_commit () = blocked_reader ~writer_commits:true
 
 let test_locking_disabled () =
   let config = { Object_store.default_config with Object_store.locking = false } in
@@ -1025,6 +1071,43 @@ let test_locks_released () =
   Object_store.commit x;
   held "after a remove-only commit" 0
 
+(* An open or remove of an oid that holds no object raises before it
+   locks anything: the transaction is still live and holds nothing. *)
+let test_unknown_oid_holds_no_lock () =
+  let os = fresh (fresh_env ()) in
+  let oid =
+    Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "k" })
+  in
+  let missing = oid + 1000 in
+  let x = Object_store.begin_ os in
+  let unknown what f =
+    Alcotest.(check bool) what true
+      (match f () with exception Object_store.Unknown_object o -> Int.equal o missing | () -> false);
+    Alcotest.(check int) (what ^ ": nothing held") 0 (Object_store.held_count os)
+  in
+  unknown "open_readonly" (fun () -> ignore (Object_store.open_readonly x meter_cls missing));
+  unknown "open_writable" (fun () -> ignore (Object_store.open_writable x meter_cls missing));
+  unknown "remove" (fun () -> Object_store.remove x missing);
+  ignore (Object_store.open_readonly x meter_cls oid);
+  Alcotest.(check int) "the live object is held" 1 (Object_store.held_count os);
+  Object_store.abort x;
+  Alcotest.(check int) "nothing held after abort" 0 (Object_store.held_count os)
+
+(* The lock work counters are exact: a read transaction over 18 distinct
+   objects grants 18 locks, waits for none, and its re-opens grant nothing. *)
+let test_lock_counters () =
+  let os = fresh (fresh_env ()) in
+  let oids =
+    Object_store.with_txn os (fun x ->
+        List.init 18 (fun i -> Object_store.insert x meter_cls { view_count = i; print_count = 0; good = "c" }))
+  in
+  let before = List.map (lock_count os) [ "acquired"; "waits"; "timeouts" ] in
+  Object_store.with_txn os (fun x ->
+      List.iter (fun oid -> ignore (Object_store.open_readonly x meter_cls oid)) (oids @ oids));
+  let after = List.map (lock_count os) [ "acquired"; "waits"; "timeouts" ] in
+  Alcotest.(check (list int)) "acquired, waits, timeouts" [ 18; 0; 0 ] (List.map2 ( - ) after before);
+  Alcotest.(check int) "held" 0 (lock_count os "held")
+
 (* A model of the lock bookkeeping: 2-3 transactions interleaved on one
    thread, each step an open, insert, remove, commit or abort. After
    every step the store holds exactly the distinct oids the model's live
@@ -1133,7 +1216,14 @@ let run_lock_model (nslots, steps) =
     List.iter (fun m -> Hashtbl.iter (fun oid _ -> Hashtbl.replace oids oid ()) m.held) (live ());
     Hashtbl.length oids
   in
-  let ok = List.for_all (fun s -> step s && Int.equal (Object_store.held_count os) (modelled ())) steps in
+  (* and every nonzero lock word sits on a pinned entry *)
+  let words_pinned () =
+    let locked, unpinned = Object_store.lock_audit os in
+    Int.equal locked (Object_store.held_count os) && Int.equal unpinned 0
+  in
+  let ok =
+    List.for_all (fun s -> step s && Int.equal (Object_store.held_count os) (modelled ()) && words_pinned ()) steps
+  in
   Array.iteri (fun slot -> function Some m -> Object_store.abort m.mx; end_txn slot | None -> ()) slots;
   ok && Int.equal (Object_store.held_count os) 0
 
@@ -1227,6 +1317,8 @@ let () =
           Alcotest.test_case "deadlock timeout" `Slow test_deadlock_broken_by_timeout;
           Alcotest.test_case "shared reads" `Quick test_shared_locks_concurrent_reads;
           Alcotest.test_case "writer blocks reader" `Quick test_writer_blocks_reader;
+          Alcotest.test_case "blocked reader, writer aborts" `Quick test_blocked_reader_after_abort;
+          Alcotest.test_case "blocked reader, writer commits" `Quick test_blocked_reader_after_commit;
           Alcotest.test_case "locking disabled" `Quick test_locking_disabled;
           Alcotest.test_case "barrier window, width 1" `Quick test_barrier_window_w1;
           Alcotest.test_case "barrier window, leader's batch" `Quick test_barrier_window_leader;
@@ -1248,6 +1340,8 @@ let () =
           Alcotest.test_case "upgrade still waits" `Quick test_reopen_upgrade_blocks;
           Alcotest.test_case "removed oid refused" `Quick test_reopen_removed;
           Alcotest.test_case "every ending releases locks" `Quick test_locks_released;
+          Alcotest.test_case "unknown oid holds no lock" `Quick test_unknown_oid_holds_no_lock;
+          Alcotest.test_case "lock counters" `Quick test_lock_counters;
         ] );
       ( "qcheck",
         [

@@ -800,42 +800,6 @@ let qcheck_lru_model =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Lock manager                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_locks_shared_compatible () =
-  let open Tdb_objstore in
-  let lm = Lock_manager.create () in
-  let mu = Mutex.create () in
-  Mutex.lock mu;
-  Lock_manager.acquire lm ~mu ~txn:1 ~oid:7 ~mode:Lock_manager.Shared ~timeout:0.05;
-  Lock_manager.acquire lm ~mu ~txn:2 ~oid:7 ~mode:Lock_manager.Shared ~timeout:0.05;
-  Alcotest.(check bool) "both shared" true (Lock_manager.mode_of lm ~txn:2 ~oid:7 = Some Lock_manager.Shared);
-  (* exclusive blocked while the other holder exists *)
-  Alcotest.(check bool) "upgrade blocked" true
-    (match Lock_manager.acquire lm ~mu ~txn:1 ~oid:7 ~mode:Lock_manager.Exclusive ~timeout:0.05 with
-    | exception Lock_manager.Lock_timeout _ -> true
-    | () -> false);
-  Lock_manager.release_all lm ~txn:2 ~oids:[ 7 ];
-  (* now the upgrade succeeds *)
-  Lock_manager.acquire lm ~mu ~txn:1 ~oid:7 ~mode:Lock_manager.Exclusive ~timeout:0.05;
-  Alcotest.(check bool) "upgraded" true (Lock_manager.mode_of lm ~txn:1 ~oid:7 = Some Lock_manager.Exclusive);
-  Lock_manager.release_all lm ~txn:1 ~oids:[ 7; 7 ];
-  Alcotest.(check int) "table empty" 0 (Lock_manager.held_count lm);
-  Mutex.unlock mu
-
-let test_locks_reentrant () =
-  let open Tdb_objstore in
-  let lm = Lock_manager.create () in
-  let mu = Mutex.create () in
-  Mutex.lock mu;
-  Lock_manager.acquire lm ~mu ~txn:1 ~oid:1 ~mode:Lock_manager.Exclusive ~timeout:0.05;
-  Lock_manager.acquire lm ~mu ~txn:1 ~oid:1 ~mode:Lock_manager.Exclusive ~timeout:0.05;
-  Lock_manager.acquire lm ~mu ~txn:1 ~oid:1 ~mode:Lock_manager.Shared ~timeout:0.05;
-  Alcotest.(check bool) "still exclusive" true (Lock_manager.mode_of lm ~txn:1 ~oid:1 = Some Lock_manager.Exclusive);
-  Mutex.unlock mu
-
-(* ------------------------------------------------------------------ *)
 (* Index structures (directly, over an object store)                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -848,8 +812,8 @@ let mem_db () =
   let _, db_ctr = One_way_counter.open_mem () in
   { db_store; db_ctr; db_secret = Secret_store.of_seed "ix" }
 
-let create_os db =
-  Tdb_objstore.Object_store.of_shard_store
+let create_os ?config db =
+  Tdb_objstore.Object_store.of_shard_store ?config
     (Chunk_store.create ~config:test_cfg ~secret:db.db_secret ~counter:db.db_ctr db.db_store)
 
 let reopen_os db =
@@ -857,6 +821,58 @@ let reopen_os db =
     (Chunk_store.open_existing ~config:test_cfg ~secret:db.db_secret ~counter:db.db_ctr db.db_store)
 
 let fresh_os () = create_os (mem_db ())
+
+(* ------------------------------------------------------------------ *)
+(* Locks: the lock words on the object cache, driven by transactions    *)
+(* ------------------------------------------------------------------ *)
+
+(* A store whose blocked opens give up after 50 ms, and one object in it. *)
+let lock_fixture () =
+  let open Tdb_objstore in
+  let os = create_os ~config:{ Object_store.default_config with Object_store.lock_timeout = 0.05 } (mem_db ()) in
+  (os, Object_store.with_txn os (fun x -> Object_store.insert x blob_cls { v = 7 }))
+
+let times_out f =
+  match f () with exception Tdb_objstore.Lock_manager.Lock_timeout _ -> true | _ -> false
+
+let lock_count os name =
+  match Metrics.find (Tdb_objstore.Object_store.metrics os) name with Some (Metrics.Int n) -> n | _ -> -1
+
+let test_locks_shared_compatible () =
+  let open Tdb_objstore in
+  let os, oid = lock_fixture () in
+  let acquired0 = lock_count os "locks.acquired" in
+  let t1 = Object_store.begin_ os and t2 = Object_store.begin_ os in
+  ignore (Object_store.open_readonly t1 blob_cls oid);
+  ignore (Object_store.open_readonly t2 blob_cls oid);
+  Alcotest.(check (pair int int)) "both shared: one word, two grants" (1, 2)
+    (Object_store.held_count os, lock_count os "locks.acquired" - acquired0);
+  (* exclusive blocked while the other holder exists *)
+  Alcotest.(check bool) "upgrade blocked" true (times_out (fun () -> Object_store.open_writable t1 blob_cls oid));
+  Object_store.commit t2;
+  (* now the upgrade succeeds *)
+  Alcotest.(check int) "upgraded" 7 (Object_store.deref (Object_store.open_writable t1 blob_cls oid)).v;
+  let t3 = Object_store.begin_ os in
+  Alcotest.(check bool) "upgraded: a reader waits" true (times_out (fun () -> Object_store.open_readonly t3 blob_cls oid));
+  Object_store.abort t3;
+  Object_store.commit t1;
+  Alcotest.(check int) "nothing held" 0 (Object_store.held_count os);
+  Alcotest.(check (pair int int)) "no lock word left" (0, 0) (Object_store.lock_audit os)
+
+let test_locks_reentrant () =
+  let open Tdb_objstore in
+  let os, oid = lock_fixture () in
+  let acquired0 = lock_count os "locks.acquired" in
+  let t1 = Object_store.begin_ os in
+  ignore (Object_store.open_writable t1 blob_cls oid);
+  ignore (Object_store.open_writable t1 blob_cls oid);
+  ignore (Object_store.open_readonly t1 blob_cls oid);
+  Alcotest.(check int) "one grant" 1 (lock_count os "locks.acquired" - acquired0);
+  let t2 = Object_store.begin_ os in
+  Alcotest.(check bool) "still exclusive" true (times_out (fun () -> Object_store.open_readonly t2 blob_cls oid));
+  Object_store.abort t2;
+  Object_store.commit t1;
+  Alcotest.(check int) "nothing held" 0 (Object_store.held_count os)
 
 let test_btree_index_ordering () =
   let open Tdb_collection in
