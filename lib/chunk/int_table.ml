@@ -1,5 +1,6 @@
-(** Hash tables keyed by non-negative ints — chunk and object ids — that
-    hash a key to itself (see int_table.mli). *)
+(** Hash tables keyed by ints — chunk and object ids, or an object
+    store's [lnot oid] for a removed object's pin — that hash a key to
+    itself, sign bit cleared (see int_table.mli). *)
 
 include Hashtbl.Make (struct
   type t = int

@@ -64,16 +64,20 @@ type txn_state = Active | Committed | Aborted
 
 let is_active = function Active -> true | Committed | Aborted -> false
 
+(* What commit does to an oid in a transaction's write set: [Remove]
+   covers written-then-removed, [Insert_remove] inserted-then-removed. *)
+type change = Write | Insert | Remove | Insert_remove
+
 type txn = {
   store : t;
   txn_id : int;
   mutable state : txn_state;
-  pins : Obj_class.packed_value Lru.entry Int_table.t; (* every object referenced by this txn *)
-  writes : (oid, Obj_class.packed_value Lru.entry) Hashtbl.t;
-      (* inserted or opened writable; polymorphic on purpose: its iteration
-         order is the order of the batch's writes, and so of their IVs *)
-  mutable inserted : oid list;
-  mutable removed : oid list;
+  pins : Obj_class.packed_value Lru.entry Int_table.t;
+      (* every object this txn locked and pinned, keyed by oid, or by
+         [lnot oid] once removed, so a lookup by oid misses it *)
+  changes : (oid, change) Hashtbl.t;
+      (* the write set; polymorphic on purpose: its iteration order is
+         the order of the batch's writes, and so of their IVs *)
   mutable root_updates : (string * oid option) list;
 }
 
@@ -209,12 +213,6 @@ let metrics t : Metrics.t =
           ("group_commit.coalesced", Int t.coalesced);
         ])
 
-let chunk_cache_stats t =
-  let st = Chunk_store.stats t.cs in
-  (st.Chunk_store.cache_hits, st.Chunk_store.cache_misses, st.Chunk_store.cache_evictions)
-
-let set_chunk_cache_budget t b = with_mu t (fun () -> Chunk_store.set_cache_budget t.cs b)
-
 (** Committed value of a named root. *)
 let get_root t (name : string) : oid option = with_mu t (fun () -> List.assoc_opt name t.roots)
 
@@ -229,9 +227,7 @@ let begin_ (t : t) : txn =
         txn_id = id;
         state = Active;
         pins = Int_table.create 16;
-        writes = Hashtbl.create 8;
-        inserted = [];
-        removed = [];
+        changes = Hashtbl.create 8;
         root_updates = [];
       })
 
@@ -294,11 +290,11 @@ let release t e =
     t.held <- t.held - 1
   end
 
-(* Lock [oid] at [mode] for [x] and pin it, returning its entry. It is
-   loaded first, so an unknown oid raises before anything is granted. A
-   grant that must wait re-resolves the oid through the cache after every
-   wake: an aborting writer drops its entry. [pinned]: [x] has pinned
-   [oid] already. *)
+(* Lock [oid] at [mode] for [x] and pin it, returning its entry; an
+   exclusive lock adds it to the write set. It is loaded first, so an
+   unknown oid raises before anything is granted. A grant that must wait
+   re-resolves the oid through the cache after every wake: an aborting
+   writer drops its entry. [pinned]: [x] has pinned [oid] already. *)
 let hold x oid ~mode ~pinned =
   let t = x.store in
   let e = load t oid in
@@ -313,7 +309,21 @@ let hold x oid ~mode ~pinned =
     Lru.pin e;
     Int_table.replace x.pins oid e
   end;
+  (match mode with Lock_manager.Exclusive -> Hashtbl.replace x.changes oid Write | Lock_manager.Shared -> ());
   e
+
+(* [oid] locked at [mode] by [x]. A re-open is answered from [x]'s own
+   tables: a pinned oid is held at least shared, and exclusive if it is
+   in the write set; only an upgrade goes back to the lock word. A
+   removed oid is pinned under [lnot oid], so only a first open in a
+   transaction with a nonempty write set looks for it. *)
+let entry_at x oid ~(mode : Lock_manager.mode) =
+  match Int_table.find_opt x.pins oid with
+  | Some e when (match mode with Lock_manager.Shared -> true | Lock_manager.Exclusive -> Hashtbl.mem x.changes oid) -> e
+  | Some _ -> hold x oid ~mode ~pinned:true
+  | None ->
+      if Hashtbl.length x.changes > 0 && Int_table.mem x.pins (lnot oid) then raise (Removed_in_transaction oid);
+      hold x oid ~mode ~pinned:false
 
 (** Insert a new object; it is immediately locked exclusively, pinned and
     dirty (no-steal: it stays in cache until commit writes it). Returns its
@@ -327,31 +337,13 @@ let insert (x : txn) (cls : 'a Obj_class.t) (v : 'a) : oid =
       if x.store.cfg.locking then ignore (grant x e ~mode:Lock_manager.Exclusive ~pinned:false);
       Lru.pin e;
       Int_table.replace x.pins oid e;
-      Hashtbl.replace x.writes oid e;
-      x.inserted <- oid :: x.inserted;
+      Hashtbl.replace x.changes oid Insert;
       oid)
 
-(* Whether a pinned [oid] is already locked at [mode] by this transaction:
-   a pinned oid is locked at least shared, and one in [writes] exclusive. *)
-let pinned_at x oid ~mode =
-  match mode with Lock_manager.Shared -> true | Lock_manager.Exclusive -> Hashtbl.mem x.writes oid
-
-(* A re-open is answered from the transaction's own tables, with no lock
-   request, cache probe or pin. Only a shared-to-exclusive upgrade goes
-   back to the lock word. *)
 let open_gen (x : txn) (cls : 'a Obj_class.t) (oid : oid) ~(mode : Lock_manager.mode) : 'a =
   with_mu x.store (fun () ->
       check_active x;
-      if List.mem oid x.removed then raise (Removed_in_transaction oid);
-      let e =
-        match Int_table.find_opt x.pins oid with
-        | Some e when pinned_at x oid ~mode -> e
-        | pinned ->
-            let e = hold x oid ~mode ~pinned:(Option.is_some pinned) in
-            (match mode with Lock_manager.Exclusive -> Hashtbl.replace x.writes oid e | Lock_manager.Shared -> ());
-            e
-      in
-      Obj_class.cast cls (Lru.value e))
+      Obj_class.cast cls (Lru.value (entry_at x oid ~mode)))
 
 (** Open for reading: shared lock, const view. *)
 let open_readonly (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, readonly) ref_ =
@@ -364,17 +356,16 @@ let open_writable (x : txn) (cls : 'a Obj_class.t) (oid : oid) : ('a, writable) 
 
 (** Remove an object from the store; its id is freed at commit. It is
     locked exclusive and pinned like an open, so it must exist, and
-    [finish] releases it. *)
+    [finish] releases it. An abort drops it from the cache, as it may have
+    been written first, and frees its id if this transaction inserted it. *)
 let remove (x : txn) (oid : oid) : unit =
   with_mu x.store (fun () ->
       check_active x;
-      if List.mem oid x.removed then raise (Removed_in_transaction oid);
-      (match Int_table.find_opt x.pins oid with
-      | Some _ when Hashtbl.mem x.writes oid -> ()
-      | pinned -> ignore (hold x oid ~mode:Lock_manager.Exclusive ~pinned:(Option.is_some pinned)));
-      Hashtbl.remove x.writes oid;
-      x.inserted <- List.filter (fun o -> not (Int.equal o oid)) x.inserted;
-      x.removed <- oid :: x.removed)
+      let e = entry_at x oid ~mode:Lock_manager.Exclusive in
+      let change = match Hashtbl.find x.changes oid with Insert -> Insert_remove | Write | Remove | Insert_remove -> Remove in
+      Hashtbl.replace x.changes oid change;
+      Int_table.remove x.pins oid;
+      Int_table.replace x.pins (lnot oid) e)
 
 (** Register/overwrite (or with [None], clear) a named root within the
     transaction. *)
@@ -405,6 +396,22 @@ let finish (x : txn) (st : txn_state) =
   Int_table.reset x.pins;
   Lock_manager.wake t.locks;
   x.state <- st
+
+(* End [x] undoing all it did, for an abort and a failed commit alike:
+   drop every object in its write set from the cache (paper Section
+   4.2.3) and free every id it inserted (a failed commit may have freed
+   an inserted-then-removed one already). *)
+let discard (x : txn) =
+  let t = x.store in
+  Chunk_store.abort_batch t.cs;
+  finish x Aborted;
+  Hashtbl.iter
+    (fun oid change ->
+      Lru.remove t.cache oid;
+      match change with
+      | Insert | Insert_remove -> ( try Chunk_store.deallocate t.cs oid with Types.Not_allocated _ -> ())
+      | Write | Remove -> ())
+    x.changes
 
 (* --- group commit ---
 
@@ -471,17 +478,18 @@ let commit ?(durable = true) (x : txn) : unit =
           (* [~kept]: the object cache holds these objects and [t.roots]
              the catalog, so the chunk cache need not hold their bytes *)
           Hashtbl.iter
-            (fun oid e ->
-              let (Obj_class.Value (cls, v)) = Lru.value e in
-              let bytes = Obj_class.pickle_value cls v in
-              Chunk_store.write ~kept:true t.cs oid bytes;
-              Lru.update_size t.cache e ~size:(String.length bytes))
-            x.writes;
-          List.iter
-            (fun oid ->
-              Chunk_store.deallocate t.cs oid;
-              Lru.remove t.cache oid)
-            x.removed;
+            (fun oid change ->
+              match change with
+              | Write | Insert ->
+                  let e = Int_table.find x.pins oid in
+                  let (Obj_class.Value (cls, v)) = Lru.value e in
+                  let bytes = Obj_class.pickle_value cls v in
+                  Chunk_store.write ~kept:true t.cs oid bytes;
+                  Lru.update_size t.cache e ~size:(String.length bytes)
+              | Remove | Insert_remove ->
+                  Chunk_store.deallocate t.cs oid;
+                  Lru.remove t.cache oid)
+            x.changes;
           if x.root_updates <> [] then begin
             let roots =
               List.fold_left
@@ -510,11 +518,7 @@ let commit ?(durable = true) (x : txn) : unit =
             Lead tok
           end
         with exn ->
-          Chunk_store.abort_batch t.cs;
-          finish x Aborted;
-          (* failed commit behaves like abort: evict dirty objects *)
-          Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
-          List.iter (fun oid -> try Chunk_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
+          discard x;
           raise exn
       in
       finish x Committed;
@@ -525,17 +529,11 @@ let commit ?(durable = true) (x : txn) : unit =
           t.coalesced <- t.coalesced + 1;
           run_barrier t tok)
 
-(** Abort: discard the write set. Objects opened for writing are evicted
-    from the cache (paper Section 4.2.3) so later reads refetch committed
-    state; chunk ids allocated for inserted objects are released. *)
+(** Abort: discard the write set (see [discard]). *)
 let abort (x : txn) : unit =
   with_mu x.store (fun () ->
       check_active x;
-      let t = x.store in
-      finish x Aborted;
-      Hashtbl.iter (fun oid _ -> Lru.remove t.cache oid) x.writes;
-      List.iter (fun oid -> try Chunk_store.deallocate t.cs oid with Types.Not_allocated _ -> ()) x.inserted;
-      Chunk_store.abort_batch t.cs)
+      discard x)
 
 (** Durable barrier without a transaction: promote every committed
     nondurable transaction to durable with one sync + one counter bump

@@ -59,14 +59,6 @@ val metrics : t -> Tdb_chunk.Metrics.t
     [group_commit.coalesced] (the durable commits with writes that they
     covered). The store's metrics are {!Tdb_chunk.Chunk_store.metrics}. *)
 
-val chunk_cache_stats : t -> int * int * int
-(** Same counters for the verified-chunk cache one level down — the
-    second tier of the two-level cache (see DESIGN.md, "Caching"). *)
-
-val set_chunk_cache_budget : t -> int -> unit
-(** Resize the underlying chunk store's verified-chunk cache at runtime
-    (0 disables it); evicts immediately if over the new budget. *)
-
 val held_count : t -> int
 (** Objects currently locked by at least one transaction (nonzero lock
     words) — 0 when no transaction is active (observable lock hygiene,
@@ -124,7 +116,10 @@ val open_writable : txn -> 'a Obj_class.t -> oid -> ('a, writable) ref_
     written at commit. Mutate the dereferenced value in place. *)
 
 val remove : txn -> oid -> unit
-(** Remove the object; its id is released at commit. *)
+(** Remove the object (locked like a writable open, so it must exist);
+    its id is released at commit, and a re-open raises
+    {!Removed_in_transaction}. An {!abort} drops it from the cache, as it
+    may have been written first, and frees its id if this txn inserted it. *)
 
 val set_root : txn -> string -> oid option -> unit
 (** Register ([Some]) or clear ([None]) a named root within the txn. *)
@@ -152,8 +147,10 @@ val commit : ?durable:bool -> txn -> unit
     covered stay landed, nondurably). *)
 
 val abort : txn -> unit
-(** Discard the write set; objects opened for writing are evicted from the
-    cache (paper Section 4.2.3) and inserted ids released. *)
+(** Undo everything the transaction did, as a {!commit} that raises does
+    too: every object it wrote, inserted or removed is dropped from the
+    cache (paper Section 4.2.3), every id it inserted, removed or not, is
+    released, and its locks and refs go. *)
 
 val with_txn : ?durable:bool -> t -> (txn -> 'a) -> 'a
 (** Run [f] in a transaction; commit on return, abort on exception. *)

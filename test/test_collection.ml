@@ -406,6 +406,38 @@ let test_abort_discards_everything () =
   Alcotest.(check int) "update discarded" 0 (List.length (collect (Cstore.exact ct2 c2 (usage_ix ()) 999)));
   Cstore.commit ct2
 
+(* Figure 6's refused insert (insert, then remove on a unique violation)
+   undone by the abort that follows: every refused object's oid is
+   unknown afterwards, and the collection keeps its size. The refused
+   oids lie between an id taken before and one taken after. *)
+let test_refused_insert_then_abort () =
+  let _, os = setup ~n:5 () in
+  let next_oid () =
+    let x = Object_store.begin_ os in
+    let oid = Object_store.insert x meter_cls { id = -1; view_count = 0; print_count = 0 } in
+    Object_store.abort x;
+    oid
+  in
+  let open_coll ct =
+    Cstore.open_collection ct ~name:"profile" ~schema:meter_cls
+      ~indexers:[ Indexer.Generic (id_ix ()); Indexer.Generic (usage_ix ()) ]
+  in
+  let before = next_oid () in
+  for id = 1 to 3 do
+    Alcotest.(check bool) "duplicate refused" true
+      (match Cstore.with_ctxn os (fun ct -> Cstore.insert ct (open_coll ct) { id; view_count = 0; print_count = 0 }) with
+      | exception Index.Duplicate_key { index = "id"; _ } -> true
+      | _ -> false)
+  done;
+  let after = next_oid () in
+  Alcotest.(check bool) "refused inserts took ids" true (after - before > 1);
+  Object_store.with_txn os (fun x ->
+      for oid = before + 1 to after - 1 do
+        Alcotest.(check bool) (Printf.sprintf "refused oid %d unknown" oid) true
+          (match Object_store.open_readonly x meter_cls oid with exception Object_store.Unknown_object _ -> true | _ -> false)
+      done);
+  Cstore.with_ctxn os (fun ct -> Alcotest.(check int) "collection unchanged" 5 (Cstore.size ct (open_coll ct)))
+
 let test_commit_with_open_iterator_rejected () =
   let _, os = setup () in
   let ct = Cstore.begin_ os in
@@ -534,6 +566,7 @@ let () =
           Alcotest.test_case "all impls at scale" `Slow test_index_impls_at_scale;
           Alcotest.test_case "persists across reopen" `Quick test_collection_persists;
           Alcotest.test_case "abort discards" `Quick test_abort_discards_everything;
+          Alcotest.test_case "refused duplicate insert, then abort" `Quick test_refused_insert_then_abort;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_model_equivalence ]);
     ]

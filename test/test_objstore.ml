@@ -52,6 +52,12 @@ let reopen ?(config = Object_store.default_config) env =
 let lock_count os name =
   match Metrics.find (Object_store.metrics os) ("locks." ^ name) with Some (Metrics.Int n) -> n | _ -> -1
 
+(* The verified-chunk cache's (hits, misses, evictions), one level below
+   the object cache. *)
+let chunk_cache_stats os =
+  let st = Chunk_store.stats (Object_store.chunk_store os) in
+  (st.Chunk_store.cache_hits, st.Chunk_store.cache_misses, st.Chunk_store.cache_evictions)
+
 (* --- basic typed storage --- *)
 
 let test_insert_open () =
@@ -167,6 +173,42 @@ let test_remove_rolled_back_by_abort () =
   let m = Object_store.deref (Object_store.open_readonly x3 meter_cls oid) in
   Alcotest.(check int) "still there" 7 m.view_count;
   Object_store.abort x3
+
+let unknown os oid =
+  Object_store.with_txn os (fun x ->
+      match Object_store.open_readonly x meter_cls oid with
+      | exception Object_store.Unknown_object o -> Int.equal o oid
+      | _ -> false)
+
+(* An abort undoes an insert that the transaction removed again: the
+   object is gone and its id is released. *)
+let test_insert_remove_abort () =
+  let os = fresh (fresh_env ()) in
+  let x = Object_store.begin_ os in
+  let oid = Object_store.insert x meter_cls { view_count = 5; print_count = 0; good = "g" } in
+  Object_store.remove x oid;
+  Object_store.abort x;
+  Alcotest.(check bool) "inserted then removed object gone" true (unknown os oid);
+  Alcotest.(check bool) "its id is released" true
+    (match Chunk_store.deallocate (Object_store.chunk_store os) oid with exception Types.Not_allocated _ -> true | () -> false)
+
+(* An abort undoes a write that the transaction removed again: the
+   dirty value is not what a later transaction reads, or commits. *)
+let test_write_remove_abort () =
+  let env = fresh_env () in
+  let os = fresh env in
+  let oid = Object_store.with_txn os (fun x -> Object_store.insert x meter_cls { view_count = 1; print_count = 0; good = "g" }) in
+  let x = Object_store.begin_ os in
+  (Object_store.deref (Object_store.open_writable x meter_cls oid)).view_count <- 99;
+  Object_store.remove x oid;
+  Object_store.abort x;
+  Object_store.with_txn os (fun x ->
+      let m = Object_store.deref (Object_store.open_writable x meter_cls oid) in
+      Alcotest.(check int) "committed value, not the aborted write" 1 m.view_count;
+      m.print_count <- 1);
+  Object_store.with_txn (reopen env) (fun x ->
+      Alcotest.(check int) "committed value persisted" 1
+        (Object_store.deref (Object_store.open_readonly x meter_cls oid)).view_count)
 
 (* --- roots --- *)
 
@@ -785,14 +827,14 @@ let test_two_level_cache () =
   read_all ();
   read_all ();
   let _, obj_misses, _ = Object_store.cache_stats os in
-  let chunk_hits, _, _ = Object_store.chunk_cache_stats os in
+  let chunk_hits, _, _ = chunk_cache_stats os in
   Alcotest.(check bool) "object cache thrashes" true (obj_misses > 0);
   Alcotest.(check bool) "chunk cache absorbs the fall-through" true (chunk_hits > 0);
   (* disabling the lower tier turns the same traffic into pure misses *)
-  Object_store.set_chunk_cache_budget os 0;
-  let hits0, _, _ = Object_store.chunk_cache_stats os in
+  Chunk_store.set_cache_budget (Object_store.chunk_store os) 0;
+  let hits0, _, _ = chunk_cache_stats os in
   read_all ();
-  let hits1, misses1, _ = Object_store.chunk_cache_stats os in
+  let hits1, misses1, _ = chunk_cache_stats os in
   Alcotest.(check int) "no hits with cache off" hits0 hits1;
   Alcotest.(check bool) "misses counted" true (misses1 > 0)
 
@@ -804,7 +846,7 @@ let test_two_level_cache () =
 let test_commit_keeps_no_chunk_copy () =
   let os = fresh (fresh_env ()) in
   let cs = Object_store.chunk_store os in
-  let hits () = match Object_store.chunk_cache_stats os with h, _, _ -> h in
+  let hits () = match chunk_cache_stats os with h, _, _ -> h in
   let hit cid =
     let h = hits () in
     ignore (Chunk_store.read cs cid);
@@ -1109,9 +1151,12 @@ let test_lock_counters () =
   Alcotest.(check int) "held" 0 (lock_count os "held")
 
 (* A model of the lock bookkeeping: 2-3 transactions interleaved on one
-   thread, each step an open, insert, remove, commit or abort. After
+   thread, each step an open, insert, remove, commit or abort. A remove
+   picks the transaction's own inserts and writable opens first. After
    every step the store holds exactly the distinct oids the model's live
-   transactions hold, and nothing once they have all ended. *)
+   transactions hold, and nothing once they have all ended; after an
+   abort, every oid that transaction inserted, removed or not, is
+   unknown. *)
 type lock_step = Open_s of int | Open_x of int | Insert | Remove of int | Commit | Abort
 
 let lock_step_to_string = function
@@ -1126,6 +1171,7 @@ type model_txn = {
   mx : Object_store.txn;
   held : (Object_store.oid, Lock_manager.mode) Hashtbl.t;
   mutable ins : Object_store.oid list;
+  mutable born : Object_store.oid list; (* every oid it inserted, removed or not *)
   mutable rem : Object_store.oid list;
 }
 
@@ -1140,13 +1186,16 @@ let run_lock_model (nslots, steps) =
     match slots.(slot) with
     | Some m -> m
     | None ->
-        let m = { mx = Object_store.begin_ os; held = Hashtbl.create 8; ins = []; rem = [] } in
+        let m = { mx = Object_store.begin_ os; held = Hashtbl.create 8; ins = []; born = []; rem = [] } in
         slots.(slot) <- Some m;
         m
   in
-  let pick k =
-    match !pool @ List.concat_map (fun m -> m.ins) (live ()) with [] -> None | l -> Some (List.nth l (k mod List.length l))
+  let pick ?(own = []) k =
+    match own @ !pool @ List.concat_map (fun m -> m.ins) (live ()) with
+    | [] -> None
+    | l -> Some (List.nth l (k mod List.length l))
   in
+  let writable m = Hashtbl.fold (fun oid mode acc -> if mode = Lock_manager.Exclusive then oid :: acc else acc) m.held [] in
   let conflicts m oid mode =
     List.exists
       (fun o ->
@@ -1192,9 +1241,10 @@ let run_lock_model (nslots, steps) =
         let oid = Object_store.insert m.mx meter_cls (meter "i") in
         grant m oid Lock_manager.Exclusive;
         m.ins <- oid :: m.ins;
+        m.born <- oid :: m.born;
         true
     | Remove k -> (
-        match pick k with
+        match pick ~own:(m.ins @ writable m) k with
         | None -> true
         | Some oid ->
             locking m oid Lock_manager.Exclusive (fun () ->
@@ -1209,7 +1259,7 @@ let run_lock_model (nslots, steps) =
     | Abort ->
         Object_store.abort m.mx;
         end_txn slot;
-        true
+        List.for_all (unknown os) m.born
   in
   let modelled () =
     let oids = Hashtbl.create 8 in
@@ -1302,6 +1352,8 @@ let () =
           Alcotest.test_case "abort insert" `Quick test_abort_insert_gone;
           Alcotest.test_case "remove" `Quick test_remove;
           Alcotest.test_case "remove aborted" `Quick test_remove_rolled_back_by_abort;
+          Alcotest.test_case "insert, remove, abort" `Quick test_insert_remove_abort;
+          Alcotest.test_case "write, remove, abort" `Quick test_write_remove_abort;
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery_objects;
           Alcotest.test_case "schema evolution" `Quick test_schema_evolution;
         ] );
