@@ -42,7 +42,8 @@ let tpcb_row (r : Runner.result) =
     [ ("label", J.Str r.label); ("txns", J.Int r.txns); ("avg_ms", num 4 r.avg_ms); ("p95_ms", num 4 r.p95_ms);
       ("cpu_avg_ms", num 4 r.cpu_avg_ms); ("io_avg_ms", num 4 r.io_avg_ms); ("ops_per_s", num 1 (ops_per_s r));
       ("bytes_per_txn", num 1 r.bytes_per_txn); ("store_writes_per_txn", num 2 r.store_writes_per_txn);
-      ("store_bytes_per_txn", num 1 r.store_bytes_per_txn); ("db_size", J.Int r.db_size);
+      ("store_bytes_per_txn", num 1 r.store_bytes_per_txn); ("fg_checkpoints", J.Int r.fg_checkpoints);
+      ("db_size", J.Int r.db_size);
       ("live_bytes", J.Int r.live_bytes); ("minor_words_per_txn", num 0 r.minor_words_per_txn);
       ("cache_hits", J.Int r.cache_hits); ("cache_misses", J.Int r.cache_misses);
       ("cache_hit_rate", num 4 (Runner.hit_rate r)) ]
@@ -89,6 +90,57 @@ let figure10 ?(idle = true) (scale : Workload.scale) : Runner.result list =
     (Format.asprintf "%a" Runner.pp_result tdb)
     (Format.asprintf "%a" Runner.pp_result tdbs);
   [ bdb; tdb; tdbs ]
+
+(* What the residual bound costs at open: TDB-S transactions, with no idle
+   maintenance, up to the last one before the residual trigger fires (the
+   first run finds it, a second identical run stops there), then
+   [Chunk_store.open_existing] on a copy of that store image, as a crash
+   would leave it. Median of five opens, CPU on the in-memory image. The
+   run fails if the transaction that checkpointed also cleaned or grew the
+   store for want of anything to clean: then something other than the
+   residual trigger may have taken the checkpoint. *)
+type recovery = { residual_txns : int; bound_bytes : int; open_ms : float }
+
+let recovery_at_bound (scale : Workload.scale) : recovery =
+  let module CS = Tdb_chunk.Chunk_store in
+  let run limit =
+    let t = Tdb_driver.setup ~security:true scale in
+    let rng = Tdb_crypto.Drbg.create ~seed:"tpcb-run" in
+    let checkpoints () = (Tdb_driver.stats t).CS.checkpoints in
+    (* a cleaning pass ends in a checkpoint, and so does a commit's space
+       reservation that found nothing to clean and grew the store *)
+    let other_sources () =
+      let st = Tdb_driver.stats t in
+      (st.CS.clean_passes, st.CS.grow_fallback)
+    in
+    let c0 = checkpoints () and n = ref 0 and before = ref (other_sources ()) in
+    while !n < limit && Int.equal (checkpoints ()) c0 do
+      before := other_sources ();
+      ignore (Tdb_driver.txn t (Workload.gen_txn rng scale));
+      incr n
+    done;
+    let (p, g), (p', g') = (!before, other_sources ()) in
+    if not (Int.equal p p' && Int.equal g g') then
+      failwith (Printf.sprintf "recovery: the checkpoint after %d txns came with cleaning or growth" !n);
+    (t, !n)
+  in
+  let residual_txns = snd (run max_int) - 1 in
+  let t, _ = run residual_txns in
+  let module US = Tdb_platform.Untrusted_store in
+  let image = Bytes.to_string (US.read t.Tdb_driver.store ~off:0 ~len:(US.size t.Tdb_driver.store)) in
+  let config = CS.config t.Tdb_driver.cs in
+  let open_ms () =
+    let _, store = US.open_mem () in
+    US.write store ~off:0 image;
+    let _, counter = Tdb_platform.One_way_counter.open_mem ~initial:(CS.counter_value t.Tdb_driver.cs) () in
+    (* the device secret [Tdb_driver.setup] uses *)
+    let secret = Tdb_platform.Secret_store.of_seed "tpcb-device" in
+    let t0 = Unix.gettimeofday () in
+    ignore (CS.open_existing ~config ~secret ~counter store);
+    1000. *. (Unix.gettimeofday () -. t0)
+  in
+  let times = Array.init 5 (fun _ -> open_ms ()) in
+  { residual_txns; bound_bytes = config.Tdb_chunk.Config.checkpoint_residual_bytes; open_ms = Runner.percentile times 0.5 }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11                                                           *)
@@ -633,6 +685,10 @@ let () =
   let scale = pick_scale scale_name in
   let tpcb () =
     let rs = figure10 ~idle:!idle scale in
+    let rc = recovery_at_bound scale in
+    Printf.printf "recovery: open_existing on a TDB-S crash image %d txns past its checkpoint (just under the %d KiB \
+                   residual bound): %.1f ms\n\n%!"
+      rc.residual_txns (rc.bound_bytes / 1024) rc.open_ms;
     if !json then
       write_json "tpcb"
         [ ( "scale",
@@ -640,7 +696,11 @@ let () =
               [ ("name", J.Str scale_name); ("accounts", J.Int scale.accounts); ("tellers", J.Int scale.tellers);
                 ("branches", J.Int scale.branches); ("transactions", J.Int scale.transactions);
                 ("measured", J.Int scale.measured); ("cache_bytes", J.Int scale.cache_bytes) ] );
-          ("idle_maintenance", J.Bool !idle); ("systems", J.Arr (List.map tpcb_row rs)) ]
+          ("idle_maintenance", J.Bool !idle); ("systems", J.Arr (List.map tpcb_row rs));
+          ( "recovery",
+            J.Obj
+              [ ("residual_txns", J.Int rc.residual_txns); ("bound_bytes", J.Int rc.bound_bytes);
+                ("open_ms", num 1 rc.open_ms) ] ) ]
   in
   let micro_bench () =
     let rs = micro () in

@@ -55,11 +55,12 @@ let () =
       (fun (name, r) ->
         match (name, r) with
         | "crash", C.Crash r ->
-            Printf.printf "boundaries=%d crashpoints=%d seeds=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-              r.boundaries r.crashpoints r.seeds r.runs r.crashes r.recoveries (List.length r.violations)
+            Printf.printf
+              "boundaries=%d checkpoints=%d crashpoints=%d seeds=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
+              r.boundaries r.checkpoints r.crashpoints r.seeds r.runs r.crashes r.recoveries (List.length r.violations)
         | _, C.Crash r ->
-            Printf.printf "%s: boundaries=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
-              (label name) r.boundaries r.crashpoints r.runs r.crashes r.recoveries (List.length r.violations)
+            Printf.printf "%s: boundaries=%d checkpoints=%d crashpoints=%d runs=%d crashes=%d recoveries=%d violations=%d\n"
+              (label name) r.boundaries r.checkpoints r.crashpoints r.runs r.crashes r.recoveries (List.length r.violations)
         | _, C.Tamper r ->
             Printf.printf "%s: flips=%d detected=%d harmless=%d silent=%d\n" (label name) r.flips r.detected r.harmless
               r.silent)

@@ -61,7 +61,6 @@ type t = {
   mutable chain : string; (* commit-chain MAC value *)
   mutable last_counter : int64;
   mutable epoch : int; (* anchor epoch *)
-  mutable commits_since_cp : int;
   mutable snapshots : (int * snapshot) list;
   mutable next_snap_id : int;
   mutable cleaning : bool;
@@ -235,10 +234,10 @@ let bump_counter t ~(expected : int64) : unit =
       tamper "one-way counter advanced externally (%Ld, expected %Ld)" hw expected
   end
 
-(** Checkpoint: flush dirty map nodes bottom-up, then re-anchor. Runs
-    "opportunistically" — every [checkpoint_every] commits, after cleaning
-    passes, at snapshots and at close (the paper defers this work to idle
-    periods). *)
+(** Checkpoint: flush dirty map nodes bottom-up, then re-anchor. Ends every
+    cleaning pass (so idle maintenance, where the paper defers this work),
+    snapshots, open and close, and the commit that brings the residual log
+    to [checkpoint_residual_bytes]. *)
 let do_checkpoint t : unit =
   (* A checkpoint *promotes*: once the anchor captures state that includes
      nondurable commits, recovery reproduces them even though no durable
@@ -272,12 +271,7 @@ let do_checkpoint t : unit =
   List.iter (Log.obsolete_entry t.log) !retired;
   Log.end_checkpoint t.log;
   Location_map.trim t.map ~keep:t.cfg.Config.map_leaves;
-  t.commits_since_cp <- 0;
   t.stats.checkpoints <- t.stats.checkpoints + 1
-
-let checkpoint t : unit =
-  if Hashtbl.length t.pending > 0 then invalid_arg "Chunk_store.checkpoint: commit or abort the batch first";
-  do_checkpoint t
 
 (* ------------------------------------------------------------------ *)
 (* Cleaning                                                            *)
@@ -415,7 +409,7 @@ let ensure_free t ~(segs : int) : unit =
            checkpoint first: that frees empty segments and unlocks the
            fragmented ones. While a barrier is in flight, checkpoints (and
            so cleaning passes, which end in one) wait: grow instead. *)
-        if (not t.barrier_inflight) && Log.clean_candidates t.log = [] && t.commits_since_cp > 0 then do_checkpoint t;
+        if (not t.barrier_inflight) && Log.clean_candidates t.log = [] && Log.residual_bytes t.log > 0 then do_checkpoint t;
         match if t.barrier_inflight then [] else Log.clean_candidates t.log with
         | [] ->
             let n = max grow_step (segs - Log.free_count t.log) in
@@ -514,24 +508,21 @@ let batch_size t = Hashtbl.length t.pending
    preserved. *)
 let max_commit_record_bytes t = t.cfg.Config.segment_size / 4
 
-(* Count a commit or barrier toward the next checkpoint, and take it once
-   [checkpoint_every] of them or [checkpoint_residual_bytes] of residual
-   log have built up (never inside a staged barrier). *)
+let checkpoint ?(reserve = false) t : unit =
+  if Hashtbl.length t.pending > 0 then invalid_arg "Chunk_store.checkpoint: commit or abort the batch first";
+  if reserve then begin
+    (* make room for the map nodes the checkpoint will write, so it never
+       has to grow the store outside the policy *)
+    let est_bytes = Location_map.count_dirty t.map * t.cfg.Config.map_fanout * (16 + t.sec.Security.hash_len) in
+    ensure_free t ~segs:(min 16 (2 + (est_bytes / t.cfg.Config.segment_size)))
+  end;
+  do_checkpoint t
+
+(* After a commit or barrier: checkpoint once the residual log reaches
+   [checkpoint_residual_bytes] (never inside a staged barrier). *)
 let note_commit t : unit =
-  t.commits_since_cp <- t.commits_since_cp + 1;
-  if
-    (not t.barrier_inflight)
-    && (t.commits_since_cp >= t.cfg.Config.checkpoint_every
-       || Log.residual_bytes t.log >= t.cfg.Config.checkpoint_residual_bytes)
-  then begin
-    (* reserve space for the map nodes the checkpoint will write, so
-       checkpoints never have to grow the store outside the policy *)
-    let est_bytes =
-      Location_map.count_dirty t.map * t.cfg.Config.map_fanout * (16 + t.sec.Security.hash_len)
-    in
-    ensure_free t ~segs:(min 16 (2 + (est_bytes / t.cfg.Config.segment_size)));
-    checkpoint t
-  end
+  if (not t.barrier_inflight) && Log.residual_bytes t.log >= t.cfg.Config.checkpoint_residual_bytes then
+    checkpoint ~reserve:true t
 
 (* Append the batch (possibly empty) and its closing commit record, and
    flush them. A durable stage's record claims the next counter value:
@@ -769,7 +760,6 @@ let make_empty (cfg : Config.t) (sec : Security.t) counter store log : t =
     chain = "";
     last_counter = 0L;
     epoch = 0;
-    commits_since_cp = 0;
     snapshots = [];
     next_snap_id = 1;
     cleaning = false;

@@ -174,10 +174,12 @@ val durable_barrier : t -> unit
 
 (** {1 Maintenance} *)
 
-val checkpoint : t -> unit
+val checkpoint : ?reserve:bool -> t -> unit
 (** Write dirty location-map nodes and re-anchor; bounds recovery to the
-    (now empty) residual log. Runs automatically on the residual-bytes /
-    commit-count triggers in {!Config.t}. *)
+    (now empty) residual log. Runs in every {!clean}, and on the commit
+    that brings the residual log to [Config.checkpoint_residual_bytes],
+    which first makes room for the map nodes (maybe cleaning); so does
+    [~reserve:true], for crash harnesses that checkpoint on their own. *)
 
 val clean : ?max_segments:int -> t -> unit
 (** Explicit idle-time log cleaning (paper: reorganization is deferred to

@@ -24,12 +24,9 @@ type t = {
   max_utilization : float;
       (** maximal fraction of the store occupied by live chunks; the
           grow-vs-clean decision point (paper Section 7.3, default 0.6) *)
-  checkpoint_every : int;
-      (** checkpoint the location map after this many commits *)
   checkpoint_residual_bytes : int;
-      (** ... or once this many bytes of residual log accumulate, whichever
-          comes first: bounds both recovery time and the log space the
-          cleaner cannot touch *)
+      (** checkpoint on the commit that brings the residual log to this
+          size: bounds what recovery replays (see the mli) *)
   map_fanout : int;
   map_depth : int; (** map covers [map_fanout ^ map_depth] chunk ids *)
   map_leaves : int;
@@ -56,7 +53,6 @@ let default =
     anchor_slot_size = 8 * 1024;
     initial_segments = 8;
     max_utilization = 0.6;
-    checkpoint_every = 4096;
     checkpoint_residual_bytes = 768 * 1024;
     map_fanout = 64;
     map_depth = 4;
@@ -80,7 +76,6 @@ let validate (c : t) =
     invalid_arg "Config: max_utilization out of (0.05, 0.98)";
   if c.map_fanout < 2 || c.map_depth < 2 then invalid_arg "Config: map too small";
   if c.map_leaves < 0 then invalid_arg "Config: map_leaves negative";
-  if c.checkpoint_every < 1 then invalid_arg "Config: checkpoint_every < 1";
   if c.checkpoint_residual_bytes < 4 * c.segment_size then
     invalid_arg "Config: checkpoint_residual_bytes must cover a few segments";
   if c.chunk_cache_bytes < 0 then invalid_arg "Config: chunk_cache_bytes negative";

@@ -27,12 +27,12 @@ type t = {
   max_utilization : float;
       (** maximal fraction of the store occupied by live chunks; the
           grow-vs-clean decision point (paper Section 7.3, default 0.6) *)
-  checkpoint_every : int;
-      (** checkpoint the location map after this many commits... *)
   checkpoint_residual_bytes : int;
-      (** ...or once this many bytes of residual log accumulate, whichever
-          comes first: bounds both recovery time and the log region the
-          cleaner cannot touch *)
+      (** checkpoint the location map on the commit that brings the
+          residual log (bytes appended since the last checkpoint) to this
+          size: bounds what recovery replays and the log region the
+          cleaner cannot touch. Idle maintenance (a cleaning pass ends in
+          a checkpoint) normally checkpoints well before it. *)
   map_fanout : int;
   map_depth : int;  (** the map covers [map_fanout ^ map_depth] chunk ids *)
   map_leaves : int;

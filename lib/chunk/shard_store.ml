@@ -15,7 +15,7 @@ let open_existing ?config ~secret ~counters stores =
 
 let stats = Chunk_store.stats
 let clean = Chunk_store.clean
-let checkpoint = Chunk_store.checkpoint
+let checkpoint t = Chunk_store.checkpoint t
 let durable_barrier = Chunk_store.durable_barrier
 let live_bytes = Chunk_store.live_bytes
 let close = Chunk_store.close

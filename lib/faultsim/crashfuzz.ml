@@ -73,7 +73,6 @@ let store_config =
     segment_size = 2048;
     anchor_slot_size = 1024;
     initial_segments = 4;
-    checkpoint_every = 8;
     checkpoint_residual_bytes = 4 * 2048;
     clean_batch = 2;
   }
@@ -87,6 +86,7 @@ type violation = { v_run : string; v_kind : string; v_detail : string }
 
 type crash_report = {
   boundaries : int;  (** write/sync boundaries in the recorded trace *)
+  checkpoints : int;  (** checkpoints in the recorded trace *)
   crashpoints : int;  (** boundaries actually swept (stride) *)
   seeds : int;
   runs : int;
@@ -199,13 +199,14 @@ type db = {
   mutable cs : Chunk_store.t;
   mutable ctr : OWC.t;
   mutable cp_seen : int;
+  mutable commits : int;  (* commits and barriers outside a staged barrier *)
 }
 
 let fresh_db env ~rng =
   let ctr, cs = create_store env in
   let sh = shadow_create () in
   shadow_base sh;
-  { env; sh; rng; floor = OWC.read ctr; cs; ctr; cp_seen = 0 }
+  { env; sh; rng; floor = OWC.read ctr; cs; ctr; cp_seen = 0; commits = 0 }
 
 (* Has the store checkpointed since the last call? *)
 let new_checkpoint d =
@@ -222,12 +223,19 @@ let mark_durable d upto =
   if Int64.compare hw d.floor > 0 then d.floor <- hw;
   ignore (new_checkpoint d)
 
+let cadence ~every cs n = if n mod every = 0 then Chunk_store.checkpoint ~reserve:true cs
+
+(* Beside the residual bound, checkpoint after every 8th commit or barrier;
+   commits inside a staged barrier, where none may run, do not count. *)
+let count_commit ?(staged = false) d =
+  if not staged then (d.commits <- d.commits + 1; cadence ~every:8 d.cs d.commits)
+
 (* Commit the open batch, snapshotting the shadow at the commit boundary
    and tracking which boundary is known durable. A checkpoint observed
    after a nondurable commit promotes every earlier commit to durable
    (conservatively: up to the previous boundary — the checkpoint may have
    run before this batch was appended). *)
-let commit_shadow ~durable d =
+let commit_shadow ?staged ~durable d =
   let sh = d.sh in
   sh.issued <- sh.issued + 1;
   Hashtbl.replace sh.states sh.issued (Hashtbl.copy sh.model);
@@ -236,7 +244,8 @@ let commit_shadow ~durable d =
   else if new_checkpoint d then begin
     let c = sh.issued - 1 in
     if c > sh.durable_lo then sh.durable_lo <- c
-  end
+  end;
+  count_commit ?staged d
 
 (* ------------------------------------------------------------------ *)
 (* Workloads *)
@@ -334,9 +343,9 @@ let run_phase_gc ~trace d =
       update d cid (pad (Printf.sprintf "%s:%03d:txn:%04d:%d" tag cid !txn (Drbg.int d.rng 10_000)))
     end
   in
-  let session_commit tag =
+  let session_commit ?staged tag =
     session_write tag;
-    commit_shadow ~durable:false d
+    commit_shadow ?staged ~durable:false d
   in
   while !txn < trace.txns do
     (* sessions that committed before the leader took the barrier *)
@@ -353,13 +362,14 @@ let run_phase_gc ~trace d =
     let tok = Chunk_store.barrier_begin d.cs in
     (* sessions landing while the leader syncs: after the barrier record *)
     for _ = 1 to Drbg.int d.rng 6 do
-      session_commit "win"
+      session_commit ~staged:true "win"
     done;
     Chunk_store.barrier_sync d.cs tok;
     (* the state lock can be retaken between sync and finish *)
-    if Int.equal (Drbg.int d.rng 2) 0 then session_commit "gap";
+    if Int.equal (Drbg.int d.rng 2) 0 then session_commit ~staged:true "gap";
     Chunk_store.barrier_finish d.cs tok;
-    mark_durable d covered
+    mark_durable d covered;
+    count_commit d
   done
 
 (* Commit-flush phase A: every commit is a *large* durable commit — a
@@ -544,13 +554,14 @@ let persist_probs = [| 0.0; 1.0; 0.5; 0.25; 0.75; 0.1; 0.9; 0.35 |]
 let tears = [| Fault_plan.Skip; Fault_plan.Torn; Fault_plan.Applied |]
 
 (* Run the phase once to count the write/sync boundaries of its armed
-   region. *)
+   region, and the checkpoints in it. *)
 let record_boundaries workload ~trace =
   let env = make_env () in
   let d = fresh_db env ~rng:(trace_rng trace) in
   let n = count_boundaries env (fun () -> workload ~trace d) in
+  let cps = (Chunk_store.stats d.cs).Chunk_store.checkpoints in
   Chunk_store.close d.cs;
-  n
+  (n, cps)
 
 (* One sweep cell: crash phase A at boundary [k], recover under the
    seeded persistence subset, then run the epilogue with a second seeded
@@ -605,7 +616,7 @@ let one_run workload ~trace ~violations ~crashes ~recoveries ~k ~seed_idx =
       end)
 
 (* Every [stride]-th boundary x every seed, through [cell]. *)
-let sweep_cells ?(progress = fun _ _ -> ()) ~boundaries ~seeds ~stride cell =
+let sweep_cells ?(progress = fun _ _ -> ()) ~boundaries:(boundaries, checkpoints) ~seeds ~stride cell =
   let violations = ref [] in
   let runs = ref 0 and crashes = ref 0 and recoveries = ref 0 and crashpoints = ref 0 in
   let k = ref 0 in
@@ -620,6 +631,7 @@ let sweep_cells ?(progress = fun _ _ -> ()) ~boundaries ~seeds ~stride cell =
   done;
   {
     boundaries;
+    checkpoints;
     crashpoints = !crashpoints;
     seeds;
     runs = !runs;
@@ -865,8 +877,9 @@ let sweep_replica ?progress ~trace ~seeds ~stride () =
     let env = make_env () in
     let ss, _, bs = follower env in
     let n = count_boundaries env (fun () -> Array.iter (fun s -> ignore (BK.apply_stream bs s)) fx.r_streams) in
+    let cps = (Chunk_store.stats ss).Chunk_store.checkpoints in
     Chunk_store.close ss;
-    n
+    (n, cps)
   in
   sweep_cells ?progress ~boundaries ~seeds ~stride (replica_one_run ~fx)
 
@@ -964,8 +977,8 @@ let json_summary ~trace reports =
     match r with
     | Crash r ->
         Printf.sprintf
-          "  \"%s\": {\"boundaries\": %d, \"crashpoints\": %d, \"seeds\": %d, \"runs\": %d, \"crashes\": %d, \"recoveries\": %d, \"violations\": [%s]}"
-          key r.boundaries r.crashpoints r.seeds r.runs r.crashes r.recoveries
+          "  \"%s\": {\"boundaries\": %d, \"checkpoints\": %d, \"crashpoints\": %d, \"seeds\": %d, \"runs\": %d, \"crashes\": %d, \"recoveries\": %d, \"violations\": [%s]}"
+          key r.boundaries r.checkpoints r.crashpoints r.seeds r.runs r.crashes r.recoveries
           (String.concat ", "
              (List.map
                 (fun v ->

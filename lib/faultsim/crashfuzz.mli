@@ -26,6 +26,7 @@ type violation = { v_run : string; v_kind : string; v_detail : string }
 
 type crash_report = {
   boundaries : int;  (** write/sync boundaries in the recorded trace *)
+  checkpoints : int;  (** checkpoints in the recorded trace *)
   crashpoints : int;  (** boundaries actually swept (stride) *)
   seeds : int;
   runs : int;
@@ -128,6 +129,10 @@ val sweeps :
     summary order: the five crash sweeps ([stride], [seeds]), then
     {!sweep_tamper} at [tamper_stride] and {!sweep_replica_tamper} at its
     default stride, both with [mask]. *)
+
+val cadence : every:int -> Tdb_chunk.Chunk_store.t -> int -> unit
+(** After the [n]-th commit, [Chunk_store.checkpoint ~reserve:true] when
+    [every] divides [n]: the phases' cadence ([every = 8]), shared by tests. *)
 
 val json_summary : trace:trace_cfg -> (string * report) list -> string
 (** Machine-readable summary for the [tdb_crashfuzz] CLI: one key per

@@ -95,7 +95,7 @@ let run ?(security = true) ~(alpha : float) (s : scale) : result =
   let secret = Secret_store.of_seed "meter-device" in
   let config =
     { Config.default with Config.security; max_utilization = 0.75;
-      checkpoint_every = 100_000; checkpoint_residual_bytes = max (384 * 1024) (4 * s.cache_bytes);
+      checkpoint_residual_bytes = max (384 * 1024) (4 * s.cache_bytes);
       chunk_cache_bytes = s.cache_bytes; cipher = Config.Triple_xtea; hash = Config.Sha1 }
   in
   let cs = Chunk_store.create ~config ~secret ~counter store in

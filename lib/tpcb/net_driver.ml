@@ -95,7 +95,7 @@ let setup_server ~security ~sync_ms ~counter_ms ~lock_timeout (scale : Workload.
     setup =
   let store, counter = delayed_platform ~sync_ms ~counter_ms in
   let secret = Secret_store.of_seed "tpcb-net" in
-  let config = { Config.default with Config.security; checkpoint_every = 1_000_000 } in
+  let config = { Config.default with Config.security } in
   let cs = Chunk_store.create ~config ~secret ~counter store in
   let os =
     Object_store.of_shard_store

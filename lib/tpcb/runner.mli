@@ -13,6 +13,7 @@ type result = {
   store_writes_per_txn : float;
       (** foreground store write {e calls} — a vectored flush counts once *)
   store_bytes_per_txn : float;  (** foreground store bytes, same window *)
+  fg_checkpoints : int;  (** TDB only: checkpoints run inside measured txns *)
   db_size : int;
   live_bytes : int;  (** TDB only *)
   minor_words_per_txn : float;

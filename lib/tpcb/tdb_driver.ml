@@ -31,16 +31,11 @@ let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_p
   let secret = Secret_store.of_seed "tpcb-device" in
   (* Benchmark configuration parity with the paper (Section 7.3): SHA-1
      hashing and a three-pass 64-bit-block cipher standing in for 3DES
-     (Triple-XTEA: same block size and pass count; see DESIGN.md).
-     Checkpoints fire on the residual-byte trigger, modelling the paper's
-     idle-time map checkpointing without an idle generator in the
-     workload. *)
+     (Triple-XTEA: same block size and pass count; see DESIGN.md). Map
+     checkpoints are idle-time work: {!idle_clean} ends in one, and the
+     default residual bound is a backstop for runs without idle periods. *)
   let config =
-    { Config.default with Config.security; max_utilization; checkpoint_every = 100_000;
-      (* map checkpoints are idle-time work (the runner's idle maintenance
-         checkpoints + cleans); the residual trigger is a backstop scaled
-         with the configuration so it does not fire between idle windows *)
-      checkpoint_residual_bytes = max (384 * 1024) scale.Workload.cache_bytes;
+    { Config.default with Config.security; max_utilization;
       (* two-level cache, one budget: the workload's cache allowance is
          split so the chunk store's verified-chunk cache (the paper's
          cleartext-chunk cache) holds the bulk of it, with a small object

@@ -6,8 +6,8 @@ open Tdb_chunk
 open Tdb_backup
 
 let cfg =
-  { Config.default with Config.segment_size = 4096; initial_segments = 8; checkpoint_every = 64;
-    anchor_slot_size = 2048 }
+  { Config.default with Config.segment_size = 4096; initial_segments = 8;
+    checkpoint_residual_bytes = 4 * 4096; anchor_slot_size = 2048 }
 
 type env = {
   store : Untrusted_store.t;

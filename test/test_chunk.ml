@@ -4,10 +4,14 @@
 open Tdb_platform
 open Tdb_chunk
 
-let cfg ?(security = true) ?(segment_size = 4096) ?(initial_segments = 8) ?(max_utilization = 0.6)
-    ?(checkpoint_every = 64) () =
-  { Config.default with Config.security; segment_size; initial_segments; max_utilization; checkpoint_every;
+let cfg ?(security = true) ?(segment_size = 4096) ?(initial_segments = 8) ?(max_utilization = 0.6) () =
+  { Config.default with Config.security; segment_size; initial_segments; max_utilization;
     anchor_slot_size = 2048; clean_batch = 2; checkpoint_residual_bytes = 4 * segment_size }
+
+(* A test's own checkpoint cadence, on top of the residual bound: the
+   crash harness's, so after commit number [n], checkpoint when [every]
+   divides it. *)
+let cadence = Tdb_faultsim.Crashfuzz.cadence
 
 type env = {
   mem : Untrusted_store.Mem.handle;
@@ -660,7 +664,7 @@ let test_verify_agrees_on_bitflips () =
 
 (* Honest crash images always pass verify, with open's chunk count. *)
 let test_verify_passes_honest_crashes () =
-  let config = cfg ~segment_size:2048 ~initial_segments:4 ~checkpoint_every:8 () in
+  let config = cfg ~segment_size:2048 ~initial_segments:4 () in
   let im = image_env () in
   let cs = Chunk_store.create ~config ~secret:test_secret ~counter:im.counter im.db_store in
   let rng = Random.State.make [| 39 |] in
@@ -671,6 +675,7 @@ let test_verify_passes_honest_crashes () =
       Chunk_store.write cs cid (Printf.sprintf "txn-%d-%s" txn (String.make (Random.State.int rng 200) 'x'))
     done;
     Chunk_store.commit ~durable:(txn mod 3 <> 0) cs;
+    cadence ~every:8 cs txn;
     let db, db_store = Untrusted_store.Mem.clone im.db and ctr_img, ctr_store = Untrusted_store.Mem.clone im.ctr_img in
     Untrusted_store.Mem.crash ~rng:(Random.State.int rng) db;
     Untrusted_store.Mem.crash ~rng:(Random.State.int rng) ctr_img;
@@ -741,13 +746,14 @@ let test_plaintext_visible_without_security () =
 
 (* --- cleaning and utilization --- *)
 
-let churn cs ~rounds ~chunks ~size =
+let churn ?(every = max_int) cs ~rounds ~chunks ~size =
   let ids = Array.init chunks (fun _ -> Chunk_store.allocate cs) in
   Array.iter (fun cid -> Chunk_store.write cs cid (String.make size 'i')) ids;
   Chunk_store.commit cs;
   for r = 1 to rounds do
     Array.iteri (fun i cid -> if (i + r) mod 3 = 0 then Chunk_store.write cs cid (String.make size 'u')) ids;
-    Chunk_store.commit cs
+    Chunk_store.commit cs;
+    cadence ~every cs (r + 1)
   done;
   ids
 
@@ -756,14 +762,15 @@ let test_cleaning_reclaims_space () =
      short-lived neighbours churn, so segments never empty on their own and
      only the cleaner can reclaim them. *)
   let env = fresh_env () in
-  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.8 ~checkpoint_every:8 () in
+  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.8 () in
   let cs = create ~config env in
   let stable = Array.init 40 (fun _ -> Chunk_store.allocate cs) in
   let hot = Array.init 20 (fun _ -> Chunk_store.allocate cs) in
   for r = 0 to 79 do
     if r = 0 then Array.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "stable-%03d" i)) stable;
     Array.iter (fun cid -> Chunk_store.write cs cid (String.make 150 (Char.chr (Char.code 'a' + (r mod 26))))) hot;
-    Chunk_store.commit cs
+    Chunk_store.commit cs;
+    cadence ~every:8 cs (r + 1)
   done;
   let st = Chunk_store.stats cs in
   Alcotest.(check bool) "cleaner ran" true (st.Chunk_store.clean_passes > 0);
@@ -776,9 +783,9 @@ let test_cleaning_reclaims_space () =
 
 let test_cleaning_survives_reopen () =
   let env = fresh_env () in
-  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.8 ~checkpoint_every:8 () in
+  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.8 () in
   let cs = create ~config env in
-  let ids = churn cs ~rounds:40 ~chunks:30 ~size:120 in
+  let ids = churn ~every:8 cs ~rounds:40 ~chunks:30 ~size:120 in
   Chunk_store.close cs;
   let cs2 = reopen ~config env in
   Array.iter
@@ -789,12 +796,12 @@ let test_cleaning_survives_reopen () =
 
 let test_low_utilization_grows_instead () =
   let env = fresh_env () in
-  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.3 ~checkpoint_every:1000 () in
+  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.3 () in
   let cs = create ~config env in
   ignore (churn cs ~rounds:30 ~chunks:30 ~size:100);
   let low_size = Chunk_store.capacity cs in
   let env2 = fresh_env () in
-  let config2 = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.9 ~checkpoint_every:1000 () in
+  let config2 = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.9 () in
   let cs2 = create ~config:config2 env2 in
   ignore (churn cs2 ~rounds:30 ~chunks:30 ~size:100);
   let high_size = Chunk_store.capacity cs2 in
@@ -804,7 +811,7 @@ let test_low_utilization_grows_instead () =
 
 let test_explicit_idle_clean () =
   let env = fresh_env () in
-  let config = cfg ~segment_size:4096 ~initial_segments:16 ~max_utilization:0.9 ~checkpoint_every:1000 () in
+  let config = cfg ~segment_size:4096 ~initial_segments:16 ~max_utilization:0.9 () in
   let cs = create ~config env in
   ignore (churn cs ~rounds:20 ~chunks:20 ~size:200);
   Chunk_store.checkpoint cs;
@@ -824,7 +831,7 @@ let test_clean_lowest_utilization_first () =
      never decrease — the observable signature of lowest-utilization-first
      candidate order. *)
   let env = fresh_env () in
-  let config = cfg ~segment_size:8192 ~initial_segments:12 ~max_utilization:0.95 ~checkpoint_every:1000 () in
+  let config = cfg ~segment_size:8192 ~initial_segments:12 ~max_utilization:0.95 () in
   let cs = create ~config env in
   let ids = Array.init 16 (fun _ -> Chunk_store.allocate cs) in
   for k = 0 to 3 do
@@ -901,7 +908,7 @@ let locate_record env config needle =
 let test_clean_every_cipher () =
   List.iter
     (fun (name, config) ->
-      let config = { config with Config.initial_segments = 32; max_utilization = 0.9; checkpoint_every = 8 } in
+      let config = { config with Config.initial_segments = 32; max_utilization = 0.9 } in
       let env = fresh_env () in
       let cs = create ~config env in
       let expect = Hashtbl.create 32 in
@@ -919,7 +926,8 @@ let test_clean_every_cipher () =
         Array.iteri
           (fun i cid -> if (i + r) mod 3 = 0 then write cid (Printf.sprintf "%02d/%02d:%s" i r (String.make 150 'u')))
           ids;
-        Chunk_store.commit cs
+        Chunk_store.commit cs;
+        cadence ~every:8 cs (r + 1)
       done;
       Alcotest.(check int) (name ^ ": no cleaning before the explicit pass") 0 (Chunk_store.stats cs).Chunk_store.clean_passes;
       let seg, _, _ = locate_record env config "high-id chunk" in
@@ -989,7 +997,7 @@ let test_clean_skips_forged_ids () =
   let live_data i = Printf.sprintf "live-%02d:%s" i (String.make 200 'l') in
   let run ~security what damage =
     let config =
-      { (cfg ~security ~initial_segments:16 ~max_utilization:0.9 ~checkpoint_every:1000 ()) with
+      { (cfg ~security ~initial_segments:16 ~max_utilization:0.9 ()) with
         Config.chunk_cache_bytes = 0 }
     in
     let env = fresh_env () in
@@ -1112,7 +1120,7 @@ let test_snapshot_survives_reopen () =
 
 let test_snapshot_protects_from_cleaner () =
   let env = fresh_env () in
-  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.85 ~checkpoint_every:16 () in
+  let config = cfg ~segment_size:4096 ~initial_segments:8 ~max_utilization:0.85 () in
   let cs = create ~config env in
   let ids = Array.init 20 (fun _ -> Chunk_store.allocate cs) in
   Array.iteri (fun i cid -> Chunk_store.write cs cid (Printf.sprintf "orig-%d" i)) ids;
@@ -1121,7 +1129,8 @@ let test_snapshot_protects_from_cleaner () =
   (* churn hard so the cleaner wants those segments *)
   for r = 1 to 50 do
     Array.iter (fun cid -> Chunk_store.write cs cid (Printf.sprintf "new-%d" r)) ids;
-    Chunk_store.commit cs
+    Chunk_store.commit cs;
+    cadence ~every:16 cs r
   done;
   let contents = List.map snd (snapshot_contents cs snap) in
   Alcotest.(check int) "all snapshot chunks readable" 20 (List.length contents);
@@ -1130,16 +1139,23 @@ let test_snapshot_protects_from_cleaner () =
 
 (* --- checkpoint cadence --- *)
 
+(* Commits alone never checkpoint: the residual log does, once it reaches
+   [checkpoint_residual_bytes] (16 KiB here). *)
 let test_periodic_checkpoint () =
   let env = fresh_env () in
-  let config = cfg ~checkpoint_every:5 () in
-  let cs = create ~config env in
+  let cs = create ~config:(cfg ()) env in
   let a = Chunk_store.allocate cs in
+  let checkpoints () = (Chunk_store.stats cs).Chunk_store.checkpoints in
   for i = 1 to 12 do
     Chunk_store.write cs a (string_of_int i);
     Chunk_store.commit cs
   done;
-  Alcotest.(check bool) "checkpoints happened" true ((Chunk_store.stats cs).Chunk_store.checkpoints >= 2)
+  Alcotest.(check int) "12 small commits: no checkpoint" 0 (checkpoints ());
+  for i = 1 to 12 do
+    Chunk_store.write cs a (String.make 3000 (Char.chr (96 + i)));
+    Chunk_store.commit cs
+  done;
+  Alcotest.(check int) "36 KiB of residual log: two checkpoints" 2 (checkpoints ())
 
 (* --- verified-chunk read cache --- *)
 
@@ -1590,7 +1606,7 @@ let qcheck_commit_batches =
    mid-batch, nondurable commits and a reopen mid-trace. The image digest
    is pinned: sealing order, IV draws and record layout must not drift. *)
 let trace_image () =
-  let config = cfg ~checkpoint_every:8 () in
+  let config = cfg () in
   let env = { (fresh_env ()) with secret = Secret_store.of_seed "par-test-device" } in
   let lcg = ref 42 in
   let next_int bound =
@@ -1636,7 +1652,7 @@ let trace_image () =
    nodes again, so it makes more read calls. *)
 let map_trim_trace ~map_leaves =
   let config =
-    { (cfg ~max_utilization:0.8 ~checkpoint_every:8 ()) with Config.map_fanout = 4; map_depth = 6; map_leaves }
+    { (cfg ~max_utilization:0.8 ()) with Config.map_fanout = 4; map_depth = 6; map_leaves }
   in
   let env = fresh_env () in
   let lcg = ref 7 in
@@ -1667,6 +1683,7 @@ let map_trim_trace ~map_leaves =
       Hashtbl.replace expect cid d
     done;
     Chunk_store.commit ~durable:(r mod 4 = 0) !cs;
+    cadence ~every:8 !cs (r + 2);
     check_some 4;
     if r mod 20 = 19 then Chunk_store.clean !cs;
     if r = 40 then begin

@@ -8,8 +8,8 @@ open Tdb_objstore
 open Tdb_collection
 
 let cfg =
-  { Config.default with Config.segment_size = 16384; initial_segments = 8; checkpoint_every = 128;
-    anchor_slot_size = 4096 }
+  { Config.default with Config.segment_size = 16384; initial_segments = 8;
+    checkpoint_residual_bytes = 4 * 16384; anchor_slot_size = 4096 }
 
 (* The paper's modified Meter class (Figure 7): unique id + usage counts. *)
 type meter = { mutable id : int; mutable view_count : int; mutable print_count : int }

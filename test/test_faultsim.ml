@@ -8,8 +8,7 @@ open Tdb_faultsim
 
 let cfg =
   { Config.default with Config.cipher = Config.Aes128; hash = Config.Sha1; segment_size = 2048;
-    anchor_slot_size = 1024; initial_segments = 4; checkpoint_every = 8;
-    checkpoint_residual_bytes = 4 * 2048; clean_batch = 2 }
+    anchor_slot_size = 1024; initial_segments = 4; checkpoint_residual_bytes = 4 * 2048; clean_batch = 2 }
 
 (* --- recovery: a crash-torn nondurable chain is a crash, not tampering --- *)
 
@@ -195,14 +194,13 @@ let test_oversized_backup_restore () =
    log, so every record either one reaches must outlive the next anchor.
    The workload: 60 chunks and [txns] durable transactions, each
    rewriting 1-4 chunks with fresh payloads, at crashfuzz's small-segment
-   config with the chunk cache off. After every commit [check] gets the
-   database and counter stores. *)
+   config with the chunk cache off, checkpointing after every [every]-th
+   transaction as the crash harness does ({!Crashfuzz.cadence}). After
+   every commit [check] gets the database and counter stores. *)
 let reopen_secret = Secret_store.of_seed "honest-reopen"
 
-let reopen_cfg ~every = { cfg with Config.checkpoint_every = every; chunk_cache_bytes = 0 }
-
 let drive_durable ~every ~txns ~seed check =
-  let config = reopen_cfg ~every in
+  let config = { cfg with Config.chunk_cache_bytes = 0 } in
   let db_h, db = Untrusted_store.open_mem () in
   let ctr_h, ctr = Untrusted_store.open_mem () in
   let cs = Chunk_store.create ~config ~secret:reopen_secret ~counter:(One_way_counter.open_store ctr) db in
@@ -216,6 +214,7 @@ let drive_durable ~every ~txns ~seed check =
       Chunk_store.write cs cid (String.make (40 + Random.State.int rng 160) (Char.chr (97 + (txn mod 26))))
     done;
     Chunk_store.commit ~durable:true cs;
+    Crashfuzz.cadence ~every cs txn;
     check ~config txn db_h ctr_h
   done
 
@@ -251,7 +250,7 @@ let test_every_commit_reopens () =
   match List.rev !failures with
   | [] -> ()
   | (e, txn) :: _ ->
-      Alcotest.failf "%d honest crash images refused to open; first: checkpoint_every %d, txn %d"
+      Alcotest.failf "%d honest crash images refused to open; first: checkpoint every %d txns, txn %d"
         (List.length !failures) e txn
 
 (* Crash a fresh image's [open_existing] at boundary [k] (the operation
@@ -290,19 +289,20 @@ let test_crash_inside_open_reopens () =
   | [] -> ()
   | (e, txn, k) :: _ ->
       Alcotest.failf
-        "%d of %d reopens after a crash inside open failed; first: checkpoint_every %d, txn %d, boundary %d \
+        "%d of %d reopens after a crash inside open failed; first: checkpoint every %d txns, txn %d, boundary %d \
          (-1: the image itself)"
         (List.length !failures) !opens e txn k
 
 (* --- bounded crashfuzz sweeps as regression smoke tests --- *)
 
 (* One crashfuzz smoke test, run over every sweep: each crash sweep must
-   cover a real trace, crash and recover, and report no violation; each
-   tamper sweep must report no silent flip. *)
+   cover a real trace that crosses a checkpoint, crash and recover, and
+   report no violation; each tamper sweep must report no silent flip. *)
 let test_sweep sweep () =
   match sweep () with
   | Crashfuzz.Crash report -> (
       Alcotest.(check bool) "swept a real trace" true (report.Crashfuzz.boundaries > 50);
+      Alcotest.(check bool) "trace crosses a checkpoint" true (report.Crashfuzz.checkpoints > 0);
       Alcotest.(check bool) "crashed and recovered" true (report.Crashfuzz.recoveries > 0);
       match report.Crashfuzz.violations with
       | [] -> ()

@@ -183,15 +183,25 @@ let test_tpcb_engines_agree () =
     if b1 <> b2 then Alcotest.failf "balances diverge at txn %d: tdb %d vs bdb %d" i b1 b2
   done
 
-(* TDB-S at the scale of `bench/main.exe tpcb --scale quick`: object-store
-   commits no longer write their chunks through to the chunk cache (the
-   object cache holds them), so the hash-index buckets that are read again
-   stay cached. That run misses 2 132 times; writing every commit through
-   missed 2 924 times. *)
+(* TDB-S at the scale of `bench/main.exe tpcb --scale quick`, with idle
+   maintenance every 500 transactions. *)
+let quick_tdbs = lazy (Tdb_tpcb.Runner.run_tdb ~security:true ~idle_every:500 Tdb_tpcb.Workload.quick_scale)
+
+(* Object-store commits no longer write their chunks through to the chunk
+   cache (the object cache holds them), so the hash-index buckets that are
+   read again stay cached. That run misses 2 132 times; writing every
+   commit through missed 2 924 times. *)
 let test_tpcb_chunk_cache_misses () =
-  let r = Tdb_tpcb.Runner.run_tdb ~security:true ~idle_every:500 Tdb_tpcb.Workload.quick_scale in
-  let misses = r.Tdb_tpcb.Runner.cache_misses in
+  let misses = (Lazy.force quick_tdbs).Tdb_tpcb.Runner.cache_misses in
   if misses > 2_500 then Alcotest.failf "chunk-cache misses %d, over the bound of 2 500" misses
+
+(* Map checkpoints are idle-time work: each idle clean pass ends in one,
+   and a TDB-S transaction appends ~840 B of residual log, so the default
+   768 KiB bound is not reached between idle windows 500 transactions
+   apart. A 384 KiB bound fired once per window. *)
+let test_tpcb_no_foreground_checkpoints () =
+  Alcotest.(check int) "checkpoints inside measured transactions" 0
+    (Lazy.force quick_tdbs).Tdb_tpcb.Runner.fg_checkpoints
 
 let () =
   Alcotest.run "tdb_integration"
@@ -213,5 +223,6 @@ let () =
         [
           Alcotest.test_case "engines agree" `Slow test_tpcb_engines_agree;
           Alcotest.test_case "chunk-cache misses" `Quick test_tpcb_chunk_cache_misses;
+          Alcotest.test_case "no foreground checkpoints" `Quick test_tpcb_no_foreground_checkpoints;
         ] );
     ]

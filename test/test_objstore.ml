@@ -6,8 +6,8 @@ open Tdb_chunk
 open Tdb_objstore
 
 let cfg =
-  { Config.default with Config.segment_size = 8192; initial_segments = 8; checkpoint_every = 64;
-    anchor_slot_size = 2048 }
+  { Config.default with Config.segment_size = 8192; initial_segments = 8;
+    checkpoint_residual_bytes = 4 * 8192; anchor_slot_size = 2048 }
 
 (* --- application classes (the paper's Meter/Profile example) --- *)
 

@@ -12,7 +12,7 @@ let chunk_cfg =
     Tdb.Chunk_config.default with
     Tdb.Chunk_config.segment_size = 8192;
     initial_segments = 8;
-    checkpoint_every = 64;
+    checkpoint_residual_bytes = 4 * 8192;
     anchor_slot_size = 2048;
   }
 

@@ -11,8 +11,8 @@ open Tdb_collection
 open Tdb_server
 
 let chunk_cfg =
-  { Config.default with Config.segment_size = 8192; initial_segments = 8; checkpoint_every = 64;
-    anchor_slot_size = 2048 }
+  { Config.default with Config.segment_size = 8192; initial_segments = 8;
+    checkpoint_residual_bytes = 4 * 8192; anchor_slot_size = 2048 }
 
 type item = { id : int; mutable qty : int; label : string }
 

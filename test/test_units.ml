@@ -7,7 +7,7 @@ open Tdb_chunk
 
 let test_cfg =
   { Config.default with Config.segment_size = 4096; initial_segments = 8; anchor_slot_size = 2048;
-    checkpoint_every = 1000; checkpoint_residual_bytes = 4 * 4096; clean_batch = 2 }
+    checkpoint_residual_bytes = 4 * 4096; clean_batch = 2 }
 
 let sec_on () =
   let secret = Secret_store.of_seed "units" in
