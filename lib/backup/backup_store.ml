@@ -255,10 +255,10 @@ let backup_incremental t : int =
     archive roll the follower back.
 
     Returns the applied header (its [seq] is the primary commit sequence
-    this follower now reflects).
+    this follower now reflects) and the ids it changed or removed.
     @raise Invalid_backup on any verification failure; the store is
     unchanged. *)
-let apply t (p : parsed) : header =
+let apply t (p : parsed) : header * int list option =
   let st = load_state t in
   let h = p.p_header in
   let base_chain =
@@ -299,9 +299,9 @@ let apply t (p : parsed) : header =
   let st' = { last_id = h.id; chain = p.p_chain; base_snapshot = None } in
   Chunk_store.restore_chunk t.cs state_cid (encode_state st');
   Chunk_store.commit ~durable:true t.cs;
-  h
+  (h, match h.kind with Full -> None | Incremental _ -> Some (List.rev_append (List.map fst p.p_changed) p.p_removed))
 
-let apply_stream t (stream : string) : header = apply t (unframe t stream)
+let apply_stream t (stream : string) : header * int list option = apply t (unframe t stream)
 
 (* --- frame selection and restore --- *)
 
@@ -352,7 +352,7 @@ let restore ~(secret : Tdb_platform.Secret_store.t) ~(archive : Tdb_platform.Arc
       (fun _ (_, name) ->
         match Tdb_platform.Archival_store.get archive ~name with
         | None -> invalid "backup stream %s vanished" name
-        | Some stream -> (apply_stream t stream).id)
+        | Some stream -> (fst (apply_stream t stream)).id)
       0 chain
   in
   Chunk_store.checkpoint into;

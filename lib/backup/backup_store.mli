@@ -115,7 +115,7 @@ val restore :
     an older point) — and on records too large for the target store's
     configuration (the batch is aborted, leaving the target clean). *)
 
-val apply_stream : t -> string -> header
+val apply_stream : t -> string -> header * int list option
 (** Replication ingest: verify one archive stream (MAC, header, hash chain
     recomputed from this store's persisted chain state) and apply it
     atomically — restored chunks, deallocations and the advanced chain
@@ -123,5 +123,6 @@ val apply_stream : t -> string -> header
     the store at the previous consistent snapshot. A [Full] stream
     re-bootstraps in place (live ids absent from it are deallocated in the
     same batch); fulls with [id <= last_id] are rejected to refuse replay
-    rollback. Returns the applied header.
+    rollback. Returns the applied header and the ids the stream changed or
+    removed ([None] for a [Full], which may change any chunk).
     @raise Invalid_backup on any verification failure (store unchanged). *)

@@ -9,8 +9,7 @@
     leftover, while cleaning (which moves ciphertext but keeps versions)
     costs nothing. Only plaintext that already passed the Merkle-path
     check, or that a commit just sealed, enters, inside the trusted
-    boundary; a commit whose writer keeps the bytes (the object store)
-    removes the older version instead of putting the new one.
+    boundary.
 
     Hit/miss counters and the LRU links mutate on every [find] with no
     synchronization of their own: the cache is reached only through its

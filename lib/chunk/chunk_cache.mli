@@ -1,13 +1,13 @@
 (** LRU cache of decrypted, hash-verified chunk payloads (see DESIGN.md,
     "Caching").
 
-    Sits inside the chunk store, below the object cache: a hit skips the
-    log read, the Merkle-label check and the decryption that
-    {!Chunk_store.read} otherwise pays on every access. It holds what the
-    object cache does not: payloads read on a miss, and chunk-level
-    writes, which commit writes through. An object-store commit caches
-    nothing here and drops the older version ({!Chunk_store.write}'s
-    [kept]), so the two tiers do not hold the same bytes. The LRU is
+    Sits inside the chunk store: a hit skips the log read, the
+    Merkle-label check and the decryption that {!Chunk_store.read}
+    otherwise pays on every access. It holds payloads read on a miss and
+    every committed write, which commit writes through. It serves chunk
+    stores with no object store over them (the meter bench, crashfuzz,
+    [tdb_cli status]); an object store takes its budget for the object
+    cache, whose hit also skips unpickling, and sets it to 0. The LRU is
     {!Lru}, the same structure the object cache runs on; this module adds
     only the chunk tier's policy:
     - the version guard: entries are keyed by chunk id and a lookup only

@@ -19,9 +19,7 @@
 
 open Types
 
-(* [kept]: the writer keeps the bytes itself (the object store's cache),
-   so the commit does not write them through to the chunk cache. *)
-type op = Op_write of { data : string; kept : bool } | Op_dealloc
+type op = Op_write of string | Op_dealloc
 
 type snapshot = { snap_root : entry option (* None = empty database *); snap_seq : int; snap_segs : int list }
 
@@ -458,16 +456,16 @@ let restore_chunk t (cid : chunk_id) (data : string) : unit =
      mid-commit after growing the store. *)
   check_chunk_size t cid data;
   t.next_id <- max t.next_id (cid + 1);
-  Hashtbl.replace t.pending cid (Op_write { data; kept = false })
+  Hashtbl.replace t.pending cid (Op_write data)
 
-let write ?(kept = false) t (cid : chunk_id) (data : string) : unit =
+let write t (cid : chunk_id) (data : string) : unit =
   if not (is_allocated t cid) then raise (Not_allocated cid);
   check_chunk_size t cid data;
-  Hashtbl.replace t.pending cid (Op_write { data; kept })
+  Hashtbl.replace t.pending cid (Op_write data)
 
 let read t (cid : chunk_id) : string =
   match Hashtbl.find_opt t.pending cid with
-  | Some (Op_write { data; _ }) -> data
+  | Some (Op_write data) -> data
   | Some Op_dealloc -> raise (Not_written cid)
   | None -> (
       match Location_map.find t.map (fetch t) cid with
@@ -532,7 +530,7 @@ let stage t ~(durable : bool) : unit =
      map writes that may piggyback on it *)
   let batch_bytes =
     Hashtbl.fold
-      (fun _ op acc -> match op with Op_write { data; _ } -> acc + String.length data + 128 | Op_dealloc -> acc + 16)
+      (fun _ op acc -> match op with Op_write data -> acc + String.length data + 128 | Op_dealloc -> acc + 16)
       t.pending 0
   in
   ensure_free t ~segs:(2 + (batch_bytes * 3 / 2 / t.cfg.Config.segment_size));
@@ -570,9 +568,9 @@ let stage t ~(durable : bool) : unit =
         List.map
           (fun (cid, op) ->
             match op with
-            | Op_write { data; kept } ->
+            | Op_write data ->
                 let sealed = Security.seal t.sec (data_payload ~cid ~version:(t.seq + i) data) in
-                (cid, `Write (data, kept, sealed, Security.label t.sec sealed))
+                (cid, `Write (data, sealed, Security.label t.sec sealed))
             | Op_dealloc -> (cid, `Dealloc))
           group)
       groups
@@ -584,16 +582,14 @@ let stage t ~(durable : bool) : unit =
         List.fold_left
           (fun (writes, deallocs) (cid, op) ->
             match op with
-            | `Write (data, kept, sealed, hash) ->
+            | `Write (data, sealed, hash) ->
                 let seg, off = append_rec t Data_chunk sealed in
                 let e = { seg; off; len = String.length sealed; hash; version = t.seq } in
                 Option.iter (Log.obsolete_entry t.log) (Location_map.set t.map (fetch t) cid e);
                 Hashtbl.remove t.allocated cid;
-                (* write-through, so read-after-write stays a hit, unless
-                   the writer keeps the bytes: a second copy here would
-                   only evict what is read again, so the older version
-                   goes instead *)
-                if kept then Chunk_cache.remove t.cache cid else Chunk_cache.put t.cache cid ~version:e.version data;
+                (* write-through: refresh the verified cache at the new
+                   committed version so read-after-write stays a hit *)
+                Chunk_cache.put t.cache cid ~version:e.version data;
                 ((cid, e) :: writes, deallocs)
             | `Dealloc ->
                 Option.iter (Log.obsolete_entry t.log) (Location_map.remove t.map (fetch t) cid);
@@ -670,11 +666,7 @@ let durable_barrier t : unit =
 
 let commit ?(durable = true) t : unit =
   if Hashtbl.length t.pending > 0 then
-    if durable then begin
-      let tok = barrier_begin t in
-      barrier_sync t tok;
-      barrier_finish t tok
-    end
+    if durable then durable_barrier t
     else begin
       stage t ~durable:false;
       note_commit t

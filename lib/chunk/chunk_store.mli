@@ -97,12 +97,10 @@ val close : t -> unit
 val allocate : t -> Types.chunk_id
 (** Returns a previously unallocated chunk id. *)
 
-val write : ?kept:bool -> t -> Types.chunk_id -> string -> unit
+val write : t -> Types.chunk_id -> string -> unit
 (** Buffer a new state for the chunk (any size, including empty). Its
-    commit writes the bytes through to the verified-chunk cache, unless
-    [kept] (default [false]) says the writer keeps them itself, as the
-    object store's cache does: then the commit drops any cached older
-    version and caches nothing.
+    commit writes the bytes through to the verified-chunk cache, when
+    that has a budget.
     @raise Types.Not_allocated if the id was never allocated.
     @raise Types.Chunk_too_large if the state cannot fit in a segment. *)
 
@@ -246,11 +244,10 @@ val metrics : t -> Metrics.t
     Coherence is by committed version: entries are served only at the
     exact version the location map holds, dropped on deallocation, and
     naturally void after recovery (the cache is rebuilt empty). A commit
-    refreshes a chunk-level write through the cache, so read-after-write
-    stays a hit; a write whose writer keeps the bytes ({!write}'s [kept],
-    every object-store commit) drops the cached older version instead, so
-    the two tiers do not hold the same bytes. Budget comes from
-    {!Config.t.chunk_cache_bytes}. *)
+    writes every write through the cache, so read-after-write stays a
+    hit. Budget comes from {!Config.t.chunk_cache_bytes}; an object store
+    opened over the store takes that budget for its own cache and sets
+    this one to 0 ([Object_store.of_shard_store]). *)
 
 val cache_resident : t -> int
 (** Entries currently cached. *)

@@ -46,7 +46,9 @@ type t = {
       (** budget for the verified-chunk read cache ({!Chunk_cache}):
           decrypted, hash-verified payloads held inside the trusted
           boundary so repeated reads skip the fetch/verify/decrypt path;
-          0 disables it *)
+          0 disables it. An object store opened over the store sets this
+          tier to 0 and adds it to its object cache's budget, in pickled
+          bytes whose heap can be several times larger *)
   domains : int;
       (** Seal/unseal width; {!validate} accepts only 1. Commits seal and
           reads unseal on the calling domain: a pool of worker domains

@@ -134,8 +134,12 @@ let decode_roots (s : string) : (string * oid) list =
 
 (* --- store lifecycle --- *)
 
+(* One cache per object store: the object cache takes the chunk tier's
+   budget, since its hit also skips unpickling. *)
 let of_shard_store ?(config = default_config) (cs : Chunk_store.t) : t =
   let roots = match Chunk_store.read cs catalog_cid with s -> decode_roots s | exception Types.Not_written _ -> [] in
+  let budget = config.cache_budget + Chunk_store.cache_budget cs in
+  Chunk_store.set_cache_budget cs 0;
   {
     cs;
     cfg = config;
@@ -150,7 +154,7 @@ let of_shard_store ?(config = default_config) (cs : Chunk_store.t) : t =
     locks = Lock_manager.create ();
     held = 0;
     acquired = 0;
-    cache = Lru.create ~budget:config.cache_budget;
+    cache = Lru.create ~budget;
     roots;
     next_txn_id = 1;
   }
@@ -165,19 +169,14 @@ let held_count t = with_mu t (fun () -> t.held)
     into this object store (the mutex is not reentrant). *)
 let with_store t (f : Chunk_store.t -> 'a) : 'a = with_quiet t (fun () -> f t.cs)
 
-(** Replication ingest hook: run [f] (which may rewrite the store
-    arbitrarily, e.g. {!Tdb_backup.Backup_store.apply_stream}) only when
-    no transaction is in flight, then discard the object cache and reload
-    the named-roots catalog — both may be invalidated by what [f] applied.
-    Returns [None] without running [f] if any lock is held (the caller
-    retries on its next tick); 2PL plus this quiesce check is what keeps
-    follower reads serializable across ingested snapshots. *)
-let ingest t (f : Chunk_store.t -> 'a) : 'a option =
+(* 2PL plus the quiesce check is what keeps follower reads serializable
+   across ingested snapshots. *)
+let ingest t (f : Chunk_store.t -> 'a * oid list option) : 'a option =
   with_quiet t (fun () ->
       if t.held > 0 then None
       else begin
-        let r = f t.cs in
-        Lru.drop_all t.cache;
+        let r, changed = f t.cs in
+        (match changed with None -> Lru.drop_all t.cache | Some oids -> List.iter (Lru.remove t.cache) oids);
         t.roots <-
           (match Chunk_store.read t.cs catalog_cid with
           | s -> decode_roots s
@@ -205,6 +204,7 @@ let metrics t : Metrics.t =
           ("object_cache.evictions", Int evictions);
           ("object_cache.resident", Int (Lru.resident t.cache));
           ("object_cache.bytes", Int (Lru.total_size t.cache));
+          ("object_cache.budget_bytes", Int (Lru.budget t.cache));
           ("locks.held", Int t.held);
           ("locks.acquired", Int t.acquired);
           ("locks.waits", Int (Lock_manager.waits t.locks));
@@ -475,8 +475,6 @@ let commit ?(durable = true) (x : txn) : unit =
       let landing =
         try
           if durable then check_poison t;
-          (* [~kept]: the object cache holds these objects and [t.roots]
-             the catalog, so the chunk cache need not hold their bytes *)
           Hashtbl.iter
             (fun oid change ->
               match change with
@@ -484,7 +482,7 @@ let commit ?(durable = true) (x : txn) : unit =
                   let e = Int_table.find x.pins oid in
                   let (Obj_class.Value (cls, v)) = Lru.value e in
                   let bytes = Obj_class.pickle_value cls v in
-                  Chunk_store.write ~kept:true t.cs oid bytes;
+                  Chunk_store.write t.cs oid bytes;
                   Lru.update_size t.cache e ~size:(String.length bytes)
               | Remove | Insert_remove ->
                   Chunk_store.deallocate t.cs oid;
@@ -498,7 +496,7 @@ let commit ?(durable = true) (x : txn) : unit =
                   match v with Some oid -> (name, oid) :: acc | None -> acc)
                 t.roots (List.rev x.root_updates)
             in
-            Chunk_store.write ~kept:true t.cs catalog_cid (encode_roots roots);
+            Chunk_store.write t.cs catalog_cid (encode_roots roots);
             t.roots <- roots
           end;
           if not durable then begin

@@ -26,7 +26,10 @@ exception Removed_in_transaction of oid
 type config = {
   lock_timeout : float;  (** seconds before a blocked open raises (deadlock breaking) *)
   locking : bool;  (** paper: "the application may even switch off locking" *)
-  cache_budget : int;  (** object cache budget, bytes *)
+  cache_budget : int;
+      (** object cache budget in pickled bytes (an unpickled index bucket
+          takes about 7× its charge in heap); {!of_shard_store} adds the
+          chunk store's cache budget to it *)
 }
 
 val default_config : config
@@ -35,9 +38,12 @@ type t
 
 val of_shard_store : ?config:config -> Tdb_chunk.Chunk_store.t -> t
 (** An object store over a chunk store: object ids are its chunk ids,
-    and the named-roots catalog lives in reserved chunk 1. The name
-    predates the removal of the shard router and is kept for the
-    perfbench harness. *)
+    and the named-roots catalog lives in reserved chunk 1. The object
+    cache is the only cache over the store: it takes the chunk store's
+    cache budget on top of [config.cache_budget], counted in pickled
+    bytes like it, and sets that tier to 0.
+    The name predates the removal of the shard router and is kept for
+    the perfbench harness. *)
 
 val chunk_store : t -> Tdb_chunk.Chunk_store.t
 val close : t -> unit
@@ -48,9 +54,9 @@ val cache_stats : t -> int * int * int
 
 val metrics : t -> Tdb_chunk.Metrics.t
 (** The object store's own metrics: the object cache's
-    [object_cache.{hits,misses,evictions,resident,bytes}] (a re-open of an
-    object the transaction already holds is answered by the transaction
-    and counts no hit), the locks' [locks.held] ({!held_count}),
+    [object_cache.{hits,misses,evictions,resident,bytes,budget_bytes}]
+    (a re-open of an object the transaction already holds is answered by
+    the transaction and counts no hit), the locks' [locks.held] ({!held_count}),
     [locks.acquired] (grants that changed a lock: a first shared or
     exclusive lock, or an upgrade; a re-open counts none),
     [locks.waits] (grants that had to wait, once however many wakes)
@@ -76,12 +82,13 @@ val with_store : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a
     creation, archive emission and listing, chain-state commits). [f] must not call
     back into this object store. *)
 
-val ingest : t -> (Tdb_chunk.Chunk_store.t -> 'a) -> 'a option
-(** Replication ingest hook: run [f] (which may rewrite the store
-    arbitrarily, e.g. an applied backup stream) only when no transaction
-    holds a lock, then drop the object cache and reload the named-roots
-    catalog, both of which [f] may have invalidated. [None] = not
-    quiesced; retry later. *)
+val ingest : t -> (Tdb_chunk.Chunk_store.t -> 'a * oid list option) -> 'a option
+(** Replication ingest hook: run [f] (which may rewrite the store, e.g.
+    an applied backup stream) only when no transaction holds a lock. [f]
+    returns its result and the ids it changed or removed, or [None] if it
+    may have changed any; those objects leave the object cache (every
+    object on [None]), the rest stay cached, and the named-roots catalog
+    is reloaded. [None] = not quiesced; retry later. *)
 
 val get_root : t -> string -> oid option
 (** Committed value of a named root. *)

@@ -19,8 +19,10 @@ type result = {
   minor_words_per_txn : float;
       (** minor-heap words allocated per measured txn ([Gc.minor_words]):
           repeats run to run for one binary, but depends on the compiler *)
-  cache_hits : int;  (** TDB only: verified-chunk cache *)
-  cache_misses : int;
+  cache_hits : int;
+      (** TDB only: verified-chunk cache hits, 0 since the object store
+          takes that tier's budget *)
+  cache_misses : int;  (** TDB only: verified-chunk cache misses, so log reads *)
 }
 
 val hit_rate : result -> float

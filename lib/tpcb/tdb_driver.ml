@@ -33,22 +33,16 @@ let setup ?(security = true) ?(max_utilization = 0.6) ?(model = Sim_disk.paper_p
      hashing and a three-pass 64-bit-block cipher standing in for 3DES
      (Triple-XTEA: same block size and pass count; see DESIGN.md). Map
      checkpoints are idle-time work: {!idle_clean} ends in one, and the
-     default residual bound is a backstop for runs without idle periods. *)
+     default residual bound is a backstop for runs without idle periods.
+     The object cache holds BerkeleyDB's cache allowance. *)
   let config =
-    { Config.default with Config.security; max_utilization;
-      (* two-level cache, one budget: the workload's cache allowance is
-         split so the chunk store's verified-chunk cache (the paper's
-         cleartext-chunk cache) holds the bulk of it, with a small object
-         cache above for the pinned/unpickled working set. An equal-size
-         second level under LRU inclusion would duplicate the first and
-         capture nothing; total memory stays at BDB parity. *)
-      chunk_cache_bytes = scale.Workload.cache_bytes * 3 / 4;
+    { Config.default with Config.security; max_utilization; chunk_cache_bytes = 0;
       cipher = Config.Triple_xtea; hash = Config.Sha1 }
   in
   let cs = Chunk_store.create ~config ~secret ~counter store in
   let os =
     Object_store.of_shard_store
-      ~config:{ Object_store.default_config with Object_store.cache_budget = scale.Workload.cache_bytes / 4; locking = false }
+      ~config:{ Object_store.default_config with Object_store.cache_budget = scale.Workload.cache_bytes; locking = false }
       cs
   in
   let handles =

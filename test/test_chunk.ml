@@ -1218,7 +1218,11 @@ let test_cache_read_after_write_coherence () =
   Chunk_store.write cs a "v2";
   Alcotest.(check string) "pending v2" "v2" (Chunk_store.read cs a);
   Chunk_store.commit cs;
+  (* the commit writes v2 through at its new version: a hit *)
+  let hits0, _, _ = cache_counters cs in
   Alcotest.(check string) "committed v2" "v2" (Chunk_store.read cs a);
+  Alcotest.(check int) "read-after-write hits" (hits0 + 1) (match cache_counters cs with h, _, _ -> h);
+  Alcotest.(check int) "one version resident" 1 (Chunk_store.cache_resident cs);
   (* an aborted batch must not poison the cache *)
   Chunk_store.write cs a "v3";
   Chunk_store.abort_batch cs;
@@ -1233,6 +1237,7 @@ let test_cache_dealloc_coherence () =
   Alcotest.(check string) "cached" "doomed" (Chunk_store.read cs a);
   Chunk_store.deallocate cs a;
   Chunk_store.commit cs;
+  Alcotest.(check int) "dealloc drops the cached copy" 0 (Chunk_store.cache_resident cs);
   Alcotest.(check bool) "read after dealloc fails" true
     (match Chunk_store.read cs a with exception Types.Not_written _ -> true | _ -> false)
 

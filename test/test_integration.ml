@@ -187,10 +187,11 @@ let test_tpcb_engines_agree () =
    maintenance every 500 transactions. *)
 let quick_tdbs = lazy (Tdb_tpcb.Runner.run_tdb ~security:true ~idle_every:500 Tdb_tpcb.Workload.quick_scale)
 
-(* Object-store commits no longer write their chunks through to the chunk
-   cache (the object cache holds them), so the hash-index buckets that are
-   read again stay cached. That run misses 2 132 times; writing every
-   commit through missed 2 924 times. *)
+(* The object cache holds the whole cache allowance and the chunk tier
+   runs at 0, so every chunk-cache miss is a log read: the chunks the
+   object cache does not hold. That run reads the log 1 925 times; a 1:3
+   object-to-chunk split that wrote object-store commits through to the
+   chunk tier missed 2 924 times. *)
 let test_tpcb_chunk_cache_misses () =
   let misses = (Lazy.force quick_tdbs).Tdb_tpcb.Runner.cache_misses in
   if misses > 2_500 then Alcotest.failf "chunk-cache misses %d, over the bound of 2 500" misses

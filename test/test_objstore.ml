@@ -41,22 +41,22 @@ let fresh_env () =
   let _, ctr = One_way_counter.open_mem () in
   { mem; store; secret = Secret_store.of_seed "objstore"; ctr }
 
-let fresh ?(config = Object_store.default_config) env =
-  Object_store.of_shard_store ~config (Chunk_store.create ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
+let fresh ?(config = Object_store.default_config) ?(chunk_config = cfg) env =
+  Object_store.of_shard_store ~config (Chunk_store.create ~config:chunk_config ~secret:env.secret ~counter:env.ctr env.store)
+
+(* No chunk-cache budget for the object cache to take: its own budget is
+   all it holds. *)
+let no_chunk_cache = { cfg with Config.chunk_cache_bytes = 0 }
 
 let reopen ?(config = Object_store.default_config) env =
   Object_store.of_shard_store ~config
     (Chunk_store.open_existing ~config:cfg ~secret:env.secret ~counter:env.ctr env.store)
 
-(* A [locks.*] counter from the store's metrics. *)
-let lock_count os name =
-  match Metrics.find (Object_store.metrics os) ("locks." ^ name) with Some (Metrics.Int n) -> n | _ -> -1
+(* An integer from the object store's metrics, -1 if absent. *)
+let metric os name = match Metrics.find (Object_store.metrics os) name with Some (Metrics.Int n) -> n | _ -> -1
 
-(* The verified-chunk cache's (hits, misses, evictions), one level below
-   the object cache. *)
-let chunk_cache_stats os =
-  let st = Chunk_store.stats (Object_store.chunk_store os) in
-  (st.Chunk_store.cache_hits, st.Chunk_store.cache_misses, st.Chunk_store.cache_evictions)
+(* A [locks.*] counter. *)
+let lock_count os name = metric os ("locks." ^ name)
 
 (* --- basic typed storage --- *)
 
@@ -743,7 +743,7 @@ let test_durable_commit_in_barrier_refused () =
 let test_cache_eviction_and_reload () =
   let config = { Object_store.default_config with Object_store.cache_budget = 512 } in
   let env = fresh_env () in
-  let os = fresh ~config env in
+  let os = fresh ~config ~chunk_config:no_chunk_cache env in
   let x = Object_store.begin_ os in
   let oids =
     List.init 50 (fun i -> Object_store.insert x meter_cls { view_count = i; print_count = 0; good = String.make 40 'g' })
@@ -803,102 +803,49 @@ let test_cache_hit_no_io () =
   let reads_after = (Untrusted_store.stats env.store).Untrusted_store.reads in
   Alcotest.(check int) "cached read does no store I/O" reads_before reads_after
 
-(* Two-level cache: when the object cache is too small to hold the working
-   set, re-reads fall through to the chunk store — and hit its
-   verified-chunk cache instead of paying fetch + decrypt + verify. *)
-let test_two_level_cache () =
+(* One cache per object store: the object cache takes the chunk tier's
+   budget on top of its own, and the chunk tier runs at 0. A working set
+   over the object budget but under the sum stays unpickled in the object
+   cache, so re-reading it misses nothing and does no store I/O. *)
+let test_one_cache_per_object_store () =
   let config = { Object_store.default_config with Object_store.cache_budget = 500 } in
   let env = fresh_env () in
   let os = fresh ~config env in
-  let x = Object_store.begin_ os in
-  let oids =
-    List.init 50 (fun i -> Object_store.insert x meter_cls { view_count = i; print_count = 0; good = String.make 40 'g' })
-  in
-  Object_store.commit x;
-  let read_all () =
-    let t = Object_store.begin_ os in
-    List.iteri
-      (fun i oid ->
-        let m = Object_store.deref (Object_store.open_readonly t meter_cls oid) in
-        Alcotest.(check int) "value" i m.view_count)
-      oids;
-    Object_store.abort t
-  in
-  read_all ();
-  read_all ();
-  let _, obj_misses, _ = Object_store.cache_stats os in
-  let chunk_hits, _, _ = chunk_cache_stats os in
-  Alcotest.(check bool) "object cache thrashes" true (obj_misses > 0);
-  Alcotest.(check bool) "chunk cache absorbs the fall-through" true (chunk_hits > 0);
-  (* disabling the lower tier turns the same traffic into pure misses *)
-  Chunk_store.set_cache_budget (Object_store.chunk_store os) 0;
-  let hits0, _, _ = chunk_cache_stats os in
-  read_all ();
-  let hits1, misses1, _ = chunk_cache_stats os in
-  Alcotest.(check int) "no hits with cache off" hits0 hits1;
-  Alcotest.(check bool) "misses counted" true (misses1 > 0)
-
-(* An object-store commit leaves its bytes to the object cache (and the
-   catalog to [roots]): it writes no chunk-cache entry for the oids it
-   wrote, and drops the older version it replaces. Probed through the
-   chunk store: a committed chunk's first read misses and caches it, so
-   the next one hits. *)
-let test_commit_keeps_no_chunk_copy () =
-  let os = fresh (fresh_env ()) in
   let cs = Object_store.chunk_store os in
-  let hits () = match chunk_cache_stats os with h, _, _ -> h in
-  let hit cid =
-    let h = hits () in
-    ignore (Chunk_store.read cs cid);
-    hits () > h
-  in
-  let resident () = Chunk_store.cache_resident cs in
-  let r0 = resident () in
-  let a, b =
+  Alcotest.(check int) "chunk tier at 0" 0 (Chunk_store.cache_budget cs);
+  Alcotest.(check int) "object cache takes both budgets" (500 + cfg.Config.chunk_cache_bytes)
+    (metric os "object_cache.budget_bytes");
+  let oids =
     Object_store.with_txn os (fun x ->
-        let a = Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "a" } in
-        Object_store.set_root x "a" (Some a);
-        (a, Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = "b" }))
+        List.init 50 (fun i -> Object_store.insert x meter_cls { view_count = i; print_count = 0; good = String.make 40 'g' }))
   in
-  Alcotest.(check int) "insert commit caches nothing" r0 (resident ());
-  let catalog = 1 (* the object store's reserved catalog chunk *) in
-  Alcotest.(check (list bool)) "objects and catalog miss, then hit" [ false; true; false; false; true ]
-    (List.map hit [ a; a; b; catalog; catalog ]);
-  let bump v = Object_store.with_txn os (fun x -> (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- v) in
-  let r1 = resident () in
-  bump 1;
-  Alcotest.(check int) "update drops the older version" (r1 - 1) (resident ());
-  Alcotest.(check (list bool)) "updated object misses, then hits" [ false; true ] (List.map hit [ a; a ]);
-  Object_store.with_txn ~durable:false os (fun x -> Object_store.set_root x "b" (Some b));
-  Alcotest.(check bool) "catalog update drops its older version" false (hit catalog);
-  (* an abort and a failed commit stage nothing: a's cached copy stays *)
-  let x = Object_store.begin_ os in
-  (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- 99;
-  Object_store.abort x;
-  Alcotest.(check bool) "abort keeps the cached copy" true (hit a);
-  let too_large =
-    match
-      Object_store.with_txn os (fun x ->
-          (Object_store.deref (Object_store.open_writable x meter_cls a)).view_count <- 98;
-          ignore (Object_store.insert x meter_cls { view_count = 0; print_count = 0; good = String.make 100_000 'x' }))
-    with
-    | () -> false
-    | exception Types.Chunk_too_large _ -> true
+  let read_all () =
+    Object_store.with_txn os (fun t ->
+        List.iteri
+          (fun i oid ->
+            let m = Object_store.deref (Object_store.open_readonly t meter_cls oid) in
+            Alcotest.(check int) "value" i m.view_count)
+          oids)
   in
-  Alcotest.(check bool) "commit fails" true too_large;
-  Alcotest.(check bool) "failed commit keeps the cached copy" true (hit a);
-  let r2 = resident () in
-  Object_store.with_txn os (fun x -> Object_store.remove x a);
-  Alcotest.(check int) "remove drops the cached copy" (r2 - 1) (resident ());
-  Alcotest.(check bool) "removed chunk is gone" true
-    (match Chunk_store.read cs a with _ -> false | exception Types.Not_written _ -> true)
+  read_all ();
+  Alcotest.(check bool) "working set over the object budget" true (metric os "object_cache.bytes" > 500);
+  let reads () = (Untrusted_store.stats env.store).Untrusted_store.reads in
+  let reads0 = reads () and _, misses0, _ = Object_store.cache_stats os in
+  read_all ();
+  let _, misses1, _ = Object_store.cache_stats os in
+  Alcotest.(check int) "re-read misses nothing" misses0 misses1;
+  Alcotest.(check int) "re-read does no store I/O" reads0 (reads ());
+  Alcotest.(check int) "nothing cached below" 0 (Chunk_store.cache_resident cs)
 
-(* The same commits, aborts, failed commit, and a removed id that a
+(* Commits, an abort, a failed commit, and a removed id that a
    chunk-level restore (a replication ingest) writes again, under an
-   object cache too small to keep any object: every re-open reads the
-   chunk store, and must see the committed value. *)
+   object cache too small to keep any object and no chunk-cache budget
+   for it to take: every re-open reads the chunk store, and must see the
+   committed value. *)
 let test_tiny_object_cache_reads_committed () =
-  let os = fresh ~config:{ Object_store.default_config with Object_store.cache_budget = 1 } (fresh_env ()) in
+  let os =
+    fresh ~config:{ Object_store.default_config with Object_store.cache_budget = 1 } ~chunk_config:no_chunk_cache (fresh_env ())
+  in
   let meter v = { view_count = v; print_count = 0; good = "g" } in
   let view oid = Object_store.with_txn os (fun x -> (Object_store.deref (Object_store.open_readonly x meter_cls oid)).view_count) in
   let set oid v = Object_store.with_txn os (fun x -> (Object_store.deref (Object_store.open_writable x meter_cls oid)).view_count <- v) in
@@ -925,7 +872,7 @@ let test_tiny_object_cache_reads_committed () =
   let reused =
     Object_store.ingest os (fun cs ->
         Chunk_store.restore_chunk cs a (Obj_class.pickle_value meter_cls (meter 7));
-        Chunk_store.commit cs)
+        (Chunk_store.commit cs, Some [ a ]))
   in
   Alcotest.(check bool) "ingested" true (Option.is_some reused);
   Alcotest.(check (list int)) "reused id, and its neighbour" [ 7; 2 ] (List.map view [ a; b ]);
@@ -1381,9 +1328,8 @@ let () =
         [
           Alcotest.test_case "eviction + reload" `Quick test_cache_eviction_and_reload;
           Alcotest.test_case "hits avoid I/O" `Quick test_cache_hit_no_io;
-          Alcotest.test_case "two-level fall-through" `Quick test_two_level_cache;
+          Alcotest.test_case "one cache per object store" `Quick test_one_cache_per_object_store;
           Alcotest.test_case "re-open under cache pressure" `Quick test_reopen_under_pressure;
-          Alcotest.test_case "commit keeps no chunk copy" `Quick test_commit_keeps_no_chunk_copy;
           Alcotest.test_case "tiny object cache reads committed" `Quick test_tiny_object_cache_reads_committed;
         ] );
       ( "re-open",

@@ -230,7 +230,9 @@ let follower_qty (fdb : Tdb.t) id =
       Tdb.Cstore.close it;
       r)
 
-let test_tampered_and_torn_frames () =
+(* A primary's full backup of items 0..9 (qty = id), then an incremental
+   that sets item 5's qty to 500. *)
+let two_frames () =
   let _, pdev = make_device () in
   let pdb = Tdb.create pdev in
   Tdb.with_ctxn ~durable:true pdb (fun ct ->
@@ -250,7 +252,10 @@ let test_tampered_and_torn_frames () =
       Tdb.Cstore.close it);
   ignore (Tdb.backup_incremental pdb);
   let streams = List.map snd (archive_streams pdb) in
-  let full, incr = match streams with [ f; i ] -> (f, i) | _ -> Alcotest.fail "expected 2 streams" in
+  match streams with [ f; i ] -> (f, i) | _ -> Alcotest.fail "expected 2 streams"
+
+let test_tampered_and_torn_frames () =
+  let full, incr = two_frames () in
   let _, fdev = make_device () in
   let fdb = Tdb.create fdev in
   (match ingest fdb full with Some _ -> () | None -> Alcotest.fail "full refused");
@@ -279,6 +284,24 @@ let test_tampered_and_torn_frames () =
   (match ingest fdb incr with Some _ -> () | None -> Alcotest.fail "genuine incr refused");
   Alcotest.(check (option int)) "snapshot 2 visible" (Some 500) (follower_qty fdb 5);
   Alcotest.(check int) "chain advanced" 2 (B.chain_state fdb.Tdb.backups).B.last_id
+
+(* An ingested incremental drops from the follower's object cache only
+   the objects it changed: the changed item reads its new value, an
+   unchanged one is still cached and costs no miss and no store read. *)
+let test_ingest_keeps_unchanged () =
+  let full, incr = two_frames () in
+  let _, fdev = make_device () in
+  let fdb = Tdb.create fdev in
+  (match ingest fdb full with Some _ -> () | None -> Alcotest.fail "full refused");
+  Alcotest.(check (list (option int))) "snapshot 1" [ Some 3; Some 5 ] (List.map (follower_qty fdb) [ 3; 5 ]);
+  (match ingest fdb incr with Some _ -> () | None -> Alcotest.fail "incr refused");
+  Alcotest.(check (option int)) "changed item re-read" (Some 500) (follower_qty fdb 5);
+  let reads () = (Tdb.Untrusted_store.stats fdev.Tdb.Device.store).Tdb.Untrusted_store.reads in
+  let reads0 = reads () and _, misses0, _ = Tdb.Object_store.cache_stats fdb.Tdb.objects in
+  Alcotest.(check (option int)) "unchanged item" (Some 3) (follower_qty fdb 3);
+  let _, misses1, _ = Tdb.Object_store.cache_stats fdb.Tdb.objects in
+  Alcotest.(check int) "unchanged item still cached" misses0 misses1;
+  Alcotest.(check int) "no store read" reads0 (reads ())
 
 (* --- tampered frame on the wire: reject, stay readable, self-heal --- *)
 
@@ -376,6 +399,7 @@ let () =
           Alcotest.test_case "from-empty convergence + read-only" `Quick test_from_empty_and_read_only;
           Alcotest.test_case "stale chain + reconnect" `Quick test_stale_chain_and_reconnect;
           Alcotest.test_case "tampered and torn frames" `Quick test_tampered_and_torn_frames;
+          Alcotest.test_case "ingest keeps unchanged objects" `Quick test_ingest_keeps_unchanged;
           Alcotest.test_case "wire tamper self-heal" `Quick test_wire_tamper_self_heal;
           Alcotest.test_case "frame selection" `Quick test_select;
         ] );
